@@ -1,7 +1,6 @@
 """Uniform train / predict / importance interface over the eleven kinds."""
 
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,11 +12,11 @@ from ..errors import (
     SingleClass,
     UnsupportedImportance,
 )
-from .ensemble import AdaBoost, GradientBoosting, RandomForest, XGBoost
+from ..fileio import write_atomic
+from .ensemble import AdaBoost, Booster, DecisionTree, RandomForest
 from .knn import KNN
 from .linear import LDA, QDA, GaussianNB, LogisticRegressionNewton
 from .svm import SMOSVC
-from .tree import ClassificationTree
 
 KINDS = ("svc", "dtc", "knn", "lr", "gnb", "lda", "qda", "rf", "gb", "ab", "xgb")
 
@@ -25,7 +24,7 @@ KINDS = ("svc", "dtc", "knn", "lr", "gnb", "lda", "qda", "rf", "gb", "ab", "xgb"
 # qualifies only with the linear kernel; the RBF kernel reports unsupported.
 IMPORTANCE_CAPABLE = ("svc-linear", "dtc", "lr", "lda", "rf", "gb", "ab", "xgb")
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 _DEFAULTS = {
     "svc": {"kernel": "rbf", "C": 1.0, "gamma": None},
@@ -80,7 +79,7 @@ def _build(config: ClassifierConfig):
     if kind == "svc":
         return SMOSVC(C=p["C"], kernel=p["kernel"], gamma=p["gamma"])
     if kind == "dtc":
-        return ClassificationTree(max_depth=p["max_depth"], min_samples_leaf=p["min_samples_leaf"])
+        return DecisionTree(max_depth=p["max_depth"], min_samples_leaf=p["min_samples_leaf"])
     if kind == "knn":
         return KNN(k=p["k"])
     if kind == "lr":
@@ -95,13 +94,15 @@ def _build(config: ClassifierConfig):
         return RandomForest(n_estimators=p["n_estimators"], max_depth=p["max_depth"],
                             min_samples_leaf=p["min_samples_leaf"], seed=config.seed)
     if kind == "gb":
-        return GradientBoosting(n_estimators=p["n_estimators"],
-                                learning_rate=p["learning_rate"], max_depth=p["max_depth"])
+        return Booster(n_estimators=p["n_estimators"], learning_rate=p["learning_rate"],
+                       max_depth=p["max_depth"], reg_lambda=0.0, min_child_weight=1e-6,
+                       second_order_splits=False)
     if kind == "ab":
         return AdaBoost(n_estimators=p["n_estimators"])
     if kind == "xgb":
-        return XGBoost(n_estimators=p["n_estimators"], learning_rate=p["learning_rate"],
-                       max_depth=p["max_depth"], reg_lambda=p["reg_lambda"])
+        return Booster(n_estimators=p["n_estimators"], learning_rate=p["learning_rate"],
+                       max_depth=p["max_depth"], reg_lambda=p["reg_lambda"],
+                       min_child_weight=1e-3, second_order_splits=True)
     raise ConfigInvalid(kind)
 
 
@@ -170,29 +171,23 @@ def save_model(model: TrainedModel, path):
         "feature_count": model.feature_count,
         "estimator": model.estimator.to_jsonable(),
     }
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(doc, sort_keys=True))
 
 
 _CLASSES = {
-    "svc": SMOSVC, "dtc": None, "knn": KNN, "lr": LogisticRegressionNewton,
+    "svc": SMOSVC, "dtc": DecisionTree, "knn": KNN, "lr": LogisticRegressionNewton,
     "gnb": GaussianNB, "lda": LDA, "qda": QDA, "rf": RandomForest,
-    "gb": GradientBoosting, "ab": AdaBoost, "xgb": XGBoost,
+    "gb": Booster, "ab": AdaBoost, "xgb": Booster,
 }
 
 
 def load_model(path) -> TrainedModel:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
+        raise ConfigInvalid(f"model schema_version {doc.get('schema_version')!r} is not "
+                            f"{MODEL_SCHEMA_VERSION}; retrain and save the model again")
     kind = doc["kind"]
     config = ClassifierConfig(kind, doc["params"], doc["seed"])
-    if kind == "dtc":
-        from .tree import TreeNodes
-        est = ClassificationTree()
-        est.nodes = TreeNodes.from_jsonable(doc["estimator"]["nodes"])
-        est.feature_importance_ = np.asarray(doc["estimator"]["importance"], dtype=float)
-    else:
-        est = _CLASSES[kind].from_jsonable(doc["estimator"])
+    est = _CLASSES[kind].from_jsonable(doc["estimator"])
     return TrainedModel(kind, config, est, doc["feature_count"])

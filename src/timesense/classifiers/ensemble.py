@@ -1,16 +1,81 @@
-"""Tree ensembles: bagged random forest, logistic-loss gradient boosting,
-AdaBoost (SAMME with stumps), and second-order L2-regularized boosting."""
+"""Tree models in one layout: the CART decision tree, the bagged random
+forest, second-order boosting (classic gradient boosting and its
+L2-regularized XGBoost form) and AdaBoost (SAMME with stumps)."""
 
 import numpy as np
 
 from .linear import sigmoid
-from .tree import ClassificationTree, GradientTree, WeightedStump
+from .tree import TreeNodes, grow_classification_tree, grow_gradient_tree, grow_stump
 
 
-class RandomForest:
-    """Bagged CART trees with sqrt(d) feature subsampling per node."""
+def _normalized(imp):
+    s = imp.sum()
+    return imp / s if s > 0 else imp
+
+
+class TreeEnsemble:
+    """What every tree model stores: its trees (``TreeNodes``), one
+    importance vector and one weight per tree, and an offset added to the
+    weighted sum of the trees' values."""
+
+    def __init__(self):
+        self.trees_ = []
+        self.importances_ = []
+        self.weights_ = []
+        self.offset_ = 0.0
+
+    def _add(self, nodes, importance, weight):
+        self.trees_.append(nodes)
+        self.importances_.append(importance)
+        self.weights_.append(weight)
+
+    def _weighted_sum(self, X):
+        """offset + sum of weight * tree value, accumulated in tree order."""
+        F = np.full(len(np.asarray(X)), self.offset_)
+        for weight, tree in zip(self.weights_, self.trees_):
+            F = F + weight * tree.predict(X)
+        return F
+
+    def to_jsonable(self):
+        return {"offset": self.offset_, "weights": [float(w) for w in self.weights_],
+                "trees": [t.to_jsonable() for t in self.trees_],
+                "importances": [imp.tolist() for imp in self.importances_]}
+
+    @classmethod
+    def from_jsonable(cls, doc):
+        m = cls()
+        m.offset_ = doc["offset"]
+        for nodes_doc, imp, weight in zip(doc["trees"], doc["importances"], doc["weights"]):
+            m._add(TreeNodes.from_jsonable(nodes_doc), np.asarray(imp, dtype=float), weight)
+        return m
+
+
+class DecisionTree(TreeEnsemble):
+    """A single CART tree (Gini impurity, best split)."""
+
+    def __init__(self, max_depth=None, min_samples_leaf=1):
+        super().__init__()
+        self.max_depth = max_depth
+        self.min_samples_leaf = min_samples_leaf
+
+    def fit(self, X, y, rng=None):
+        self._add(*grow_classification_tree(X, y, max_depth=self.max_depth,
+                                            min_samples_leaf=self.min_samples_leaf), 1.0)
+        return self
+
+    def decision_function(self, X):
+        return self.trees_[0].predict(X)
+
+    def importance(self):
+        return self.importances_[0]
+
+
+class RandomForest(TreeEnsemble):
+    """Bagged CART trees with sqrt(d) feature subsampling per node. The
+    score is the trees' mean, so every weight is 1."""
 
     def __init__(self, n_estimators=100, max_depth=None, min_samples_leaf=1, seed=0):
+        super().__init__()
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
@@ -21,226 +86,118 @@ class RandomForest:
         y = np.asarray(y, dtype=int)
         n, d = X.shape
         mtry = max(1, int(np.sqrt(d)))
-        self.trees_ = []
         for t in range(self.n_estimators):
             tree_rng = np.random.default_rng([self.seed, t])
             idx = tree_rng.integers(0, n, size=n)
-            tree = ClassificationTree(max_depth=self.max_depth,
-                                      min_samples_leaf=self.min_samples_leaf,
-                                      max_features=mtry)
             # bootstrap can lose a class; fall back to the full sample
             if len(np.unique(y[idx])) < 2:
                 idx = np.arange(n)
-            tree.fit(X[idx], y[idx], feature_rng=tree_rng)
-            self.trees_.append(tree)
+            self._add(*grow_classification_tree(
+                X[idx], y[idx], max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf,
+                max_features=mtry, feature_rng=tree_rng), 1.0)
         return self
 
     def decision_function(self, X):
-        return np.mean([t.decision_function(X) for t in self.trees_], axis=0)
+        # np.mean, not a sum of 1/T-weighted trees, which rounds differently
+        return np.mean([t.predict(X) for t in self.trees_], axis=0)
 
     def importance(self):
-        imp = np.mean([t.feature_importance_ for t in self.trees_], axis=0)
-        s = imp.sum()
-        return imp / s if s > 0 else imp
-
-    def to_jsonable(self):
-        return {"n_estimators": self.n_estimators, "seed": self.seed,
-                "trees": [t.nodes.to_jsonable() for t in self.trees_],
-                "importances": [t.feature_importance_.tolist() for t in self.trees_]}
-
-    @classmethod
-    def from_jsonable(cls, doc):
-        from .tree import TreeNodes
-        m = cls(n_estimators=doc["n_estimators"], seed=doc["seed"])
-        m.trees_ = []
-        for nodes_doc, imp in zip(doc["trees"], doc["importances"]):
-            t = ClassificationTree()
-            t.nodes = TreeNodes.from_jsonable(nodes_doc)
-            t.feature_importance_ = np.asarray(imp, dtype=float)
-            m.trees_.append(t)
-        return m
+        return _normalized(np.mean(self.importances_, axis=0))
 
 
-class GradientBoosting:
-    """Stage-wise regression trees fit to logistic-loss gradients.
+class Booster(TreeEnsemble):
+    """Stage-wise regression trees on the logistic loss's gradient and
+    hessian; leaves are the Newton step -G/(H+reg_lambda), and each tree is
+    added with weight ``learning_rate``.
 
-    Trees split on squared error against the residual; leaf values are the
-    Newton step sum(residual) / sum(p(1-p)).
+    ``second_order_splits`` selects between the two published forms. False
+    is Friedman's gradient boosting (gb): it starts from the log-odds of the
+    training prior and splits on unit hessians, i.e. by squared error
+    against the residual. True is XGBoost (xgb): it starts from 0
+    (probability 0.5) and splits on the true hessians, where
+    ``reg_lambda`` and ``min_child_weight`` regularize.
     """
 
-    def __init__(self, n_estimators=100, learning_rate=0.1, max_depth=3):
+    def __init__(self, n_estimators=100, learning_rate=0.1, max_depth=3, reg_lambda=1.0,
+                 min_child_weight=1e-3, second_order_splits=True):
+        super().__init__()
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
+        self.reg_lambda = reg_lambda
+        self.min_child_weight = min_child_weight
+        self.second_order_splits = second_order_splits
 
     def fit(self, X, y, rng=None):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
-        p0 = np.clip(y.mean(), 1e-12, 1 - 1e-12)
-        self.f0_ = float(np.log(p0 / (1 - p0)))
-        F = np.full(len(y), self.f0_)
-        self.trees_ = []
+        if not self.second_order_splits:
+            p0 = np.clip(y.mean(), 1e-12, 1 - 1e-12)
+            self.offset_ = float(np.log(p0 / (1 - p0)))
+        F = np.full(len(y), self.offset_)
         for _ in range(self.n_estimators):
             p = sigmoid(F)
-            residual = y - p
+            grad = p - y
             hess = np.maximum(p * (1 - p), 1e-12)
-            tree = GradientTree(max_depth=self.max_depth, reg_lambda=0.0)
-            # variance-reduction splits (unit hessian), Newton leaves
-            tree.fit(X, -residual, np.ones(len(y)), leaf_grad=-residual, leaf_hess=hess)
-            F = F + self.learning_rate * tree.predict(X)
-            self.trees_.append(tree)
+            split_hess = hess if self.second_order_splits else np.ones(len(y))
+            nodes, gain = grow_gradient_tree(X, grad, split_hess, grad, hess, self.max_depth,
+                                             self.reg_lambda, self.min_child_weight)
+            F = F + self.learning_rate * nodes.predict(X)
+            self._add(nodes, gain, self.learning_rate)
         return self
 
     def decision_function(self, X):
-        F = np.full(len(np.asarray(X)), self.f0_)
-        for tree in self.trees_:
-            F = F + self.learning_rate * tree.predict(X)
-        return F
+        return self._weighted_sum(X)
 
     def importance(self):
-        imp = np.sum([t.gain_importance_ for t in self.trees_], axis=0)
-        s = imp.sum()
-        return imp / s if s > 0 else imp
-
-    def to_jsonable(self):
-        return {"f0": self.f0_, "learning_rate": self.learning_rate,
-                "trees": [t.nodes.to_jsonable() for t in self.trees_],
-                "importances": [t.gain_importance_.tolist() for t in self.trees_]}
-
-    @classmethod
-    def from_jsonable(cls, doc):
-        from .tree import TreeNodes
-        m = cls(learning_rate=doc["learning_rate"])
-        m.f0_ = doc["f0"]
-        m.trees_ = []
-        for nodes_doc, imp in zip(doc["trees"], doc["importances"]):
-            t = GradientTree()
-            t.nodes = TreeNodes.from_jsonable(nodes_doc)
-            t.gain_importance_ = np.asarray(imp, dtype=float)
-            m.trees_.append(t)
-        return m
+        return _normalized(np.sum(self.importances_, axis=0))
 
 
-class AdaBoost:
-    """Discrete AdaBoost (SAMME) over depth-1 stumps.
+class AdaBoost(TreeEnsemble):
+    """Discrete AdaBoost (SAMME) over depth-1 stumps; a stump's importance
+    marks its feature and its weight is its alpha.
 
     Training halts when a stump's weighted error reaches 0.5 (no better than
     chance) or 0 (perfect).
     """
 
     def __init__(self, n_estimators=50):
+        super().__init__()
         self.n_estimators = n_estimators
+
+    @property
+    def alphas_(self):
+        return self.weights_
 
     def fit(self, X, y, rng=None):
         X = np.asarray(X, dtype=float)
         ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
-        n = len(ypm)
+        n, d = X.shape
         w = np.full(n, 1.0 / n)
-        self.stumps_ = []
-        self.alphas_ = []
         for _ in range(self.n_estimators):
-            stump = WeightedStump().fit(X, (ypm > 0).astype(int), w)
-            pred = stump.predict_pm(X)
+            stump = grow_stump(X, ypm, w)
+            pred = stump.predict(X)
             err = float(np.sum(w[pred != ypm]))
             if err >= 0.5:
                 break
+            marks = np.zeros(d)
+            marks[stump.feature[0]] = 1.0
             if err <= 1e-12:
-                self.stumps_.append(stump)
-                self.alphas_.append(np.log((1 - 1e-12) / 1e-12) / 2)
+                self._add(stump, marks, np.log((1 - 1e-12) / 1e-12) / 2)
                 break
             alpha = 0.5 * np.log((1 - err) / err)
-            self.stumps_.append(stump)
-            self.alphas_.append(alpha)
+            self._add(stump, marks, alpha)
             w = w * np.exp(-alpha * ypm * pred)
             w = w / w.sum()
-        if not self.stumps_:
-            # degenerate: no stump beats chance; constant zero score
-            self.stumps_ = []
-            self.alphas_ = []
         return self
 
     def decision_function(self, X):
-        X = np.asarray(X, dtype=float)
-        out = np.zeros(len(X))
-        for alpha, stump in zip(self.alphas_, self.stumps_):
-            out += alpha * stump.predict_pm(X)
-        return out
+        return self._weighted_sum(X)
 
     def importance(self):
-        if not self.stumps_:
+        if not self.trees_:
             return None
-        d = max(s.feature for s in self.stumps_) + 1
-        imp = np.zeros(d)
-        for alpha, stump in zip(self.alphas_, self.stumps_):
-            imp[stump.feature] += alpha
-        s = imp.sum()
-        return imp / s if s > 0 else imp
-
-    def to_jsonable(self):
-        return {"alphas": [float(a) for a in self.alphas_],
-                "stumps": [s.to_jsonable() for s in self.stumps_]}
-
-    @classmethod
-    def from_jsonable(cls, doc):
-        m = cls()
-        m.alphas_ = doc["alphas"]
-        m.stumps_ = [WeightedStump.from_jsonable(s) for s in doc["stumps"]]
-        return m
-
-
-class XGBoost:
-    """Second-order boosted trees: splits and leaves use gradient and hessian
-    statistics with an L2 penalty on leaf weights (the defining difference
-    from classic gradient boosting)."""
-
-    def __init__(self, n_estimators=100, learning_rate=0.1, max_depth=3,
-                 reg_lambda=1.0, min_child_weight=1e-3):
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.reg_lambda = reg_lambda
-        self.min_child_weight = min_child_weight
-
-    def fit(self, X, y, rng=None):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        F = np.zeros(len(y))  # base score 0.5 in probability space
-        self.trees_ = []
-        for _ in range(self.n_estimators):
-            p = sigmoid(F)
-            grad = p - y
-            hess = np.maximum(p * (1 - p), 1e-12)
-            tree = GradientTree(max_depth=self.max_depth, reg_lambda=self.reg_lambda,
-                                min_child_weight=self.min_child_weight)
-            tree.fit(X, grad, hess)
-            F = F + self.learning_rate * tree.predict(X)
-            self.trees_.append(tree)
-        return self
-
-    def decision_function(self, X):
-        F = np.zeros(len(np.asarray(X)))
-        for tree in self.trees_:
-            F = F + self.learning_rate * tree.predict(X)
-        return F
-
-    def importance(self):
-        imp = np.sum([t.gain_importance_ for t in self.trees_], axis=0)
-        s = imp.sum()
-        return imp / s if s > 0 else imp
-
-    def to_jsonable(self):
-        return {"learning_rate": self.learning_rate, "reg_lambda": self.reg_lambda,
-                "trees": [t.nodes.to_jsonable() for t in self.trees_],
-                "importances": [t.gain_importance_.tolist() for t in self.trees_]}
-
-    @classmethod
-    def from_jsonable(cls, doc):
-        from .tree import TreeNodes
-        m = cls(learning_rate=doc["learning_rate"], reg_lambda=doc["reg_lambda"])
-        m.trees_ = []
-        for nodes_doc, imp in zip(doc["trees"], doc["importances"]):
-            t = GradientTree()
-            t.nodes = TreeNodes.from_jsonable(nodes_doc)
-            t.gain_importance_ = np.asarray(imp, dtype=float)
-            m.trees_.append(t)
-        return m
+        imp = np.sum([a * m for a, m in zip(self.weights_, self.importances_)], axis=0)
+        # Cut after the highest feature a stump uses: trailing zeros would
+        # change how the normalising sum groups its additions.
+        return _normalized(imp[:max(t.feature[0] for t in self.trees_) + 1])

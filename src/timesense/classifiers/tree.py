@@ -1,6 +1,10 @@
-"""Array-backed decision trees: CART classification trees, gradient trees for
-boosting, and weighted stumps. All tie-breaks are deterministic (lowest
-feature index, then lowest threshold)."""
+"""Array-backed decision trees grown by one exact greedy split search.
+
+``best_split`` scores every cut of every feature of a node at once; the
+criteria below turn it into CART's Gini split (dtc, rf), the second-order
+split of gradient boosting (gb, xgb) and AdaBoost's weighted 0/1-error stump
+(ab). All tie-breaks are deterministic (lowest feature index, then lowest
+threshold)."""
 
 import numpy as np
 
@@ -66,250 +70,194 @@ class TreeNodes:
         return t.finalize()
 
 
-def _gini(counts):
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return 1.0 - float(np.sum(p * p))
+def best_split(X, stats, score):
+    """Exact greedy split search (Chen & Guestrin 2016, Alg. 1) over the
+    columns of ``X`` (n rows).
+
+    Each column is sorted stably and the per-row ``stats`` (n, k) are summed
+    cumulatively in that order. Cut i of a column sends its i smallest rows
+    left: cut 0 sends every row right (threshold one below the smallest
+    value); cut i > 0 exists where the sorted values step up between rows
+    i-1 and i, with the threshold at their midpoint.
+
+    ``score(left, last, n_left)`` gets the statistics left of every cut
+    (n, f, k), the column totals summed in sorted order (f, k) and the cut
+    positions (n, 1); it returns each cut's gain (n, f), -inf where the cut
+    is not allowed.
+
+    Returns ``(column, threshold, gain, left, last)`` of the highest gain --
+    ties go to the lowest column, then the lowest threshold -- or None when
+    no cut is allowed.
+    """
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    cum = np.cumsum(stats[order], axis=0)
+    left = np.concatenate([np.zeros_like(cum[:1]), cum[:-1]])
+    gain = score(left, cum[-1], np.arange(len(X))[:, None])
+    steps = np.concatenate([np.ones((1, X.shape[1]), bool), xs[1:] > xs[:-1]])
+    gain = np.where(steps, gain, -np.inf)
+    # argmax over the transpose returns the first maximum in column-major
+    # order: lowest column, then lowest cut (thresholds rise along a column).
+    col, i = np.unravel_index(np.argmax(gain.T), gain.T.shape)
+    if gain[i, col] == -np.inf:
+        return None
+    thr = 0.5 * (xs[i - 1, col] + xs[i, col]) if i > 0 else xs[0, col] - 1.0
+    return col, thr, gain[i, col], left[i, col], cum[-1, col]
 
 
-def _best_gini_split(X, y, w, feature_indices):
-    """Best weighted-Gini split over the given features; None if no gain."""
-    n = len(y)
+def _gini(a, b):
+    """Gini impurity of class weights (a, b); 0 for an empty side."""
+    n = a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pa, pb = a / n, b / n
+    return np.where(n == 0, 0.0, 1.0 - (pa * pa + pb * pb))
+
+
+def gini_split(X, y, w, features):
+    """Best weighted-Gini cut over ``features``: (feature, threshold, gain),
+    or None when no cut gains more than 1e-12."""
     total_w = w.sum()
     wy = w * y
-    parent_counts = np.array([total_w - wy.sum(), wy.sum()])
-    parent_impurity = _gini(parent_counts)
-    best = None  # (neg_gain, feature, threshold, mask)
-    for j in feature_indices:
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ws = w[order]
-        wys = wy[order]
-        cw = np.cumsum(ws)
-        cwy = np.cumsum(wys)
-        # candidate cuts between distinct consecutive values
-        cuts = np.flatnonzero(xs[1:] > xs[:-1])
-        for c in cuts:
-            wl = cw[c]
-            wr = total_w - wl
-            l_fast = cwy[c]
-            r_fast = cwy[-1] - l_fast
-            gl = _gini(np.array([wl - l_fast, l_fast]))
-            gr = _gini(np.array([wr - r_fast, r_fast]))
-            child = (wl * gl + wr * gr) / total_w
-            gain = parent_impurity - child
-            thr = 0.5 * (xs[c] + xs[c + 1])
-            key = (-gain, j, thr)
-            if gain > 1e-12 and (best is None or key < best[:3]):
-                best = (-gain, j, thr, gain)
-    return best
+    parent = _gini(total_w - wy.sum(), wy.sum())
+
+    def score(left, last, n_left):
+        wl, l_fast = left[..., 0], left[..., 1]
+        wr, r_fast = total_w - wl, last[..., 1] - l_fast
+        child = wl * _gini(wl - l_fast, l_fast) + wr * _gini(wr - r_fast, r_fast)
+        gain = parent - child / total_w
+        return np.where((n_left > 0) & (gain > 1e-12), gain, -np.inf)
+
+    best = best_split(X[:, features], np.column_stack([w, wy]), score)
+    if best is None:
+        return None
+    col, thr, gain, _, _ = best
+    return features[col], thr, gain
 
 
-class ClassificationTree:
-    """CART with Gini impurity and best-split strategy.
+def gradient_split(X, grad, hess, reg_lambda, min_child_weight, min_samples_leaf=1):
+    """Best cut by the second-order objective reduction
+    0.5 * (GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)) among the cuts that
+    leave ``min_samples_leaf`` rows and ``min_child_weight`` hessian on
+    each side: (feature, threshold, gain), or None when none gains more than
+    1e-12."""
+    n = len(grad)
+    G, H = grad.sum(), hess.sum()
+
+    def objective(g, h):
+        return g * g / (h + reg_lambda + 1e-12)
+
+    parent = objective(G, H)
+
+    def score(left, last, n_left):
+        gl, hl = left[..., 0], left[..., 1]
+        hr = H - hl
+        gain = 0.5 * (objective(gl, hl) + objective(G - gl, hr) - parent)
+        allowed = ((n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
+                   & (hl >= min_child_weight) & (hr >= min_child_weight) & (gain > 1e-12))
+        return np.where(allowed, gain, -np.inf)
+
+    best = best_split(X, np.column_stack([grad, hess]), score)
+    return None if best is None else best[:3]
+
+
+def _stump_errors(left, last):
+    """Weighted errors of "x > thr predicts fast" (+1) and of its reverse (-1)
+    from the (fast, slow) weights left of each cut."""
+    err_pos = left[..., 0] + (last[..., 1] - left[..., 1])
+    err_neg = left[..., 1] + (last[..., 0] - left[..., 0])
+    return err_pos, err_neg
+
+
+def stump_split(X, ypm, w):
+    """Depth-1 cut of least weighted 0/1 error for labels ``ypm`` in {-1, +1}:
+    (feature, threshold, polarity). Polarity +1 predicts fast right of the
+    threshold; -1 wins a tie. Cut 0 predicts one class everywhere."""
+    stats = np.column_stack([np.where(ypm > 0, w, 0.0), np.where(ypm < 0, w, 0.0)])
+    j, thr, _, left, last = best_split(
+        X, stats, lambda left, last, n_left: -np.minimum(*_stump_errors(left, last)))
+    err_pos, err_neg = _stump_errors(left, last)
+    return j, thr, -1 if err_neg <= err_pos else 1
+
+
+def grow_classification_tree(X, y, max_depth=None, min_samples_leaf=1, max_features=None,
+                             feature_rng=None):
+    """CART with Gini impurity and best-split strategy; returns
+    (TreeNodes, importance normalised to sum 1).
 
     When ``feature_rng`` is set, each node considers a random subset of
-    ``max_features`` features (random-forest style).
+    ``max_features`` features (random-forest style). A best split that
+    leaves fewer than ``min_samples_leaf`` rows on a side makes a leaf.
     """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n, d = X.shape
+    nodes = TreeNodes()
+    importance = np.zeros(d)
 
-    def __init__(self, max_depth=None, min_samples_leaf=1, min_samples_split=2,
-                 max_features=None):
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        self.nodes = None
-        self.feature_importance_ = None
-
-    def fit(self, X, y, sample_weight=None, feature_rng=None, rng=None):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
-        d = X.shape[1]
-        w = np.ones(len(y)) if sample_weight is None else np.asarray(sample_weight, float)
-        self.nodes = TreeNodes()
-        self._importance = np.zeros(d)
-        self._total_weight = w.sum()
-        self._grow(X, y, w, depth=0, feature_rng=feature_rng)
-        self.nodes.finalize()
-        s = self._importance.sum()
-        self.feature_importance_ = self._importance / s if s > 0 else self._importance
-        return self
-
-    def _leaf_value(self, y, w):
-        fast = float(np.sum(w * y))
-        slow = float(w.sum() - fast)
-        total = fast + slow
-        return (fast - slow) / total if total > 0 else 0.0
-
-    def _grow(self, X, y, w, depth, feature_rng):
-        node = self.nodes.add(value=self._leaf_value(y, w))
-        if (len(y) < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
+    def grow(X, y, depth):
+        fast = float(y.sum())
+        node = nodes.add(value=(fast - (len(y) - fast)) / len(y))
+        if (len(y) < 2
+                or (max_depth is not None and depth >= max_depth)
                 or len(np.unique(y)) < 2):
             return node
-        d = X.shape[1]
-        if feature_rng is not None and self.max_features is not None and self.max_features < d:
-            feats = np.sort(feature_rng.choice(d, size=self.max_features, replace=False))
+        if feature_rng is not None and max_features < d:
+            feats = np.sort(feature_rng.choice(d, size=max_features, replace=False))
         else:
             feats = np.arange(d)
-        best = _best_gini_split(X, y, w, feats)
+        best = gini_split(X, y, np.ones(len(y)), feats)
         if best is None:
             return node
-        _, j, thr, gain = best
+        j, thr, gain = best
         mask = X[:, j] <= thr
-        if mask.sum() < self.min_samples_leaf or (~mask).sum() < self.min_samples_leaf:
+        if mask.sum() < min_samples_leaf or (~mask).sum() < min_samples_leaf:
             return node
-        self._importance[j] += w.sum() / self._total_weight * gain
-        self.nodes.feature[node] = j
-        self.nodes.threshold[node] = thr
-        self.nodes.left[node] = self._grow(X[mask], y[mask], w[mask], depth + 1, feature_rng)
-        self.nodes.right[node] = self._grow(X[~mask], y[~mask], w[~mask], depth + 1, feature_rng)
+        importance[j] += len(y) / n * gain
+        nodes.feature[node] = j
+        nodes.threshold[node] = thr
+        nodes.left[node] = grow(X[mask], y[mask], depth + 1)
+        nodes.right[node] = grow(X[~mask], y[~mask], depth + 1)
         return node
 
-    def decision_function(self, X):
-        return self.nodes.predict(X)
-
-    def importance(self):
-        return self.feature_importance_
-
-    def to_jsonable(self):
-        return {"nodes": self.nodes.to_jsonable(),
-                "importance": self.feature_importance_.tolist()}
+    grow(X, y, 0)
+    s = importance.sum()
+    return nodes.finalize(), importance / s if s > 0 else importance
 
 
-class GradientTree:
-    """Regression tree for boosting, grown on gradient/hessian statistics.
+def grow_gradient_tree(X, grad, hess, leaf_grad, leaf_hess, max_depth, reg_lambda,
+                       min_child_weight):
+    """Regression tree for boosting: splits by ``gradient_split`` on
+    (grad, hess), leaf values -G/(H+reg) on (leaf_grad, leaf_hess). Returns
+    (TreeNodes, summed split gain per feature)."""
+    nodes = TreeNodes()
+    importance = np.zeros(X.shape[1])
 
-    Split gain is the second-order objective reduction
-    0.5 * (GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)); leaf values are
-    -G/(H+reg). Classic gradient boosting passes unit hessians for splitting
-    and refits leaves with its own Newton step.
-    """
-
-    def __init__(self, max_depth=3, reg_lambda=0.0, min_child_weight=1e-6,
-                 min_samples_leaf=1):
-        self.max_depth = max_depth
-        self.reg_lambda = reg_lambda
-        self.min_child_weight = min_child_weight
-        self.min_samples_leaf = min_samples_leaf
-        self.nodes = None
-        self.gain_importance_ = None
-
-    def fit(self, X, grad, hess, leaf_grad=None, leaf_hess=None):
-        X = np.asarray(X, dtype=float)
-        grad = np.asarray(grad, dtype=float)
-        hess = np.asarray(hess, dtype=float)
-        self._leaf_grad = grad if leaf_grad is None else np.asarray(leaf_grad, float)
-        self._leaf_hess = hess if leaf_hess is None else np.asarray(leaf_hess, float)
-        self.nodes = TreeNodes()
-        self.gain_importance_ = np.zeros(X.shape[1])
-        idx = np.arange(len(grad))
-        self._grow(X, grad, hess, idx, depth=0)
-        self.nodes.finalize()
-        return self
-
-    def _leaf_value(self, idx):
-        g = self._leaf_grad[idx].sum()
-        h = self._leaf_hess[idx].sum()
-        return -g / (h + self.reg_lambda + 1e-12)
-
-    def _score(self, g, h):
-        return g * g / (h + self.reg_lambda + 1e-12)
-
-    def _grow(self, X, grad, hess, idx, depth):
-        node = self.nodes.add(value=self._leaf_value(idx))
-        if depth >= self.max_depth or len(idx) < 2:
+    def grow(idx, depth):
+        g, h = leaf_grad[idx].sum(), leaf_hess[idx].sum()
+        node = nodes.add(value=-g / (h + reg_lambda + 1e-12))
+        if depth >= max_depth or len(idx) < 2:
             return node
-        G, H = grad[idx].sum(), hess[idx].sum()
-        parent = self._score(G, H)
-        best = None
-        for j in range(X.shape[1]):
-            order = idx[np.argsort(X[idx, j], kind="stable")]
-            xs = X[order, j]
-            cg = np.cumsum(grad[order])
-            ch = np.cumsum(hess[order])
-            cuts = np.flatnonzero(xs[1:] > xs[:-1])
-            for c in cuts:
-                if c + 1 < self.min_samples_leaf or len(idx) - c - 1 < self.min_samples_leaf:
-                    continue
-                hl, hr = ch[c], H - ch[c]
-                if hl < self.min_child_weight or hr < self.min_child_weight:
-                    continue
-                gain = 0.5 * (self._score(cg[c], hl) + self._score(G - cg[c], hr) - parent)
-                thr = 0.5 * (xs[c] + xs[c + 1])
-                key = (-gain, j, thr)
-                if gain > 1e-12 and (best is None or key < best[:3]):
-                    best = (-gain, j, thr, gain)
+        best = gradient_split(X[idx], grad[idx], hess[idx], reg_lambda, min_child_weight)
         if best is None:
             return node
-        _, j, thr, gain = best
-        self.gain_importance_[j] += gain
+        j, thr, gain = best
+        importance[j] += gain
         mask = X[idx, j] <= thr
-        self.nodes.feature[node] = j
-        self.nodes.threshold[node] = thr
-        self.nodes.left[node] = self._grow(X, grad, hess, idx[mask], depth + 1)
-        self.nodes.right[node] = self._grow(X, grad, hess, idx[~mask], depth + 1)
+        nodes.feature[node] = j
+        nodes.threshold[node] = thr
+        nodes.left[node] = grow(idx[mask], depth + 1)
+        nodes.right[node] = grow(idx[~mask], depth + 1)
         return node
 
-    def predict(self, X):
-        return self.nodes.predict(X)
+    grow(np.arange(len(grad)), 0)
+    return nodes.finalize(), importance
 
 
-class WeightedStump:
-    """Depth-1 classifier minimizing weighted 0/1 error (AdaBoost base)."""
-
-    def __init__(self):
-        self.feature = 0
-        self.threshold = 0.0
-        self.polarity = 1  # +1: x > thr predicts fast
-
-    def fit(self, X, y, w):
-        X = np.asarray(X, dtype=float)
-        ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
-        w = np.asarray(w, dtype=float)
-        best = None  # (error, feature, threshold, polarity)
-        total_pos = np.sum(w[ypm > 0])
-        for j in range(X.shape[1]):
-            order = np.argsort(X[:, j], kind="stable")
-            xs = X[order, j]
-            ws = w[order]
-            ys = ypm[order]
-            # error of rule "x > thr -> fast" with everything on the left slow:
-            # start with thr below all values: all predicted fast
-            cum_pos = np.cumsum(np.where(ys > 0, ws, 0.0))
-            cum_neg = np.cumsum(np.where(ys < 0, ws, 0.0))
-            cuts = np.concatenate([[-1], np.flatnonzero(xs[1:] > xs[:-1])])
-            for c in cuts:
-                left_pos = cum_pos[c] if c >= 0 else 0.0
-                left_neg = cum_neg[c] if c >= 0 else 0.0
-                thr = (0.5 * (xs[c] + xs[c + 1]) if c >= 0 else xs[0] - 1.0)
-                # polarity +1: left slow, right fast
-                err_pos = left_pos + (cum_neg[-1] - left_neg)
-                # polarity -1: left fast, right slow
-                err_neg = left_neg + (cum_pos[-1] - left_pos)
-                for err, pol in ((err_pos, 1), (err_neg, -1)):
-                    key = (err, j, thr, pol)
-                    if best is None or key < best:
-                        best = key
-        self.error_, self.feature, self.threshold, self.polarity = best
-        return self
-
-    def predict_pm(self, X):
-        X = np.asarray(X, dtype=float)
-        right = X[:, self.feature] > self.threshold
-        out = np.where(right, 1.0, -1.0) * self.polarity
-        return out
-
-    def to_jsonable(self):
-        return {"feature": int(self.feature), "threshold": float(self.threshold),
-                "polarity": int(self.polarity)}
-
-    @classmethod
-    def from_jsonable(cls, doc):
-        s = cls()
-        s.feature = doc["feature"]
-        s.threshold = doc["threshold"]
-        s.polarity = doc["polarity"]
-        return s
+def grow_stump(X, ypm, w):
+    """``stump_split`` as a depth-1 tree whose leaves hold -1 or +1."""
+    j, thr, polarity = stump_split(X, ypm, w)
+    nodes = TreeNodes()
+    nodes.add(feature=j, threshold=thr)
+    nodes.left[0] = nodes.add(value=-polarity)
+    nodes.right[0] = nodes.add(value=polarity)
+    return nodes.finalize()

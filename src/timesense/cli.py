@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 IO/environment error, 2 validation/domain error.
 
 import argparse
 import json
-import os
 import sys
 
 from . import ingest, pipeline
@@ -21,6 +20,7 @@ from .evaluate import (
     write_report_json,
 )
 from .explain import mean_abs_shap
+from .fileio import write_atomic
 from .ingest import SynthConfig, synth_dataset, write_corpus
 
 EXIT_OK = 0
@@ -158,10 +158,7 @@ def cmd_explain(args):
     for name, value, rank in ranking:
         lines.append(f"{name},{value!r},{rank}")
     try:
-        tmp = args.out + ".tmp"
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, args.out)
+        write_atomic(args.out, "\n".join(lines) + "\n")
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO

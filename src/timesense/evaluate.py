@@ -2,13 +2,13 @@
 accuracy matrix."""
 
 import json
-import os
 
 import numpy as np
 
 from .classifiers import ClassifierConfig, predict, train
 from .errors import EmptyInput, LengthMismatch, SingleParticipant, UnsupportedClassifier
 from .explain import mean_abs_shap
+from .fileio import write_atomic
 from .model import (
     EDA_FEATURES,
     PPG_FEATURES,
@@ -192,11 +192,7 @@ def report_to_jsonable(report: EvaluationReport):
 
 
 def write_report_json(doc, path):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def matrix_to_csv(matrix, path, settings=SELECTION_MODES):
@@ -208,7 +204,4 @@ def matrix_to_csv(matrix, path, settings=SELECTION_MODES):
             v = row[mode]
             cells.append(v if isinstance(v, str) else repr(float(v)))
         lines.append(",".join(cells))
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, "\n".join(lines) + "\n")

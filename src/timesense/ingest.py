@@ -15,6 +15,7 @@ from .errors import (
     MissingFile,
     NonFiniteSample,
 )
+from .fileio import write_atomic
 from .model import (
     ALL_SETTINGS,
     ENGLISH,
@@ -315,19 +316,12 @@ def synth_dataset(config: SynthConfig):
 # Corpus writing (CSV channels + manifest)
 # ---------------------------------------------------------------------------
 
-def _write_atomic(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def write_channel_csv(path, series: TimeSeries):
     lines = ["timestamp_s,value"]
     fs = series.sampling_rate_hz
     for i, v in enumerate(series.values):
         lines.append(f"{i / fs!r},{float(v)!r}")
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_corpus(sessions, out_dir):
@@ -360,5 +354,5 @@ def write_corpus(sessions, out_dir):
         })
     manifest = {"schema_version": MANIFEST_SCHEMA_VERSION, "sessions": entries}
     manifest_path = os.path.join(out_dir, "manifest.json")
-    _write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path

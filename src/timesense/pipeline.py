@@ -1,13 +1,13 @@
 """From sessions to a learning-ready dataset: background subtraction,
 train-only scaling, and label derivation from questionnaire ratings."""
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, FeatureExtractionError, TooFewRows
 from .features import BASELINE, TASK, DEFAULT_EXTRACTION, extract_all
+from .fileio import write_atomic
 from .model import (
     FEATURE_NAMES,
     LABEL_FAST,
@@ -157,10 +157,7 @@ def dataset_to_csv(dataset: Dataset, path):
         cells.append(LABEL_FAST if dataset.y[i] == 1 else LABEL_SLOW)
         cells.append(str(int(dataset.participant_ids[i])))
         lines.append(",".join(cells))
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def dataset_from_csv(path) -> Dataset:

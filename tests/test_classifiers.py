@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from timesense.classifiers import base
+from timesense.classifiers import base, tree
 from timesense.classifiers.base import (
     KINDS,
     ClassifierConfig,
@@ -282,3 +285,208 @@ class TestSaveLoad:
         back = load_model(path)
         assert np.allclose(decision_scores(back, X), decision_scores(model, X),
                            atol=1e-12)
+
+
+class TestSaveLoadSchema:
+    def test_other_schema_version_rejected(self, tmp_path):
+        X, y = blobs()
+        path = tmp_path / "model.json"
+        save_model(train(ClassifierConfig("dtc"), X, y), path)
+        doc = json.loads(path.read_text())
+        assert doc["schema_version"] == base.MODEL_SCHEMA_VERSION == 2
+        for version in (1, 3, None):
+            doc["schema_version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ConfigInvalid):
+                load_model(path)
+
+
+# sha256 of the float64 bytes of decision_scores (training rows, then a fresh
+# draw) and of importance, recorded before the tree models shared one split
+# search and one layout.
+PINNED = {
+    ("blobs", "dtc"): ("3cb7cb4892a664147cbb6dd9b031bf053f7d2264307bf277da4d103ad6f244b6",
+                       "079f38ab3493499274d8abd2d1a7acf02025ce5b442cfa8c68cb154bad6afb59"),
+    ("blobs", "rf"): ("dcc5ae7f5cf6f9d66169498cd752e0cfd19a925a12b676e19bd4ca7efed4d975",
+                      "47a3a3a85d496fefe71df56587e41757166a420de27a3a47f8b8fe24d1dc4ce3"),
+    ("blobs", "gb"): ("da5dfd812c8cab7822fe442781851e0574881e363bdb5388a937bda6a0a9acd1",
+                      "371858a57577c5122b12f750ee4c521cf25296866cdb9eefb5df913ed46df035"),
+    ("blobs", "ab"): ("6b5fd003281d267e295166390872eaf70582e983d8754b2df8e2947c40a50156",
+                      "4f2ed8f028917feed18d5b6505bb6118e5d68cc71479885dc00eb2e82e6e8eff"),
+    ("blobs", "xgb"): ("ab5dd91170907d9e20dad3932e8b2beb1bbc30a04aa589e26639a17c6f8d6584",
+                       "2286d3da9dc90d0e777dd28159e8fb54f883808502f327ecc2d1916bc23b7e8e"),
+    ("xor_data", "dtc"): ("eab300ba0509e59394ebd5c4805202eb9ff6a0570c112602bfc4b7486091d157",
+                          "353acbbadf6f7e4e62789a961ec3e66a269108d8459558c2704b232b3857d389"),
+    ("xor_data", "rf"): ("ba404dc77d46814697c14ad9943d3bba957e3170d05381b2ddf2f5b230783dc7",
+                         "33521d21efa3d69a5fb60f73a17b5e416854fecb702031deaaafe67f431e0d91"),
+    ("xor_data", "gb"): ("4deefab3f8b151c5cd0fbbb4e1f24155d71df7bd4b7b6840b9df1843e8e55fcc",
+                         "f4e7a5d0decf82b7ea3339686498e6503ce7b3562e66bddcd96a3041afff2dee"),
+    ("xor_data", "ab"): ("71f95c9c100e5c3820f5ce69e8f231d6397801e9bfd06d7fbd34fc2c590db957",
+                         "b080b74920d77467df952857ff4767a5220caa6fa957752a26d9f22d63b9a7a3"),
+    ("xor_data", "xgb"): ("3d00634f7720068c6527b37143c70410701c7940394021d6a1e58105ae48a80c",
+                          "0649f02deea59a9d7fc1b12e87e3fe6351d1d0f8b554ac4cddc1facbb900a739"),
+}
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("fixture,kind", sorted(PINNED))
+def test_tree_models_reproduce_pinned_outputs(fixture, kind, tmp_path):
+    if fixture == "blobs":
+        (X, y), probe = blobs(gap=2.0), blobs(gap=2.0, seed=9)[0]
+    else:
+        (X, y), probe = xor_data(), xor_data(seed=3)[0]
+    rows = np.vstack([X, probe])
+    model = train(ClassifierConfig(kind, seed=0), X, y)
+    scores_digest, importance_digest = PINNED[fixture, kind]
+    assert _digest(decision_scores(model, rows)) == scores_digest
+    assert _digest(importance(model)) == importance_digest
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert _digest(decision_scores(back, rows)) == scores_digest
+    assert _digest(importance(back)) == importance_digest
+
+
+# ---------------------------------------------------------------------------
+# Brute-force split search: the per-cut loops the vectorized search replaced.
+# ---------------------------------------------------------------------------
+
+def _loop_gini(counts):
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return 1.0 - float(np.sum(p * p))
+
+
+def loop_gini_split(X, y, w, feature_indices):
+    total_w = w.sum()
+    wy = w * y
+    parent_impurity = _loop_gini(np.array([total_w - wy.sum(), wy.sum()]))
+    best = None
+    for j in feature_indices:
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        cw = np.cumsum(w[order])
+        cwy = np.cumsum(wy[order])
+        for c in np.flatnonzero(xs[1:] > xs[:-1]):
+            wl = cw[c]
+            wr = total_w - wl
+            l_fast = cwy[c]
+            r_fast = cwy[-1] - l_fast
+            gl = _loop_gini(np.array([wl - l_fast, l_fast]))
+            gr = _loop_gini(np.array([wr - r_fast, r_fast]))
+            gain = parent_impurity - (wl * gl + wr * gr) / total_w
+            thr = 0.5 * (xs[c] + xs[c + 1])
+            key = (-gain, j, thr)
+            if gain > 1e-12 and (best is None or key < best[:3]):
+                best = (-gain, j, thr, gain)
+    return None if best is None else best[1:]
+
+
+def loop_gradient_split(X, grad, hess, reg_lambda, min_child_weight, min_samples_leaf):
+    def score(g, h):
+        return g * g / (h + reg_lambda + 1e-12)
+
+    n = len(grad)
+    G, H = grad.sum(), hess.sum()
+    parent = score(G, H)
+    best = None
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        cg = np.cumsum(grad[order])
+        ch = np.cumsum(hess[order])
+        for c in np.flatnonzero(xs[1:] > xs[:-1]):
+            if c + 1 < min_samples_leaf or n - c - 1 < min_samples_leaf:
+                continue
+            hl, hr = ch[c], H - ch[c]
+            if hl < min_child_weight or hr < min_child_weight:
+                continue
+            gain = 0.5 * (score(cg[c], hl) + score(G - cg[c], hr) - parent)
+            thr = 0.5 * (xs[c] + xs[c + 1])
+            key = (-gain, j, thr)
+            if gain > 1e-12 and (best is None or key < best[:3]):
+                best = (-gain, j, thr, gain)
+    return None if best is None else best[1:]
+
+
+def loop_stump_split(X, ypm, w):
+    best = None  # (error, feature, threshold, polarity)
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        ws = w[order]
+        ys = ypm[order]
+        cum_pos = np.cumsum(np.where(ys > 0, ws, 0.0))
+        cum_neg = np.cumsum(np.where(ys < 0, ws, 0.0))
+        for c in np.concatenate([[-1], np.flatnonzero(xs[1:] > xs[:-1])]):
+            left_pos = cum_pos[c] if c >= 0 else 0.0
+            left_neg = cum_neg[c] if c >= 0 else 0.0
+            thr = 0.5 * (xs[c] + xs[c + 1]) if c >= 0 else xs[0] - 1.0
+            err_pos = left_pos + (cum_neg[-1] - left_neg)
+            err_neg = left_neg + (cum_pos[-1] - left_pos)
+            for err, pol in ((err_pos, 1), (err_neg, -1)):
+                key = (err, j, thr, pol)
+                if best is None or key < best:
+                    best = key
+    return best[1:]
+
+
+def split_case(seed):
+    """Small matrix with repeated values, a duplicated column (equal gains
+    across features), bootstrap-duplicated rows and AdaBoost-style weights."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 30)), int(rng.integers(1, 6))
+    X = rng.integers(0, 5, (n, d)).astype(float)
+    X[:, rng.random(d) < 0.5] += rng.normal(0, 1, (n, 1))
+    if d > 1:
+        X[:, -1] = X[:, 0]
+    y = rng.integers(0, 2, n)
+    boot = rng.integers(0, n, n)
+    X, y = X[boot], y[boot]
+    w = rng.exponential(1.0, n)
+    w /= w.sum()
+    return rng, X, y, w
+
+
+class TestSplitSearchMatchesLoops:
+    """The vectorized search returns exactly what the per-cut loops return."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_gini(self, seed):
+        rng, X, y, w = split_case(seed)
+        feats = np.sort(rng.choice(X.shape[1], size=int(rng.integers(1, X.shape[1] + 1)),
+                                   replace=False))
+        for weights in (np.ones(len(y)), w):
+            assert tree.gini_split(X, y, weights, feats) == loop_gini_split(X, y, weights, feats)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_gradient(self, seed):
+        rng, X, y, w = split_case(seed)
+        p = rng.uniform(0.05, 0.95, len(y))
+        grad, hess = p - y, p * (1 - p)
+        for split_hess in (np.ones(len(y)), hess):
+            for reg_lambda, mcw, msl in ((0.0, 1e-6, 1), (1.0, 1e-3, 1), (1.0, 0.6, 2)):
+                assert (tree.gradient_split(X, grad, split_hess, reg_lambda, mcw, msl)
+                        == loop_gradient_split(X, grad, split_hess, reg_lambda, mcw, msl))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_stump(self, seed):
+        rng, X, y, w = split_case(seed)
+        ypm = np.where(y == 1, 1.0, -1.0)
+        for weights in (np.full(len(y), 1.0 / len(y)), w):
+            assert tree.stump_split(X, ypm, weights) == loop_stump_split(X, ypm, weights)
+
+    def test_stump_tie_breaks(self):
+        # the cut below all values and both real cuts each err by 1
+        X = np.array([[0.0], [1.0], [2.0]])
+        ypm = np.array([1.0, -1.0, 1.0])
+        w = np.ones(3)
+        assert tree.stump_split(X, ypm, w) == loop_stump_split(X, ypm, w) == (0, -1.0, 1)
+        # both polarities err by 1: polarity -1 wins
+        X, ypm, w = np.zeros((2, 1)), np.array([1.0, -1.0]), np.ones(2)
+        assert tree.stump_split(X, ypm, w) == loop_stump_split(X, ypm, w) == (0, -1.0, -1)
