@@ -9,7 +9,7 @@ feature-importance measure, so KNN is rejected with a typed error.
 import numpy as np
 
 from timesense.classifiers import ClassifierConfig
-from timesense.errors import UnsupportedClassifier
+from timesense.errors import Unsupported
 from timesense.model import FEATURE_NAMES, Dataset
 from timesense.selection import rfecv, sfs
 
@@ -38,5 +38,5 @@ for names, score in result.trace:
 
 try:
     rfecv(dataset, ClassifierConfig("knn"))
-except UnsupportedClassifier as exc:
+except Unsupported as exc:
     print(f"\nKNN + RFECV correctly rejected: {exc}")

@@ -5,15 +5,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import (
-    ConfigInvalid,
-    DimensionMismatch,
-    NonFinite,
-    SingleClass,
-    UnsupportedImportance,
-)
+from ..errors import InsufficientData, InvalidInput, Unsupported
 from ..fileio import write_atomic
-from .ensemble import AdaBoost, Booster, DecisionTree, RandomForest
+from .ensemble import AdaBoost, Booster, DecisionTree, RandomForest, TreeEnsemble
 from .knn import KNN
 from .linear import LDA, QDA, GaussianNB, LogisticRegressionNewton
 from .svm import SMOSVC
@@ -49,10 +43,12 @@ class ClassifierConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigInvalid(f"unknown classifier kind {self.kind!r}")
+            raise InvalidInput(f"unknown classifier kind {self.kind!r}")
         unknown = set(self.params) - set(_DEFAULTS[self.kind])
         if unknown:
-            raise ConfigInvalid(f"unknown params for {self.kind}: {sorted(unknown)}")
+            raise InvalidInput(f"unknown params for {self.kind}: {sorted(unknown)}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed {self.seed} must be >= 0")
 
     def resolved_params(self):
         out = dict(_DEFAULTS[self.kind])
@@ -103,7 +99,7 @@ def _build(config: ClassifierConfig):
         return Booster(n_estimators=p["n_estimators"], learning_rate=p["learning_rate"],
                        max_depth=p["max_depth"], reg_lambda=p["reg_lambda"],
                        min_child_weight=1e-3, second_order_splits=True)
-    raise ConfigInvalid(kind)
+    raise InvalidInput(kind)
 
 
 def canonical_order(X, y):
@@ -121,13 +117,13 @@ def train(config: ClassifierConfig, X, y) -> TrainedModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.ndim != 2 or len(X) != len(y):
-        raise DimensionMismatch("X and y shapes disagree")
+        raise InvalidInput("X and y shapes disagree")
     if len(y) < 2:
-        raise SingleClass("need at least 2 training rows")
+        raise InsufficientData("need at least 2 training rows")
     if not (np.any(y == 0) and np.any(y == 1)):
-        raise SingleClass("training data must contain both classes")
+        raise InsufficientData("training data must contain both classes")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise NonFinite("training data must be finite")
+        raise InvalidInput("training data must be finite")
     order = canonical_order(X, y)
     Xs, ys = X[order], y[order]
     est = _build(config)
@@ -140,7 +136,7 @@ def decision_scores(model: TrainedModel, X) -> np.ndarray:
     """Real-valued scores, monotone in fast-class confidence (0 = tie)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.feature_count:
-        raise DimensionMismatch(
+        raise InvalidInput(
             f"expected {model.feature_count} features, got {X.shape}")
     return np.asarray(model.estimator.decision_function(X), dtype=float)
 
@@ -151,10 +147,10 @@ def predict(model: TrainedModel, X) -> np.ndarray:
 
 
 def importance(model: TrainedModel) -> np.ndarray:
-    """Non-negative per-feature weights, or UnsupportedImportance."""
+    """Non-negative per-feature weights; Unsupported for a kind without them."""
     imp = model.estimator.importance()
     if imp is None:
-        raise UnsupportedImportance(
+        raise Unsupported(
             f"{model.kind} exposes no feature-importance measure")
     imp = np.asarray(imp, dtype=float)
     if len(imp) < model.feature_count:
@@ -182,12 +178,31 @@ _CLASSES = {
 
 
 def load_model(path) -> TrainedModel:
+    """Read a model written by ``save_model``.
+
+    Raises InvalidInput when the file is not valid JSON, is of another schema
+    version, lacks a key or holds one of the wrong type, or holds a tree whose
+    child or split-feature indexes point outside it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise ConfigInvalid(f"model schema_version {doc.get('schema_version')!r} is not "
-                            f"{MODEL_SCHEMA_VERSION}; retrain and save the model again")
-    kind = doc["kind"]
-    config = ClassifierConfig(kind, doc["params"], doc["seed"])
-    est = _CLASSES[kind].from_jsonable(doc["estimator"])
-    return TrainedModel(kind, config, est, doc["feature_count"])
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: not valid JSON: {exc}") from None
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != MODEL_SCHEMA_VERSION:
+        raise InvalidInput(f"model schema_version {version!r} is not "
+                           f"{MODEL_SCHEMA_VERSION}; retrain and save the model again")
+    try:
+        kind = doc["kind"]
+        config = ClassifierConfig(kind, doc["params"], doc["seed"])
+        est = _CLASSES[kind].from_jsonable(doc["estimator"])
+        feature_count = doc["feature_count"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"{path}: {type(exc).__name__}: {exc}") from None
+    if type(feature_count) is not int or feature_count < 1:
+        raise InvalidInput(f"{path}: feature_count {feature_count!r} is not a positive integer")
+    if isinstance(est, TreeEnsemble):
+        for i, nodes in enumerate(est.trees_):
+            nodes.check(feature_count, f"{path}: tree {i}")
+    return TrainedModel(kind, config, est, feature_count)

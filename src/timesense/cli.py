@@ -1,27 +1,30 @@
 """Command-line surface: synth, extract, evaluate, explain.
 
-Exit codes: 0 success, 1 IO/environment error, 2 validation/domain error.
+Exit codes: 0 success; 1 when an input file is missing (MissingFile) or a
+file cannot be read or written (OSError); 2 for every other library error
+(InvalidInput, InsufficientData, Unsupported, FeatureExtractionError). Each
+error class carries its code; ``main`` prints one ``error:`` line.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import ingest, pipeline
 from .classifiers import ClassifierConfig, train
-from .errors import TimesenseError, UnsupportedClassifier
+from .errors import InvalidInput, TimesenseError
 from .evaluate import (
     MATRIX_KINDS,
     SELECTION_MODES,
     losocv,
     report_matrix,
     report_to_jsonable,
-    selection_spec,
     write_report_json,
 )
 from .explain import mean_abs_shap
 from .fileio import write_atomic
-from .ingest import SynthConfig, synth_dataset, write_corpus
+from .ingest import synth_dataset, write_corpus
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -29,48 +32,28 @@ EXIT_DOMAIN = 2
 
 
 def _load_synth_config(path, seed):
-    if path is None:
-        return SynthConfig(seed=seed) if seed is not None else SynthConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    class_fields = {"slow", "fast", "baseline"}
-    kwargs = {}
-    for key, value in doc.items():
-        if key in class_fields:
-            kwargs[key] = ingest.ClassParams(**value)
-        else:
-            kwargs[key] = value
-    if seed is not None:
-        kwargs["seed"] = seed
-    return SynthConfig(**kwargs)
+    """The generator config from a JSON object of SynthConfig fields (the
+    defaults when ``path`` is None); ``seed``, when given, overrides."""
+    doc = {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise InvalidInput(f"{path}: not valid JSON: {exc}") from None
+    config = ingest.synth_config_from_json(doc, where=path or "config")
+    return config if seed is None else replace(config, seed=seed)
 
 
 def cmd_synth(args):
-    try:
-        config = _load_synth_config(args.config, args.seed)
-        config.validate()
-    except (TimesenseError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    sessions = synth_dataset(config)
-    try:
-        manifest = write_corpus(sessions, args.out)
-    except OSError as exc:
-        print(f"error: cannot write corpus: {exc}", file=sys.stderr)
-        return EXIT_IO
+    sessions = synth_dataset(_load_synth_config(args.config, args.seed))
+    manifest = write_corpus(sessions, args.out)
     print(f"wrote {len(sessions)} sessions to {args.out} (manifest: {manifest})")
     return EXIT_OK
 
 
 def cmd_extract(args):
-    try:
-        entries, base_dir = ingest.load_manifest(args.manifest)
-    except (OSError, TimesenseError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read manifest: {exc}", file=sys.stderr)
-        return EXIT_IO
+    entries, base_dir = ingest.load_manifest(args.manifest)
     sessions = []
     failures = []
     for entry in entries:
@@ -83,85 +66,39 @@ def cmd_extract(args):
         for f in failures:
             print(f"error: {f}", file=sys.stderr)
         return EXIT_DOMAIN
-    try:
-        dataset = pipeline.assemble(sessions)
-    except TimesenseError as exc:
-        print(f"error: extraction failed: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
-        pipeline.dataset_to_csv(dataset, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    dataset = pipeline.assemble(sessions)
+    pipeline.dataset_to_csv(dataset, args.out)
     print(f"wrote {len(dataset)} rows to {args.out}")
     return EXIT_OK
 
 
 def cmd_evaluate(args):
-    try:
-        dataset = pipeline.dataset_from_csv(args.features)
-    except OSError as exc:
-        print(f"error: cannot read {args.features}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, TimesenseError) as exc:
-        print(f"error: malformed features file: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
-        if args.classifier == "all":
-            matrix = report_matrix(dataset, MATRIX_KINDS, SELECTION_MODES,
-                                   scaler_method=args.scaling, seed=args.seed)
-            doc = {"schema_version": 1, "scaling": args.scaling, "seed": args.seed,
-                   "matrix": matrix}
-        else:
-            config = ClassifierConfig(args.classifier, seed=args.seed)
-            if args.selection == "rfecv" and not config.supports_importance():
-                print(f"error: {args.classifier} cannot be combined with rfecv: "
-                      "it implements no feature importance measure", file=sys.stderr)
-                return EXIT_DOMAIN
-            report = losocv(dataset, config, scaler_method=args.scaling,
-                            selection=selection_spec(args.selection), seed=args.seed)
-            doc = report_to_jsonable(report)
-            doc.update({"classifier": args.classifier, "selection": args.selection,
-                        "scaling": args.scaling, "seed": args.seed})
-    except UnsupportedClassifier as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except TimesenseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
-        write_report_json(doc, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    dataset = pipeline.dataset_from_csv(args.features)
+    if args.classifier == "all":
+        matrix = report_matrix(dataset, MATRIX_KINDS, SELECTION_MODES,
+                               scaler_method=args.scaling, seed=args.seed)
+        doc = {"schema_version": 1, "scaling": args.scaling, "seed": args.seed,
+               "matrix": matrix}
+    else:
+        report = losocv(dataset, ClassifierConfig(args.classifier, seed=args.seed),
+                        scaler_method=args.scaling, selection=(args.selection, None),
+                        seed=args.seed)
+        doc = report_to_jsonable(report)
+        doc.update({"classifier": args.classifier, "selection": args.selection,
+                    "scaling": args.scaling, "seed": args.seed})
+    write_report_json(doc, args.out)
     print(f"wrote report to {args.out}")
     return EXIT_OK
 
 
 def cmd_explain(args):
-    try:
-        dataset = pipeline.dataset_from_csv(args.features)
-    except OSError as exc:
-        print(f"error: cannot read {args.features}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, TimesenseError) as exc:
-        print(f"error: malformed features file: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
-        config = ClassifierConfig(args.classifier, seed=args.seed)
-        model = train(config, dataset.X, dataset.y)
-        ranking = mean_abs_shap(model, dataset, n_samples=args.n_samples, seed=args.seed)
-    except TimesenseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    dataset = pipeline.dataset_from_csv(args.features)
+    model = train(ClassifierConfig(args.classifier, seed=args.seed), dataset.X, dataset.y)
+    ranking = mean_abs_shap(model, dataset, n_samples=args.n_samples, seed=args.seed)
     lines = ["# schema_version=1", "feature,mean_abs_shap,rank"]
     for name, value, rank in ranking:
         lines.append(f"{name},{value!r},{rank}")
-    try:
-        write_atomic(args.out, "\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_atomic(args.out, "\n".join(lines) + "\n")
     print(f"wrote ranking to {args.out}")
     return EXIT_OK
 
@@ -206,9 +143,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command; a library error or an unreadable or unwritable file
+    ends it with one ``error:`` line on stderr and the error's exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except TimesenseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
-from .errors import EmptySegment, InvalidBand, OutOfRange, TooShort
+from .errors import InsufficientData, InvalidInput
 from .model import TimeSeries
 
 
@@ -55,14 +55,14 @@ def bandpass(series: TimeSeries, low_hz: float, high_hz: float, order: int = 3) 
     fs = series.sampling_rate_hz
     nyq = fs / 2.0
     if not (0 < low_hz < high_hz < nyq):
-        raise InvalidBand(f"need 0 < {low_hz} < {high_hz} < Nyquist ({nyq})")
+        raise InvalidInput(f"need 0 < {low_hz} < {high_hz} < Nyquist ({nyq})")
     if order < 1:
-        raise InvalidBand("order must be >= 1")
+        raise InvalidInput("order must be >= 1")
     sos = sps.butter(order, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
     # sosfiltfilt needs > 3 * (2 * sections) samples of padding headroom
     min_len = 3 * (2 * sos.shape[0]) + 1
     if len(series) <= min_len:
-        raise TooShort(f"need more than {min_len} samples for order-{order} bandpass")
+        raise InsufficientData(f"need more than {min_len} samples for order-{order} bandpass")
     filtered = sps.sosfiltfilt(sos, series.values)
     return TimeSeries(filtered, fs, series.label)
 
@@ -71,11 +71,11 @@ def lowpass(series: TimeSeries, cutoff_hz: float, order: int = 2) -> TimeSeries:
     """Zero-phase Butterworth low-pass (used for the tonic EDA split)."""
     fs = series.sampling_rate_hz
     if not (0 < cutoff_hz < fs / 2.0):
-        raise InvalidBand(f"cutoff {cutoff_hz} outside (0, Nyquist)")
+        raise InvalidInput(f"cutoff {cutoff_hz} outside (0, Nyquist)")
     sos = sps.butter(order, cutoff_hz, btype="lowpass", fs=fs, output="sos")
     min_len = 3 * (2 * sos.shape[0]) + 1
     if len(series) <= min_len:
-        raise TooShort("series too short for low-pass filtering")
+        raise InsufficientData("series too short for low-pass filtering")
     # generous odd-extension padding keeps slow trends intact at the edges
     padlen = min(len(series) - 1, max(min_len, int(round(1.5 * fs / cutoff_hz))))
     filtered = sps.sosfiltfilt(sos, series.values, padlen=padlen)
@@ -87,10 +87,10 @@ def resample_fourier(series: TimeSeries, target_rate_hz: float) -> TimeSeries:
     if target_rate_hz <= 0:
         raise ValueError("target_rate_hz must be positive")
     if len(series) < 2:
-        raise TooShort("need at least 2 samples to resample")
+        raise InsufficientData("need at least 2 samples to resample")
     n_out = int(round(len(series) * target_rate_hz / series.sampling_rate_hz))
     if n_out < 2:
-        raise TooShort("target rate too low for this series")
+        raise InsufficientData("target rate too low for this series")
     resampled = sps.resample(series.values, n_out)
     actual_rate = n_out / len(series) * series.sampling_rate_hz
     return TimeSeries(resampled, actual_rate, series.label)
@@ -99,15 +99,15 @@ def resample_fourier(series: TimeSeries, target_rate_hz: float) -> TimeSeries:
 def segment(series: TimeSeries, start_s: float, end_s: float) -> TimeSeries:
     """Samples whose timestamps fall in [start_s, end_s)."""
     if start_s < 0 or end_s <= start_s:
-        raise OutOfRange(f"bad segment [{start_s}, {end_s})")
+        raise InvalidInput(f"bad segment [{start_s}, {end_s})")
     if start_s >= series.duration_s:
-        raise OutOfRange("segment starts beyond the recording")
+        raise InvalidInput("segment starts beyond the recording")
     fs = series.sampling_rate_hz
     # sample i is at time i / fs; ceil/floor with a tolerance for float grids
     i0 = int(np.ceil(start_s * fs - 1e-9))
     i1 = min(int(np.ceil(end_s * fs - 1e-9)), len(series))
     if i1 <= i0:
-        raise EmptySegment(f"no samples in [{start_s}, {end_s}) at {fs} Hz")
+        raise InsufficientData(f"no samples in [{start_s}, {end_s}) at {fs} Hz")
     return TimeSeries(series.values[i0:i1], fs, series.label)
 
 
@@ -131,7 +131,7 @@ def welch_psd(series: TimeSeries, segment_len: int = None, overlap: float = 0.5)
     if segment_len is None:
         segment_len = min(n, 256)
     if segment_len > n:
-        raise TooShort(f"segment_len {segment_len} exceeds series length {n}")
+        raise InsufficientData(f"segment_len {segment_len} exceeds series length {n}")
     if not 0 <= overlap < 1:
         raise ValueError("overlap must be in [0, 1)")
     freqs, power = sps.welch(

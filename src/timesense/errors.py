@@ -1,68 +1,39 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library.
+
+Each class carries the exit code the command line returns for it, so this
+module alone decides the codes: 1 for a missing input file, 2 for every
+validation or domain error.
+"""
 
 
 class TimesenseError(Exception):
     """Base class for all library errors."""
 
-
-class InvariantViolation(TimesenseError):
-    """A domain object failed validation."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+    exit_code = 2
 
 
 class MissingFile(TimesenseError):
-    pass
+    """An input file named by the caller does not exist."""
+
+    exit_code = 1
 
 
-class MalformedRow(TimesenseError):
-    def __init__(self, line, detail=""):
-        self.line = line
-        super().__init__(f"malformed row at line {line}" + (f": {detail}" if detail else ""))
+class InvalidInput(TimesenseError):
+    """Input or configuration that breaks a documented contract: a malformed
+    row or field, a non-finite value, an out-of-range setting, or arrays
+    whose shapes disagree."""
 
 
-class NonFiniteSample(TimesenseError):
-    def __init__(self, index):
-        self.index = index
-        super().__init__(f"non-finite sample at index {index}")
+class InsufficientData(TimesenseError):
+    """Well-formed input that holds too little to compute the result: too
+    short a signal, too few beats, rows, classes or participants, or a
+    degenerate geometry."""
 
 
-class InvalidConfig(TimesenseError):
-    pass
-
-
-class InvalidBand(TimesenseError):
-    pass
-
-
-class TooShort(TimesenseError):
-    pass
-
-
-class EmptySegment(TimesenseError):
-    pass
-
-
-class OutOfRange(TimesenseError):
-    pass
-
-
-class NoBeatsDetected(TimesenseError):
-    pass
-
-
-class TooFewBeats(TimesenseError):
-    pass
-
-
-class DegenerateGeometry(TimesenseError):
-    """Poincare sd2 collapsed to zero; the sd1/sd2 ratio is undefined."""
-
-
-class LengthMismatch(TimesenseError):
-    pass
+class Unsupported(TimesenseError):
+    """A well-formed request the library does not implement, such as the
+    importance of a kind that has none or exact Shapley values over too
+    many features."""
 
 
 class FeatureExtractionError(TimesenseError):
@@ -73,51 +44,3 @@ class FeatureExtractionError(TimesenseError):
         self.window = window
         self.cause = cause
         super().__init__(f"{channel}/{window}: {cause}")
-
-
-class TooFewRows(TimesenseError):
-    pass
-
-
-class DimensionMismatch(TimesenseError):
-    pass
-
-
-class SingleClass(TimesenseError):
-    pass
-
-
-class NonFinite(TimesenseError):
-    pass
-
-
-class ConfigInvalid(TimesenseError):
-    pass
-
-
-class UnsupportedImportance(TimesenseError):
-    """The classifier kind exposes no feature-importance measure."""
-
-
-class UnsupportedClassifier(TimesenseError):
-    """RFECV requested for a kind without feature importance."""
-
-
-class InfeasibleFolds(TimesenseError):
-    pass
-
-
-class TooManyFeatures(TimesenseError):
-    pass
-
-
-class TooFewSamples(TimesenseError):
-    pass
-
-
-class SingleParticipant(TimesenseError):
-    pass
-
-
-class EmptyInput(TimesenseError):
-    pass

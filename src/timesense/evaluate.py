@@ -6,7 +6,7 @@ import json
 import numpy as np
 
 from .classifiers import ClassifierConfig, predict, train
-from .errors import EmptyInput, LengthMismatch, SingleParticipant, UnsupportedClassifier
+from .errors import InsufficientData, InvalidInput
 from .explain import mean_abs_shap
 from .fileio import write_atomic
 from .model import (
@@ -37,15 +37,15 @@ def accuracy(predicted, actual) -> float:
     predicted = np.asarray(predicted)
     actual = np.asarray(actual)
     if len(predicted) != len(actual):
-        raise LengthMismatch("prediction/actual length mismatch")
+        raise InvalidInput("prediction/actual length mismatch")
     if len(predicted) == 0:
-        raise EmptyInput("empty prediction sequence")
+        raise InsufficientData("empty prediction sequence")
     return float(np.mean(predicted == actual))
 
 
 def majority_baseline(dataset: Dataset) -> float:
     if len(dataset) == 0:
-        raise EmptyInput("empty dataset")
+        raise InsufficientData("empty dataset")
     n_fast = int(np.sum(dataset.y))
     return max(n_fast, len(dataset) - n_fast) / len(dataset)
 
@@ -90,7 +90,7 @@ def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "min
     """
     participants = dataset.participants()
     if len(participants) < 2:
-        raise SingleParticipant("need at least 2 participants")
+        raise InsufficientData("need at least 2 participants")
     folds = []
     for pid in participants:
         pid = int(pid)
@@ -134,19 +134,6 @@ def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "min
     return EvaluationReport(tuple(folds))
 
 
-def selection_spec(mode: str, classifier_config: ClassifierConfig = None):
-    """Map a CLI-style selection mode name to a losocv selection argument."""
-    if mode == "none":
-        return None
-    if mode in ("ppg", "ppg+eda"):
-        return (mode, None)
-    if mode == "sfs":
-        return ("sfs", {})
-    if mode == "rfecv":
-        return ("rfecv", {})
-    raise ValueError(f"unknown selection mode {mode!r}")
-
-
 def report_matrix(dataset: Dataset, kinds=MATRIX_KINDS, settings=SELECTION_MODES,
                   scaler_method: str = "minmax", seed: int = 0):
     """Mean LOSOCV accuracy per (classifier, selection-mode) cell.
@@ -163,7 +150,7 @@ def report_matrix(dataset: Dataset, kinds=MATRIX_KINDS, settings=SELECTION_MODES
                 row[mode] = NA
                 continue
             report = losocv(dataset, config, scaler_method,
-                            selection=selection_spec(mode), seed=seed)
+                            selection=(mode, None), seed=seed)
             row[mode] = report.mean_accuracy
         matrix[kind] = row
     return matrix

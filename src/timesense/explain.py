@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from .classifiers import TrainedModel, decision_scores
-from .errors import TooFewSamples, TooManyFeatures
+from .errors import InsufficientData, Unsupported
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def exact_shapley(model: TrainedModel, background, instance, max_features: int =
     instance = np.asarray(instance, dtype=float)
     d = len(instance)
     if d > max_features:
-        raise TooManyFeatures(f"exact enumeration limited to {max_features} features")
+        raise Unsupported(f"exact enumeration limited to {max_features} features")
     if len(background) == 0:
         raise ValueError("background must be non-empty")
 
@@ -85,7 +85,7 @@ def kernel_shap(model: TrainedModel, background, instance,
     instance = np.asarray(instance, dtype=float)
     d = len(instance)
     if n_samples < d + 2:
-        raise TooFewSamples(f"need at least d + 2 = {d + 2} samples")
+        raise InsufficientData(f"need at least d + 2 = {d + 2} samples")
 
     base = float(np.mean(decision_scores(model, background)))
     pred = float(np.mean(decision_scores(model, instance[None, :])))

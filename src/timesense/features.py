@@ -13,14 +13,7 @@ from scipy import signal as sps
 from scipy.interpolate import CubicSpline
 
 from . import dsp
-from .errors import (
-    DegenerateGeometry,
-    FeatureExtractionError,
-    LengthMismatch,
-    NoBeatsDetected,
-    TooFewBeats,
-    TooShort,
-)
+from .errors import FeatureExtractionError, InsufficientData, InvalidInput, TimesenseError
 from .model import (
     EDA_FEATURES,
     PPG_FEATURES,
@@ -91,7 +84,7 @@ class BeatSequence:
         """
         times = np.asarray(peak_times_s, dtype=float)
         if len(times) < 4:
-            raise TooFewBeats("need at least 4 peaks")
+            raise InsufficientData("need at least 4 peaks")
         rr = np.diff(times) * 1000.0
         keep = (rr >= RR_MIN_MS) & (rr <= RR_MAX_MS)
         # local median over a 5-interval window, computed on the raw series
@@ -101,7 +94,7 @@ class BeatSequence:
             local_med[i] = np.median(rr[lo:hi])
         keep &= np.abs(rr - local_med) <= max_local_deviation * local_med
         if keep.sum() < 3:
-            raise TooFewBeats("fewer than 3 plausible RR intervals")
+            raise InsufficientData("fewer than 3 plausible RR intervals")
         adjacent = keep[:-1] & keep[1:]
         diffs = np.diff(rr)[adjacent]
         return cls(times, rr[keep], diffs)
@@ -121,14 +114,14 @@ def detect_ppg_peaks(series: TimeSeries) -> BeatSequence:
     the one whose detected rhythm is plausible with minimal RR spread.
     """
     if series.duration_s < 5.0:
-        raise TooShort("need at least 5 s of PPG")
+        raise InsufficientData("need at least 5 s of PPG")
     x = series.values - np.mean(series.values)
     fs = series.sampling_rate_hz
     win = max(3, int(round(0.75 * fs)) | 1)
     envelope = _moving_average(x, win)
     spread = np.std(x)
     if spread == 0:
-        raise NoBeatsDetected("flat signal")
+        raise InsufficientData("flat signal")
     min_dist = max(1, int(round(fs * 60.0 / MAX_BPM)))
 
     best = None
@@ -143,7 +136,7 @@ def detect_ppg_peaks(series: TimeSeries) -> BeatSequence:
         if best is None or score < best[0]:
             best = (score, peaks)
     if best is None:
-        raise NoBeatsDetected("no plausible beat rhythm at any threshold")
+        raise InsufficientData("no plausible beat rhythm at any threshold")
     return BeatSequence.from_peak_times(best[1] / fs)
 
 
@@ -157,13 +150,13 @@ def _moving_average(x, win):
 def time_domain_stats(rr_ms: np.ndarray, diffs_ms: np.ndarray) -> dict:
     """The 12 closed-form time-domain / Poincare statistics.
 
-    Raises DegenerateGeometry when the Poincare long axis collapses to zero
+    Raises InsufficientData when the Poincare long axis collapses to zero
     (constant RR), because sd1/sd2 is then undefined.
     """
     rr = np.asarray(rr_ms, dtype=float)
     diffs = np.asarray(diffs_ms, dtype=float)
     if len(rr) < 3 or len(diffs) < 2:
-        raise TooFewBeats("need >= 3 RR intervals and >= 2 successive differences")
+        raise InsufficientData("need >= 3 RR intervals and >= 2 successive differences")
     out = {}
     out["bpm"] = 60000.0 / np.mean(rr)
     out["ibi_ms"] = float(np.mean(rr))
@@ -181,7 +174,7 @@ def time_domain_stats(rr_ms: np.ndarray, diffs_ms: np.ndarray) -> dict:
     out["sd2_ms"] = sd2
     out["s_ms2"] = math.pi * sd1 * sd2
     if sd2 == 0.0:
-        raise DegenerateGeometry("sd2 = 0; sd1/sd2 ratio undefined")
+        raise InsufficientData("sd2 = 0; sd1/sd2 ratio undefined")
     out["sd1_sd2_ratio"] = sd1 / sd2
     return out
 
@@ -195,12 +188,12 @@ def breathing_rate(beats: BeatSequence, config: ExtractionConfig = DEFAULT_EXTRA
     t = beats.peak_times_s[1 : len(beats.peak_times_s)]
     rr_full = np.diff(beats.peak_times_s) * 1000.0
     if len(rr_full) < 4:
-        raise TooFewBeats("need >= 4 RR intervals for the tachogram")
+        raise InsufficientData("need >= 4 RR intervals for the tachogram")
     spline = CubicSpline(t, rr_full)
     rate = config.tachogram_rate_hz
     grid = np.arange(t[0], t[-1], 1.0 / rate)
     if len(grid) < 16:
-        raise TooShort("tachogram too short for spectral estimation")
+        raise InsufficientData("tachogram too short for spectral estimation")
     tach = spline(grid)
     tach = tach - np.mean(tach)
     ts = TimeSeries(tach, rate, "tachogram")
@@ -235,7 +228,7 @@ def eda_decompose(series: TimeSeries, config: ExtractionConfig = DEFAULT_EXTRACT
     with the onset at the preceding trough inside the window.
     """
     if series.duration_s < config.eda_min_duration_s:
-        raise TooShort(f"need at least {config.eda_min_duration_s} s of EDA")
+        raise InsufficientData(f"need at least {config.eda_min_duration_s} s of EDA")
     tonic = dsp.lowpass(series, config.tonic_cutoff_hz, order=2)
     phasic_vals = series.values - tonic.values
     phasic = TimeSeries(phasic_vals, series.sampling_rate_hz, "eda_phasic")
@@ -295,9 +288,9 @@ def temp_features(thermopile: TimeSeries, reference: TimeSeries) -> dict:
     The difference signal is reference minus thermopile.
     """
     if len(thermopile) != len(reference):
-        raise LengthMismatch("thermopile and reference lengths differ")
+        raise InvalidInput("thermopile and reference lengths differ")
     if abs(thermopile.sampling_rate_hz - reference.sampling_rate_hz) > 1e-9:
-        raise LengthMismatch("thermopile and reference rates differ")
+        raise InvalidInput("thermopile and reference rates differ")
     diff = reference.values - thermopile.values
     rate = thermopile.sampling_rate_hz
     out = {
@@ -320,6 +313,12 @@ def _window_bounds(session: SessionRecord, window: str):
     raise ValueError(f"unknown window {window!r}")
 
 
+# What bad or too-short data raises inside a channel chain (numpy's
+# LinAlgError is a ValueError). Anything else, such as a TypeError or an
+# IndexError, is a bug and propagates unwrapped.
+_DATA_ERRORS = (TimesenseError, ValueError, ArithmeticError)
+
+
 def extract_all(session: SessionRecord, window: str,
                 config: ExtractionConfig = DEFAULT_EXTRACTION) -> FeatureVector:
     """Run the full per-channel chain for one window and assemble 24 features."""
@@ -335,7 +334,7 @@ def extract_all(session: SessionRecord, window: str,
         ppg = dsp.segment(ppg, start, min(end, ppg.duration_s))
         beats = detect_ppg_peaks(ppg)
         values.update(ppg_features(beats, config))
-    except Exception as exc:
+    except _DATA_ERRORS as exc:
         raise FeatureExtractionError("ppg", window, exc) from exc
 
     try:
@@ -344,7 +343,7 @@ def extract_all(session: SessionRecord, window: str,
         eda = dsp.extend_to_minimum(eda, config.eda_min_duration_s)
         eda = dsp.lowpass(eda, config.eda_clean_cutoff_hz, order=2)
         values.update(eda_features(eda, config))
-    except Exception as exc:
+    except _DATA_ERRORS as exc:
         raise FeatureExtractionError("eda", window, exc) from exc
 
     try:
@@ -354,7 +353,7 @@ def extract_all(session: SessionRecord, window: str,
         thermo = TimeSeries(thermo.values[:n], thermo.sampling_rate_hz, thermo.label)
         ref = TimeSeries(ref.values[:n], ref.sampling_rate_hz, ref.label)
         values.update(temp_features(thermo, ref))
-    except Exception as exc:
+    except _DATA_ERRORS as exc:
         raise FeatureExtractionError("temperature", window, exc) from exc
 
     return FeatureVector.from_dict(values)

@@ -4,17 +4,12 @@ paper-shaped corpora with known ground truth."""
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidConfig,
-    InvariantViolation,
-    MalformedRow,
-    MissingFile,
-    NonFiniteSample,
-)
+from .errors import InvalidInput, MissingFile
 from .fileio import write_atomic
 from .model import (
     ALL_SETTINGS,
@@ -42,12 +37,15 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0, label="")
     motion-artifact samples at sequence edges.
     """
     if not os.path.isfile(path):
-        raise MissingFile(path)
+        raise MissingFile(f"{path}: no such file")
+    if not sampling_rate_hz > 0:
+        raise InvalidInput(f"{path}: sampling rate {sampling_rate_hz!r} is not positive")
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become U+FFFD, which fails the header or float checks
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline()
         if header.strip() != "timestamp_s,value":
-            raise MalformedRow(1, "expected header 'timestamp_s,value'")
+            raise InvalidInput(f"{path}, line 1: expected header 'timestamp_s,value'")
         prev_t = -math.inf
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -55,67 +53,121 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0, label="")
                 continue
             parts = line.split(",")
             if len(parts) != 2:
-                raise MalformedRow(lineno, "expected two columns")
+                raise InvalidInput(f"{path}, line {lineno}: expected two columns")
             try:
                 t, v = float(parts[0]), float(parts[1])
             except ValueError:
-                raise MalformedRow(lineno, "non-numeric field")
+                raise InvalidInput(f"{path}, line {lineno}: non-numeric field") from None
             if not math.isfinite(v):
-                raise NonFiniteSample(lineno - 2)
+                raise InvalidInput(f"{path}, line {lineno}: non-finite sample at index {lineno - 2}")
             if t <= prev_t:
-                raise MalformedRow(lineno, "timestamps not increasing")
+                raise InvalidInput(f"{path}, line {lineno}: timestamps not increasing")
             prev_t = t
             values.append(v)
     if trim_head < 0 or trim_tail < 0:
-        raise InvalidConfig("trim counts must be >= 0")
+        raise InvalidInput("trim counts must be >= 0")
     if trim_head or trim_tail:
         values = values[trim_head : len(values) - trim_tail or None]
     if len(values) < 2:
-        raise MalformedRow(0, "fewer than 2 samples after trimming")
+        raise InvalidInput(f"{path}: fewer than 2 samples after trimming")
     return TimeSeries(np.array(values), sampling_rate_hz, label)
 
 
 def load_manifest(path):
-    """Parse a manifest JSON file; returns (entries, base_dir)."""
+    """Parse a manifest JSON file; returns (entries, base_dir).
+
+    Raises MissingFile, or InvalidInput when the file is not JSON or lacks a
+    ``sessions`` list of objects.
+    """
     if not os.path.isfile(path):
-        raise MissingFile(path)
+        raise MissingFile(f"{path}: no such file")
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "sessions" not in doc:
-        raise InvalidConfig("manifest missing 'sessions'")
-    return doc["sessions"], os.path.dirname(os.path.abspath(path))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: not valid JSON: {exc}") from None
+    sessions = doc.get("sessions") if isinstance(doc, dict) else None
+    if not isinstance(sessions, list) or not all(isinstance(e, dict) for e in sessions):
+        raise InvalidInput(f"{path}: expected a 'sessions' list of objects")
+    return sessions, os.path.dirname(os.path.abspath(path))
+
+
+# What each field type accepts from JSON; a float must also be finite.
+_JSON_KINDS = {int: (int, "an integer"), float: ((int, float), "a finite number"),
+               str: (str, "a string"), dict: (dict, "an object")}
+_REQUIRED = object()
+
+
+def _field(doc, key, kind, where, default=_REQUIRED):
+    """``doc[key]`` checked against ``kind`` (int, float, str, dict or a
+    dataclass built from an object), or ``default`` when the key is absent or
+    null and a default is given; InvalidInput naming ``where`` and the key
+    otherwise."""
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise InvalidInput(f"{where}: missing {key!r}")
+        return default
+    if is_dataclass(kind):
+        return _dataclass(kind, value, f"{where}.{key}")
+    types, name = _JSON_KINDS[kind]
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or kind is float and not -sys.float_info.max <= value <= sys.float_info.max):
+        raise InvalidInput(f"{where}.{key}: expected {name}, got {value!r}")
+    return value
+
+
+def _dataclass(cls, doc, where):
+    """``cls(**doc)`` with every field checked by ``_field`` against its
+    annotation; unknown keys and a ValueError from ``cls`` are InvalidInput."""
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"{where}: expected an object, got {doc!r}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise InvalidInput(f"{where}: unknown keys {unknown}")
+    kwargs = {f.name: _field(doc, f.name, f.type, where,
+                             _REQUIRED if f.default is MISSING else f.default)
+              for f in fields(cls)}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise InvalidInput(f"{where}: {exc}") from None
 
 
 def load_session(entry, base_dir) -> SessionRecord:
-    """Build a validated SessionRecord from one manifest entry."""
+    """Build a validated SessionRecord from one manifest entry.
+
+    Raises InvalidInput naming the key when a field is missing or of the
+    wrong type, or the session breaks one of ``validate_session``'s rules.
+    """
     channels = {}
+    specs = _field(entry, "channels", dict, "entry")
     for name in CHANNELS:
-        spec = entry["channels"][name]
-        path = os.path.join(base_dir, spec["path"])
+        spec = _field(specs, name, dict, "entry.channels")
+        where = f"entry.channels.{name}"
         channels[name] = read_channel_csv(
-            path,
-            float(spec["sampling_rate_hz"]),
-            trim_head=int(spec.get("trim_head", 0)),
-            trim_tail=int(spec.get("trim_tail", 0)),
+            os.path.join(base_dir, _field(spec, "path", str, where)),
+            float(_field(spec, "sampling_rate_hz", float, where)),
+            trim_head=_field(spec, "trim_head", int, where, default=0),
+            trim_tail=_field(spec, "trim_tail", int, where, default=0),
             label=name,
         )
-    setting = SessionSetting(int(entry["setting"]["helicopters"]), entry["setting"]["language"])
     session = SessionRecord(
-        participant_id=int(entry["participant_id"]),
-        session_index=int(entry["session_index"]),
-        setting=setting,
+        participant_id=_field(entry, "participant_id", int, "entry"),
+        session_index=_field(entry, "session_index", int, "entry"),
+        setting=_field(entry, "setting", SessionSetting, "entry"),
         ppg=channels["ppg"],
         eda=channels["eda"],
         thermopile=channels["thermopile"],
         reference_temp=channels["reference_temp"],
-        task_start_s=float(entry["task_start_s"]),
-        task_end_s=float(entry["task_end_s"]),
-        rating=int(entry["rating"]),
-        duration_estimate_s=entry.get("duration_estimate_s"),
+        task_start_s=float(_field(entry, "task_start_s", float, "entry")),
+        task_end_s=float(_field(entry, "task_end_s", float, "entry")),
+        rating=_field(entry, "rating", int, "entry"),
+        duration_estimate_s=_field(entry, "duration_estimate_s", float, "entry", default=None),
     )
     violations = validate_session(session)
     if violations:
-        raise InvariantViolation(violations)
+        raise InvalidInput("; ".join(violations))
     return session
 
 
@@ -176,18 +228,26 @@ class SynthConfig:
 
     def validate(self):
         if self.participants < 1 or self.sessions_per_participant < 1:
-            raise InvalidConfig("participant and session counts must be >= 1")
+            raise InvalidInput("participant and session counts must be >= 1")
         if self.sessions_per_participant > 4:
-            raise InvalidConfig("at most 4 sessions (one per setting)")
+            raise InvalidInput("at most 4 sessions (one per setting)")
         if min(self.baseline_s, self.task_s) <= 0:
-            raise InvalidConfig("durations must be positive")
+            raise InvalidInput("durations must be positive")
         for p in (self.slow, self.fast, self.baseline):
             if not 42.0 <= p.hr_bpm <= 210.0:
-                raise InvalidConfig("heart rate outside the 42-210 bpm passband")
+                raise InvalidInput("heart rate outside the 42-210 bpm passband")
             if p.scr_rate_per_min < 0 or p.rr_jitter_ms < 0:
-                raise InvalidConfig("rates and jitters must be non-negative")
+                raise InvalidInput("rates and jitters must be non-negative")
         if not 0 <= self.n_slow_biased <= self.participants:
-            raise InvalidConfig("n_slow_biased out of range")
+            raise InvalidInput("n_slow_biased out of range")
+        if self.seed < 0:
+            raise InvalidInput("seed must be >= 0")
+
+
+def synth_config_from_json(doc, where="config") -> SynthConfig:
+    """A SynthConfig from a JSON object holding any of its fields; each class
+    parameter field holds an object with every ClassParams field."""
+    return _dataclass(SynthConfig, doc, where)
 
 
 def zero_margin_config(seed: int = 7) -> SynthConfig:

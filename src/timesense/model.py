@@ -216,9 +216,6 @@ class Dataset:
     def __len__(self):
         return len(self.y)
 
-    def labels(self) -> list:
-        return [LABELS[v] for v in self.y]
-
     def participants(self) -> np.ndarray:
         return np.unique(self.participant_ids)
 

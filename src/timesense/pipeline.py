@@ -1,17 +1,19 @@
 """From sessions to a learning-ready dataset: background subtraction,
 train-only scaling, and label derivation from questionnaire ratings."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FeatureExtractionError, TooFewRows
+from .errors import FeatureExtractionError, InsufficientData, InvalidInput
 from .features import BASELINE, TASK, DEFAULT_EXTRACTION, extract_all
 from .fileio import write_atomic
 from .model import (
     FEATURE_NAMES,
     LABEL_FAST,
     LABEL_SLOW,
+    LABELS,
     Dataset,
     FeatureVector,
 )
@@ -41,7 +43,7 @@ def fit_scaler(train_X, method: str) -> ScalerParams:
         raise ValueError(f"unknown scaler method {method!r}")
     X = np.asarray(train_X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
-        raise TooFewRows("need at least 2 training rows to fit a scaler")
+        raise InsufficientData("need at least 2 training rows to fit a scaler")
     if method == "none":
         return ScalerParams("none")
     if method == "minmax":
@@ -58,7 +60,7 @@ def apply_scaler(params: ScalerParams, X):
     if params.method == "none":
         return X.copy()
     if X.ndim != 2 or X.shape[1] != params.n_features():
-        raise DimensionMismatch("feature count does not match fitted scaler")
+        raise InvalidInput("feature count does not match fitted scaler")
     if params.method == "minmax":
         span = params.stat_b - params.stat_a
         safe = np.where(span == 0, 1.0, span)
@@ -161,18 +163,43 @@ def dataset_to_csv(dataset: Dataset, path):
 
 
 def dataset_from_csv(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if lines and lines[0].startswith("#"):
+    """Read a features CSV as written by ``dataset_to_csv``.
+
+    Raises InvalidInput naming the line when the header is not the canonical
+    feature names plus ``label,participant_id``, a row's cell count differs
+    from the header's, a feature is not a finite number, a label is not
+    exactly ``fast`` or ``slow``, or a participant id is not an integer >= 1.
+    """
+    # undecodable bytes become U+FFFD, which no check below accepts
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    schema = f"# schema_version={DATASET_SCHEMA_VERSION}"
+    if lines and lines[0][1].startswith("#"):
+        if lines[0][1] != schema:
+            raise InvalidInput(f"{path}, line {lines[0][0]}: expected {schema!r}")
         lines = lines[1:]
-    header = lines[0].split(",")
-    if header[-2:] != ["label", "participant_id"]:
-        raise ValueError("expected trailing 'label,participant_id' columns")
-    names = tuple(header[:-2])
+    columns = FEATURE_NAMES + ("label", "participant_id")
+    if not lines or tuple(lines[0][1].split(",")) != columns:
+        raise InvalidInput(f"{path}: the header is not the {len(FEATURE_NAMES)} feature "
+                           "names followed by 'label,participant_id'")
     X, y, pids = [], [], []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
+        where = f"{path}, line {lineno}"
         cells = ln.split(",")
-        X.append([float(c) for c in cells[: len(names)]])
+        if len(cells) != len(columns):
+            raise InvalidInput(f"{where}: {len(cells)} cells, the header has {len(columns)}")
+        if cells[-2] not in LABELS:
+            raise InvalidInput(f"{where}: label {cells[-2]!r} is neither "
+                               f"{LABEL_FAST!r} nor {LABEL_SLOW!r}")
+        try:
+            X.append([float(c) for c in cells[:-2]])
+            pids.append(int(cells[-1]))
+        except ValueError as exc:
+            raise InvalidInput(f"{where}: {exc}") from None
+        if not all(map(math.isfinite, X[-1])):
+            raise InvalidInput(f"{where}: non-finite feature value")
+        if pids[-1] < 1:
+            raise InvalidInput(f"{where}: participant id {pids[-1]} is not >= 1")
         y.append(1 if cells[-2] == LABEL_FAST else 0)
-        pids.append(int(cells[-1]))
-    return Dataset(np.array(X), np.array(y), np.array(pids), names)
+    return Dataset(np.array(X, dtype=float).reshape(len(X), len(FEATURE_NAMES)), np.array(y),
+                   np.array(pids, dtype=int))

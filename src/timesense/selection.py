@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import ClassifierConfig, predict, train
-from .errors import InfeasibleFolds, UnsupportedClassifier
+from .errors import InsufficientData, Unsupported
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -50,7 +50,7 @@ def cv_accuracy(config: ClassifierConfig, X, y, folds):
         train_mask[test_idx] = False
         y_train = y[train_mask]
         if len(np.unique(y_train)) < 2:
-            raise InfeasibleFolds("a training fold lacks both classes")
+            raise InsufficientData("a training fold lacks both classes")
         model = train(config, X[train_mask], y_train)
         accs.append(float(np.mean(predict(model, X[test_idx]) == y[test_idx])))
     return float(np.mean(accs))
@@ -104,7 +104,7 @@ def rfecv(dataset, config: ClassifierConfig, cv_folds: int = 5, step: int = 1,
     later in canonical order). Cardinality ties resolve to the smaller set.
     """
     if not config.supports_importance():
-        raise UnsupportedClassifier(
+        raise Unsupported(
             f"{config.kind} cannot drive RFECV: no feature-importance measure")
     names = list(dataset.feature_names)
     d = len(names)

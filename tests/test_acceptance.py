@@ -12,7 +12,7 @@ import pytest
 from timesense import dsp, evaluate, features, ingest, pipeline
 from timesense.classifiers import ClassifierConfig, predict, train
 from timesense.cli import EXIT_DOMAIN, EXIT_OK, main
-from timesense.errors import UnsupportedClassifier
+from timesense.errors import Unsupported
 from timesense.evaluate import NA, fold_seed, losocv, majority_baseline, report_matrix
 from timesense.explain import exact_shapley, kernel_shap, mean_abs_shap
 from timesense.model import TimeSeries
@@ -113,7 +113,7 @@ def test_criterion_5_rfecv_incompatibility(capsys):
     with acceptance(5, capsys, "RFECV x {knn, gnb, qda} -> typed error / N.A."):
         ds = planted_dataset().subset_features(planted_dataset().feature_names[:5])
         for kind in ("knn", "gnb", "qda"):
-            with pytest.raises(UnsupportedClassifier):
+            with pytest.raises(Unsupported, match="cannot drive RFECV"):
                 rfecv(ds, ClassifierConfig(kind))
         matrix = report_matrix(ds, kinds=("knn", "gnb", "qda"),
                                settings=("rfecv",), seed=0)

@@ -19,13 +19,7 @@ from timesense.classifiers.linear import (
     logistic_gradient,
     logistic_loss,
 )
-from timesense.errors import (
-    ConfigInvalid,
-    DimensionMismatch,
-    NonFinite,
-    SingleClass,
-    UnsupportedImportance,
-)
+from timesense.errors import InsufficientData, InvalidInput, Unsupported
 
 ALL_CONFIGS = [ClassifierConfig(k, seed=0) for k in KINDS] + [
     ClassifierConfig("svc", {"kernel": "linear"}, seed=0),
@@ -92,28 +86,28 @@ class TestXor:
 class TestTrainValidation:
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(10, 3))
-        with pytest.raises(SingleClass):
+        with pytest.raises(InsufficientData, match="both classes"):
             train(ClassifierConfig("lr"), X, np.zeros(10, dtype=int))
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="shapes disagree"):
             train(ClassifierConfig("lr"), np.ones((4, 2)), np.array([0, 1]))
 
     def test_nonfinite_rejected(self):
         X = np.ones((4, 2)); X[0, 0] = np.nan
-        with pytest.raises(NonFinite):
+        with pytest.raises(InvalidInput, match="must be finite"):
             train(ClassifierConfig("lr"), X, np.array([0, 1, 0, 1]))
 
     def test_unknown_kind_and_params(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(InvalidInput, match="unknown classifier kind"):
             ClassifierConfig("mlp")
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(InvalidInput, match="unknown params"):
             ClassifierConfig("knn", {"neighbors": 3})
 
     def test_predict_dimension_check(self):
         X, y = blobs(d=3)
         model = train(ClassifierConfig("lr"), X, y)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="expected 3 features"):
             predict(model, np.ones((2, 5)))
 
 
@@ -248,7 +242,7 @@ class TestImportance:
         X, y = blobs(d=3)
         model = train(config, X, y)
         assert not config.supports_importance()
-        with pytest.raises(UnsupportedImportance):
+        with pytest.raises(Unsupported, match="no feature-importance measure"):
             importance(model)
 
 
@@ -297,8 +291,38 @@ class TestSaveLoadSchema:
         for version in (1, 3, None):
             doc["schema_version"] = version
             path.write_text(json.dumps(doc))
-            with pytest.raises(ConfigInvalid):
+            with pytest.raises(InvalidInput, match="schema_version"):
                 load_model(path)
+
+    def test_damaged_rf_file_rejected(self, tmp_path):
+        X, y = blobs()
+        path = tmp_path / "model.json"
+        save_model(train(ClassifierConfig("rf", {"n_estimators": 3}), X, y), path)
+        good = json.loads(path.read_text())
+        assert load_model(path).feature_count == X.shape[1]
+
+        def damaged(edit):
+            doc = json.loads(json.dumps(good))
+            edit(doc)
+            path.write_text(json.dumps(doc))
+            return path
+
+        with pytest.raises(InvalidInput, match="weights"):
+            load_model(damaged(lambda d: d["estimator"].pop("weights")))
+        with pytest.raises(InvalidInput, match="tree 0: node 0 of"):
+            load_model(damaged(lambda d: d["estimator"]["trees"][0]["left"].__setitem__(0, 99)))
+        with pytest.raises(InvalidInput, match="tree 0: node 0 of"):
+            load_model(damaged(lambda d: d["estimator"]["trees"][0]["feature"].__setitem__(
+                0, X.shape[1])))
+        with pytest.raises(InvalidInput, match="not valid JSON"):
+            path.write_text("{")
+            load_model(path)
+
+    def test_grown_trees_pass_the_load_check(self):
+        X, y = xor_data()
+        for kind in ("dtc", "rf", "gb", "ab", "xgb"):
+            for nodes in train(ClassifierConfig(kind, seed=3), X, y).estimator.trees_:
+                nodes.check(X.shape[1], kind)
 
 
 # sha256 of the float64 bytes of decision_scores (training rows, then a fresh

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timesense import pipeline
 from timesense.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
@@ -154,3 +156,162 @@ class TestExplain:
         rc = main(["explain", "--features", str(tmp_path / "no.csv"),
                    "--classifier", "lr", "--out", str(tmp_path / "r.csv")])
         assert rc == EXIT_IO
+
+
+def error_lines(capsys):
+    return [ln for ln in capsys.readouterr().err.splitlines() if ln]
+
+
+class TestErrorBoundary:
+    """Damaged input ends every command with exit 1 or 2 and one ``error:``
+    line per failure, never a traceback."""
+
+    @pytest.mark.parametrize("name, damage, message", [
+        ("no_rating", lambda e: e.pop("rating"), "entry: missing 'rating'"),
+        ("no_eda", lambda e: e["channels"].pop("eda"), "entry.channels: missing 'eda'"),
+        ("rating_text", lambda e: e.update(rating="x"), "entry.rating: expected an integer"),
+        ("three_helicopters", lambda e: e["setting"].update(helicopters=3),
+         "entry.setting: helicopters must be 1 or 2"),
+        ("nan_task_start", lambda e: e.update(task_start_s=float("nan")),
+         "entry.task_start_s: expected a finite number"),
+    ])
+    def test_damaged_manifest_entry_exits_2(self, small_corpus, capsys, name, damage, message):
+        manifest = json.loads((small_corpus / "data" / "manifest.json").read_text())
+        for entry in manifest["sessions"][:2]:
+            damage(entry)
+        path = small_corpus / "data" / f"{name}.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["extract", "--manifest", str(path), "--out", str(small_corpus / "x.csv")])
+        assert rc == EXIT_DOMAIN
+        lines = error_lines(capsys)
+        assert len(lines) == 2
+        for line, sid in zip(lines, (1, 2)):
+            assert line.startswith(f"error: participant 1 session {sid}: {message}")
+
+    @pytest.mark.parametrize("text", ['{"sessions": 5}', '{"sessions": [5]}', "{",
+                                      '{"schema_version": 1}', "[]"])
+    def test_unusable_manifest_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        rc = main(["extract", "--manifest", str(path), "--out", str(tmp_path / "f.csv")])
+        assert rc == EXIT_DOMAIN
+        (line,) = error_lines(capsys)
+        assert line.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    @pytest.mark.parametrize("text", ["", "# schema_version=1\n"])
+    def test_empty_features_exits_2(self, tmp_path, capsys, command, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        rc = main([command, "--features", str(path), "--classifier", "lr",
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DOMAIN
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ")
+
+    def test_header_only_features_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "header.csv"
+        pipeline.dataset_to_csv(planted_dataset().select_rows(np.zeros(48, dtype=bool)), path)
+        for command in ("evaluate", "explain"):
+            rc = main([command, "--features", str(path), "--classifier", "lr",
+                       "--out", str(tmp_path / "out")])
+            assert rc == EXIT_DOMAIN
+        assert len(error_lines(capsys)) == 2
+
+    def test_synth_config_of_wrong_type_exits_2(self, tmp_path, capsys):
+        for doc in ({"participants": "2"}, {"seed": 1.5}, {"colour": 1}, [1]):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(doc))
+            rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert rc == EXIT_DOMAIN, doc
+        assert len(error_lines(capsys)) == 4
+
+    def test_unwritable_output_exits_1(self, planted_csv, tmp_path, capsys):
+        rc = main(["explain", "--features", str(planted_csv), "--classifier", "lr",
+                   "--n-samples", "26", "--out", str(tmp_path / "no" / "dir" / "r.csv")])
+        assert rc == EXIT_IO
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    def test_negative_seed_exits_2(self, planted_csv, tmp_path, capsys, command):
+        rc = main([command, "--features", str(planted_csv), "--classifier", "lr",
+                   "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DOMAIN
+        (line,) = error_lines(capsys)
+        assert line == "error: seed -1 must be >= 0"
+
+    def test_programming_error_propagates(self, planted_csv, tmp_path, monkeypatch):
+        def broken(path):
+            raise TypeError("a bug, not bad input")
+
+        monkeypatch.setattr(pipeline, "dataset_from_csv", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            main(["evaluate", "--features", str(planted_csv), "--classifier", "lr",
+                  "--out", str(tmp_path / "r.json")])
+
+
+def _leaf_paths(doc, prefix=()):
+    """Key paths of every value in a nested JSON object, containers included."""
+    paths = []
+    for key, value in doc.items():
+        paths.append(prefix + (key,))
+        if isinstance(value, dict):
+            paths.extend(_leaf_paths(value, prefix + (key,)))
+    return paths
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**20), st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1))
+
+
+class TestFuzzedInput:
+    """Every damaged manifest or features CSV ends in exit 0, 1 or 2."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_damaged_manifest(self, small_corpus, data):
+        manifest = json.loads((small_corpus / "data" / "manifest.json").read_text())
+        entry = manifest["sessions"][data.draw(st.integers(0, 3))]
+        *parents, key = data.draw(st.sampled_from(_leaf_paths(entry)))
+        holder = entry
+        for p in parents:
+            holder = holder[p]
+        damage = data.draw(st.sampled_from(["missing", "wrong type", "nan"]))
+        if damage == "missing":
+            del holder[key]
+        else:
+            holder[key] = float("nan") if damage == "nan" else data.draw(JSON_VALUES)
+        path = small_corpus / "data" / "fuzz.json"
+        path.write_text(json.dumps(manifest))
+        rc = main(["extract", "--manifest", str(path), "--out", str(small_corpus / "fuzz.csv")])
+        assert rc in (EXIT_OK, EXIT_IO, EXIT_DOMAIN)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_damaged_features_csv(self, features_csv, data):
+        lines = features_csv.read_text().splitlines()
+        row = data.draw(st.integers(1, len(lines) - 1))
+        cells = lines[row].split(",")
+        damage = data.draw(st.sampled_from(
+            ["missing cell", "extra cell", "wrong type", "label case", "nan"]))
+        column = data.draw(st.integers(0, len(cells) - 1))
+        if damage == "missing cell":
+            del cells[column]
+        elif damage == "extra cell":
+            cells.insert(column, data.draw(st.sampled_from(["0.5", "", "fast"])))
+        elif damage == "wrong type":
+            cells[column] = data.draw(st.sampled_from(["x", "", "1.5", "true", "[]", "-1"]))
+        elif damage == "label case":
+            cells[-2] = data.draw(st.sampled_from(["FAST", "Fast", "SLOW", "Slow", "fast "]))
+        else:
+            cells[column] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+        lines[row] = ",".join(cells)
+        path = features_csv.parent / "fuzz.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--features", str(path), "--classifier", "gnb",
+                   "--out", str(features_csv.parent / "fuzz.json")])
+        assert rc in (EXIT_OK, EXIT_IO, EXIT_DOMAIN)

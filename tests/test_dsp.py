@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from timesense import dsp
-from timesense.errors import EmptySegment, InvalidBand, OutOfRange, TooShort
+from timesense.errors import InsufficientData, InvalidInput
 from timesense.model import TimeSeries
 
 
@@ -31,12 +31,12 @@ class TestBandpass:
 
     def test_invalid_band_above_nyquist(self):
         ts = sine(1.0, 15.0, 10.0)
-        with pytest.raises(InvalidBand):
+        with pytest.raises(InvalidInput, match="Nyquist"):
             dsp.bandpass(ts, 0.7, 8.0, order=3)
 
     def test_too_short(self):
         ts = TimeSeries(np.ones(10), 100.0)
-        with pytest.raises(TooShort):
+        with pytest.raises(InsufficientData, match="samples for order-3 bandpass"):
             dsp.bandpass(ts, 0.7, 3.5, order=3)
 
     def test_zero_phase_no_lag(self):
@@ -83,7 +83,7 @@ class TestResampleFourier:
         assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
+        with pytest.raises(InsufficientData, match="target rate too low"):
             dsp.resample_fourier(TimeSeries([1.0, 2.0], 10.0), 1e-3)
 
 
@@ -100,12 +100,12 @@ class TestSegment:
 
     def test_empty_segment(self):
         ts = TimeSeries(np.arange(100, dtype=float), 10.0)
-        with pytest.raises(EmptySegment):
+        with pytest.raises(InsufficientData, match="no samples in"):
             dsp.segment(ts, 9.91, 9.95)
 
     def test_out_of_range(self):
         ts = TimeSeries(np.arange(100, dtype=float), 10.0)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidInput, match="beyond the recording"):
             dsp.segment(ts, 20.0, 30.0)
 
     def test_composition(self):
@@ -154,5 +154,5 @@ class TestWelchPsd:
         assert spec.total_power() == pytest.approx(1.0, rel=0.15)
 
     def test_segment_longer_than_series(self):
-        with pytest.raises(TooShort):
+        with pytest.raises(InsufficientData, match="exceeds series length"):
             dsp.welch_psd(TimeSeries(np.zeros(10), 10.0), segment_len=100)

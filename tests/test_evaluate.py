@@ -3,11 +3,7 @@ import pytest
 
 from timesense import evaluate
 from timesense.classifiers import ClassifierConfig
-from timesense.errors import (
-    EmptyInput,
-    LengthMismatch,
-    SingleParticipant,
-)
+from timesense.errors import InsufficientData, InvalidInput
 from timesense.evaluate import (
     MANUAL_SUBSETS,
     NA,
@@ -29,9 +25,9 @@ class TestBasics:
     def test_accuracy_examples(self):
         assert accuracy([1, 0, 1, 1], [1, 0, 0, 1]) == 0.75
         assert accuracy([0], [0]) == 1.0
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvalidInput, match="length mismatch"):
             accuracy([1], [1, 0])
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InsufficientData, match="empty prediction"):
             accuracy([], [])
 
     def test_majority_baseline_26_22(self):
@@ -72,7 +68,7 @@ class TestLosocv:
         X = np.random.default_rng(0).normal(size=(8, 3))
         y = np.tile([0, 1], 4)
         ds = Dataset(X, y, np.ones(8, dtype=int), ("a", "b", "c"))
-        with pytest.raises(SingleParticipant):
+        with pytest.raises(InsufficientData, match="at least 2 participants"):
             losocv(ds, ClassifierConfig("lr"))
 
     def test_leakage_oracle(self, planted):

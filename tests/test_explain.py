@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from timesense.classifiers import ClassifierConfig, TrainedModel, train
-from timesense.errors import TooFewSamples, TooManyFeatures
+from timesense.errors import InsufficientData, Unsupported
 from timesense.explain import exact_shapley, kernel_shap, mean_abs_shap
 from timesense.model import Dataset
 
@@ -57,7 +57,7 @@ class TestExactShapley:
         assert att.values[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_feature_limit(self):
-        with pytest.raises(TooManyFeatures):
+        with pytest.raises(Unsupported, match="limited to 12 features"):
             exact_shapley(stub_model(np.zeros(13)), np.zeros((2, 13)), np.zeros(13))
 
     def test_empty_background(self):
@@ -114,7 +114,7 @@ class TestKernelShap:
         assert att.values[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(InsufficientData, match=r"d \+ 2"):
             kernel_shap(stub_model(np.zeros(5)), np.zeros((3, 5)), np.zeros(5),
                         n_samples=4)
 

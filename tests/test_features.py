@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timesense import dsp, features
-from timesense.errors import (
-    DegenerateGeometry,
-    FeatureExtractionError,
-    LengthMismatch,
-    NoBeatsDetected,
-    TooFewBeats,
-)
+from timesense.errors import FeatureExtractionError, InsufficientData, InvalidInput
 from timesense.features import (
     BASELINE,
     TASK,
@@ -79,11 +73,11 @@ class TestTimeDomainStats:
 
     def test_constant_rr_degenerate(self):
         rr = np.array([1000.0] * 4)
-        with pytest.raises(DegenerateGeometry):
+        with pytest.raises(InsufficientData, match="sd2 = 0"):
             time_domain_stats(rr, np.diff(rr))
 
     def test_too_few_beats(self):
-        with pytest.raises(TooFewBeats):
+        with pytest.raises(InsufficientData, match="need >= 3 RR intervals"):
             time_domain_stats(np.array([800.0, 810.0]), np.array([10.0]))
 
     @given(st.lists(st.floats(min_value=300.0, max_value=1400.0), min_size=4, max_size=60))
@@ -93,7 +87,8 @@ class TestTimeDomainStats:
         diffs = np.diff(rr)
         try:
             got = time_domain_stats(rr, diffs)
-        except DegenerateGeometry:
+        except InsufficientData as exc:
+            assert "sd2 = 0" in str(exc)
             return
         assert got["pnn50"] <= got["pnn20"]
         assert got["rmssd_ms"] ** 2 == pytest.approx(np.mean(diffs**2), rel=1e-9)
@@ -124,7 +119,7 @@ class TestDetectPpgPeaks:
         assert np.all(np.abs(got.rr_ms - 1000.0) <= 1.0)
 
     def test_flat_signal(self):
-        with pytest.raises(NoBeatsDetected):
+        with pytest.raises(InsufficientData, match="flat signal"):
             detect_ppg_peaks(TimeSeries(np.zeros(3000), 100.0))
 
     def test_amplitude_scale_invariance(self):
@@ -259,7 +254,7 @@ class TestTempFeatures:
         assert out["temp_psd_power"] == pytest.approx(0.5, rel=0.15)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvalidInput, match="lengths differ"):
             temp_features(TimeSeries(np.ones(10), 7.5), TimeSeries(np.ones(11), 7.5))
 
 
@@ -322,3 +317,12 @@ class TestExtractAll:
         with pytest.raises(FeatureExtractionError) as err:
             features.extract_all(flat, TASK)
         assert err.value.channel == "ppg"
+
+    def test_programming_error_is_not_wrapped(self, small_sessions, monkeypatch):
+        def broken(series):
+            raise TypeError("a bug, not bad data")
+
+        monkeypatch.setattr(features, "detect_ppg_peaks", broken)
+        with pytest.raises(TypeError, match="a bug") as err:
+            features.extract_all(small_sessions[0], TASK)
+        assert not isinstance(err.value, FeatureExtractionError)

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from timesense import features, ingest, pipeline
-from timesense.errors import (
-    InvalidConfig,
-    InvariantViolation,
-    MalformedRow,
-    MissingFile,
-    NonFiniteSample,
-)
+from timesense.errors import InvalidInput, MissingFile
 from timesense.model import SessionSetting
 
 
@@ -44,7 +38,7 @@ class TestReadChannelCsv:
     def test_bad_header(self, tmp_path):
         p = tmp_path / "ch.csv"
         write_csv(p, ["0.0,1.0"], header="time,val")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(InvalidInput, match="line 1: expected header"):
             ingest.read_channel_csv(p, 10.0)
 
     def test_nonfinite_sample_reports_data_row(self, tmp_path):
@@ -52,20 +46,19 @@ class TestReadChannelCsv:
         rows = [f"{i/10.0},1.0" for i in range(10)]
         rows[7] = "0.7,nan"
         write_csv(p, rows)
-        with pytest.raises(NonFiniteSample) as err:
+        with pytest.raises(InvalidInput, match="non-finite sample at index 7$"):
             ingest.read_channel_csv(p, 10.0)
-        assert err.value.index == 7
 
     def test_non_increasing_timestamps(self, tmp_path):
         p = tmp_path / "ch.csv"
         write_csv(p, ["0.0,1.0", "0.2,1.0", "0.1,1.0"])
-        with pytest.raises(MalformedRow):
+        with pytest.raises(InvalidInput, match="timestamps not increasing"):
             ingest.read_channel_csv(p, 10.0)
 
     def test_negative_trim_rejected(self, tmp_path):
         p = tmp_path / "ch.csv"
         write_csv(p, [f"{i/10.0},1.0" for i in range(10)])
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidInput, match="trim counts"):
             ingest.read_channel_csv(p, 10.0, trim_head=-1)
 
 
@@ -125,17 +118,17 @@ class TestSynthDataset:
         assert fv["scr_peaks_n"] == 0.0
 
     def test_invalid_configs_rejected(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidInput, match="counts must be >= 1"):
             ingest.SynthConfig(participants=0).validate()
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidInput, match="at most 4 sessions"):
             ingest.SynthConfig(sessions_per_participant=5).validate()
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidInput, match="n_slow_biased"):
             ingest.SynthConfig(n_slow_biased=99).validate()
         bad = ingest.ClassParams(
             hr_bpm=300.0, rr_jitter_ms=10.0, breathing_hz=0.2,
             breathing_mod_ms=10.0, scr_rate_per_min=1.0, scr_amp_mean_us=0.3,
             tonic_slope_us_per_min=0.0, temp_drift_c_per_min=0.0)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidInput, match="heart rate"):
             ingest.SynthConfig(fast=bad).validate()
 
 
@@ -169,7 +162,7 @@ class TestCorpusRoundTrip:
         manifest_path = ingest.write_corpus(small_sessions[:1], tmp_path / "c")
         entries, base = ingest.load_manifest(manifest_path)
         entries[0]["rating"] = 9
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvalidInput, match="rating out of range"):
             ingest.load_session(entries[0], base)
 
     def test_missing_manifest(self, tmp_path):
@@ -179,5 +172,5 @@ class TestCorpusRoundTrip:
     def test_manifest_without_sessions_key(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(json.dumps({"schema_version": 1}))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidInput, match="'sessions'"):
             ingest.load_manifest(p)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timesense import pipeline
-from timesense.errors import DimensionMismatch, TooFewRows
+from timesense.errors import InsufficientData, InvalidInput
 from timesense.model import FEATURE_NAMES, Dataset, FeatureVector
 from timesense.pipeline import (
     LabelRule,
@@ -70,12 +70,12 @@ class TestScaler:
         assert out.min() >= -1e-12 and out.max() <= 1 + 1e-12
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRows):
+        with pytest.raises(InsufficientData, match="at least 2 training rows"):
             fit_scaler(np.ones((1, 3)), "zscore")
 
     def test_dimension_mismatch(self):
         params = fit_scaler(np.ones((3, 2)) * [[1], [2], [3]], "zscore")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="feature count does not match"):
             apply_scaler(params, np.ones((2, 5)))
 
     def test_unknown_method(self):
@@ -179,5 +179,32 @@ class TestDatasetCsv:
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="header is not"):
+            pipeline.dataset_from_csv(p)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda lines: [], "header is not"),
+        (lambda lines: lines[:1], "header is not"),
+        (lambda lines: ["# schema_version=2"] + lines[1:], "line 1: expected"),
+        (lambda lines: lines[:3] + [lines[3] + ",1.0,2.0"] + lines[4:], "line 4: 28 cells"),
+        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:], "line 4: 25 cells"),
+        (lambda lines: lines[:3] + [lines[3].replace(",fast,", ",FAST,").replace(
+            ",slow,", ",FAST,")] + lines[4:], "line 4: label 'FAST'"),
+        (lambda lines: lines[:3] + [lines[3].replace(",fast,", ",Fast,").replace(
+            ",slow,", ",Fast,")] + lines[4:], "line 4: label 'Fast'"),
+        (lambda lines: lines[:3] + ["nan" + lines[3][lines[3].index(","):]] + lines[4:],
+         "line 4: non-finite"),
+        (lambda lines: lines[:3] + ["x" + lines[3][lines[3].index(","):]] + lines[4:],
+         "line 4: could not convert"),
+        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",1.5"] + lines[4:],
+         "line 4: invalid literal"),
+        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",-2"] + lines[4:],
+         "line 4: participant id -2"),
+    ])
+    def test_damaged_file_rejected_with_line(self, small_dataset, tmp_path, damage, message):
+        p = tmp_path / "ds.csv"
+        pipeline.dataset_to_csv(small_dataset, p)
+        lines = p.read_text().splitlines()
+        p.write_text("\n".join(damage(lines)) + "\n")
+        with pytest.raises(InvalidInput, match=message):
             pipeline.dataset_from_csv(p)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from timesense.classifiers import ClassifierConfig
-from timesense.errors import InfeasibleFolds, UnsupportedClassifier
+from timesense.errors import InsufficientData, Unsupported
 from timesense.model import Dataset
 from timesense.selection import (
     BACKWARD,
@@ -49,7 +49,7 @@ class TestStratifiedKfold:
         y = np.array([0] * 9 + [1])
         X = np.random.default_rng(0).normal(size=(10, 2))
         folds = stratified_kfold(y, 5, seed=0)
-        with pytest.raises(InfeasibleFolds):
+        with pytest.raises(InsufficientData, match="lacks both classes"):
             cv_accuracy(LR, X, y, folds)
 
 
@@ -123,9 +123,9 @@ class TestRfecv:
 
     def test_unsupported_classifier(self, planted):
         for kind in ("knn", "gnb", "qda"):
-            with pytest.raises(UnsupportedClassifier):
+            with pytest.raises(Unsupported, match="cannot drive RFECV"):
                 rfecv(planted, ClassifierConfig(kind))
-        with pytest.raises(UnsupportedClassifier):
+        with pytest.raises(Unsupported, match="cannot drive RFECV"):
             rfecv(planted, ClassifierConfig("svc", {"kernel": "rbf"}))
 
     def test_linear_svc_is_supported(self):
