@@ -181,8 +181,9 @@ def load_model(path) -> TrainedModel:
     """Read a model written by ``save_model``.
 
     Raises InvalidInput when the file is not valid JSON, is of another schema
-    version, lacks a key or holds one of the wrong type, or holds a tree whose
-    child or split-feature indexes point outside it.
+    version, lacks a key or holds one of the wrong type, holds a tree whose
+    child or split-feature indexes point outside it, or holds an array whose
+    shape does not fit ``feature_count``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -205,4 +206,9 @@ def load_model(path) -> TrainedModel:
     if isinstance(est, TreeEnsemble):
         for i, nodes in enumerate(est.trees_):
             nodes.check(feature_count, f"{path}: tree {i}")
+    else:
+        for name, (array, shape) in est.array_shapes(feature_count).items():
+            if np.shape(array) != shape:
+                raise InvalidInput(f"{path}: {kind} {name} has shape {np.shape(array)}, "
+                                   f"not {shape} for {feature_count} features")
     return TrainedModel(kind, config, est, feature_count)

@@ -35,6 +35,10 @@ class KNN:
     def importance(self):
         return None
 
+    def array_shapes(self, d):
+        m = len(self.X_)
+        return {"X": (self.X_, (m, d)), "y": (self.y_, (m,))}
+
     def to_jsonable(self):
         return {"k": self.k, "X": self.X_.tolist(), "y": self.y_.tolist()}
 

@@ -15,7 +15,11 @@ def sigmoid(z):
 
 def logistic_loss(w, b, X, y, l2):
     """Mean negative log-likelihood plus an L2 penalty on the weights."""
-    z = X @ w + b
+    return _loss_at(X @ w + b, w, y, l2)
+
+
+def _loss_at(z, w, y, l2):
+    """``logistic_loss`` given the margins ``z = X @ w + b``."""
     # log(1 + exp(-m)) with m = z for y=1, -z for y=0, computed stably
     m = np.where(y == 1, z, -z)
     nll = np.mean(np.logaddexp(0.0, -m))
@@ -23,7 +27,11 @@ def logistic_loss(w, b, X, y, l2):
 
 
 def logistic_gradient(w, b, X, y, l2):
-    p = sigmoid(X @ w + b)
+    return _gradient_at(sigmoid(X @ w + b), w, X, y, l2)
+
+
+def _gradient_at(p, w, X, y, l2):
+    """Gradient of ``logistic_loss`` given the probabilities ``p`` at (w, b)."""
     r = (p - y) / len(y)
     return X.T @ r + l2 * w, float(np.sum(r))
 
@@ -43,33 +51,46 @@ class LogisticRegressionNewton:
         self.b = 0.0
 
     def fit(self, X, y, rng=None):
+        """Sets ``w``, ``b``, ``n_iter_`` (Newton steps taken) and
+        ``converged_`` (False when ``max_iter`` steps ended the solve before
+        the gradient tolerance was met)."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         n, d = X.shape
+        Xa = np.hstack([X, np.ones((n, 1))])
+        ridge = self.l2 * np.eye(d)
+        jitter = 1e-10 * np.eye(d + 1)
         w = np.zeros(d)
         b = 0.0
-        loss = logistic_loss(w, b, X, y, self.l2)
-        for _ in range(self.max_iter):
-            gw, gb = logistic_gradient(w, b, X, y, self.l2)
+        z = X @ w + b
+        loss = _loss_at(z, w, y, self.l2)
+        n_iter, converged = 0, False
+        while n_iter < self.max_iter:
+            # the margins of the accepted step give one probability vector,
+            # which serves both the gradient and the Hessian
+            p = sigmoid(z)
+            gw, gb = _gradient_at(p, w, X, y, self.l2)
             if max(np.max(np.abs(gw)), abs(gb)) < self.tol:
+                converged = True
                 break
-            p = sigmoid(X @ w + b)
             s = p * (1.0 - p) / n
-            Xa = np.hstack([X, np.ones((n, 1))])
             H = Xa.T @ (Xa * s[:, None])
-            H[:d, :d] += self.l2 * np.eye(d)
-            H += 1e-10 * np.eye(d + 1)
+            H[:d, :d] += ridge
+            H += jitter
             g = np.concatenate([gw, [gb]])
             step = np.linalg.solve(H, g)
             # damping: halve until the loss decreases
             t = 1.0
             for _ in range(40):
                 w_new, b_new = w - t * step[:d], b - t * step[d]
-                new_loss = logistic_loss(w_new, b_new, X, y, self.l2)
+                z_new = X @ w_new + b_new
+                new_loss = _loss_at(z_new, w_new, y, self.l2)
                 if new_loss <= loss + 1e-15:
                     break
                 t *= 0.5
-            w, b, loss = w_new, b_new, new_loss
+            w, b, z, loss = w_new, b_new, z_new, new_loss
+            n_iter += 1
+        self.n_iter_, self.converged_ = n_iter, converged
         self.w, self.b = w, b
         return self
 
@@ -78,6 +99,9 @@ class LogisticRegressionNewton:
 
     def importance(self):
         return np.abs(self.w)
+
+    def array_shapes(self, d):
+        return {"w": (self.w, (d,))}
 
     def to_jsonable(self):
         return {"w": self.w.tolist(), "b": float(self.b), "l2": self.l2}
@@ -116,6 +140,10 @@ class GaussianNB:
 
     def importance(self):
         return None
+
+    def array_shapes(self, d):
+        return {"means": (self.means_, (2, d)), "vars": (self.vars_, (2, d)),
+                "log_priors": (self.log_priors_, (2,))}
 
     def to_jsonable(self):
         return {"means": self.means_.tolist(), "vars": self.vars_.tolist(),
@@ -157,6 +185,9 @@ class LDA:
 
     def importance(self):
         return np.abs(self.w)
+
+    def array_shapes(self, d):
+        return {"w": (self.w, (d,)), "means": (self.means_, (2, d))}
 
     def to_jsonable(self):
         return {"w": self.w.tolist(), "b": self.b, "ridge": self.ridge,
@@ -205,6 +236,10 @@ class QDA:
     def importance(self):
         return None
 
+    def array_shapes(self, d):
+        return {"means": (self.means_, (2, d)), "inv_covs": (self.inv_covs_, (2, d, d)),
+                "logdets": (self.logdets_, (2,)), "log_priors": (self.log_priors_, (2,))}
+
     def to_jsonable(self):
         return {
             "ridge": self.ridge,
@@ -217,8 +252,8 @@ class QDA:
     @classmethod
     def from_jsonable(cls, doc):
         m = cls(ridge=doc["ridge"])
-        m.means_ = [np.asarray(v, dtype=float) for v in doc["means"]]
-        m.inv_covs_ = [np.asarray(v, dtype=float) for v in doc["inv_covs"]]
-        m.logdets_ = doc["logdets"]
+        m.means_ = np.asarray(doc["means"], dtype=float)
+        m.inv_covs_ = np.asarray(doc["inv_covs"], dtype=float)
+        m.logdets_ = np.asarray(doc["logdets"], dtype=float)
         m.log_priors_ = np.asarray(doc["log_priors"], dtype=float)
         return m

@@ -1,6 +1,8 @@
 """Support vector classifier trained with a deterministic SMO dual solver
 (Platt-style pair selection, index-ordered sweeps)."""
 
+from itertools import chain
+
 import numpy as np
 
 
@@ -35,6 +37,9 @@ class SMOSVC:
         return rbf_kernel(A, B, self.gamma_)
 
     def fit(self, X, y, rng=None):
+        """Solve the dual; sets ``alpha_``, ``b_``, the support vectors,
+        ``n_iter_`` (sweeps made) and ``converged_`` (False when the sweep
+        cap ``max_passes`` ended the solve with KKT violators left)."""
         X = np.asarray(X, dtype=float)
         ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
         n = len(ypm)
@@ -44,86 +49,99 @@ class SMOSVC:
         self.X_ = X
         self.y_ = ypm
         K = self._kernel(X, X)
-        alpha = np.zeros(n)
-        b = 0.0
+        cols = [K[:, i] for i in range(n)]
+        Kl, yl = K.tolist(), ypm.tolist()
+        Kd = K.diagonal().tolist()
         C, tol = self.C, self.tol
-
-        def f(i):
-            return float((alpha * ypm) @ K[:, i] + b)
-
-        passes = 0
-        examine_all = True
-        while passes < self.max_passes:
+        alpha = [0.0] * n
+        b = 0.0
+        coef = np.array(alpha) * ypm
+        # Values of the current (alpha, b), cleared by each successful step:
+        # f(i) = coef @ K[:, i] + b per index, and the error vector. The two
+        # round differently, so each is only ever read where it was before.
+        f = [None] * n
+        errors = None
+        n_iter, converged, examine_all = 0, False, True
+        while n_iter < self.max_passes and not converged:
+            n_iter += 1
             changed = 0
             for i in range(n):
-                Ei = f(i) - ypm[i]
-                if not ((ypm[i] * Ei < -tol and alpha[i] < C)
-                        or (ypm[i] * Ei > tol and alpha[i] > 0)):
+                ai_old = alpha[i]
+                if not examine_all and not 0 < ai_old < C:
                     continue
-                if not examine_all and not (0 < alpha[i] < C):
+                if f[i] is None:
+                    f[i] = float(coef @ cols[i]) + b
+                yi = yl[i]
+                Ei = f[i] - yi
+                if not ((yi * Ei < -tol and ai_old < C) or (yi * Ei > tol and ai_old > 0)):
                     continue
-                # second-choice heuristic: maximize |Ei - Ej|, index tie-break
-                errors = (alpha * ypm) @ K + b - ypm
-                j = int(np.argmax(np.abs(Ei - errors) - np.where(np.arange(n) == i, np.inf, 0.0)))
-                if j == i:
+                if errors is None:
+                    errors = coef @ K + b - ypm
+                # second-choice heuristic: maximize |Ei - Ej| over j != i,
+                # lowest index on ties; when its step fails, try every j in
+                # index order
+                gaps = np.abs(Ei - errors)
+                gaps[i] -= np.inf
+                first = int(gaps.argmax())
+                if first == i:
                     continue
-                if self._take_step(i, j, alpha, K, ypm, Ei, errors[j]):
+                Ki = Kl[i]
+                for k, j in enumerate(chain((first,), range(n))):
+                    if j == i:
+                        continue
+                    aj_old, yj = alpha[j], yl[j]
+                    if yi != yj:
+                        L, H = aj_old - ai_old, C + aj_old - ai_old
+                    else:
+                        L, H = ai_old + aj_old - C, ai_old + aj_old
+                    # max(0, L) and min(C, H), spelled out for speed
+                    L = L if L > 0.0 else 0.0
+                    H = H if H < C else C
+                    if H - L < 1e-12:
+                        continue
+                    eta = 2.0 * Ki[j] - Ki[i] - Kd[j]
+                    if eta >= -1e-12:
+                        continue
+                    if k == 0:
+                        Ej = float(errors[j])
+                    else:
+                        if f[j] is None:
+                            f[j] = float(coef @ cols[j]) + b
+                        Ej = f[j] - yj
+                    aj = aj_old - yj * (Ei - Ej) / eta
+                    aj = L if L > aj else aj
+                    aj = H if H < aj else aj
+                    if abs(aj - aj_old) < 1e-7 * (aj + aj_old + 1e-7):
+                        continue
+                    ai = ai_old + yi * yj * (aj_old - aj)
+                    b1 = b - Ei - yi * (ai - ai_old) * Ki[i] - yj * (aj - aj_old) * Ki[j]
+                    b2 = b - Ej - yi * (ai - ai_old) * Ki[j] - yj * (aj - aj_old) * Kd[j]
+                    if 0 < ai < C:
+                        b = b1
+                    elif 0 < aj < C:
+                        b = b2
+                    else:
+                        b = 0.5 * (b1 + b2)
+                    alpha[i], alpha[j] = ai, aj
+                    coef[i], coef[j] = ai * yi, aj * yj
+                    f = [None] * n
+                    errors = None
                     changed += 1
-                    b = self._b
-                else:
-                    # fall back to an index-ordered scan
-                    for j in range(n):
-                        if j == i:
-                            continue
-                        if self._take_step(i, j, alpha, K, ypm, Ei, f(j) - ypm[j]):
-                            changed += 1
-                            b = self._b
-                            break
-            if changed == 0:
-                if examine_all:
                     break
+            if changed == 0:
+                converged = examine_all
                 examine_all = True
             else:
                 examine_all = False
-            passes += 1
 
-        self.alpha_ = alpha
+        self.alpha_ = np.array(alpha, dtype=float)
         self.b_ = b
-        sv = alpha > 1e-12
+        self.n_iter_ = n_iter
+        self.converged_ = converged
+        sv = self.alpha_ > 1e-12
         self.support_X_ = X[sv]
-        self.support_coef_ = (alpha * ypm)[sv]
+        self.support_coef_ = coef[sv]
         return self
-
-    def _take_step(self, i, j, alpha, K, ypm, Ei, Ej):
-        C = self.C
-        ai_old, aj_old = alpha[i], alpha[j]
-        if ypm[i] != ypm[j]:
-            L = max(0.0, aj_old - ai_old)
-            H = min(C, C + aj_old - ai_old)
-        else:
-            L = max(0.0, ai_old + aj_old - C)
-            H = min(C, ai_old + aj_old)
-        if H - L < 1e-12:
-            return False
-        eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-        if eta >= -1e-12:
-            return False
-        aj = aj_old - ypm[j] * (Ei - Ej) / eta
-        aj = min(max(aj, L), H)
-        if abs(aj - aj_old) < 1e-7 * (aj + aj_old + 1e-7):
-            return False
-        ai = ai_old + ypm[i] * ypm[j] * (aj_old - aj)
-        b_old = getattr(self, "_b", 0.0)
-        b1 = b_old - Ei - ypm[i] * (ai - ai_old) * K[i, i] - ypm[j] * (aj - aj_old) * K[i, j]
-        b2 = b_old - Ej - ypm[i] * (ai - ai_old) * K[i, j] - ypm[j] * (aj - aj_old) * K[j, j]
-        if 0 < ai < C:
-            self._b = b1
-        elif 0 < aj < C:
-            self._b = b2
-        else:
-            self._b = 0.5 * (b1 + b2)
-        alpha[i], alpha[j] = ai, aj
-        return True
 
     def decision_function(self, X):
         X = np.asarray(X, dtype=float)
@@ -136,6 +154,10 @@ class SMOSVC:
             return None
         w = self.support_coef_ @ self.support_X_ if len(self.support_X_) else np.zeros(self.X_.shape[1])
         return np.abs(w)
+
+    def array_shapes(self, d):
+        m = len(self.support_X_)
+        return {"support_X": (self.support_X_, (m, d)), "support_coef": (self.support_coef_, (m,))}
 
     def to_jsonable(self):
         doc = {"C": self.C, "kernel": self.kernel, "b": float(self.b_),

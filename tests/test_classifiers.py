@@ -16,9 +16,12 @@ from timesense.classifiers.base import (
     train,
 )
 from timesense.classifiers.linear import (
+    LogisticRegressionNewton,
     logistic_gradient,
     logistic_loss,
+    sigmoid,
 )
+from timesense.classifiers.svm import SMOSVC
 from timesense.errors import InsufficientData, InvalidInput, Unsupported
 
 ALL_CONFIGS = [ClassifierConfig(k, seed=0) for k in KINDS] + [
@@ -318,6 +321,45 @@ class TestSaveLoadSchema:
             path.write_text("{")
             load_model(path)
 
+    def _saved(self, config, X, y, path):
+        save_model(train(config, X, y), path)
+        return json.loads(path.read_text())
+
+    def test_lr_weights_cut_short_rejected(self, tmp_path):
+        X, y = blobs(d=3)
+        path = tmp_path / "model.json"
+        doc = self._saved(ClassifierConfig("lr"), X, y, path)
+        doc["estimator"]["w"] = doc["estimator"]["w"][:2]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInput, match=r"lr w has shape \(2,\), not \(3,\) for 3 features"):
+            load_model(path)
+
+    def test_svc_support_coef_mismatch_rejected(self, tmp_path):
+        X, y = blobs(d=3)
+        path = tmp_path / "model.json"
+        doc = self._saved(ClassifierConfig("svc"), X, y, path)
+        doc["estimator"]["support_coef"].append(0.5)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInput, match="svc support_coef has shape"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind,key", [
+        ("svc", "support_X"), ("knn", "X"), ("knn", "y"), ("gnb", "means"), ("gnb", "vars"),
+        ("gnb", "log_priors"), ("lda", "w"), ("lda", "means"), ("qda", "means"),
+        ("qda", "inv_covs"), ("qda", "logdets"), ("qda", "log_priors")])
+    def test_array_of_wrong_shape_rejected(self, kind, key, tmp_path):
+        def shrink(v):  # drop the last entry along the innermost axis
+            return [shrink(r) for r in v] if isinstance(v[0], list) else v[:-1]
+
+        X, y = blobs(d=3)
+        path = tmp_path / "model.json"
+        doc = self._saved(ClassifierConfig(kind), X, y, path)
+        assert load_model(path).feature_count == 3
+        doc["estimator"][key] = shrink(doc["estimator"][key])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInput):
+            load_model(path)
+
     def test_grown_trees_pass_the_load_check(self):
         X, y = xor_data()
         for kind in ("dtc", "rf", "gb", "ab", "xgb"):
@@ -356,13 +398,18 @@ def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("fixture,kind", sorted(PINNED))
-def test_tree_models_reproduce_pinned_outputs(fixture, kind, tmp_path):
-    if fixture == "blobs":
+def pinned_fixture(name):
+    """Training rows, labels, and the training rows followed by a fresh draw."""
+    if name == "blobs":
         (X, y), probe = blobs(gap=2.0), blobs(gap=2.0, seed=9)[0]
     else:
         (X, y), probe = xor_data(), xor_data(seed=3)[0]
-    rows = np.vstack([X, probe])
+    return X, y, np.vstack([X, probe])
+
+
+@pytest.mark.parametrize("fixture,kind", sorted(PINNED))
+def test_tree_models_reproduce_pinned_outputs(fixture, kind, tmp_path):
+    X, y, rows = pinned_fixture(fixture)
     model = train(ClassifierConfig(kind, seed=0), X, y)
     scores_digest, importance_digest = PINNED[fixture, kind]
     assert _digest(decision_scores(model, rows)) == scores_digest
@@ -514,3 +561,224 @@ class TestSplitSearchMatchesLoops:
         # both polarities err by 1: polarity -1 wins
         X, ypm, w = np.zeros((2, 1)), np.array([1.0, -1.0]), np.ones(2)
         assert tree.stump_split(X, ypm, w) == loop_stump_split(X, ypm, w) == (0, -1.0, -1)
+
+
+# ---------------------------------------------------------------------------
+# Solver oracles: the SMO and Newton-LR solvers as they were before they kept
+# per-state values, evaluating every value afresh where it is used.
+# ---------------------------------------------------------------------------
+
+class OracleSMOSVC(SMOSVC):
+    def fit(self, X, y, rng=None):
+        X = np.asarray(X, dtype=float)
+        ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
+        n = len(ypm)
+        if self.kernel == "rbf":
+            var = X.var()
+            self.gamma_ = self.gamma if self.gamma is not None else 1.0 / (X.shape[1] * var) if var > 0 else 1.0
+        self.X_ = X
+        self.y_ = ypm
+        K = self._kernel(X, X)
+        alpha = np.zeros(n)
+        b = 0.0
+        C, tol = self.C, self.tol
+
+        def f(i):
+            return float((alpha * ypm) @ K[:, i] + b)
+
+        passes = 0
+        examine_all = True
+        while passes < self.max_passes:
+            changed = 0
+            for i in range(n):
+                Ei = f(i) - ypm[i]
+                if not ((ypm[i] * Ei < -tol and alpha[i] < C)
+                        or (ypm[i] * Ei > tol and alpha[i] > 0)):
+                    continue
+                if not examine_all and not (0 < alpha[i] < C):
+                    continue
+                errors = (alpha * ypm) @ K + b - ypm
+                j = int(np.argmax(np.abs(Ei - errors) - np.where(np.arange(n) == i, np.inf, 0.0)))
+                if j == i:
+                    continue
+                if self._take_step(i, j, alpha, K, ypm, Ei, errors[j]):
+                    changed += 1
+                    b = self._b
+                else:
+                    for j in range(n):
+                        if j == i:
+                            continue
+                        if self._take_step(i, j, alpha, K, ypm, Ei, f(j) - ypm[j]):
+                            changed += 1
+                            b = self._b
+                            break
+            if changed == 0:
+                if examine_all:
+                    break
+                examine_all = True
+            else:
+                examine_all = False
+            passes += 1
+
+        self.alpha_ = alpha
+        self.b_ = b
+        sv = alpha > 1e-12
+        self.support_X_ = X[sv]
+        self.support_coef_ = (alpha * ypm)[sv]
+        return self
+
+    def _take_step(self, i, j, alpha, K, ypm, Ei, Ej):
+        C = self.C
+        ai_old, aj_old = alpha[i], alpha[j]
+        if ypm[i] != ypm[j]:
+            L = max(0.0, aj_old - ai_old)
+            H = min(C, C + aj_old - ai_old)
+        else:
+            L = max(0.0, ai_old + aj_old - C)
+            H = min(C, ai_old + aj_old)
+        if H - L < 1e-12:
+            return False
+        eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
+        if eta >= -1e-12:
+            return False
+        aj = aj_old - ypm[j] * (Ei - Ej) / eta
+        aj = min(max(aj, L), H)
+        if abs(aj - aj_old) < 1e-7 * (aj + aj_old + 1e-7):
+            return False
+        ai = ai_old + ypm[i] * ypm[j] * (aj_old - aj)
+        b_old = getattr(self, "_b", 0.0)
+        b1 = b_old - Ei - ypm[i] * (ai - ai_old) * K[i, i] - ypm[j] * (aj - aj_old) * K[i, j]
+        b2 = b_old - Ej - ypm[i] * (ai - ai_old) * K[i, j] - ypm[j] * (aj - aj_old) * K[j, j]
+        if 0 < ai < C:
+            self._b = b1
+        elif 0 < aj < C:
+            self._b = b2
+        else:
+            self._b = 0.5 * (b1 + b2)
+        alpha[i], alpha[j] = ai, aj
+        return True
+
+
+class OracleLR(LogisticRegressionNewton):
+    def fit(self, X, y, rng=None):
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n, d = X.shape
+        w = np.zeros(d)
+        b = 0.0
+        loss = logistic_loss(w, b, X, y, self.l2)
+        for _ in range(self.max_iter):
+            gw, gb = logistic_gradient(w, b, X, y, self.l2)
+            if max(np.max(np.abs(gw)), abs(gb)) < self.tol:
+                break
+            p = sigmoid(X @ w + b)
+            s = p * (1.0 - p) / n
+            Xa = np.hstack([X, np.ones((n, 1))])
+            H = Xa.T @ (Xa * s[:, None])
+            H[:d, :d] += self.l2 * np.eye(d)
+            H += 1e-10 * np.eye(d + 1)
+            g = np.concatenate([gw, [gb]])
+            step = np.linalg.solve(H, g)
+            t = 1.0
+            for _ in range(40):
+                w_new, b_new = w - t * step[:d], b - t * step[d]
+                new_loss = logistic_loss(w_new, b_new, X, y, self.l2)
+                if new_loss <= loss + 1e-15:
+                    break
+                t *= 0.5
+            w, b, loss = w_new, b_new, new_loss
+        self.w, self.b = w, b
+        return self
+
+
+# sha256 of decision_scores (training rows, then a fresh draw), recorded
+# before the solvers kept per-state values.
+PINNED_SOLVERS = {
+    ("blobs", "svc"): "2ba63e330905899caea76c7713f72d43067236b75a5535a12e114d09add5aca6",
+    ("blobs", "svc-linear"): "d9db061a3dd57c22c957b84a4045f8ee78d15d61c7c074d004e07826b2a63446",
+    ("blobs", "lr"): "6c9f2f54ac760fd502f61510787cbf37a60826a70b09c83476841b4380509f3f",
+    ("xor_data", "svc"): "d940f7e38182254a106d514bb22b28f9b4a14367f4e7b110363fd4437bfff6d1",
+    ("xor_data", "svc-linear"): "5923abab64f99fa42a62775e7f9fe461337a73795bbf543fb51552e66f215a94",
+    ("xor_data", "lr"): "65925ff44b988562502bd3889bf74a676b5b271844197f5fbbe2c64c6935084b",
+}
+
+
+def solver_case(seed):
+    """Small problem with both classes: n in [4, 60], d in [1, 6], some rows
+    duplicated, and a scale or offset that varies the kernel's conditioning."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(4, 61)), int(rng.integers(1, 7))
+    if seed % 4 == 0:
+        d = 1
+    X = rng.normal(0.0, float(rng.choice([0.3, 1.0, 3.0])), (n, d))
+    y = rng.integers(0, 2, n)
+    y[:2] = (0, 1)
+    X[y == 1] += float(rng.uniform(0.0, 2.0))
+    dup = rng.integers(0, n, int(rng.integers(0, n // 3 + 1)))
+    X[rng.integers(0, n, len(dup))] = X[dup]
+    return rng, X, y
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSolversMatchOracles:
+    """The solvers keep per-state values yet return exactly what the
+    oracles, which evaluate every value afresh, return."""
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_smo(self, seed):
+        rng, X, y = solver_case(seed)
+        kernel = ("rbf", "linear")[seed % 2]
+        C = (0.1, 1.0, 10.0)[seed % 3]
+        new = SMOSVC(C=C, kernel=kernel).fit(X, y)
+        old = OracleSMOSVC(C=C, kernel=kernel).fit(X, y)
+        assert _same_bits(new.alpha_, old.alpha_)
+        assert _same_bits(new.b_, old.b_)
+        assert _same_bits(new.support_X_, old.support_X_)
+        assert _same_bits(new.support_coef_, old.support_coef_)
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_lr(self, seed):
+        rng, X, y = solver_case(seed)
+        l2 = (0.01, 1.0, 100.0)[seed % 3]
+        new = LogisticRegressionNewton(l2=l2).fit(X, y)
+        old = OracleLR(l2=l2).fit(X, y)
+        assert _same_bits(new.w, old.w)
+        assert _same_bits(new.b, old.b)
+
+    def test_smo_refit_equals_fresh_fit(self):
+        _, X1, y1 = solver_case(7)
+        _, X2, y2 = solver_case(8)
+        svc = SMOSVC().fit(X1, y1).fit(X2, y2)
+        fresh = SMOSVC().fit(X2, y2)
+        assert _same_bits(svc.alpha_, fresh.alpha_)
+        assert _same_bits(svc.b_, fresh.b_)
+        # the oracle carries b over from its first fit, which shows here
+        assert OracleSMOSVC().fit(X1, y1).fit(X2, y2).b_ != fresh.b_
+
+    @pytest.mark.parametrize("fixture,name", sorted(PINNED_SOLVERS))
+    def test_solver_models_reproduce_pinned_outputs(self, fixture, name):
+        X, y, rows = pinned_fixture(fixture)
+        kind, _, kernel = name.partition("-")
+        config = ClassifierConfig(kind, {"kernel": kernel} if kernel else {}, seed=0)
+        model = train(config, X, y)
+        assert _digest(decision_scores(model, rows)) == PINNED_SOLVERS[fixture, name]
+
+
+class TestSolverConvergence:
+    def test_smo_reports_the_sweep_cap(self):
+        X, y = blobs(gap=2.0)
+        capped = SMOSVC(max_passes=1).fit(X, y)
+        assert (capped.n_iter_, capped.converged_) == (1, False)
+        full = SMOSVC().fit(X, y)
+        assert full.converged_ and 1 < full.n_iter_ < full.max_passes
+
+    def test_lr_reports_the_iteration_cap(self):
+        X, y = blobs(gap=2.0)
+        capped = LogisticRegressionNewton(max_iter=1).fit(X, y)
+        assert (capped.n_iter_, capped.converged_) == (1, False)
+        full = LogisticRegressionNewton().fit(X, y)
+        assert full.converged_ and 1 < full.n_iter_ < full.max_iter
