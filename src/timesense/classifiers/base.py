@@ -132,13 +132,23 @@ def train(config: ClassifierConfig, X, y) -> TrainedModel:
     return TrainedModel(config.kind, config, est, X.shape[1])
 
 
-def decision_scores(model: TrainedModel, X) -> np.ndarray:
-    """Real-valued scores, monotone in fast-class confidence (0 = tie)."""
+def decision_scores(model: TrainedModel, X, blocks: int = 1) -> np.ndarray:
+    """Real-valued scores, monotone in fast-class confidence (0 = tie).
+
+    ``blocks`` > 1 declares the rows of X a stack of that many equal blocks.
+    They are scored in one call, and each block's scores are bit for bit
+    those a call on that block alone returns: BLAS products and numpy
+    reductions can round a row differently in a taller matrix.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.feature_count:
         raise InvalidInput(
             f"expected {model.feature_count} features, got {X.shape}")
-    return np.asarray(model.estimator.decision_function(X), dtype=float)
+    if blocks < 1 or len(X) % blocks:
+        raise ValueError(f"{len(X)} rows do not split into {blocks} equal blocks")
+    if blocks > 1:
+        X = X.reshape(blocks, len(X) // blocks, X.shape[1])
+    return np.asarray(model.estimator.decision_function(X), dtype=float).reshape(-1)
 
 
 def predict(model: TrainedModel, X) -> np.ndarray:

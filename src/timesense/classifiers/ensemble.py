@@ -31,7 +31,7 @@ class TreeEnsemble:
 
     def _weighted_sum(self, X):
         """offset + sum of weight * tree value, accumulated in tree order."""
-        F = np.full(len(np.asarray(X)), self.offset_)
+        F = np.full(np.shape(X)[:-1], self.offset_)
         for weight, tree in zip(self.weights_, self.trees_):
             F = F + weight * tree.predict(X)
         return F
@@ -99,7 +99,13 @@ class RandomForest(TreeEnsemble):
 
     def decision_function(self, X):
         # np.mean, not a sum of 1/T-weighted trees, which rounds differently
-        return np.mean([t.predict(X) for t in self.trees_], axis=0)
+        values = np.array([t.predict(X) for t in self.trees_])
+        if values.shape[-1] == 1:
+            # numpy sums the trees of a one-row call pairwise, as one
+            # contiguous run, and those of a taller call in tree order; a
+            # stack of one-row blocks keeps the one-row rounding
+            return np.ascontiguousarray(np.moveaxis(values, 0, -1)).mean(axis=-1)
+        return values.mean(axis=0)
 
     def importance(self):
         return _normalized(np.mean(self.importances_, axis=0))

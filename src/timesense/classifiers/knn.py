@@ -24,13 +24,13 @@ class KNN:
     def decision_function(self, X):
         X = np.asarray(X, dtype=float)
         k = min(self.k, len(self.y_))
-        d2 = (np.sum(X * X, axis=1)[:, None]
+        d2 = (np.sum(X * X, axis=-1)[..., None]
               + np.sum(self.X_ * self.X_, axis=1)[None, :]
               - 2.0 * X @ self.X_.T)
         # stable argsort keeps canonical training order on distance ties
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        nearest = np.argsort(d2, axis=-1, kind="stable")[..., :k]
         votes = np.where(self.y_[nearest] == 1, 1.0, -1.0)
-        return votes.sum(axis=1) / k
+        return votes.sum(axis=-1) / k
 
     def importance(self):
         return None

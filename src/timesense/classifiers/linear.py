@@ -131,7 +131,7 @@ class GaussianNB:
 
     def _log_likelihood(self, X, c):
         diff = X - self.means_[c]
-        return -0.5 * np.sum(np.log(2 * np.pi * self.vars_[c]) + diff**2 / self.vars_[c], axis=1)
+        return -0.5 * np.sum(np.log(2 * np.pi * self.vars_[c]) + diff**2 / self.vars_[c], axis=-1)
 
     def decision_function(self, X):
         X = np.asarray(X, dtype=float)
@@ -226,7 +226,7 @@ class QDA:
 
     def _score_class(self, X, c):
         diff = X - self.means_[c]
-        maha = np.einsum("ij,jk,ik->i", diff, self.inv_covs_[c], diff)
+        maha = np.einsum("...j,jk,...k->...", diff, self.inv_covs_[c], diff)
         return -0.5 * (maha + self.logdets_[c]) + self.log_priors_[c]
 
     def decision_function(self, X):

@@ -11,7 +11,7 @@ def linear_kernel(A, B):
 
 
 def rbf_kernel(A, B, gamma):
-    a2 = np.sum(A * A, axis=1)[:, None]
+    a2 = np.sum(A * A, axis=-1)[..., None]
     b2 = np.sum(B * B, axis=1)[None, :]
     return np.exp(-gamma * np.maximum(a2 + b2 - 2.0 * (A @ B.T), 0.0))
 
@@ -146,7 +146,7 @@ class SMOSVC:
     def decision_function(self, X):
         X = np.asarray(X, dtype=float)
         if len(self.support_X_) == 0:
-            return np.full(len(X), self.b_)
+            return np.full(X.shape[:-1], self.b_)
         return self._kernel(X, self.support_X_) @ self.support_coef_ + self.b_
 
     def importance(self):

@@ -40,7 +40,10 @@ class TreeNodes:
         return self
 
     def predict(self, X):
+        """Values of the rows of X, of shape (n, d) or a stack (..., n, d)."""
         X = np.asarray(X, dtype=float)
+        shape = X.shape[:-1]
+        X = X.reshape(-1, X.shape[-1])
         idx = np.zeros(len(X), dtype=int)
         while True:
             internal = self.feature[idx] != NO_CHILD
@@ -50,7 +53,7 @@ class TreeNodes:
             node = idx[rows]
             go_left = X[rows, self.feature[node]] <= self.threshold[node]
             idx[rows] = np.where(go_left, self.left[node], self.right[node])
-        return self.value[idx]
+        return self.value[idx].reshape(shape)
 
     def to_jsonable(self):
         return {

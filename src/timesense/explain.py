@@ -23,17 +23,31 @@ class Attribution:
         return abs(self.base_value + float(np.sum(self.values)) - self.prediction)
 
 
+# Synthetic rows per model call when scoring coalitions. A call holds as
+# many whole coalitions as fit (at least one), so memory stays flat however
+# many coalitions an explanation scores.
+CHUNK_ROWS = 4096
+
+
 def _coalition_values(model, background, instance, masks):
     """v(S) for each mask: mean score with absent features taken from each
-    background row."""
+    background row.
+
+    The coalitions of a chunk are stacked into one synthetic matrix, one
+    background-sized block per mask, and scored by one model call. Each
+    v(S) is bit for bit the mean of a call on its block alone.
+    """
     background = np.asarray(background, dtype=float)
     instance = np.asarray(instance, dtype=float)
-    n_bg = len(background)
+    n_bg, d = background.shape
+    masks = np.asarray(masks, dtype=bool).reshape(len(masks), d)
+    per_chunk = max(1, CHUNK_ROWS // n_bg)
     out = np.empty(len(masks))
-    for i, mask in enumerate(masks):
-        synth = background.copy()
-        synth[:, mask] = instance[mask]
-        out[i] = float(np.mean(decision_scores(model, synth)))
+    for start in range(0, len(masks), per_chunk):
+        chunk = masks[start:start + per_chunk]
+        synth = np.where(chunk[:, None, :], instance, background).reshape(-1, d)
+        scores = decision_scores(model, synth, blocks=len(chunk))
+        out[start:start + len(chunk)] = scores.reshape(len(chunk), n_bg).mean(axis=1)
     return out
 
 
@@ -73,6 +87,23 @@ def _kernel_weight(d, size):
     return (d - 1) / (math.comb(d, size) * size * (d - size))
 
 
+def _sample_coalitions(d, n_samples, rng):
+    """n_samples random proper coalitions as 0/1 rows: a size drawn from
+    the kernel's size profile, then that many distinct features."""
+    sizes = np.arange(1, d)
+    size_probs = np.array([(d - 1) / (s * (d - s)) for s in sizes])
+    size_probs = size_probs / size_probs.sum()
+    # the inverse-CDF draw rng.choice(sizes, p=size_probs) makes, with the
+    # CDF built once instead of on every call: same stream, same sizes
+    cdf = size_probs.cumsum()
+    cdf /= cdf[-1]
+    Z = np.zeros((n_samples, d))
+    for i in range(n_samples):
+        s = int(sizes[cdf.searchsorted(rng.random(), side="right")])
+        Z[i, rng.choice(d, size=s, replace=False)] = 1.0
+    return Z
+
+
 def kernel_shap(model: TrainedModel, background, instance,
                 n_samples: int = 2048, seed: int = 0, instance_id: int = -1) -> Attribution:
     """Kernel-weighted linear regression estimate of the Shapley values.
@@ -86,6 +117,8 @@ def kernel_shap(model: TrainedModel, background, instance,
     d = len(instance)
     if n_samples < d + 2:
         raise InsufficientData(f"need at least d + 2 = {d + 2} samples")
+    if len(background) == 0:
+        raise ValueError("background must be non-empty")
 
     base = float(np.mean(decision_scores(model, background)))
     pred = float(np.mean(decision_scores(model, instance[None, :])))
@@ -98,24 +131,15 @@ def kernel_shap(model: TrainedModel, background, instance,
                 row = np.zeros(d)
                 row[list(combo)] = 1.0
                 Z.append(row)
-        Z = np.array(Z)
+        Z = np.array(Z).reshape(-1, d)  # (0, d) when d = 1
         weights = np.array([_kernel_weight(d, int(z.sum())) for z in Z])
     else:
-        rng = np.random.default_rng(seed)
-        sizes = np.arange(1, d)
-        size_probs = np.array([(d - 1) / (s * (d - s)) for s in sizes])
-        size_probs = size_probs / size_probs.sum()
-        Z = np.zeros((n_samples, d))
-        for i in range(n_samples):
-            s = int(rng.choice(sizes, p=size_probs))
-            cols = rng.choice(d, size=s, replace=False)
-            Z[i, cols] = 1.0
+        Z = _sample_coalitions(d, n_samples, np.random.default_rng(seed))
         # sampling already follows the size profile of the kernel; the
         # per-subset weight within a size class is uniform
         weights = np.ones(n_samples)
 
-    masks = [z.astype(bool) for z in Z]
-    v = _coalition_values(model, background, instance, masks)
+    v = _coalition_values(model, background, instance, Z.astype(bool))
 
     # eliminate phi_d via the constraint sum(phi) = pred - base
     target = v - base - Z[:, -1] * (pred - base)

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 from scipy.interpolate import CubicSpline
 
@@ -87,11 +88,7 @@ class BeatSequence:
             raise InsufficientData("need at least 4 peaks")
         rr = np.diff(times) * 1000.0
         keep = (rr >= RR_MIN_MS) & (rr <= RR_MAX_MS)
-        # local median over a 5-interval window, computed on the raw series
-        local_med = np.empty_like(rr)
-        for i in range(len(rr)):
-            lo, hi = max(0, i - 2), min(len(rr), i + 3)
-            local_med[i] = np.median(rr[lo:hi])
+        local_med = local_median(rr)
         keep &= np.abs(rr - local_med) <= max_local_deviation * local_med
         if keep.sum() < 3:
             raise InsufficientData("fewer than 3 plausible RR intervals")
@@ -105,6 +102,23 @@ class BeatSequence:
         rr = np.asarray(rr_ms, dtype=float)
         times = np.concatenate([[0.0], np.cumsum(rr) / 1000.0])
         return cls(times, rr, np.diff(rr))
+
+
+def local_median(rr):
+    """Median of each value's 5-wide window, cut short at the ends: the
+    windows of interior values are taken as rows of one array, the at most
+    four shorter ones at the ends (all of a series shorter than 5) one by
+    one."""
+    n = len(rr)
+    out = np.empty_like(rr)
+    if n >= 5:
+        out[2:n - 2] = np.median(sliding_window_view(rr, 5), axis=1)
+        edges = (0, 1, n - 2, n - 1)
+    else:
+        edges = range(n)
+    for i in edges:
+        out[i] = np.median(rr[max(0, i - 2):i + 3])
+    return out
 
 
 def detect_ppg_peaks(series: TimeSeries) -> BeatSequence:

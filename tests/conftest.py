@@ -48,3 +48,30 @@ def planted_dataset(n_informative=5, n_rows=48, n_participants=12, seed=0,
 @pytest.fixture
 def planted():
     return planted_dataset()
+
+
+def blobs(n_per=20, d=4, gap=6.0, seed=0):
+    """Two well-separated Gaussian clusters."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 1.0, (n_per, d))
+    b = rng.normal(gap, 1.0, (n_per, d))
+    X = np.vstack([a, b])
+    y = np.array([0] * n_per + [1] * n_per)
+    return X, y
+
+
+def xor_data(n=120, seed=1):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, (n, 2))
+    y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(int)
+    X += rng.normal(0, 0.02, X.shape)
+    return X, y
+
+
+def pinned_fixture(name):
+    """Training rows, labels, and the training rows followed by a fresh draw."""
+    if name == "blobs":
+        (X, y), probe = blobs(gap=2.0), blobs(gap=2.0, seed=9)[0]
+    else:
+        (X, y), probe = xor_data(), xor_data(seed=3)[0]
+    return X, y, np.vstack([X, probe])

@@ -23,28 +23,11 @@ from timesense.classifiers.linear import (
 )
 from timesense.classifiers.svm import SMOSVC
 from timesense.errors import InsufficientData, InvalidInput, Unsupported
+from tests.conftest import blobs, pinned_fixture, xor_data
 
 ALL_CONFIGS = [ClassifierConfig(k, seed=0) for k in KINDS] + [
     ClassifierConfig("svc", {"kernel": "linear"}, seed=0),
 ]
-
-
-def blobs(n_per=20, d=4, gap=6.0, seed=0):
-    """Two well-separated Gaussian clusters."""
-    rng = np.random.default_rng(seed)
-    a = rng.normal(0.0, 1.0, (n_per, d))
-    b = rng.normal(gap, 1.0, (n_per, d))
-    X = np.vstack([a, b])
-    y = np.array([0] * n_per + [1] * n_per)
-    return X, y
-
-
-def xor_data(n=120, seed=1):
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-1, 1, (n, 2))
-    y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(int)
-    X += rng.normal(0, 0.02, X.shape)
-    return X, y
 
 
 class TestSeparableBlobs:
@@ -152,6 +135,31 @@ class TestScoresAndTies:
         grid = np.linspace(-2, 6, 20).reshape(-1, 1)
         s = decision_scores(model, grid)
         assert np.all(np.diff(s) > 0)
+
+
+class TestBlockedScores:
+    """decision_scores(..., blocks=k) scores k stacked blocks in one call,
+    each bit for bit as a call on that block alone."""
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS + [
+        ClassifierConfig("rf", {"min_samples_leaf": 3}, seed=0),
+    ], ids=lambda c: c.kind + str(c.params))
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8])
+    def test_each_block_as_its_own_call(self, config, rows):
+        X, y = blobs(gap=1.0, seed=4)
+        model = train(config, X, y)
+        stack = np.random.default_rng(rows).normal(3.0, 2.0, size=(7 * rows, X.shape[1]))
+        expected = np.concatenate([decision_scores(model, stack[i:i + rows])
+                                   for i in range(0, len(stack), rows)])
+        assert decision_scores(model, stack, blocks=7).tobytes() == expected.tobytes()
+
+    def test_blocks_must_divide_the_rows(self):
+        X, y = blobs()
+        model = train(ClassifierConfig("lr"), X, y)
+        with pytest.raises(ValueError, match="equal blocks"):
+            decision_scores(model, X[:7], blocks=2)
+        with pytest.raises(ValueError, match="equal blocks"):
+            decision_scores(model, X[:4], blocks=0)
 
 
 class TestLogisticRegression:
@@ -396,15 +404,6 @@ PINNED = {
 
 def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
-
-
-def pinned_fixture(name):
-    """Training rows, labels, and the training rows followed by a fresh draw."""
-    if name == "blobs":
-        (X, y), probe = blobs(gap=2.0), blobs(gap=2.0, seed=9)[0]
-    else:
-        (X, y), probe = xor_data(), xor_data(seed=3)[0]
-    return X, y, np.vstack([X, probe])
 
 
 @pytest.mark.parametrize("fixture,kind", sorted(PINNED))

@@ -1,10 +1,18 @@
+import hashlib
+import json
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from timesense.classifiers import ClassifierConfig, TrainedModel, train
+from timesense import explain
+from timesense.classifiers import ClassifierConfig, TrainedModel, decision_scores, train
 from timesense.errors import InsufficientData, Unsupported
+from timesense.evaluate import MATRIX_KINDS
 from timesense.explain import exact_shapley, kernel_shap, mean_abs_shap
 from timesense.model import Dataset
+from tests.conftest import pinned_fixture
 
 
 class StubLinear:
@@ -118,6 +126,27 @@ class TestKernelShap:
             kernel_shap(stub_model(np.zeros(5)), np.zeros((3, 5)), np.zeros(5),
                         n_samples=4)
 
+    def test_one_feature_takes_the_whole_gap(self):
+        """With d = 1 there is no proper coalition; local accuracy alone
+        gives phi = [pred - base]."""
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(20, 1))
+        model = train(ClassifierConfig("lr", seed=0), X, (X[:, 0] > 0).astype(int))
+        att = kernel_shap(model, X[:7], X[0])
+        assert att.values.shape == (1,)
+        assert att.values[0] == att.prediction - att.base_value
+        assert att.values[0] != 0.0
+        assert exact_shapley(model, X[:7], X[0]).values[0] == pytest.approx(att.values[0])
+
+    def test_empty_background_rejected_before_scoring(self):
+        class Unscorable:
+            def decision_function(self, X):
+                raise AssertionError("model called")
+
+        model = TrainedModel("lr", ClassifierConfig("lr"), Unscorable(), 3)
+        with pytest.raises(ValueError, match="background must be non-empty"):
+            kernel_shap(model, np.zeros((0, 3)), np.zeros(3))
+
 
 class TestMeanAbsShap:
     def make_dataset(self, w, n=12, seed=0):
@@ -156,3 +185,225 @@ class TestMeanAbsShap:
                      ("a", "b"))
         with pytest.raises(ValueError):
             mean_abs_shap(stub_model(np.zeros(2)), ds)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: one model call per coalition, and sizes drawn by Generator.choice.
+# The chunked scoring and the once-built size CDF must reproduce them bit for
+# bit.
+# ---------------------------------------------------------------------------
+
+def loop_coalition_values(model, background, instance, masks):
+    background = np.asarray(background, dtype=float)
+    instance = np.asarray(instance, dtype=float)
+    out = np.empty(len(masks))
+    for i, mask in enumerate(masks):
+        synth = background.copy()
+        synth[:, mask] = instance[mask]
+        out[i] = float(np.mean(decision_scores(model, synth)))
+    return out
+
+
+def choice_sample_coalitions(d, n_samples, rng):
+    sizes = np.arange(1, d)
+    size_probs = np.array([(d - 1) / (s * (d - s)) for s in sizes])
+    size_probs = size_probs / size_probs.sum()
+    Z = np.zeros((n_samples, d))
+    for i in range(n_samples):
+        s = int(rng.choice(sizes, p=size_probs))
+        cols = rng.choice(d, size=s, replace=False)
+        Z[i, cols] = 1.0
+    return Z
+
+
+def loop_kernel_shap(model, background, instance, n_samples, seed=0):
+    background = np.asarray(background, dtype=float)
+    instance = np.asarray(instance, dtype=float)
+    d = len(instance)
+    base = float(np.mean(decision_scores(model, background)))
+    pred = float(np.mean(decision_scores(model, instance[None, :])))
+    if n_samples >= 2**d - 2:
+        Z = []
+        for size in range(1, d):
+            for combo in combinations(range(d), size):
+                row = np.zeros(d)
+                row[list(combo)] = 1.0
+                Z.append(row)
+        Z = np.array(Z)
+        sizes = Z.sum(axis=1).astype(int)
+        weights = np.array([(d - 1) / (math.comb(d, s) * s * (d - s)) for s in sizes])
+    else:
+        Z = choice_sample_coalitions(d, n_samples, np.random.default_rng(seed))
+        weights = np.ones(n_samples)
+    v = loop_coalition_values(model, background, instance, [z.astype(bool) for z in Z])
+    target = v - base - Z[:, -1] * (pred - base)
+    A = Z[:, :-1] - Z[:, -1][:, None]
+    sw = np.sqrt(weights)
+    coef, *_ = np.linalg.lstsq(A * sw[:, None], target * sw, rcond=None)
+    phi = np.empty(d)
+    phi[:-1] = coef
+    phi[-1] = (pred - base) - float(np.sum(coef))
+    return phi, base, pred
+
+
+# every matrix kind, plus a linear svc and trees with impure (non-dyadic)
+# leaves, whose one-row scores round differently from taller calls
+ORACLE_CONFIGS = [ClassifierConfig(k, seed=0) for k in MATRIX_KINDS] + [
+    ClassifierConfig("svc", {"kernel": "linear"}, seed=0),
+    ClassifierConfig("rf", {"min_samples_leaf": 3}, seed=0),
+    ClassifierConfig("dtc", {"min_samples_leaf": 3}, seed=0),
+]
+
+
+def config_id(config):
+    return config.kind + "".join(f"-{k}={v}" for k, v in sorted(config.params.items()))
+
+
+_ORACLE_MODELS = {}
+
+
+def oracle_problem(config, d=5, seed=0):
+    """A model trained on noisy labels with duplicated rows (trained once per
+    config, d and seed), and a draw of rows to take backgrounds and
+    instances from."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(60, d))
+    y = (X[:, 0] + 0.7 * rng.normal(size=60) > 0).astype(int)
+    X[40:50] = X[:10]
+    key = (config_id(config), d, seed)
+    if key not in _ORACLE_MODELS:
+        _ORACLE_MODELS[key] = train(config, X, y)
+    return _ORACLE_MODELS[key], rng
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestChunkedScoringMatchesLoop:
+    @pytest.mark.parametrize("n_bg", [1, 3, 100])
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=config_id)
+    def test_coalition_values_bitwise(self, config, n_bg, monkeypatch):
+        model, rng = oracle_problem(config)
+        background = rng.normal(size=(n_bg, 5))
+        instance = rng.normal(size=5)
+        masks = rng.random((11, 5)) < 0.5
+        expected = loop_coalition_values(model, background, instance, list(masks))
+        # one chunk at the real row budget
+        assert same_bits(explain._coalition_values(model, background, instance, masks),
+                         expected)
+        # a budget of 8 rows: 11 masks make chunks of 8 and 3 masks (one
+        # row), five of 2 and one of 1 (three rows), one mask each (100 rows)
+        monkeypatch.setattr(explain, "CHUNK_ROWS", 8)
+        assert same_bits(explain._coalition_values(model, background, instance, masks),
+                         expected)
+
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=config_id)
+    def test_background_taller_than_a_chunk(self, config):
+        model, rng = oracle_problem(config, seed=1)
+        background = rng.normal(size=(explain.CHUNK_ROWS + 3, 5))
+        instance = rng.normal(size=5)
+        masks = rng.random((3, 5)) < 0.5
+        assert same_bits(explain._coalition_values(model, background, instance, masks),
+                         loop_coalition_values(model, background, instance, list(masks)))
+
+    @pytest.mark.parametrize("n_bg,n_masks,calls", [
+        (1, 4096, 1), (1, 4097, 2), (24, 170, 1), (24, 171, 2), (100, 80, 2), (100, 81, 3), (4097, 3, 3)])
+    def test_calls_hold_whole_coalitions_within_the_budget(self, n_bg, n_masks, calls):
+        shapes = []
+
+        class Recording(StubLinear):
+            def decision_function(self, X):
+                # a one-block call passes the plain (rows, d) matrix
+                shapes.append(np.shape(X) if np.ndim(X) == 3 else (1,) + np.shape(X))
+                return super().decision_function(X)
+
+        model = TrainedModel("lr", ClassifierConfig("lr"), Recording(np.ones(2)), 2)
+        masks = np.tile([[True, False]], (n_masks, 1))
+        explain._coalition_values(model, np.zeros((n_bg, 2)), np.ones(2), masks)
+        assert len(shapes) == calls
+        assert sum(s[0] for s in shapes) == n_masks
+        assert all(s[1:] == (n_bg, 2) for s in shapes)
+        assert all(s[0] == 1 or s[0] * n_bg <= explain.CHUNK_ROWS for s in shapes)
+
+    def test_no_masks(self):
+        model, rng = oracle_problem(ClassifierConfig("lr"))
+        out = explain._coalition_values(model, rng.normal(size=(4, 5)), np.zeros(5),
+                                        np.zeros((0, 5), dtype=bool))
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("n_bg", [3, 24])
+    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=config_id)
+    def test_kernel_shap_bitwise_in_both_branches(self, config, n_bg):
+        model, rng = oracle_problem(config, d=4, seed=2)
+        background = rng.normal(size=(n_bg, 4))
+        instance = rng.normal(size=4)
+        for n_samples in (10, 2**4):  # sampled, then every proper coalition
+            att = kernel_shap(model, background, instance, n_samples=n_samples, seed=4)
+            phi, base, pred = loop_kernel_shap(model, background, instance, n_samples, seed=4)
+            assert same_bits(att.values, phi)
+            assert (att.base_value, att.prediction) == (base, pred)
+
+
+class TestSizeSampler:
+    @pytest.mark.parametrize("d", [3, 4, 8, 16, 24, 39])
+    def test_same_rows_as_generator_choice(self, d):
+        for seed in range(5):
+            got = explain._sample_coalitions(d, 300, np.random.default_rng(seed))
+            want = choice_sample_coalitions(d, 300, np.random.default_rng(seed))
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("d", range(3, 64))
+    def test_extreme_draws_pick_the_extreme_sizes(self, d):
+        """Generator.choice normalises its CDF, so the largest uniform draw
+        picks the largest size; for d = 8, 16, 28, ... the cumulated
+        probabilities end below that draw."""
+        class FixedDraw:
+            def __init__(self, u):
+                self.u = u
+                self.rng = np.random.default_rng(0)
+
+            def random(self):
+                return self.u
+
+            def choice(self, *args, **kwargs):
+                return self.rng.choice(*args, **kwargs)
+
+        top = explain._sample_coalitions(d, 2, FixedDraw(np.nextafter(1.0, 0.0)))
+        assert top.sum(axis=1).tolist() == [d - 1, d - 1]
+        bottom = explain._sample_coalitions(d, 2, FixedDraw(0.0))
+        assert bottom.sum(axis=1).tolist() == [1, 1]
+
+
+# sha256 of the mean |SHAP| ranking JSON, recorded with the per-coalition
+# scoring: (fixture, kind, n_samples, max_background, row step)
+PINNED_RANKINGS = {
+    ("blobs", "lr", 2048, 30, 1):
+        "e0170f92cad3ddfe2059adff5bf94fdbc9c761781d9305905cb51f73ba7e9774",
+    ("blobs", "lr", 8, 30, 1):
+        "ae5e8538b96e9a3a8092c4e60e5571bd2c1a79433c4fbc71463abcb0280dd7e9",
+    ("blobs", "rf", 2048, 30, 4):
+        "ca94c8f35db0f901b294576e9da4cee637ed329cad5d4b029fb7d08ef08b8241",
+    ("blobs", "rf", 8, 30, 4):
+        "1c9ec8f14c2555541f51ba2a82e259d45c8cff5b5ee48db4663c5b65706b4916",
+    ("xor_data", "lr", 2048, 100, 1):
+        "61a8cce2f433a8585c7768b12c4bbea0931d010c94f25bd5190e290780dca00d",
+    ("xor_data", "rf", 2048, 100, 8):
+        "d7e71c15f7128bd842a52e397300d6440e91a3ce49529019a5ef5f07800f7088",
+}
+
+
+def pinned_ranking(fixture, kind, n_samples, max_background, step):
+    X, y, rows = pinned_fixture(fixture)
+    model = train(ClassifierConfig(kind, seed=0), X, y)
+    rows = rows[::step]
+    ds = Dataset(rows, np.zeros(len(rows), dtype=int), np.zeros(len(rows), dtype=int),
+                 tuple(f"f{j}" for j in range(rows.shape[1])))
+    return mean_abs_shap(model, ds, n_samples=n_samples, seed=3, max_background=max_background)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RANKINGS))
+def test_rankings_reproduce_pinned_digests(case):
+    ranking = pinned_ranking(*case)
+    assert hashlib.sha256(json.dumps(ranking).encode()).hexdigest() == PINNED_RANKINGS[case]

@@ -14,6 +14,7 @@ from timesense.features import (
     detect_ppg_peaks,
     eda_decompose,
     eda_features,
+    local_median,
     ppg_features,
     temp_features,
     time_domain_stats,
@@ -130,6 +131,41 @@ class TestDetectPpgPeaks:
         b = detect_ppg_peaks(scaled)
         assert np.array_equal(a.peak_times_s, b.peak_times_s)
         assert np.array_equal(a.rr_ms, b.rr_ms)
+
+
+def loop_local_median(rr):
+    """One np.median per interval, over its 5-wide window cut at the ends."""
+    out = np.empty_like(rr)
+    for i in range(len(rr)):
+        lo, hi = max(0, i - 2), min(len(rr), i + 3)
+        out[i] = np.median(rr[lo:hi])
+    return out
+
+
+class TestLocalMedian:
+    def test_matches_loop_bitwise(self):
+        rng = np.random.default_rng(12)
+        for n in list(range(12)) + rng.integers(12, 300, size=200).tolist():
+            rr = rng.normal(800.0, 120.0, size=n)
+            if n % 3 == 0:
+                rr = np.round(rr, -1)  # ties inside windows
+            got = local_median(rr)
+            assert got.tobytes() == loop_local_median(rr).tobytes(), n
+
+    def test_from_peak_times_keeps_the_same_intervals(self):
+        rng = np.random.default_rng(13)
+        for n in (4, 5, 6, 9, 40, 250):
+            times = np.cumsum(rng.uniform(0.3, 1.6, size=n))
+            rr = np.diff(times) * 1000.0
+            med = loop_local_median(rr)
+            keep = ((rr >= features.RR_MIN_MS) & (rr <= features.RR_MAX_MS)
+                    & (np.abs(rr - med) <= 0.30 * med))
+            try:
+                beats = BeatSequence.from_peak_times(times)
+            except InsufficientData:
+                assert keep.sum() < 3
+                continue
+            assert np.array_equal(beats.rr_ms, rr[keep])
 
 
 class TestPpgFeatures:
