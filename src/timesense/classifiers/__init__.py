@@ -5,9 +5,7 @@ from .base import (
     TrainedModel,
     decision_scores,
     importance,
-    load_model,
     predict,
-    save_model,
     train,
 )
 
@@ -18,8 +16,6 @@ __all__ = [
     "TrainedModel",
     "decision_scores",
     "importance",
-    "load_model",
     "predict",
-    "save_model",
     "train",
 ]

@@ -1,13 +1,11 @@
 """Uniform train / predict / importance interface over the eleven kinds."""
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import InsufficientData, InvalidInput, Unsupported
-from ..fileio import write_atomic
-from .ensemble import AdaBoost, Booster, DecisionTree, RandomForest, TreeEnsemble
+from .ensemble import AdaBoost, Booster, DecisionTree, RandomForest
 from .knn import KNN
 from .linear import LDA, QDA, GaussianNB, LogisticRegressionNewton
 from .svm import SMOSVC
@@ -17,8 +15,6 @@ KINDS = ("svc", "dtc", "knn", "lr", "gnb", "lda", "qda", "rf", "gb", "ab", "xgb"
 # Kinds whose trained models expose a feature-importance measure. The SVC
 # qualifies only with the linear kernel; the RBF kernel reports unsupported.
 IMPORTANCE_CAPABLE = ("svc-linear", "dtc", "lr", "lda", "rf", "gb", "ab", "xgb")
-
-MODEL_SCHEMA_VERSION = 2
 
 _DEFAULTS = {
     "svc": {"kernel": "rbf", "C": 1.0, "gamma": None},
@@ -166,59 +162,3 @@ def importance(model: TrainedModel) -> np.ndarray:
     if len(imp) < model.feature_count:
         imp = np.concatenate([imp, np.zeros(model.feature_count - len(imp))])
     return imp
-
-
-def save_model(model: TrainedModel, path):
-    doc = {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "kind": model.kind,
-        "params": model.config.params,
-        "seed": model.config.seed,
-        "feature_count": model.feature_count,
-        "estimator": model.estimator.to_jsonable(),
-    }
-    write_atomic(path, json.dumps(doc, sort_keys=True))
-
-
-_CLASSES = {
-    "svc": SMOSVC, "dtc": DecisionTree, "knn": KNN, "lr": LogisticRegressionNewton,
-    "gnb": GaussianNB, "lda": LDA, "qda": QDA, "rf": RandomForest,
-    "gb": Booster, "ab": AdaBoost, "xgb": Booster,
-}
-
-
-def load_model(path) -> TrainedModel:
-    """Read a model written by ``save_model``.
-
-    Raises InvalidInput when the file is not valid JSON, is of another schema
-    version, lacks a key or holds one of the wrong type, holds a tree whose
-    child or split-feature indexes point outside it, or holds an array whose
-    shape does not fit ``feature_count``.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise InvalidInput(f"{path}: not valid JSON: {exc}") from None
-    version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version != MODEL_SCHEMA_VERSION:
-        raise InvalidInput(f"model schema_version {version!r} is not "
-                           f"{MODEL_SCHEMA_VERSION}; retrain and save the model again")
-    try:
-        kind = doc["kind"]
-        config = ClassifierConfig(kind, doc["params"], doc["seed"])
-        est = _CLASSES[kind].from_jsonable(doc["estimator"])
-        feature_count = doc["feature_count"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"{path}: {type(exc).__name__}: {exc}") from None
-    if type(feature_count) is not int or feature_count < 1:
-        raise InvalidInput(f"{path}: feature_count {feature_count!r} is not a positive integer")
-    if isinstance(est, TreeEnsemble):
-        for i, nodes in enumerate(est.trees_):
-            nodes.check(feature_count, f"{path}: tree {i}")
-    else:
-        for name, (array, shape) in est.array_shapes(feature_count).items():
-            if np.shape(array) != shape:
-                raise InvalidInput(f"{path}: {kind} {name} has shape {np.shape(array)}, "
-                                   f"not {shape} for {feature_count} features")
-    return TrainedModel(kind, config, est, feature_count)

@@ -5,7 +5,7 @@ L2-regularized XGBoost form) and AdaBoost (SAMME with stumps)."""
 import numpy as np
 
 from .linear import sigmoid
-from .tree import TreeNodes, grow_classification_tree, grow_gradient_tree, grow_stump
+from .tree import grow_classification_tree, grow_gradient_tree, grow_stump
 
 
 def _normalized(imp):
@@ -35,19 +35,6 @@ class TreeEnsemble:
         for weight, tree in zip(self.weights_, self.trees_):
             F = F + weight * tree.predict(X)
         return F
-
-    def to_jsonable(self):
-        return {"offset": self.offset_, "weights": [float(w) for w in self.weights_],
-                "trees": [t.to_jsonable() for t in self.trees_],
-                "importances": [imp.tolist() for imp in self.importances_]}
-
-    @classmethod
-    def from_jsonable(cls, doc):
-        m = cls()
-        m.offset_ = doc["offset"]
-        for nodes_doc, imp, weight in zip(doc["trees"], doc["importances"], doc["weights"]):
-            m._add(TreeNodes.from_jsonable(nodes_doc), np.asarray(imp, dtype=float), weight)
-        return m
 
 
 class DecisionTree(TreeEnsemble):
@@ -170,10 +157,6 @@ class AdaBoost(TreeEnsemble):
     def __init__(self, n_estimators=50):
         super().__init__()
         self.n_estimators = n_estimators
-
-    @property
-    def alphas_(self):
-        return self.weights_
 
     def fit(self, X, y, rng=None):
         X = np.asarray(X, dtype=float)

@@ -34,17 +34,3 @@ class KNN:
 
     def importance(self):
         return None
-
-    def array_shapes(self, d):
-        m = len(self.X_)
-        return {"X": (self.X_, (m, d)), "y": (self.y_, (m,))}
-
-    def to_jsonable(self):
-        return {"k": self.k, "X": self.X_.tolist(), "y": self.y_.tolist()}
-
-    @classmethod
-    def from_jsonable(cls, doc):
-        m = cls(k=doc["k"])
-        m.X_ = np.asarray(doc["X"], dtype=float)
-        m.y_ = np.asarray(doc["y"], dtype=int)
-        return m

@@ -47,8 +47,6 @@ class LogisticRegressionNewton:
         self.l2 = l2
         self.tol = tol
         self.max_iter = max_iter
-        self.w = None
-        self.b = 0.0
 
     def fit(self, X, y, rng=None):
         """Sets ``w``, ``b``, ``n_iter_`` (Newton steps taken) and
@@ -100,19 +98,6 @@ class LogisticRegressionNewton:
     def importance(self):
         return np.abs(self.w)
 
-    def array_shapes(self, d):
-        return {"w": (self.w, (d,))}
-
-    def to_jsonable(self):
-        return {"w": self.w.tolist(), "b": float(self.b), "l2": self.l2}
-
-    @classmethod
-    def from_jsonable(cls, doc):
-        m = cls(l2=doc["l2"])
-        m.w = np.asarray(doc["w"], dtype=float)
-        m.b = doc["b"]
-        return m
-
 
 class GaussianNB:
     """Per-class independent Gaussians with variance smoothing."""
@@ -141,23 +126,6 @@ class GaussianNB:
     def importance(self):
         return None
 
-    def array_shapes(self, d):
-        return {"means": (self.means_, (2, d)), "vars": (self.vars_, (2, d)),
-                "log_priors": (self.log_priors_, (2,))}
-
-    def to_jsonable(self):
-        return {"means": self.means_.tolist(), "vars": self.vars_.tolist(),
-                "log_priors": self.log_priors_.tolist(),
-                "var_smoothing": self.var_smoothing}
-
-    @classmethod
-    def from_jsonable(cls, doc):
-        m = cls(var_smoothing=doc["var_smoothing"])
-        m.means_ = np.asarray(doc["means"], dtype=float)
-        m.vars_ = np.asarray(doc["vars"], dtype=float)
-        m.log_priors_ = np.asarray(doc["log_priors"], dtype=float)
-        return m
-
 
 class LDA:
     """Pooled-covariance discriminant with a small ridge on the covariance."""
@@ -185,21 +153,6 @@ class LDA:
 
     def importance(self):
         return np.abs(self.w)
-
-    def array_shapes(self, d):
-        return {"w": (self.w, (d,)), "means": (self.means_, (2, d))}
-
-    def to_jsonable(self):
-        return {"w": self.w.tolist(), "b": self.b, "ridge": self.ridge,
-                "means": self.means_.tolist()}
-
-    @classmethod
-    def from_jsonable(cls, doc):
-        m = cls(ridge=doc["ridge"])
-        m.w = np.asarray(doc["w"], dtype=float)
-        m.b = doc["b"]
-        m.means_ = np.asarray(doc["means"], dtype=float)
-        return m
 
 
 class QDA:
@@ -235,25 +188,3 @@ class QDA:
 
     def importance(self):
         return None
-
-    def array_shapes(self, d):
-        return {"means": (self.means_, (2, d)), "inv_covs": (self.inv_covs_, (2, d, d)),
-                "logdets": (self.logdets_, (2,)), "log_priors": (self.log_priors_, (2,))}
-
-    def to_jsonable(self):
-        return {
-            "ridge": self.ridge,
-            "means": [m.tolist() for m in self.means_],
-            "inv_covs": [m.tolist() for m in self.inv_covs_],
-            "logdets": [float(v) for v in self.logdets_],
-            "log_priors": self.log_priors_.tolist(),
-        }
-
-    @classmethod
-    def from_jsonable(cls, doc):
-        m = cls(ridge=doc["ridge"])
-        m.means_ = np.asarray(doc["means"], dtype=float)
-        m.inv_covs_ = np.asarray(doc["inv_covs"], dtype=float)
-        m.logdets_ = np.asarray(doc["logdets"], dtype=float)
-        m.log_priors_ = np.asarray(doc["log_priors"], dtype=float)
-        return m

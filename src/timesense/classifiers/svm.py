@@ -46,8 +46,6 @@ class SMOSVC:
         if self.kernel == "rbf":
             var = X.var()
             self.gamma_ = self.gamma if self.gamma is not None else 1.0 / (X.shape[1] * var) if var > 0 else 1.0
-        self.X_ = X
-        self.y_ = ypm
         K = self._kernel(X, X)
         cols = [K[:, i] for i in range(n)]
         Kl, yl = K.tolist(), ypm.tolist()
@@ -152,29 +150,5 @@ class SMOSVC:
     def importance(self):
         if self.kernel != "linear":
             return None
-        w = self.support_coef_ @ self.support_X_ if len(self.support_X_) else np.zeros(self.X_.shape[1])
-        return np.abs(w)
-
-    def array_shapes(self, d):
-        m = len(self.support_X_)
-        return {"support_X": (self.support_X_, (m, d)), "support_coef": (self.support_coef_, (m,))}
-
-    def to_jsonable(self):
-        doc = {"C": self.C, "kernel": self.kernel, "b": float(self.b_),
-               "support_X": self.support_X_.tolist(),
-               "support_coef": self.support_coef_.tolist(),
-               "n_features": int(self.X_.shape[1])}
-        if self.kernel == "rbf":
-            doc["gamma"] = float(self.gamma_)
-        return doc
-
-    @classmethod
-    def from_jsonable(cls, doc):
-        m = cls(C=doc["C"], kernel=doc["kernel"], gamma=doc.get("gamma"))
-        m.b_ = doc["b"]
-        m.support_X_ = np.asarray(doc["support_X"], dtype=float).reshape(-1, doc["n_features"])
-        m.support_coef_ = np.asarray(doc["support_coef"], dtype=float)
-        m.X_ = np.zeros((0, doc["n_features"]))
-        if doc["kernel"] == "rbf":
-            m.gamma_ = doc["gamma"]
-        return m
+        # with no support vectors, (0,) @ (0, d) is d zeros
+        return np.abs(self.support_coef_ @ self.support_X_)

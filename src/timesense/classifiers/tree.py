@@ -8,8 +8,6 @@ threshold)."""
 
 import numpy as np
 
-from ..errors import InvalidInput
-
 NO_CHILD = -1
 
 
@@ -54,46 +52,6 @@ class TreeNodes:
             go_left = X[rows, self.feature[node]] <= self.threshold[node]
             idx[rows] = np.where(go_left, self.left[node], self.right[node])
         return self.value[idx].reshape(shape)
-
-    def to_jsonable(self):
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
-
-    def check(self, feature_count, where):
-        """Raise InvalidInput unless every internal node splits on a feature
-        below ``feature_count`` and names two children that come after it in
-        the node list, and every leaf names none. Grown trees always pass;
-        the check guards trees read from a file, where a bad index would
-        fail or loop in ``predict``."""
-        n = len(self.feature)
-        arrays = (self.feature, self.threshold, self.left, self.right, self.value)
-        if n == 0 or any(a.shape != (n,) for a in arrays):
-            raise InvalidInput(f"{where}: node arrays are empty or of unequal lengths")
-        node = np.arange(n)
-        internal = self.feature != NO_CHILD
-        ok = np.where(internal,
-                      (0 <= self.feature) & (self.feature < feature_count)
-                      & (node < self.left) & (self.left < n) & (node < self.right) & (self.right < n),
-                      (self.left == NO_CHILD) & (self.right == NO_CHILD))
-        if not ok.all():
-            i = int(np.flatnonzero(~ok)[0])
-            raise InvalidInput(f"{where}: node {i} of {n}: feature {self.feature[i]}, children "
-                               f"{self.left[i]} and {self.right[i]} out of range")
-
-    @classmethod
-    def from_jsonable(cls, doc):
-        t = cls()
-        t.feature = doc["feature"]
-        t.threshold = doc["threshold"]
-        t.left = doc["left"]
-        t.right = doc["right"]
-        t.value = doc["value"]
-        return t.finalize()
 
 
 def best_split(X, stats, score):

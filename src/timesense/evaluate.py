@@ -180,15 +180,3 @@ def report_to_jsonable(report: EvaluationReport):
 
 def write_report_json(doc, path):
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def matrix_to_csv(matrix, path, settings=SELECTION_MODES):
-    lines = [f"# schema_version={REPORT_SCHEMA_VERSION}"]
-    lines.append("classifier," + ",".join(settings))
-    for kind, row in matrix.items():
-        cells = [kind]
-        for mode in settings:
-            v = row[mode]
-            cells.append(v if isinstance(v, str) else repr(float(v)))
-        lines.append(",".join(cells))
-    write_atomic(path, "\n".join(lines) + "\n")

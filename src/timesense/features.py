@@ -96,13 +96,6 @@ class BeatSequence:
         diffs = np.diff(rr)[adjacent]
         return cls(times, rr[keep], diffs)
 
-    @classmethod
-    def from_rr(cls, rr_ms) -> "BeatSequence":
-        """Build directly from RR intervals (all treated as plausible)."""
-        rr = np.asarray(rr_ms, dtype=float)
-        times = np.concatenate([[0.0], np.cumsum(rr) / 1000.0])
-        return cls(times, rr, np.diff(rr))
-
 
 def local_median(rr):
     """Median of each value's 5-wide window, cut short at the ends: the

@@ -22,7 +22,6 @@ from .model import (
 )
 
 CHANNELS = ("ppg", "eda", "thermopile", "reference_temp")
-DEFAULT_RATES = {"ppg": 25.0, "eda": 15.0, "thermopile": 7.5, "reference_temp": 7.5}
 MANIFEST_SCHEMA_VERSION = 1
 
 
@@ -34,13 +33,15 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0, label="")
     """Read a `timestamp_s,value` CSV and apply head/tail trims.
 
     Trims happen before any filtering; they generalize the manual removal of
-    motion-artifact samples at sequence edges.
+    motion-artifact samples at sequence edges. Consecutive timestamps must be
+    one sample period apart, to within half a period: a dropped or an extra
+    row would shift every later sample in time.
     """
     if not os.path.isfile(path):
         raise MissingFile(f"{path}: no such file")
     if not sampling_rate_hz > 0:
         raise InvalidInput(f"{path}: sampling rate {sampling_rate_hz!r} is not positive")
-    values = []
+    times, values, blank_rows = [], [], []
     # undecodable bytes become U+FFFD, which fails the header or float checks
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline()
@@ -50,6 +51,7 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0, label="")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
+                blank_rows.append(len(values))  # data rows read before it
                 continue
             parts = line.split(",")
             if len(parts) != 2:
@@ -63,7 +65,16 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0, label="")
             if t <= prev_t:
                 raise InvalidInput(f"{path}, line {lineno}: timestamps not increasing")
             prev_t = t
+            times.append(t)
             values.append(v)
+    steps = np.diff(times)
+    off_grid = np.flatnonzero(np.rint(steps * sampling_rate_hz) != 1)
+    if len(off_grid):
+        k = off_grid[0] + 1
+        lineno = k + 2 + sum(n <= k for n in blank_rows)
+        raise InvalidInput(
+            f"{path}, line {lineno}: timestamp {times[k]!r} s is {steps[k - 1]:.6g} s "
+            f"after the previous one, not one sample period ({1 / sampling_rate_hz:.6g} s)")
     if trim_head < 0 or trim_tail < 0:
         raise InvalidInput("trim counts must be >= 0")
     if trim_head or trim_tail:

@@ -1,18 +1,15 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
 
-from timesense.classifiers import base, tree
+from timesense.classifiers import tree
 from timesense.classifiers.base import (
     KINDS,
     ClassifierConfig,
     decision_scores,
     importance,
-    load_model,
     predict,
-    save_model,
     train,
 )
 from timesense.classifiers.linear import (
@@ -261,8 +258,8 @@ class TestEnsembles:
     def test_adaboost_alphas_positive(self):
         X, y = blobs(d=3, gap=2.0)
         model = train(ClassifierConfig("ab"), X, y)
-        assert len(model.estimator.alphas_) >= 1
-        assert all(a > 0 for a in model.estimator.alphas_)
+        assert len(model.estimator.weights_) >= 1
+        assert all(a > 0 for a in model.estimator.weights_)
 
     def test_rf_seed_changes_model(self):
         X, y = blobs(gap=1.0, seed=4)
@@ -278,101 +275,6 @@ class TestEnsembles:
         acc_strong = np.mean(predict(strong, X) == y)
         assert acc_strong >= acc_weak
         assert acc_strong >= 0.95
-
-
-class TestSaveLoad:
-    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.kind + str(c.params))
-    def test_round_trip_preserves_scores(self, config, tmp_path):
-        X, y = blobs(gap=2.0)
-        model = train(config, X, y)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        back = load_model(path)
-        assert np.allclose(decision_scores(back, X), decision_scores(model, X),
-                           atol=1e-12)
-
-
-class TestSaveLoadSchema:
-    def test_other_schema_version_rejected(self, tmp_path):
-        X, y = blobs()
-        path = tmp_path / "model.json"
-        save_model(train(ClassifierConfig("dtc"), X, y), path)
-        doc = json.loads(path.read_text())
-        assert doc["schema_version"] == base.MODEL_SCHEMA_VERSION == 2
-        for version in (1, 3, None):
-            doc["schema_version"] = version
-            path.write_text(json.dumps(doc))
-            with pytest.raises(InvalidInput, match="schema_version"):
-                load_model(path)
-
-    def test_damaged_rf_file_rejected(self, tmp_path):
-        X, y = blobs()
-        path = tmp_path / "model.json"
-        save_model(train(ClassifierConfig("rf", {"n_estimators": 3}), X, y), path)
-        good = json.loads(path.read_text())
-        assert load_model(path).feature_count == X.shape[1]
-
-        def damaged(edit):
-            doc = json.loads(json.dumps(good))
-            edit(doc)
-            path.write_text(json.dumps(doc))
-            return path
-
-        with pytest.raises(InvalidInput, match="weights"):
-            load_model(damaged(lambda d: d["estimator"].pop("weights")))
-        with pytest.raises(InvalidInput, match="tree 0: node 0 of"):
-            load_model(damaged(lambda d: d["estimator"]["trees"][0]["left"].__setitem__(0, 99)))
-        with pytest.raises(InvalidInput, match="tree 0: node 0 of"):
-            load_model(damaged(lambda d: d["estimator"]["trees"][0]["feature"].__setitem__(
-                0, X.shape[1])))
-        with pytest.raises(InvalidInput, match="not valid JSON"):
-            path.write_text("{")
-            load_model(path)
-
-    def _saved(self, config, X, y, path):
-        save_model(train(config, X, y), path)
-        return json.loads(path.read_text())
-
-    def test_lr_weights_cut_short_rejected(self, tmp_path):
-        X, y = blobs(d=3)
-        path = tmp_path / "model.json"
-        doc = self._saved(ClassifierConfig("lr"), X, y, path)
-        doc["estimator"]["w"] = doc["estimator"]["w"][:2]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(InvalidInput, match=r"lr w has shape \(2,\), not \(3,\) for 3 features"):
-            load_model(path)
-
-    def test_svc_support_coef_mismatch_rejected(self, tmp_path):
-        X, y = blobs(d=3)
-        path = tmp_path / "model.json"
-        doc = self._saved(ClassifierConfig("svc"), X, y, path)
-        doc["estimator"]["support_coef"].append(0.5)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(InvalidInput, match="svc support_coef has shape"):
-            load_model(path)
-
-    @pytest.mark.parametrize("kind,key", [
-        ("svc", "support_X"), ("knn", "X"), ("knn", "y"), ("gnb", "means"), ("gnb", "vars"),
-        ("gnb", "log_priors"), ("lda", "w"), ("lda", "means"), ("qda", "means"),
-        ("qda", "inv_covs"), ("qda", "logdets"), ("qda", "log_priors")])
-    def test_array_of_wrong_shape_rejected(self, kind, key, tmp_path):
-        def shrink(v):  # drop the last entry along the innermost axis
-            return [shrink(r) for r in v] if isinstance(v[0], list) else v[:-1]
-
-        X, y = blobs(d=3)
-        path = tmp_path / "model.json"
-        doc = self._saved(ClassifierConfig(kind), X, y, path)
-        assert load_model(path).feature_count == 3
-        doc["estimator"][key] = shrink(doc["estimator"][key])
-        path.write_text(json.dumps(doc))
-        with pytest.raises(InvalidInput):
-            load_model(path)
-
-    def test_grown_trees_pass_the_load_check(self):
-        X, y = xor_data()
-        for kind in ("dtc", "rf", "gb", "ab", "xgb"):
-            for nodes in train(ClassifierConfig(kind, seed=3), X, y).estimator.trees_:
-                nodes.check(X.shape[1], kind)
 
 
 # sha256 of the float64 bytes of decision_scores (training rows, then a fresh
@@ -407,17 +309,22 @@ def _digest(a):
 
 
 @pytest.mark.parametrize("fixture,kind", sorted(PINNED))
-def test_tree_models_reproduce_pinned_outputs(fixture, kind, tmp_path):
+def test_tree_models_reproduce_pinned_outputs(fixture, kind):
     X, y, rows = pinned_fixture(fixture)
     model = train(ClassifierConfig(kind, seed=0), X, y)
     scores_digest, importance_digest = PINNED[fixture, kind]
     assert _digest(decision_scores(model, rows)) == scores_digest
     assert _digest(importance(model)) == importance_digest
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    back = load_model(path)
-    assert _digest(decision_scores(back, rows)) == scores_digest
-    assert _digest(importance(back)) == importance_digest
+    # every internal node splits on a feature below d and both its children
+    # come after it in the node list; every leaf has no children
+    for nodes in model.estimator.trees_:
+        n = len(nodes.feature)
+        node = np.arange(n)
+        internal = nodes.feature != tree.NO_CHILD
+        assert np.all((0 <= nodes.feature[internal]) & (nodes.feature[internal] < X.shape[1]))
+        for child in (nodes.left, nodes.right):
+            assert np.all((node[internal] < child[internal]) & (child[internal] < n))
+            assert np.all(child[~internal] == tree.NO_CHILD)
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,7 @@ JSON_VALUES = st.one_of(
 
 
 class TestFuzzedInput:
-    """Every damaged manifest or features CSV ends in exit 0, 1 or 2."""
+    """Every damaged manifest, channel CSV or features CSV ends in exit 0, 1 or 2."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -285,6 +285,30 @@ class TestFuzzedInput:
             del holder[key]
         else:
             holder[key] = float("nan") if damage == "nan" else data.draw(JSON_VALUES)
+        path = small_corpus / "data" / "fuzz.json"
+        path.write_text(json.dumps(manifest))
+        rc = main(["extract", "--manifest", str(path), "--out", str(small_corpus / "fuzz.csv")])
+        assert rc in (EXIT_OK, EXIT_IO, EXIT_DOMAIN)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_damaged_channel_timing(self, small_corpus, data):
+        manifest = json.loads((small_corpus / "data" / "manifest.json").read_text())
+        entry = manifest["sessions"][data.draw(st.integers(0, 3))]
+        channel = entry["channels"][data.draw(st.sampled_from(sorted(entry["channels"])))]
+        lines = (small_corpus / "data" / channel["path"]).read_text().splitlines()
+        row = data.draw(st.integers(1, len(lines) - 1))
+        damage = data.draw(st.sampled_from(["drop", "duplicate", "shift"]))
+        if damage == "drop":
+            del lines[row]
+        elif damage == "duplicate":
+            lines.insert(row, lines[row])
+        else:
+            t, v = lines[row].split(",")
+            shift = data.draw(st.floats(-2.0, 2.0)) / channel["sampling_rate_hz"]
+            lines[row] = f"{float(t) + shift!r},{v}"
+        (small_corpus / "data" / "fuzz_channel.csv").write_text("\n".join(lines) + "\n")
+        channel["path"] = "fuzz_channel.csv"
         path = small_corpus / "data" / "fuzz.json"
         path.write_text(json.dumps(manifest))
         rc = main(["extract", "--manifest", str(path), "--out", str(small_corpus / "fuzz.csv")])

@@ -11,7 +11,6 @@ from timesense.evaluate import (
     fold_seed,
     losocv,
     majority_baseline,
-    matrix_to_csv,
     report_matrix,
     report_to_jsonable,
 )
@@ -134,17 +133,6 @@ class TestReportMatrix:
             assert matrix[kind]["rfecv"] == NA
             assert isinstance(matrix[kind]["none"], float)
         assert isinstance(matrix["lr"]["rfecv"], float)
-
-    def test_matrix_csv_format(self, planted, tmp_path):
-        sub = planted.subset_features(planted.feature_names[:4])
-        matrix = report_matrix(sub, kinds=("knn", "lr"),
-                               settings=("none", "rfecv"), seed=0)
-        path = tmp_path / "matrix.csv"
-        matrix_to_csv(matrix, path, settings=("none", "rfecv"))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# schema_version=1"
-        assert lines[1] == "classifier,none,rfecv"
-        assert lines[2].startswith("knn,") and lines[2].endswith(",N.A.")
 
     def test_report_jsonable_round_trips_through_json(self, planted):
         import json

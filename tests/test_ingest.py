@@ -55,6 +55,37 @@ class TestReadChannelCsv:
         with pytest.raises(InvalidInput, match="timestamps not increasing"):
             ingest.read_channel_csv(p, 10.0)
 
+    def test_dropped_row_rejected(self, tmp_path):
+        p = tmp_path / "ch.csv"
+        rows = [f"{i/10.0},{float(i)}" for i in range(20)]
+        del rows[7]  # t = 0.7 s; 0.8 s would become sample 7
+        write_csv(p, rows)
+        with pytest.raises(InvalidInput, match=r"ch\.csv, line 9: timestamp 0\.8 s is 0\.2 s after "
+                                               r"the previous one, not one sample period \(0\.1 s\)"):
+            ingest.read_channel_csv(p, 10.0)
+
+    def test_gap_line_number_counts_blank_lines(self, tmp_path):
+        p = tmp_path / "ch.csv"
+        rows = [f"{i/10.0},{float(i)}" for i in range(20)]
+        rows[7] = ""  # the 0.7 s row blanked, plus one blank line before it
+        rows.insert(3, "")
+        write_csv(p, rows)
+        with pytest.raises(InvalidInput, match=r"line 11: timestamp 0\.8 s"):
+            ingest.read_channel_csv(p, 10.0)
+
+    def test_off_grid_extra_row_rejected(self, tmp_path):
+        p = tmp_path / "ch.csv"
+        rows = [f"{i/10.0},{float(i)}" for i in range(20)]
+        rows.insert(8, "0.73,7.3")
+        write_csv(p, rows)
+        with pytest.raises(InvalidInput, match=r"line 10: timestamp 0\.73 s is 0\.03 s after"):
+            ingest.read_channel_csv(p, 10.0)
+
+    def test_timing_jitter_within_half_a_period_accepted(self, tmp_path):
+        p = tmp_path / "ch.csv"
+        write_csv(p, [f"{i/10.0 + (0.04 if i % 2 else 0.0)},1.0" for i in range(20)])
+        assert len(ingest.read_channel_csv(p, 10.0)) == 20
+
     def test_negative_trim_rejected(self, tmp_path):
         p = tmp_path / "ch.csv"
         write_csv(p, [f"{i/10.0},1.0" for i in range(10)])
