@@ -39,5 +39,5 @@ print(f"\nfirst session: participant {one.participant_id}, "
 
 # write_corpus lays the corpus out as channel CSVs plus a manifest.json,
 # the same format the `extract` step consumes
-manifest = ingest.write_corpus(sessions[:4], "/tmp/timesense_demo_corpus")
+manifest = ingest.write_corpus(sessions[:4], "timesense_demo_corpus")
 print(f"wrote a 4-session sample corpus, manifest at {manifest}")

@@ -1,6 +1,7 @@
 """Uniform train / predict / importance interface over the eleven kinds."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -12,48 +13,23 @@ from .svm import SMOSVC
 
 KINDS = ("svc", "dtc", "knn", "lr", "gnb", "lda", "qda", "rf", "gb", "ab", "xgb")
 
-# Kinds whose trained models expose a feature-importance measure. The SVC
-# qualifies only with the linear kernel; the RBF kernel reports unsupported.
-IMPORTANCE_CAPABLE = ("svc-linear", "dtc", "lr", "lda", "rf", "gb", "ab", "xgb")
-
-_DEFAULTS = {
-    "svc": {"kernel": "rbf", "C": 1.0, "gamma": None},
-    "dtc": {"max_depth": None, "min_samples_leaf": 1},
-    "knn": {"k": 5},
-    "lr": {"l2": 1.0},
-    "gnb": {"var_smoothing": 1e-9},
-    "lda": {"ridge": 1e-6},
-    "qda": {"ridge": 1e-6},
-    "rf": {"n_estimators": 100, "max_depth": None, "min_samples_leaf": 1},
-    "gb": {"n_estimators": 100, "learning_rate": 0.1, "max_depth": 3},
-    "ab": {"n_estimators": 50},
-    "xgb": {"n_estimators": 100, "learning_rate": 0.1, "max_depth": 3, "reg_lambda": 1.0},
-}
+# Kinds whose trained models expose a feature-importance measure; the RBF
+# SVC, knn, gnb and qda report unsupported.
+IMPORTANCE_CAPABLE = ("dtc", "lr", "lda", "rf", "gb", "ab", "xgb")
 
 
 @dataclass(frozen=True)
 class ClassifierConfig:
     kind: str
-    params: dict = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidInput(f"unknown classifier kind {self.kind!r}")
-        unknown = set(self.params) - set(_DEFAULTS[self.kind])
-        if unknown:
-            raise InvalidInput(f"unknown params for {self.kind}: {sorted(unknown)}")
         if self.seed < 0:
             raise InvalidInput(f"seed {self.seed} must be >= 0")
 
-    def resolved_params(self):
-        out = dict(_DEFAULTS[self.kind])
-        out.update(self.params)
-        return out
-
     def supports_importance(self) -> bool:
-        if self.kind == "svc":
-            return self.resolved_params()["kernel"] == "linear"
         return self.kind in IMPORTANCE_CAPABLE
 
 
@@ -65,37 +41,19 @@ class TrainedModel:
     feature_count: int
 
 
+# Each kind's estimator but rf's, which takes the seed; gb and xgb differ in
+# their split gain and leaf regularisation.
+_ESTIMATORS = {
+    "svc": SMOSVC, "dtc": DecisionTree, "knn": KNN, "lr": LogisticRegressionNewton,
+    "gnb": GaussianNB, "lda": LDA, "qda": QDA, "ab": AdaBoost, "xgb": Booster,
+    "gb": partial(Booster, reg_lambda=0.0, min_child_weight=1e-6, second_order_splits=False),
+}
+
+
 def _build(config: ClassifierConfig):
-    p = config.resolved_params()
-    kind = config.kind
-    if kind == "svc":
-        return SMOSVC(C=p["C"], kernel=p["kernel"], gamma=p["gamma"])
-    if kind == "dtc":
-        return DecisionTree(max_depth=p["max_depth"], min_samples_leaf=p["min_samples_leaf"])
-    if kind == "knn":
-        return KNN(k=p["k"])
-    if kind == "lr":
-        return LogisticRegressionNewton(l2=p["l2"])
-    if kind == "gnb":
-        return GaussianNB(var_smoothing=p["var_smoothing"])
-    if kind == "lda":
-        return LDA(ridge=p["ridge"])
-    if kind == "qda":
-        return QDA(ridge=p["ridge"])
-    if kind == "rf":
-        return RandomForest(n_estimators=p["n_estimators"], max_depth=p["max_depth"],
-                            min_samples_leaf=p["min_samples_leaf"], seed=config.seed)
-    if kind == "gb":
-        return Booster(n_estimators=p["n_estimators"], learning_rate=p["learning_rate"],
-                       max_depth=p["max_depth"], reg_lambda=0.0, min_child_weight=1e-6,
-                       second_order_splits=False)
-    if kind == "ab":
-        return AdaBoost(n_estimators=p["n_estimators"])
-    if kind == "xgb":
-        return Booster(n_estimators=p["n_estimators"], learning_rate=p["learning_rate"],
-                       max_depth=p["max_depth"], reg_lambda=p["reg_lambda"],
-                       min_child_weight=1e-3, second_order_splits=True)
-    raise InvalidInput(kind)
+    if config.kind == "rf":
+        return RandomForest(seed=config.seed)
+    return _ESTIMATORS[config.kind]()
 
 
 def canonical_order(X, y):

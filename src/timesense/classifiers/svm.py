@@ -1,13 +1,9 @@
-"""Support vector classifier trained with a deterministic SMO dual solver
-(Platt-style pair selection, index-ordered sweeps)."""
+"""RBF-kernel support vector classifier trained with a deterministic SMO dual
+solver (Platt-style pair selection, index-ordered sweeps)."""
 
 from itertools import chain
 
 import numpy as np
-
-
-def linear_kernel(A, B):
-    return A @ B.T
 
 
 def rbf_kernel(A, B, gamma):
@@ -17,24 +13,13 @@ def rbf_kernel(A, B, gamma):
 
 
 class SMOSVC:
-    """Soft-margin SVC; ``kernel`` is 'linear' or 'rbf'.
+    """Soft-margin SVC with the RBF kernel; its gamma is 1 / (d * var(X)),
+    or 1 when the training matrix is constant, set at fit time."""
 
-    gamma=None selects 1 / (d * var(X)) at fit time.
-    """
-
-    def __init__(self, C=1.0, kernel="rbf", gamma=None, tol=1e-3, max_passes=200):
-        if kernel not in ("linear", "rbf"):
-            raise ValueError(f"unknown kernel {kernel!r}")
+    def __init__(self, C=1.0, tol=1e-3, max_passes=200):
         self.C = C
-        self.kernel = kernel
-        self.gamma = gamma
         self.tol = tol
         self.max_passes = max_passes
-
-    def _kernel(self, A, B):
-        if self.kernel == "linear":
-            return linear_kernel(A, B)
-        return rbf_kernel(A, B, self.gamma_)
 
     def fit(self, X, y, rng=None):
         """Solve the dual; sets ``alpha_``, ``b_``, the support vectors,
@@ -43,10 +28,9 @@ class SMOSVC:
         X = np.asarray(X, dtype=float)
         ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
         n = len(ypm)
-        if self.kernel == "rbf":
-            var = X.var()
-            self.gamma_ = self.gamma if self.gamma is not None else 1.0 / (X.shape[1] * var) if var > 0 else 1.0
-        K = self._kernel(X, X)
+        var = X.var()
+        self.gamma_ = 1.0 / (X.shape[1] * var) if var > 0 else 1.0
+        K = rbf_kernel(X, X, self.gamma_)
         cols = [K[:, i] for i in range(n)]
         Kl, yl = K.tolist(), ypm.tolist()
         Kd = K.diagonal().tolist()
@@ -145,10 +129,7 @@ class SMOSVC:
         X = np.asarray(X, dtype=float)
         if len(self.support_X_) == 0:
             return np.full(X.shape[:-1], self.b_)
-        return self._kernel(X, self.support_X_) @ self.support_coef_ + self.b_
+        return rbf_kernel(X, self.support_X_, self.gamma_) @ self.support_coef_ + self.b_
 
     def importance(self):
-        if self.kernel != "linear":
-            return None
-        # with no support vectors, (0,) @ (0, d) is d zeros
-        return np.abs(self.support_coef_ @ self.support_X_)
+        return None

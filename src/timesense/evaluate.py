@@ -62,19 +62,13 @@ def _resolve_selection(selection, train_ds: Dataset, config, seed):
     mode, params = selection
     if mode == "none":
         return tuple(train_ds.feature_names)
-    if mode == "manual":
-        return tuple(params)
     if mode in MANUAL_SUBSETS:
         return MANUAL_SUBSETS[mode]
     if mode == "sfs":
-        params = dict(params or {})
-        n_features = params.pop("n_features", 12)
-        result = sfs(train_ds, config, n_features=n_features, seed=seed, **params)
-        return result.selected
+        n_features = (params or {}).get("n_features", 12)
+        return sfs(train_ds, config, n_features=n_features, seed=seed).selected
     if mode == "rfecv":
-        params = dict(params or {})
-        result = rfecv(train_ds, config, seed=seed, **params)
-        return result.selected
+        return rfecv(train_ds, config, seed=seed).selected
     raise ValueError(f"unknown selection mode {mode!r}")
 
 
@@ -86,7 +80,8 @@ def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "min
     Per fold: fit the scaler on training rows only, run the optional feature
     selection on training rows only, train, then score the held-out
     participant. ``selection`` is None or a (mode, params) pair with mode in
-    {'none', 'sfs', 'rfecv', 'ppg', 'ppg+eda', 'manual'}.
+    SELECTION_MODES; params is None, or for 'sfs' may hold ``n_features``
+    (default 12).
     """
     participants = dataset.participants()
     if len(participants) < 2:
@@ -104,7 +99,7 @@ def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "min
                                train_rows.participant_ids, train_rows.feature_names)
         test_X = apply_scaler(scaler, test_rows.X)
 
-        cfg = ClassifierConfig(config.kind, config.params, seed=s)
+        cfg = ClassifierConfig(config.kind, seed=s)
         selected = _resolve_selection(selection, train_scaled, cfg, s)
         idx = [dataset.feature_names.index(n) for n in selected]
 

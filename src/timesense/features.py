@@ -6,7 +6,7 @@ follow common toolkit conventions and are fixed here as the contract.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,29 +34,22 @@ MAX_BPM = 210.0
 RR_MIN_MS = 60000.0 / MAX_BPM
 RR_MAX_MS = 60000.0 / MIN_BPM
 
-
-@dataclass(frozen=True)
-class ExtractionConfig:
-    """Knobs of the per-channel preprocessing chain."""
-
-    ppg_band_hz: tuple = (0.7, 3.5)
-    ppg_filter_order: int = 3
-    ppg_resample_hz: float = 100.0
-    eda_resample_hz: float = 100.0
-    eda_min_duration_s: float = 10.0
-    eda_clean_cutoff_hz: float = 3.0
-    tonic_cutoff_hz: float = 0.05
-    scr_min_amplitude_us: float = 0.01
-    scr_min_separation_s: float = 1.0
-    scr_onset_window_s: float = 5.0
-    sympathetic_band_hz: tuple = (0.045, 0.25)
-    sympathetic_rate_hz: float = 2.0
-    autocorr_lag_s: float = 4.0
-    breathing_band_hz: tuple = (0.1, 0.4)
-    tachogram_rate_hz: float = 4.0
-
-
-DEFAULT_EXTRACTION = ExtractionConfig()
+# Settings of the per-channel preprocessing chain.
+PPG_BAND_HZ = (0.7, 3.5)
+PPG_FILTER_ORDER = 3
+PPG_RESAMPLE_HZ = 100.0
+EDA_RESAMPLE_HZ = 100.0
+EDA_MIN_DURATION_S = 10.0
+EDA_CLEAN_CUTOFF_HZ = 3.0
+TONIC_CUTOFF_HZ = 0.05
+SCR_MIN_AMPLITUDE_US = 0.01
+SCR_MIN_SEPARATION_S = 1.0
+SCR_ONSET_WINDOW_S = 5.0
+SYMPATHETIC_BAND_HZ = (0.045, 0.25)
+SYMPATHETIC_RATE_HZ = 2.0
+AUTOCORR_LAG_S = 4.0
+BREATHING_BAND_HZ = (0.1, 0.4)
+TACHOGRAM_RATE_HZ = 4.0
 
 
 @dataclass(frozen=True)
@@ -186,7 +179,7 @@ def time_domain_stats(rr_ms: np.ndarray, diffs_ms: np.ndarray) -> dict:
     return out
 
 
-def breathing_rate(beats: BeatSequence, config: ExtractionConfig = DEFAULT_EXTRACTION) -> float:
+def breathing_rate(beats: BeatSequence) -> float:
     """Respiratory-sinus-arrhythmia peak of the RR tachogram spectrum.
 
     The tachogram is cubic-spline interpolated, resampled at 4 Hz, and the
@@ -197,7 +190,7 @@ def breathing_rate(beats: BeatSequence, config: ExtractionConfig = DEFAULT_EXTRA
     if len(rr_full) < 4:
         raise InsufficientData("need >= 4 RR intervals for the tachogram")
     spline = CubicSpline(t, rr_full)
-    rate = config.tachogram_rate_hz
+    rate = TACHOGRAM_RATE_HZ
     grid = np.arange(t[0], t[-1], 1.0 / rate)
     if len(grid) < 16:
         raise InsufficientData("tachogram too short for spectral estimation")
@@ -205,14 +198,14 @@ def breathing_rate(beats: BeatSequence, config: ExtractionConfig = DEFAULT_EXTRA
     tach = tach - np.mean(tach)
     ts = TimeSeries(tach, rate, "tachogram")
     spec = dsp.welch_psd(ts, segment_len=min(len(grid), 256))
-    lo, hi = config.breathing_band_hz
+    lo, hi = BREATHING_BAND_HZ
     return spec.peak_frequency(lo, hi)
 
 
-def ppg_features(beats: BeatSequence, config: ExtractionConfig = DEFAULT_EXTRACTION) -> dict:
+def ppg_features(beats: BeatSequence) -> dict:
     """All 13 PPG features in canonical naming."""
     out = time_domain_stats(beats.rr_ms, beats.successive_diffs_ms)
-    out["breathing_rate_hz"] = breathing_rate(beats, config)
+    out["breathing_rate_hz"] = breathing_rate(beats)
     return {name: out[name] for name in PPG_FEATURES}
 
 
@@ -223,7 +216,7 @@ class EdaDecomposition:
     scr_peaks: tuple  # of (time_s, amplitude_us)
 
 
-def eda_decompose(series: TimeSeries, config: ExtractionConfig = DEFAULT_EXTRACTION) -> EdaDecomposition:
+def eda_decompose(series: TimeSeries) -> EdaDecomposition:
     """Split skin conductance into tonic level and phasic responses.
 
     Tonic is a zero-phase order-2 low-pass of the input; phasic is the
@@ -234,18 +227,18 @@ def eda_decompose(series: TimeSeries, config: ExtractionConfig = DEFAULT_EXTRACT
     rather than the 1-3 s of a genuine response. Amplitude is onset-to-peak,
     with the onset at the preceding trough inside the window.
     """
-    if series.duration_s < config.eda_min_duration_s:
-        raise InsufficientData(f"need at least {config.eda_min_duration_s} s of EDA")
-    tonic = dsp.lowpass(series, config.tonic_cutoff_hz, order=2)
+    if series.duration_s < EDA_MIN_DURATION_S:
+        raise InsufficientData(f"need at least {EDA_MIN_DURATION_S} s of EDA")
+    tonic = dsp.lowpass(series, TONIC_CUTOFF_HZ, order=2)
     phasic_vals = series.values - tonic.values
     phasic = TimeSeries(phasic_vals, series.sampling_rate_hz, "eda_phasic")
     fs = series.sampling_rate_hz
-    distance = max(1, int(round(config.scr_min_separation_s * fs)))
-    wlen = max(3, int(round(2 * config.scr_onset_window_s * fs)))
+    distance = max(1, int(round(SCR_MIN_SEPARATION_S * fs)))
+    wlen = max(3, int(round(2 * SCR_ONSET_WINDOW_S * fs)))
     peaks, props = sps.find_peaks(
         phasic_vals,
         distance=distance,
-        prominence=config.scr_min_amplitude_us,
+        prominence=SCR_MIN_AMPLITUDE_US,
         wlen=wlen,
     )
     scrs = []
@@ -255,25 +248,25 @@ def eda_decompose(series: TimeSeries, config: ExtractionConfig = DEFAULT_EXTRACT
     return EdaDecomposition(tonic, phasic, tuple(scrs))
 
 
-def eda_features(series: TimeSeries, config: ExtractionConfig = DEFAULT_EXTRACTION) -> dict:
+def eda_features(series: TimeSeries) -> dict:
     """The 6 EDA features in canonical naming."""
-    decomp = eda_decompose(series, config)
+    decomp = eda_decompose(series)
     out = {}
     amplitudes = [a for _, a in decomp.scr_peaks]
     out["scr_peaks_n"] = float(len(amplitudes))
     out["scr_peaks_amplitude_mean_us"] = float(np.mean(amplitudes)) if amplitudes else 0.0
     out["eda_tonic_sd_us"] = float(np.std(decomp.tonic.values))
 
-    slow = dsp.resample_fourier(series, config.sympathetic_rate_hz)
+    slow = dsp.resample_fourier(series, SYMPATHETIC_RATE_HZ)
     centered = TimeSeries(slow.values - np.mean(slow.values), slow.sampling_rate_hz)
     spec = dsp.welch_psd(centered, segment_len=min(len(centered), 128))
-    lo, hi = config.sympathetic_band_hz
+    lo, hi = SYMPATHETIC_BAND_HZ
     band = spec.band_power(lo, hi)
     total = spec.total_power()
     out["eda_sympathetic"] = band
     out["eda_sympathetic_n"] = band / total if total > 0 else 0.0
 
-    lag = int(round(config.autocorr_lag_s * series.sampling_rate_hz))
+    lag = int(round(AUTOCORR_LAG_S * series.sampling_rate_hz))
     out["eda_autocorrelation"] = _lag_correlation(series.values, lag)
     return {name: out[name] for name in EDA_FEATURES}
 
@@ -326,8 +319,7 @@ def _window_bounds(session: SessionRecord, window: str):
 _DATA_ERRORS = (TimesenseError, ValueError, ArithmeticError)
 
 
-def extract_all(session: SessionRecord, window: str,
-                config: ExtractionConfig = DEFAULT_EXTRACTION) -> FeatureVector:
+def extract_all(session: SessionRecord, window: str) -> FeatureVector:
     """Run the full per-channel chain for one window and assemble 24 features."""
     violations = validate_session(session)
     if violations:
@@ -336,20 +328,20 @@ def extract_all(session: SessionRecord, window: str,
     values = {}
 
     try:
-        ppg = dsp.bandpass(session.ppg, *config.ppg_band_hz, order=config.ppg_filter_order)
-        ppg = dsp.resample_fourier(ppg, config.ppg_resample_hz)
+        ppg = dsp.bandpass(session.ppg, *PPG_BAND_HZ, order=PPG_FILTER_ORDER)
+        ppg = dsp.resample_fourier(ppg, PPG_RESAMPLE_HZ)
         ppg = dsp.segment(ppg, start, min(end, ppg.duration_s))
         beats = detect_ppg_peaks(ppg)
-        values.update(ppg_features(beats, config))
+        values.update(ppg_features(beats))
     except _DATA_ERRORS as exc:
         raise FeatureExtractionError("ppg", window, exc) from exc
 
     try:
-        eda = dsp.resample_fourier(session.eda, config.eda_resample_hz)
+        eda = dsp.resample_fourier(session.eda, EDA_RESAMPLE_HZ)
         eda = dsp.segment(eda, start, min(end, eda.duration_s))
-        eda = dsp.extend_to_minimum(eda, config.eda_min_duration_s)
-        eda = dsp.lowpass(eda, config.eda_clean_cutoff_hz, order=2)
-        values.update(eda_features(eda, config))
+        eda = dsp.extend_to_minimum(eda, EDA_MIN_DURATION_S)
+        eda = dsp.lowpass(eda, EDA_CLEAN_CUTOFF_HZ, order=2)
+        values.update(eda_features(eda))
     except _DATA_ERRORS as exc:
         raise FeatureExtractionError("eda", window, exc) from exc
 

@@ -33,9 +33,10 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0, label="")
     """Read a `timestamp_s,value` CSV and apply head/tail trims.
 
     Trims happen before any filtering; they generalize the manual removal of
-    motion-artifact samples at sequence edges. Consecutive timestamps must be
-    one sample period apart, to within half a period: a dropped or an extra
-    row would shift every later sample in time.
+    motion-artifact samples at sequence edges; they must leave at least 2
+    samples. Consecutive timestamps must be one sample period apart, to
+    within a quarter of a period: a dropped or an extra row would shift every
+    later sample in time.
     """
     if not os.path.isfile(path):
         raise MissingFile(f"{path}: no such file")
@@ -61,14 +62,15 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0, label="")
             except ValueError:
                 raise InvalidInput(f"{path}, line {lineno}: non-numeric field") from None
             if not math.isfinite(v):
-                raise InvalidInput(f"{path}, line {lineno}: non-finite sample at index {lineno - 2}")
+                raise InvalidInput(f"{path}, line {lineno}: non-finite sample at index {len(values)}")
             if t <= prev_t:
                 raise InvalidInput(f"{path}, line {lineno}: timestamps not increasing")
             prev_t = t
             times.append(t)
             values.append(v)
     steps = np.diff(times)
-    off_grid = np.flatnonzero(np.rint(steps * sampling_rate_hz) != 1)
+    # written so that a NaN timestamp's steps fail it too
+    off_grid = np.flatnonzero(~(np.abs(steps * sampling_rate_hz - 1.0) <= 0.25))
     if len(off_grid):
         k = off_grid[0] + 1
         lineno = k + 2 + sum(n <= k for n in blank_rows)
@@ -77,11 +79,10 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0, label="")
             f"after the previous one, not one sample period ({1 / sampling_rate_hz:.6g} s)")
     if trim_head < 0 or trim_tail < 0:
         raise InvalidInput("trim counts must be >= 0")
-    if trim_head or trim_tail:
-        values = values[trim_head : len(values) - trim_tail or None]
-    if len(values) < 2:
+    kept = len(values) - trim_head - trim_tail
+    if kept < 2:
         raise InvalidInput(f"{path}: fewer than 2 samples after trimming")
-    return TimeSeries(np.array(values), sampling_rate_hz, label)
+    return TimeSeries(np.array(values[trim_head:trim_head + kept]), sampling_rate_hz, label)
 
 
 def load_manifest(path):
@@ -244,6 +245,8 @@ class SynthConfig:
             raise InvalidInput("at most 4 sessions (one per setting)")
         if min(self.baseline_s, self.task_s) <= 0:
             raise InvalidInput("durations must be positive")
+        if min(self.ppg_rate_hz, self.eda_rate_hz, self.temp_rate_hz) <= 0:
+            raise InvalidInput("channel sampling rates must be positive")
         for p in (self.slow, self.fast, self.baseline):
             if not 42.0 <= p.hr_bpm <= 210.0:
                 raise InvalidInput("heart rate outside the 42-210 bpm passband")

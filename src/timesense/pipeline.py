@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeatureExtractionError, InsufficientData, InvalidInput
-from .features import BASELINE, TASK, DEFAULT_EXTRACTION, extract_all
+from .features import BASELINE, TASK, extract_all
 from .fileio import write_atomic
 from .model import (
     FEATURE_NAMES,
@@ -20,6 +20,8 @@ from .model import (
 
 SCALER_METHODS = ("none", "minmax", "zscore")
 DATASET_SCHEMA_VERSION = 1
+# A session is fast iff its participant-rescaled rating strictly exceeds this.
+LABEL_THRESHOLD = 3.0
 
 
 def background_subtract(task: FeatureVector, baseline: FeatureVector) -> FeatureVector:
@@ -74,17 +76,6 @@ def apply_scaler(params: ScalerParams, X):
     return out
 
 
-@dataclass(frozen=True)
-class LabelRule:
-    """Fast iff the participant-rescaled rating strictly exceeds threshold."""
-
-    threshold: float = 3.0
-
-    def __post_init__(self):
-        if not 1.0 < self.threshold < 5.0:
-            raise ValueError("threshold must lie in (1, 5)")
-
-
 def scale_ratings(ratings):
     """Affinely rescale one participant's ratings so min -> 1 and max -> 5.
 
@@ -97,7 +88,7 @@ def scale_ratings(ratings):
     return 1.0 + 4.0 * (r - lo) / (hi - lo)
 
 
-def derive_labels(ratings_by_participant, rule: LabelRule = LabelRule()):
+def derive_labels(ratings_by_participant):
     """Per participant: rescale ratings to [1, 5], threshold into slow/fast.
 
     Returns {participant: (labels, scaled_ratings)} keeping session order.
@@ -107,13 +98,12 @@ def derive_labels(ratings_by_participant, rule: LabelRule = LabelRule()):
         if len(ratings) < 1:
             raise ValueError(f"participant {pid} has no ratings")
         scaled = scale_ratings(ratings)
-        labels = [LABEL_FAST if s > rule.threshold else LABEL_SLOW for s in scaled]
+        labels = [LABEL_FAST if s > LABEL_THRESHOLD else LABEL_SLOW for s in scaled]
         out[pid] = (labels, scaled)
     return out
 
 
-def assemble(sessions, rule: LabelRule = LabelRule(),
-             extraction=DEFAULT_EXTRACTION) -> Dataset:
+def assemble(sessions) -> Dataset:
     """Extract task and baseline vectors, background-subtract, attach labels.
 
     Scaling is deliberately NOT applied here; it is fitted per evaluation
@@ -124,8 +114,8 @@ def assemble(sessions, rule: LabelRule = LabelRule(),
     order = sorted(sessions, key=lambda s: (s.participant_id, s.session_index))
     for s in order:
         try:
-            task_fv = extract_all(s, TASK, extraction)
-            base_fv = extract_all(s, BASELINE, extraction)
+            task_fv = extract_all(s, TASK)
+            base_fv = extract_all(s, BASELINE)
         except FeatureExtractionError as exc:
             raise FeatureExtractionError(
                 exc.channel, exc.window,
@@ -134,7 +124,7 @@ def assemble(sessions, rule: LabelRule = LabelRule(),
         rows.append((s.participant_id, background_subtract(task_fv, base_fv)))
         ratings.setdefault(s.participant_id, []).append(s.rating)
 
-    labelled = derive_labels(ratings, rule)
+    labelled = derive_labels(ratings)
     cursor = {pid: 0 for pid in labelled}
     X, y, pids = [], [], []
     for pid, fv in rows:

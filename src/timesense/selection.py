@@ -5,24 +5,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import ClassifierConfig, predict, train
+from .classifiers import ClassifierConfig, importance, predict, train
 from .errors import InsufficientData, Unsupported
 
-FORWARD = "forward"
-BACKWARD = "backward"
+# Stratified folds of the cross-validation that scores each candidate set.
+CV_FOLDS = 5
 
 
 @dataclass(frozen=True)
 class SelectionResult:
     selected: tuple           # ordered feature names
     trace: tuple              # per-step (candidate_set, cv_score) or (cardinality, cv_score)
-    cv_folds: int
 
     def to_jsonable(self):
         return {
             "selected": list(self.selected),
             "trace": [{"features": list(f), "cv_score": s} for f, s in self.trace],
-            "cv_folds": self.cv_folds,
+            "cv_folds": CV_FOLDS,
         }
 
 
@@ -56,9 +55,8 @@ def cv_accuracy(config: ClassifierConfig, X, y, folds):
     return float(np.mean(accs))
 
 
-def sfs(dataset, config: ClassifierConfig, n_features: int,
-        direction: str = FORWARD, cv_folds: int = 5, seed: int = 0) -> SelectionResult:
-    """Greedy sequential feature selection by stratified-CV accuracy.
+def sfs(dataset, config: ClassifierConfig, n_features: int, seed: int = 0) -> SelectionResult:
+    """Greedy forward selection by stratified-CV accuracy.
 
     Ties between candidates resolve to the earliest feature in canonical
     order (candidates are scanned in that order and only a strictly better
@@ -68,74 +66,51 @@ def sfs(dataset, config: ClassifierConfig, n_features: int,
     d = len(names)
     if not 1 <= n_features <= d:
         raise ValueError("n_features out of range")
-    if direction not in (FORWARD, BACKWARD):
-        raise ValueError(f"unknown direction {direction!r}")
     X, y = dataset.X, dataset.y
-    folds = stratified_kfold(y, cv_folds, seed)
+    folds = stratified_kfold(y, CV_FOLDS, seed)
 
-    current = [] if direction == FORWARD else list(range(d))
+    current = []
     trace = []
     while len(current) != n_features:
         best_score, best_choice = -1.0, None
-        if direction == FORWARD:
-            candidates = [j for j in range(d) if j not in current]
-        else:
-            candidates = list(current)
-        for j in candidates:
-            trial = current + [j] if direction == FORWARD else [c for c in current if c != j]
-            score = cv_accuracy(config, X[:, sorted(trial)], y, folds)
+        for j in range(d):
+            if j in current:
+                continue
+            score = cv_accuracy(config, X[:, sorted(current + [j])], y, folds)
             if score > best_score:
                 best_score, best_choice = score, j
-        if direction == FORWARD:
-            current.append(best_choice)
-        else:
-            current.remove(best_choice)
+        current.append(best_choice)
         trace.append((tuple(names[i] for i in sorted(current)), best_score))
-    selected = tuple(names[i] for i in sorted(current))
-    return SelectionResult(selected, tuple(trace), cv_folds)
+    return SelectionResult(tuple(names[i] for i in sorted(current)), tuple(trace))
 
 
-def rfecv(dataset, config: ClassifierConfig, cv_folds: int = 5, step: int = 1,
-          min_features: int = 1, seed: int = 0) -> SelectionResult:
+def rfecv(dataset, config: ClassifierConfig, seed: int = 0) -> SelectionResult:
     """Recursive feature elimination; final cardinality maximizes CV accuracy.
 
     Each round trains on the full data over the surviving features and drops
-    the ``step`` lowest-importance ones (importance ties drop the feature
-    later in canonical order). Cardinality ties resolve to the smaller set.
+    the lowest-importance one (importance ties drop the feature later in
+    canonical order), down to one feature. Cardinality ties resolve to the
+    smaller set.
     """
     if not config.supports_importance():
         raise Unsupported(
             f"{config.kind} cannot drive RFECV: no feature-importance measure")
     names = list(dataset.feature_names)
-    d = len(names)
-    if not 1 <= min_features <= d:
-        raise ValueError("min_features out of range")
-    if step < 1:
-        raise ValueError("step must be >= 1")
     X, y = dataset.X, dataset.y
-    folds = stratified_kfold(y, cv_folds, seed)
+    folds = stratified_kfold(y, CV_FOLDS, seed)
 
-    from .classifiers import importance as model_importance
-
-    current = list(range(d))
+    cols = list(range(len(names)))
     trace = []
     sets_by_size = {}
     while True:
-        cols = sorted(current)
         score = cv_accuracy(config, X[:, cols], y, folds)
         trace.append((tuple(names[i] for i in cols), score))
-        sets_by_size[len(cols)] = (score, cols)
-        if len(cols) <= min_features:
+        sets_by_size[len(cols)] = (score, list(cols))
+        if len(cols) == 1:
             break
-        model = train(config, X[:, cols], y)
-        imp = model_importance(model)
-        n_drop = min(step, len(cols) - min_features)
-        # sort by (importance, canonical position); drop lowest-importance,
-        # preferring to drop the later canonical feature on ties
-        ranked = sorted(range(len(cols)), key=lambda i: (imp[i], -cols[i]))
-        for i in ranked[:n_drop]:
-            current.remove(cols[i])
+        imp = importance(train(config, X[:, cols], y))
+        del cols[min(range(len(cols)), key=lambda i: (imp[i], -cols[i]))]
 
     best_size = max(sets_by_size, key=lambda sz: (sets_by_size[sz][0], -sz))
     selected = tuple(names[i] for i in sets_by_size[best_size][1])
-    return SelectionResult(selected, tuple(trace), cv_folds)
+    return SelectionResult(selected, tuple(trace))

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from timesense import ingest, pipeline
+from timesense.classifiers import ClassifierConfig, TrainedModel
+from timesense.classifiers.base import canonical_order
 from timesense.model import FEATURE_NAMES, Dataset
 
 
@@ -75,3 +77,13 @@ def pinned_fixture(name):
     else:
         (X, y), probe = xor_data(), xor_data(seed=3)[0]
     return X, y, np.vstack([X, probe])
+
+
+def train_estimator(kind, estimator, X, y, seed=0):
+    """``estimator`` trained as ``classifiers.train`` trains the one it builds
+    for ``kind``: on the rows in canonical order, with a generator seeded by
+    ``seed``. For estimators built with arguments that ``train`` never sets."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=int)
+    order = canonical_order(X, y)
+    estimator.fit(X[order], y[order], rng=np.random.default_rng(seed))
+    return TrainedModel(kind, ClassifierConfig(kind, seed=seed), estimator, X.shape[1])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from timesense.classifiers import tree
+from timesense.classifiers.ensemble import Booster, RandomForest
+from timesense.classifiers.knn import KNN
 from timesense.classifiers.base import (
     KINDS,
     ClassifierConfig,
@@ -18,27 +20,39 @@ from timesense.classifiers.linear import (
     logistic_loss,
     sigmoid,
 )
-from timesense.classifiers.svm import SMOSVC
+from timesense.classifiers.svm import SMOSVC, rbf_kernel
 from timesense.errors import InsufficientData, InvalidInput, Unsupported
-from tests.conftest import blobs, pinned_fixture, xor_data
+from tests.conftest import blobs, pinned_fixture, train_estimator, xor_data
 
-ALL_CONFIGS = [ClassifierConfig(k, seed=0) for k in KINDS] + [
-    ClassifierConfig("svc", {"kernel": "linear"}, seed=0),
-]
+# (kind, arguments of its estimator): {} is the estimator `train` builds;
+# otherwise the estimator is built with those arguments
+ALL_CASES = [(k, {}) for k in KINDS]
+_ESTIMATORS = {"knn": KNN, "rf": RandomForest, "svc": SMOSVC}
+
+
+def case_id(case):
+    return case[0] + str(case[1])
+
+
+def train_case(case, X, y):
+    kind, args = case
+    if not args:
+        return train(ClassifierConfig(kind, seed=0), X, y)
+    return train_estimator(kind, _ESTIMATORS[kind](**args), X, y)
 
 
 class TestSeparableBlobs:
-    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.kind + str(c.params))
-    def test_perfect_training_accuracy(self, config):
+    @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
+    def test_perfect_training_accuracy(self, case):
         X, y = blobs()
-        model = train(config, X, y)
+        model = train_case(case, X, y)
         assert np.array_equal(predict(model, X), y)
 
-    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.kind + str(c.params))
-    def test_generalizes_to_fresh_draw(self, config):
+    @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
+    def test_generalizes_to_fresh_draw(self, case):
         X, y = blobs(seed=0)
         X2, y2 = blobs(seed=9)
-        model = train(config, X, y)
+        model = train_case(case, X, y)
         acc = np.mean(predict(model, X2) == y2)
         assert acc == 1.0
 
@@ -52,17 +66,17 @@ class TestXor:
         model = train(ClassifierConfig(kind, seed=0), X, y)
         assert np.mean(predict(model, X) == y) <= 0.65
 
-    @pytest.mark.parametrize("config", [
-        ClassifierConfig("dtc", seed=0),
-        ClassifierConfig("rf", seed=0),
-        ClassifierConfig("knn", {"k": 1}, seed=0),
-        ClassifierConfig("svc", {"kernel": "rbf", "C": 10.0}, seed=0),
-        ClassifierConfig("gb", seed=0),
-        ClassifierConfig("xgb", seed=0),
-    ], ids=lambda c: c.kind)
-    def test_nonlinear_models_succeed(self, config):
+    @pytest.mark.parametrize("case", [
+        ("dtc", {}),
+        ("rf", {}),
+        ("knn", {"k": 1}),
+        ("svc", {"C": 10.0}),
+        ("gb", {}),
+        ("xgb", {}),
+    ], ids=lambda c: c[0])
+    def test_nonlinear_models_succeed(self, case):
         X, y = xor_data()
-        model = train(config, X, y)
+        model = train_case(case, X, y)
         assert np.mean(predict(model, X) == y) >= 0.95
 
 
@@ -81,11 +95,9 @@ class TestTrainValidation:
         with pytest.raises(InvalidInput, match="must be finite"):
             train(ClassifierConfig("lr"), X, np.array([0, 1, 0, 1]))
 
-    def test_unknown_kind_and_params(self):
+    def test_unknown_kind(self):
         with pytest.raises(InvalidInput, match="unknown classifier kind"):
             ClassifierConfig("mlp")
-        with pytest.raises(InvalidInput, match="unknown params"):
-            ClassifierConfig("knn", {"neighbors": 3})
 
     def test_predict_dimension_check(self):
         X, y = blobs(d=3)
@@ -95,19 +107,19 @@ class TestTrainValidation:
 
 
 class TestDeterminismAndInvariance:
-    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.kind + str(c.params))
-    def test_same_seed_same_scores(self, config):
+    @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
+    def test_same_seed_same_scores(self, case):
         X, y = blobs(gap=2.0)
-        s1 = decision_scores(train(config, X, y), X)
-        s2 = decision_scores(train(config, X, y), X)
+        s1 = decision_scores(train_case(case, X, y), X)
+        s2 = decision_scores(train_case(case, X, y), X)
         assert np.array_equal(s1, s2)
 
-    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.kind + str(c.params))
-    def test_row_permutation_invariance(self, config):
+    @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
+    def test_row_permutation_invariance(self, case):
         X, y = blobs(gap=2.0, seed=3)
         perm = np.random.default_rng(5).permutation(len(y))
-        s1 = decision_scores(train(config, X, y), X)
-        s2 = decision_scores(train(config, X[perm], y[perm]), X)
+        s1 = decision_scores(train_case(case, X, y), X)
+        s2 = decision_scores(train_case(case, X[perm], y[perm]), X)
         assert np.allclose(s1, s2, atol=1e-10)
 
 
@@ -115,7 +127,7 @@ class TestScoresAndTies:
     def test_zero_score_predicts_slow(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
-        model = train(ClassifierConfig("knn", {"k": 2}), X, y)
+        model = train_estimator("knn", KNN(k=2), X, y)
         # both neighbours vote once each -> tied score 0 -> slow
         scores = decision_scores(model, np.array([[0.5]]))
         assert scores[0] == 0.0
@@ -123,7 +135,7 @@ class TestScoresAndTies:
 
     def test_knn_memorizes_training_points_k1(self):
         X, y = blobs(gap=0.5, seed=2)
-        model = train(ClassifierConfig("knn", {"k": 1}), X, y)
+        model = train_estimator("knn", KNN(k=1), X, y)
         assert np.array_equal(predict(model, X), y)
 
     def test_scores_monotone_with_confidence(self):
@@ -138,13 +150,12 @@ class TestBlockedScores:
     """decision_scores(..., blocks=k) scores k stacked blocks in one call,
     each bit for bit as a call on that block alone."""
 
-    @pytest.mark.parametrize("config", ALL_CONFIGS + [
-        ClassifierConfig("rf", {"min_samples_leaf": 3}, seed=0),
-    ], ids=lambda c: c.kind + str(c.params))
+    @pytest.mark.parametrize("case", ALL_CASES + [("rf", {"min_samples_leaf": 3})],
+                             ids=case_id)
     @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8])
-    def test_each_block_as_its_own_call(self, config, rows):
+    def test_each_block_as_its_own_call(self, case, rows):
         X, y = blobs(gap=1.0, seed=4)
-        model = train(config, X, y)
+        model = train_case(case, X, y)
         stack = np.random.default_rng(rows).normal(3.0, 2.0, size=(7 * rows, X.shape[1]))
         expected = np.concatenate([decision_scores(model, stack[i:i + rows])
                                    for i in range(0, len(stack), rows)])
@@ -179,8 +190,8 @@ class TestLogisticRegression:
 
     def test_l2_shrinks_weights(self):
         X, y = blobs(d=2, gap=3.0)
-        w_small = train(ClassifierConfig("lr", {"l2": 0.01}), X, y)
-        w_large = train(ClassifierConfig("lr", {"l2": 100.0}), X, y)
+        w_small = train_estimator("lr", LogisticRegressionNewton(l2=0.01), X, y)
+        w_large = train_estimator("lr", LogisticRegressionNewton(l2=100.0), X, y)
         n_small = np.linalg.norm(w_small.estimator.w)
         n_large = np.linalg.norm(w_large.estimator.w)
         assert n_large < n_small
@@ -216,40 +227,26 @@ class TestGenerativeModels:
 
 
 class TestImportance:
-    CAPABLE = [
-        ClassifierConfig("svc", {"kernel": "linear"}),
-        ClassifierConfig("dtc"),
-        ClassifierConfig("lr"),
-        ClassifierConfig("lda"),
-        ClassifierConfig("rf"),
-        ClassifierConfig("gb"),
-        ClassifierConfig("ab"),
-        ClassifierConfig("xgb"),
-    ]
-    INCAPABLE = [
-        ClassifierConfig("svc", {"kernel": "rbf"}),
-        ClassifierConfig("knn"),
-        ClassifierConfig("gnb"),
-        ClassifierConfig("qda"),
-    ]
+    CAPABLE = [(k, {}) for k in ("dtc", "lr", "lda", "rf", "gb", "ab", "xgb")]
+    INCAPABLE = [(k, {}) for k in ("svc", "knn", "gnb", "qda")]
 
-    @pytest.mark.parametrize("config", CAPABLE, ids=lambda c: c.kind + str(c.params))
-    def test_informative_feature_dominates(self, config):
+    @pytest.mark.parametrize("case", CAPABLE, ids=case_id)
+    def test_informative_feature_dominates(self, case):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(80, 5))
         y = (X[:, 2] > 0).astype(int)
-        model = train(config, X, y)
+        model = train_case(case, X, y)
         imp = importance(model)
-        assert config.supports_importance()
+        assert model.config.supports_importance()
         assert len(imp) == 5
         assert np.all(imp >= 0)
         assert np.argmax(imp) == 2
 
-    @pytest.mark.parametrize("config", INCAPABLE, ids=lambda c: c.kind + str(c.params))
-    def test_unsupported_importance_raises(self, config):
+    @pytest.mark.parametrize("case", INCAPABLE, ids=case_id)
+    def test_unsupported_importance_raises(self, case):
         X, y = blobs(d=3)
-        model = train(config, X, y)
-        assert not config.supports_importance()
+        model = train_case(case, X, y)
+        assert not model.config.supports_importance()
         with pytest.raises(Unsupported, match="no feature-importance measure"):
             importance(model)
 
@@ -269,8 +266,9 @@ class TestEnsembles:
 
     def test_gb_improves_with_rounds(self):
         X, y = xor_data(seed=3)
-        weak = train(ClassifierConfig("gb", {"n_estimators": 2}), X, y)
-        strong = train(ClassifierConfig("gb", {"n_estimators": 100}), X, y)
+        weak = train_estimator("gb", Booster(n_estimators=2, reg_lambda=0.0, min_child_weight=1e-6,
+                                             second_order_splits=False), X, y)
+        strong = train(ClassifierConfig("gb"), X, y)
         acc_weak = np.mean(predict(weak, X) == y)
         acc_strong = np.mean(predict(strong, X) == y)
         assert acc_strong >= acc_weak
@@ -479,12 +477,11 @@ class OracleSMOSVC(SMOSVC):
         X = np.asarray(X, dtype=float)
         ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
         n = len(ypm)
-        if self.kernel == "rbf":
-            var = X.var()
-            self.gamma_ = self.gamma if self.gamma is not None else 1.0 / (X.shape[1] * var) if var > 0 else 1.0
+        var = X.var()
+        self.gamma_ = 1.0 / (X.shape[1] * var) if var > 0 else 1.0
         self.X_ = X
         self.y_ = ypm
-        K = self._kernel(X, X)
+        K = rbf_kernel(X, X, self.gamma_)
         alpha = np.zeros(n)
         b = 0.0
         C, tol = self.C, self.tol
@@ -601,10 +598,8 @@ class OracleLR(LogisticRegressionNewton):
 # before the solvers kept per-state values.
 PINNED_SOLVERS = {
     ("blobs", "svc"): "2ba63e330905899caea76c7713f72d43067236b75a5535a12e114d09add5aca6",
-    ("blobs", "svc-linear"): "d9db061a3dd57c22c957b84a4045f8ee78d15d61c7c074d004e07826b2a63446",
     ("blobs", "lr"): "6c9f2f54ac760fd502f61510787cbf37a60826a70b09c83476841b4380509f3f",
     ("xor_data", "svc"): "d940f7e38182254a106d514bb22b28f9b4a14367f4e7b110363fd4437bfff6d1",
-    ("xor_data", "svc-linear"): "5923abab64f99fa42a62775e7f9fe461337a73795bbf543fb51552e66f215a94",
     ("xor_data", "lr"): "65925ff44b988562502bd3889bf74a676b5b271844197f5fbbe2c64c6935084b",
 }
 
@@ -637,10 +632,9 @@ class TestSolversMatchOracles:
     @pytest.mark.parametrize("seed", range(120))
     def test_smo(self, seed):
         rng, X, y = solver_case(seed)
-        kernel = ("rbf", "linear")[seed % 2]
         C = (0.1, 1.0, 10.0)[seed % 3]
-        new = SMOSVC(C=C, kernel=kernel).fit(X, y)
-        old = OracleSMOSVC(C=C, kernel=kernel).fit(X, y)
+        new = SMOSVC(C=C).fit(X, y)
+        old = OracleSMOSVC(C=C).fit(X, y)
         assert _same_bits(new.alpha_, old.alpha_)
         assert _same_bits(new.b_, old.b_)
         assert _same_bits(new.support_X_, old.support_X_)
@@ -665,13 +659,11 @@ class TestSolversMatchOracles:
         # the oracle carries b over from its first fit, which shows here
         assert OracleSMOSVC().fit(X1, y1).fit(X2, y2).b_ != fresh.b_
 
-    @pytest.mark.parametrize("fixture,name", sorted(PINNED_SOLVERS))
-    def test_solver_models_reproduce_pinned_outputs(self, fixture, name):
+    @pytest.mark.parametrize("fixture,kind", sorted(PINNED_SOLVERS))
+    def test_solver_models_reproduce_pinned_outputs(self, fixture, kind):
         X, y, rows = pinned_fixture(fixture)
-        kind, _, kernel = name.partition("-")
-        config = ClassifierConfig(kind, {"kernel": kernel} if kernel else {}, seed=0)
-        model = train(config, X, y)
-        assert _digest(decision_scores(model, rows)) == PINNED_SOLVERS[fixture, name]
+        model = train(ClassifierConfig(kind, seed=0), X, y)
+        assert _digest(decision_scores(model, rows)) == PINNED_SOLVERS[fixture, kind]
 
 
 class TestSolverConvergence:

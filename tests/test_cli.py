@@ -60,9 +60,11 @@ class TestSynth:
 
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"participants": 0}))
-        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == EXIT_DOMAIN
+        for doc in ({"participants": 0}, {"ppg_rate_hz": 0}, {"eda_rate_hz": -1},
+                    {"temp_rate_hz": 0}):
+            cfg.write_text(json.dumps(doc))
+            rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert rc == EXIT_DOMAIN, doc
 
 
 class TestExtract:

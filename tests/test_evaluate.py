@@ -16,6 +16,7 @@ from timesense.evaluate import (
 )
 from timesense.model import EDA_FEATURES, PPG_FEATURES, Dataset
 from timesense.pipeline import apply_scaler, fit_scaler
+from timesense.selection import sfs
 from timesense.classifiers import predict as clf_predict, train as clf_train
 from tests.conftest import planted_dataset
 
@@ -97,10 +98,19 @@ class TestLosocv:
             assert np.allclose(fold.scaler_stats["stat_a"], expected_min)
 
     def test_selection_runs_on_training_rows_only(self, planted):
-        report = losocv(planted, ClassifierConfig("lr"),
-                        selection=("manual", planted.feature_names[:5]), seed=0)
+        """Each fold's SFS pick is SFS's pick on that fold's scaled training
+        rows alone."""
+        sub = planted.subset_features(planted.feature_names[:6])
+        report = losocv(sub, ClassifierConfig("lr"), selection=("sfs", {"n_features": 2}),
+                        seed=0)
         for fold in report.per_fold:
-            assert fold.selected_feature_names == planted.feature_names[:5]
+            pid = fold.held_out_participant
+            rows = sub.select_rows(sub.participant_ids != pid)
+            scaled = Dataset(apply_scaler(fit_scaler(rows.X, "minmax"), rows.X), rows.y,
+                             rows.participant_ids, rows.feature_names)
+            s = fold_seed(0, pid)
+            expected = sfs(scaled, ClassifierConfig("lr", seed=s), n_features=2, seed=s)
+            assert fold.selected_feature_names == expected.selected
 
     def test_shuffled_labels_near_chance(self, planted):
         rng = np.random.default_rng(0)

@@ -8,11 +8,12 @@ import pytest
 
 from timesense import explain
 from timesense.classifiers import ClassifierConfig, TrainedModel, decision_scores, train
+from timesense.classifiers.ensemble import DecisionTree, RandomForest
 from timesense.errors import InsufficientData, Unsupported
 from timesense.evaluate import MATRIX_KINDS
 from timesense.explain import exact_shapley, kernel_shap, mean_abs_shap
 from timesense.model import Dataset
-from tests.conftest import pinned_fixture
+from tests.conftest import pinned_fixture, train_estimator
 
 
 class StubLinear:
@@ -246,33 +247,37 @@ def loop_kernel_shap(model, background, instance, n_samples, seed=0):
     return phi, base, pred
 
 
-# every matrix kind, plus a linear svc and trees with impure (non-dyadic)
-# leaves, whose one-row scores round differently from taller calls
-ORACLE_CONFIGS = [ClassifierConfig(k, seed=0) for k in MATRIX_KINDS] + [
-    ClassifierConfig("svc", {"kernel": "linear"}, seed=0),
-    ClassifierConfig("rf", {"min_samples_leaf": 3}, seed=0),
-    ClassifierConfig("dtc", {"min_samples_leaf": 3}, seed=0),
+# (kind, estimator arguments): every matrix kind as `train` builds it, plus
+# trees with impure (non-dyadic) leaves, whose one-row scores round
+# differently from taller calls
+ORACLE_CASES = [(k, {}) for k in MATRIX_KINDS] + [
+    ("rf", {"min_samples_leaf": 3}),
+    ("dtc", {"min_samples_leaf": 3}),
 ]
+_TREES = {"rf": RandomForest, "dtc": DecisionTree}
 
 
-def config_id(config):
-    return config.kind + "".join(f"-{k}={v}" for k, v in sorted(config.params.items()))
+def case_id(case):
+    kind, args = case
+    return kind + "".join(f"-{k}={v}" for k, v in sorted(args.items()))
 
 
 _ORACLE_MODELS = {}
 
 
-def oracle_problem(config, d=5, seed=0):
+def oracle_problem(case, d=5, seed=0):
     """A model trained on noisy labels with duplicated rows (trained once per
-    config, d and seed), and a draw of rows to take backgrounds and
+    case, d and seed), and a draw of rows to take backgrounds and
     instances from."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(60, d))
     y = (X[:, 0] + 0.7 * rng.normal(size=60) > 0).astype(int)
     X[40:50] = X[:10]
-    key = (config_id(config), d, seed)
+    key = (case_id(case), d, seed)
     if key not in _ORACLE_MODELS:
-        _ORACLE_MODELS[key] = train(config, X, y)
+        kind, args = case
+        _ORACLE_MODELS[key] = (train_estimator(kind, _TREES[kind](**args), X, y) if args
+                               else train(ClassifierConfig(kind, seed=0), X, y))
     return _ORACLE_MODELS[key], rng
 
 
@@ -283,9 +288,9 @@ def same_bits(a, b):
 
 class TestChunkedScoringMatchesLoop:
     @pytest.mark.parametrize("n_bg", [1, 3, 100])
-    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=config_id)
-    def test_coalition_values_bitwise(self, config, n_bg, monkeypatch):
-        model, rng = oracle_problem(config)
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=case_id)
+    def test_coalition_values_bitwise(self, case, n_bg, monkeypatch):
+        model, rng = oracle_problem(case)
         background = rng.normal(size=(n_bg, 5))
         instance = rng.normal(size=5)
         masks = rng.random((11, 5)) < 0.5
@@ -299,9 +304,9 @@ class TestChunkedScoringMatchesLoop:
         assert same_bits(explain._coalition_values(model, background, instance, masks),
                          expected)
 
-    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=config_id)
-    def test_background_taller_than_a_chunk(self, config):
-        model, rng = oracle_problem(config, seed=1)
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=case_id)
+    def test_background_taller_than_a_chunk(self, case):
+        model, rng = oracle_problem(case, seed=1)
         background = rng.normal(size=(explain.CHUNK_ROWS + 3, 5))
         instance = rng.normal(size=5)
         masks = rng.random((3, 5)) < 0.5
@@ -328,15 +333,15 @@ class TestChunkedScoringMatchesLoop:
         assert all(s[0] == 1 or s[0] * n_bg <= explain.CHUNK_ROWS for s in shapes)
 
     def test_no_masks(self):
-        model, rng = oracle_problem(ClassifierConfig("lr"))
+        model, rng = oracle_problem(("lr", {}))
         out = explain._coalition_values(model, rng.normal(size=(4, 5)), np.zeros(5),
                                         np.zeros((0, 5), dtype=bool))
         assert out.shape == (0,)
 
     @pytest.mark.parametrize("n_bg", [3, 24])
-    @pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=config_id)
-    def test_kernel_shap_bitwise_in_both_branches(self, config, n_bg):
-        model, rng = oracle_problem(config, d=4, seed=2)
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=case_id)
+    def test_kernel_shap_bitwise_in_both_branches(self, case, n_bg):
+        model, rng = oracle_problem(case, d=4, seed=2)
         background = rng.normal(size=(n_bg, 4))
         instance = rng.normal(size=4)
         for n_samples in (10, 2**4):  # sampled, then every proper coalition

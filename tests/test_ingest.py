@@ -48,6 +48,11 @@ class TestReadChannelCsv:
         write_csv(p, rows)
         with pytest.raises(InvalidInput, match="non-finite sample at index 7$"):
             ingest.read_channel_csv(p, 10.0)
+        # blank lines count as lines but not as samples
+        rows[3:3] = ["", ""]
+        write_csv(p, rows)
+        with pytest.raises(InvalidInput, match="line 11: non-finite sample at index 7$"):
+            ingest.read_channel_csv(p, 10.0)
 
     def test_non_increasing_timestamps(self, tmp_path):
         p = tmp_path / "ch.csv"
@@ -80,11 +85,24 @@ class TestReadChannelCsv:
         write_csv(p, rows)
         with pytest.raises(InvalidInput, match=r"line 10: timestamp 0\.73 s is 0\.03 s after"):
             ingest.read_channel_csv(p, 10.0)
+        # half a period after the 0.7 s row: steps of 0.05 s * 10 Hz compute
+        # as 0.5000000000000004, which rounds to one period
+        rows[8] = "0.75,7.5"
+        write_csv(p, rows)
+        with pytest.raises(InvalidInput, match=r"line 10: timestamp 0\.75 s is 0\.05 s after"):
+            ingest.read_channel_csv(p, 10.0)
 
-    def test_timing_jitter_within_half_a_period_accepted(self, tmp_path):
+    def test_timing_jitter_within_a_quarter_period_accepted(self, tmp_path):
         p = tmp_path / "ch.csv"
-        write_csv(p, [f"{i/10.0 + (0.04 if i % 2 else 0.0)},1.0" for i in range(20)])
+        write_csv(p, [f"{i/10.0 + (0.02 if i % 2 else 0.0)},1.0" for i in range(20)])
         assert len(ingest.read_channel_csv(p, 10.0)) == 20
+
+    @pytest.mark.parametrize("trim_head,trim_tail", [(0, 10), (0, 12), (3, 12)])
+    def test_trims_past_the_end_rejected(self, tmp_path, trim_head, trim_tail):
+        p = tmp_path / "ch.csv"
+        write_csv(p, [f"{i/10.0},1.0" for i in range(10)])
+        with pytest.raises(InvalidInput, match="fewer than 2 samples after trimming"):
+            ingest.read_channel_csv(p, 10.0, trim_head=trim_head, trim_tail=trim_tail)
 
     def test_negative_trim_rejected(self, tmp_path):
         p = tmp_path / "ch.csv"

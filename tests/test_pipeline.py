@@ -7,7 +7,6 @@ from timesense import pipeline
 from timesense.errors import InsufficientData, InvalidInput
 from timesense.model import FEATURE_NAMES, Dataset, FeatureVector
 from timesense.pipeline import (
-    LabelRule,
     apply_scaler,
     background_subtract,
     derive_labels,
@@ -84,12 +83,6 @@ class TestScaler:
 
 
 class TestLabels:
-    def test_rule_threshold_range(self):
-        with pytest.raises(ValueError):
-            LabelRule(threshold=5.0)
-        with pytest.raises(ValueError):
-            LabelRule(threshold=1.0)
-
     def test_scale_ratings_example(self):
         assert np.allclose(scale_ratings([2, 3, 3, 5]),
                            [1.0, 7.0 / 3.0, 7.0 / 3.0, 5.0])

@@ -7,8 +7,6 @@ from timesense.classifiers import ClassifierConfig
 from timesense.errors import InsufficientData, Unsupported
 from timesense.model import Dataset
 from timesense.selection import (
-    BACKWARD,
-    FORWARD,
     cv_accuracy,
     rfecv,
     sfs,
@@ -64,11 +62,6 @@ class TestSfs:
         res = sfs(ds, LR, n_features=5)
         assert set(res.selected) == set(ds.feature_names)
 
-    def test_backward_keeps_informative(self):
-        ds = single_informative_dataset(informative=2, d=6)
-        res = sfs(ds, LR, n_features=2, direction=BACKWARD)
-        assert "f2" in res.selected
-
     def test_duplicate_column_tie_breaks_canonical(self):
         rng = np.random.default_rng(0)
         y = np.tile([0, 1], 20)
@@ -84,7 +77,7 @@ class TestSfs:
         assert len(res.trace) == 3
         sizes = [len(f) for f, _ in res.trace]
         assert sizes == [1, 2, 3]
-        assert res.cv_folds == 5
+        assert res.to_jsonable()["cv_folds"] == 5
 
     def test_deterministic(self):
         ds = single_informative_dataset()
@@ -111,8 +104,6 @@ class TestSfs:
             sfs(ds, LR, n_features=0)
         with pytest.raises(ValueError):
             sfs(ds, LR, n_features=5)
-        with pytest.raises(ValueError):
-            sfs(ds, LR, n_features=2, direction="sideways")
 
 
 class TestRfecv:
@@ -126,18 +117,7 @@ class TestRfecv:
             with pytest.raises(Unsupported, match="cannot drive RFECV"):
                 rfecv(planted, ClassifierConfig(kind))
         with pytest.raises(Unsupported, match="cannot drive RFECV"):
-            rfecv(planted, ClassifierConfig("svc", {"kernel": "rbf"}))
-
-    def test_linear_svc_is_supported(self):
-        ds = single_informative_dataset()
-        res = rfecv(ds, ClassifierConfig("svc", {"kernel": "linear"}))
-        assert "f3" in res.selected
-
-    def test_min_features_d_keeps_everything(self):
-        ds = single_informative_dataset(d=5)
-        res = rfecv(ds, LR, min_features=5)
-        assert set(res.selected) == set(ds.feature_names)
-        assert len(res.trace) == 1
+            rfecv(planted, ClassifierConfig("svc"))
 
     def test_trace_cardinalities_decrease(self):
         ds = single_informative_dataset(d=6)
@@ -160,10 +140,3 @@ class TestRfecv:
         ds = Dataset(X, y, np.arange(40) % 4 + 1, ("a", "b", "c", "d"))
         res = rfecv(ds, LR)
         assert res.selected == ("a",)
-
-    def test_bad_arguments(self):
-        ds = single_informative_dataset(d=4)
-        with pytest.raises(ValueError):
-            rfecv(ds, LR, min_features=0)
-        with pytest.raises(ValueError):
-            rfecv(ds, LR, step=0)
