@@ -6,23 +6,22 @@ subtraction), which removes each participant's resting physiology.
 """
 
 from timesense import features, ingest
-from timesense.pipeline import background_subtract
+from timesense.model import FEATURE_NAMES
 
 sessions = ingest.synth_dataset(ingest.SynthConfig(participants=1, n_slow_biased=0, seed=3))
 session = sessions[2]  # a 2-helicopter (fast) session
 
-task = features.extract_all(session, features.TASK)
-baseline = features.extract_all(session, features.BASELINE)
-delta = background_subtract(task, baseline)
+task, baseline = features.extract_all(session)
+delta = task - baseline
 
 print(f"participant {session.participant_id}, "
       f"{session.setting.helicopters} helicopter(s), rating {session.rating}\n")
 print(f"{'feature':28s} {'baseline':>10s} {'task':>10s} {'delta':>10s}")
-for name in delta.to_dict():
-    print(f"{name:28s} {baseline[name]:10.3f} {task[name]:10.3f} {delta[name]:10.3f}")
+for name, b, t, d in zip(FEATURE_NAMES, baseline, task, delta):
+    print(f"{name:28s} {b:10.3f} {t:10.3f} {d:10.3f}")
 
 # The task window of a fast session runs at ~92 bpm against a ~72 bpm
 # baseline, so bpm should rise and ibi_ms fall; SCR activity rises too.
-assert delta["bpm"] > 0
-assert delta["ibi_ms"] < 0
+assert delta[FEATURE_NAMES.index("bpm")] > 0
+assert delta[FEATURE_NAMES.index("ibi_ms")] < 0
 print("\nbackground-subtracted deltas point the expected way for a fast session")

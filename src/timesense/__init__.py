@@ -8,7 +8,6 @@ from .model import (
     FEATURE_NAMES,
     Dataset,
     EvaluationReport,
-    FeatureVector,
     SessionRecord,
     SessionSetting,
     TimeSeries,
@@ -21,7 +20,6 @@ __all__ = [
     "FEATURE_NAMES",
     "Dataset",
     "EvaluationReport",
-    "FeatureVector",
     "SessionRecord",
     "SessionSetting",
     "TimeSeries",

@@ -9,6 +9,8 @@ from scipy import signal as sps
 from .errors import InsufficientData, InvalidInput
 from .model import TimeSeries
 
+WELCH_OVERLAP = 0.5
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -37,17 +39,12 @@ class Spectrum:
             return 0.0
         return float(np.trapezoid(self.power[mask], self.frequencies_hz[mask]))
 
-    def peak_frequency(self, low_hz=None, high_hz=None) -> float:
-        f, p = self.frequencies_hz, self.power
-        mask = np.ones(len(f), dtype=bool)
-        if low_hz is not None:
-            mask &= f >= low_hz
-        if high_hz is not None:
-            mask &= f <= high_hz
-        if not mask.any():
+    def peak_frequency(self, low_hz: float, high_hz: float) -> float:
+        f = self.frequencies_hz
+        sub = np.flatnonzero((f >= low_hz) & (f <= high_hz))
+        if not len(sub):
             raise ValueError("empty frequency band")
-        sub = np.flatnonzero(mask)
-        return float(f[sub[np.argmax(p[sub])]])
+        return float(f[sub[np.argmax(self.power[sub])]])
 
 
 def bandpass(series: TimeSeries, low_hz: float, high_hz: float, order: int = 3) -> TimeSeries:
@@ -125,21 +122,18 @@ def extend_to_minimum(series: TimeSeries, min_s: float) -> TimeSeries:
     return TimeSeries(padded, series.sampling_rate_hz, series.label)
 
 
-def welch_psd(series: TimeSeries, segment_len: int = None, overlap: float = 0.5) -> Spectrum:
-    """Welch-averaged one-sided periodogram with a Hann window."""
+def welch_psd(series: TimeSeries, segment_len: int) -> Spectrum:
+    """Welch-averaged one-sided periodogram with a Hann window; segments
+    overlap by WELCH_OVERLAP of their length."""
     n = len(series)
-    if segment_len is None:
-        segment_len = min(n, 256)
     if segment_len > n:
         raise InsufficientData(f"segment_len {segment_len} exceeds series length {n}")
-    if not 0 <= overlap < 1:
-        raise ValueError("overlap must be in [0, 1)")
     freqs, power = sps.welch(
         series.values,
         fs=series.sampling_rate_hz,
         window="hann",
         nperseg=segment_len,
-        noverlap=int(segment_len * overlap),
+        noverlap=int(segment_len * WELCH_OVERLAP),
         detrend=False,
     )
     return Spectrum(freqs, np.maximum(power, 0.0))

@@ -37,7 +37,8 @@ class Unsupported(TimesenseError):
 
 
 class FeatureExtractionError(TimesenseError):
-    """Wraps a channel-level failure with channel and window context."""
+    """Wraps a channel-level failure with channel and window context; the
+    cause names the participant and the session."""
 
     def __init__(self, channel, window, cause):
         self.channel = channel

@@ -7,7 +7,6 @@ import numpy as np
 
 from .classifiers import ClassifierConfig, predict, train
 from .errors import InsufficientData, InvalidInput
-from .explain import mean_abs_shap
 from .fileio import write_atomic
 from .model import (
     EDA_FEATURES,
@@ -73,8 +72,7 @@ def _resolve_selection(selection, train_ds: Dataset, config, seed):
 
 
 def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "minmax",
-           selection=None, seed: int = 0, compute_shap: bool = False,
-           shap_samples: int = 256) -> EvaluationReport:
+           selection=None, seed: int = 0) -> EvaluationReport:
     """Leave-one-subject-out protocol.
 
     Per fold: fit the scaler on training rows only, run the optional feature
@@ -107,12 +105,6 @@ def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "min
         preds = predict(model, test_X[:, idx])
         acc = accuracy(preds, test_rows.y)
 
-        shap_ranking = None
-        if compute_shap:
-            sub = train_scaled.subset_features(selected)
-            ranking = mean_abs_shap(model, sub, n_samples=shap_samples, seed=s)
-            shap_ranking = {name: value for name, value, _ in ranking}
-
         stats = {"method": scaler.method}
         if scaler.stat_a is not None:
             stats["stat_a"] = tuple(float(v) for v in scaler.stat_a)
@@ -121,7 +113,6 @@ def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "min
             held_out_participant=pid,
             accuracy=acc,
             selected_feature_names=tuple(selected),
-            per_feature_mean_abs_shap=shap_ranking,
             scaler_stats=stats,
             predictions=tuple(int(v) for v in preds),
             actual=tuple(int(v) for v in test_rows.y),
@@ -164,7 +155,9 @@ def report_to_jsonable(report: EvaluationReport):
                 "held_out_participant": f.held_out_participant,
                 "accuracy": f.accuracy,
                 "selected_feature_names": list(f.selected_feature_names),
-                "per_feature_mean_abs_shap": f.per_feature_mean_abs_shap,
+                # always null: kept because report schema 1 and the
+                # recorded report checksums include the key
+                "per_feature_mean_abs_shap": None,
                 "predictions": list(f.predictions),
                 "actual": list(f.actual),
             }

@@ -6,6 +6,7 @@ follow common toolkit conventions and are fixed here as the contract.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,9 @@ from . import dsp
 from .errors import FeatureExtractionError, InsufficientData, InvalidInput, TimesenseError
 from .model import (
     EDA_FEATURES,
+    FEATURE_NAMES,
     PPG_FEATURES,
     TEMP_FEATURES,
-    FeatureVector,
     SessionRecord,
     TimeSeries,
     validate_session,
@@ -305,54 +306,68 @@ def temp_features(thermopile: TimeSeries, reference: TimeSeries) -> dict:
     return {name: out[name] for name in TEMP_FEATURES}
 
 
-def _window_bounds(session: SessionRecord, window: str):
-    if window == BASELINE:
-        return 0.0, session.task_start_s
-    if window == TASK:
-        return session.task_start_s, session.task_end_s
-    raise ValueError(f"unknown window {window!r}")
-
-
 # What bad or too-short data raises inside a channel chain (numpy's
 # LinAlgError is a ValueError). Anything else, such as a TypeError or an
 # IndexError, is a bug and propagates unwrapped.
 _DATA_ERRORS = (TimesenseError, ValueError, ArithmeticError)
 
 
-def extract_all(session: SessionRecord, window: str) -> FeatureVector:
-    """Run the full per-channel chain for one window and assemble 24 features."""
+@contextmanager
+def _channel(channel, window, where):
+    """Re-raise a data error of one channel chain with its context."""
+    try:
+        yield
+    except _DATA_ERRORS as exc:
+        raise FeatureExtractionError(channel, window, f"{where}: {exc}") from exc
+
+
+def _finite(values: dict) -> dict:
+    bad = [name for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        raise InvalidInput(f"non-finite {', '.join(bad)}")
+    return values
+
+
+def _cut(series: TimeSeries, start: float, end: float) -> TimeSeries:
+    return dsp.segment(series, start, min(end, series.duration_s))
+
+
+def extract_all(session: SessionRecord):
+    """The 24 features of the task window and of the baseline window.
+
+    Returns ``(task, baseline)``, each a float ndarray in ``FEATURE_NAMES``
+    order. PPG is band-passed and resampled, and EDA resampled, once over
+    the whole recording; both windows are cut from those series. Failures
+    raise FeatureExtractionError naming the channel, the window,
+    the participant and the session. A failure in the whole-recording
+    conditioning, or a session that breaks ``validate_session``, is
+    reported against the task window, the first one extracted.
+    """
+    where = f"participant {session.participant_id} session {session.session_index}"
     violations = validate_session(session)
     if violations:
-        raise FeatureExtractionError("session", window, "; ".join(violations))
-    start, end = _window_bounds(session, window)
-    values = {}
-
-    try:
+        raise FeatureExtractionError("session", TASK, f"{where}: {'; '.join(violations)}")
+    with _channel("ppg", TASK, where):
         ppg = dsp.bandpass(session.ppg, *PPG_BAND_HZ, order=PPG_FILTER_ORDER)
         ppg = dsp.resample_fourier(ppg, PPG_RESAMPLE_HZ)
-        ppg = dsp.segment(ppg, start, min(end, ppg.duration_s))
-        beats = detect_ppg_peaks(ppg)
-        values.update(ppg_features(beats))
-    except _DATA_ERRORS as exc:
-        raise FeatureExtractionError("ppg", window, exc) from exc
-
-    try:
+    with _channel("eda", TASK, where):
         eda = dsp.resample_fourier(session.eda, EDA_RESAMPLE_HZ)
-        eda = dsp.segment(eda, start, min(end, eda.duration_s))
-        eda = dsp.extend_to_minimum(eda, EDA_MIN_DURATION_S)
-        eda = dsp.lowpass(eda, EDA_CLEAN_CUTOFF_HZ, order=2)
-        values.update(eda_features(eda))
-    except _DATA_ERRORS as exc:
-        raise FeatureExtractionError("eda", window, exc) from exc
 
-    try:
-        thermo = dsp.segment(session.thermopile, start, min(end, session.thermopile.duration_s))
-        ref = dsp.segment(session.reference_temp, start, min(end, session.reference_temp.duration_s))
-        n = min(len(thermo), len(ref))
-        thermo = TimeSeries(thermo.values[:n], thermo.sampling_rate_hz, thermo.label)
-        ref = TimeSeries(ref.values[:n], ref.sampling_rate_hz, ref.label)
-        values.update(temp_features(thermo, ref))
-    except _DATA_ERRORS as exc:
-        raise FeatureExtractionError("temperature", window, exc) from exc
-
-    return FeatureVector.from_dict(values)
+    vectors = []
+    for window, start, end in ((TASK, session.task_start_s, session.task_end_s),
+                               (BASELINE, 0.0, session.task_start_s)):
+        values = {}
+        with _channel("ppg", window, where):
+            values.update(_finite(ppg_features(detect_ppg_peaks(_cut(ppg, start, end)))))
+        with _channel("eda", window, where):
+            cut = dsp.extend_to_minimum(_cut(eda, start, end), EDA_MIN_DURATION_S)
+            values.update(_finite(eda_features(dsp.lowpass(cut, EDA_CLEAN_CUTOFF_HZ, order=2))))
+        with _channel("temperature", window, where):
+            thermo = _cut(session.thermopile, start, end)
+            ref = _cut(session.reference_temp, start, end)
+            n = min(len(thermo), len(ref))
+            thermo = TimeSeries(thermo.values[:n], thermo.sampling_rate_hz, thermo.label)
+            ref = TimeSeries(ref.values[:n], ref.sampling_rate_hz, ref.label)
+            values.update(_finite(temp_features(thermo, ref)))
+        vectors.append(np.array([values[name] for name in FEATURE_NAMES]))
+    return tuple(vectors)

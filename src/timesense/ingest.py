@@ -34,9 +34,9 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0, label="")
 
     Trims happen before any filtering; they generalize the manual removal of
     motion-artifact samples at sequence edges; they must leave at least 2
-    samples. Consecutive timestamps must be one sample period apart, to
-    within a quarter of a period: a dropped or an extra row would shift every
-    later sample in time.
+    samples. Timestamps must be finite, and consecutive ones one sample period
+    apart, to within a quarter of a period: a dropped or an extra row would
+    shift every later sample in time.
     """
     if not os.path.isfile(path):
         raise MissingFile(f"{path}: no such file")
@@ -61,6 +61,8 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0, label="")
                 t, v = float(parts[0]), float(parts[1])
             except ValueError:
                 raise InvalidInput(f"{path}, line {lineno}: non-numeric field") from None
+            if not math.isfinite(t):
+                raise InvalidInput(f"{path}, line {lineno}: non-finite timestamp")
             if not math.isfinite(v):
                 raise InvalidInput(f"{path}, line {lineno}: non-finite sample at index {len(values)}")
             if t <= prev_t:
@@ -69,8 +71,7 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0, label="")
             times.append(t)
             values.append(v)
     steps = np.diff(times)
-    # written so that a NaN timestamp's steps fail it too
-    off_grid = np.flatnonzero(~(np.abs(steps * sampling_rate_hz - 1.0) <= 0.25))
+    off_grid = np.flatnonzero(np.abs(steps * sampling_rate_hz - 1.0) > 0.25)
     if len(off_grid):
         k = off_grid[0] + 1
         lineno = k + 2 + sum(n <= k for n in blank_rows)

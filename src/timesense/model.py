@@ -41,8 +41,7 @@ TEMP_FEATURES = (
 )
 
 FEATURE_NAMES: Tuple[str, ...] = PPG_FEATURES + EDA_FEATURES + TEMP_FEATURES
-N_FEATURES = len(FEATURE_NAMES)
-assert N_FEATURES == 24
+assert len(FEATURE_NAMES) == 24
 
 LABEL_SLOW = "slow"
 LABEL_FAST = "fast"
@@ -147,44 +146,6 @@ def validate_session(session: SessionRecord):
     return violations
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """The 24 biomarker values, stored in canonical order."""
-
-    values: np.ndarray
-
-    def __eq__(self, other):
-        return isinstance(other, FeatureVector) and np.array_equal(self.values, other.values)
-
-    def __hash__(self):
-        return hash(self.values.tobytes())
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != (N_FEATURES,):
-            raise ValueError(f"expected {N_FEATURES} features, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("feature values must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def from_dict(cls, mapping) -> "FeatureVector":
-        missing = [n for n in FEATURE_NAMES if n not in mapping]
-        if missing:
-            raise ValueError(f"missing features: {missing}")
-        return cls(np.array([mapping[n] for n in FEATURE_NAMES], dtype=float))
-
-    def to_dict(self) -> dict:
-        return {name: float(v) for name, v in zip(FEATURE_NAMES, self.values)}
-
-    def __getitem__(self, name: str) -> float:
-        return float(self.values[FEATURE_NAMES.index(name)])
-
-    def __sub__(self, other: "FeatureVector") -> "FeatureVector":
-        return FeatureVector(self.values - other.values)
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix with binary labels and participant identifiers."""
@@ -235,7 +196,6 @@ class FoldResult:
     held_out_participant: int
     accuracy: float
     selected_feature_names: Tuple[str, ...]
-    per_feature_mean_abs_shap: Optional[dict] = None
     scaler_stats: Optional[dict] = None
     predictions: Tuple[int, ...] = ()
     actual: Tuple[int, ...] = ()

@@ -1,4 +1,4 @@
-"""From sessions to a learning-ready dataset: background subtraction,
+"""From sessions to a learning-ready dataset: task-minus-baseline rows,
 train-only scaling, and label derivation from questionnaire ratings."""
 
 import math
@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeatureExtractionError, InsufficientData, InvalidInput
-from .features import BASELINE, TASK, extract_all
+from .errors import InsufficientData, InvalidInput
+from .features import extract_all
 from .fileio import write_atomic
 from .model import (
     FEATURE_NAMES,
@@ -15,18 +15,12 @@ from .model import (
     LABEL_SLOW,
     LABELS,
     Dataset,
-    FeatureVector,
 )
 
 SCALER_METHODS = ("none", "minmax", "zscore")
 DATASET_SCHEMA_VERSION = 1
 # A session is fast iff its participant-rescaled rating strictly exceeds this.
 LABEL_THRESHOLD = 3.0
-
-
-def background_subtract(task: FeatureVector, baseline: FeatureVector) -> FeatureVector:
-    """Elementwise task minus baseline; reduces inter-participant variance."""
-    return task - baseline
 
 
 @dataclass(frozen=True)
@@ -104,7 +98,8 @@ def derive_labels(ratings_by_participant):
 
 
 def assemble(sessions) -> Dataset:
-    """Extract task and baseline vectors, background-subtract, attach labels.
+    """Extract task and baseline vectors, subtract the baseline from the
+    task (which removes each participant's resting physiology), attach labels.
 
     Scaling is deliberately NOT applied here; it is fitted per evaluation
     fold to prevent train/test leakage.
@@ -113,25 +108,18 @@ def assemble(sessions) -> Dataset:
     ratings = {}
     order = sorted(sessions, key=lambda s: (s.participant_id, s.session_index))
     for s in order:
-        try:
-            task_fv = extract_all(s, TASK)
-            base_fv = extract_all(s, BASELINE)
-        except FeatureExtractionError as exc:
-            raise FeatureExtractionError(
-                exc.channel, exc.window,
-                f"participant {s.participant_id} session {s.session_index}: {exc.cause}",
-            ) from exc
-        rows.append((s.participant_id, background_subtract(task_fv, base_fv)))
+        task, baseline = extract_all(s)
+        rows.append((s.participant_id, task - baseline))
         ratings.setdefault(s.participant_id, []).append(s.rating)
 
     labelled = derive_labels(ratings)
     cursor = {pid: 0 for pid in labelled}
     X, y, pids = [], [], []
-    for pid, fv in rows:
+    for pid, delta in rows:
         labels, _ = labelled[pid]
         label = labels[cursor[pid]]
         cursor[pid] += 1
-        X.append(fv.values)
+        X.append(delta)
         y.append(1 if label == LABEL_FAST else 0)
         pids.append(pid)
     return Dataset(np.array(X), np.array(y), np.array(pids))

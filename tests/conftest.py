@@ -19,9 +19,14 @@ def strong_dataset(strong_sessions):
 
 
 @pytest.fixture(scope="session")
-def zero_margin_dataset():
-    sessions = ingest.synth_dataset(ingest.zero_margin_config(seed=7))
-    return pipeline.assemble(sessions)
+def zero_margin_sessions():
+    """Full 12x4 corpus whose classes share one set of parameters."""
+    return ingest.synth_dataset(ingest.zero_margin_config(seed=7))
+
+
+@pytest.fixture(scope="session")
+def zero_margin_dataset(zero_margin_sessions):
+    return pipeline.assemble(zero_margin_sessions)
 
 
 @pytest.fixture(scope="session")

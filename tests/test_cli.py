@@ -300,11 +300,14 @@ class TestFuzzedInput:
         channel = entry["channels"][data.draw(st.sampled_from(sorted(entry["channels"])))]
         lines = (small_corpus / "data" / channel["path"]).read_text().splitlines()
         row = data.draw(st.integers(1, len(lines) - 1))
-        damage = data.draw(st.sampled_from(["drop", "duplicate", "shift"]))
+        damage = data.draw(st.sampled_from(["drop", "duplicate", "shift", "non-finite timestamp"]))
         if damage == "drop":
             del lines[row]
         elif damage == "duplicate":
             lines.insert(row, lines[row])
+        elif damage == "non-finite timestamp":
+            v = lines[row].split(",")[1]
+            lines[row] = f"{data.draw(st.sampled_from(['nan', 'inf', '-inf']))},{v}"
         else:
             t, v = lines[row].split(",")
             shift = data.draw(st.floats(-2.0, 2.0)) / channel["sampling_rate_hz"]
@@ -315,6 +318,8 @@ class TestFuzzedInput:
         path.write_text(json.dumps(manifest))
         rc = main(["extract", "--manifest", str(path), "--out", str(small_corpus / "fuzz.csv")])
         assert rc in (EXIT_OK, EXIT_IO, EXIT_DOMAIN)
+        if damage == "non-finite timestamp":
+            assert rc == EXIT_DOMAIN
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())

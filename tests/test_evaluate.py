@@ -125,14 +125,6 @@ class TestLosocv:
         b = losocv(planted, ClassifierConfig("lr"), seed=5)
         assert a == b
 
-    def test_shap_rankings_attached(self, planted):
-        sub = planted.subset_features(planted.feature_names[:6])
-        report = losocv(sub, ClassifierConfig("lr"), seed=0, compute_shap=True,
-                        shap_samples=64)
-        for fold in report.per_fold:
-            assert set(fold.per_feature_mean_abs_shap) == set(sub.feature_names)
-            assert all(v >= 0 for v in fold.per_feature_mean_abs_shap.values())
-
 
 class TestReportMatrix:
     def test_na_cells_for_importance_incapable_kinds(self, planted):

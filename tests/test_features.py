@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timesense import dsp, features
+from timesense import dsp, features, pipeline
 from timesense.errors import FeatureExtractionError, InsufficientData, InvalidInput
 from timesense.features import (
     BASELINE,
@@ -19,7 +20,7 @@ from timesense.features import (
     temp_features,
     time_domain_stats,
 )
-from timesense.model import SessionRecord, SessionSetting, TimeSeries
+from timesense.model import FEATURE_NAMES, SessionRecord, SessionSetting, TimeSeries
 
 
 def hand_oracle(rr):
@@ -328,31 +329,115 @@ def build_tiled_session():
     )
 
 
+def per_window_oracle(session, window):
+    """The per-window chain ``extract_all`` replaced: condition the whole
+    recording, then cut one window; run once for each window."""
+    if window == BASELINE:
+        start, end = 0.0, session.task_start_s
+    else:
+        start, end = session.task_start_s, session.task_end_s
+
+    def cut(series):
+        return dsp.segment(series, start, min(end, series.duration_s))
+
+    ppg = dsp.bandpass(session.ppg, *features.PPG_BAND_HZ, order=features.PPG_FILTER_ORDER)
+    ppg = cut(dsp.resample_fourier(ppg, features.PPG_RESAMPLE_HZ))
+    values = ppg_features(detect_ppg_peaks(ppg))
+    eda = cut(dsp.resample_fourier(session.eda, features.EDA_RESAMPLE_HZ))
+    eda = dsp.extend_to_minimum(eda, features.EDA_MIN_DURATION_S)
+    values.update(eda_features(dsp.lowpass(eda, features.EDA_CLEAN_CUTOFF_HZ, order=2)))
+    thermo, ref = cut(session.thermopile), cut(session.reference_temp)
+    n = min(len(thermo), len(ref))
+    values.update(temp_features(TimeSeries(thermo.values[:n], thermo.sampling_rate_hz),
+                                TimeSeries(ref.values[:n], ref.sampling_rate_hz)))
+    return np.array([values[name] for name in FEATURE_NAMES])
+
+
+def short_baseline_session(session, baseline_s=6.0):
+    """``session`` with every channel's head cut so that the baseline lasts
+    ``baseline_s`` (under EDA_MIN_DURATION_S, so its EDA is head-padded)."""
+    offset = session.task_start_s - baseline_s
+
+    def cut(series):
+        return dsp.segment(series, offset, series.duration_s)
+
+    return dataclasses.replace(
+        session, ppg=cut(session.ppg), eda=cut(session.eda), thermopile=cut(session.thermopile),
+        reference_temp=cut(session.reference_temp), task_start_s=baseline_s,
+        task_end_s=session.task_end_s - offset)
+
+
+def with_flat_ppg(session, start, end):
+    """``session`` with its PPG held constant over [start, end)."""
+    values = session.ppg.values.copy()
+    fs = session.ppg.sampling_rate_hz
+    values[int(start * fs):int(end * fs)] = values[0]
+    return dataclasses.replace(session, ppg=TimeSeries(values, fs))
+
+
 class TestExtractAll:
     def test_smoke_24_finite_values(self, small_sessions):
-        fv = features.extract_all(small_sessions[0], TASK)
-        assert len(fv.values) == 24
-        assert np.all(np.isfinite(fv.values))
+        vectors = features.extract_all(small_sessions[0])
+        assert len(vectors) == 2
+        for v in vectors:
+            assert v.shape == (24,)
+            assert np.all(np.isfinite(v))
+
+    @pytest.mark.parametrize("corpus", ["strong", "zero_margin"])
+    def test_every_session_matches_per_window_oracle(self, request, corpus):
+        """Bitwise-equal windows, and each assembled row is the oracle's
+        task minus its baseline."""
+        sessions = request.getfixturevalue(f"{corpus}_sessions")
+        dataset = request.getfixturevalue(f"{corpus}_dataset")
+        order = sorted(sessions, key=lambda s: (s.participant_id, s.session_index))
+        for row, session in zip(dataset.X, order, strict=True):
+            task, baseline = features.extract_all(session)
+            oracle_task = per_window_oracle(session, TASK)
+            oracle_baseline = per_window_oracle(session, BASELINE)
+            assert np.array_equal(task, oracle_task)
+            assert np.array_equal(baseline, oracle_baseline)
+            assert np.array_equal(row, oracle_task - oracle_baseline)
+
+    def test_head_padded_baseline_matches_per_window_oracle(self, strong_sessions):
+        session = short_baseline_session(strong_sessions[0])
+        assert session.task_start_s < features.EDA_MIN_DURATION_S
+        task, baseline = features.extract_all(session)
+        assert np.array_equal(task, per_window_oracle(session, TASK))
+        assert np.array_equal(baseline, per_window_oracle(session, BASELINE))
 
     def test_stationary_session_baseline_matches_task(self):
-        session = build_tiled_session()
-        base = features.extract_all(session, BASELINE)
-        task = features.extract_all(session, TASK)
-        for name, b in base.to_dict().items():
-            t = task.to_dict()[name]
+        task, base = features.extract_all(build_tiled_session())
+        for name, b, t in zip(FEATURE_NAMES, base, task):
             assert abs(t - b) <= max(0.1 * abs(b), 0.01), (name, b, t)
 
     def test_flat_ppg_raises_tagged_error(self, small_sessions):
         s = small_sessions[0]
-        flat = SessionRecord(
-            participant_id=s.participant_id, session_index=s.session_index,
-            setting=s.setting, ppg=TimeSeries(np.zeros(len(s.ppg)), s.ppg.sampling_rate_hz),
-            eda=s.eda, thermopile=s.thermopile, reference_temp=s.reference_temp,
-            task_start_s=s.task_start_s, task_end_s=s.task_end_s, rating=s.rating,
-        )
+        flat = dataclasses.replace(s, ppg=TimeSeries(np.zeros(len(s.ppg)), s.ppg.sampling_rate_hz))
         with pytest.raises(FeatureExtractionError) as err:
-            features.extract_all(flat, TASK)
+            features.extract_all(flat)
         assert err.value.channel == "ppg"
+
+    @pytest.mark.parametrize("window", [TASK, BASELINE])
+    def test_error_names_channel_window_participant_and_session(self, small_sessions, window):
+        s = small_sessions[5]
+        start, end = ((s.task_start_s, s.task_end_s) if window == TASK
+                      else (0.0, s.task_start_s))
+        with pytest.raises(FeatureExtractionError) as err:
+            pipeline.assemble([with_flat_ppg(s, start, end)])
+        assert (err.value.channel, err.value.window) == ("ppg", window)
+        assert str(err.value).startswith(
+            f"ppg/{window}: participant {s.participant_id} session {s.session_index}: ")
+
+    def test_nonfinite_feature_raises_tagged_error(self, small_sessions, monkeypatch):
+        original = features.temp_features
+
+        def with_nan(thermopile, reference):
+            return {**original(thermopile, reference), "temp_psd_power": float("nan")}
+
+        monkeypatch.setattr(features, "temp_features", with_nan)
+        with pytest.raises(FeatureExtractionError, match="non-finite temp_psd_power") as err:
+            features.extract_all(small_sessions[0])
+        assert (err.value.channel, err.value.window) == ("temperature", TASK)
 
     def test_programming_error_is_not_wrapped(self, small_sessions, monkeypatch):
         def broken(series):
@@ -360,5 +445,5 @@ class TestExtractAll:
 
         monkeypatch.setattr(features, "detect_ppg_peaks", broken)
         with pytest.raises(TypeError, match="a bug") as err:
-            features.extract_all(small_sessions[0], TASK)
+            features.extract_all(small_sessions[0])
         assert not isinstance(err.value, FeatureExtractionError)

@@ -5,7 +5,7 @@ import pytest
 
 from timesense import features, ingest, pipeline
 from timesense.errors import InvalidInput, MissingFile
-from timesense.model import SessionSetting
+from timesense.model import FEATURE_NAMES, SessionSetting
 
 
 def write_csv(path, rows, header="timestamp_s,value"):
@@ -52,6 +52,20 @@ class TestReadChannelCsv:
         rows[3:3] = ["", ""]
         write_csv(p, rows)
         with pytest.raises(InvalidInput, match="line 11: non-finite sample at index 7$"):
+            ingest.read_channel_csv(p, 10.0)
+
+    def test_nan_timestamp_blames_its_own_line(self, tmp_path):
+        p = tmp_path / "ch.csv"
+        write_csv(p, ["nan,1", "0.1,1", "0.2,1"])
+        with pytest.raises(InvalidInput, match=r"ch\.csv, line 2: non-finite timestamp$"):
+            ingest.read_channel_csv(p, 10.0)
+
+    def test_inf_timestamp_rejected(self, tmp_path):
+        p = tmp_path / "ch.csv"
+        rows = [f"{i/10.0},1.0" for i in range(10)]
+        rows[6] = "inf,1.0"
+        write_csv(p, rows)
+        with pytest.raises(InvalidInput, match=r"ch\.csv, line 8: non-finite timestamp$"):
             ingest.read_channel_csv(p, 10.0)
 
     def test_non_increasing_timestamps(self, tmp_path):
@@ -151,8 +165,8 @@ class TestSynthDataset:
         for s in strong_sessions[:8]:
             cls = ingest.intended_class(cfg, s.participant_id, s.setting)
             target = cfg.slow.hr_bpm if cls == "slow" else cfg.fast.hr_bpm
-            fv = features.extract_all(s, features.TASK)
-            assert fv["bpm"] == pytest.approx(target, rel=0.05)
+            task, _ = features.extract_all(s)
+            assert task[FEATURE_NAMES.index("bpm")] == pytest.approx(target, rel=0.05)
 
     def test_zero_scr_rate_yields_zero_peaks(self):
         quiet = ingest.ClassParams(
@@ -163,8 +177,8 @@ class TestSynthDataset:
                                  n_slow_biased=0, slow=quiet, fast=quiet,
                                  baseline=quiet, seed=5)
         (session,) = ingest.synth_dataset(cfg)
-        fv = features.extract_all(session, features.TASK)
-        assert fv["scr_peaks_n"] == 0.0
+        task, _ = features.extract_all(session)
+        assert task[FEATURE_NAMES.index("scr_peaks_n")] == 0.0
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(InvalidInput, match="counts must be >= 1"):

@@ -5,7 +5,6 @@ from timesense.model import (
     FEATURE_NAMES,
     Dataset,
     EvaluationReport,
-    FeatureVector,
     FoldResult,
     SessionSetting,
     TimeSeries,
@@ -69,21 +68,6 @@ def test_validate_session_bad_rating():
 def test_validate_session_empty_baseline():
     violations = validate_session(_session(task_start_s=0.0))
     assert any("baseline" in v for v in violations)
-
-
-def test_feature_vector_round_trip():
-    values = np.arange(24, dtype=float)
-    fv = FeatureVector(values)
-    assert FeatureVector.from_dict(fv.to_dict()) == fv
-
-
-def test_feature_vector_rejects_wrong_shape_and_nan():
-    with pytest.raises(ValueError):
-        FeatureVector(np.arange(23, dtype=float))
-    bad = np.arange(24, dtype=float)
-    bad[3] = np.nan
-    with pytest.raises(ValueError):
-        FeatureVector(bad)
 
 
 def test_dataset_validates_labels_and_shapes():

@@ -5,26 +5,13 @@ from hypothesis import strategies as st
 
 from timesense import pipeline
 from timesense.errors import InsufficientData, InvalidInput
-from timesense.model import FEATURE_NAMES, Dataset, FeatureVector
+from timesense.model import FEATURE_NAMES, Dataset
 from timesense.pipeline import (
     apply_scaler,
-    background_subtract,
     derive_labels,
     fit_scaler,
     scale_ratings,
 )
-
-
-class TestBackgroundSubtract:
-    def test_elementwise(self):
-        a = FeatureVector(np.full(24, 5.0))
-        b = FeatureVector(np.arange(24, dtype=float))
-        out = background_subtract(a, b)
-        assert np.array_equal(out.values, 5.0 - np.arange(24.0))
-
-    def test_self_subtraction_is_zero(self):
-        a = FeatureVector(np.linspace(-3, 3, 24))
-        assert np.array_equal(background_subtract(a, a).values, np.zeros(24))
 
 
 class TestScaler:
