@@ -5,7 +5,7 @@ L2-regularized XGBoost form) and AdaBoost (SAMME with stumps)."""
 import numpy as np
 
 from .linear import sigmoid
-from .tree import grow_classification_tree, grow_gradient_tree, grow_stump
+from .tree import TreeNodes, grow_boosting_tree, grow_forest, grow_stump, sort_lanes, walk
 
 
 def _normalized(imp):
@@ -14,27 +14,30 @@ def _normalized(imp):
 
 
 class TreeEnsemble:
-    """What every tree model stores: its trees (``TreeNodes``), one
-    importance vector and one weight per tree, and an offset added to the
-    weighted sum of the trees' values."""
+    """What every tree model stores: its trees as one padded ``TreeNodes``
+    stack, one importance vector and one weight per tree, and an offset
+    added to the weighted sum of the trees' values."""
 
     def __init__(self):
-        self.trees_ = []
+        self.nodes_ = None
         self.importances_ = []
         self.weights_ = []
         self.offset_ = 0.0
 
-    def _add(self, nodes, importance, weight):
-        self.trees_.append(nodes)
-        self.importances_.append(importance)
-        self.weights_.append(weight)
+    @property
+    def trees_(self):
+        """The trees one by one, each padded as in the stack."""
+        return [] if self.nodes_ is None else self.nodes_.unstack()
 
     def _weighted_sum(self, X):
         """offset + sum of weight * tree value, accumulated in tree order."""
-        F = np.full(np.shape(X)[:-1], self.offset_)
-        for weight, tree in zip(self.weights_, self.trees_):
-            F = F + weight * tree.predict(X)
-        return F
+        if self.nodes_ is None:
+            return np.full(np.shape(X)[:-1], self.offset_)
+        values = walk(self.nodes_, X)
+        terms = np.concatenate([np.full((1,) + values.shape[1:], self.offset_),
+                                np.reshape(self.weights_, (-1,) + (1,) * (values.ndim - 1))
+                                * values])
+        return np.cumsum(terms, axis=0)[-1]
 
 
 class DecisionTree(TreeEnsemble):
@@ -46,12 +49,14 @@ class DecisionTree(TreeEnsemble):
         self.min_samples_leaf = min_samples_leaf
 
     def fit(self, X, y, rng=None):
-        self._add(*grow_classification_tree(X, y, max_depth=self.max_depth,
-                                            min_samples_leaf=self.min_samples_leaf), 1.0)
+        self.nodes_, importances = grow_forest(
+            X, y, np.arange(len(y))[None], max_depth=self.max_depth,
+            min_samples_leaf=self.min_samples_leaf)
+        self.importances_, self.weights_ = list(importances), [1.0]
         return self
 
     def decision_function(self, X):
-        return self.trees_[0].predict(X)
+        return walk(self.nodes_, X)[0]
 
     def importance(self):
         return self.importances_[0]
@@ -72,21 +77,20 @@ class RandomForest(TreeEnsemble):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
         n, d = X.shape
-        mtry = max(1, int(np.sqrt(d)))
-        for t in range(self.n_estimators):
-            tree_rng = np.random.default_rng([self.seed, t])
-            idx = tree_rng.integers(0, n, size=n)
-            # bootstrap can lose a class; fall back to the full sample
-            if len(np.unique(y[idx])) < 2:
-                idx = np.arange(n)
-            self._add(*grow_classification_tree(
-                X[idx], y[idx], max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf,
-                max_features=mtry, feature_rng=tree_rng), 1.0)
+        rngs = [np.random.default_rng([self.seed, t]) for t in range(self.n_estimators)]
+        rows = np.array([tree_rng.integers(0, n, size=n) for tree_rng in rngs])
+        # bootstrap can lose a class; fall back to the full sample
+        boot_y = y[rows]
+        rows[boot_y.min(axis=1) == boot_y.max(axis=1)] = np.arange(n)
+        self.nodes_, importances = grow_forest(
+            X, y, rows, max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf,
+            max_features=max(1, int(np.sqrt(d))), feature_rngs=rngs)
+        self.importances_, self.weights_ = list(importances), [1.0] * self.n_estimators
         return self
 
     def decision_function(self, X):
         # np.mean, not a sum of 1/T-weighted trees, which rounds differently
-        values = np.array([t.predict(X) for t in self.trees_])
+        values = walk(self.nodes_, X)
         if values.shape[-1] == 1:
             # numpy sums the trees of a one-row call pairwise, as one
             # contiguous run, and those of a taller call in tree order; a
@@ -128,15 +132,23 @@ class Booster(TreeEnsemble):
             p0 = np.clip(y.mean(), 1e-12, 1 - 1e-12)
             self.offset_ = float(np.log(p0 / (1 - p0)))
         F = np.full(len(y), self.offset_)
+        trees = []
+        unit = np.ones(len(y))
+        # every round's root searches all rows: sort them once
+        root = sort_lanes(X[None], np.ones((1, len(y)), bool))
         for _ in range(self.n_estimators):
             p = sigmoid(F)
             grad = p - y
             hess = np.maximum(p * (1 - p), 1e-12)
-            split_hess = hess if self.second_order_splits else np.ones(len(y))
-            nodes, gain = grow_gradient_tree(X, grad, split_hess, grad, hess, self.max_depth,
-                                             self.reg_lambda, self.min_child_weight)
-            F = F + self.learning_rate * nodes.predict(X)
-            self._add(nodes, gain, self.learning_rate)
+            split_hess = hess if self.second_order_splits else unit
+            nodes, gain, row_value = grow_boosting_tree(
+                X, root, grad, hess, split_hess, self.max_depth, self.reg_lambda,
+                self.min_child_weight)
+            F = F + self.learning_rate * row_value
+            trees.append(nodes)
+            self.importances_.append(gain)
+            self.weights_.append(self.learning_rate)
+        self.nodes_ = TreeNodes.stack(trees)
         return self
 
     def decision_function(self, X):
@@ -163,30 +175,36 @@ class AdaBoost(TreeEnsemble):
         ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
         n, d = X.shape
         w = np.full(n, 1.0 / n)
+        stumps = []
+        lanes = sort_lanes(X[None], np.ones((1, n), bool))
         for _ in range(self.n_estimators):
-            stump = grow_stump(X, ypm, w)
-            pred = stump.predict(X)
+            stump, pred = grow_stump(X, lanes, ypm, w)
             err = float(np.sum(w[pred != ypm]))
             if err >= 0.5:
                 break
+            stumps.append(stump)
             marks = np.zeros(d)
             marks[stump.feature[0]] = 1.0
+            self.importances_.append(marks)
             if err <= 1e-12:
-                self._add(stump, marks, np.log((1 - 1e-12) / 1e-12) / 2)
+                self.weights_.append(np.log((1 - 1e-12) / 1e-12) / 2)
                 break
             alpha = 0.5 * np.log((1 - err) / err)
-            self._add(stump, marks, alpha)
+            self.weights_.append(alpha)
             w = w * np.exp(-alpha * ypm * pred)
             w = w / w.sum()
+        if stumps:
+            self.nodes_ = TreeNodes.stack(stumps)
         return self
 
     def decision_function(self, X):
         return self._weighted_sum(X)
 
     def importance(self):
-        if not self.trees_:
-            return None
+        if not self.weights_:
+            # no stump kept: every feature weighs 0
+            return np.zeros(0)
         imp = np.sum([a * m for a, m in zip(self.weights_, self.importances_)], axis=0)
         # Cut after the highest feature a stump uses: trailing zeros would
         # change how the normalising sum groups its additions.
-        return _normalized(imp[:max(t.feature[0] for t in self.trees_) + 1])
+        return _normalized(imp[:self.nodes_.feature[:, 0].max() + 1])

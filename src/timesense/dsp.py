@@ -2,6 +2,7 @@
 head padding and Welch spectral estimation."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal as sps
@@ -47,6 +48,16 @@ class Spectrum:
         return float(f[sub[np.argmax(self.power[sub])]])
 
 
+@lru_cache(maxsize=64)
+def butter_sos(order: int, band, btype: str, fs: float) -> np.ndarray:
+    """Second-order sections of a digital Butterworth filter; ``band`` is the
+    cutoff in Hz, a pair for a bandpass. The last 64 designs are kept and
+    shared between callers, so the array is returned read-only."""
+    sos = sps.butter(order, band, btype=btype, fs=fs, output="sos")
+    sos.flags.writeable = False
+    return sos
+
+
 def bandpass(series: TimeSeries, low_hz: float, high_hz: float, order: int = 3) -> TimeSeries:
     """Butterworth bandpass, applied forward-backward for zero phase."""
     fs = series.sampling_rate_hz
@@ -55,12 +66,13 @@ def bandpass(series: TimeSeries, low_hz: float, high_hz: float, order: int = 3) 
         raise InvalidInput(f"need 0 < {low_hz} < {high_hz} < Nyquist ({nyq})")
     if order < 1:
         raise InvalidInput("order must be >= 1")
-    sos = sps.butter(order, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
+    sos = butter_sos(order, (low_hz, high_hz), "bandpass", fs)
     # sosfiltfilt needs > 3 * (2 * sections) samples of padding headroom
     min_len = 3 * (2 * sos.shape[0]) + 1
     if len(series) <= min_len:
         raise InsufficientData(f"need more than {min_len} samples for order-{order} bandpass")
-    filtered = sps.sosfiltfilt(sos, series.values)
+    # scipy's filter kernel takes a writable buffer; the cached design is not
+    filtered = sps.sosfiltfilt(sos.copy(), series.values)
     return TimeSeries(filtered, fs, series.label)
 
 
@@ -69,13 +81,13 @@ def lowpass(series: TimeSeries, cutoff_hz: float, order: int = 2) -> TimeSeries:
     fs = series.sampling_rate_hz
     if not (0 < cutoff_hz < fs / 2.0):
         raise InvalidInput(f"cutoff {cutoff_hz} outside (0, Nyquist)")
-    sos = sps.butter(order, cutoff_hz, btype="lowpass", fs=fs, output="sos")
+    sos = butter_sos(order, cutoff_hz, "lowpass", fs)
     min_len = 3 * (2 * sos.shape[0]) + 1
     if len(series) <= min_len:
         raise InsufficientData("series too short for low-pass filtering")
     # generous odd-extension padding keeps slow trends intact at the edges
     padlen = min(len(series) - 1, max(min_len, int(round(1.5 * fs / cutoff_hz))))
-    filtered = sps.sosfiltfilt(sos, series.values, padlen=padlen)
+    filtered = sps.sosfiltfilt(sos.copy(), series.values, padlen=padlen)
     return TimeSeries(filtered, fs, series.label)
 
 

@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from timesense.classifiers import tree
-from timesense.classifiers.ensemble import Booster, RandomForest
+from timesense.classifiers import ensemble, tree
+from timesense.classifiers.ensemble import AdaBoost, Booster, DecisionTree, RandomForest
 from timesense.classifiers.knn import KNN
 from timesense.classifiers.base import (
     KINDS,
@@ -22,6 +22,8 @@ from timesense.classifiers.linear import (
 )
 from timesense.classifiers.svm import SMOSVC, rbf_kernel
 from timesense.errors import InsufficientData, InvalidInput, Unsupported
+from timesense.model import Dataset
+from timesense.selection import rfecv
 from tests.conftest import blobs, pinned_fixture, train_estimator, xor_data
 
 # (kind, arguments of its estimator): {} is the estimator `train` builds;
@@ -258,6 +260,20 @@ class TestEnsembles:
         assert len(model.estimator.weights_) >= 1
         assert all(a > 0 for a in model.estimator.weights_)
 
+    def test_adaboost_without_a_stump_weighs_every_feature_zero(self):
+        # constant features and balanced labels: the first stump errs by 0.5
+        X, y = np.ones((6, 3)), np.array([0, 1] * 3)
+        model = train(ClassifierConfig("ab"), X, y)
+        assert model.estimator.weights_ == []
+        assert np.array_equal(importance(model), np.zeros(3))
+        assert np.array_equal(decision_scores(model, X), np.zeros(6))
+
+    def test_rfecv_with_adaboost_on_constant_features(self):
+        names = ("a", "b", "c")
+        ds = Dataset(np.ones((10, 3)), np.array([0, 1] * 5), np.repeat(np.arange(1, 6), 2), names)
+        result = rfecv(ds, ClassifierConfig("ab"))
+        assert [len(features) for features, _ in result.trace] == [3, 2, 1]
+
     def test_rf_seed_changes_model(self):
         X, y = blobs(gap=1.0, seed=4)
         s1 = decision_scores(train(ClassifierConfig("rf", seed=0), X, y), X)
@@ -428,8 +444,29 @@ def split_case(seed):
     return rng, X, y, w
 
 
+def lane_case(rng, X, *per_row, lanes=5):
+    """Ragged lanes over the rows of a split case: lane 0 holds every row in
+    order, the others a bootstrap draw of the rows under a random mask that
+    keeps at least one row (one-row and two-row lanes come up). Returns the
+    lanes' X (B, n, d), row masks (B, n) and each per-row array (B, n)."""
+    n = len(X)
+    rows = np.vstack([np.arange(n), rng.integers(0, n, (lanes - 1, n))])
+    masks = rng.random((lanes, n)) < rng.uniform(0.0, 1.0, (lanes, 1))
+    masks[0] = True
+    masks[np.arange(lanes), rng.integers(0, n, lanes)] = True
+    return (X[rows], masks) + tuple(a[rows] for a in per_row)
+
+
+def lane_split(col, thr, gain, b, features=None):
+    """Lane b's best split as (feature, threshold, gain), or None."""
+    if gain[b] == -np.inf:
+        return None
+    return (col[b] if features is None else features[col[b]]), thr[b], gain[b]
+
+
 class TestSplitSearchMatchesLoops:
-    """The vectorized search returns exactly what the per-cut loops return."""
+    """The lane-batched search returns in every lane exactly what the
+    per-cut loops return for that lane's rows alone."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_gini(self, seed):
@@ -437,7 +474,17 @@ class TestSplitSearchMatchesLoops:
         feats = np.sort(rng.choice(X.shape[1], size=int(rng.integers(1, X.shape[1] + 1)),
                                    replace=False))
         for weights in (np.ones(len(y)), w):
-            assert tree.gini_split(X, y, weights, feats) == loop_gini_split(X, y, weights, feats)
+            lane_x, masks, lane_y, lane_w = lane_case(rng, X, y, weights)
+            # lane totals as a per-node search sums them: 1-D, in row order
+            total_w = np.array([lw[m].sum() for lw, m in zip(lane_w, masks)])
+            total_fast = np.array([(lw * ly)[m].sum() for lw, ly, m in zip(lane_w, lane_y, masks)])
+            stats = np.where(masks, np.array([lane_w, lane_w * lane_y]), 0.0)
+            col, _, thr, gain = tree.best_split(tree.sort_lanes(lane_x[:, :, feats], masks),
+                                                stats, tree.gini_score(total_w, total_fast))
+            for b, m in enumerate(masks):
+                rows = (lane_x[b][m], lane_y[b][m], lane_w[b][m], feats)
+                assert lane_split(col, thr, gain, b, feats) == loop_gini_split(*rows)
+                assert oracle_gini_split(*rows) == loop_gini_split(*rows)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_gradient(self, seed):
@@ -445,26 +492,486 @@ class TestSplitSearchMatchesLoops:
         p = rng.uniform(0.05, 0.95, len(y))
         grad, hess = p - y, p * (1 - p)
         for split_hess in (np.ones(len(y)), hess):
+            lane_x, masks, lane_g, lane_h = lane_case(rng, X, grad, split_hess)
+            G = np.array([g[m].sum() for g, m in zip(lane_g, masks)])
+            H = np.array([h[m].sum() for h, m in zip(lane_h, masks)])
+            stats = np.where(masks, np.array([lane_g, lane_h]), 0.0)
             for reg_lambda, mcw, msl in ((0.0, 1e-6, 1), (1.0, 1e-3, 1), (1.0, 0.6, 2)):
-                assert (tree.gradient_split(X, grad, split_hess, reg_lambda, mcw, msl)
-                        == loop_gradient_split(X, grad, split_hess, reg_lambda, mcw, msl))
+                col, _, thr, gain = tree.best_split(
+                    tree.sort_lanes(lane_x, masks), stats,
+                    tree.gradient_score(G, H, reg_lambda, mcw, msl))
+                for b, m in enumerate(masks):
+                    rows = (lane_x[b][m], lane_g[b][m], lane_h[b][m], reg_lambda, mcw, msl)
+                    assert lane_split(col, thr, gain, b) == loop_gradient_split(*rows)
+                    assert oracle_gradient_split(*rows) == loop_gradient_split(*rows)
+
+    def test_lanes_may_share_one_x(self):
+        rng, X, y, _ = split_case(3)
+        masks = rng.random((4, len(y))) < 0.7
+        masks[:, 0] = True
+        stats = np.where(masks, np.array([np.ones(len(y)), 1.0 * y])[:, None], 0.0)
+        score = tree.gini_score(masks.sum(axis=1) * 1.0, (masks & (y == 1)).sum(axis=1) * 1.0)
+        shared = tree.best_split(tree.sort_lanes(X[None], masks), stats, score)
+        stacked = tree.best_split(tree.sort_lanes(np.broadcast_to(X, (4,) + X.shape), masks),
+                                  stats, score)
+        assert all(np.array_equal(a, b) for a, b in zip(shared, stacked))
 
     @pytest.mark.parametrize("seed", range(60))
     def test_stump(self, seed):
         rng, X, y, w = split_case(seed)
         ypm = np.where(y == 1, 1.0, -1.0)
+        lanes = tree.sort_lanes(X[None], np.ones((1, len(y)), bool))
         for weights in (np.full(len(y), 1.0 / len(y)), w):
-            assert tree.stump_split(X, ypm, weights) == loop_stump_split(X, ypm, weights)
+            assert tree.stump_split(lanes, ypm, weights) == loop_stump_split(X, ypm, weights)
 
     def test_stump_tie_breaks(self):
+        def stump(X, ypm, w):
+            return tree.stump_split(tree.sort_lanes(X[None], np.ones((1, len(X)), bool)), ypm, w)
+
         # the cut below all values and both real cuts each err by 1
         X = np.array([[0.0], [1.0], [2.0]])
         ypm = np.array([1.0, -1.0, 1.0])
         w = np.ones(3)
-        assert tree.stump_split(X, ypm, w) == loop_stump_split(X, ypm, w) == (0, -1.0, 1)
+        assert stump(X, ypm, w) == loop_stump_split(X, ypm, w) == (0, -1.0, 1)
         # both polarities err by 1: polarity -1 wins
         X, ypm, w = np.zeros((2, 1)), np.array([1.0, -1.0]), np.ones(2)
-        assert tree.stump_split(X, ypm, w) == loop_stump_split(X, ypm, w) == (0, -1.0, -1)
+        assert stump(X, ypm, w) == loop_stump_split(X, ypm, w) == (0, -1.0, -1)
+
+
+# ---------------------------------------------------------------------------
+# Tree oracles: the per-node split search, the recursive growers and the
+# per-tree walk that the lane-batched growers and the stacked walk replaced.
+# ---------------------------------------------------------------------------
+
+class OracleNodes:
+    """One tree's node lists; predict walks it level by level."""
+
+    def __init__(self):
+        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
+
+    def add(self, feature=tree.NO_CHILD, threshold=0.0, value=0.0):
+        self.feature.append(feature)
+        self.threshold.append(threshold)
+        self.left.append(tree.NO_CHILD)
+        self.right.append(tree.NO_CHILD)
+        self.value.append(value)
+        return len(self.feature) - 1
+
+    def finalize(self):
+        self.feature = np.asarray(self.feature, dtype=int)
+        self.threshold = np.asarray(self.threshold, dtype=float)
+        self.left = np.asarray(self.left, dtype=int)
+        self.right = np.asarray(self.right, dtype=int)
+        self.value = np.asarray(self.value, dtype=float)
+        return self
+
+    def predict(self, X):
+        X = np.asarray(X, dtype=float)
+        shape = X.shape[:-1]
+        X = X.reshape(-1, X.shape[-1])
+        idx = np.zeros(len(X), dtype=int)
+        while True:
+            internal = self.feature[idx] != tree.NO_CHILD
+            if not internal.any():
+                break
+            rows = np.flatnonzero(internal)
+            node = idx[rows]
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            idx[rows] = np.where(go_left, self.left[node], self.right[node])
+        return self.value[idx].reshape(shape)
+
+
+def oracle_best_split(X, stats, score):
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    cum = np.cumsum(stats[order], axis=0)
+    left = np.concatenate([np.zeros_like(cum[:1]), cum[:-1]])
+    gain = score(left, cum[-1], np.arange(len(X))[:, None])
+    steps = np.concatenate([np.ones((1, X.shape[1]), bool), xs[1:] > xs[:-1]])
+    gain = np.where(steps, gain, -np.inf)
+    col, i = np.unravel_index(np.argmax(gain.T), gain.T.shape)
+    if gain[i, col] == -np.inf:
+        return None
+    thr = 0.5 * (xs[i - 1, col] + xs[i, col]) if i > 0 else xs[0, col] - 1.0
+    return col, thr, gain[i, col], left[i, col], cum[-1, col]
+
+
+def oracle_gini_split(X, y, w, features):
+    total_w = w.sum()
+    wy = w * y
+    parent = tree._gini(total_w - wy.sum(), wy.sum())
+
+    def score(left, last, n_left):
+        wl, l_fast = left[..., 0], left[..., 1]
+        wr, r_fast = total_w - wl, last[..., 1] - l_fast
+        child = wl * tree._gini(wl - l_fast, l_fast) + wr * tree._gini(wr - r_fast, r_fast)
+        gain = parent - child / total_w
+        return np.where((n_left > 0) & (gain > 1e-12), gain, -np.inf)
+
+    best = oracle_best_split(X[:, features], np.column_stack([w, wy]), score)
+    if best is None:
+        return None
+    col, thr, gain, _, _ = best
+    return features[col], thr, gain
+
+
+def oracle_gradient_split(X, grad, hess, reg_lambda, min_child_weight, min_samples_leaf=1):
+    n = len(grad)
+    G, H = grad.sum(), hess.sum()
+
+    def objective(g, h):
+        return g * g / (h + reg_lambda + 1e-12)
+
+    parent = objective(G, H)
+
+    def score(left, last, n_left):
+        gl, hl = left[..., 0], left[..., 1]
+        hr = H - hl
+        gain = 0.5 * (objective(gl, hl) + objective(G - gl, hr) - parent)
+        allowed = ((n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
+                   & (hl >= min_child_weight) & (hr >= min_child_weight) & (gain > 1e-12))
+        return np.where(allowed, gain, -np.inf)
+
+    best = oracle_best_split(X, np.column_stack([grad, hess]), score)
+    return None if best is None else best[:3]
+
+
+def oracle_classification_tree(X, y, max_depth=None, min_samples_leaf=1, max_features=None,
+                               feature_rng=None):
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n, d = X.shape
+    nodes = OracleNodes()
+    importance = np.zeros(d)
+
+    def grow(X, y, depth):
+        fast = float(y.sum())
+        node = nodes.add(value=(fast - (len(y) - fast)) / len(y))
+        if (len(y) < 2
+                or (max_depth is not None and depth >= max_depth)
+                or len(np.unique(y)) < 2):
+            return node
+        if feature_rng is not None and max_features < d:
+            feats = np.sort(feature_rng.choice(d, size=max_features, replace=False))
+        else:
+            feats = np.arange(d)
+        best = oracle_gini_split(X, y, np.ones(len(y)), feats)
+        if best is None:
+            return node
+        j, thr, gain = best
+        mask = X[:, j] <= thr
+        if mask.sum() < min_samples_leaf or (~mask).sum() < min_samples_leaf:
+            return node
+        importance[j] += len(y) / n * gain
+        nodes.feature[node] = j
+        nodes.threshold[node] = thr
+        nodes.left[node] = grow(X[mask], y[mask], depth + 1)
+        nodes.right[node] = grow(X[~mask], y[~mask], depth + 1)
+        return node
+
+    grow(X, y, 0)
+    s = importance.sum()
+    return nodes.finalize(), importance / s if s > 0 else importance
+
+
+def oracle_gradient_tree(X, grad, hess, leaf_grad, leaf_hess, max_depth, reg_lambda,
+                         min_child_weight):
+    nodes = OracleNodes()
+    importance = np.zeros(X.shape[1])
+
+    def grow(idx, depth):
+        g, h = leaf_grad[idx].sum(), leaf_hess[idx].sum()
+        node = nodes.add(value=-g / (h + reg_lambda + 1e-12))
+        if depth >= max_depth or len(idx) < 2:
+            return node
+        best = oracle_gradient_split(X[idx], grad[idx], hess[idx], reg_lambda, min_child_weight)
+        if best is None:
+            return node
+        j, thr, gain = best
+        importance[j] += gain
+        mask = X[idx, j] <= thr
+        nodes.feature[node] = j
+        nodes.threshold[node] = thr
+        nodes.left[node] = grow(idx[mask], depth + 1)
+        nodes.right[node] = grow(idx[~mask], depth + 1)
+        return node
+
+    grow(np.arange(len(grad)), 0)
+    return nodes.finalize(), importance
+
+
+def oracle_stump(X, ypm, w):
+    stats = np.column_stack([np.where(ypm > 0, w, 0.0), np.where(ypm < 0, w, 0.0)])
+
+    def errors(left, last):
+        return (left[..., 0] + (last[..., 1] - left[..., 1]),
+                left[..., 1] + (last[..., 0] - left[..., 0]))
+
+    j, thr, _, left, last = oracle_best_split(
+        X, stats, lambda left, last, n_left: -np.minimum(*errors(left, last)))
+    err_pos, err_neg = errors(left, last)
+    polarity = -1 if err_neg <= err_pos else 1
+    nodes = OracleNodes()
+    nodes.add(feature=j, threshold=thr)
+    nodes.left[0] = nodes.add(value=-polarity)
+    nodes.right[0] = nodes.add(value=polarity)
+    return nodes.finalize()
+
+
+class OracleTrees:
+    """The tree models as they were before lanes: one recursive grower call
+    per tree and one walk per tree."""
+
+    def __init__(self, kind, **params):
+        self.kind, self.params = kind, params
+        self.trees, self.importances, self.weights, self.offset = [], [], [], 0.0
+
+    def fit(self, X, y):
+        X = np.asarray(X, dtype=float)
+        getattr(self, "_fit_" + self.kind)(X, y, **self.params)
+        return self
+
+    def _fit_dtc(self, X, y, **params):
+        nodes, imp = oracle_classification_tree(X, y, **params)
+        self.trees, self.importances, self.weights = [nodes], [imp], [1.0]
+
+    def _fit_rf(self, X, y, n_estimators=100, seed=0, **params):
+        n, d = X.shape
+        for t in range(n_estimators):
+            tree_rng = np.random.default_rng([seed, t])
+            idx = tree_rng.integers(0, n, size=n)
+            if len(np.unique(y[idx])) < 2:
+                idx = np.arange(n)
+            nodes, imp = oracle_classification_tree(
+                X[idx], y[idx], max_features=max(1, int(np.sqrt(d))), feature_rng=tree_rng,
+                **params)
+            self.trees.append(nodes)
+            self.importances.append(imp)
+            self.weights.append(1.0)
+
+    def _fit_booster(self, X, y, n_estimators=100, learning_rate=0.1, max_depth=3,
+                     reg_lambda=1.0, min_child_weight=1e-3, second_order_splits=True):
+        y = np.asarray(y, dtype=float)
+        if not second_order_splits:
+            p0 = np.clip(y.mean(), 1e-12, 1 - 1e-12)
+            self.offset = float(np.log(p0 / (1 - p0)))
+        F = np.full(len(y), self.offset)
+        for _ in range(n_estimators):
+            p = sigmoid(F)
+            grad = p - y
+            hess = np.maximum(p * (1 - p), 1e-12)
+            split_hess = hess if second_order_splits else np.ones(len(y))
+            nodes, gain = oracle_gradient_tree(X, grad, split_hess, grad, hess, max_depth,
+                                               reg_lambda, min_child_weight)
+            F = F + learning_rate * nodes.predict(X)
+            self.trees.append(nodes)
+            self.importances.append(gain)
+            self.weights.append(learning_rate)
+
+    def _fit_ab(self, X, y, n_estimators=50):
+        ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
+        n, d = X.shape
+        w = np.full(n, 1.0 / n)
+        for _ in range(n_estimators):
+            stump = oracle_stump(X, ypm, w)
+            pred = stump.predict(X)
+            err = float(np.sum(w[pred != ypm]))
+            if err >= 0.5:
+                break
+            marks = np.zeros(d)
+            marks[stump.feature[0]] = 1.0
+            self.trees.append(stump)
+            self.importances.append(marks)
+            if err <= 1e-12:
+                self.weights.append(np.log((1 - 1e-12) / 1e-12) / 2)
+                break
+            alpha = 0.5 * np.log((1 - err) / err)
+            self.weights.append(alpha)
+            w = w * np.exp(-alpha * ypm * pred)
+            w = w / w.sum()
+
+    def tree_values(self, X):
+        return np.array([t.predict(X) for t in self.trees])
+
+    def decision_function(self, X):
+        if self.kind == "dtc":
+            return self.trees[0].predict(X)
+        if self.kind == "rf":
+            values = self.tree_values(X)
+            if values.shape[-1] == 1:
+                return np.ascontiguousarray(np.moveaxis(values, 0, -1)).mean(axis=-1)
+            return values.mean(axis=0)
+        F = np.full(np.shape(X)[:-1], self.offset)
+        for weight, t in zip(self.weights, self.trees):
+            F = F + weight * t.predict(X)
+        return F
+
+    def importance(self):
+        if self.kind == "dtc":
+            return self.importances[0]
+        if self.kind == "rf":
+            imp = np.mean(self.importances, axis=0)
+        elif self.kind == "booster":
+            imp = np.sum(self.importances, axis=0)
+        elif not self.trees:
+            return np.zeros(0)
+        else:
+            imp = np.sum([a * m for a, m in zip(self.weights, self.importances)], axis=0)
+            imp = imp[:max(t.feature[0] for t in self.trees) + 1]
+        s = imp.sum()
+        return imp / s if s > 0 else imp
+
+
+GB_PARAMS = {"reg_lambda": 0.0, "min_child_weight": 1e-6, "second_order_splits": False}
+# (label, estimator, oracle kind, parameters of both)
+ORACLE_CASES = [
+    ("dtc", DecisionTree, "dtc", {}),
+    ("dtc-depth2", DecisionTree, "dtc", {"max_depth": 2}),
+    ("dtc-leaf3", DecisionTree, "dtc", {"min_samples_leaf": 3}),
+    ("rf", RandomForest, "rf", {"n_estimators": 30, "seed": 3}),
+    ("rf-depth1", RandomForest, "rf", {"n_estimators": 30, "max_depth": 1}),
+    ("rf-depth2", RandomForest, "rf", {"n_estimators": 30, "max_depth": 2, "seed": 1}),
+    ("rf-leaf3", RandomForest, "rf", {"n_estimators": 30, "min_samples_leaf": 3}),
+    ("gb", Booster, "booster", {"n_estimators": 30, **GB_PARAMS}),
+    ("xgb", Booster, "booster", {"n_estimators": 30}),
+    ("xgb-depth1", Booster, "booster", {"n_estimators": 20, "max_depth": 1}),
+    ("ab", AdaBoost, "ab", {}),
+]
+
+
+def tree_case(seed):
+    """Small training set and a fresh draw: n in [2, 30], d in [1, 6] (d = 1
+    every fifth seed), integer-valued columns (equal values), a duplicated
+    column (equal gains), and for some seeds a single fast row, which a
+    bootstrap draw often loses."""
+    rng = np.random.default_rng(seed)
+    n = 2 if seed % 7 == 0 else int(rng.integers(3, 31))
+    d = 1 if seed % 5 == 0 else int(rng.integers(2, 7))
+    X = rng.integers(0, 4, (n, d)).astype(float)
+    X[:, rng.random(d) < 0.5] += rng.normal(0, 1, (n, 1))
+    if d > 2:
+        X[:, -1] = X[:, 0]
+    y = rng.integers(0, 2, n)
+    if seed % 3 == 0:
+        y[:] = 0
+    y[:2] = (0, 1)
+    fresh = rng.integers(-1, 5, (12, d)) + rng.normal(0, 0.5, (12, d))
+    return X, y, fresh
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+class TestTreeModelsMatchOracles:
+    """The lane-batched growers and the stacked walk give bit for bit the
+    trees, leaf values, scores and importances of the recursive growers and
+    the per-tree walk."""
+
+    @pytest.mark.parametrize("label,estimator,kind,params", ORACLE_CASES,
+                             ids=[c[0] for c in ORACLE_CASES])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bitwise_equal(self, label, estimator, kind, params, seed):
+        X, y, fresh = tree_case(seed)
+        model = estimator(**params).fit(X, y)
+        oracle = OracleTrees(kind, **params).fit(X, y)
+        assert model.weights_ == oracle.weights
+        assert _bits(model.importance()) == _bits(oracle.importance())
+        if oracle.trees:
+            # every training row's leaf value in every tree
+            assert _bits(tree.walk(model.nodes_, X)) == _bits(oracle.tree_values(X))
+        for rows in (X, fresh, fresh.reshape(3, 4, -1), fresh.reshape(12, 1, -1), fresh[:1]):
+            assert (_bits(model.decision_function(rows))
+                    == _bits(oracle.decision_function(rows)))
+
+    def test_cases_cover_the_bootstrap_fallback(self):
+        fallbacks = 0
+        for seed in range(20):
+            X, y, _ = tree_case(seed)
+            for t in range(30):
+                idx = np.random.default_rng([3, t]).integers(0, len(y), size=len(y))
+                fallbacks += len(np.unique(y[idx])) < 2
+        assert fallbacks > 0
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record the arguments of every call of ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestBatchedCalls:
+    """Guards against a return to one search per node or one walk per tree."""
+
+    @pytest.mark.parametrize("data", [blobs(), blobs(gap=2.0), xor_data()],
+                             ids=["blobs", "blobs-gap2", "xor"])
+    def test_forest_searches_each_step_in_one_call(self, monkeypatch, data):
+        calls = _count_calls(monkeypatch, tree, "best_split")
+        X, y = data
+        model = train(ClassifierConfig("rf"), X, y)
+        splits = (model.estimator.nodes_.feature != tree.NO_CHILD).sum(axis=1)
+        # every tree searches its root in the first call; every search of
+        # these data splits, so the calls are as many as the largest tree's
+        # split nodes
+        lanes, stats, score = calls[0]
+        assert stats.shape[1] == 100
+        assert len(calls) == splits.max()
+
+    def test_booster_searches_each_level_in_one_call(self, monkeypatch):
+        X, y = blobs(gap=2.0)
+        calls = _count_calls(monkeypatch, tree, "best_split")
+        grown = []
+        grow = ensemble.grow_boosting_tree
+
+        def counted(*args):
+            before = len(calls)
+            out = grow(*args)
+            grown.append((out[0], len(calls) - before))
+            return out
+
+        monkeypatch.setattr(ensemble, "grow_boosting_tree", counted)
+        booster = Booster(max_depth=3).fit(X, y)
+        assert len(grown) == booster.n_estimators
+        for nodes, searches in grown:
+            # a level is searched when it holds a node of two or more rows
+            # and the level above split
+            depth, rows = _node_depths_and_rows(nodes, X)
+            levels = [k for k in range(booster.max_depth)
+                      if (k == 0 or np.any((depth == k - 1) & (nodes.feature >= 0)))
+                      and np.any((depth == k) & (rows >= 2))]
+            assert searches == len(levels) <= booster.max_depth
+
+    @pytest.mark.parametrize("rows", [(40, 4), (5, 8, 4), (8, 1, 4)])
+    def test_forest_scores_in_one_walk(self, monkeypatch, rows):
+        X, y = blobs()
+        model = train(ClassifierConfig("rf"), X, y)
+        calls = _count_calls(monkeypatch, ensemble, "walk")
+        blocks = rows[0] if len(rows) == 3 else 1
+        decision_scores(model, np.zeros((int(np.prod(rows[:-1])), 4)), blocks=blocks)
+        assert len(calls) == 1
+
+
+def _node_depths_and_rows(nodes, X):
+    """Depth of every node of one tree and the training rows reaching it."""
+    depth = np.full(len(nodes.feature), -1)
+    rows = np.zeros(len(nodes.feature), dtype=int)
+    depth[0], rows[0] = 0, len(X)
+    reach = {0: np.ones(len(X), bool)}
+    for node in range(len(nodes.feature)):
+        if node not in reach or nodes.feature[node] == tree.NO_CHILD:
+            continue
+        go_left = X[:, nodes.feature[node]] <= nodes.threshold[node]
+        for child, side in ((nodes.left[node], go_left), (nodes.right[node], ~go_left)):
+            reach[child] = reach[node] & side
+            depth[child], rows[child] = depth[node] + 1, reach[child].sum()
+    return depth, rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy import signal as sps
 
-from timesense import dsp
+from timesense import dsp, features
 from timesense.errors import InsufficientData, InvalidInput
 from timesense.model import TimeSeries
 
@@ -47,6 +48,33 @@ class TestBandpass:
         corr = np.correlate(a, b, mode="full")
         lag = np.argmax(corr) - (len(a) - 1)
         assert lag == 0
+
+
+class TestFilterDesignCache:
+    def test_designs_are_shared_and_read_only(self):
+        sos = dsp.butter_sos(3, (0.7, 3.5), "bandpass", 100.0)
+        assert sos is dsp.butter_sos(3, (0.7, 3.5), "bandpass", 100.0)
+        assert not sos.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sos[0, 0] = 0.0
+        fresh = sps.butter(3, [0.7, 3.5], btype="bandpass", fs=100.0, output="sos")
+        assert np.array_equal(sos, fresh)
+
+    def test_extraction_designs_each_filter_once(self, small_sessions, monkeypatch):
+        calls = []
+        butter = sps.butter
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return butter(*args, **kwargs)
+
+        monkeypatch.setattr(sps, "butter", counted)
+        dsp.butter_sos.cache_clear()
+        for session in small_sessions:
+            features.extract_all(session)
+        # the PPG band-pass and the two EDA low-passes
+        assert len(calls) == 3
+        dsp.butter_sos.cache_clear()
 
 
 class TestResampleFourier:
