@@ -11,7 +11,6 @@ from .model import (
     SessionRecord,
     SessionSetting,
     TimeSeries,
-    validate_session,
 )
 
 __version__ = "0.1.0"
@@ -23,6 +22,5 @@ __all__ = [
     "SessionRecord",
     "SessionSetting",
     "TimeSeries",
-    "validate_session",
     "__version__",
 ]

@@ -112,11 +112,9 @@ def predict(model: TrainedModel, X) -> np.ndarray:
 
 def importance(model: TrainedModel) -> np.ndarray:
     """Non-negative per-feature weights; Unsupported for a kind without them."""
-    imp = model.estimator.importance()
-    if imp is None:
-        raise Unsupported(
-            f"{model.kind} exposes no feature-importance measure")
-    imp = np.asarray(imp, dtype=float)
+    if model.kind not in IMPORTANCE_CAPABLE:
+        raise Unsupported(f"{model.kind} exposes no feature-importance measure")
+    imp = np.asarray(model.estimator.importance(), dtype=float)
     if len(imp) < model.feature_count:
         imp = np.concatenate([imp, np.zeros(model.feature_count - len(imp))])
     return imp

@@ -24,11 +24,6 @@ class TreeEnsemble:
         self.weights_ = []
         self.offset_ = 0.0
 
-    @property
-    def trees_(self):
-        """The trees one by one, each padded as in the stack."""
-        return [] if self.nodes_ is None else self.nodes_.unstack()
-
     def _weighted_sum(self, X):
         """offset + sum of weight * tree value, accumulated in tree order."""
         if self.nodes_ is None:

@@ -31,6 +31,3 @@ class KNN:
         nearest = np.argsort(d2, axis=-1, kind="stable")[..., :k]
         votes = np.where(self.y_[nearest] == 1, 1.0, -1.0)
         return votes.sum(axis=-1) / k
-
-    def importance(self):
-        return None

@@ -123,9 +123,6 @@ class GaussianNB:
         return (self._log_likelihood(X, 1) + self.log_priors_[1]
                 - self._log_likelihood(X, 0) - self.log_priors_[0])
 
-    def importance(self):
-        return None
-
 
 class LDA:
     """Pooled-covariance discriminant with a small ridge on the covariance."""
@@ -185,6 +182,3 @@ class QDA:
     def decision_function(self, X):
         X = np.asarray(X, dtype=float)
         return self._score_class(X, 1) - self._score_class(X, 0)
-
-    def importance(self):
-        return None

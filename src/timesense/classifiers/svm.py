@@ -130,6 +130,3 @@ class SMOSVC:
         if len(self.support_X_) == 0:
             return np.full(X.shape[:-1], self.b_)
         return rbf_kernel(X, self.support_X_, self.gamma_) @ self.support_coef_ + self.b_
-
-    def importance(self):
-        return None

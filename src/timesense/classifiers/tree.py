@@ -58,10 +58,6 @@ class TreeNodes:
                           np.concatenate([self.left[tree, node], self.right[tree, node]]))
             depth += 1
 
-    def unstack(self):
-        """The trees of a stack, each with the stack's padding."""
-        return [TreeNodes(*(a[t] for a in self.arrays())) for t in range(len(self.feature))]
-
 
 def walk(nodes, X):
     """Values of every tree of the stack ``nodes`` for the rows of X, of

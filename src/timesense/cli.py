@@ -126,7 +126,7 @@ def build_parser():
     p.add_argument("--classifier", required=True,
                    choices=list(MATRIX_KINDS) + ["all"])
     p.add_argument("--selection", default="none", choices=list(SELECTION_MODES))
-    p.add_argument("--scaling", default="minmax", choices=["none", "minmax", "zscore"])
+    p.add_argument("--scaling", default="minmax", choices=list(pipeline.SCALER_METHODS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_evaluate)

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 
-from .classifiers import ClassifierConfig, predict, train
+from .classifiers import KINDS, ClassifierConfig, predict, train
 from .errors import InsufficientData, InvalidInput
 from .fileio import write_atomic
 from .model import (
@@ -29,7 +29,7 @@ MANUAL_SUBSETS = {
 SELECTION_MODES = ("none", "sfs", "rfecv", "ppg", "ppg+eda")
 
 # Row order of the accuracy matrix.
-MATRIX_KINDS = ("svc", "dtc", "knn", "lr", "gnb", "lda", "qda", "rf", "gb", "ab", "xgb")
+MATRIX_KINDS = KINDS
 
 
 def accuracy(predicted, actual) -> float:

@@ -17,7 +17,6 @@ class Attribution:
     values: np.ndarray      # per-feature shapley values
     base_value: float       # mean score over the background
     prediction: float       # model score at the instance
-    instance_id: int = -1
 
     def local_accuracy_gap(self) -> float:
         return abs(self.base_value + float(np.sum(self.values)) - self.prediction)
@@ -105,7 +104,7 @@ def _sample_coalitions(d, n_samples, rng):
 
 
 def kernel_shap(model: TrainedModel, background, instance,
-                n_samples: int = 2048, seed: int = 0, instance_id: int = -1) -> Attribution:
+                n_samples: int = 2048, seed: int = 0) -> Attribution:
     """Kernel-weighted linear regression estimate of the Shapley values.
 
     The all-on and all-off coalitions enter through the enforced
@@ -149,7 +148,7 @@ def kernel_shap(model: TrainedModel, background, instance,
     phi = np.empty(d)
     phi[:-1] = coef
     phi[-1] = (pred - base) - float(np.sum(coef))
-    return Attribution(phi, base, pred, instance_id)
+    return Attribution(phi, base, pred)
 
 
 def mean_abs_shap(model: TrainedModel, dataset, background=None,
@@ -171,8 +170,7 @@ def mean_abs_shap(model: TrainedModel, dataset, background=None,
         background = background[np.sort(keep)]
     totals = np.zeros(X.shape[1])
     for i in range(len(X)):
-        att = kernel_shap(model, background, X[i], n_samples=n_samples,
-                          seed=seed + i, instance_id=i)
+        att = kernel_shap(model, background, X[i], n_samples=n_samples, seed=seed + i)
         totals += np.abs(att.values)
     means = totals / len(X)
     order = sorted(range(len(means)), key=lambda j: (-means[j], j))

@@ -23,7 +23,6 @@ from .model import (
     TEMP_FEATURES,
     SessionRecord,
     TimeSeries,
-    validate_session,
 )
 
 BASELINE = "baseline"
@@ -340,13 +339,10 @@ def extract_all(session: SessionRecord):
     the whole recording; both windows are cut from those series. Failures
     raise FeatureExtractionError naming the channel, the window,
     the participant and the session. A failure in the whole-recording
-    conditioning, or a session that breaks ``validate_session``, is
-    reported against the task window, the first one extracted.
+    conditioning is reported against the task window, the first one
+    extracted.
     """
     where = f"participant {session.participant_id} session {session.session_index}"
-    violations = validate_session(session)
-    if violations:
-        raise FeatureExtractionError("session", TASK, f"{where}: {'; '.join(violations)}")
     with _channel("ppg", TASK, where):
         ppg = dsp.bandpass(session.ppg, *PPG_BAND_HZ, order=PPG_FILTER_ORDER)
         ppg = dsp.resample_fourier(ppg, PPG_RESAMPLE_HZ)

@@ -13,16 +13,17 @@ from .errors import InvalidInput, MissingFile
 from .fileio import write_atomic
 from .model import (
     ALL_SETTINGS,
+    CHANNELS,
     ENGLISH,
     GREEK,
     SessionRecord,
     SessionSetting,
     TimeSeries,
-    validate_session,
 )
 
-CHANNELS = ("ppg", "eda", "thermopile", "reference_temp")
 MANIFEST_SCHEMA_VERSION = 1
+# Most samples a synthesized channel may hold (about 11 hours at 25 Hz).
+MAX_CHANNEL_SAMPLES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +90,9 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0, label="")
 def load_manifest(path):
     """Parse a manifest JSON file; returns (entries, base_dir).
 
-    Raises MissingFile, or InvalidInput when the file is not JSON or lacks a
-    ``sessions`` list of objects.
+    Raises MissingFile, or InvalidInput when the file is not JSON, lacks a
+    ``sessions`` list of objects or declares a ``schema_version`` other than
+    ``MANIFEST_SCHEMA_VERSION`` (a missing one is accepted).
     """
     if not os.path.isfile(path):
         raise MissingFile(f"{path}: no such file")
@@ -102,20 +104,23 @@ def load_manifest(path):
     sessions = doc.get("sessions") if isinstance(doc, dict) else None
     if not isinstance(sessions, list) or not all(isinstance(e, dict) for e in sessions):
         raise InvalidInput(f"{path}: expected a 'sessions' list of objects")
+    version = doc.get("schema_version", MANIFEST_SCHEMA_VERSION)
+    if type(version) is not int or version != MANIFEST_SCHEMA_VERSION:
+        raise InvalidInput(f"{path}: schema_version {version!r} is not {MANIFEST_SCHEMA_VERSION}")
     return sessions, os.path.dirname(os.path.abspath(path))
 
 
 # What each field type accepts from JSON; a float must also be finite.
 _JSON_KINDS = {int: (int, "an integer"), float: ((int, float), "a finite number"),
-               str: (str, "a string"), dict: (dict, "an object")}
+               str: (str, "a string")}
 _REQUIRED = object()
 
 
 def _field(doc, key, kind, where, default=_REQUIRED):
-    """``doc[key]`` checked against ``kind`` (int, float, str, dict or a
-    dataclass built from an object), or ``default`` when the key is absent or
+    """``doc[key]`` checked against ``kind`` (int, float, str or a dataclass
+    built from an object), or ``default`` when the key is absent or
     null and a default is given; InvalidInput naming ``where`` and the key
-    otherwise."""
+    otherwise. A float field's integer value is returned as a float."""
     value = doc.get(key)
     if value is None:
         if default is _REQUIRED:
@@ -127,61 +132,65 @@ def _field(doc, key, kind, where, default=_REQUIRED):
     if (isinstance(value, bool) or not isinstance(value, types)
             or kind is float and not -sys.float_info.max <= value <= sys.float_info.max):
         raise InvalidInput(f"{where}.{key}: expected {name}, got {value!r}")
-    return value
+    return float(value) if kind is float else value
 
 
-def _dataclass(cls, doc, where):
-    """``cls(**doc)`` with every field checked by ``_field`` against its
-    annotation; unknown keys and a ValueError from ``cls`` are InvalidInput."""
+def _dataclass(cls, doc, where, **given):
+    """``cls(**doc, **given)`` with every field not in ``given`` checked by
+    ``_field`` against its annotation; unknown keys and a ValueError from
+    ``cls`` are InvalidInput."""
     if not isinstance(doc, dict):
         raise InvalidInput(f"{where}: expected an object, got {doc!r}")
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    read = [f for f in fields(cls) if f.name not in given]
+    unknown = sorted(set(doc) - {f.name for f in read})
     if unknown:
         raise InvalidInput(f"{where}: unknown keys {unknown}")
     kwargs = {f.name: _field(doc, f.name, f.type, where,
                              _REQUIRED if f.default is MISSING else f.default)
-              for f in fields(cls)}
+              for f in read}
     try:
-        return cls(**kwargs)
+        return cls(**kwargs, **given)
     except ValueError as exc:
         raise InvalidInput(f"{where}: {exc}") from None
 
 
-def load_session(entry, base_dir) -> SessionRecord:
-    """Build a validated SessionRecord from one manifest entry.
+@dataclass(frozen=True)
+class ChannelSpec:
+    """One channel of a manifest entry: its CSV, relative to the manifest,
+    its sampling rate and the samples trimmed off each end."""
 
-    Raises InvalidInput naming the key when a field is missing or of the
-    wrong type, or the session breaks one of ``validate_session``'s rules.
+    path: str
+    sampling_rate_hz: float
+    trim_head: int = 0
+    trim_tail: int = 0
+
+
+@dataclass(frozen=True)
+class ChannelSpecs:
+    """The ``channels`` object of a manifest entry, one spec per channel."""
+
+    ppg: ChannelSpec
+    eda: ChannelSpec
+    thermopile: ChannelSpec
+    reference_temp: ChannelSpec
+
+
+def load_session(entry, base_dir) -> SessionRecord:
+    """Build a SessionRecord from one manifest entry: its ``channels`` are
+    read as ChannelSpecs, every other key as a SessionRecord field.
+
+    Raises InvalidInput naming the key when a key is unknown, a field is
+    missing or of the wrong type, or the session breaks one of
+    SessionRecord's rules.
     """
+    specs = _field(entry, "channels", ChannelSpecs, "entry")
     channels = {}
-    specs = _field(entry, "channels", dict, "entry")
     for name in CHANNELS:
-        spec = _field(specs, name, dict, "entry.channels")
-        where = f"entry.channels.{name}"
-        channels[name] = read_channel_csv(
-            os.path.join(base_dir, _field(spec, "path", str, where)),
-            float(_field(spec, "sampling_rate_hz", float, where)),
-            trim_head=_field(spec, "trim_head", int, where, default=0),
-            trim_tail=_field(spec, "trim_tail", int, where, default=0),
-            label=name,
-        )
-    session = SessionRecord(
-        participant_id=_field(entry, "participant_id", int, "entry"),
-        session_index=_field(entry, "session_index", int, "entry"),
-        setting=_field(entry, "setting", SessionSetting, "entry"),
-        ppg=channels["ppg"],
-        eda=channels["eda"],
-        thermopile=channels["thermopile"],
-        reference_temp=channels["reference_temp"],
-        task_start_s=float(_field(entry, "task_start_s", float, "entry")),
-        task_end_s=float(_field(entry, "task_end_s", float, "entry")),
-        rating=_field(entry, "rating", int, "entry"),
-        duration_estimate_s=_field(entry, "duration_estimate_s", float, "entry", default=None),
-    )
-    violations = validate_session(session)
-    if violations:
-        raise InvalidInput("; ".join(violations))
-    return session
+        spec = getattr(specs, name)
+        channels[name] = read_channel_csv(os.path.join(base_dir, spec.path), spec.sampling_rate_hz,
+                                          spec.trim_head, spec.trim_tail, label=name)
+    own = {key: value for key, value in entry.items() if key != "channels"}
+    return _dataclass(SessionRecord, own, "entry", **channels)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +257,11 @@ class SynthConfig:
             raise InvalidInput("durations must be positive")
         if min(self.ppg_rate_hz, self.eda_rate_hz, self.temp_rate_hz) <= 0:
             raise InvalidInput("channel sampling rates must be positive")
+        total_s = self.baseline_s + self.task_s
+        for rate in (self.ppg_rate_hz, self.eda_rate_hz, self.temp_rate_hz):
+            if not total_s * rate <= MAX_CHANNEL_SAMPLES:  # also false when not finite
+                raise InvalidInput(f"a channel holds at most {MAX_CHANNEL_SAMPLES} samples; "
+                                   f"{total_s!r} s at {rate!r} Hz does not")
         for p in (self.slow, self.fast, self.baseline):
             if not 42.0 <= p.hr_bpm <= 210.0:
                 raise InvalidInput("heart rate outside the 42-210 bpm passband")
@@ -307,8 +321,8 @@ def _gauss_pulses(grid, centers, width_s=0.10, amplitude=1.0):
 def _scr_kernel(t, tau_rise=0.75, tau_decay=4.0):
     """Unit-peak skin conductance response shape (double exponential)."""
     k = np.exp(-t / tau_decay) - np.exp(-t / tau_rise)
-    peak = np.max(k) if np.max(k) > 0 else 1.0
-    return k / peak
+    peak = k.max(initial=0.0)  # 0 when no sample follows the onset
+    return k / (peak if peak > 0 else 1.0)
 
 
 def _synth_session(config: SynthConfig, participant_id: int, session_index: int,
@@ -360,23 +374,32 @@ def _synth_session(config: SynthConfig, participant_id: int, session_index: int,
     ref = 25.0 + 0.3 * drift + rng.normal(0, 0.01, n_temp)
 
     rating = int(rng.choice([1, 2] if cls == "slow" else [4, 5]))
-    return SessionRecord(
-        participant_id=participant_id,
-        session_index=session_index,
-        setting=setting,
-        ppg=TimeSeries(ppg, config.ppg_rate_hz, "ppg"),
-        eda=TimeSeries(eda, config.eda_rate_hz, "eda"),
-        thermopile=TimeSeries(thermo, config.temp_rate_hz, "thermopile"),
-        reference_temp=TimeSeries(ref, config.temp_rate_hz, "reference_temp"),
-        task_start_s=config.baseline_s,
-        task_end_s=total_s,
-        rating=rating,
-        duration_estimate_s=float(round(total_s * rng.uniform(0.7, 1.3), 1)),
-    )
+    duration_estimate_s = float(round(total_s * rng.uniform(0.7, 1.3), 1))
+    try:
+        return SessionRecord(
+            participant_id=participant_id,
+            session_index=session_index,
+            setting=setting,
+            ppg=TimeSeries(ppg, config.ppg_rate_hz, "ppg"),
+            eda=TimeSeries(eda, config.eda_rate_hz, "eda"),
+            thermopile=TimeSeries(thermo, config.temp_rate_hz, "thermopile"),
+            reference_temp=TimeSeries(ref, config.temp_rate_hz, "reference_temp"),
+            task_start_s=config.baseline_s,
+            task_end_s=total_s,
+            rating=rating,
+            duration_estimate_s=duration_estimate_s,
+        )
+    except ValueError as exc:
+        # e.g. a channel too sparse to cover the task window
+        raise InvalidInput(f"participant {participant_id} session {session_index}: {exc}") from None
 
 
 def synth_dataset(config: SynthConfig):
-    """Generate the full synthetic corpus; deterministic for a fixed seed."""
+    """Generate the full synthetic corpus; deterministic for a fixed seed.
+
+    Raises InvalidInput when the config fails ``validate`` or gives a
+    session that breaks a SessionRecord rule.
+    """
     config.validate()
     sessions = []
     for pid in range(1, config.participants + 1):

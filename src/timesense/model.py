@@ -43,12 +43,11 @@ TEMP_FEATURES = (
 FEATURE_NAMES: Tuple[str, ...] = PPG_FEATURES + EDA_FEATURES + TEMP_FEATURES
 assert len(FEATURE_NAMES) == 24
 
-LABEL_SLOW = "slow"
-LABEL_FAST = "fast"
-LABELS = (LABEL_SLOW, LABEL_FAST)
-
 GREEK = "greek"
 ENGLISH = "english"
+
+# The recorded channels, in the order SessionRecord holds them.
+CHANNELS = ("ppg", "eda", "thermopile", "reference_temp")
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,10 @@ ALL_SETTINGS = (
 
 @dataclass(frozen=True)
 class SessionRecord:
-    """One recorded sequence: channels, task window, questionnaire answers."""
+    """One recorded sequence: channels, task window, questionnaire answers.
+
+    Construction raises ValueError for the first rule the session breaks.
+    """
 
     participant_id: int
     session_index: int
@@ -116,34 +118,27 @@ class SessionRecord:
     task_start_s: float
     task_end_s: float
     rating: int
-    duration_estimate_s: Optional[float] = None
+    duration_estimate_s: float = None  # None when not asked
 
-
-def validate_session(session: SessionRecord):
-    """Return a list of human-readable invariant violations (empty if valid).
-
-    Never raises; intended for pre-flight checks before feature extraction.
-    """
-    violations = []
-    if session.participant_id < 1:
-        violations.append("participant_id must be >= 1")
-    if not 1 <= session.session_index <= 4:
-        violations.append("session_index out of range 1..4")
-    if session.rating not in (1, 2, 3, 4, 5):
-        violations.append("rating out of range")
-    if session.task_start_s <= 0:
-        violations.append("empty baseline interval")
-    if session.task_end_s <= session.task_start_s:
-        violations.append("task_end_s must exceed task_start_s")
-    for name in ("ppg", "eda", "thermopile", "reference_temp"):
-        ch: TimeSeries = getattr(session, name)
-        if len(ch) < 2:
-            violations.append(f"{name} channel too short")
-        elif session.task_end_s > ch.duration_s + 1e-9:
-            violations.append(f"task window exceeds {name} recording length")
-    if session.duration_estimate_s is not None and session.duration_estimate_s <= 0:
-        violations.append("duration_estimate_s must be positive when given")
-    return violations
+    def __post_init__(self):
+        if self.participant_id < 1:
+            raise ValueError("participant_id must be >= 1")
+        if not 1 <= self.session_index <= 4:
+            raise ValueError("session_index out of range 1..4")
+        if self.rating not in (1, 2, 3, 4, 5):
+            raise ValueError("rating out of range")
+        if self.task_start_s <= 0:
+            raise ValueError("empty baseline interval")
+        if self.task_end_s <= self.task_start_s:
+            raise ValueError("task_end_s must exceed task_start_s")
+        for name in CHANNELS:
+            ch: TimeSeries = getattr(self, name)
+            if len(ch) < 2:
+                raise ValueError(f"{name} channel too short")
+            if self.task_end_s > ch.duration_s + 1e-9:
+                raise ValueError(f"task window exceeds {name} recording length")
+        if self.duration_estimate_s is not None and self.duration_estimate_s <= 0:
+            raise ValueError("duration_estimate_s must be positive when given")
 
 
 @dataclass(frozen=True)

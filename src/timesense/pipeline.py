@@ -3,19 +3,14 @@ train-only scaling, and label derivation from questionnaire ratings."""
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .errors import InsufficientData, InvalidInput
 from .features import extract_all
 from .fileio import write_atomic
-from .model import (
-    FEATURE_NAMES,
-    LABEL_FAST,
-    LABEL_SLOW,
-    LABELS,
-    Dataset,
-)
+from .model import FEATURE_NAMES, Dataset
 
 SCALER_METHODS = ("none", "minmax", "zscore")
 DATASET_SCHEMA_VERSION = 1
@@ -57,16 +52,10 @@ def apply_scaler(params: ScalerParams, X):
         return X.copy()
     if X.ndim != 2 or X.shape[1] != params.n_features():
         raise InvalidInput("feature count does not match fitted scaler")
-    if params.method == "minmax":
-        span = params.stat_b - params.stat_a
-        safe = np.where(span == 0, 1.0, span)
-        out = (X - params.stat_a) / safe
-        out[:, span == 0] = 0.0
-        return out
-    sd = params.stat_b
-    safe = np.where(sd == 0, 1.0, sd)
-    out = (X - params.stat_a) / safe
-    out[:, sd == 0] = 0.0
+    # minmax divides by the training range, zscore by the training SD
+    span = params.stat_b - params.stat_a if params.method == "minmax" else params.stat_b
+    out = (X - params.stat_a) / np.where(span == 0, 1.0, span)
+    out[:, span == 0] = 0.0
     return out
 
 
@@ -82,19 +71,12 @@ def scale_ratings(ratings):
     return 1.0 + 4.0 * (r - lo) / (hi - lo)
 
 
-def derive_labels(ratings_by_participant):
-    """Per participant: rescale ratings to [1, 5], threshold into slow/fast.
-
-    Returns {participant: (labels, scaled_ratings)} keeping session order.
-    """
-    out = {}
-    for pid, ratings in ratings_by_participant.items():
-        if len(ratings) < 1:
-            raise ValueError(f"participant {pid} has no ratings")
-        scaled = scale_ratings(ratings)
-        labels = [LABEL_FAST if s > LABEL_THRESHOLD else LABEL_SLOW for s in scaled]
-        out[pid] = (labels, scaled)
-    return out
+def derive_labels(ratings) -> np.ndarray:
+    """One participant's labels in session order: 1 (fast) where the
+    rescaled rating exceeds LABEL_THRESHOLD, else 0 (slow)."""
+    if len(ratings) < 1:
+        raise ValueError("no ratings to label")
+    return (scale_ratings(ratings) > LABEL_THRESHOLD).astype(int)
 
 
 def assemble(sessions) -> Dataset:
@@ -104,25 +86,16 @@ def assemble(sessions) -> Dataset:
     Scaling is deliberately NOT applied here; it is fitted per evaluation
     fold to prevent train/test leakage.
     """
-    rows = []
-    ratings = {}
-    order = sorted(sessions, key=lambda s: (s.participant_id, s.session_index))
-    for s in order:
-        task, baseline = extract_all(s)
-        rows.append((s.participant_id, task - baseline))
-        ratings.setdefault(s.participant_id, []).append(s.rating)
-
-    labelled = derive_labels(ratings)
-    cursor = {pid: 0 for pid in labelled}
     X, y, pids = [], [], []
-    for pid, delta in rows:
-        labels, _ = labelled[pid]
-        label = labels[cursor[pid]]
-        cursor[pid] += 1
-        X.append(delta)
-        y.append(1 if label == LABEL_FAST else 0)
-        pids.append(pid)
-    return Dataset(np.array(X), np.array(y), np.array(pids))
+    order = sorted(sessions, key=lambda s: (s.participant_id, s.session_index))
+    for pid, group in groupby(order, key=lambda s: s.participant_id):
+        group = list(group)
+        for s in group:
+            task, baseline = extract_all(s)
+            X.append(task - baseline)
+        y.extend(derive_labels([s.rating for s in group]))
+        pids.extend([pid] * len(group))
+    return Dataset(np.array(X).reshape(len(X), len(FEATURE_NAMES)), np.array(y), np.array(pids))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +107,7 @@ def dataset_to_csv(dataset: Dataset, path):
     lines.append(",".join(dataset.feature_names) + ",label,participant_id")
     for i in range(len(dataset)):
         cells = [repr(float(v)) for v in dataset.X[i]]
-        cells.append(LABEL_FAST if dataset.y[i] == 1 else LABEL_SLOW)
+        cells.append("fast" if dataset.y[i] == 1 else "slow")
         cells.append(str(int(dataset.participant_ids[i])))
         lines.append(",".join(cells))
     write_atomic(path, "\n".join(lines) + "\n")
@@ -166,9 +139,9 @@ def dataset_from_csv(path) -> Dataset:
         cells = ln.split(",")
         if len(cells) != len(columns):
             raise InvalidInput(f"{where}: {len(cells)} cells, the header has {len(columns)}")
-        if cells[-2] not in LABELS:
-            raise InvalidInput(f"{where}: label {cells[-2]!r} is neither "
-                               f"{LABEL_FAST!r} nor {LABEL_SLOW!r}")
+        label = {"slow": 0, "fast": 1}.get(cells[-2])
+        if label is None:
+            raise InvalidInput(f"{where}: label {cells[-2]!r} is neither 'fast' nor 'slow'")
         try:
             X.append([float(c) for c in cells[:-2]])
             pids.append(int(cells[-1]))
@@ -178,6 +151,6 @@ def dataset_from_csv(path) -> Dataset:
             raise InvalidInput(f"{where}: non-finite feature value")
         if pids[-1] < 1:
             raise InvalidInput(f"{where}: participant id {pids[-1]} is not >= 1")
-        y.append(1 if cells[-2] == LABEL_FAST else 0)
+        y.append(label)
     return Dataset(np.array(X, dtype=float).reshape(len(X), len(FEATURE_NAMES)), np.array(y),
                    np.array(pids, dtype=int))

@@ -329,14 +329,16 @@ def test_tree_models_reproduce_pinned_outputs(fixture, kind):
     scores_digest, importance_digest = PINNED[fixture, kind]
     assert _digest(decision_scores(model, rows)) == scores_digest
     assert _digest(importance(model)) == importance_digest
-    # every internal node splits on a feature below d and both its children
-    # come after it in the node list; every leaf has no children
-    for nodes in model.estimator.trees_:
-        n = len(nodes.feature)
+    # in each tree (row) of the node stack, every internal node splits on a
+    # feature below d and both its children come after it in the node list;
+    # every leaf has no children
+    nodes = model.estimator.nodes_
+    for feature, left, right in zip(nodes.feature, nodes.left, nodes.right):
+        n = len(feature)
         node = np.arange(n)
-        internal = nodes.feature != tree.NO_CHILD
-        assert np.all((0 <= nodes.feature[internal]) & (nodes.feature[internal] < X.shape[1]))
-        for child in (nodes.left, nodes.right):
+        internal = feature != tree.NO_CHILD
+        assert np.all((0 <= feature[internal]) & (feature[internal] < X.shape[1]))
+        for child in (left, right):
             assert np.all((node[internal] < child[internal]) & (child[internal] < n))
             assert np.all(child[~internal] == tree.NO_CHILD)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timesense import pipeline
+from timesense import ingest, pipeline
 from timesense.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
 from tests.conftest import planted_dataset
 
@@ -176,6 +176,12 @@ class TestErrorBoundary:
          "entry.setting: helicopters must be 1 or 2"),
         ("nan_task_start", lambda e: e.update(task_start_s=float("nan")),
          "entry.task_start_s: expected a finite number"),
+        ("misspelt_trim", lambda e: e["channels"]["ppg"].update(trim_haed=50),
+         "entry.channels.ppg: unknown keys ['trim_haed']"),
+        ("misspelt_rating", lambda e: e.update(ratnig=9), "entry: unknown keys ['ratnig']"),
+        ("extra_channel", lambda e: e["channels"].update(gsr=e["channels"]["eda"]),
+         "entry.channels: unknown keys ['gsr']"),
+        ("rating_nine", lambda e: e.update(rating=9), "entry: rating out of range"),
     ])
     def test_damaged_manifest_entry_exits_2(self, small_corpus, capsys, name, damage, message):
         manifest = json.loads((small_corpus / "data" / "manifest.json").read_text())
@@ -192,7 +198,8 @@ class TestErrorBoundary:
             assert line.startswith(f"error: participant 1 session {sid}: {message}")
 
     @pytest.mark.parametrize("text", ['{"sessions": 5}', '{"sessions": [5]}', "{",
-                                      '{"schema_version": 1}', "[]"])
+                                      '{"schema_version": 1}', "[]",
+                                      '{"schema_version": 99, "sessions": []}'])
     def test_unusable_manifest_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "m.json"
         path.write_text(text)
@@ -220,6 +227,39 @@ class TestErrorBoundary:
                        "--out", str(tmp_path / "out")])
             assert rc == EXIT_DOMAIN
         assert len(error_lines(capsys)) == 2
+
+    def test_manifest_of_no_sessions_gives_an_empty_features_csv(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"schema_version": 1, "sessions": []}')
+        out = tmp_path / "f.csv"
+        assert main(["extract", "--manifest", str(path), "--out", str(out)]) == EXIT_OK
+        assert len(pipeline.dataset_from_csv(out)) == 0
+
+    @pytest.mark.parametrize("doc", [{"ppg_rate_hz": 1e308}, {"task_s": 1e308}, {"task_s": 1e5}])
+    def test_synth_config_too_long_to_generate_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                       doc):
+        # validation must reject the config before any session is generated
+        monkeypatch.setattr(ingest, "_synth_session",
+                            lambda *a: pytest.fail("generated a session"))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DOMAIN
+        (line,) = error_lines(capsys)
+        assert line.startswith(f"error: a channel holds at most {ingest.MAX_CHANNEL_SAMPLES} ")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"ppg_rate_hz": 0.001}, "ppg channel too short"),
+        # 212 s at 7.1 Hz rounds to 1505 samples, 211.97 s
+        ({"temp_rate_hz": 7.1}, "task window exceeds thermopile recording length"),
+    ])
+    def test_synth_config_giving_invalid_sessions_exits_2(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DOMAIN
+        assert error_lines(capsys) == [f"error: participant 1 session 1: {message}"]
+        assert not (tmp_path / "o").exists()
 
     def test_synth_config_of_wrong_type_exits_2(self, tmp_path, capsys):
         for doc in ({"participants": "2"}, {"seed": 1.5}, {"colour": 1}, [1]):

@@ -194,6 +194,33 @@ class TestSynthDataset:
         with pytest.raises(InvalidInput, match="heart rate"):
             ingest.SynthConfig(fast=bad).validate()
 
+    @pytest.mark.parametrize("overrides", [
+        {"ppg_rate_hz": 1e308}, {"task_s": 1e308}, {"task_s": float("inf")},
+        {"baseline_s": float("nan")}, {"temp_rate_hz": ingest.MAX_CHANNEL_SAMPLES / 200.0},
+    ])
+    def test_channels_past_the_sample_cap_rejected(self, overrides):
+        with pytest.raises(InvalidInput, match="a channel holds at most"):
+            ingest.SynthConfig(**overrides).validate()
+
+    def test_eda_sparser_than_its_responses_generates(self):
+        # at 0.05 Hz some responses start after the last EDA sample
+        config = ingest.SynthConfig(participants=2, sessions_per_participant=1,
+                                    eda_rate_hz=0.05, n_slow_biased=0)
+        (session, _) = ingest.synth_dataset(config)
+        assert len(session.eda) == 11
+        assert ingest._scr_kernel(np.zeros(0)).shape == (0,)
+
+    def test_channel_at_the_sample_cap_accepted(self):
+        ingest.SynthConfig(baseline_s=100.0, task_s=100.0,
+                           ppg_rate_hz=ingest.MAX_CHANNEL_SAMPLES / 200.0).validate()
+
+
+@pytest.fixture
+def corpus_entry(small_sessions, tmp_path):
+    """The manifest entry of one written session, and its base directory."""
+    entries, base = ingest.load_manifest(ingest.write_corpus(small_sessions[:1], tmp_path / "c"))
+    return entries[0], base
+
 
 class TestCorpusRoundTrip:
     def test_write_then_load(self, small_sessions, tmp_path):
@@ -220,6 +247,62 @@ class TestCorpusRoundTrip:
         p1 = ingest.write_corpus(small_sessions[:2], tmp_path / "a")
         p2 = ingest.write_corpus(small_sessions[:2], tmp_path / "b")
         assert open(p1).read() == open(p2).read()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda e: e.update(participant_id=0), "entry: participant_id must be >= 1"),
+        (lambda e: e.update(session_index=5), "entry: session_index out of range 1..4"),
+        (lambda e: e.update(rating=0), "entry: rating out of range"),
+        (lambda e: e.update(task_start_s=0.0), "entry: empty baseline interval"),
+        (lambda e: e.update(task_end_s=e["task_start_s"]),
+         "entry: task_end_s must exceed task_start_s"),
+        (lambda e: e.update(duration_estimate_s=-1.0),
+         "entry: duration_estimate_s must be positive when given"),
+        (lambda e: e["channels"]["eda"].update(trim_tail=10 ** 6),
+         "fewer than 2 samples after trimming"),
+        (lambda e: e["channels"]["thermopile"].update(trim_tail=8),
+         "entry: task window exceeds thermopile recording length"),
+    ])
+    def test_load_session_reports_each_session_rule(self, corpus_entry, damage, message):
+        entry, base = corpus_entry
+        damage(entry)
+        with pytest.raises(InvalidInput) as err:
+            ingest.load_session(entry, base)
+        assert str(err.value).endswith(message)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda e: e.update(ratnig=9), "entry: unknown keys ['ratnig']"),
+        (lambda e: e["channels"]["ppg"].update(trim_haed=50),
+         "entry.channels.ppg: unknown keys ['trim_haed']"),
+        (lambda e: e["channels"].update(gsr=e["channels"]["eda"]),
+         "entry.channels: unknown keys ['gsr']"),
+        (lambda e: e.update(ppg=e["channels"]["ppg"]), "entry: unknown keys ['ppg']"),
+    ])
+    def test_unknown_keys_rejected(self, corpus_entry, damage, message):
+        entry, base = corpus_entry
+        damage(entry)
+        with pytest.raises(InvalidInput) as err:
+            ingest.load_session(entry, base)
+        assert str(err.value) == message
+
+    def test_integer_rates_and_times_load_as_floats(self, corpus_entry):
+        entry, base = corpus_entry
+        entry["channels"]["ppg"]["sampling_rate_hz"] = 25
+        entry["task_start_s"] = 30
+        session = ingest.load_session(entry, base)
+        assert type(session.ppg.sampling_rate_hz) is float
+        assert type(session.task_start_s) is float
+
+    @pytest.mark.parametrize("version", [99, 0, "1", 1.0, True, None])
+    def test_other_schema_version_rejected(self, tmp_path, version):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"schema_version": version, "sessions": []}))
+        with pytest.raises(InvalidInput, match="schema_version"):
+            ingest.load_manifest(p)
+
+    def test_missing_schema_version_accepted(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"sessions": [{"rating": 1}]}))
+        assert ingest.load_manifest(p)[0] == [{"rating": 1}]
 
     def test_load_session_validates(self, small_sessions, tmp_path):
         manifest_path = ingest.write_corpus(small_sessions[:1], tmp_path / "c")

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from timesense.model import (
+    CHANNELS,
     FEATURE_NAMES,
     Dataset,
     EvaluationReport,
     FoldResult,
+    SessionRecord,
     SessionSetting,
     TimeSeries,
-    validate_session,
 )
 
 
@@ -38,7 +39,6 @@ def test_session_setting_combinations():
 
 
 def _session(**overrides):
-    from timesense.model import SessionRecord
     n = 300
     kwargs = dict(
         participant_id=1,
@@ -56,18 +56,37 @@ def _session(**overrides):
     return SessionRecord(**kwargs)
 
 
-def test_validate_session_well_formed():
-    assert validate_session(_session()) == []
+# Each rule a session must keep: its id, fields that break it and the message.
+SESSION_RULES = [
+    ("participant_id", {"participant_id": 0}, "participant_id must be >= 1"),
+    ("session_index", {"session_index": 5}, "session_index out of range 1..4"),
+    ("rating", {"rating": 7}, "rating out of range"),
+    ("empty_baseline", {"task_start_s": 0.0}, "empty baseline interval"),
+    ("task_end", {"task_end_s": 3.0}, "task_end_s must exceed task_start_s"),
+    ("duration_estimate", {"duration_estimate_s": 0.0},
+     "duration_estimate_s must be positive when given"),
+] + [
+    (f"{name}_too_short", {name: TimeSeries([1.0], 0.01)}, f"{name} channel too short")
+    for name in CHANNELS
+] + [
+    (f"window_past_{name}", {name: TimeSeries(np.ones(20), 2.0)},
+     f"task window exceeds {name} recording length")
+    for name in CHANNELS
+]
 
 
-def test_validate_session_bad_rating():
-    violations = validate_session(_session(rating=7))
-    assert any("rating" in v for v in violations)
+def test_well_formed_session_constructs():
+    session = _session(duration_estimate_s=12.5)
+    assert (session.participant_id, session.rating) == (1, 3)
+    assert _session().duration_estimate_s is None
 
 
-def test_validate_session_empty_baseline():
-    violations = validate_session(_session(task_start_s=0.0))
-    assert any("baseline" in v for v in violations)
+@pytest.mark.parametrize("overrides, message", [r[1:] for r in SESSION_RULES],
+                         ids=[r[0] for r in SESSION_RULES])
+def test_session_breaking_a_rule_does_not_construct(overrides, message):
+    with pytest.raises(ValueError) as err:
+        _session(**overrides)
+    assert str(err.value) == message
 
 
 def test_dataset_validates_labels_and_shapes():

@@ -82,16 +82,15 @@ class TestLabels:
         assert np.allclose(scale_ratings([4, 4, 4, 4]), [4, 4, 4, 4])
 
     def test_derive_labels_examples(self):
-        out = derive_labels({1: [2, 3, 3, 5], 2: [4, 4, 4, 4], 3: [1, 1, 2, 2]})
-        assert out[1][0] == ["slow", "slow", "slow", "fast"]
+        assert derive_labels([2, 3, 3, 5]).tolist() == [0, 0, 0, 1]
         # all-equal 4s stay at 4 > 3 -> fast
-        assert out[2][0] == ["fast"] * 4
+        assert derive_labels([4, 4, 4, 4]).tolist() == [1] * 4
         # 1s -> 1, 2s -> 5 after rescale
-        assert out[3][0] == ["slow", "slow", "fast", "fast"]
+        assert derive_labels([1, 1, 2, 2]).tolist() == [0, 0, 1, 1]
 
     def test_empty_ratings_rejected(self):
         with pytest.raises(ValueError):
-            derive_labels({1: []})
+            derive_labels([])
 
     @given(st.lists(st.integers(1, 5), min_size=2, max_size=8),
            st.integers(-3, 3))
@@ -100,10 +99,10 @@ class TestLabels:
         """Adding a constant to all ratings never changes the labels
         (unless it collapses/uncollapses nothing -- shift keeps spread)."""
         shifted = [r + shift for r in ratings]
-        a = derive_labels({1: ratings})[1][0]
-        b = derive_labels({1: shifted})[1][0]
+        a = derive_labels(ratings)
+        b = derive_labels(shifted)
         if len(set(ratings)) > 1:
-            assert a == b
+            assert np.array_equal(a, b)
 
 
 class TestAssemble:
@@ -127,11 +126,8 @@ class TestAssemble:
         ratings = {}
         for s in sorted(small_sessions, key=lambda s: (s.participant_id, s.session_index)):
             ratings.setdefault(s.participant_id, []).append(s.rating)
-        derived = derive_labels(ratings)
-        expected = []
-        for pid in sorted(ratings):
-            expected.extend(1 if l == "fast" else 0 for l in derived[pid][0])
-        assert expected == list(small_dataset.y)
+        expected = np.concatenate([derive_labels(ratings[pid]) for pid in sorted(ratings)])
+        assert np.array_equal(expected, small_dataset.y)
 
 
 class TestDatasetCsv:
