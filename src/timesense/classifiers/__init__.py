@@ -7,6 +7,7 @@ from .base import (
     importance,
     predict,
     train,
+    train_many,
 )
 
 __all__ = [
@@ -18,4 +19,5 @@ __all__ = [
     "importance",
     "predict",
     "train",
+    "train_many",
 ]

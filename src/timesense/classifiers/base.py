@@ -67,7 +67,8 @@ def canonical_order(X, y):
     return np.lexsort(keys)
 
 
-def train(config: ClassifierConfig, X, y) -> TrainedModel:
+def _training_rows(X, y):
+    """Checked training rows (X, y) in canonical order."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.ndim != 2 or len(X) != len(y):
@@ -79,11 +80,35 @@ def train(config: ClassifierConfig, X, y) -> TrainedModel:
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise InvalidInput("training data must be finite")
     order = canonical_order(X, y)
-    Xs, ys = X[order], y[order]
-    est = _build(config)
-    rng = np.random.default_rng(config.seed)
-    est.fit(Xs, ys, rng=rng)
-    return TrainedModel(config.kind, config, est, X.shape[1])
+    return X[order], y[order]
+
+
+def train_many(config, lanes) -> list:
+    """One TrainedModel per lane, an (X, y) pair of training rows; lanes may
+    differ in row count and in width. ``config`` is one ClassifierConfig for
+    every lane or a sequence of them, one per lane, all of one kind.
+
+    Each model is bit for bit the one ``train`` gives for its lane alone.
+    dtc, rf, gb and xgb fit the lanes of one width together (their
+    estimators' ``fit_many``); the other kinds fit one lane after another.
+    """
+    configs = [config] * len(lanes) if isinstance(config, ClassifierConfig) else list(config)
+    if len(configs) != len(lanes) or len({c.kind for c in configs}) > 1:
+        raise ValueError("train_many needs one config per lane, all of one kind")
+    rows = [_training_rows(X, y) for X, y in lanes]
+    estimators = [_build(c) for c in configs]
+    if estimators and hasattr(estimators[0], "fit_many"):
+        estimators[0].fit_many(estimators, rows)
+    else:
+        for est, (X, y) in zip(estimators, rows):
+            est.fit(X, y)
+    return [TrainedModel(c.kind, c, est, X.shape[1])
+            for c, est, (X, _) in zip(configs, estimators, rows)]
+
+
+def train(config: ClassifierConfig, X, y) -> TrainedModel:
+    """The model of one lane of ``train_many``."""
+    return train_many(config, [(X, y)])[0]
 
 
 def decision_scores(model: TrainedModel, X, blocks: int = 1) -> np.ndarray:

@@ -5,7 +5,16 @@ L2-regularized XGBoost form) and AdaBoost (SAMME with stumps)."""
 import numpy as np
 
 from .linear import sigmoid
-from .tree import TreeNodes, grow_boosting_tree, grow_forest, grow_stump, sort_lanes, walk
+from .tree import (
+    TreeNodes,
+    depth_first_gains,
+    grow_boosting_trees,
+    grow_forest,
+    grow_stump,
+    lane_blocks,
+    sort_lanes,
+    walk,
+)
 
 
 def _normalized(imp):
@@ -16,13 +25,25 @@ def _normalized(imp):
 class TreeEnsemble:
     """What every tree model stores: its trees as one padded ``TreeNodes``
     stack, one importance vector and one weight per tree, and an offset
-    added to the weighted sum of the trees' values."""
+    added to the weighted sum of the trees' values.
+
+    A kind that trains many models at once defines ``fit_many(models,
+    lanes)``: it fits ``models[i]``, which share their parameters but for
+    rf's seed, on ``lanes[i]``, an (X, y) pair of rows in canonical order.
+    Lanes may differ in row count and width. Each model is bit for bit the
+    one a fit on its lane alone gives.
+    """
 
     def __init__(self):
         self.nodes_ = None
         self.importances_ = []
         self.weights_ = []
         self.offset_ = 0.0
+
+    def fit(self, X, y):
+        """Fits this model alone: the one-lane ``fit_many``."""
+        self.fit_many([self], [(X, y)])
+        return self
 
     def _weighted_sum(self, X):
         """offset + sum of weight * tree value, accumulated in tree order."""
@@ -35,6 +56,12 @@ class TreeEnsemble:
         return np.cumsum(terms, axis=0)[-1]
 
 
+def _trimmed(nodes, start, stop):
+    """Trees start..stop of a stack, cut to the nodes the largest of them uses."""
+    size = max(1, int(max(nodes.left[start:stop].max(), nodes.right[start:stop].max())) + 1)
+    return TreeNodes(*(np.array(a[start:stop, :size]) for a in nodes.arrays()))
+
+
 class DecisionTree(TreeEnsemble):
     """A single CART tree (Gini impurity, best split)."""
 
@@ -43,12 +70,17 @@ class DecisionTree(TreeEnsemble):
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
 
-    def fit(self, X, y, rng=None):
-        self.nodes_, importances = grow_forest(
-            X, y, np.arange(len(y))[None], max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf)
-        self.importances_, self.weights_ = list(importances), [1.0]
-        return self
+    @staticmethod
+    def fit_many(models, lanes):
+        # one tree per lane, grown on all of its rows
+        first = models[0]
+        for block, X, y, valid in lane_blocks(lanes):
+            nodes, importances = grow_forest(X, y, valid, max_depth=first.max_depth,
+                                             min_samples_leaf=first.min_samples_leaf)
+            for b, i in enumerate(block):
+                model = models[i]
+                model.nodes_ = _trimmed(nodes, b, b + 1)
+                model.importances_, model.weights_ = [importances[b]], [1.0]
 
     def decision_function(self, X):
         return walk(self.nodes_, X)[0]
@@ -68,20 +100,34 @@ class RandomForest(TreeEnsemble):
         self.min_samples_leaf = min_samples_leaf
         self.seed = seed
 
-    def fit(self, X, y, rng=None):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
-        n, d = X.shape
-        rngs = [np.random.default_rng([self.seed, t]) for t in range(self.n_estimators)]
-        rows = np.array([tree_rng.integers(0, n, size=n) for tree_rng in rngs])
-        # bootstrap can lose a class; fall back to the full sample
-        boot_y = y[rows]
-        rows[boot_y.min(axis=1) == boot_y.max(axis=1)] = np.arange(n)
-        self.nodes_, importances = grow_forest(
-            X, y, rows, max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf,
-            max_features=max(1, int(np.sqrt(d))), feature_rngs=rngs)
-        self.importances_, self.weights_ = list(importances), [1.0] * self.n_estimators
-        return self
+    @staticmethod
+    def fit_many(models, lanes):
+        # every tree of every lane in one lockstep; tree t of a model draws
+        # its bootstrap and feature subsets from default_rng([seed, t])
+        first = models[0]
+        n_trees = first.n_estimators
+        for block, X, y, valid in lane_blocks(lanes, n_trees):
+            rngs, rows = [], np.zeros((len(block) * n_trees, X.shape[1]), dtype=int)
+            for b, i in enumerate(block):
+                n = int(valid[b].sum())
+                tree_rngs = [np.random.default_rng([models[i].seed, t]) for t in range(n_trees)]
+                boot = np.array([tree_rng.integers(0, n, size=n) for tree_rng in tree_rngs])
+                # bootstrap can lose a class; fall back to the full sample
+                boot_y = y[b, boot]
+                boot[boot_y.min(axis=1) == boot_y.max(axis=1)] = np.arange(n)
+                rows[b * n_trees:(b + 1) * n_trees, :n] = boot
+                rngs += tree_rngs
+            lane = np.repeat(np.arange(len(block)), n_trees)
+            nodes, importances = grow_forest(
+                X[lane[:, None], rows], y[lane[:, None], rows], valid[lane],
+                max_depth=first.max_depth, min_samples_leaf=first.min_samples_leaf,
+                max_features=max(1, int(np.sqrt(X.shape[2]))), feature_rngs=rngs)
+            for b, i in enumerate(block):
+                trees = slice(b * n_trees, (b + 1) * n_trees)
+                model = models[i]
+                model.nodes_ = _trimmed(nodes, trees.start, trees.stop)
+                model.importances_ = list(importances[trees])
+                model.weights_ = [1.0] * n_trees
 
     def decision_function(self, X):
         # np.mean, not a sum of 1/T-weighted trees, which rounds differently
@@ -120,31 +166,47 @@ class Booster(TreeEnsemble):
         self.min_child_weight = min_child_weight
         self.second_order_splits = second_order_splits
 
-    def fit(self, X, y, rng=None):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if not self.second_order_splits:
-            p0 = np.clip(y.mean(), 1e-12, 1 - 1e-12)
-            self.offset_ = float(np.log(p0 / (1 - p0)))
-        F = np.full(len(y), self.offset_)
-        trees = []
-        unit = np.ones(len(y))
-        # every round's root searches all rows: sort them once
-        root = sort_lanes(X[None], np.ones((1, len(y)), bool))
-        for _ in range(self.n_estimators):
-            p = sigmoid(F)
-            grad = p - y
-            hess = np.maximum(p * (1 - p), 1e-12)
-            split_hess = hess if self.second_order_splits else unit
-            nodes, gain, row_value = grow_boosting_tree(
-                X, root, grad, hess, split_hess, self.max_depth, self.reg_lambda,
-                self.min_child_weight)
-            F = F + self.learning_rate * row_value
-            trees.append(nodes)
-            self.importances_.append(gain)
-            self.weights_.append(self.learning_rate)
-        self.nodes_ = TreeNodes.stack(trees)
-        return self
+    @staticmethod
+    def fit_many(models, lanes):
+        # all lanes advance round by round; a level of the deepest trees
+        # searches up to 2^(max_depth - 1) nodes per lane
+        first = models[0]
+        for block, X, y, valid in lane_blocks(lanes, 2 ** max(first.max_depth - 1, 0)):
+            offsets = np.zeros(len(block))
+            if not first.second_order_splits:
+                for b, i in enumerate(block):
+                    p0 = np.clip(lanes[i][1].astype(float).mean(), 1e-12, 1 - 1e-12)
+                    offsets[b] = float(np.log(p0 / (1 - p0)))
+            F = np.repeat(offsets[:, None], X.shape[1], axis=1)
+            # gradients, hessians and the hessians splits use: ones for gb
+            sums = np.ones((len(block), 3, X.shape[1]))
+            # every round's roots search all rows: sort them once
+            root = sort_lanes(X, valid)
+            # each round's trees and split gains: (lanes, rounds, nodes)
+            shape = (len(block), first.n_estimators, 2 ** (first.max_depth + 1) - 1)
+            *stacked, gain = (np.empty(shape, dtype)
+                              for dtype in (int, float, int, int, float, float))
+            for r in range(first.n_estimators):
+                p = sigmoid(F)
+                sums[:, 0] = p - y
+                sums[:, 1] = np.maximum(p * (1 - p), 1e-12)
+                if first.second_order_splits:
+                    sums[:, 2] = sums[:, 1]
+                nodes, gain[:, r], row_value = grow_boosting_trees(
+                    X, valid, root, sums, first.max_depth, first.reg_lambda,
+                    first.min_child_weight)
+                F = F + first.learning_rate * row_value
+                for out, a in zip(stacked, nodes.arrays()):
+                    out[:, r] = a
+            gains = depth_first_gains(
+                TreeNodes(*(a.reshape(-1, shape[2]) for a in stacked)),
+                gain.reshape(-1, shape[2]), X.shape[2]).reshape(shape[:2] + X.shape[2:])
+            for b, i in enumerate(block):
+                model = models[i]
+                model.offset_ = float(offsets[b])
+                model.nodes_ = TreeNodes(*(a[b] for a in stacked))
+                model.importances_ = list(gains[b])
+                model.weights_ = [first.learning_rate] * first.n_estimators
 
     def decision_function(self, X):
         return self._weighted_sum(X)
@@ -165,7 +227,7 @@ class AdaBoost(TreeEnsemble):
         super().__init__()
         self.n_estimators = n_estimators
 
-    def fit(self, X, y, rng=None):
+    def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
         n, d = X.shape

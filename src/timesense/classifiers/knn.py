@@ -16,7 +16,7 @@ class KNN:
             raise ValueError("k must be >= 1")
         self.k = k
 
-    def fit(self, X, y, rng=None):
+    def fit(self, X, y):
         self.X_ = np.asarray(X, dtype=float)
         self.y_ = np.asarray(y, dtype=int)
         return self

@@ -48,7 +48,7 @@ class LogisticRegressionNewton:
         self.tol = tol
         self.max_iter = max_iter
 
-    def fit(self, X, y, rng=None):
+    def fit(self, X, y):
         """Sets ``w``, ``b``, ``n_iter_`` (Newton steps taken) and
         ``converged_`` (False when ``max_iter`` steps ended the solve before
         the gradient tolerance was met)."""
@@ -105,7 +105,7 @@ class GaussianNB:
     def __init__(self, var_smoothing=1e-9):
         self.var_smoothing = var_smoothing
 
-    def fit(self, X, y, rng=None):
+    def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
         eps = self.var_smoothing * max(X.var(axis=0).max(), 1e-30)
@@ -130,7 +130,7 @@ class LDA:
     def __init__(self, ridge=1e-6):
         self.ridge = ridge
 
-    def fit(self, X, y, rng=None):
+    def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
         n, d = X.shape
@@ -158,7 +158,7 @@ class QDA:
     def __init__(self, ridge=1e-6):
         self.ridge = ridge
 
-    def fit(self, X, y, rng=None):
+    def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
         d = X.shape[1]

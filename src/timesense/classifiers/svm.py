@@ -21,7 +21,7 @@ class SMOSVC:
         self.tol = tol
         self.max_passes = max_passes
 
-    def fit(self, X, y, rng=None):
+    def fit(self, X, y):
         """Solve the dual; sets ``alpha_``, ``b_``, the support vectors,
         ``n_iter_`` (sweeps made) and ``converged_`` (False when the sweep
         cap ``max_passes`` ended the solve with KKT violators left)."""

@@ -2,12 +2,14 @@
 search.
 
 ``sort_lanes`` and ``best_split`` search the nodes of many trees at once:
-each node is a lane of a ``(B, n, f)`` stack. Two growers call them.
+each node is a lane of a ``(B, n, f)`` stack. Two growers call them, and
+each serves many fits at once, padded to one row count by ``lane_blocks``.
 ``grow_forest`` grows a set of CART trees (dtc, rf) in lockstep, one lane
-per tree, each tree in depth-first order. ``grow_boosting_tree`` grows a
-regression tree of gradient boosting (gb, xgb) level by level, one lane per
-leaf of a level; the root of every round reuses one sort of the rows.
-AdaBoost's stump (ab) is a one-lane call on one sort per fit. ``walk``
+per tree, each tree in depth-first order. ``grow_boosting_trees`` grows one
+round's regression tree of each of many gradient boosting fits (gb, xgb)
+level by level, one lane per leaf of a level; the roots of every round
+reuse one sort of the rows. AdaBoost's stump (ab) is a one-lane call on
+one sort per fit. ``walk``
 scores the rows of X with a whole stack of trees at once (Nakandala et al.,
 OSDI 2020). All tie-breaks are deterministic (lowest feature index, then
 lowest threshold).
@@ -21,6 +23,9 @@ NO_CHILD = -1
 # The stacked walk takes as many rows at a time as keep each of its
 # (trees, rows) buffers within this many entries.
 WALK_BLOCK = 1 << 14
+# A batched fit takes as many lanes at a time as keep its padded (trees,
+# rows, features) stack within this many entries.
+FIT_BLOCK = 1 << 16
 
 
 class TreeNodes:
@@ -249,10 +254,11 @@ def grow_stump(X, lanes, ypm, w):
     return nodes, np.where(X[:, j] <= thr, -polarity, polarity).astype(float)
 
 
-def grow_forest(X, y, rows, max_depth=None, min_samples_leaf=1, max_features=None,
+def grow_forest(X, y, mask, max_depth=None, min_samples_leaf=1, max_features=None,
                 feature_rngs=None):
     """CART trees with Gini impurity and best-split strategy, grown in
-    lockstep; tree t is grown on the rows ``rows[t]`` of X (rows (T, n)).
+    lockstep; tree t is grown on the rows of ``X[t]`` (T, n, d) and ``y[t]``
+    where ``mask[t]`` holds.
 
     Each tree expands its nodes depth first, left child first. At each step
     every tree goes on to its next node that needs a split search, and one
@@ -266,11 +272,10 @@ def grow_forest(X, y, rows, max_depth=None, min_samples_leaf=1, max_features=Non
     normalised to sum 1.
     """
     X = np.asarray(X, dtype=float)
-    n_trees, n = rows.shape
-    d = X.shape[1]
+    y = np.asarray(y, dtype=int)
+    n_trees, n, d = X.shape
     max_depth = np.inf if max_depth is None else max_depth
     draw = max_features is not None and max_features < d
-    Xt, yt = X[rows], np.asarray(y, dtype=int)[rows]
     size = 2 * n - 1
     feature = np.full((n_trees, size), NO_CHILD)
     threshold = np.zeros((n_trees, size))
@@ -279,21 +284,23 @@ def grow_forest(X, y, rows, max_depth=None, min_samples_leaf=1, max_features=Non
     value = np.zeros((n_trees, size))
     importance = np.zeros((n_trees, d))
     count = [0] * n_trees
+    n_root = mask.sum(axis=1)
+    fast_root = (mask & (y == 1)).sum(axis=1).tolist()
     # pending nodes of each tree: (rows mask, depth, parent of a right
     # child or NO_CHILD, row count, fast count)
-    stacks = [[(np.ones(n, bool), 0, NO_CHILD, n, int(yt[t].sum()))] for t in range(n_trees)]
+    stacks = [[(mask[t], 0, NO_CHILD, int(n_root[t]), fast_root[t])] for t in range(n_trees)]
     while True:
         search = []
         for t, stack in enumerate(stacks):
             while stack:
-                mask, depth, parent, rows_in, fast = stack.pop()
+                rows, depth, parent, rows_in, fast = stack.pop()
                 node = count[t]
                 count[t] += 1
                 if parent != NO_CHILD:
                     right[t, parent] = node
                 value[t, node] = (fast - (rows_in - fast)) / rows_in
                 if rows_in >= 2 and depth < max_depth and 0 < fast < rows_in:
-                    search.append((t, node, mask, depth, rows_in, fast))
+                    search.append((t, node, rows, depth, rows_in, fast))
                     break
         if not search:
             break
@@ -303,19 +310,19 @@ def grow_forest(X, y, rows, max_depth=None, min_samples_leaf=1, max_features=Non
                               for t in trees])
         else:
             feats = np.broadcast_to(np.arange(d), (len(trees), d))
-        lane_x = Xt[trees[:, None, None], np.arange(n)[:, None], feats[:, None, :]]
-        lane_fast = masks & (yt[trees] == 1)
+        lane_x = X[trees[:, None, None], np.arange(n)[:, None], feats[:, None, :]]
+        lane_fast = masks & (y[trees] == 1)
         col, _, thr, gain = best_split(
             sort_lanes(lane_x, masks), np.array([masks, lane_fast], dtype=float),
             gini_score(rows_in.astype(float), fast.astype(float)))
         j = feats[np.arange(len(trees)), col]
-        go_left = Xt[trees, :, j] <= thr[:, None]
+        go_left = X[trees, :, j] <= thr[:, None]
         to_left, to_right = masks & go_left, masks & ~go_left
         n_left, n_right = to_left.sum(axis=1), to_right.sum(axis=1)
         split = ((gain > -np.inf) & (n_left >= min_samples_leaf)
                  & (n_right >= min_samples_leaf))
         t, node = trees[split], nodes[split]
-        importance[t, j[split]] += rows_in[split] / n * gain[split]
+        importance[t, j[split]] += rows_in[split] / n_root[t] * gain[split]
         feature[t, node] = j[split]
         threshold[t, node] = thr[split]
         left[t, node] = node + 1
@@ -332,72 +339,138 @@ def grow_forest(X, y, rows, max_depth=None, min_samples_leaf=1, max_features=Non
                       right[:, :size], value[:, :size]), importance)
 
 
-def grow_boosting_tree(X, root, grad, hess, split_hess, max_depth, reg_lambda,
-                       min_child_weight):
-    """Regression tree of one boosting round, grown level by level with one
-    ``best_split`` call per level, whose lanes are the level's leaves: splits
-    by ``gradient_score`` on (grad, split_hess), leaf values -G/(H+reg) on
-    (grad, hess). ``root`` is ``sort_lanes`` of X's rows, which every round
-    shares.
+def _node_sums(sums, lane, masks, counts):
+    """Per node b the sums over its rows (``masks[b]``) of each statistic of
+    ``sums[lane[b]]`` (L, k, n): an array (B, k).
 
-    Returns (TreeNodes of 2^(max_depth+1) - 1 nodes, padded with childless
-    ones; summed split gain per feature; value of each training row's leaf).
-    The gains are added in depth-first order.
+    Each sum adds the node's rows alone, in order, as a 1-D ``np.sum``
+    would: a sum padded with the zeros of other rows can round differently
+    (numpy sums 8 or more values pairwise). The nodes of one row count c
+    are summed in one call, as the rows of a C-contiguous (k * nodes, c)
+    array.
     """
-    n, d = X.shape
-    sums = np.array([grad, hess, split_hess])
-    feature, threshold, left, right, value, gain = [], [], [], [], [], []
-    row_value = np.empty(n)
-    level = [np.ones(n, bool)]
+    n_stats, n = sums.shape[1:]
+    order = np.argsort(counts, kind="stable")
+    node, row = np.nonzero(masks[order])
+    # (k, rows of every node): the nodes in order of row count
+    flat = (lane[order][node] * n_stats + np.arange(n_stats)[:, None]) * n + row
+    values = sums.take(flat)
+    nodes = np.bincount(counts)
+    sizes = np.flatnonzero(nodes)
+    out = np.empty((n_stats, len(lane)))
+    start = first = 0
+    for c, k in zip(sizes.tolist(), nodes[sizes].tolist()):
+        group = values[:, start:start + k * c].reshape(n_stats * k, c)
+        out[:, order[first:first + k]] = group.sum(axis=1).reshape(n_stats, k)
+        start, first = start + k * c, first + k
+    return out.T
+
+
+def grow_boosting_trees(X, valid, root, sums, max_depth, reg_lambda, min_child_weight):
+    """The regression trees of one boosting round, one per lane of ``X``
+    (L, n, d), each grown on its lane's rows where ``valid`` (L, n) holds.
+    The trees grow level by level, and one ``best_split`` call searches the
+    leaves of a level of every tree: splits by ``gradient_score`` on
+    (grad, split_hess), leaf values -G/(H+reg) on (grad, hess), where
+    ``sums`` (L, 3, n) holds grad, hess and split_hess. ``root`` is
+    ``sort_lanes(X, valid)``, which every round shares.
+
+    Returns (TreeNodes stack (L, 2^(max_depth+1) - 1), each tree padded with
+    childless nodes; the split gain of each node, of the same shape, for
+    ``depth_first_gains``; value of each row's leaf (L, n)).
+    """
+    n_lanes, n, d = X.shape
+    size = 2 ** (max_depth + 1) - 1
+    feature = np.full((n_lanes, size), NO_CHILD)
+    threshold = np.zeros((n_lanes, size))
+    left = np.full((n_lanes, size), NO_CHILD)
+    right = np.full((n_lanes, size), NO_CHILD)
+    value = np.zeros((n_lanes, size))
+    gain = np.zeros((n_lanes, size))
+    # the node each row has reached (padding rows stay at the root)
+    at = np.zeros((n_lanes, n), dtype=int)
+    allocated = np.ones(n_lanes, dtype=int)
+    # the level's nodes, lane by lane
+    lane, node, masks = np.arange(n_lanes), np.zeros(n_lanes, dtype=int), valid
     for depth in range(max_depth + 1):
-        base = len(value)
-        nodes, masks, G, H = [], [], [], []
-        for node, mask in enumerate(level, base):
-            rows = sums.compress(mask, axis=1)
-            # each row of a C-contiguous (3, rows) array sums as its own 1-D
-            # sum would (np.sum rounds pairwise, so the layout matters)
-            g, h, split_h = rows.sum(axis=1).tolist()
-            value.append(-g / (h + reg_lambda + 1e-12))
-            if depth < max_depth and rows.shape[1] >= 2:
-                nodes.append(node)
-                masks.append(mask)
-                G.append(g)
-                H.append(split_h)
-            else:
-                row_value[mask] = value[node]
-        feature += [NO_CHILD] * len(level)
-        threshold += [0.0] * len(level)
-        left += [NO_CHILD] * len(level)
-        right += [NO_CHILD] * len(level)
-        gain += [0.0] * len(level)
-        if not nodes:
+        counts = masks.sum(axis=1)
+        g, h, split_h = _node_sums(sums, lane, masks, counts).T
+        value[lane, node] = -g / (h + reg_lambda + 1e-12)
+        search = np.flatnonzero(counts >= 2)
+        if depth == max_depth or not len(search):
             break
-        masks = np.array(masks)
-        lanes = root if depth == 0 else sort_lanes(X[None], masks)
+        lanes = (root if depth == 0 and len(search) == n_lanes
+                 else sort_lanes(X[lane[search]], masks[search]))
+        stats = np.where(masks[search], sums[lane[search]][:, ::2].transpose(1, 0, 2), 0.0)
         col, _, thr, best = best_split(
-            lanes, np.where(masks, sums[::2, None], 0.0),
-            gradient_score(np.array(G), np.array(H), reg_lambda, min_child_weight))
-        level = []
-        for node, mask, j, thr_node, gain_node in zip(nodes, masks, col.tolist(), thr.tolist(),
-                                                     best.tolist()):
-            if gain_node == -np.inf:
-                row_value[mask] = value[node]
-                continue
-            go_left = X[:, j] <= thr_node
-            feature[node], threshold[node], gain[node] = j, thr_node, gain_node
-            left[node] = len(value) + len(level)
-            right[node] = left[node] + 1
-            level += [mask & go_left, mask & ~go_left]
-        if not level:
+            lanes, stats, gradient_score(g[search], split_h[search], reg_lambda, min_child_weight))
+        found = best > -np.inf
+        if not found.any():
             break
-    importance = [0.0] * d
-    stack = [0]
-    while stack:  # depth first, left child first
-        node = stack.pop()
-        if feature[node] != NO_CHILD:
-            importance[feature[node]] += gain[node]
-            stack += [right[node], left[node]]
-    pad = 2 ** (max_depth + 1) - 1 - len(value)
-    return (TreeNodes(feature + [NO_CHILD] * pad, threshold + [0.0] * pad,
-                      left + [NO_CHILD] * pad, right + [NO_CHILD] * pad, value + [0.0] * pad),
-            np.array(importance), row_value)
+        parent = search[found]
+        col, thr = col[found], thr[found]
+        split_lane, split_node = lane[parent], node[parent]
+        feature[split_lane, split_node], threshold[split_lane, split_node] = col, thr
+        gain[split_lane, split_node] = best[found]
+        go_left = X[split_lane, :, col] <= thr[:, None]
+        masks = np.stack([masks[parent] & go_left, masks[parent] & ~go_left],
+                         axis=1).reshape(-1, n)
+        # a lane's children are numbered after all of its nodes so far
+        lane = np.repeat(split_lane, 2)
+        node = allocated[lane] + np.arange(len(lane)) - np.searchsorted(lane, lane)
+        allocated += np.bincount(lane, minlength=n_lanes)
+        left[split_lane, split_node], right[split_lane, split_node] = node[0::2], node[1::2]
+        child, row = np.nonzero(masks)
+        at[lane[child], row] = node[child]
+    return (TreeNodes(feature, threshold, left, right, value), gain,
+            value[np.arange(n_lanes)[:, None], at])
+
+
+def depth_first_gains(nodes, gain, d):
+    """Per tree of a stack ``nodes`` (T, m), the ``gain`` (T, m) of its
+    split nodes summed per feature (T, d), added in the tree's depth-first
+    order (left child first)."""
+    feature, left, right = nodes.feature, nodes.left, nodes.right
+    tree, node = np.nonzero(feature != NO_CHILD)
+    # each node's position in a complete binary tree (root 1, children 2h
+    # and 2h + 1), set one level deeper per pass
+    heap = np.ones(feature.shape, dtype=int)
+    for _ in range(nodes.depth):
+        heap[tree, left[tree, node]] = 2 * heap[tree, node]
+        heap[tree, right[tree, node]] = 2 * heap[tree, node] + 1
+    # depth first: by position shifted to the deepest level, then by depth
+    h = heap[tree, node]
+    depth = np.frexp(h)[1] - 1
+    order = np.lexsort((depth, h << (nodes.depth - depth), tree))
+    tree, node = tree[order], node[order]
+    out = np.zeros((len(feature), d))
+    np.add.at(out, (tree, feature[tree, node]), gain[tree, node])
+    return out
+
+
+def lane_blocks(lanes, trees=1):
+    """The lanes, (X, y) pairs, in blocks of lanes of one width whose padded
+    (lanes * trees, rows, features) stack holds at most ``FIT_BLOCK``
+    entries (one lane at least). Yields each block's lane indices and its
+    padded stack: X (B, n, d) and y (B, n), each lane's rows first and zeros
+    after them, and ``valid`` (B, n), which marks the lane's rows."""
+    block = []
+    for i in sorted(range(len(lanes)), key=lambda i: lanes[i][0].shape[1]):
+        width = lanes[i][0].shape[1]
+        rows = max(len(lanes[j][1]) for j in block + [i])
+        if block and (width != lanes[block[0]][0].shape[1]
+                      or (len(block) + 1) * trees * rows * width > FIT_BLOCK):
+            yield _padded(lanes, block)
+            block = []
+        block.append(i)
+    if block:
+        yield _padded(lanes, block)
+
+
+def _padded(lanes, block):
+    counts = [len(lanes[i][1]) for i in block]
+    X = np.zeros((len(block), max(counts), lanes[block[0]][0].shape[1]))
+    y = np.zeros((len(block), max(counts)), dtype=int)
+    for b, (i, n) in enumerate(zip(block, counts)):
+        X[b, :n], y[b, :n] = lanes[i]
+    return block, X, y, np.arange(max(counts)) < np.array(counts)[:, None]

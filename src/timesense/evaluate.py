@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 
-from .classifiers import KINDS, ClassifierConfig, predict, train
+from .classifiers import KINDS, ClassifierConfig, predict, train_many
 from .errors import InsufficientData, InvalidInput
 from .fileio import write_atomic
 from .model import (
@@ -77,14 +77,15 @@ def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "min
 
     Per fold: fit the scaler on training rows only, run the optional feature
     selection on training rows only, train, then score the held-out
-    participant. ``selection`` is None or a (mode, params) pair with mode in
+    participant. Every fold's model is trained in one ``train_many`` call.
+    ``selection`` is None or a (mode, params) pair with mode in
     SELECTION_MODES; params is None, or for 'sfs' may hold ``n_features``
     (default 12).
     """
     participants = dataset.participants()
     if len(participants) < 2:
         raise InsufficientData("need at least 2 participants")
-    folds = []
+    folds, configs, lanes = [], [], []
     for pid in participants:
         pid = int(pid)
         s = fold_seed(seed, pid)
@@ -100,24 +101,27 @@ def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "min
         cfg = ClassifierConfig(config.kind, seed=s)
         selected = _resolve_selection(selection, train_scaled, cfg, s)
         idx = [dataset.feature_names.index(n) for n in selected]
+        folds.append((pid, scaler, selected, test_X[:, idx], test_rows.y))
+        configs.append(cfg)
+        lanes.append((train_scaled.X[:, idx], train_scaled.y))
 
-        model = train(cfg, train_scaled.X[:, idx], train_scaled.y)
-        preds = predict(model, test_X[:, idx])
-        acc = accuracy(preds, test_rows.y)
-
+    results = []
+    for (pid, scaler, selected, test_X, actual), model in zip(folds,
+                                                               train_many(configs, lanes)):
+        preds = predict(model, test_X)
         stats = {"method": scaler.method}
         if scaler.stat_a is not None:
             stats["stat_a"] = tuple(float(v) for v in scaler.stat_a)
             stats["stat_b"] = tuple(float(v) for v in scaler.stat_b)
-        folds.append(FoldResult(
+        results.append(FoldResult(
             held_out_participant=pid,
-            accuracy=acc,
+            accuracy=accuracy(preds, actual),
             selected_feature_names=tuple(selected),
             scaler_stats=stats,
             predictions=tuple(int(v) for v in preds),
-            actual=tuple(int(v) for v in test_rows.y),
+            actual=tuple(int(v) for v in actual),
         ))
-    return EvaluationReport(tuple(folds))
+    return EvaluationReport(tuple(results))
 
 
 def report_matrix(dataset: Dataset, kinds=MATRIX_KINDS, settings=SELECTION_MODES,

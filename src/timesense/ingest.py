@@ -24,6 +24,15 @@ from .model import (
 MANIFEST_SCHEMA_VERSION = 1
 # Most samples a synthesized channel may hold (about 11 hours at 25 Hz).
 MAX_CHANNEL_SAMPLES = 1_000_000
+# Most beats the PPG generator may draw per session, counted at its shortest
+# beat interval (60/210 s): above the 140,000 of the longest session that
+# MAX_CHANNEL_SAMPLES allows at 25 Hz; about 0.3 s of generation on a
+# 2-vCPU x86-64 host.
+MAX_SESSION_BEATS = 150_000
+# Most expected skin conductance responses times EDA samples per session:
+# each response adds to every sample after its onset, so this is about 0.7
+# s of generation on the same host (a 1.8 h session at the default rates).
+MAX_SCR_SAMPLE_UPDATES = 100_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +276,19 @@ class SynthConfig:
                 raise InvalidInput("heart rate outside the 42-210 bpm passband")
             if p.scr_rate_per_min < 0 or p.rr_jitter_ms < 0:
                 raise InvalidInput("rates and jitters must be non-negative")
+        beats = total_s * 210.0 / 60.0
+        if not beats <= MAX_SESSION_BEATS:
+            raise InvalidInput(f"a session holds at most {MAX_SESSION_BEATS} beats; "
+                               f"{total_s!r} s at up to 210 bpm does not")
+        responses = (self.baseline.scr_rate_per_min * self.baseline_s
+                     + max(self.slow.scr_rate_per_min, self.fast.scr_rate_per_min)
+                     * self.task_s) / 60.0
+        updates = responses * round(total_s * self.eda_rate_hz)
+        if not updates <= MAX_SCR_SAMPLE_UPDATES:
+            raise InvalidInput(
+                f"a session makes at most {MAX_SCR_SAMPLE_UPDATES} SCR sample updates "
+                f"(expected responses x EDA samples); {responses:.6g} x "
+                f"{round(total_s * self.eda_rate_hz)} does not")
         if not 0 <= self.n_slow_biased <= self.participants:
             raise InvalidInput("n_slow_biased out of range")
         if self.seed < 0:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import ClassifierConfig, importance, predict, train
+from .classifiers import ClassifierConfig, importance, predict, train_many
 from .errors import InsufficientData, Unsupported
 
 # Stratified folds of the cross-validation that scores each candidate set.
@@ -38,21 +38,36 @@ def stratified_kfold(y, k, seed):
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 
-def cv_accuracy(config: ClassifierConfig, X, y, folds):
-    """Mean accuracy of the classifier over the given test folds."""
-    accs = []
-    n = len(y)
-    for test_idx in folds:
-        if len(test_idx) == 0:
-            continue
-        train_mask = np.ones(n, dtype=bool)
+def _fold_lanes(candidates, y, folds):
+    """The training lanes of every (candidate, fold) pair, candidate by
+    candidate, and the test rows of each non-empty fold; ``candidates`` are
+    feature matrices of the same rows."""
+    tests = [t for t in folds if len(t)]
+    masks = []
+    for test_idx in tests:
+        train_mask = np.ones(len(y), dtype=bool)
         train_mask[test_idx] = False
-        y_train = y[train_mask]
-        if len(np.unique(y_train)) < 2:
+        if len(np.unique(y[train_mask])) < 2:
             raise InsufficientData("a training fold lacks both classes")
-        model = train(config, X[train_mask], y_train)
-        accs.append(float(np.mean(predict(model, X[test_idx]) == y[test_idx])))
-    return float(np.mean(accs))
+        masks.append(train_mask)
+    return [(X[m], y[m]) for X in candidates for m in masks], tests
+
+
+def _mean_accuracies(models, candidates, y, tests):
+    """Per candidate, the mean test-fold accuracy of its models (in the
+    order of ``_fold_lanes``)."""
+    accs = [float(np.mean(predict(model, X[t]) == y[t]))
+            for model, (X, t) in zip(models, ((X, t) for X in candidates for t in tests))]
+    k = len(tests)
+    return [float(np.mean(accs[i:i + k])) for i in range(0, len(accs), k)]
+
+
+def cv_accuracy(config: ClassifierConfig, candidates, y, folds):
+    """Mean accuracy over the given test folds of each candidate feature
+    matrix; every (candidate, fold) model is one lane of one ``train_many``
+    call."""
+    lanes, tests = _fold_lanes(candidates, y, folds)
+    return _mean_accuracies(train_many(config, lanes), candidates, y, tests)
 
 
 def sfs(dataset, config: ClassifierConfig, n_features: int, seed: int = 0) -> SelectionResult:
@@ -73,10 +88,9 @@ def sfs(dataset, config: ClassifierConfig, n_features: int, seed: int = 0) -> Se
     trace = []
     while len(current) != n_features:
         best_score, best_choice = -1.0, None
-        for j in range(d):
-            if j in current:
-                continue
-            score = cv_accuracy(config, X[:, sorted(current + [j])], y, folds)
+        choices = [j for j in range(d) if j not in current]
+        scores = cv_accuracy(config, [X[:, sorted(current + [j])] for j in choices], y, folds)
+        for j, score in zip(choices, scores):
             if score > best_score:
                 best_score, best_choice = score, j
         current.append(best_choice)
@@ -103,12 +117,19 @@ def rfecv(dataset, config: ClassifierConfig, seed: int = 0) -> SelectionResult:
     trace = []
     sets_by_size = {}
     while True:
-        score = cv_accuracy(config, X[:, cols], y, folds)
+        kept = X[:, cols]
+        lanes, tests = _fold_lanes([kept], y, folds)
+        if len(cols) > 1:
+            # the model of all rows, whose importances pick the feature to
+            # drop, trains in the same batch as the fold models
+            lanes.append((kept, y))
+        models = train_many(config, lanes)
+        score = _mean_accuracies(models[:len(tests)], [kept], y, tests)[0]
         trace.append((tuple(names[i] for i in cols), score))
         sets_by_size[len(cols)] = (score, list(cols))
         if len(cols) == 1:
             break
-        imp = importance(train(config, X[:, cols], y))
+        imp = importance(models[-1])
         del cols[min(range(len(cols)), key=lambda i: (imp[i], -cols[i]))]
 
     best_size = max(sets_by_size, key=lambda sz: (sets_by_size[sz][0], -sz))

@@ -86,9 +86,9 @@ def pinned_fixture(name):
 
 def train_estimator(kind, estimator, X, y, seed=0):
     """``estimator`` trained as ``classifiers.train`` trains the one it builds
-    for ``kind``: on the rows in canonical order, with a generator seeded by
-    ``seed``. For estimators built with arguments that ``train`` never sets."""
+    for ``kind``: on the rows in canonical order. For estimators built with
+    arguments that ``train`` never sets; ``seed`` is the config's."""
     X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=int)
     order = canonical_order(X, y)
-    estimator.fit(X[order], y[order], rng=np.random.default_rng(seed))
+    estimator.fit(X[order], y[order])
     return TrainedModel(kind, ClassifierConfig(kind, seed=seed), estimator, X.shape[1])

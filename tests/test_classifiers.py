@@ -11,8 +11,10 @@ from timesense.classifiers.base import (
     ClassifierConfig,
     decision_scores,
     importance,
+    canonical_order,
     predict,
     train,
+    train_many,
 )
 from timesense.classifiers.linear import (
     LogisticRegressionNewton,
@@ -930,15 +932,16 @@ class TestBatchedCalls:
         X, y = blobs(gap=2.0)
         calls = _count_calls(monkeypatch, tree, "best_split")
         grown = []
-        grow = ensemble.grow_boosting_tree
+        grow = ensemble.grow_boosting_trees
 
         def counted(*args):
             before = len(calls)
             out = grow(*args)
-            grown.append((out[0], len(calls) - before))
+            one = tree.TreeNodes(*(a[0] for a in out[0].arrays()))
+            grown.append((one, len(calls) - before))
             return out
 
-        monkeypatch.setattr(ensemble, "grow_boosting_tree", counted)
+        monkeypatch.setattr(ensemble, "grow_boosting_trees", counted)
         booster = Booster(max_depth=3).fit(X, y)
         assert len(grown) == booster.n_estimators
         for nodes, searches in grown:
@@ -982,7 +985,7 @@ def _node_depths_and_rows(nodes, X):
 # ---------------------------------------------------------------------------
 
 class OracleSMOSVC(SMOSVC):
-    def fit(self, X, y, rng=None):
+    def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
         n = len(ypm)
@@ -1072,7 +1075,7 @@ class OracleSMOSVC(SMOSVC):
 
 
 class OracleLR(LogisticRegressionNewton):
-    def fit(self, X, y, rng=None):
+    def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         n, d = X.shape
@@ -1189,3 +1192,224 @@ class TestSolverConvergence:
         assert (capped.n_iter_, capped.converged_) == (1, False)
         full = LogisticRegressionNewton().fit(X, y)
         assert full.converged_ and 1 < full.n_iter_ < full.max_iter
+
+
+# ---------------------------------------------------------------------------
+# train_many: each lane's model is bit for bit the one train gives for that
+# lane alone, and for dtc, rf, gb and xgb the one of the per-fit oracle.
+# ---------------------------------------------------------------------------
+
+def _state(value):
+    """Everything an estimator holds, comparable bit for bit: arrays as
+    their bytes (floats through int64 views), floats as their bit pattern."""
+    if isinstance(value, tree.TreeNodes):
+        return tuple(_state(a) for a in value.arrays())
+    if isinstance(value, np.ndarray):
+        a = np.ascontiguousarray(value)
+        data = a.view(np.int64) if a.dtype == np.float64 else a
+        return str(a.dtype), a.shape, data.tobytes()
+    if isinstance(value, (float, np.floating)):
+        return np.float64(value).view(np.int64).item()
+    if isinstance(value, (list, tuple)):
+        return tuple(_state(v) for v in value)
+    if hasattr(value, "__dict__"):
+        return type(value).__name__, tuple(sorted((k, _state(v)) for k, v in vars(value).items()))
+    return value
+
+
+def _int64(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_same_model(model, reference, probe):
+    assert model.kind == reference.kind and model.config == reference.config
+    assert model.feature_count == reference.feature_count
+    assert _state(model.estimator) == _state(reference.estimator)
+    assert np.array_equal(_int64(decision_scores(model, probe)),
+                          _int64(decision_scores(reference, probe)))
+    if model.config.supports_importance():
+        assert np.array_equal(_int64(importance(model)), _int64(importance(reference)))
+
+
+def lane_pool(seed, n=25, d=4):
+    """Rows with tied values (integer-valued columns), a duplicated column
+    and a fresh probe."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, (n, d)).astype(float)
+    X[:, 1:3] += rng.normal(0, 1, (n, 2))
+    X[:, -1] = X[:, 0]
+    y = rng.integers(0, 2, n)
+    y[:2] = (0, 1)
+    return X, y, rng.normal(1.5, 1.5, (9, d))
+
+
+def ragged_lanes(seed):
+    """LOSO-like folds of one pool: 24, 23 and 25 rows, and two of 24 that
+    leave out different rows."""
+    X, y, probe = lane_pool(seed)
+    keep = [np.r_[0:24], np.r_[0:23], np.r_[0:25], np.r_[0:10, 11:25], np.r_[0:2, 4:25, 2]]
+    return [(X[k], y[k]) for k in keep], probe
+
+
+def stopping_lanes():
+    """Lanes that stop early beside one that grows: constant features (every
+    gain -inf; AdaBoost's first stump errs by 0.5 and none is kept), one
+    feature that separates the classes (pure children; a perfect first
+    stump halts AdaBoost), and one pool lane."""
+    (X, y), probe = ragged_lanes(3)[0][0], lane_pool(3)[2]
+    constant = (np.ones((8, 4)), np.tile([0, 1], 4))
+    separable = np.random.default_rng(1).normal(size=(14, 4))
+    separable[:, 2] = np.repeat([0.0, 5.0], 7)
+    return [constant, (separable, np.repeat([0, 1], 7)), (X, y)], probe
+
+
+def mixed_width_lanes():
+    """Lanes of 3 and of 4 features in one call."""
+    lanes, probe = ragged_lanes(5)
+    narrow = [(X[:, :3], y) for X, y in (lanes[1], lanes[3])]
+    return [lanes[0], narrow[0], lanes[2], narrow[1]], probe
+
+
+LANE_SETS = {
+    "ragged": lambda: ragged_lanes(0),
+    "ragged-2": lambda: ragged_lanes(1),
+    "single": lambda: (ragged_lanes(2)[0][:1], ragged_lanes(2)[1]),
+    "stopping": stopping_lanes,
+    "mixed-width": mixed_width_lanes,
+}
+
+
+class TestTrainMany:
+    @pytest.mark.parametrize("lane_set", sorted(LANE_SETS))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_lane_equals_its_own_train(self, kind, lane_set):
+        lanes, probe = LANE_SETS[lane_set]()
+        config = ClassifierConfig(kind, seed=4)
+        models = train_many(config, lanes)
+        assert len(models) == len(lanes)
+        for model, (X, y) in zip(models, lanes):
+            assert_same_model(model, train(config, X, y), probe[:, :X.shape[1]])
+
+    @pytest.mark.parametrize("kind,block,blocks", [
+        ("dtc", 1, 5), ("rf", 1, 5), ("gb", 1, 5), ("xgb", 1, 5),
+        # 1000 entries hold every dtc lane (25 rows, 4 features) and two
+        # boosting lanes (4 nodes a level); a forest of 100 trees exceeds
+        # them and takes a block alone
+        ("dtc", 1000, 1), ("rf", 1000, 5), ("gb", 1000, 3), ("xgb", 1000, 3)])
+    def test_lanes_split_into_blocks_equal_one_block(self, monkeypatch, kind, block, blocks):
+        lanes, probe = ragged_lanes(6)
+        config = ClassifierConfig(kind, seed=2)
+        whole = train_many(config, lanes)
+        monkeypatch.setattr(tree, "FIT_BLOCK", block)
+        sizes = []
+        original = ensemble.lane_blocks
+
+        def counted(*args):
+            for found in original(*args):
+                sizes.append(len(found[0]))
+                yield found
+
+        monkeypatch.setattr(ensemble, "lane_blocks", counted)
+        for model, reference in zip(train_many(config, lanes), whole):
+            assert_same_model(model, reference, probe)
+        assert len(sizes) == blocks and sum(sizes) == len(lanes)
+
+    def test_lanes_keep_their_own_seeds(self):
+        lanes, probe = ragged_lanes(7)
+        configs = [ClassifierConfig("rf", seed=s) for s in (3, 1, 4, 1, 5)]
+        models = train_many(configs, lanes)
+        for model, config, (X, y) in zip(models, configs, lanes):
+            assert_same_model(model, train(config, X, y), probe)
+        # lanes 1 and 3 share a seed but not their rows; 0 and 1 the reverse
+        assert _state(models[0].estimator) != _state(models[1].estimator)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_lane_without_both_classes_raises_as_train_does(self, kind):
+        lanes, _ = ragged_lanes(8)
+        bad = (lanes[1][0], np.zeros(len(lanes[1][1]), dtype=int))
+        config = ClassifierConfig(kind)
+        with pytest.raises(InsufficientData) as alone:
+            train(config, *bad)
+        with pytest.raises(InsufficientData) as batched:
+            train_many(config, [lanes[0], bad, lanes[2]])
+        assert str(batched.value) == str(alone.value) == "training data must contain both classes"
+
+    def test_configs_must_be_one_per_lane_of_one_kind(self):
+        lanes, _ = ragged_lanes(9)
+        with pytest.raises(ValueError, match="one config per lane"):
+            train_many([ClassifierConfig("gb"), ClassifierConfig("xgb")], lanes[:2])
+        with pytest.raises(ValueError, match="one config per lane"):
+            train_many([ClassifierConfig("gb")], lanes[:2])
+        assert train_many(ClassifierConfig("gb"), []) == []
+
+    def test_adaboost_halts_in_some_lanes_only(self):
+        lanes, _ = stopping_lanes()
+        stumps = [len(m.estimator.weights_) for m in train_many(ClassifierConfig("ab"), lanes)]
+        assert stumps[0] == 0 and stumps[1] == 1 and stumps[2] > 1
+
+    def test_stopping_lanes_stop(self):
+        lanes, _ = stopping_lanes()
+        for kind in ("dtc", "gb", "xgb"):
+            constant, separable, grown = (
+                m.estimator.nodes_ for m in train_many(ClassifierConfig(kind), lanes))
+            assert (constant.feature == tree.NO_CHILD).all()
+            assert separable.depth == 1 and grown.depth > 1
+
+
+# the estimator parameters ``train`` gives each tree kind, for the oracle
+TRAIN_PARAMS = {"dtc": ("dtc", {}), "rf": ("rf", {}),
+                "gb": ("booster", GB_PARAMS), "xgb": ("booster", {})}
+
+
+class TestTrainManyMatchesOracles:
+    """The batched fits of every lane against the per-fit oracle: the
+    recursive growers, one booster round and one forest at a time."""
+
+    @pytest.mark.parametrize("lane_set", ["ragged", "stopping"])
+    @pytest.mark.parametrize("kind", sorted(TRAIN_PARAMS))
+    def test_bitwise_equal(self, kind, lane_set):
+        lanes, probe = LANE_SETS[lane_set]()
+        oracle_kind, params = TRAIN_PARAMS[kind]
+        if kind == "rf":
+            params = {"seed": 6}
+        for model, (X, y) in zip(train_many(ClassifierConfig(kind, seed=6), lanes), lanes):
+            order = canonical_order(X, y)
+            oracle = OracleTrees(oracle_kind, **params).fit(X[order], y[order])
+            est = model.estimator
+            assert est.weights_ == oracle.weights
+            assert _bits(est.importance()) == _bits(oracle.importance())
+            assert _bits(tree.walk(est.nodes_, X)) == _bits(oracle.tree_values(X))
+            assert _bits(est.decision_function(probe)) == _bits(oracle.decision_function(probe))
+
+
+class TestTrainManyBatches:
+    """One search call serves a level, or a lockstep step, of every lane."""
+
+    @pytest.mark.parametrize("kind", ["gb", "xgb"])
+    def test_boosters_search_each_level_of_every_lane_in_one_call(self, monkeypatch, kind):
+        lanes, _ = ragged_lanes(10)
+        calls = _count_calls(monkeypatch, tree, "best_split")
+        alone = []
+        for X, y in lanes:
+            before = len(calls)
+            train(ClassifierConfig(kind), X, y)
+            alone.append(len(calls) - before)
+        before = len(calls)
+        train_many(ClassifierConfig(kind), lanes)
+        batched = calls[before:]
+        # each round searches as many levels as its deepest lane
+        assert max(alone) <= len(batched) <= 100 * 3 < sum(alone)
+        assert batched[0][1].shape[1] == len(lanes)
+
+    def test_forest_grows_every_lane_in_one_lockstep(self, monkeypatch):
+        lanes, _ = ragged_lanes(11)
+        calls = _count_calls(monkeypatch, tree, "best_split")
+        alone = []
+        for X, y in lanes:
+            before = len(calls)
+            train(ClassifierConfig("rf"), X, y)
+            alone.append(len(calls) - before)
+        before = len(calls)
+        train_many(ClassifierConfig("rf"), lanes)
+        assert len(calls) - before == max(alone)
+        assert calls[before][1].shape[1] == 100 * len(lanes)

@@ -249,6 +249,24 @@ class TestErrorBoundary:
         assert line.startswith(f"error: a channel holds at most {ingest.MAX_CHANNEL_SAMPLES} ")
 
     @pytest.mark.parametrize("doc, message", [
+        ({"task_s": 1e5, "ppg_rate_hz": 0.001, "eda_rate_hz": 0.001, "temp_rate_hz": 0.001},
+         f"a session holds at most {ingest.MAX_SESSION_BEATS} beats; "),
+        ({"fast": {**vars(ingest.FAST_PARAMS), "scr_rate_per_min": 20000.0}},
+         f"a session makes at most {ingest.MAX_SCR_SAMPLE_UPDATES} SCR sample updates "),
+    ])
+    def test_synth_config_past_a_generator_cap_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                       doc, message):
+        # validation must reject the config before any session is generated
+        monkeypatch.setattr(ingest, "_synth_session",
+                            lambda *a: pytest.fail("generated a session"))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DOMAIN
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: " + message)
+
+    @pytest.mark.parametrize("doc, message", [
         ({"ppg_rate_hz": 0.001}, "ppg channel too short"),
         # 212 s at 7.1 Hz rounds to 1505 samples, 211.97 s
         ({"temp_rate_hz": 7.1}, "task window exceeds thermopile recording length"),

@@ -18,7 +18,9 @@ from timesense.model import EDA_FEATURES, PPG_FEATURES, Dataset
 from timesense.pipeline import apply_scaler, fit_scaler
 from timesense.selection import sfs
 from timesense.classifiers import predict as clf_predict, train as clf_train
+from timesense.model import EvaluationReport, FoldResult
 from tests.conftest import planted_dataset
+from tests.test_selection import reference_rfecv, reference_sfs
 
 
 class TestBasics:
@@ -143,3 +145,63 @@ class TestReportMatrix:
         text = json.dumps(doc, sort_keys=True)
         assert json.loads(text)["mean_accuracy"] == report.mean_accuracy
         assert doc["schema_version"] == 1
+
+
+def reference_losocv(dataset, config, scaler_method="minmax", selection=None, seed=0):
+    """``losocv`` as it was before its folds were trained in one batch: one
+    ``train`` per fold, and the per-fit selection loops."""
+    folds = []
+    for pid in dataset.participants():
+        pid = int(pid)
+        s = fold_seed(seed, pid)
+        test_mask = dataset.participant_ids == pid
+        train_rows, test_rows = dataset.select_rows(~test_mask), dataset.select_rows(test_mask)
+        scaler = fit_scaler(train_rows.X, scaler_method)
+        train_scaled = Dataset(apply_scaler(scaler, train_rows.X), train_rows.y,
+                               train_rows.participant_ids, train_rows.feature_names)
+        test_X = apply_scaler(scaler, test_rows.X)
+        cfg = ClassifierConfig(config.kind, seed=s)
+        mode, params = selection or ("none", None)
+        if mode == "sfs":
+            selected = reference_sfs(train_scaled, cfg, params["n_features"], seed=s).selected
+        elif mode == "rfecv":
+            selected = reference_rfecv(train_scaled, cfg, seed=s).selected
+        else:
+            selected = tuple(dataset.feature_names)
+        idx = [dataset.feature_names.index(n) for n in selected]
+        model = clf_train(cfg, train_scaled.X[:, idx], train_scaled.y)
+        preds = clf_predict(model, test_X[:, idx])
+        stats = {"method": scaler.method,
+                 "stat_a": tuple(float(v) for v in scaler.stat_a),
+                 "stat_b": tuple(float(v) for v in scaler.stat_b)}
+        folds.append(FoldResult(pid, accuracy(preds, test_rows.y), tuple(selected), stats,
+                                tuple(int(v) for v in preds),
+                                tuple(int(v) for v in test_rows.y)))
+    return EvaluationReport(tuple(folds))
+
+
+class TestBatchedLosocvMatchesPerFitReference:
+    """Participants of 5, 4 and 6 rows give folds of different sizes; every
+    fold's model, and every model of a selection step, is one lane of a
+    batch."""
+
+    @staticmethod
+    def dataset():
+        rng = np.random.default_rng(4)
+        y = np.array([0, 1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1])
+        X = np.round(rng.normal(size=(15, 3)) + 0.7 * y[:, None] * rng.random(3), 1)
+        return Dataset(X, y, np.repeat([1, 2, 3], [5, 4, 6]), ("a", "b", "c"))
+
+    # each booster runs through one selection mode; tests/test_selection.py
+    # compares SFS and RFECV themselves for all four kinds
+    @pytest.mark.parametrize("kind,mode", [
+        ("rf", "none"), ("gb", "none"), ("xgb", "none"), ("lr", "none"),
+        ("rf", "sfs"), ("gb", "sfs"), ("lr", "sfs"),
+        ("rf", "rfecv"), ("xgb", "rfecv"), ("lr", "rfecv")])
+    def test_reports_equal(self, kind, mode):
+        ds = self.dataset()
+        config = ClassifierConfig(kind)
+        selection = {"none": None, "sfs": ("sfs", {"n_features": 1}), "rfecv": ("rfecv", None)}[mode]
+        got = losocv(ds, config, selection=selection, seed=3)
+        assert got == reference_losocv(ds, config, selection=selection, seed=3)
+        assert len({len(f.predictions) for f in got.per_fold}) == 3

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -213,6 +214,38 @@ class TestSynthDataset:
     def test_channel_at_the_sample_cap_accepted(self):
         ingest.SynthConfig(baseline_s=100.0, task_s=100.0,
                            ppg_rate_hz=ingest.MAX_CHANNEL_SAMPLES / 200.0).validate()
+
+    # sparse channels over a long session: few samples, but a beat loop of
+    # 350,105 iterations (at most one beat per 60/210 s)
+    SPARSE = {"task_s": 1e5, "ppg_rate_hz": 0.001, "eda_rate_hz": 0.001, "temp_rate_hz": 0.001}
+
+    def test_sessions_past_the_beat_cap_rejected(self):
+        with pytest.raises(InvalidInput, match=f"a session holds at most "
+                                               f"{ingest.MAX_SESSION_BEATS} beats; 100030.0 s"):
+            ingest.SynthConfig(**self.SPARSE).validate()
+
+    def test_session_at_the_beat_cap_accepted(self):
+        longest = ingest.MAX_SESSION_BEATS * 60.0 / 210.0
+        ingest.SynthConfig(**dict(self.SPARSE, task_s=longest - 30.5)).validate()
+        with pytest.raises(InvalidInput, match="beats"):
+            ingest.SynthConfig(**dict(self.SPARSE, task_s=longest - 29.0)).validate()
+
+    @pytest.mark.parametrize("rate", [20_000.0, 1e300, float("inf")])
+    def test_responses_past_the_scr_cap_rejected(self, rate):
+        fast = dataclasses.replace(ingest.FAST_PARAMS, scr_rate_per_min=rate)
+        with pytest.raises(InvalidInput, match=f"at most {ingest.MAX_SCR_SAMPLE_UPDATES} SCR "
+                                               f"sample updates"):
+            ingest.SynthConfig(fast=fast).validate()
+
+    def test_scr_cap_counts_responses_times_eda_samples(self):
+        # a 6000 s session at the default rates: (4 * 30 + 9 * 5970) / 60 =
+        # 897.5 responses over 90,000 samples, 80.8 million updates; a
+        # 7030 s one makes 1052 x 105,450 = 110.9 million
+        ingest.SynthConfig(task_s=5970.0).validate()
+        with pytest.raises(InvalidInput, match=r"; 1052 x 105450 does not"):
+            ingest.SynthConfig(task_s=7000.0).validate()
+        # the same session with sparse EDA is cheap
+        ingest.SynthConfig(task_s=7000.0, eda_rate_hz=1.0).validate()
 
 
 @pytest.fixture

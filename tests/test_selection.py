@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from timesense.classifiers import ClassifierConfig
+from timesense.classifiers import ClassifierConfig, importance, predict, train
 from timesense.errors import InsufficientData, Unsupported
 from timesense.model import Dataset
 from timesense.selection import (
+    CV_FOLDS,
+    SelectionResult,
     cv_accuracy,
     rfecv,
     sfs,
@@ -48,7 +50,7 @@ class TestStratifiedKfold:
         X = np.random.default_rng(0).normal(size=(10, 2))
         folds = stratified_kfold(y, 5, seed=0)
         with pytest.raises(InsufficientData, match="lacks both classes"):
-            cv_accuracy(LR, X, y, folds)
+            cv_accuracy(LR, [X], y, folds)
 
 
 class TestSfs:
@@ -91,7 +93,7 @@ class TestSfs:
         folds = stratified_kfold(ds.y, 5, seed=0)
         best, best_j = -1.0, None
         for j in range(4):
-            s = cv_accuracy(LR, ds.X[:, [j]], ds.y, folds)
+            [s] = cv_accuracy(LR, [ds.X[:, [j]]], ds.y, folds)
             if s > best:
                 best, best_j = s, j
         res = sfs(ds, LR, n_features=1, seed=0)
@@ -140,3 +142,93 @@ class TestRfecv:
         ds = Dataset(X, y, np.arange(40) % 4 + 1, ("a", "b", "c", "d"))
         res = rfecv(ds, LR)
         assert res.selected == ("a",)
+
+
+# ---------------------------------------------------------------------------
+# Per-fit reference: the selection loops as they were before the fits of a
+# step were batched, one ``train`` call per (candidate, fold) model.
+# ---------------------------------------------------------------------------
+
+def reference_cv_accuracy(config, X, y, folds):
+    accs = []
+    for test_idx in folds:
+        if len(test_idx) == 0:
+            continue
+        train_mask = np.ones(len(y), dtype=bool)
+        train_mask[test_idx] = False
+        if len(np.unique(y[train_mask])) < 2:
+            raise InsufficientData("a training fold lacks both classes")
+        model = train(config, X[train_mask], y[train_mask])
+        accs.append(float(np.mean(predict(model, X[test_idx]) == y[test_idx])))
+    return float(np.mean(accs))
+
+
+def reference_sfs(dataset, config, n_features, seed=0):
+    names = list(dataset.feature_names)
+    X, y = dataset.X, dataset.y
+    folds = stratified_kfold(y, CV_FOLDS, seed)
+    current, trace = [], []
+    while len(current) != n_features:
+        best_score, best_choice = -1.0, None
+        for j in range(len(names)):
+            if j in current:
+                continue
+            score = reference_cv_accuracy(config, X[:, sorted(current + [j])], y, folds)
+            if score > best_score:
+                best_score, best_choice = score, j
+        current.append(best_choice)
+        trace.append((tuple(names[i] for i in sorted(current)), best_score))
+    return SelectionResult(tuple(names[i] for i in sorted(current)), tuple(trace))
+
+
+def reference_rfecv(dataset, config, seed=0):
+    names = list(dataset.feature_names)
+    X, y = dataset.X, dataset.y
+    folds = stratified_kfold(y, CV_FOLDS, seed)
+    cols, trace, sets_by_size = list(range(len(names))), [], {}
+    while True:
+        score = reference_cv_accuracy(config, X[:, cols], y, folds)
+        trace.append((tuple(names[i] for i in cols), score))
+        sets_by_size[len(cols)] = (score, list(cols))
+        if len(cols) == 1:
+            break
+        imp = importance(train(config, X[:, cols], y))
+        del cols[min(range(len(cols)), key=lambda i: (imp[i], -cols[i]))]
+    best_size = max(sets_by_size, key=lambda sz: (sets_by_size[sz][0], -sz))
+    return SelectionResult(tuple(names[i] for i in sets_by_size[best_size][1]), tuple(trace))
+
+
+def ragged_dataset(n=23, d=5, seed=0):
+    """n rows, so that the stratified folds differ in size, of weakly
+    informative features with tied values."""
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.arange(n) % 2)
+    X = np.round(rng.normal(size=(n, d)) + 0.8 * y[:, None] * rng.random(d), 1)
+    return Dataset(X, y, np.arange(n) % 4 + 1, tuple(f"f{j}" for j in range(d)))
+
+
+class TestBatchedSelectionMatchesPerFitReference:
+    """Every (candidate, fold) model of a step is one lane of one
+    ``train_many`` call; the results equal those of one fit at a time."""
+
+    @pytest.mark.parametrize("kind", ["rf", "gb", "xgb", "lr"])
+    def test_sfs(self, kind):
+        ds = ragged_dataset(seed=1)
+        config = ClassifierConfig(kind, seed=3)
+        assert len({len(f) for f in stratified_kfold(ds.y, CV_FOLDS, 2)}) > 1
+        assert sfs(ds, config, n_features=2, seed=2) == reference_sfs(ds, config, 2, seed=2)
+
+    @pytest.mark.parametrize("kind", ["rf", "gb", "xgb", "lr"])
+    def test_rfecv(self, kind):
+        ds = ragged_dataset(d=4, seed=2)
+        config = ClassifierConfig(kind, seed=5)
+        assert rfecv(ds, config, seed=1) == reference_rfecv(ds, config, seed=1)
+
+    @pytest.mark.parametrize("kind", ["rf", "lr"])
+    def test_cv_accuracy_of_many_candidates(self, kind):
+        ds = ragged_dataset(seed=3)
+        folds = stratified_kfold(ds.y, CV_FOLDS, 0)
+        config = ClassifierConfig(kind, seed=1)
+        candidates = [ds.X[:, [j]] for j in range(5)] + [ds.X[:, [0, 2]], ds.X]
+        assert cv_accuracy(config, candidates, ds.y, folds) == [
+            reference_cv_accuracy(config, X, ds.y, folds) for X in candidates]
