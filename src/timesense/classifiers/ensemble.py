@@ -10,9 +10,9 @@ from .tree import (
     depth_first_gains,
     grow_boosting_trees,
     grow_forest,
-    grow_stump,
     lane_blocks,
     sort_lanes,
+    stump_split,
     walk,
 )
 
@@ -24,8 +24,9 @@ def _normalized(imp):
 
 class TreeEnsemble:
     """What every tree model stores: its trees as one padded ``TreeNodes``
-    stack, one importance vector and one weight per tree, and an offset
-    added to the weighted sum of the trees' values.
+    stack, one weight per tree, and an offset added to the weighted sum of
+    the trees' values. dtc, rf, gb and xgb keep one importance vector per
+    tree too.
 
     A kind that trains many models at once defines ``fit_many(models,
     lanes)``: it fits ``models[i]``, which share their parameters but for
@@ -36,7 +37,6 @@ class TreeEnsemble:
 
     def __init__(self):
         self.nodes_ = None
-        self.importances_ = []
         self.weights_ = []
         self.offset_ = 0.0
 
@@ -57,41 +57,18 @@ class TreeEnsemble:
 
 
 def _trimmed(nodes, start, stop):
-    """Trees start..stop of a stack, cut to the nodes the largest of them uses."""
+    """Trees start..stop of a stack, cut to the nodes the largest of them
+    uses, as arrays of their own."""
     size = max(1, int(max(nodes.left[start:stop].max(), nodes.right[start:stop].max())) + 1)
-    return TreeNodes(*(np.array(a[start:stop, :size]) for a in nodes.arrays()))
-
-
-class DecisionTree(TreeEnsemble):
-    """A single CART tree (Gini impurity, best split)."""
-
-    def __init__(self, max_depth=None, min_samples_leaf=1):
-        super().__init__()
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-
-    @staticmethod
-    def fit_many(models, lanes):
-        # one tree per lane, grown on all of its rows
-        first = models[0]
-        for block, X, y, valid in lane_blocks(lanes):
-            nodes, importances = grow_forest(X, y, valid, max_depth=first.max_depth,
-                                             min_samples_leaf=first.min_samples_leaf)
-            for b, i in enumerate(block):
-                model = models[i]
-                model.nodes_ = _trimmed(nodes, b, b + 1)
-                model.importances_, model.weights_ = [importances[b]], [1.0]
-
-    def decision_function(self, X):
-        return walk(self.nodes_, X)[0]
-
-    def importance(self):
-        return self.importances_[0]
+    return TreeNodes(*(np.array(a) for a in nodes[start:stop, :size].arrays()))
 
 
 class RandomForest(TreeEnsemble):
     """Bagged CART trees with sqrt(d) feature subsampling per node. The
     score is the trees' mean, so every weight is 1."""
+
+    # each tree draws its rows (a bootstrap) and each node its features
+    draws = True
 
     def __init__(self, n_estimators=100, max_depth=None, min_samples_leaf=1, seed=0):
         super().__init__()
@@ -107,21 +84,26 @@ class RandomForest(TreeEnsemble):
         first = models[0]
         n_trees = first.n_estimators
         for block, X, y, valid in lane_blocks(lanes, n_trees):
-            rngs, rows = [], np.zeros((len(block) * n_trees, X.shape[1]), dtype=int)
-            for b, i in enumerate(block):
-                n = int(valid[b].sum())
-                tree_rngs = [np.random.default_rng([models[i].seed, t]) for t in range(n_trees)]
-                boot = np.array([tree_rng.integers(0, n, size=n) for tree_rng in tree_rngs])
-                # bootstrap can lose a class; fall back to the full sample
-                boot_y = y[b, boot]
-                boot[boot_y.min(axis=1) == boot_y.max(axis=1)] = np.arange(n)
-                rows[b * n_trees:(b + 1) * n_trees, :n] = boot
-                rngs += tree_rngs
             lane = np.repeat(np.arange(len(block)), n_trees)
+            rows = np.broadcast_to(np.arange(X.shape[1]), (len(lane), X.shape[1]))
+            rngs, max_features = [], None
+            if first.draws:
+                rows = np.zeros(rows.shape, dtype=int)
+                for b, i in enumerate(block):
+                    n = int(valid[b].sum())
+                    tree_rngs = [np.random.default_rng([models[i].seed, t])
+                                 for t in range(n_trees)]
+                    boot = np.array([tree_rng.integers(0, n, size=n) for tree_rng in tree_rngs])
+                    # bootstrap can lose a class; fall back to the full sample
+                    boot_y = y[b, boot]
+                    boot[boot_y.min(axis=1) == boot_y.max(axis=1)] = np.arange(n)
+                    rows[b * n_trees:(b + 1) * n_trees, :n] = boot
+                    rngs += tree_rngs
+                max_features = max(1, int(np.sqrt(X.shape[2])))
             nodes, importances = grow_forest(
                 X[lane[:, None], rows], y[lane[:, None], rows], valid[lane],
                 max_depth=first.max_depth, min_samples_leaf=first.min_samples_leaf,
-                max_features=max(1, int(np.sqrt(X.shape[2]))), feature_rngs=rngs)
+                max_features=max_features, feature_rngs=rngs)
             for b, i in enumerate(block):
                 trees = slice(b * n_trees, (b + 1) * n_trees)
                 model = models[i]
@@ -141,6 +123,20 @@ class RandomForest(TreeEnsemble):
 
     def importance(self):
         return _normalized(np.mean(self.importances_, axis=0))
+
+
+class DecisionTree(RandomForest):
+    """A single CART tree (Gini impurity, best split): the forest's one-tree
+    case, grown on every row with every feature and no draws."""
+
+    draws = False
+
+    def __init__(self, max_depth=None, min_samples_leaf=1):
+        super().__init__(n_estimators=1, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+
+    def importance(self):
+        # the tree's own importance, normalised by the grower
+        return self.importances_[0]
 
 
 class Booster(TreeEnsemble):
@@ -182,31 +178,31 @@ class Booster(TreeEnsemble):
             sums = np.ones((len(block), 3, X.shape[1]))
             # every round's roots search all rows: sort them once
             root = sort_lanes(X, valid)
-            # each round's trees and split gains: (lanes, rounds, nodes)
-            shape = (len(block), first.n_estimators, 2 ** (first.max_depth + 1) - 1)
-            *stacked, gain = (np.empty(shape, dtype)
-                              for dtype in (int, float, int, int, float, float))
-            for r in range(first.n_estimators):
+            # each round's trees and split gains, lane by lane: round r of
+            # lane b is row b * rounds + r
+            rounds = first.n_estimators
+            stacked = TreeNodes.empty((len(block) * rounds, 2 ** (first.max_depth + 1) - 1))
+            gain = np.zeros(stacked.value.shape)
+            for r in range(rounds):
                 p = sigmoid(F)
                 sums[:, 0] = p - y
                 sums[:, 1] = np.maximum(p * (1 - p), 1e-12)
                 if first.second_order_splits:
                     sums[:, 2] = sums[:, 1]
-                nodes, gain[:, r], row_value = grow_boosting_trees(
+                nodes, gain[r::rounds], row_value = grow_boosting_trees(
                     X, valid, root, sums, first.max_depth, first.reg_lambda,
                     first.min_child_weight)
                 F = F + first.learning_rate * row_value
-                for out, a in zip(stacked, nodes.arrays()):
-                    out[:, r] = a
-            gains = depth_first_gains(
-                TreeNodes(*(a.reshape(-1, shape[2]) for a in stacked)),
-                gain.reshape(-1, shape[2]), X.shape[2]).reshape(shape[:2] + X.shape[2:])
+                for out, a in zip(stacked.arrays(), nodes.arrays()):
+                    out[r::rounds] = a
+            gains = depth_first_gains(stacked, gain, X.shape[2])
             for b, i in enumerate(block):
                 model = models[i]
+                trees = slice(b * rounds, (b + 1) * rounds)
                 model.offset_ = float(offsets[b])
-                model.nodes_ = TreeNodes(*(a[b] for a in stacked))
-                model.importances_ = list(gains[b])
-                model.weights_ = [first.learning_rate] * first.n_estimators
+                model.nodes_ = stacked[trees]
+                model.importances_ = list(gains[trees])
+                model.weights_ = [first.learning_rate] * rounds
 
     def decision_function(self, X):
         return self._weighted_sum(X)
@@ -216,8 +212,8 @@ class Booster(TreeEnsemble):
 
 
 class AdaBoost(TreeEnsemble):
-    """Discrete AdaBoost (SAMME) over depth-1 stumps; a stump's importance
-    marks its feature and its weight is its alpha.
+    """Discrete AdaBoost (SAMME) over depth-1 stumps; a stump's weight is its
+    alpha, which its feature gains as importance.
 
     Training halts when a stump's weighted error reaches 0.5 (no better than
     chance) or 0 (perfect).
@@ -230,19 +226,21 @@ class AdaBoost(TreeEnsemble):
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
-        n, d = X.shape
+        n = len(X)
         w = np.full(n, 1.0 / n)
-        stumps = []
+        # stump k is tree k: a root on its feature and leaves -1 and +1 by
+        # polarity
+        stumps = TreeNodes.empty((self.n_estimators, 3))
         lanes = sort_lanes(X[None], np.ones((1, n), bool))
-        for _ in range(self.n_estimators):
-            stump, pred = grow_stump(X, lanes, ypm, w)
+        for k in range(self.n_estimators):
+            j, thr, polarity = stump_split(lanes, ypm, w)
+            pred = np.where(X[:, j] <= thr, -polarity, polarity).astype(float)
             err = float(np.sum(w[pred != ypm]))
             if err >= 0.5:
                 break
-            stumps.append(stump)
-            marks = np.zeros(d)
-            marks[stump.feature[0]] = 1.0
-            self.importances_.append(marks)
+            stumps.feature[k, 0], stumps.threshold[k, 0] = j, thr
+            stumps.left[k, 0], stumps.right[k, 0] = 1, 2
+            stumps.value[k, 1:] = -polarity, polarity
             if err <= 1e-12:
                 self.weights_.append(np.log((1 - 1e-12) / 1e-12) / 2)
                 break
@@ -250,8 +248,8 @@ class AdaBoost(TreeEnsemble):
             self.weights_.append(alpha)
             w = w * np.exp(-alpha * ypm * pred)
             w = w / w.sum()
-        if stumps:
-            self.nodes_ = TreeNodes.stack(stumps)
+        if self.weights_:
+            self.nodes_ = _trimmed(stumps, 0, len(self.weights_))
         return self
 
     def decision_function(self, X):
@@ -261,7 +259,10 @@ class AdaBoost(TreeEnsemble):
         if not self.weights_:
             # no stump kept: every feature weighs 0
             return np.zeros(0)
-        imp = np.sum([a * m for a, m in zip(self.weights_, self.importances_)], axis=0)
-        # Cut after the highest feature a stump uses: trailing zeros would
-        # change how the normalising sum groups its additions.
-        return _normalized(imp[:self.nodes_.feature[:, 0].max() + 1])
+        # each stump's alpha onto its feature, in stump order; the vector
+        # ends at the highest feature a stump uses: trailing zeros would
+        # change how the normalising sum groups its additions
+        feature = self.nodes_.feature[:, 0]
+        imp = np.zeros(feature.max() + 1)
+        np.add.at(imp, feature, self.weights_)
+        return _normalized(imp)

@@ -9,7 +9,7 @@ per tree, each tree in depth-first order. ``grow_boosting_trees`` grows one
 round's regression tree of each of many gradient boosting fits (gb, xgb)
 level by level, one lane per leaf of a level; the roots of every round
 reuse one sort of the rows. AdaBoost's stump (ab) is a one-lane call on
-one sort per fit. ``walk``
+one sort per fit. ``TreeNodes.empty`` allocates every stack. ``walk``
 scores the rows of X with a whole stack of trees at once (Nakandala et al.,
 OSDI 2020). All tie-breaks are deterministic (lowest feature index, then
 lowest threshold).
@@ -40,13 +40,19 @@ class TreeNodes:
         self.right = np.asarray(right, dtype=int)
         self.value = np.asarray(value, dtype=float)
 
+    @classmethod
+    def empty(cls, shape):
+        """A stack of childless nodes of threshold and value 0, for a grower
+        to fill in place."""
+        return cls(np.full(shape, NO_CHILD), np.zeros(shape), np.full(shape, NO_CHILD),
+                   np.full(shape, NO_CHILD), np.zeros(shape))
+
     def arrays(self):
         return self.feature, self.threshold, self.left, self.right, self.value
 
-    @classmethod
-    def stack(cls, trees):
-        """One (T, m) stack of single trees of m nodes each."""
-        return cls(*(np.array(a) for a in zip(*(t.arrays() for t in trees))))
+    def __getitem__(self, key):
+        """The nodes ``key`` selects of every array, e.g. a range of trees."""
+        return TreeNodes(*(a[key] for a in self.arrays()))
 
     @cached_property
     def depth(self):
@@ -244,16 +250,6 @@ def stump_split(lanes, ypm, w):
     return int(col[0]), thr[0], -1 if err_neg <= err_pos else 1
 
 
-def grow_stump(X, lanes, ypm, w):
-    """``stump_split`` of X's rows, sorted as ``lanes``, as a depth-1 tree
-    whose leaves hold -1 or +1; returns the tree and the value of each row
-    of X."""
-    j, thr, polarity = stump_split(lanes, ypm, w)
-    nodes = TreeNodes([j, NO_CHILD, NO_CHILD], [thr, 0.0, 0.0], [1, NO_CHILD, NO_CHILD],
-                      [2, NO_CHILD, NO_CHILD], [0.0, -polarity, polarity])
-    return nodes, np.where(X[:, j] <= thr, -polarity, polarity).astype(float)
-
-
 def grow_forest(X, y, mask, max_depth=None, min_samples_leaf=1, max_features=None,
                 feature_rngs=None):
     """CART trees with Gini impurity and best-split strategy, grown in
@@ -276,12 +272,8 @@ def grow_forest(X, y, mask, max_depth=None, min_samples_leaf=1, max_features=Non
     n_trees, n, d = X.shape
     max_depth = np.inf if max_depth is None else max_depth
     draw = max_features is not None and max_features < d
-    size = 2 * n - 1
-    feature = np.full((n_trees, size), NO_CHILD)
-    threshold = np.zeros((n_trees, size))
-    left = np.full((n_trees, size), NO_CHILD)
-    right = np.full((n_trees, size), NO_CHILD)
-    value = np.zeros((n_trees, size))
+    grown = TreeNodes.empty((n_trees, 2 * n - 1))
+    feature, threshold, left, right, value = grown.arrays()
     importance = np.zeros((n_trees, d))
     count = [0] * n_trees
     n_root = mask.sum(axis=1)
@@ -334,9 +326,7 @@ def grow_forest(X, y, mask, max_depth=None, min_samples_leaf=1, max_features=Non
             stack.append((to_left[s], depth, NO_CHILD, n_left[s], fast_left[s]))
     total = importance.sum(axis=1, keepdims=True)
     importance = np.divide(importance, total, out=importance, where=total > 0)
-    size = max(count)
-    return (TreeNodes(feature[:, :size], threshold[:, :size], left[:, :size],
-                      right[:, :size], value[:, :size]), importance)
+    return grown[:, :max(count)], importance
 
 
 def _node_sums(sums, lane, masks, counts):
@@ -380,13 +370,9 @@ def grow_boosting_trees(X, valid, root, sums, max_depth, reg_lambda, min_child_w
     ``depth_first_gains``; value of each row's leaf (L, n)).
     """
     n_lanes, n, d = X.shape
-    size = 2 ** (max_depth + 1) - 1
-    feature = np.full((n_lanes, size), NO_CHILD)
-    threshold = np.zeros((n_lanes, size))
-    left = np.full((n_lanes, size), NO_CHILD)
-    right = np.full((n_lanes, size), NO_CHILD)
-    value = np.zeros((n_lanes, size))
-    gain = np.zeros((n_lanes, size))
+    grown = TreeNodes.empty((n_lanes, 2 ** (max_depth + 1) - 1))
+    feature, threshold, left, right, value = grown.arrays()
+    gain = np.zeros(value.shape)
     # the node each row has reached (padding rows stay at the root)
     at = np.zeros((n_lanes, n), dtype=int)
     allocated = np.ones(n_lanes, dtype=int)
@@ -422,8 +408,7 @@ def grow_boosting_trees(X, valid, root, sums, max_depth, reg_lambda, min_child_w
         left[split_lane, split_node], right[split_lane, split_node] = node[0::2], node[1::2]
         child, row = np.nonzero(masks)
         at[lane[child], row] = node[child]
-    return (TreeNodes(feature, threshold, left, right, value), gain,
-            value[np.arange(n_lanes)[:, None], at])
+    return grown, gain, value[np.arange(n_lanes)[:, None], at]
 
 
 def depth_first_gains(nodes, gain, d):

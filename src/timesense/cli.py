@@ -7,13 +7,12 @@ error class carries its code; ``main`` prints one ``error:`` line.
 """
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
 from . import ingest, pipeline
 from .classifiers import ClassifierConfig, train
-from .errors import InvalidInput, TimesenseError
+from .errors import TimesenseError
 from .evaluate import (
     MATRIX_KINDS,
     SELECTION_MODES,
@@ -23,7 +22,7 @@ from .evaluate import (
     write_report_json,
 )
 from .explain import mean_abs_shap
-from .fileio import write_atomic
+from .fileio import read_json, write_atomic
 from .ingest import synth_dataset, write_corpus
 
 EXIT_OK = 0
@@ -34,13 +33,7 @@ EXIT_DOMAIN = 2
 def _load_synth_config(path, seed):
     """The generator config from a JSON object of SynthConfig fields (the
     defaults when ``path`` is None); ``seed``, when given, overrides."""
-    doc = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:
-                raise InvalidInput(f"{path}: not valid JSON: {exc}") from None
+    doc = {} if path is None else read_json(path)
     config = ingest.synth_config_from_json(doc, where=path or "config")
     return config if seed is None else replace(config, seed=seed)
 
@@ -53,6 +46,8 @@ def cmd_synth(args):
 
 
 def cmd_extract(args):
+    """Every session that fails to load prints its own ``error:`` line; the
+    exit code is that of the first failure's error."""
     entries, base_dir = ingest.load_manifest(args.manifest)
     sessions = []
     failures = []
@@ -61,11 +56,10 @@ def cmd_extract(args):
         try:
             sessions.append(ingest.load_session(entry, base_dir))
         except TimesenseError as exc:
-            failures.append(f"{ident}: {exc}")
+            print(f"error: {ident}: {exc}", file=sys.stderr)
+            failures.append(exc)
     if failures:
-        for f in failures:
-            print(f"error: {f}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return failures[0].exit_code
     dataset = pipeline.assemble(sessions)
     pipeline.dataset_to_csv(dataset, args.out)
     print(f"wrote {len(dataset)} rows to {args.out}")

@@ -73,7 +73,7 @@ def bandpass(series: TimeSeries, low_hz: float, high_hz: float, order: int = 3) 
         raise InsufficientData(f"need more than {min_len} samples for order-{order} bandpass")
     # scipy's filter kernel takes a writable buffer; the cached design is not
     filtered = sps.sosfiltfilt(sos.copy(), series.values)
-    return TimeSeries(filtered, fs, series.label)
+    return TimeSeries(filtered, fs)
 
 
 def lowpass(series: TimeSeries, cutoff_hz: float, order: int = 2) -> TimeSeries:
@@ -88,7 +88,7 @@ def lowpass(series: TimeSeries, cutoff_hz: float, order: int = 2) -> TimeSeries:
     # generous odd-extension padding keeps slow trends intact at the edges
     padlen = min(len(series) - 1, max(min_len, int(round(1.5 * fs / cutoff_hz))))
     filtered = sps.sosfiltfilt(sos.copy(), series.values, padlen=padlen)
-    return TimeSeries(filtered, fs, series.label)
+    return TimeSeries(filtered, fs)
 
 
 def resample_fourier(series: TimeSeries, target_rate_hz: float) -> TimeSeries:
@@ -102,7 +102,7 @@ def resample_fourier(series: TimeSeries, target_rate_hz: float) -> TimeSeries:
         raise InsufficientData("target rate too low for this series")
     resampled = sps.resample(series.values, n_out)
     actual_rate = n_out / len(series) * series.sampling_rate_hz
-    return TimeSeries(resampled, actual_rate, series.label)
+    return TimeSeries(resampled, actual_rate)
 
 
 def segment(series: TimeSeries, start_s: float, end_s: float) -> TimeSeries:
@@ -117,7 +117,7 @@ def segment(series: TimeSeries, start_s: float, end_s: float) -> TimeSeries:
     i1 = min(int(np.ceil(end_s * fs - 1e-9)), len(series))
     if i1 <= i0:
         raise InsufficientData(f"no samples in [{start_s}, {end_s}) at {fs} Hz")
-    return TimeSeries(series.values[i0:i1], fs, series.label)
+    return TimeSeries(series.values[i0:i1], fs)
 
 
 def extend_to_minimum(series: TimeSeries, min_s: float) -> TimeSeries:
@@ -131,7 +131,7 @@ def extend_to_minimum(series: TimeSeries, min_s: float) -> TimeSeries:
         return series
     n_needed = int(np.ceil(min_s * series.sampling_rate_hz)) - len(series)
     padded = np.concatenate([np.full(n_needed, series.values[0]), series.values])
-    return TimeSeries(padded, series.sampling_rate_hz, series.label)
+    return TimeSeries(padded, series.sampling_rate_hz)
 
 
 def welch_psd(series: TimeSeries, segment_len: int) -> Spectrum:

@@ -196,7 +196,7 @@ def breathing_rate(beats: BeatSequence) -> float:
         raise InsufficientData("tachogram too short for spectral estimation")
     tach = spline(grid)
     tach = tach - np.mean(tach)
-    ts = TimeSeries(tach, rate, "tachogram")
+    ts = TimeSeries(tach, rate)
     spec = dsp.welch_psd(ts, segment_len=min(len(grid), 256))
     lo, hi = BREATHING_BAND_HZ
     return spec.peak_frequency(lo, hi)
@@ -231,7 +231,7 @@ def eda_decompose(series: TimeSeries) -> EdaDecomposition:
         raise InsufficientData(f"need at least {EDA_MIN_DURATION_S} s of EDA")
     tonic = dsp.lowpass(series, TONIC_CUTOFF_HZ, order=2)
     phasic_vals = series.values - tonic.values
-    phasic = TimeSeries(phasic_vals, series.sampling_rate_hz, "eda_phasic")
+    phasic = TimeSeries(phasic_vals, series.sampling_rate_hz)
     fs = series.sampling_rate_hz
     distance = max(1, int(round(SCR_MIN_SEPARATION_S * fs)))
     wlen = max(3, int(round(2 * SCR_ONSET_WINDOW_S * fs)))
@@ -362,8 +362,8 @@ def extract_all(session: SessionRecord):
             thermo = _cut(session.thermopile, start, end)
             ref = _cut(session.reference_temp, start, end)
             n = min(len(thermo), len(ref))
-            thermo = TimeSeries(thermo.values[:n], thermo.sampling_rate_hz, thermo.label)
-            ref = TimeSeries(ref.values[:n], ref.sampling_rate_hz, ref.label)
+            thermo = TimeSeries(thermo.values[:n], thermo.sampling_rate_hz)
+            ref = TimeSeries(ref.values[:n], ref.sampling_rate_hz)
             values.update(_finite(temp_features(thermo, ref)))
         vectors.append(np.array([values[name] for name in FEATURE_NAMES]))
     return tuple(vectors)

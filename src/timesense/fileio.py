@@ -1,6 +1,9 @@
-"""Atomic text-file writes."""
+"""Atomic text-file writes and JSON-file reads."""
 
+import json
 import os
+
+from .errors import InvalidInput, MissingFile
 
 
 def write_atomic(path, text):
@@ -10,3 +13,15 @@ def write_atomic(path, text):
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def read_json(path):
+    """The JSON document in ``path``: MissingFile when there is no such
+    file, InvalidInput when it is not valid JSON."""
+    if not os.path.isfile(path):
+        raise MissingFile(f"{path}: no such file")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: not valid JSON: {exc}") from None

@@ -10,7 +10,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import InvalidInput, MissingFile
-from .fileio import write_atomic
+from .fileio import read_json, write_atomic
 from .model import (
     ALL_SETTINGS,
     CHANNELS,
@@ -39,7 +39,7 @@ MAX_SCR_SAMPLE_UPDATES = 100_000_000
 # Loading
 # ---------------------------------------------------------------------------
 
-def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0, label="") -> TimeSeries:
+def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0) -> TimeSeries:
     """Read a `timestamp_s,value` CSV and apply head/tail trims.
 
     Trims happen before any filtering; they generalize the manual removal of
@@ -93,7 +93,7 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0, label="")
     kept = len(values) - trim_head - trim_tail
     if kept < 2:
         raise InvalidInput(f"{path}: fewer than 2 samples after trimming")
-    return TimeSeries(np.array(values[trim_head:trim_head + kept]), sampling_rate_hz, label)
+    return TimeSeries(np.array(values[trim_head:trim_head + kept]), sampling_rate_hz)
 
 
 def load_manifest(path):
@@ -103,13 +103,7 @@ def load_manifest(path):
     ``sessions`` list of objects or declares a ``schema_version`` other than
     ``MANIFEST_SCHEMA_VERSION`` (a missing one is accepted).
     """
-    if not os.path.isfile(path):
-        raise MissingFile(f"{path}: no such file")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise InvalidInput(f"{path}: not valid JSON: {exc}") from None
+    doc = read_json(path)
     sessions = doc.get("sessions") if isinstance(doc, dict) else None
     if not isinstance(sessions, list) or not all(isinstance(e, dict) for e in sessions):
         raise InvalidInput(f"{path}: expected a 'sessions' list of objects")
@@ -197,7 +191,7 @@ def load_session(entry, base_dir) -> SessionRecord:
     for name in CHANNELS:
         spec = getattr(specs, name)
         channels[name] = read_channel_csv(os.path.join(base_dir, spec.path), spec.sampling_rate_hz,
-                                          spec.trim_head, spec.trim_tail, label=name)
+                                          spec.trim_head, spec.trim_tail)
     own = {key: value for key, value in entry.items() if key != "channels"}
     return _dataclass(SessionRecord, own, "entry", **channels)
 
@@ -402,10 +396,10 @@ def _synth_session(config: SynthConfig, participant_id: int, session_index: int,
             participant_id=participant_id,
             session_index=session_index,
             setting=setting,
-            ppg=TimeSeries(ppg, config.ppg_rate_hz, "ppg"),
-            eda=TimeSeries(eda, config.eda_rate_hz, "eda"),
-            thermopile=TimeSeries(thermo, config.temp_rate_hz, "thermopile"),
-            reference_temp=TimeSeries(ref, config.temp_rate_hz, "reference_temp"),
+            ppg=TimeSeries(ppg, config.ppg_rate_hz),
+            eda=TimeSeries(eda, config.eda_rate_hz),
+            thermopile=TimeSeries(thermo, config.temp_rate_hz),
+            reference_temp=TimeSeries(ref, config.temp_rate_hz),
             task_start_s=config.baseline_s,
             task_end_s=total_s,
             rating=rating,
@@ -444,34 +438,33 @@ def write_channel_csv(path, series: TimeSeries):
     write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _json_object(obj, skip=()):
+    """The fields of a dataclass but ``skip`` as a JSON object, a field that
+    holds a dataclass as a nested object: what ``_dataclass`` reads back."""
+    doc = {}
+    for f in fields(obj):
+        if f.name not in skip:
+            value = getattr(obj, f.name)
+            doc[f.name] = _json_object(value) if is_dataclass(value) else value
+    return doc
+
+
 def write_corpus(sessions, out_dir):
-    """Write channel CSVs plus a manifest.json; returns the manifest path."""
+    """Write channel CSVs plus a manifest.json; returns the manifest path.
+    Each entry holds the session's own SessionRecord fields and its
+    ChannelSpecs, as ``load_session`` reads them."""
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for s in sessions:
         rel = f"p{s.participant_id:02d}_s{s.session_index}"
         os.makedirs(os.path.join(out_dir, rel), exist_ok=True)
-        chans = {}
+        specs = {}
         for name in CHANNELS:
             series: TimeSeries = getattr(s, name)
-            path = f"{rel}/{name}.csv"
-            write_channel_csv(os.path.join(out_dir, path), series)
-            chans[name] = {
-                "path": path,
-                "sampling_rate_hz": series.sampling_rate_hz,
-                "trim_head": 0,
-                "trim_tail": 0,
-            }
-        entries.append({
-            "participant_id": s.participant_id,
-            "session_index": s.session_index,
-            "setting": {"helicopters": s.setting.helicopters, "language": s.setting.language},
-            "channels": chans,
-            "task_start_s": s.task_start_s,
-            "task_end_s": s.task_end_s,
-            "rating": s.rating,
-            "duration_estimate_s": s.duration_estimate_s,
-        })
+            specs[name] = ChannelSpec(f"{rel}/{name}.csv", series.sampling_rate_hz)
+            write_channel_csv(os.path.join(out_dir, specs[name].path), series)
+        entries.append({**_json_object(s, skip=CHANNELS),
+                        "channels": _json_object(ChannelSpecs(**specs))})
     manifest = {"schema_version": MANIFEST_SCHEMA_VERSION, "sessions": entries}
     manifest_path = os.path.join(out_dir, "manifest.json")
     write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

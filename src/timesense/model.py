@@ -56,7 +56,6 @@ class TimeSeries:
 
     values: np.ndarray
     sampling_rate_hz: float
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))

@@ -197,6 +197,47 @@ class TestErrorBoundary:
         for line, sid in zip(lines, (1, 2)):
             assert line.startswith(f"error: participant 1 session {sid}: {message}")
 
+    @pytest.mark.parametrize("first, second, code", [
+        ("missing", "missing", EXIT_IO), ("missing", "invalid", EXIT_IO),
+        ("invalid", "missing", EXIT_DOMAIN)])
+    def test_failing_sessions_exit_with_the_first_failures_code(self, small_corpus, capsys,
+                                                                first, second, code):
+        # a channel CSV that does not exist is MissingFile (1); a rating out
+        # of range is InvalidInput (2)
+        manifest = json.loads((small_corpus / "data" / "manifest.json").read_text())
+        for entry, damage in zip(manifest["sessions"], (first, second)):
+            if damage == "missing":
+                entry["channels"]["eda"]["path"] = "absent/eda.csv"
+            else:
+                entry["rating"] = 9
+        path = small_corpus / "data" / f"{first}_{second}.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["extract", "--manifest", str(path), "--out", str(small_corpus / "x.csv")])
+        assert rc == code
+        lines = error_lines(capsys)
+        assert len(lines) == 2
+        for line, sid, damage in zip(lines, (1, 2), (first, second)):
+            cause = ("absent/eda.csv: no such file" if damage == "missing"
+                     else "entry: rating out of range")
+            assert line.startswith(f"error: participant 1 session {sid}: ")
+            assert line.endswith(cause)
+
+    def test_missing_synth_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "nope.json"
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_IO
+        assert error_lines(capsys) == [f"error: {cfg}: no such file"]
+        assert not (tmp_path / "o").exists()
+
+    def test_synth_config_not_json_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{")
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DOMAIN
+        (line,) = error_lines(capsys)
+        assert line.startswith(f"error: {cfg}: not valid JSON: ")
+
     @pytest.mark.parametrize("text", ['{"sessions": 5}', '{"sessions": [5]}', "{",
                                       '{"schema_version": 1}', "[]",
                                       '{"schema_version": 99, "sessions": []}'])

@@ -191,7 +191,7 @@ class TestPpgFeatures:
 
 def ramp_series(duration_s=60.0, fs=20.0, start=1.0, stop=2.0):
     n = int(duration_s * fs)
-    return TimeSeries(np.linspace(start, stop, n), fs, "eda")
+    return TimeSeries(np.linspace(start, stop, n), fs)
 
 
 def scr_shape(t, tau_rise=0.75, tau_decay=4.0):
@@ -204,7 +204,7 @@ def inject_scr(ts, onset_s, amplitude):
     t = ts.times()
     mask = t >= onset_s
     vals[mask] += amplitude * scr_shape(t[mask] - onset_s)
-    return TimeSeries(vals, ts.sampling_rate_hz, ts.label)
+    return TimeSeries(vals, ts.sampling_rate_hz)
 
 
 class TestEdaDecompose:
