@@ -1,21 +1,28 @@
 """Uniform train / predict / importance interface over the eleven kinds."""
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from ..errors import InsufficientData, InvalidInput, Unsupported
-from .ensemble import AdaBoost, Booster, DecisionTree, RandomForest
+from .ensemble import AdaBoost, DecisionTree, GradientBoosting, RandomForest, XGBoost
 from .knn import KNN
 from .linear import LDA, QDA, GaussianNB, LogisticRegressionNewton
 from .svm import SMOSVC
 
 KINDS = ("svc", "dtc", "knn", "lr", "gnb", "lda", "qda", "rf", "gb", "ab", "xgb")
 
+# Each kind's estimator, a fixed algorithm; only rf's takes an argument, the
+# seed.
+_ESTIMATORS = {
+    "svc": SMOSVC, "dtc": DecisionTree, "knn": KNN, "lr": LogisticRegressionNewton,
+    "gnb": GaussianNB, "lda": LDA, "qda": QDA, "rf": RandomForest, "gb": GradientBoosting,
+    "ab": AdaBoost, "xgb": XGBoost,
+}
+
 # Kinds whose trained models expose a feature-importance measure; the RBF
 # SVC, knn, gnb and qda report unsupported.
-IMPORTANCE_CAPABLE = ("dtc", "lr", "lda", "rf", "gb", "ab", "xgb")
+IMPORTANCE_CAPABLE = tuple(k for k in KINDS if hasattr(_ESTIMATORS[k], "importance"))
 
 
 @dataclass(frozen=True)
@@ -41,18 +48,9 @@ class TrainedModel:
     feature_count: int
 
 
-# Each kind's estimator but rf's, which takes the seed; gb and xgb differ in
-# their split gain and leaf regularisation.
-_ESTIMATORS = {
-    "svc": SMOSVC, "dtc": DecisionTree, "knn": KNN, "lr": LogisticRegressionNewton,
-    "gnb": GaussianNB, "lda": LDA, "qda": QDA, "ab": AdaBoost, "xgb": Booster,
-    "gb": partial(Booster, reg_lambda=0.0, min_child_weight=1e-6, second_order_splits=False),
-}
-
-
 def _build(config: ClassifierConfig):
     if config.kind == "rf":
-        return RandomForest(seed=config.seed)
+        return RandomForest(config.seed)
     return _ESTIMATORS[config.kind]()
 
 

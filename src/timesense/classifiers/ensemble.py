@@ -29,8 +29,8 @@ class TreeEnsemble:
     tree too.
 
     A kind that trains many models at once defines ``fit_many(models,
-    lanes)``: it fits ``models[i]``, which share their parameters but for
-    rf's seed, on ``lanes[i]``, an (X, y) pair of rows in canonical order.
+    lanes)``: it fits ``models[i]``, which differ at most in rf's seed, on
+    ``lanes[i]``, an (X, y) pair of rows in canonical order.
     Lanes may differ in row count and width. Each model is bit for bit the
     one a fit on its lane alone gives.
     """
@@ -67,14 +67,12 @@ class RandomForest(TreeEnsemble):
     """Bagged CART trees with sqrt(d) feature subsampling per node. The
     score is the trees' mean, so every weight is 1."""
 
+    n_estimators = 100
     # each tree draws its rows (a bootstrap) and each node its features
     draws = True
 
-    def __init__(self, n_estimators=100, max_depth=None, min_samples_leaf=1, seed=0):
+    def __init__(self, seed):
         super().__init__()
-        self.n_estimators = n_estimators
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
         self.seed = seed
 
     @staticmethod
@@ -102,7 +100,6 @@ class RandomForest(TreeEnsemble):
                 max_features = max(1, int(np.sqrt(X.shape[2])))
             nodes, importances = grow_forest(
                 X[lane[:, None], rows], y[lane[:, None], rows], valid[lane],
-                max_depth=first.max_depth, min_samples_leaf=first.min_samples_leaf,
                 max_features=max_features, feature_rngs=rngs)
             for b, i in enumerate(block):
                 trees = slice(b * n_trees, (b + 1) * n_trees)
@@ -129,10 +126,10 @@ class DecisionTree(RandomForest):
     """A single CART tree (Gini impurity, best split): the forest's one-tree
     case, grown on every row with every feature and no draws."""
 
+    n_estimators = 1
     draws = False
-
-    def __init__(self, max_depth=None, min_samples_leaf=1):
-        super().__init__(n_estimators=1, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+    # no seed: the tree draws nothing
+    __init__ = TreeEnsemble.__init__
 
     def importance(self):
         # the tree's own importance, normalised by the grower
@@ -142,25 +139,12 @@ class DecisionTree(RandomForest):
 class Booster(TreeEnsemble):
     """Stage-wise regression trees on the logistic loss's gradient and
     hessian; leaves are the Newton step -G/(H+reg_lambda), and each tree is
-    added with weight ``learning_rate``.
-
-    ``second_order_splits`` selects between the two published forms. False
-    is Friedman's gradient boosting (gb): it starts from the log-odds of the
-    training prior and splits on unit hessians, i.e. by squared error
-    against the residual. True is XGBoost (xgb): it starts from 0
-    (probability 0.5) and splits on the true hessians, where
-    ``reg_lambda`` and ``min_child_weight`` regularize.
+    added with weight ``learning_rate``. A subclass sets ``reg_lambda``,
+    ``min_child_weight`` and ``second_order_splits``, which select between
+    the two published forms.
     """
 
-    def __init__(self, n_estimators=100, learning_rate=0.1, max_depth=3, reg_lambda=1.0,
-                 min_child_weight=1e-3, second_order_splits=True):
-        super().__init__()
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.reg_lambda = reg_lambda
-        self.min_child_weight = min_child_weight
-        self.second_order_splits = second_order_splits
+    n_estimators, learning_rate, max_depth = 100, 0.1, 3
 
     @staticmethod
     def fit_many(models, lanes):
@@ -190,8 +174,7 @@ class Booster(TreeEnsemble):
                 if first.second_order_splits:
                     sums[:, 2] = sums[:, 1]
                 nodes, gain[r::rounds], row_value = grow_boosting_trees(
-                    X, valid, root, sums, first.max_depth, first.reg_lambda,
-                    first.min_child_weight)
+                    X, valid, root, sums, first)
                 F = F + first.learning_rate * row_value
                 for out, a in zip(stacked.arrays(), nodes.arrays()):
                     out[r::rounds] = a
@@ -211,6 +194,22 @@ class Booster(TreeEnsemble):
         return _normalized(np.sum(self.importances_, axis=0))
 
 
+class GradientBoosting(Booster):
+    """Friedman's gradient boosting (gb): it starts from the log-odds of the
+    training prior and splits on unit hessians, i.e. by squared error
+    against the residual."""
+
+    reg_lambda, min_child_weight, second_order_splits = 0.0, 1e-6, False
+
+
+class XGBoost(Booster):
+    """XGBoost (xgb; Chen & Guestrin 2016): it starts from 0 (probability
+    0.5) and splits on the true hessians, where ``reg_lambda`` and
+    ``min_child_weight`` regularize."""
+
+    reg_lambda, min_child_weight, second_order_splits = 1.0, 1e-3, True
+
+
 class AdaBoost(TreeEnsemble):
     """Discrete AdaBoost (SAMME) over depth-1 stumps; a stump's weight is its
     alpha, which its feature gains as importance.
@@ -219,9 +218,7 @@ class AdaBoost(TreeEnsemble):
     chance) or 0 (perfect).
     """
 
-    def __init__(self, n_estimators=50):
-        super().__init__()
-        self.n_estimators = n_estimators
+    n_estimators = 50
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)

@@ -43,10 +43,7 @@ class LogisticRegressionNewton:
     penalized.
     """
 
-    def __init__(self, l2=1.0, tol=1e-8, max_iter=200):
-        self.l2 = l2
-        self.tol = tol
-        self.max_iter = max_iter
+    l2, tol, max_iter = 1.0, 1e-8, 200
 
     def fit(self, X, y):
         """Sets ``w``, ``b``, ``n_iter_`` (Newton steps taken) and
@@ -102,8 +99,7 @@ class LogisticRegressionNewton:
 class GaussianNB:
     """Per-class independent Gaussians with variance smoothing."""
 
-    def __init__(self, var_smoothing=1e-9):
-        self.var_smoothing = var_smoothing
+    var_smoothing = 1e-9
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -127,8 +123,7 @@ class GaussianNB:
 class LDA:
     """Pooled-covariance discriminant with a small ridge on the covariance."""
 
-    def __init__(self, ridge=1e-6):
-        self.ridge = ridge
+    ridge = 1e-6
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
@@ -155,8 +150,7 @@ class LDA:
 class QDA:
     """Per-class covariance Gaussians with the same ridge as LDA."""
 
-    def __init__(self, ridge=1e-6):
-        self.ridge = ridge
+    ridge = 1e-6
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)

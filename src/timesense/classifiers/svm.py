@@ -16,10 +16,7 @@ class SMOSVC:
     """Soft-margin SVC with the RBF kernel; its gamma is 1 / (d * var(X)),
     or 1 when the training matrix is constant, set at fit time."""
 
-    def __init__(self, C=1.0, tol=1e-3, max_passes=200):
-        self.C = C
-        self.tol = tol
-        self.max_passes = max_passes
+    C, tol, max_passes = 1.0, 1e-3, 200
 
     def fit(self, X, y):
         """Solve the dual; sets ``alpha_``, ``b_``, the support vectors,

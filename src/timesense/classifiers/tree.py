@@ -119,21 +119,20 @@ def sort_lanes(X, mask):
     count is a cut where the sorted values step up between rows i-1 and i,
     with the threshold at their midpoint.
 
-    Returns ``(rows, xs, cuts, n_rows)`` for ``best_split``: the flat lane
-    row of each sorted position (B, f, n), the sorted values (B, f, n), the
-    cuts the values allow (B, f, n) and the lanes' row counts (B, 1, 1).
+    Returns ``(rows, xs, cuts)`` for ``best_split``: the flat lane row of
+    each sorted position (B, f, n), the sorted values (B, f, n) and the cuts
+    the values allow (B, f, n).
     """
     n_lanes, (n, f) = len(mask), X.shape[1:]
     # (B, f, n): each column of a lane is one contiguous run
     Xm = np.where(mask[:, None, :], X.transpose(0, 2, 1), np.inf)
     order = Xm.argsort(axis=2, kind="stable")
     xs = Xm.take(order + np.arange(0, Xm.size, n).reshape(n_lanes, f, 1))
-    n_rows = mask.sum(axis=1)[:, None, None]
     cuts = np.empty(xs.shape, bool)
     cuts[..., 0] = True
     np.greater(xs[..., 1:], xs[..., :-1], out=cuts[..., 1:])
-    cuts &= np.arange(n) < n_rows
-    return order + np.arange(0, mask.size, n)[:, None, None], xs, cuts, n_rows
+    cuts &= np.arange(n) < mask.sum(axis=1)[:, None, None]
+    return order + np.arange(0, mask.size, n)[:, None, None], xs, cuts
 
 
 def best_split(lanes, stats, score):
@@ -141,21 +140,21 @@ def best_split(lanes, stats, score):
     carries k statistics of each lane's rows and zeros on its other rows;
     they are summed cumulatively in sorted order.
 
-    ``score(left, last, n_left, n_rows)`` gets the statistics left of every
-    cut (k, B, f, n), the column totals summed in sorted order (k, B, f, 1),
-    the cut positions (n,) and the lanes' row counts (B, 1, 1); it returns
-    each cut's gain (B, f, n) and where the criterion allows the cut.
+    ``score(left, last, n_left)`` gets the statistics left of every cut
+    (k, B, f, n), the column totals summed in sorted order (k, B, f, 1) and
+    the cut positions (n,); it returns each cut's gain (B, f, n) and where
+    the criterion allows the cut.
 
     Returns per lane ``(column, cut, threshold, gain)`` of the highest gain
     -- ties go to the lowest column, then the lowest threshold -- with gain
     -inf in a lane where no cut is allowed.
     """
-    rows, xs, cuts, n_rows = lanes
+    rows, xs, cuts = lanes
     n_lanes, f, n = xs.shape
     ordered = stats.reshape(len(stats), -1).take(rows, axis=1)
     left = np.zeros_like(ordered)
     np.cumsum(ordered[..., :-1], axis=-1, out=left[..., 1:])
-    gain, allowed = score(left, left[..., -1:] + ordered[..., -1:], np.arange(n), n_rows)
+    gain, allowed = score(left, left[..., -1:] + ordered[..., -1:], np.arange(n))
     gain = np.where(cuts & allowed, gain, -np.inf)
     # the first maximum in (column, cut) order: lowest column, then lowest
     # cut (thresholds rise along a column)
@@ -182,7 +181,7 @@ def gini_score(total_w, total_fast):
     parent = _gini(total_w - total_fast, total_fast)[:, None, None]
     total_w = total_w[:, None, None]
 
-    def score(left, last, n_left, n_rows):
+    def score(left, last, n_left):
         wl, l_fast = left
         wr, r_fast = total_w - wl, last[1] - l_fast
         child = wl * _gini(wl - l_fast, l_fast) + wr * _gini(wr - r_fast, r_fast)
@@ -192,12 +191,12 @@ def gini_score(total_w, total_fast):
     return score
 
 
-def gradient_score(G, H, reg_lambda, min_child_weight, min_samples_leaf=1):
+def gradient_score(G, H, reg_lambda, min_child_weight):
     """``best_split`` score of second-order boosting: the objective reduction
     0.5 * (GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)) for lanes with
-    gradient and hessian totals ``G`` and ``H`` (B,). A cut must leave
-    ``min_samples_leaf`` rows and ``min_child_weight`` hessian on each side
-    and gain more than 1e-12."""
+    gradient and hessian totals ``G`` and ``H`` (B,). A cut must leave a row
+    and ``min_child_weight`` hessian on each side and gain more than
+    1e-12."""
 
     def objective(g, h):
         # g * g / (h + reg_lambda + 1e-12), evaluated in place
@@ -210,15 +209,15 @@ def gradient_score(G, H, reg_lambda, min_child_weight, min_samples_leaf=1):
     G, H = G[:, None, None], H[:, None, None]
     parent = objective(G, H)
 
-    def score(left, last, n_left, n_rows):
+    def score(left, last, n_left):
         gl, hl = left
         hr = H - hl
         gain = objective(gl, hl)
         gain += objective(G - gl, hr)
         gain -= parent
         gain *= 0.5
-        allowed = (n_left >= min_samples_leaf) & (n_rows - n_left >= min_samples_leaf)
-        allowed = allowed & (np.minimum(hl, hr) >= min_child_weight)
+        # cuts leave a row on the right; cut 0 leaves none on the left
+        allowed = (n_left > 0) & (np.minimum(hl, hr) >= min_child_weight)
         allowed &= gain > 1e-12
         return gain, allowed
 
@@ -241,7 +240,7 @@ def stump_split(lanes, ypm, w):
     stats = np.array([np.where(ypm > 0, w, 0.0), np.where(ypm < 0, w, 0.0)])
     errors = []
 
-    def score(left, last, n_left, n_rows):
+    def score(left, last, n_left):
         errors[:] = _stump_errors(left, last)
         return -np.minimum(*errors), True
 
@@ -250,19 +249,18 @@ def stump_split(lanes, ypm, w):
     return int(col[0]), thr[0], -1 if err_neg <= err_pos else 1
 
 
-def grow_forest(X, y, mask, max_depth=None, min_samples_leaf=1, max_features=None,
-                feature_rngs=None):
+def grow_forest(X, y, mask, max_features=None, feature_rngs=None):
     """CART trees with Gini impurity and best-split strategy, grown in
-    lockstep; tree t is grown on the rows of ``X[t]`` (T, n, d) and ``y[t]``
-    where ``mask[t]`` holds.
+    lockstep until no leaf has a cut that lowers its impurity; tree t is
+    grown on the rows of ``X[t]`` (T, n, d) and ``y[t]`` where ``mask[t]``
+    holds.
 
     Each tree expands its nodes depth first, left child first. At each step
     every tree goes on to its next node that needs a split search, and one
     ``best_split`` call searches all of those nodes. When ``max_features``
     is below d, each searched node of tree t considers a random subset of
     that many features drawn from ``feature_rngs[t]`` (random-forest
-    style). A best split that leaves fewer than ``min_samples_leaf`` rows on
-    a side makes a leaf.
+    style).
 
     Returns (TreeNodes stack, importances (T, d)), each tree's importance
     normalised to sum 1.
@@ -270,7 +268,6 @@ def grow_forest(X, y, mask, max_depth=None, min_samples_leaf=1, max_features=Non
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     n_trees, n, d = X.shape
-    max_depth = np.inf if max_depth is None else max_depth
     draw = max_features is not None and max_features < d
     grown = TreeNodes.empty((n_trees, 2 * n - 1))
     feature, threshold, left, right, value = grown.arrays()
@@ -278,25 +275,25 @@ def grow_forest(X, y, mask, max_depth=None, min_samples_leaf=1, max_features=Non
     count = [0] * n_trees
     n_root = mask.sum(axis=1)
     fast_root = (mask & (y == 1)).sum(axis=1).tolist()
-    # pending nodes of each tree: (rows mask, depth, parent of a right
-    # child or NO_CHILD, row count, fast count)
-    stacks = [[(mask[t], 0, NO_CHILD, int(n_root[t]), fast_root[t])] for t in range(n_trees)]
+    # pending nodes of each tree: (rows mask, parent of a right child or
+    # NO_CHILD, row count, fast count)
+    stacks = [[(mask[t], NO_CHILD, int(n_root[t]), fast_root[t])] for t in range(n_trees)]
     while True:
         search = []
         for t, stack in enumerate(stacks):
             while stack:
-                rows, depth, parent, rows_in, fast = stack.pop()
+                rows, parent, rows_in, fast = stack.pop()
                 node = count[t]
                 count[t] += 1
                 if parent != NO_CHILD:
                     right[t, parent] = node
                 value[t, node] = (fast - (rows_in - fast)) / rows_in
-                if rows_in >= 2 and depth < max_depth and 0 < fast < rows_in:
-                    search.append((t, node, rows, depth, rows_in, fast))
+                if 0 < fast < rows_in:
+                    search.append((t, node, rows, rows_in, fast))
                     break
         if not search:
             break
-        trees, nodes, masks, depths, rows_in, fast = (np.array(c) for c in zip(*search))
+        trees, nodes, masks, rows_in, fast = (np.array(c) for c in zip(*search))
         if draw:
             feats = np.array([np.sort(feature_rngs[t].choice(d, size=max_features, replace=False))
                               for t in trees])
@@ -311,8 +308,9 @@ def grow_forest(X, y, mask, max_depth=None, min_samples_leaf=1, max_features=Non
         go_left = X[trees, :, j] <= thr[:, None]
         to_left, to_right = masks & go_left, masks & ~go_left
         n_left, n_right = to_left.sum(axis=1), to_right.sum(axis=1)
-        split = ((gain > -np.inf) & (n_left >= min_samples_leaf)
-                 & (n_right >= min_samples_leaf))
+        # a midpoint threshold can round onto the upper of two adjacent
+        # values and send every row left
+        split = (gain > -np.inf) & (n_left > 0) & (n_right > 0)
         t, node = trees[split], nodes[split]
         importance[t, j[split]] += rows_in[split] / n_root[t] * gain[split]
         feature[t, node] = j[split]
@@ -321,9 +319,8 @@ def grow_forest(X, y, mask, max_depth=None, min_samples_leaf=1, max_features=Non
         fast_left = (to_left & lane_fast).sum(axis=1)
         for s in np.flatnonzero(split):
             stack = stacks[trees[s]]
-            depth = depths[s] + 1
-            stack.append((to_right[s], depth, nodes[s], n_right[s], fast[s] - fast_left[s]))
-            stack.append((to_left[s], depth, NO_CHILD, n_left[s], fast_left[s]))
+            stack.append((to_right[s], nodes[s], n_right[s], fast[s] - fast_left[s]))
+            stack.append((to_left[s], NO_CHILD, n_left[s], fast_left[s]))
     total = importance.sum(axis=1, keepdims=True)
     importance = np.divide(importance, total, out=importance, where=total > 0)
     return grown[:, :max(count)], importance
@@ -356,20 +353,22 @@ def _node_sums(sums, lane, masks, counts):
     return out.T
 
 
-def grow_boosting_trees(X, valid, root, sums, max_depth, reg_lambda, min_child_weight):
+def grow_boosting_trees(X, valid, root, sums, booster):
     """The regression trees of one boosting round, one per lane of ``X``
-    (L, n, d), each grown on its lane's rows where ``valid`` (L, n) holds.
-    The trees grow level by level, and one ``best_split`` call searches the
-    leaves of a level of every tree: splits by ``gradient_score`` on
-    (grad, split_hess), leaf values -G/(H+reg) on (grad, hess), where
-    ``sums`` (L, 3, n) holds grad, hess and split_hess. ``root`` is
-    ``sort_lanes(X, valid)``, which every round shares.
+    (L, n, d), each grown on its lane's rows where ``valid`` (L, n) holds,
+    to the ``booster``'s ``max_depth`` with its ``reg_lambda`` and
+    ``min_child_weight``. The trees grow level by level, and one
+    ``best_split`` call searches the leaves of a level of every tree: splits
+    by ``gradient_score`` on (grad, split_hess), leaf values -G/(H+reg) on
+    (grad, hess), where ``sums`` (L, 3, n) holds grad, hess and split_hess.
+    ``root`` is ``sort_lanes(X, valid)``, which every round shares.
 
     Returns (TreeNodes stack (L, 2^(max_depth+1) - 1), each tree padded with
     childless nodes; the split gain of each node, of the same shape, for
     ``depth_first_gains``; value of each row's leaf (L, n)).
     """
     n_lanes, n, d = X.shape
+    max_depth, reg_lambda = booster.max_depth, booster.reg_lambda
     grown = TreeNodes.empty((n_lanes, 2 ** (max_depth + 1) - 1))
     feature, threshold, left, right, value = grown.arrays()
     gain = np.zeros(value.shape)
@@ -389,7 +388,8 @@ def grow_boosting_trees(X, valid, root, sums, max_depth, reg_lambda, min_child_w
                  else sort_lanes(X[lane[search]], masks[search]))
         stats = np.where(masks[search], sums[lane[search]][:, ::2].transpose(1, 0, 2), 0.0)
         col, _, thr, best = best_split(
-            lanes, stats, gradient_score(g[search], split_h[search], reg_lambda, min_child_weight))
+            lanes, stats,
+            gradient_score(g[search], split_h[search], reg_lambda, booster.min_child_weight))
         found = best > -np.inf
         if not found.any():
             break

@@ -13,16 +13,9 @@ from dataclasses import replace
 from . import ingest, pipeline
 from .classifiers import ClassifierConfig, train
 from .errors import TimesenseError
-from .evaluate import (
-    MATRIX_KINDS,
-    SELECTION_MODES,
-    losocv,
-    report_matrix,
-    report_to_jsonable,
-    write_report_json,
-)
+from .evaluate import MATRIX_KINDS, SELECTION_MODES, losocv, report_matrix, report_to_jsonable
 from .explain import mean_abs_shap
-from .fileio import read_json, write_atomic
+from .fileio import read_json, write_atomic, write_json
 from .ingest import synth_dataset, write_corpus
 
 EXIT_OK = 0
@@ -69,8 +62,7 @@ def cmd_extract(args):
 def cmd_evaluate(args):
     dataset = pipeline.dataset_from_csv(args.features)
     if args.classifier == "all":
-        matrix = report_matrix(dataset, MATRIX_KINDS, SELECTION_MODES,
-                               scaler_method=args.scaling, seed=args.seed)
+        matrix = report_matrix(dataset, scaler_method=args.scaling, seed=args.seed)
         doc = {"schema_version": 1, "scaling": args.scaling, "seed": args.seed,
                "matrix": matrix}
     else:
@@ -80,7 +72,7 @@ def cmd_evaluate(args):
         doc = report_to_jsonable(report)
         doc.update({"classifier": args.classifier, "selection": args.selection,
                     "scaling": args.scaling, "seed": args.seed})
-    write_report_json(doc, args.out)
+    write_json(args.out, doc)
     print(f"wrote report to {args.out}")
     return EXIT_OK
 

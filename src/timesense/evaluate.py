@@ -1,13 +1,10 @@
 """Leave-one-subject-out evaluation, baselines and the classifier-by-selection
 accuracy matrix."""
 
-import json
-
 import numpy as np
 
 from .classifiers import KINDS, ClassifierConfig, predict, train_many
 from .errors import InsufficientData, InvalidInput
-from .fileio import write_atomic
 from .model import (
     EDA_FEATURES,
     PPG_FEATURES,
@@ -124,18 +121,19 @@ def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "min
     return EvaluationReport(tuple(results))
 
 
-def report_matrix(dataset: Dataset, kinds=MATRIX_KINDS, settings=SELECTION_MODES,
-                  scaler_method: str = "minmax", seed: int = 0):
-    """Mean LOSOCV accuracy per (classifier, selection-mode) cell.
+def report_matrix(dataset: Dataset, scaler_method: str = "minmax", seed: int = 0):
+    """Mean LOSOCV accuracy per (classifier, selection-mode) cell: one row
+    per kind of ``MATRIX_KINDS``, one column per mode of
+    ``SELECTION_MODES``.
 
     Cells pairing RFECV with an importance-incapable classifier hold the
     literal 'N.A.' marker instead of a number.
     """
     matrix = {}
-    for kind in kinds:
+    for kind in MATRIX_KINDS:
         config = ClassifierConfig(kind, seed=seed)
         row = {}
-        for mode in settings:
+        for mode in SELECTION_MODES:
             if mode == "rfecv" and not config.supports_importance():
                 row[mode] = NA
                 continue
@@ -168,7 +166,3 @@ def report_to_jsonable(report: EvaluationReport):
             for f in report.per_fold
         ],
     }
-
-
-def write_report_json(doc, path):
-    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")

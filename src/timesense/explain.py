@@ -22,6 +22,12 @@ class Attribution:
         return abs(self.base_value + float(np.sum(self.values)) - self.prediction)
 
 
+# Exact enumeration scores all 2^d coalitions, so it takes at most this many
+# features.
+EXACT_MAX_FEATURES = 12
+# The most background rows mean_abs_shap keeps: a dataset of more rows gives
+# a seeded draw of this many.
+MAX_BACKGROUND = 100
 # Synthetic rows per model call when scoring coalitions. A call holds as
 # many whole coalitions as fit (at least one), so memory stays flat however
 # many coalitions an explanation scores.
@@ -50,13 +56,14 @@ def _coalition_values(model, background, instance, masks):
     return out
 
 
-def exact_shapley(model: TrainedModel, background, instance, max_features: int = 12) -> Attribution:
-    """Classic Shapley values by full coalition enumeration (d <= 12)."""
+def exact_shapley(model: TrainedModel, background, instance) -> Attribution:
+    """Classic Shapley values by full coalition enumeration (d <=
+    ``EXACT_MAX_FEATURES``)."""
     background = np.asarray(background, dtype=float)
     instance = np.asarray(instance, dtype=float)
     d = len(instance)
-    if d > max_features:
-        raise Unsupported(f"exact enumeration limited to {max_features} features")
+    if d > EXACT_MAX_FEATURES:
+        raise Unsupported(f"exact enumeration limited to {EXACT_MAX_FEATURES} features")
     if len(background) == 0:
         raise ValueError("background must be non-empty")
 
@@ -103,8 +110,8 @@ def _sample_coalitions(d, n_samples, rng):
     return Z
 
 
-def kernel_shap(model: TrainedModel, background, instance,
-                n_samples: int = 2048, seed: int = 0) -> Attribution:
+def kernel_shap(model: TrainedModel, background, instance, n_samples: int,
+                seed: int = 0) -> Attribution:
     """Kernel-weighted linear regression estimate of the Shapley values.
 
     The all-on and all-off coalitions enter through the enforced
@@ -151,9 +158,10 @@ def kernel_shap(model: TrainedModel, background, instance,
     return Attribution(phi, base, pred)
 
 
-def mean_abs_shap(model: TrainedModel, dataset, background=None,
-                  n_samples: int = 2048, seed: int = 0, max_background: int = 100):
-    """mean(|shap value|) per feature over all dataset rows, ranked descending.
+def mean_abs_shap(model: TrainedModel, dataset, n_samples: int, seed: int = 0):
+    """mean(|shap value|) per feature over all dataset rows, ranked descending;
+    the dataset's rows, at most ``MAX_BACKGROUND`` of them, are the
+    background.
 
     Returns a list of (feature_name, mean_abs_value, rank); ties keep the
     canonical feature order.
@@ -161,13 +169,10 @@ def mean_abs_shap(model: TrainedModel, dataset, background=None,
     X = dataset.X
     if len(X) == 0:
         raise ValueError("dataset must be non-empty")
-    if background is None:
-        background = X
-    background = np.asarray(background, dtype=float)
-    if len(background) > max_background:
-        keep = np.random.default_rng(seed).choice(len(background), size=max_background,
-                                                  replace=False)
-        background = background[np.sort(keep)]
+    background = X
+    if len(X) > MAX_BACKGROUND:
+        keep = np.random.default_rng(seed).choice(len(X), size=MAX_BACKGROUND, replace=False)
+        background = X[np.sort(keep)]
     totals = np.zeros(X.shape[1])
     for i in range(len(X)):
         att = kernel_shap(model, background, X[i], n_samples=n_samples, seed=seed + i)

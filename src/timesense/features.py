@@ -33,6 +33,8 @@ MIN_BPM = 42.0
 MAX_BPM = 210.0
 RR_MIN_MS = 60000.0 / MAX_BPM
 RR_MAX_MS = 60000.0 / MIN_BPM
+# An RR interval further than this fraction from its local median is rejected.
+RR_MAX_LOCAL_DEVIATION = 0.30
 
 # Settings of the per-channel preprocessing chain.
 PPG_BAND_HZ = (0.7, 3.5)
@@ -70,11 +72,11 @@ class BeatSequence:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @classmethod
-    def from_peak_times(cls, peak_times_s, max_local_deviation=0.30) -> "BeatSequence":
+    def from_peak_times(cls, peak_times_s) -> "BeatSequence":
         """Build from raw peak times, rejecting implausible RR intervals.
 
         An interval is rejected when it leaves the 42-210 bpm band or deviates
-        more than ``max_local_deviation`` from the local (5-wide) median.
+        more than ``RR_MAX_LOCAL_DEVIATION`` from the local (5-wide) median.
         """
         times = np.asarray(peak_times_s, dtype=float)
         if len(times) < 4:
@@ -82,7 +84,7 @@ class BeatSequence:
         rr = np.diff(times) * 1000.0
         keep = (rr >= RR_MIN_MS) & (rr <= RR_MAX_MS)
         local_med = local_median(rr)
-        keep &= np.abs(rr - local_med) <= max_local_deviation * local_med
+        keep &= np.abs(rr - local_med) <= RR_MAX_LOCAL_DEVIATION * local_med
         if keep.sum() < 3:
             raise InsufficientData("fewer than 3 plausible RR intervals")
         adjacent = keep[:-1] & keep[1:]

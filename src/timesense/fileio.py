@@ -1,4 +1,4 @@
-"""Atomic text-file writes and JSON-file reads."""
+"""Atomic text-file writes and JSON-file reads and writes."""
 
 import json
 import os
@@ -13,6 +13,12 @@ def write_atomic(path, text):
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def write_json(path, doc):
+    """Write ``doc`` atomically as JSON: keys sorted, two-space indent, a
+    final newline."""
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path):

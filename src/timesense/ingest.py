@@ -1,7 +1,6 @@
 """Session loading from channel CSVs + manifest, and synthesis of
 paper-shaped corpora with known ground truth."""
 
-import json
 import math
 import os
 import sys
@@ -10,7 +9,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import InvalidInput, MissingFile
-from .fileio import read_json, write_atomic
+from .fileio import read_json, write_atomic, write_json
 from .model import (
     ALL_SETTINGS,
     CHANNELS,
@@ -467,5 +466,5 @@ def write_corpus(sessions, out_dir):
                         "channels": _json_object(ChannelSpecs(**specs))})
     manifest = {"schema_version": MANIFEST_SCHEMA_VERSION, "sessions": entries}
     manifest_path = os.path.join(out_dir, "manifest.json")
-    write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path, manifest)
     return manifest_path

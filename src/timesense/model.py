@@ -1,6 +1,6 @@
 """Shared domain types and the canonical 24-feature naming contract."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -198,13 +198,9 @@ class FoldResult:
 @dataclass(frozen=True)
 class EvaluationReport:
     per_fold: Tuple[FoldResult, ...]
-    mean_accuracy: float = field(default=None)
 
-    def __post_init__(self):
-        folds = tuple(self.per_fold)
-        object.__setattr__(self, "per_fold", folds)
-        mean = float(np.mean([f.accuracy for f in folds])) if folds else float("nan")
-        if self.mean_accuracy is None:
-            object.__setattr__(self, "mean_accuracy", mean)
-        elif folds and abs(self.mean_accuracy - mean) > 1e-12:
-            raise ValueError("mean_accuracy inconsistent with per-fold accuracies")
+    @property
+    def mean_accuracy(self) -> float:
+        """Mean of the per-fold accuracies; nan for a report of no folds."""
+        folds = self.per_fold
+        return float(np.mean([f.accuracy for f in folds])) if folds else float("nan")

@@ -25,16 +25,17 @@ class SelectionResult:
         }
 
 
-def stratified_kfold(y, k, seed):
-    """Deterministic seeded stratified fold assignment; returns test-index lists."""
+def stratified_kfold(y, seed):
+    """Deterministic seeded stratified assignment to ``CV_FOLDS`` folds;
+    returns test-index lists."""
     y = np.asarray(y, dtype=int)
     rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
+    folds = [[] for _ in range(CV_FOLDS)]
     for cls in (0, 1):
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
         for i, j in enumerate(idx):
-            folds[i % k].append(int(j))
+            folds[i % CV_FOLDS].append(int(j))
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 
@@ -82,7 +83,7 @@ def sfs(dataset, config: ClassifierConfig, n_features: int, seed: int = 0) -> Se
     if not 1 <= n_features <= d:
         raise ValueError("n_features out of range")
     X, y = dataset.X, dataset.y
-    folds = stratified_kfold(y, CV_FOLDS, seed)
+    folds = stratified_kfold(y, seed)
 
     current = []
     trace = []
@@ -111,7 +112,7 @@ def rfecv(dataset, config: ClassifierConfig, seed: int = 0) -> SelectionResult:
             f"{config.kind} cannot drive RFECV: no feature-importance measure")
     names = list(dataset.feature_names)
     X, y = dataset.X, dataset.y
-    folds = stratified_kfold(y, CV_FOLDS, seed)
+    folds = stratified_kfold(y, seed)
 
     cols = list(range(len(names)))
     trace = []

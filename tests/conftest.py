@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from timesense import ingest, pipeline
-from timesense.classifiers import ClassifierConfig, TrainedModel
-from timesense.classifiers.base import canonical_order
 from timesense.model import FEATURE_NAMES, Dataset
 
 
@@ -67,6 +65,13 @@ def blobs(n_per=20, d=4, gap=6.0, seed=0):
     return X, y
 
 
+def mixed_repeats(X, y):
+    """Each row three times, the last copy with the other label: a leaf of
+    equal rows then holds both classes, and a tree grown to pure leaves keeps
+    leaf values, such as 1/3, that are not dyadic."""
+    return np.repeat(X, 3, axis=0), np.stack([y, y, 1 - y], axis=1).ravel()
+
+
 def xor_data(n=120, seed=1):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1, 1, (n, 2))
@@ -82,13 +87,3 @@ def pinned_fixture(name):
     else:
         (X, y), probe = xor_data(), xor_data(seed=3)[0]
     return X, y, np.vstack([X, probe])
-
-
-def train_estimator(kind, estimator, X, y, seed=0):
-    """``estimator`` trained as ``classifiers.train`` trains the one it builds
-    for ``kind``: on the rows in canonical order. For estimators built with
-    arguments that ``train`` never sets; ``seed`` is the config's."""
-    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=int)
-    order = canonical_order(X, y)
-    estimator.fit(X[order], y[order])
-    return TrainedModel(kind, ClassifierConfig(kind, seed=seed), estimator, X.shape[1])

@@ -108,15 +108,16 @@ def test_criterion_4_kernel_shap_exactness(capsys):
             assert att.local_accuracy_gap() < 1e-3
 
 
-def test_criterion_5_rfecv_incompatibility(capsys):
+def test_criterion_5_rfecv_incompatibility(capsys, monkeypatch):
     """KNN/GNB/QDA with RFECV: typed error from the library, N.A. in the matrix."""
     with acceptance(5, capsys, "RFECV x {knn, gnb, qda} -> typed error / N.A."):
         ds = planted_dataset().subset_features(planted_dataset().feature_names[:5])
         for kind in ("knn", "gnb", "qda"):
             with pytest.raises(Unsupported, match="cannot drive RFECV"):
                 rfecv(ds, ClassifierConfig(kind))
-        matrix = report_matrix(ds, kinds=("knn", "gnb", "qda"),
-                               settings=("rfecv",), seed=0)
+        monkeypatch.setattr(evaluate, "MATRIX_KINDS", ("knn", "gnb", "qda"))
+        monkeypatch.setattr(evaluate, "SELECTION_MODES", ("rfecv",))
+        matrix = report_matrix(ds, seed=0)
         for kind in ("knn", "gnb", "qda"):
             assert matrix[kind]["rfecv"] == NA
 

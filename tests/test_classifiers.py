@@ -1,11 +1,17 @@
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
 
-from timesense.classifiers import ensemble, tree
-from timesense.classifiers.ensemble import AdaBoost, Booster, DecisionTree, RandomForest
-from timesense.classifiers.knn import KNN
+from timesense.classifiers import base, ensemble, tree
+from timesense.classifiers.ensemble import (
+    AdaBoost,
+    DecisionTree,
+    GradientBoosting,
+    RandomForest,
+    XGBoost,
+)
 from timesense.classifiers.base import (
     KINDS,
     ClassifierConfig,
@@ -26,37 +32,44 @@ from timesense.classifiers.svm import SMOSVC, rbf_kernel
 from timesense.errors import InsufficientData, InvalidInput, Unsupported
 from timesense.model import Dataset
 from timesense.selection import rfecv
-from tests.conftest import blobs, pinned_fixture, train_estimator, xor_data
+from tests.conftest import blobs, mixed_repeats, pinned_fixture, xor_data
 
-# (kind, arguments of its estimator): {} is the estimator `train` builds;
-# otherwise the estimator is built with those arguments
+# (kind, class constants of its estimator that the case patches): {} is the
+# estimator as `train` builds it
 ALL_CASES = [(k, {}) for k in KINDS]
-_ESTIMATORS = {"knn": KNN, "rf": RandomForest, "svc": SMOSVC}
 
 
 def case_id(case):
     return case[0] + str(case[1])
 
 
-def train_case(case, X, y):
-    kind, args = case
-    if not args:
-        return train(ClassifierConfig(kind, seed=0), X, y)
-    return train_estimator(kind, _ESTIMATORS[kind](**args), X, y)
+def train_case(monkeypatch, case, X, y):
+    kind, constants = case
+    for name, value in constants.items():
+        monkeypatch.setattr(base._ESTIMATORS[kind], name, value)
+    return train(ClassifierConfig(kind, seed=0), X, y)
+
+
+def test_estimators_take_no_settings():
+    """Each kind is a fixed algorithm: no estimator's constructor takes an
+    argument but rf's seed."""
+    for kind, estimator in base._ESTIMATORS.items():
+        parameters = list(inspect.signature(estimator).parameters)
+        assert parameters == (["seed"] if kind == "rf" else []), kind
 
 
 class TestSeparableBlobs:
     @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
-    def test_perfect_training_accuracy(self, case):
+    def test_perfect_training_accuracy(self, monkeypatch, case):
         X, y = blobs()
-        model = train_case(case, X, y)
+        model = train_case(monkeypatch, case, X, y)
         assert np.array_equal(predict(model, X), y)
 
     @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
-    def test_generalizes_to_fresh_draw(self, case):
+    def test_generalizes_to_fresh_draw(self, monkeypatch, case):
         X, y = blobs(seed=0)
         X2, y2 = blobs(seed=9)
-        model = train_case(case, X, y)
+        model = train_case(monkeypatch, case, X, y)
         acc = np.mean(predict(model, X2) == y2)
         assert acc == 1.0
 
@@ -78,9 +91,9 @@ class TestXor:
         ("gb", {}),
         ("xgb", {}),
     ], ids=lambda c: c[0])
-    def test_nonlinear_models_succeed(self, case):
+    def test_nonlinear_models_succeed(self, monkeypatch, case):
         X, y = xor_data()
-        model = train_case(case, X, y)
+        model = train_case(monkeypatch, case, X, y)
         assert np.mean(predict(model, X) == y) >= 0.95
 
 
@@ -112,34 +125,34 @@ class TestTrainValidation:
 
 class TestDeterminismAndInvariance:
     @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
-    def test_same_seed_same_scores(self, case):
+    def test_same_seed_same_scores(self, monkeypatch, case):
         X, y = blobs(gap=2.0)
-        s1 = decision_scores(train_case(case, X, y), X)
-        s2 = decision_scores(train_case(case, X, y), X)
+        s1 = decision_scores(train_case(monkeypatch, case, X, y), X)
+        s2 = decision_scores(train_case(monkeypatch, case, X, y), X)
         assert np.array_equal(s1, s2)
 
     @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
-    def test_row_permutation_invariance(self, case):
+    def test_row_permutation_invariance(self, monkeypatch, case):
         X, y = blobs(gap=2.0, seed=3)
         perm = np.random.default_rng(5).permutation(len(y))
-        s1 = decision_scores(train_case(case, X, y), X)
-        s2 = decision_scores(train_case(case, X[perm], y[perm]), X)
+        s1 = decision_scores(train_case(monkeypatch, case, X, y), X)
+        s2 = decision_scores(train_case(monkeypatch, case, X[perm], y[perm]), X)
         assert np.allclose(s1, s2, atol=1e-10)
 
 
 class TestScoresAndTies:
-    def test_zero_score_predicts_slow(self):
+    def test_zero_score_predicts_slow(self, monkeypatch):
         X = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
-        model = train_estimator("knn", KNN(k=2), X, y)
+        model = train_case(monkeypatch, ("knn", {"k": 2}), X, y)
         # both neighbours vote once each -> tied score 0 -> slow
         scores = decision_scores(model, np.array([[0.5]]))
         assert scores[0] == 0.0
         assert predict(model, np.array([[0.5]]))[0] == 0
 
-    def test_knn_memorizes_training_points_k1(self):
+    def test_knn_memorizes_training_points_k1(self, monkeypatch):
         X, y = blobs(gap=0.5, seed=2)
-        model = train_estimator("knn", KNN(k=1), X, y)
+        model = train_case(monkeypatch, ("knn", {"k": 1}), X, y)
         assert np.array_equal(predict(model, X), y)
 
     def test_scores_monotone_with_confidence(self):
@@ -154,16 +167,30 @@ class TestBlockedScores:
     """decision_scores(..., blocks=k) scores k stacked blocks in one call,
     each bit for bit as a call on that block alone."""
 
-    @pytest.mark.parametrize("case", ALL_CASES + [("rf", {"min_samples_leaf": 3})],
-                             ids=case_id)
-    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8])
-    def test_each_block_as_its_own_call(self, case, rows):
-        X, y = blobs(gap=1.0, seed=4)
-        model = train_case(case, X, y)
-        stack = np.random.default_rng(rows).normal(3.0, 2.0, size=(7 * rows, X.shape[1]))
+    @staticmethod
+    def assert_blocks_score_as_own_calls(model, rows):
+        stack = np.random.default_rng(rows).normal(3.0, 2.0, size=(7 * rows, model.feature_count))
         expected = np.concatenate([decision_scores(model, stack[i:i + rows])
                                    for i in range(0, len(stack), rows)])
         assert decision_scores(model, stack, blocks=7).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8])
+    def test_each_block_as_its_own_call(self, monkeypatch, case, rows):
+        X, y = blobs(gap=1.0, seed=4)
+        self.assert_blocks_score_as_own_calls(train_case(monkeypatch, case, X, y), rows)
+
+    @pytest.mark.parametrize("kind", ["rf", "dtc"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8])
+    def test_impure_leaves(self, kind, rows):
+        """Leaves of equal rows of both classes: their values, such as 1/3,
+        round differently when the trees are summed in another order."""
+        X, y = mixed_repeats(*blobs(gap=1.0, seed=4))
+        model = train(ClassifierConfig(kind, seed=0), X, y)
+        nodes = model.estimator.nodes_
+        # some leaf value is not dyadic
+        assert np.modf(nodes.value[nodes.feature == tree.NO_CHILD] * 2.0**20)[0].any()
+        self.assert_blocks_score_as_own_calls(model, rows)
 
     def test_blocks_must_divide_the_rows(self):
         X, y = blobs()
@@ -192,10 +219,10 @@ class TestLogisticRegression:
                  - logistic_loss(w, b - eps, X, y, l2=0.7)) / (2 * eps)
         assert grad_b == pytest.approx(num_b, abs=1e-5)
 
-    def test_l2_shrinks_weights(self):
+    def test_l2_shrinks_weights(self, monkeypatch):
         X, y = blobs(d=2, gap=3.0)
-        w_small = train_estimator("lr", LogisticRegressionNewton(l2=0.01), X, y)
-        w_large = train_estimator("lr", LogisticRegressionNewton(l2=100.0), X, y)
+        w_small = train_case(monkeypatch, ("lr", {"l2": 0.01}), X, y)
+        w_large = train_case(monkeypatch, ("lr", {"l2": 100.0}), X, y)
         n_small = np.linalg.norm(w_small.estimator.w)
         n_large = np.linalg.norm(w_large.estimator.w)
         assert n_large < n_small
@@ -235,11 +262,11 @@ class TestImportance:
     INCAPABLE = [(k, {}) for k in ("svc", "knn", "gnb", "qda")]
 
     @pytest.mark.parametrize("case", CAPABLE, ids=case_id)
-    def test_informative_feature_dominates(self, case):
+    def test_informative_feature_dominates(self, monkeypatch, case):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(80, 5))
         y = (X[:, 2] > 0).astype(int)
-        model = train_case(case, X, y)
+        model = train_case(monkeypatch, case, X, y)
         imp = importance(model)
         assert model.config.supports_importance()
         assert len(imp) == 5
@@ -247,9 +274,9 @@ class TestImportance:
         assert np.argmax(imp) == 2
 
     @pytest.mark.parametrize("case", INCAPABLE, ids=case_id)
-    def test_unsupported_importance_raises(self, case):
+    def test_unsupported_importance_raises(self, monkeypatch, case):
         X, y = blobs(d=3)
-        model = train_case(case, X, y)
+        model = train_case(monkeypatch, case, X, y)
         assert not model.config.supports_importance()
         with pytest.raises(Unsupported, match="no feature-importance measure"):
             importance(model)
@@ -282,10 +309,10 @@ class TestEnsembles:
         s2 = decision_scores(train(ClassifierConfig("rf", seed=1), X, y), X)
         assert not np.array_equal(s1, s2)
 
-    def test_gb_improves_with_rounds(self):
+    def test_gb_improves_with_rounds(self, monkeypatch):
         X, y = xor_data(seed=3)
-        weak = train_estimator("gb", Booster(n_estimators=2, reg_lambda=0.0, min_child_weight=1e-6,
-                                             second_order_splits=False), X, y)
+        with monkeypatch.context() as m:
+            weak = train_case(m, ("gb", {"n_estimators": 2}), X, y)
         strong = train(ClassifierConfig("gb"), X, y)
         acc_weak = np.mean(predict(weak, X) == y)
         acc_strong = np.mean(predict(strong, X) == y)
@@ -382,11 +409,10 @@ def loop_gini_split(X, y, w, feature_indices):
     return None if best is None else best[1:]
 
 
-def loop_gradient_split(X, grad, hess, reg_lambda, min_child_weight, min_samples_leaf):
+def loop_gradient_split(X, grad, hess, reg_lambda, min_child_weight):
     def score(g, h):
         return g * g / (h + reg_lambda + 1e-12)
 
-    n = len(grad)
     G, H = grad.sum(), hess.sum()
     parent = score(G, H)
     best = None
@@ -396,8 +422,6 @@ def loop_gradient_split(X, grad, hess, reg_lambda, min_child_weight, min_samples
         cg = np.cumsum(grad[order])
         ch = np.cumsum(hess[order])
         for c in np.flatnonzero(xs[1:] > xs[:-1]):
-            if c + 1 < min_samples_leaf or n - c - 1 < min_samples_leaf:
-                continue
             hl, hr = ch[c], H - ch[c]
             if hl < min_child_weight or hr < min_child_weight:
                 continue
@@ -500,12 +524,12 @@ class TestSplitSearchMatchesLoops:
             G = np.array([g[m].sum() for g, m in zip(lane_g, masks)])
             H = np.array([h[m].sum() for h, m in zip(lane_h, masks)])
             stats = np.where(masks, np.array([lane_g, lane_h]), 0.0)
-            for reg_lambda, mcw, msl in ((0.0, 1e-6, 1), (1.0, 1e-3, 1), (1.0, 0.6, 2)):
+            for reg_lambda, mcw in ((0.0, 1e-6), (1.0, 1e-3)):
                 col, _, thr, gain = tree.best_split(
                     tree.sort_lanes(lane_x, masks), stats,
-                    tree.gradient_score(G, H, reg_lambda, mcw, msl))
+                    tree.gradient_score(G, H, reg_lambda, mcw))
                 for b, m in enumerate(masks):
-                    rows = (lane_x[b][m], lane_g[b][m], lane_h[b][m], reg_lambda, mcw, msl)
+                    rows = (lane_x[b][m], lane_g[b][m], lane_h[b][m], reg_lambda, mcw)
                     assert lane_split(col, thr, gain, b) == loop_gradient_split(*rows)
                     assert oracle_gradient_split(*rows) == loop_gradient_split(*rows)
 
@@ -619,8 +643,7 @@ def oracle_gini_split(X, y, w, features):
     return features[col], thr, gain
 
 
-def oracle_gradient_split(X, grad, hess, reg_lambda, min_child_weight, min_samples_leaf=1):
-    n = len(grad)
+def oracle_gradient_split(X, grad, hess, reg_lambda, min_child_weight):
     G, H = grad.sum(), hess.sum()
 
     def objective(g, h):
@@ -632,28 +655,25 @@ def oracle_gradient_split(X, grad, hess, reg_lambda, min_child_weight, min_sampl
         gl, hl = left[..., 0], left[..., 1]
         hr = H - hl
         gain = 0.5 * (objective(gl, hl) + objective(G - gl, hr) - parent)
-        allowed = ((n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
-                   & (hl >= min_child_weight) & (hr >= min_child_weight) & (gain > 1e-12))
+        allowed = ((n_left > 0) & (hl >= min_child_weight) & (hr >= min_child_weight)
+                   & (gain > 1e-12))
         return np.where(allowed, gain, -np.inf)
 
     best = oracle_best_split(X, np.column_stack([grad, hess]), score)
     return None if best is None else best[:3]
 
 
-def oracle_classification_tree(X, y, max_depth=None, min_samples_leaf=1, max_features=None,
-                               feature_rng=None):
+def oracle_classification_tree(X, y, max_features=None, feature_rng=None):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     n, d = X.shape
     nodes = OracleNodes()
     importance = np.zeros(d)
 
-    def grow(X, y, depth):
+    def grow(X, y):
         fast = float(y.sum())
         node = nodes.add(value=(fast - (len(y) - fast)) / len(y))
-        if (len(y) < 2
-                or (max_depth is not None and depth >= max_depth)
-                or len(np.unique(y)) < 2):
+        if len(y) < 2 or len(np.unique(y)) < 2:
             return node
         if feature_rng is not None and max_features < d:
             feats = np.sort(feature_rng.choice(d, size=max_features, replace=False))
@@ -664,16 +684,16 @@ def oracle_classification_tree(X, y, max_depth=None, min_samples_leaf=1, max_fea
             return node
         j, thr, gain = best
         mask = X[:, j] <= thr
-        if mask.sum() < min_samples_leaf or (~mask).sum() < min_samples_leaf:
+        if mask.all() or not mask.any():
             return node
         importance[j] += len(y) / n * gain
         nodes.feature[node] = j
         nodes.threshold[node] = thr
-        nodes.left[node] = grow(X[mask], y[mask], depth + 1)
-        nodes.right[node] = grow(X[~mask], y[~mask], depth + 1)
+        nodes.left[node] = grow(X[mask], y[mask])
+        nodes.right[node] = grow(X[~mask], y[~mask])
         return node
 
-    grow(X, y, 0)
+    grow(X, y)
     s = importance.sum()
     return nodes.finalize(), importance / s if s > 0 else importance
 
@@ -724,59 +744,58 @@ def oracle_stump(X, ypm, w):
 
 class OracleTrees:
     """The tree models as they were before lanes: one recursive grower call
-    per tree and one walk per tree."""
+    per tree and one walk per tree. ``model`` is the estimator whose class
+    constants, and rf's seed, the oracle follows."""
 
-    def __init__(self, kind, **params):
-        self.kind, self.params = kind, params
+    def __init__(self, kind, model):
+        self.kind, self.model = kind, model
         self.trees, self.importances, self.weights, self.offset = [], [], [], 0.0
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
-        getattr(self, "_fit_" + self.kind)(X, y, **self.params)
+        getattr(self, "_fit_" + self.kind)(X, y, self.model)
         return self
 
-    def _fit_dtc(self, X, y, **params):
-        nodes, imp = oracle_classification_tree(X, y, **params)
+    def _fit_dtc(self, X, y, model):
+        nodes, imp = oracle_classification_tree(X, y)
         self.trees, self.importances, self.weights = [nodes], [imp], [1.0]
 
-    def _fit_rf(self, X, y, n_estimators=100, seed=0, **params):
+    def _fit_rf(self, X, y, model):
         n, d = X.shape
-        for t in range(n_estimators):
-            tree_rng = np.random.default_rng([seed, t])
+        for t in range(model.n_estimators):
+            tree_rng = np.random.default_rng([model.seed, t])
             idx = tree_rng.integers(0, n, size=n)
             if len(np.unique(y[idx])) < 2:
                 idx = np.arange(n)
             nodes, imp = oracle_classification_tree(
-                X[idx], y[idx], max_features=max(1, int(np.sqrt(d))), feature_rng=tree_rng,
-                **params)
+                X[idx], y[idx], max_features=max(1, int(np.sqrt(d))), feature_rng=tree_rng)
             self.trees.append(nodes)
             self.importances.append(imp)
             self.weights.append(1.0)
 
-    def _fit_booster(self, X, y, n_estimators=100, learning_rate=0.1, max_depth=3,
-                     reg_lambda=1.0, min_child_weight=1e-3, second_order_splits=True):
+    def _fit_booster(self, X, y, model):
         y = np.asarray(y, dtype=float)
-        if not second_order_splits:
+        if not model.second_order_splits:
             p0 = np.clip(y.mean(), 1e-12, 1 - 1e-12)
             self.offset = float(np.log(p0 / (1 - p0)))
         F = np.full(len(y), self.offset)
-        for _ in range(n_estimators):
+        for _ in range(model.n_estimators):
             p = sigmoid(F)
             grad = p - y
             hess = np.maximum(p * (1 - p), 1e-12)
-            split_hess = hess if second_order_splits else np.ones(len(y))
-            nodes, gain = oracle_gradient_tree(X, grad, split_hess, grad, hess, max_depth,
-                                               reg_lambda, min_child_weight)
-            F = F + learning_rate * nodes.predict(X)
+            split_hess = hess if model.second_order_splits else np.ones(len(y))
+            nodes, gain = oracle_gradient_tree(X, grad, split_hess, grad, hess, model.max_depth,
+                                               model.reg_lambda, model.min_child_weight)
+            F = F + model.learning_rate * nodes.predict(X)
             self.trees.append(nodes)
             self.importances.append(gain)
-            self.weights.append(learning_rate)
+            self.weights.append(model.learning_rate)
 
-    def _fit_ab(self, X, y, n_estimators=50):
+    def _fit_ab(self, X, y, model):
         ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
         n, d = X.shape
         w = np.full(n, 1.0 / n)
-        for _ in range(n_estimators):
+        for _ in range(model.n_estimators):
             stump = oracle_stump(X, ypm, w)
             pred = stump.predict(X)
             err = float(np.sum(w[pred != ypm]))
@@ -826,19 +845,14 @@ class OracleTrees:
         return imp / s if s > 0 else imp
 
 
-GB_PARAMS = {"reg_lambda": 0.0, "min_child_weight": 1e-6, "second_order_splits": False}
-# (label, estimator, oracle kind, parameters of both)
+# (label, estimator, oracle kind, class constants the case patches); the
+# rf's seed is 3
 ORACLE_CASES = [
     ("dtc", DecisionTree, "dtc", {}),
-    ("dtc-depth2", DecisionTree, "dtc", {"max_depth": 2}),
-    ("dtc-leaf3", DecisionTree, "dtc", {"min_samples_leaf": 3}),
-    ("rf", RandomForest, "rf", {"n_estimators": 30, "seed": 3}),
-    ("rf-depth1", RandomForest, "rf", {"n_estimators": 30, "max_depth": 1}),
-    ("rf-depth2", RandomForest, "rf", {"n_estimators": 30, "max_depth": 2, "seed": 1}),
-    ("rf-leaf3", RandomForest, "rf", {"n_estimators": 30, "min_samples_leaf": 3}),
-    ("gb", Booster, "booster", {"n_estimators": 30, **GB_PARAMS}),
-    ("xgb", Booster, "booster", {"n_estimators": 30}),
-    ("xgb-depth1", Booster, "booster", {"n_estimators": 20, "max_depth": 1}),
+    ("rf", RandomForest, "rf", {"n_estimators": 30}),
+    ("gb", GradientBoosting, "booster", {"n_estimators": 30}),
+    ("xgb", XGBoost, "booster", {"n_estimators": 30}),
+    ("xgb-depth1", XGBoost, "booster", {"n_estimators": 20, "max_depth": 1}),
     ("ab", AdaBoost, "ab", {}),
 ]
 
@@ -872,13 +886,15 @@ class TestTreeModelsMatchOracles:
     trees, leaf values, scores and importances of the recursive growers and
     the per-tree walk."""
 
-    @pytest.mark.parametrize("label,estimator,kind,params", ORACLE_CASES,
+    @pytest.mark.parametrize("label,estimator,kind,constants", ORACLE_CASES,
                              ids=[c[0] for c in ORACLE_CASES])
     @pytest.mark.parametrize("seed", range(20))
-    def test_bitwise_equal(self, label, estimator, kind, params, seed):
+    def test_bitwise_equal(self, monkeypatch, label, estimator, kind, constants, seed):
+        for name, value in constants.items():
+            monkeypatch.setattr(estimator, name, value)
         X, y, fresh = tree_case(seed)
-        model = estimator(**params).fit(X, y)
-        oracle = OracleTrees(kind, **params).fit(X, y)
+        model = (RandomForest(3) if estimator is RandomForest else estimator()).fit(X, y)
+        oracle = OracleTrees(kind, model).fit(X, y)
         assert model.weights_ == oracle.weights
         assert _bits(model.importance()) == _bits(oracle.importance())
         if oracle.trees:
@@ -942,7 +958,7 @@ class TestBatchedCalls:
             return out
 
         monkeypatch.setattr(ensemble, "grow_boosting_trees", counted)
-        booster = Booster(max_depth=3).fit(X, y)
+        booster = XGBoost().fit(X, y)
         assert len(grown) == booster.n_estimators
         for nodes, searches in grown:
             # a level is searched when it holds a node of two or more rows
@@ -1142,22 +1158,22 @@ class TestSolversMatchOracles:
     oracles, which evaluate every value afresh, return."""
 
     @pytest.mark.parametrize("seed", range(120))
-    def test_smo(self, seed):
+    def test_smo(self, monkeypatch, seed):
         rng, X, y = solver_case(seed)
-        C = (0.1, 1.0, 10.0)[seed % 3]
-        new = SMOSVC(C=C).fit(X, y)
-        old = OracleSMOSVC(C=C).fit(X, y)
+        monkeypatch.setattr(SMOSVC, "C", (0.1, 1.0, 10.0)[seed % 3])
+        new = SMOSVC().fit(X, y)
+        old = OracleSMOSVC().fit(X, y)
         assert _same_bits(new.alpha_, old.alpha_)
         assert _same_bits(new.b_, old.b_)
         assert _same_bits(new.support_X_, old.support_X_)
         assert _same_bits(new.support_coef_, old.support_coef_)
 
     @pytest.mark.parametrize("seed", range(120))
-    def test_lr(self, seed):
+    def test_lr(self, monkeypatch, seed):
         rng, X, y = solver_case(seed)
-        l2 = (0.01, 1.0, 100.0)[seed % 3]
-        new = LogisticRegressionNewton(l2=l2).fit(X, y)
-        old = OracleLR(l2=l2).fit(X, y)
+        monkeypatch.setattr(LogisticRegressionNewton, "l2", (0.01, 1.0, 100.0)[seed % 3])
+        new = LogisticRegressionNewton().fit(X, y)
+        old = OracleLR().fit(X, y)
         assert _same_bits(new.w, old.w)
         assert _same_bits(new.b, old.b)
 
@@ -1179,16 +1195,20 @@ class TestSolversMatchOracles:
 
 
 class TestSolverConvergence:
-    def test_smo_reports_the_sweep_cap(self):
+    def test_smo_reports_the_sweep_cap(self, monkeypatch):
         X, y = blobs(gap=2.0)
-        capped = SMOSVC(max_passes=1).fit(X, y)
+        with monkeypatch.context() as m:
+            m.setattr(SMOSVC, "max_passes", 1)
+            capped = SMOSVC().fit(X, y)
         assert (capped.n_iter_, capped.converged_) == (1, False)
         full = SMOSVC().fit(X, y)
         assert full.converged_ and 1 < full.n_iter_ < full.max_passes
 
-    def test_lr_reports_the_iteration_cap(self):
+    def test_lr_reports_the_iteration_cap(self, monkeypatch):
         X, y = blobs(gap=2.0)
-        capped = LogisticRegressionNewton(max_iter=1).fit(X, y)
+        with monkeypatch.context() as m:
+            m.setattr(LogisticRegressionNewton, "max_iter", 1)
+            capped = LogisticRegressionNewton().fit(X, y)
         assert (capped.n_iter_, capped.converged_) == (1, False)
         full = LogisticRegressionNewton().fit(X, y)
         assert full.converged_ and 1 < full.n_iter_ < full.max_iter
@@ -1356,9 +1376,8 @@ class TestTrainMany:
             assert separable.depth == 1 and grown.depth > 1
 
 
-# the estimator parameters ``train`` gives each tree kind, for the oracle
-TRAIN_PARAMS = {"dtc": ("dtc", {}), "rf": ("rf", {}), "ab": ("ab", {}),
-                "gb": ("booster", GB_PARAMS), "xgb": ("booster", {})}
+# the oracle of each tree kind
+ORACLE_KINDS = {"dtc": "dtc", "rf": "rf", "ab": "ab", "gb": "booster", "xgb": "booster"}
 
 
 class TestTrainManyMatchesOracles:
@@ -1366,16 +1385,13 @@ class TestTrainManyMatchesOracles:
     recursive growers, one booster round and one forest at a time."""
 
     @pytest.mark.parametrize("lane_set", ["ragged", "stopping"])
-    @pytest.mark.parametrize("kind", sorted(TRAIN_PARAMS))
+    @pytest.mark.parametrize("kind", sorted(ORACLE_KINDS))
     def test_bitwise_equal(self, kind, lane_set):
         lanes, probe = LANE_SETS[lane_set]()
-        oracle_kind, params = TRAIN_PARAMS[kind]
-        if kind == "rf":
-            params = {"seed": 6}
         for model, (X, y) in zip(train_many(ClassifierConfig(kind, seed=6), lanes), lanes):
             order = canonical_order(X, y)
-            oracle = OracleTrees(oracle_kind, **params).fit(X[order], y[order])
             est = model.estimator
+            oracle = OracleTrees(ORACLE_KINDS[kind], est).fit(X[order], y[order])
             assert est.weights_ == oracle.weights
             assert _bits(est.importance()) == _bits(oracle.importance())
             if oracle.trees:

@@ -129,10 +129,11 @@ class TestLosocv:
 
 
 class TestReportMatrix:
-    def test_na_cells_for_importance_incapable_kinds(self, planted):
+    def test_na_cells_for_importance_incapable_kinds(self, planted, monkeypatch):
         sub = planted.subset_features(planted.feature_names[:4])
-        matrix = report_matrix(sub, kinds=("knn", "gnb", "qda", "lr"),
-                               settings=("none", "rfecv"), seed=0)
+        monkeypatch.setattr(evaluate, "MATRIX_KINDS", ("knn", "gnb", "qda", "lr"))
+        monkeypatch.setattr(evaluate, "SELECTION_MODES", ("none", "rfecv"))
+        matrix = report_matrix(sub, seed=0)
         for kind in ("knn", "gnb", "qda"):
             assert matrix[kind]["rfecv"] == NA
             assert isinstance(matrix[kind]["none"], float)

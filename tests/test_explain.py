@@ -8,12 +8,11 @@ import pytest
 
 from timesense import explain
 from timesense.classifiers import ClassifierConfig, TrainedModel, decision_scores, train
-from timesense.classifiers.ensemble import DecisionTree, RandomForest
 from timesense.errors import InsufficientData, Unsupported
 from timesense.evaluate import MATRIX_KINDS
 from timesense.explain import exact_shapley, kernel_shap, mean_abs_shap
 from timesense.model import Dataset
-from tests.conftest import pinned_fixture, train_estimator
+from tests.conftest import mixed_repeats, pinned_fixture
 
 
 class StubLinear:
@@ -133,7 +132,7 @@ class TestKernelShap:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(20, 1))
         model = train(ClassifierConfig("lr", seed=0), X, (X[:, 0] > 0).astype(int))
-        att = kernel_shap(model, X[:7], X[0])
+        att = kernel_shap(model, X[:7], X[0], n_samples=16)
         assert att.values.shape == (1,)
         assert att.values[0] == att.prediction - att.base_value
         assert att.values[0] != 0.0
@@ -146,7 +145,7 @@ class TestKernelShap:
 
         model = TrainedModel("lr", ClassifierConfig("lr"), Unscorable(), 3)
         with pytest.raises(ValueError, match="background must be non-empty"):
-            kernel_shap(model, np.zeros((0, 3)), np.zeros(3))
+            kernel_shap(model, np.zeros((0, 3)), np.zeros(3), n_samples=16)
 
 
 class TestMeanAbsShap:
@@ -185,7 +184,7 @@ class TestMeanAbsShap:
         ds = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0, dtype=int),
                      ("a", "b"))
         with pytest.raises(ValueError):
-            mean_abs_shap(stub_model(np.zeros(2)), ds)
+            mean_abs_shap(stub_model(np.zeros(2)), ds, n_samples=8)
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +246,15 @@ def loop_kernel_shap(model, background, instance, n_samples, seed=0):
     return phi, base, pred
 
 
-# (kind, estimator arguments): every matrix kind as `train` builds it, plus
-# trees with impure (non-dyadic) leaves, whose one-row scores round
-# differently from taller calls
-ORACLE_CASES = [(k, {}) for k in MATRIX_KINDS] + [
-    ("rf", {"min_samples_leaf": 3}),
-    ("dtc", {"min_samples_leaf": 3}),
-]
-_TREES = {"rf": RandomForest, "dtc": DecisionTree}
+# (kind, whether each training row is repeated with mixed labels): every
+# matrix kind on the plain rows, plus trees with impure leaves of non-dyadic
+# values, whose one-row scores round differently from taller calls
+ORACLE_CASES = [(k, False) for k in MATRIX_KINDS] + [("rf", True), ("dtc", True)]
 
 
 def case_id(case):
-    kind, args = case
-    return kind + "".join(f"-{k}={v}" for k, v in sorted(args.items()))
+    kind, repeated = case
+    return kind + ("-mixed-repeats" if repeated else "")
 
 
 _ORACLE_MODELS = {}
@@ -275,9 +270,9 @@ def oracle_problem(case, d=5, seed=0):
     X[40:50] = X[:10]
     key = (case_id(case), d, seed)
     if key not in _ORACLE_MODELS:
-        kind, args = case
-        _ORACLE_MODELS[key] = (train_estimator(kind, _TREES[kind](**args), X, y) if args
-                               else train(ClassifierConfig(kind, seed=0), X, y))
+        kind, repeated = case
+        _ORACLE_MODELS[key] = train(ClassifierConfig(kind, seed=0),
+                                    *(mixed_repeats(X, y) if repeated else (X, y)))
     return _ORACLE_MODELS[key], rng
 
 
@@ -333,7 +328,7 @@ class TestChunkedScoringMatchesLoop:
         assert all(s[0] == 1 or s[0] * n_bg <= explain.CHUNK_ROWS for s in shapes)
 
     def test_no_masks(self):
-        model, rng = oracle_problem(("lr", {}))
+        model, rng = oracle_problem(("lr", False))
         out = explain._coalition_values(model, rng.normal(size=(4, 5)), np.zeros(5),
                                         np.zeros((0, 5), dtype=bool))
         assert out.shape == (0,)
@@ -382,7 +377,7 @@ class TestSizeSampler:
 
 
 # sha256 of the mean |SHAP| ranking JSON, recorded with the per-coalition
-# scoring: (fixture, kind, n_samples, max_background, row step)
+# scoring: (fixture, kind, n_samples, MAX_BACKGROUND, row step)
 PINNED_RANKINGS = {
     ("blobs", "lr", 2048, 30, 1):
         "e0170f92cad3ddfe2059adff5bf94fdbc9c761781d9305905cb51f73ba7e9774",
@@ -399,16 +394,18 @@ PINNED_RANKINGS = {
 }
 
 
-def pinned_ranking(fixture, kind, n_samples, max_background, step):
+def pinned_ranking(fixture, kind, n_samples, step):
     X, y, rows = pinned_fixture(fixture)
     model = train(ClassifierConfig(kind, seed=0), X, y)
     rows = rows[::step]
     ds = Dataset(rows, np.zeros(len(rows), dtype=int), np.zeros(len(rows), dtype=int),
                  tuple(f"f{j}" for j in range(rows.shape[1])))
-    return mean_abs_shap(model, ds, n_samples=n_samples, seed=3, max_background=max_background)
+    return mean_abs_shap(model, ds, n_samples=n_samples, seed=3)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_RANKINGS))
-def test_rankings_reproduce_pinned_digests(case):
-    ranking = pinned_ranking(*case)
+def test_rankings_reproduce_pinned_digests(case, monkeypatch):
+    fixture, kind, n_samples, max_background, step = case
+    monkeypatch.setattr(explain, "MAX_BACKGROUND", max_background)
+    ranking = pinned_ranking(fixture, kind, n_samples, step)
     assert hashlib.sha256(json.dumps(ranking).encode()).hexdigest() == PINNED_RANKINGS[case]

@@ -109,5 +109,3 @@ def test_report_mean_consistency():
     folds = tuple(FoldResult(i, a, ()) for i, a in enumerate([0.5, 0.75, 1.0]))
     report = EvaluationReport(folds)
     assert report.mean_accuracy == pytest.approx(0.75, abs=1e-12)
-    with pytest.raises(ValueError):
-        EvaluationReport(folds, mean_accuracy=0.5)

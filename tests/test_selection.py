@@ -7,7 +7,6 @@ from timesense.classifiers import ClassifierConfig, importance, predict, train
 from timesense.errors import InsufficientData, Unsupported
 from timesense.model import Dataset
 from timesense.selection import (
-    CV_FOLDS,
     SelectionResult,
     cv_accuracy,
     rfecv,
@@ -32,7 +31,7 @@ def single_informative_dataset(informative=3, d=8, n=60, seed=0):
 class TestStratifiedKfold:
     def test_partition_properties(self):
         y = np.array([0] * 13 + [1] * 17)
-        folds = stratified_kfold(y, 5, seed=1)
+        folds = stratified_kfold(y, seed=1)
         all_idx = np.concatenate(folds)
         assert sorted(all_idx) == list(range(30))
         for f in folds:
@@ -41,14 +40,14 @@ class TestStratifiedKfold:
 
     def test_deterministic(self):
         y = np.tile([0, 1], 15)
-        a = stratified_kfold(y, 5, seed=3)
-        b = stratified_kfold(y, 5, seed=3)
+        a = stratified_kfold(y, seed=3)
+        b = stratified_kfold(y, seed=3)
         assert all(np.array_equal(x, z) for x, z in zip(a, b))
 
     def test_single_class_folds_raise_in_cv(self):
         y = np.array([0] * 9 + [1])
         X = np.random.default_rng(0).normal(size=(10, 2))
-        folds = stratified_kfold(y, 5, seed=0)
+        folds = stratified_kfold(y, seed=0)
         with pytest.raises(InsufficientData, match="lacks both classes"):
             cv_accuracy(LR, [X], y, folds)
 
@@ -90,7 +89,7 @@ class TestSfs:
     def test_matches_brute_force_greedy_oracle(self):
         """Re-implement one forward step naively and compare."""
         ds = single_informative_dataset(d=4, n=40, seed=5)
-        folds = stratified_kfold(ds.y, 5, seed=0)
+        folds = stratified_kfold(ds.y, seed=0)
         best, best_j = -1.0, None
         for j in range(4):
             [s] = cv_accuracy(LR, [ds.X[:, [j]]], ds.y, folds)
@@ -166,7 +165,7 @@ def reference_cv_accuracy(config, X, y, folds):
 def reference_sfs(dataset, config, n_features, seed=0):
     names = list(dataset.feature_names)
     X, y = dataset.X, dataset.y
-    folds = stratified_kfold(y, CV_FOLDS, seed)
+    folds = stratified_kfold(y, seed)
     current, trace = [], []
     while len(current) != n_features:
         best_score, best_choice = -1.0, None
@@ -184,7 +183,7 @@ def reference_sfs(dataset, config, n_features, seed=0):
 def reference_rfecv(dataset, config, seed=0):
     names = list(dataset.feature_names)
     X, y = dataset.X, dataset.y
-    folds = stratified_kfold(y, CV_FOLDS, seed)
+    folds = stratified_kfold(y, seed)
     cols, trace, sets_by_size = list(range(len(names))), [], {}
     while True:
         score = reference_cv_accuracy(config, X[:, cols], y, folds)
@@ -215,7 +214,7 @@ class TestBatchedSelectionMatchesPerFitReference:
     def test_sfs(self, kind):
         ds = ragged_dataset(seed=1)
         config = ClassifierConfig(kind, seed=3)
-        assert len({len(f) for f in stratified_kfold(ds.y, CV_FOLDS, 2)}) > 1
+        assert len({len(f) for f in stratified_kfold(ds.y, 2)}) > 1
         assert sfs(ds, config, n_features=2, seed=2) == reference_sfs(ds, config, 2, seed=2)
 
     @pytest.mark.parametrize("kind", ["rf", "gb", "xgb", "lr"])
@@ -227,7 +226,7 @@ class TestBatchedSelectionMatchesPerFitReference:
     @pytest.mark.parametrize("kind", ["rf", "lr"])
     def test_cv_accuracy_of_many_candidates(self, kind):
         ds = ragged_dataset(seed=3)
-        folds = stratified_kfold(ds.y, CV_FOLDS, 0)
+        folds = stratified_kfold(ds.y, 0)
         config = ClassifierConfig(kind, seed=1)
         candidates = [ds.X[:, [j]] for j in range(5)] + [ds.X[:, [0, 2]], ds.X]
         assert cv_accuracy(config, candidates, ds.y, folds) == [
