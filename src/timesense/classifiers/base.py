@@ -68,17 +68,19 @@ def canonical_order(X, y):
 def _training_rows(X, y):
     """Checked training rows (X, y) in canonical order."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise InvalidInput("X and y shapes disagree")
     if len(y) < 2:
         raise InsufficientData("need at least 2 training rows")
+    if not np.all((y == 0) | (y == 1)):
+        raise InvalidInput("training labels must be exactly 0 or 1")
     if not (np.any(y == 0) and np.any(y == 1)):
         raise InsufficientData("training data must contain both classes")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+    if not np.all(np.isfinite(X)):
         raise InvalidInput("training data must be finite")
     order = canonical_order(X, y)
-    return X[order], y[order]
+    return X[order], y[order].astype(int)
 
 
 def train_many(config, lanes) -> list:

@@ -1,7 +1,6 @@
-"""Signal conditioning: zero-phase bandpass, Fourier resampling, segmentation,
-head padding and Welch spectral estimation."""
+"""Signal conditioning: zero-phase Butterworth filtering, Fourier resampling,
+segmentation, head padding and Welch spectral estimation."""
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -10,42 +9,9 @@ from scipy import signal as sps
 from .errors import InsufficientData, InvalidInput
 from .model import TimeSeries
 
+BANDPASS_ORDER = 3
+LOWPASS_ORDER = 2
 WELCH_OVERLAP = 0.5
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """One-sided power spectral density (input-units^2 per Hz)."""
-
-    frequencies_hz: np.ndarray
-    power: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.frequencies_hz, dtype=float)
-        p = np.asarray(self.power, dtype=float)
-        if f.shape != p.shape:
-            raise ValueError("frequency/power length mismatch")
-        if np.any(p < 0):
-            raise ValueError("power must be non-negative")
-        object.__setattr__(self, "frequencies_hz", f)
-        object.__setattr__(self, "power", p)
-
-    def total_power(self) -> float:
-        """Trapezoid-integrated power; approximates the signal variance."""
-        return float(np.trapezoid(self.power, self.frequencies_hz))
-
-    def band_power(self, low_hz: float, high_hz: float) -> float:
-        mask = (self.frequencies_hz >= low_hz) & (self.frequencies_hz <= high_hz)
-        if mask.sum() < 2:
-            return 0.0
-        return float(np.trapezoid(self.power[mask], self.frequencies_hz[mask]))
-
-    def peak_frequency(self, low_hz: float, high_hz: float) -> float:
-        f = self.frequencies_hz
-        sub = np.flatnonzero((f >= low_hz) & (f <= high_hz))
-        if not len(sub):
-            raise ValueError("empty frequency band")
-        return float(f[sub[np.argmax(self.power[sub])]])
 
 
 @lru_cache(maxsize=64)
@@ -58,37 +24,40 @@ def butter_sos(order: int, band, btype: str, fs: float) -> np.ndarray:
     return sos
 
 
-def bandpass(series: TimeSeries, low_hz: float, high_hz: float, order: int = 3) -> TimeSeries:
-    """Butterworth bandpass, applied forward-backward for zero phase."""
+def _zero_phase(series: TimeSeries, order: int, band, btype: str, padlen=None) -> TimeSeries:
+    """``series`` filtered forward and backward by the cached Butterworth design.
+    A ``padlen`` is held in [default padding, len(series) - 1]; None is the default."""
     fs = series.sampling_rate_hz
-    nyq = fs / 2.0
+    sos = butter_sos(order, band, btype, fs)
+    # sosfiltfilt's default padding; the series must be longer than its padding
+    min_len = 3 * (2 * sos.shape[0] + 1)
+    if len(series) <= min_len:
+        raise InsufficientData(f"need more than {min_len} samples for order-{order} {btype}")
+    if padlen is not None:
+        padlen = min(len(series) - 1, max(min_len, padlen))
+    # scipy's filter kernel takes a writable buffer; the cached design is not
+    return TimeSeries(sps.sosfiltfilt(sos.copy(), series.values, padlen=padlen), fs)
+
+
+def bandpass(series: TimeSeries, low_hz: float, high_hz: float) -> TimeSeries:
+    """Order-``BANDPASS_ORDER`` Butterworth bandpass, applied forward-backward
+    for zero phase."""
+    nyq = series.sampling_rate_hz / 2.0
     if not (0 < low_hz < high_hz < nyq):
         raise InvalidInput(f"need 0 < {low_hz} < {high_hz} < Nyquist ({nyq})")
-    if order < 1:
-        raise InvalidInput("order must be >= 1")
-    sos = butter_sos(order, (low_hz, high_hz), "bandpass", fs)
-    # sosfiltfilt needs > 3 * (2 * sections) samples of padding headroom
-    min_len = 3 * (2 * sos.shape[0]) + 1
-    if len(series) <= min_len:
-        raise InsufficientData(f"need more than {min_len} samples for order-{order} bandpass")
-    # scipy's filter kernel takes a writable buffer; the cached design is not
-    filtered = sps.sosfiltfilt(sos.copy(), series.values)
-    return TimeSeries(filtered, fs)
+    return _zero_phase(series, BANDPASS_ORDER, (low_hz, high_hz), "bandpass")
 
 
-def lowpass(series: TimeSeries, cutoff_hz: float, order: int = 2) -> TimeSeries:
-    """Zero-phase Butterworth low-pass (used for the tonic EDA split)."""
+def lowpass(series: TimeSeries, cutoff_hz: float) -> TimeSeries:
+    """Order-``LOWPASS_ORDER`` Butterworth low-pass, applied forward-backward
+    for zero phase."""
     fs = series.sampling_rate_hz
     if not (0 < cutoff_hz < fs / 2.0):
         raise InvalidInput(f"cutoff {cutoff_hz} outside (0, Nyquist)")
-    sos = butter_sos(order, cutoff_hz, "lowpass", fs)
-    min_len = 3 * (2 * sos.shape[0]) + 1
-    if len(series) <= min_len:
-        raise InsufficientData("series too short for low-pass filtering")
-    # generous odd-extension padding keeps slow trends intact at the edges
-    padlen = min(len(series) - 1, max(min_len, int(round(1.5 * fs / cutoff_hz))))
-    filtered = sps.sosfiltfilt(sos.copy(), series.values, padlen=padlen)
-    return TimeSeries(filtered, fs)
+    # generous odd-extension padding (1.5 cutoff periods) keeps slow trends
+    # intact at the edges
+    return _zero_phase(series, LOWPASS_ORDER, cutoff_hz, "lowpass",
+                       padlen=int(round(1.5 * fs / cutoff_hz)))
 
 
 def resample_fourier(series: TimeSeries, target_rate_hz: float) -> TimeSeries:
@@ -106,7 +75,8 @@ def resample_fourier(series: TimeSeries, target_rate_hz: float) -> TimeSeries:
 
 
 def segment(series: TimeSeries, start_s: float, end_s: float) -> TimeSeries:
-    """Samples whose timestamps fall in [start_s, end_s)."""
+    """Samples whose timestamps fall in [start_s, end_s). An end past the
+    recording cuts at its last sample, as if it were ``series.duration_s``."""
     if start_s < 0 or end_s <= start_s:
         raise InvalidInput(f"bad segment [{start_s}, {end_s})")
     if start_s >= series.duration_s:
@@ -134,18 +104,28 @@ def extend_to_minimum(series: TimeSeries, min_s: float) -> TimeSeries:
     return TimeSeries(padded, series.sampling_rate_hz)
 
 
-def welch_psd(series: TimeSeries, segment_len: int) -> Spectrum:
-    """Welch-averaged one-sided periodogram with a Hann window; segments
-    overlap by WELCH_OVERLAP of their length."""
-    n = len(series)
-    if segment_len > n:
-        raise InsufficientData(f"segment_len {segment_len} exceeds series length {n}")
-    freqs, power = sps.welch(
-        series.values,
-        fs=series.sampling_rate_hz,
-        window="hann",
-        nperseg=segment_len,
-        noverlap=int(segment_len * WELCH_OVERLAP),
-        detrend=False,
-    )
-    return Spectrum(freqs, np.maximum(power, 0.0))
+def welch_psd(series: TimeSeries, max_segment: int):
+    """Welch-averaged one-sided periodogram ``(frequencies_hz, power)`` of the
+    mean-removed series: Hann-windowed segments of ``min(len(series),
+    max_segment)`` samples overlapping by WELCH_OVERLAP, power in units^2/Hz."""
+    segment_len = min(len(series), max_segment)
+    return sps.welch(series.values - np.mean(series.values), fs=series.sampling_rate_hz,
+                     window="hann", nperseg=segment_len,
+                     noverlap=int(segment_len * WELCH_OVERLAP), detrend=False)
+
+
+def band_power(spectrum, low_hz: float = 0.0, high_hz: float = np.inf) -> float:
+    """Trapezoid-integrated power in [low_hz, high_hz], 0 below two bins; over
+    the whole spectrum it approximates the signal variance."""
+    f, p = spectrum
+    mask = (f >= low_hz) & (f <= high_hz)
+    return float(np.trapezoid(p[mask], f[mask]))
+
+
+def peak_frequency(spectrum, low_hz: float, high_hz: float) -> float:
+    """Frequency of the highest-power bin of ``spectrum`` in [low_hz, high_hz]."""
+    f, p = spectrum
+    sub = np.flatnonzero((f >= low_hz) & (f <= high_hz))
+    if not len(sub):
+        raise ValueError("empty frequency band")
+    return float(f[sub[np.argmax(p[sub])]])

@@ -38,7 +38,6 @@ RR_MAX_LOCAL_DEVIATION = 0.30
 
 # Settings of the per-channel preprocessing chain.
 PPG_BAND_HZ = (0.7, 3.5)
-PPG_FILTER_ORDER = 3
 PPG_RESAMPLE_HZ = 100.0
 EDA_RESAMPLE_HZ = 100.0
 EDA_MIN_DURATION_S = 10.0
@@ -192,16 +191,11 @@ def breathing_rate(beats: BeatSequence) -> float:
     if len(rr_full) < 4:
         raise InsufficientData("need >= 4 RR intervals for the tachogram")
     spline = CubicSpline(t, rr_full)
-    rate = TACHOGRAM_RATE_HZ
-    grid = np.arange(t[0], t[-1], 1.0 / rate)
+    grid = np.arange(t[0], t[-1], 1.0 / TACHOGRAM_RATE_HZ)
     if len(grid) < 16:
         raise InsufficientData("tachogram too short for spectral estimation")
-    tach = spline(grid)
-    tach = tach - np.mean(tach)
-    ts = TimeSeries(tach, rate)
-    spec = dsp.welch_psd(ts, segment_len=min(len(grid), 256))
-    lo, hi = BREATHING_BAND_HZ
-    return spec.peak_frequency(lo, hi)
+    spectrum = dsp.welch_psd(TimeSeries(spline(grid), TACHOGRAM_RATE_HZ), 256)
+    return dsp.peak_frequency(spectrum, *BREATHING_BAND_HZ)
 
 
 def ppg_features(beats: BeatSequence) -> dict:
@@ -231,7 +225,7 @@ def eda_decompose(series: TimeSeries) -> EdaDecomposition:
     """
     if series.duration_s < EDA_MIN_DURATION_S:
         raise InsufficientData(f"need at least {EDA_MIN_DURATION_S} s of EDA")
-    tonic = dsp.lowpass(series, TONIC_CUTOFF_HZ, order=2)
+    tonic = dsp.lowpass(series, TONIC_CUTOFF_HZ)
     phasic_vals = series.values - tonic.values
     phasic = TimeSeries(phasic_vals, series.sampling_rate_hz)
     fs = series.sampling_rate_hz
@@ -259,12 +253,9 @@ def eda_features(series: TimeSeries) -> dict:
     out["scr_peaks_amplitude_mean_us"] = float(np.mean(amplitudes)) if amplitudes else 0.0
     out["eda_tonic_sd_us"] = float(np.std(decomp.tonic.values))
 
-    slow = dsp.resample_fourier(series, SYMPATHETIC_RATE_HZ)
-    centered = TimeSeries(slow.values - np.mean(slow.values), slow.sampling_rate_hz)
-    spec = dsp.welch_psd(centered, segment_len=min(len(centered), 128))
-    lo, hi = SYMPATHETIC_BAND_HZ
-    band = spec.band_power(lo, hi)
-    total = spec.total_power()
+    spectrum = dsp.welch_psd(dsp.resample_fourier(series, SYMPATHETIC_RATE_HZ), 128)
+    band = dsp.band_power(spectrum, *SYMPATHETIC_BAND_HZ)
+    total = dsp.band_power(spectrum)
     out["eda_sympathetic"] = band
     out["eda_sympathetic_n"] = band / total if total > 0 else 0.0
 
@@ -301,9 +292,7 @@ def temp_features(thermopile: TimeSeries, reference: TimeSeries) -> dict:
         "reference_mean_c": float(np.mean(reference.values)),
         "temp_gradient_mean_c_per_s": float(np.mean(np.gradient(diff, 1.0 / rate))),
     }
-    centered = TimeSeries(diff - np.mean(diff), rate)
-    spec = dsp.welch_psd(centered, segment_len=min(len(centered), 256))
-    out["temp_psd_power"] = spec.total_power()
+    out["temp_psd_power"] = dsp.band_power(dsp.welch_psd(TimeSeries(diff, rate), 256))
     return {name: out[name] for name in TEMP_FEATURES}
 
 
@@ -329,10 +318,6 @@ def _finite(values: dict) -> dict:
     return values
 
 
-def _cut(series: TimeSeries, start: float, end: float) -> TimeSeries:
-    return dsp.segment(series, start, min(end, series.duration_s))
-
-
 def extract_all(session: SessionRecord):
     """The 24 features of the task window and of the baseline window.
 
@@ -346,7 +331,7 @@ def extract_all(session: SessionRecord):
     """
     where = f"participant {session.participant_id} session {session.session_index}"
     with _channel("ppg", TASK, where):
-        ppg = dsp.bandpass(session.ppg, *PPG_BAND_HZ, order=PPG_FILTER_ORDER)
+        ppg = dsp.bandpass(session.ppg, *PPG_BAND_HZ)
         ppg = dsp.resample_fourier(ppg, PPG_RESAMPLE_HZ)
     with _channel("eda", TASK, where):
         eda = dsp.resample_fourier(session.eda, EDA_RESAMPLE_HZ)
@@ -356,13 +341,13 @@ def extract_all(session: SessionRecord):
                                (BASELINE, 0.0, session.task_start_s)):
         values = {}
         with _channel("ppg", window, where):
-            values.update(_finite(ppg_features(detect_ppg_peaks(_cut(ppg, start, end)))))
+            values.update(_finite(ppg_features(detect_ppg_peaks(dsp.segment(ppg, start, end)))))
         with _channel("eda", window, where):
-            cut = dsp.extend_to_minimum(_cut(eda, start, end), EDA_MIN_DURATION_S)
-            values.update(_finite(eda_features(dsp.lowpass(cut, EDA_CLEAN_CUTOFF_HZ, order=2))))
+            cut = dsp.extend_to_minimum(dsp.segment(eda, start, end), EDA_MIN_DURATION_S)
+            values.update(_finite(eda_features(dsp.lowpass(cut, EDA_CLEAN_CUTOFF_HZ))))
         with _channel("temperature", window, where):
-            thermo = _cut(session.thermopile, start, end)
-            ref = _cut(session.reference_temp, start, end)
+            thermo = dsp.segment(session.thermopile, start, end)
+            ref = dsp.segment(session.reference_temp, start, end)
             n = min(len(thermo), len(ref))
             thermo = TimeSeries(thermo.values[:n], thermo.sampling_rate_hz)
             ref = TimeSeries(ref.values[:n], ref.sampling_rate_hz)

@@ -13,7 +13,6 @@ from .fileio import read_json, write_atomic, write_json
 from .model import (
     ALL_SETTINGS,
     CHANNELS,
-    ENGLISH,
     GREEK,
     SessionRecord,
     SessionSetting,

@@ -2,12 +2,13 @@
 train-only scaling, and label derivation from questionnaire ratings."""
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidInput
+from .errors import InsufficientData, InvalidInput, MissingFile
 from .features import extract_all
 from .fileio import write_atomic
 from .model import FEATURE_NAMES, Dataset
@@ -116,11 +117,13 @@ def dataset_to_csv(dataset: Dataset, path):
 def dataset_from_csv(path) -> Dataset:
     """Read a features CSV as written by ``dataset_to_csv``.
 
-    Raises InvalidInput naming the line when the header is not the canonical
-    feature names plus ``label,participant_id``, a row's cell count differs
-    from the header's, a feature is not a finite number, a label is not
-    exactly ``fast`` or ``slow``, or a participant id is not an integer >= 1.
+    Raises MissingFile, or InvalidInput naming the line when the header is not
+    the feature names plus ``label,participant_id``, a row's cell count differs
+    from the header's, a feature is not a finite number, a label is not exactly
+    ``fast`` or ``slow``, or a participant id is not an integer >= 1.
     """
+    if not os.path.isfile(path):
+        raise MissingFile(f"{path}: no such file")
     # undecodable bytes become U+FFFD, which no check below accepts
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]

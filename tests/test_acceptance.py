@@ -2,16 +2,15 @@
 
 import hashlib
 import json
-import math
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from timesense import dsp, evaluate, features, ingest, pipeline
+from timesense import dsp, evaluate, features
 from timesense.classifiers import ClassifierConfig, predict, train
-from timesense.cli import EXIT_DOMAIN, EXIT_OK, main
+from timesense.cli import EXIT_OK, main
 from timesense.errors import Unsupported
 from timesense.evaluate import NA, fold_seed, losocv, majority_baseline, report_matrix
 from timesense.explain import exact_shapley, kernel_shap, mean_abs_shap
@@ -189,12 +188,12 @@ def test_criterion_8_dsp_checks(capsys):
             return np.sqrt(np.mean(x**2))
 
         stop = TimeSeries(np.sin(2 * np.pi * 0.1 * t), fs)
-        out = dsp.bandpass(stop, 0.7, 3.5, order=3)
+        out = dsp.bandpass(stop, 0.7, 3.5)
         atten_db = 20 * np.log10(rms(out.values[500:-500]) / rms(stop.values[500:-500]))
         assert atten_db <= -30.0
 
         keep = TimeSeries(np.sin(2 * np.pi * 1.5 * t), fs)
-        out = dsp.bandpass(keep, 0.7, 3.5, order=3)
+        out = dsp.bandpass(keep, 0.7, 3.5)
         pass_db = 20 * np.log10(rms(out.values[500:-500]) / rms(keep.values[500:-500]))
         assert abs(pass_db) <= 1.0
 

@@ -112,6 +112,22 @@ class TestTrainValidation:
         with pytest.raises(InvalidInput, match="must be finite"):
             train(ClassifierConfig("lr"), X, np.array([0, 1, 0, 1]))
 
+    @pytest.mark.parametrize("label", [2, 0.5, np.nan, -1])
+    def test_label_other_than_0_or_1_rejected(self, label):
+        X = np.random.default_rng(0).normal(size=(4, 2))
+        y = np.array([0, 1, label, 1])
+        with pytest.raises(InvalidInput, match="labels must be exactly 0 or 1"):
+            train(ClassifierConfig("lr"), X, y)
+        with pytest.raises(InvalidInput, match="labels must be exactly 0 or 1"):
+            train_many(ClassifierConfig("rf"), [(X, np.array([0, 1, 0, 1])), (X, y)])
+
+    def test_float_and_bool_labels_of_0_and_1_accepted(self):
+        X, y = blobs(d=3)
+        expected = predict(train(ClassifierConfig("lr"), X, y), X)
+        for labels in (y.astype(float), y.astype(bool)):
+            assert np.array_equal(predict(train(ClassifierConfig("lr"), X, labels), X),
+                                  expected)
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidInput, match="unknown classifier kind"):
             ClassifierConfig("mlp")

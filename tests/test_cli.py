@@ -230,6 +230,15 @@ class TestErrorBoundary:
         assert error_lines(capsys) == [f"error: {cfg}: no such file"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, extra", [
+        ("evaluate", ["--classifier", "lr"]), ("explain", ["--classifier", "lr"])])
+    def test_missing_features_file_exits_1(self, tmp_path, capsys, command, extra):
+        features = tmp_path / "nope.csv"
+        rc = main([command, "--features", str(features), *extra,
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_IO
+        assert error_lines(capsys) == [f"error: {features}: no such file"]
+
     def test_synth_config_not_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text("{")

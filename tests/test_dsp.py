@@ -16,38 +16,78 @@ def rms(x):
     return np.sqrt(np.mean(np.asarray(x) ** 2))
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def noise(n, fs, seed=0):
+    return TimeSeries(np.random.default_rng(seed).normal(size=n), fs)
+
+
 class TestBandpass:
     def test_passband_sine_within_1db(self):
         ts = sine(1.5, 100.0, 60.0)
-        out = dsp.bandpass(ts, 0.7, 3.5, order=3)
+        out = dsp.bandpass(ts, 0.7, 3.5)
         # steady-state region away from the edges
         ratio = rms(out.values[500:-500]) / rms(ts.values[500:-500])
         assert abs(20 * np.log10(ratio)) < 1.0
 
     def test_stopband_sine_attenuated_30db(self):
         ts = sine(0.1, 100.0, 60.0)
-        out = dsp.bandpass(ts, 0.7, 3.5, order=3)
+        out = dsp.bandpass(ts, 0.7, 3.5)
         ratio = rms(out.values[500:-500]) / rms(ts.values[500:-500])
         assert 20 * np.log10(ratio) < -30.0
 
     def test_invalid_band_above_nyquist(self):
         ts = sine(1.0, 15.0, 10.0)
         with pytest.raises(InvalidInput, match="Nyquist"):
-            dsp.bandpass(ts, 0.7, 8.0, order=3)
+            dsp.bandpass(ts, 0.7, 8.0)
 
     def test_too_short(self):
         ts = TimeSeries(np.ones(10), 100.0)
         with pytest.raises(InsufficientData, match="samples for order-3 bandpass"):
-            dsp.bandpass(ts, 0.7, 3.5, order=3)
+            dsp.bandpass(ts, 0.7, 3.5)
+
+    def test_too_short_for_the_default_padding(self):
+        with pytest.raises(InsufficientData, match="need more than 21 samples"):
+            dsp.bandpass(noise(21, 100.0), 0.7, 3.5)
 
     def test_zero_phase_no_lag(self):
         ts = sine(1.5, 100.0, 30.0)
-        out = dsp.bandpass(ts, 0.7, 3.5, order=3)
+        out = dsp.bandpass(ts, 0.7, 3.5)
         a = ts.values[300:-300] - np.mean(ts.values[300:-300])
         b = out.values[300:-300] - np.mean(out.values[300:-300])
         corr = np.correlate(a, b, mode="full")
         lag = np.argmax(corr) - (len(a) - 1)
         assert lag == 0
+
+    # sosfiltfilt pads an order-3 bandpass (3 sections) by 21 samples
+    @pytest.mark.parametrize("n", [22, 23, 600])
+    def test_equals_scipy_order_3(self, n):
+        ts = noise(n, 100.0)
+        sos = sps.butter(3, [0.7, 3.5], btype="bandpass", fs=100.0, output="sos")
+        assert same_bits(dsp.bandpass(ts, 0.7, 3.5).values, sps.sosfiltfilt(sos, ts.values))
+
+
+class TestLowpass:
+    # the padding is 1.5 cutoff periods (50 samples at 3 Hz and 100 Hz), cut
+    # to n - 1 on a shorter series; the order-2 design (1 section) needs
+    # more than 9 samples
+    @pytest.mark.parametrize("n", [10, 11, 40, 51, 600])
+    def test_equals_scipy_order_2(self, n):
+        ts = noise(n, 100.0)
+        sos = sps.butter(2, 3.0, btype="lowpass", fs=100.0, output="sos")
+        expected = sps.sosfiltfilt(sos, ts.values, padlen=min(n - 1, 50))
+        assert same_bits(dsp.lowpass(ts, 3.0).values, expected)
+
+    def test_too_short(self):
+        with pytest.raises(InsufficientData, match="need more than 9 samples for order-2 lowpass"):
+            dsp.lowpass(TimeSeries(np.ones(9), 100.0), 3.0)
+
+    def test_invalid_cutoff(self):
+        with pytest.raises(InvalidInput, match="Nyquist"):
+            dsp.lowpass(noise(100, 4.0), 2.0)
 
 
 class TestFilterDesignCache:
@@ -136,6 +176,12 @@ class TestSegment:
         with pytest.raises(InvalidInput, match="beyond the recording"):
             dsp.segment(ts, 20.0, 30.0)
 
+    def test_end_past_recording_cuts_at_last_sample(self):
+        ts = TimeSeries(np.arange(100, dtype=float), 10.0)
+        past = dsp.segment(ts, 2.5, 30.0)
+        assert same_bits(past.values, dsp.segment(ts, 2.5, ts.duration_s).values)
+        assert same_bits(past.values, ts.values[25:])
+
     def test_composition(self):
         ts = TimeSeries(np.arange(200, dtype=float), 10.0)
         a, b, c = 2.0, 8.0, 15.0
@@ -166,21 +212,39 @@ class TestExtendToMinimum:
 class TestWelchPsd:
     def test_peak_bin_at_signal_frequency(self):
         ts = sine(0.2, 7.5, 120.0)
-        spec = dsp.welch_psd(ts, segment_len=256)
-        bin_width = spec.frequencies_hz[1] - spec.frequencies_hz[0]
-        assert abs(spec.peak_frequency(0.0, spec.frequencies_hz[-1]) - 0.2) <= bin_width
+        spectrum = dsp.welch_psd(ts, 256)
+        f = spectrum[0]
+        assert abs(dsp.peak_frequency(spectrum, 0.0, f[-1]) - 0.2) <= f[1] - f[0]
 
     def test_zero_signal_zero_power(self):
-        ts = TimeSeries(np.zeros(512), 10.0)
-        spec = dsp.welch_psd(ts, segment_len=256)
-        assert np.all(spec.power == 0)
+        _, power = dsp.welch_psd(TimeSeries(np.zeros(512), 10.0), 256)
+        assert np.all(power == 0)
 
     def test_white_noise_total_power(self):
         rng = np.random.default_rng(42)
         ts = TimeSeries(rng.normal(0.0, 1.0, 600), 10.0)
-        spec = dsp.welch_psd(ts, segment_len=256)
-        assert spec.total_power() == pytest.approx(1.0, rel=0.15)
+        assert dsp.band_power(dsp.welch_psd(ts, 256)) == pytest.approx(1.0, rel=0.15)
 
-    def test_segment_longer_than_series(self):
-        with pytest.raises(InsufficientData, match="exceeds series length"):
-            dsp.welch_psd(TimeSeries(np.zeros(10), 10.0), segment_len=100)
+    # n below, at and above the largest segment
+    @pytest.mark.parametrize("n,max_segment", [(10, 100), (17, 256), (128, 128), (600, 256)])
+    def test_equals_scipy_welch(self, n, max_segment):
+        ts = TimeSeries(np.random.default_rng(n).normal(3.0, 1.0, n), 4.0)
+        nperseg = min(n, max_segment)
+        f, p = sps.welch(ts.values - np.mean(ts.values), fs=4.0, window="hann",
+                         nperseg=nperseg, noverlap=nperseg // 2, detrend=False)
+        freqs, power = dsp.welch_psd(ts, max_segment)
+        assert same_bits(freqs, f) and same_bits(power, p)
+
+    def test_band_power_is_the_trapezoid_over_the_band(self):
+        spectrum = dsp.welch_psd(noise(600, 10.0), 256)
+        f, p = spectrum
+        band = (f >= 0.5) & (f <= 2.0)
+        assert dsp.band_power(spectrum, 0.5, 2.0) == np.trapezoid(p[band], f[band])
+        assert dsp.band_power(spectrum) == np.trapezoid(p, f)
+        # one bin or none in the band
+        assert dsp.band_power(spectrum, 0.5, 0.5 + 0.5 * (f[1] - f[0])) == 0.0
+        assert dsp.band_power(spectrum, 6.0, 7.0) == 0.0
+
+    def test_peak_frequency_of_an_empty_band(self):
+        with pytest.raises(ValueError, match="empty frequency band"):
+            dsp.peak_frequency(dsp.welch_psd(noise(600, 10.0), 256), 6.0, 7.0)

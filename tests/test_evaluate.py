@@ -19,7 +19,6 @@ from timesense.pipeline import apply_scaler, fit_scaler
 from timesense.selection import sfs
 from timesense.classifiers import predict as clf_predict, train as clf_train
 from timesense.model import EvaluationReport, FoldResult
-from tests.conftest import planted_dataset
 from tests.test_selection import reference_rfecv, reference_sfs
 
 

@@ -340,12 +340,12 @@ def per_window_oracle(session, window):
     def cut(series):
         return dsp.segment(series, start, min(end, series.duration_s))
 
-    ppg = dsp.bandpass(session.ppg, *features.PPG_BAND_HZ, order=features.PPG_FILTER_ORDER)
+    ppg = dsp.bandpass(session.ppg, *features.PPG_BAND_HZ)
     ppg = cut(dsp.resample_fourier(ppg, features.PPG_RESAMPLE_HZ))
     values = ppg_features(detect_ppg_peaks(ppg))
     eda = cut(dsp.resample_fourier(session.eda, features.EDA_RESAMPLE_HZ))
     eda = dsp.extend_to_minimum(eda, features.EDA_MIN_DURATION_S)
-    values.update(eda_features(dsp.lowpass(eda, features.EDA_CLEAN_CUTOFF_HZ, order=2)))
+    values.update(eda_features(dsp.lowpass(eda, features.EDA_CLEAN_CUTOFF_HZ)))
     thermo, ref = cut(session.thermopile), cut(session.reference_temp)
     n = min(len(thermo), len(ref))
     values.update(temp_features(TimeSeries(thermo.values[:n], thermo.sampling_rate_hz),

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from timesense import features, ingest, pipeline
+from timesense import features, ingest
 from timesense.errors import InvalidInput, MissingFile
-from timesense.model import FEATURE_NAMES, SessionSetting
+from timesense.model import FEATURE_NAMES
 
 
 def write_csv(path, rows, header="timestamp_s,value"):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from timesense import pipeline
 from timesense.errors import InsufficientData, InvalidInput
-from timesense.model import FEATURE_NAMES, Dataset
+from timesense.model import FEATURE_NAMES
 from timesense.pipeline import (
     apply_scaler,
     derive_labels,

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from timesense.selection import (
     sfs,
     stratified_kfold,
 )
-from tests.conftest import planted_dataset
 
 LR = ClassifierConfig("lr", seed=0)
 
