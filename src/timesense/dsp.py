@@ -63,7 +63,7 @@ def lowpass(series: TimeSeries, cutoff_hz: float) -> TimeSeries:
 def resample_fourier(series: TimeSeries, target_rate_hz: float) -> TimeSeries:
     """Resample via zero-padding/truncation of the DFT (scipy.signal.resample)."""
     if target_rate_hz <= 0:
-        raise ValueError("target_rate_hz must be positive")
+        raise InvalidInput("target_rate_hz must be positive")
     if len(series) < 2:
         raise InsufficientData("need at least 2 samples to resample")
     n_out = int(round(len(series) * target_rate_hz / series.sampling_rate_hz))
@@ -96,7 +96,7 @@ def extend_to_minimum(series: TimeSeries, min_s: float) -> TimeSeries:
     Padding at the head keeps the causal end of the segment untouched.
     """
     if min_s <= 0:
-        raise ValueError("min_s must be positive")
+        raise InvalidInput("min_s must be positive")
     if series.duration_s >= min_s:
         return series
     n_needed = int(np.ceil(min_s * series.sampling_rate_hz)) - len(series)
@@ -127,5 +127,5 @@ def peak_frequency(spectrum, low_hz: float, high_hz: float) -> float:
     f, p = spectrum
     sub = np.flatnonzero((f >= low_hz) & (f <= high_hz))
     if not len(sub):
-        raise ValueError("empty frequency band")
+        raise InsufficientData("empty frequency band")
     return float(f[sub[np.argmax(p[sub])]])

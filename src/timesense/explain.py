@@ -56,6 +56,16 @@ def _coalition_values(model, background, instance, masks):
     return out
 
 
+def _coalitions(d, sizes):
+    """Bool masks of the coalitions of d features with each size in
+    ``sizes``: by size, then in ``itertools.combinations`` order."""
+    combos = [c for size in sizes for c in combinations(range(d), size)]
+    masks = np.zeros((len(combos), d), dtype=bool)
+    for mask, combo in zip(masks, combos):
+        mask[list(combo)] = True
+    return masks
+
+
 def exact_shapley(model: TrainedModel, background, instance) -> Attribution:
     """Classic Shapley values by full coalition enumeration (d <=
     ``EXACT_MAX_FEATURES``)."""
@@ -67,25 +77,24 @@ def exact_shapley(model: TrainedModel, background, instance) -> Attribution:
     if len(background) == 0:
         raise ValueError("background must be non-empty")
 
-    subsets = []
-    for size in range(d + 1):
-        for combo in combinations(range(d), size):
-            subsets.append(combo)
-    masks = [np.array([j in s for j in range(d)]) for s in subsets]
-    values = dict(zip(subsets, _coalition_values(model, background, instance, masks)))
+    masks = _coalitions(d, range(d + 1))
+    # v(S) at the bit code of S, so that S with i added is at code | 1 << i
+    codes = masks @ (1 << np.arange(d))
+    values = np.empty(2**d)
+    values[codes] = _coalition_values(model, background, instance, masks)
 
     fact = [math.factorial(i) for i in range(d + 1)]
     phi = np.zeros(d)
-    for s in subsets:
-        vs = values[s]
-        weight_base = fact[len(s)]
+    for s, code in zip(masks, codes):
+        vs = values[code]
+        size = int(s.sum())
         for i in range(d):
-            if i in s:
+            if s[i]:
                 continue
-            w = weight_base * fact[d - len(s) - 1] / fact[d]
-            phi[i] += w * (values[tuple(sorted(s + (i,)))] - vs)
-    base = values[()]
-    pred = values[tuple(range(d))]
+            w = fact[size] * fact[d - size - 1] / fact[d]
+            phi[i] += w * (values[code | 1 << i] - vs)
+    base = values[0]
+    pred = values[-1]
     return Attribution(phi, base, pred)
 
 
@@ -131,13 +140,7 @@ def kernel_shap(model: TrainedModel, background, instance, n_samples: int,
 
     n_proper = 2**d - 2 if d < 63 else None
     if n_proper is not None and n_samples >= n_proper:
-        Z = []
-        for size in range(1, d):
-            for combo in combinations(range(d), size):
-                row = np.zeros(d)
-                row[list(combo)] = 1.0
-                Z.append(row)
-        Z = np.array(Z).reshape(-1, d)  # (0, d) when d = 1
+        Z = _coalitions(d, range(1, d)).astype(float)  # (0, d) when d = 1
         weights = np.array([_kernel_weight(d, int(z.sum())) for z in Z])
     else:
         Z = _sample_coalitions(d, n_samples, np.random.default_rng(seed))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,11 +61,34 @@ class TestSynth:
 
     def test_invalid_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
-        for doc in ({"participants": 0}, {"ppg_rate_hz": 0}, {"eda_rate_hz": -1},
-                    {"temp_rate_hz": 0}):
+        for doc in ({"participants": 0}, {"margin": "weak"}, {"margin": 1},
+                    {"task_s": 6000.0}):
             cfg.write_text(json.dumps(doc))
             rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
             assert rc == EXIT_DOMAIN, doc
+
+    # settings the generator fixes as constants
+    @pytest.mark.parametrize("key", ["ppg_rate_hz", "eda_rate_hz", "temp_rate_hz",
+                                     "slow", "fast", "baseline"])
+    def test_removed_key_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: 25.0}))
+        rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DOMAIN
+        assert error_lines(capsys) == [f"error: {cfg}: unknown keys [{key!r}]"]
+
+    def test_zero_margin_writes_the_zero_margin_config_corpus(self, tmp_path):
+        sizes = {"participants": 1, "sessions_per_participant": 2,
+                 "baseline_s": 20.0, "task_s": 60.0, "n_slow_biased": 0}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**sizes, "margin": "zero"}))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "cli"),
+                     "--seed", "5"]) == EXIT_OK
+        config = replace(ingest.zero_margin_config(seed=5), **sizes)
+        ingest.write_corpus(ingest.synth_dataset(config), tmp_path / "lib")
+        for name in ("manifest.json", "p01_s1/ppg.csv", "p01_s2/eda.csv",
+                     "p01_s2/thermopile.csv"):
+            assert sha256(tmp_path / "cli" / name) == sha256(tmp_path / "lib" / name)
 
 
 class TestExtract:
@@ -285,7 +309,8 @@ class TestErrorBoundary:
         assert main(["extract", "--manifest", str(path), "--out", str(out)]) == EXIT_OK
         assert len(pipeline.dataset_from_csv(out)) == 0
 
-    @pytest.mark.parametrize("doc", [{"ppg_rate_hz": 1e308}, {"task_s": 1e308}, {"task_s": 1e5}])
+    @pytest.mark.parametrize("doc", [{"task_s": 5970.5}, {"task_s": 1e308},
+                                     {"baseline_s": 1e308, "task_s": 1e308}])
     def test_synth_config_too_long_to_generate_exits_2(self, tmp_path, capsys, monkeypatch,
                                                        doc):
         # validation must reject the config before any session is generated
@@ -296,16 +321,11 @@ class TestErrorBoundary:
         rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_DOMAIN
         (line,) = error_lines(capsys)
-        assert line.startswith(f"error: a channel holds at most {ingest.MAX_CHANNEL_SAMPLES} ")
+        assert line.startswith(f"error: a session lasts at most {ingest.MAX_SESSION_S} s, not ")
 
-    @pytest.mark.parametrize("doc, message", [
-        ({"task_s": 1e5, "ppg_rate_hz": 0.001, "eda_rate_hz": 0.001, "temp_rate_hz": 0.001},
-         f"a session holds at most {ingest.MAX_SESSION_BEATS} beats; "),
-        ({"fast": {**vars(ingest.FAST_PARAMS), "scr_rate_per_min": 20000.0}},
-         f"a session makes at most {ingest.MAX_SCR_SAMPLE_UPDATES} SCR sample updates "),
-    ])
-    def test_synth_config_past_a_generator_cap_exits_2(self, tmp_path, capsys, monkeypatch,
-                                                       doc, message):
+    @pytest.mark.parametrize("doc", [{"baseline_s": 4.0}, {"task_s": 3.0}])
+    def test_synth_phase_shorter_than_the_scr_tail_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                          doc):
         # validation must reject the config before any session is generated
         monkeypatch.setattr(ingest, "_synth_session",
                             lambda *a: pytest.fail("generated a session"))
@@ -313,17 +333,24 @@ class TestErrorBoundary:
         cfg.write_text(json.dumps(doc))
         rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_DOMAIN
-        (line,) = error_lines(capsys)
-        assert line.startswith("error: " + message)
+        assert error_lines(capsys) == [
+            f"error: baseline_s and task_s must each be at least {ingest.SCR_TAIL_S} s"]
+        assert not (tmp_path / "o").exists()
 
+    # doc: (wearable rates to patch into the generator, config)
     @pytest.mark.parametrize("doc, message", [
-        ({"ppg_rate_hz": 0.001}, "ppg channel too short"),
-        # 212 s at 7.1 Hz rounds to 1505 samples, 211.97 s
-        ({"temp_rate_hz": 7.1}, "task window exceeds thermopile recording length"),
+        # a 0.001 Hz PPG channel holds no sample of the default 212 s session
+        (({"PPG_RATE_HZ": 0.001}, {}), "ppg channel too short"),
+        # 212.05 s at 25 Hz rounds to 5301 samples, 212.04 s
+        (({}, {"task_s": 182.05}), "task window exceeds ppg recording length"),
     ])
-    def test_synth_config_giving_invalid_sessions_exits_2(self, tmp_path, capsys, doc, message):
+    def test_synth_config_giving_invalid_sessions_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                         doc, message):
+        rates, config = doc
+        for name, hz in rates.items():
+            monkeypatch.setattr(ingest, name, hz)
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(doc))
+        cfg.write_text(json.dumps(config))
         rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_DOMAIN
         assert error_lines(capsys) == [f"error: participant 1 session 1: {message}"]

@@ -154,6 +154,11 @@ class TestResampleFourier:
         with pytest.raises(InsufficientData, match="target rate too low"):
             dsp.resample_fourier(TimeSeries([1.0, 2.0], 10.0), 1e-3)
 
+    @pytest.mark.parametrize("rate", [0.0, -25.0])
+    def test_non_positive_rate(self, rate):
+        with pytest.raises(InvalidInput, match="target_rate_hz must be positive"):
+            dsp.resample_fourier(TimeSeries([1.0, 2.0, 3.0], 10.0), rate)
+
 
 class TestSegment:
     def test_first_half(self):
@@ -208,6 +213,11 @@ class TestExtendToMinimum:
         assert out.duration_s >= 10.0
         assert np.all(out.values == 5.0)
 
+    @pytest.mark.parametrize("min_s", [0.0, -1.0])
+    def test_non_positive_minimum(self, min_s):
+        with pytest.raises(InvalidInput, match="min_s must be positive"):
+            dsp.extend_to_minimum(TimeSeries([5.0, 5.0], 20.0), min_s)
+
 
 class TestWelchPsd:
     def test_peak_bin_at_signal_frequency(self):
@@ -246,5 +256,5 @@ class TestWelchPsd:
         assert dsp.band_power(spectrum, 6.0, 7.0) == 0.0
 
     def test_peak_frequency_of_an_empty_band(self):
-        with pytest.raises(ValueError, match="empty frequency band"):
+        with pytest.raises(InsufficientData, match="empty frequency band"):
             dsp.peak_frequency(dsp.welch_psd(noise(600, 10.0), 256), 6.0, 7.0)

@@ -1,12 +1,14 @@
-import dataclasses
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from timesense import features, ingest
+from timesense import dsp, features, ingest
 from timesense.errors import InvalidInput, MissingFile
-from timesense.model import FEATURE_NAMES
+from timesense.model import FEATURE_NAMES, TimeSeries
 
 
 def write_csv(path, rows, header="timestamp_s,value"):
@@ -165,21 +167,18 @@ class TestSynthDataset:
         cfg = ingest.SynthConfig(seed=7)
         for s in strong_sessions[:8]:
             cls = ingest.intended_class(cfg, s.participant_id, s.setting)
-            target = cfg.slow.hr_bpm if cls == "slow" else cfg.fast.hr_bpm
+            target = (ingest.SLOW_PARAMS if cls == "slow" else ingest.FAST_PARAMS).hr_bpm
             task, _ = features.extract_all(s)
             assert task[FEATURE_NAMES.index("bpm")] == pytest.approx(target, rel=0.05)
 
     def test_zero_scr_rate_yields_zero_peaks(self):
-        quiet = ingest.ClassParams(
-            hr_bpm=70.0, rr_jitter_ms=20.0, breathing_hz=0.25,
-            breathing_mod_ms=20.0, scr_rate_per_min=0.0, scr_amp_mean_us=0.3,
-            tonic_slope_us_per_min=0.0, temp_drift_c_per_min=0.0)
-        cfg = ingest.SynthConfig(participants=1, sessions_per_participant=1,
-                                 n_slow_biased=0, slow=quiet, fast=quiet,
-                                 baseline=quiet, seed=5)
-        (session,) = ingest.synth_dataset(cfg)
-        task, _ = features.extract_all(session)
-        assert task[FEATURE_NAMES.index("scr_peaks_n")] == 0.0
+        # the generator's EDA with no responses: tonic ramp, slow wander, noise
+        fs = ingest.EDA_RATE_HZ
+        t = np.arange(int(182.0 * fs)) / fs
+        values = (2.0 + 0.1 * t / 60.0 + 0.08 * np.sin(2 * np.pi * 0.01 * t)
+                  + np.random.default_rng(5).normal(0.0, 0.001, len(t)))
+        eda = dsp.lowpass(TimeSeries(values, fs), features.EDA_CLEAN_CUTOFF_HZ)
+        assert features.eda_features(eda)["scr_peaks_n"] == 0.0
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(InvalidInput, match="counts must be >= 1"):
@@ -188,64 +187,33 @@ class TestSynthDataset:
             ingest.SynthConfig(sessions_per_participant=5).validate()
         with pytest.raises(InvalidInput, match="n_slow_biased"):
             ingest.SynthConfig(n_slow_biased=99).validate()
-        bad = ingest.ClassParams(
-            hr_bpm=300.0, rr_jitter_ms=10.0, breathing_hz=0.2,
-            breathing_mod_ms=10.0, scr_rate_per_min=1.0, scr_amp_mean_us=0.3,
-            tonic_slope_us_per_min=0.0, temp_drift_c_per_min=0.0)
-        with pytest.raises(InvalidInput, match="heart rate"):
-            ingest.SynthConfig(fast=bad).validate()
+        with pytest.raises(InvalidInput, match="baseline_s and task_s must each be at least 5.0 s"):
+            ingest.SynthConfig(task_s=-1e308).validate()
+        with pytest.raises(InvalidInput, match=r"margin 'weak' is not one of \['strong', 'zero'\]"):
+            ingest.SynthConfig(margin="weak").validate()
 
     @pytest.mark.parametrize("overrides", [
-        {"ppg_rate_hz": 1e308}, {"task_s": 1e308}, {"task_s": float("inf")},
-        {"baseline_s": float("nan")}, {"temp_rate_hz": ingest.MAX_CHANNEL_SAMPLES / 200.0},
+        {"task_s": 5970.5}, {"task_s": 1e308}, {"task_s": float("inf")},
+        {"baseline_s": float("nan")}, {"baseline_s": 3000.0, "task_s": 3000.5},
     ])
-    def test_channels_past_the_sample_cap_rejected(self, overrides):
-        with pytest.raises(InvalidInput, match="a channel holds at most"):
+    def test_sessions_past_the_duration_cap_rejected(self, overrides):
+        with pytest.raises(InvalidInput, match=f"a session lasts at most {ingest.MAX_SESSION_S} s"):
             ingest.SynthConfig(**overrides).validate()
 
-    def test_eda_sparser_than_its_responses_generates(self):
-        # at 0.05 Hz some responses start after the last EDA sample
-        config = ingest.SynthConfig(participants=2, sessions_per_participant=1,
-                                    eda_rate_hz=0.05, n_slow_biased=0)
-        (session, _) = ingest.synth_dataset(config)
-        assert len(session.eda) == 11
-        assert ingest._scr_kernel(np.zeros(0)).shape == (0,)
-
-    def test_channel_at_the_sample_cap_accepted(self):
-        ingest.SynthConfig(baseline_s=100.0, task_s=100.0,
-                           ppg_rate_hz=ingest.MAX_CHANNEL_SAMPLES / 200.0).validate()
-
-    # sparse channels over a long session: few samples, but a beat loop of
-    # 350,105 iterations (at most one beat per 60/210 s)
-    SPARSE = {"task_s": 1e5, "ppg_rate_hz": 0.001, "eda_rate_hz": 0.001, "temp_rate_hz": 0.001}
-
-    def test_sessions_past_the_beat_cap_rejected(self):
-        with pytest.raises(InvalidInput, match=f"a session holds at most "
-                                               f"{ingest.MAX_SESSION_BEATS} beats; 100030.0 s"):
-            ingest.SynthConfig(**self.SPARSE).validate()
-
-    def test_session_at_the_beat_cap_accepted(self):
-        longest = ingest.MAX_SESSION_BEATS * 60.0 / 210.0
-        ingest.SynthConfig(**dict(self.SPARSE, task_s=longest - 30.5)).validate()
-        with pytest.raises(InvalidInput, match="beats"):
-            ingest.SynthConfig(**dict(self.SPARSE, task_s=longest - 29.0)).validate()
-
-    @pytest.mark.parametrize("rate", [20_000.0, 1e300, float("inf")])
-    def test_responses_past_the_scr_cap_rejected(self, rate):
-        fast = dataclasses.replace(ingest.FAST_PARAMS, scr_rate_per_min=rate)
-        with pytest.raises(InvalidInput, match=f"at most {ingest.MAX_SCR_SAMPLE_UPDATES} SCR "
-                                               f"sample updates"):
-            ingest.SynthConfig(fast=fast).validate()
-
-    def test_scr_cap_counts_responses_times_eda_samples(self):
-        # a 6000 s session at the default rates: (4 * 30 + 9 * 5970) / 60 =
-        # 897.5 responses over 90,000 samples, 80.8 million updates; a
-        # 7030 s one makes 1052 x 105,450 = 110.9 million
+    def test_session_at_the_duration_cap_accepted(self):
         ingest.SynthConfig(task_s=5970.0).validate()
-        with pytest.raises(InvalidInput, match=r"; 1052 x 105450 does not"):
-            ingest.SynthConfig(task_s=7000.0).validate()
-        # the same session with sparse EDA is cheap
-        ingest.SynthConfig(task_s=7000.0, eda_rate_hz=1.0).validate()
+
+    def test_phases_of_the_scr_tail_generate(self):
+        sessions = ingest.synth_dataset(ingest.SynthConfig(
+            participants=1, baseline_s=ingest.SCR_TAIL_S, task_s=ingest.SCR_TAIL_S,
+            n_slow_biased=0))
+        assert [len(s.eda) for s in sessions] == [150] * 4
+
+
+def test_readme_lists_every_synth_config_key():
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    listed = readme.split("Synth config keys: ", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in fields(ingest.SynthConfig)]
 
 
 @pytest.fixture
