@@ -26,10 +26,6 @@ def _loss_at(z, w, y, l2):
     return nll + 0.5 * l2 * float(w @ w)
 
 
-def logistic_gradient(w, b, X, y, l2):
-    return _gradient_at(sigmoid(X @ w + b), w, X, y, l2)
-
-
 def _gradient_at(p, w, X, y, l2):
     """Gradient of ``logistic_loss`` given the probabilities ``p`` at (w, b)."""
     r = (p - y) / len(y)

@@ -75,7 +75,7 @@ def exact_shapley(model: TrainedModel, background, instance) -> Attribution:
     if d > EXACT_MAX_FEATURES:
         raise Unsupported(f"exact enumeration limited to {EXACT_MAX_FEATURES} features")
     if len(background) == 0:
-        raise ValueError("background must be non-empty")
+        raise InsufficientData("background must be non-empty")
 
     masks = _coalitions(d, range(d + 1))
     # v(S) at the bit code of S, so that S with i added is at code | 1 << i
@@ -133,7 +133,7 @@ def kernel_shap(model: TrainedModel, background, instance, n_samples: int,
     if n_samples < d + 2:
         raise InsufficientData(f"need at least d + 2 = {d + 2} samples")
     if len(background) == 0:
-        raise ValueError("background must be non-empty")
+        raise InsufficientData("background must be non-empty")
 
     base = float(np.mean(decision_scores(model, background)))
     pred = float(np.mean(decision_scores(model, instance[None, :])))
@@ -171,7 +171,7 @@ def mean_abs_shap(model: TrainedModel, dataset, n_samples: int, seed: int = 0):
     """
     X = dataset.X
     if len(X) == 0:
-        raise ValueError("dataset must be non-empty")
+        raise InsufficientData("dataset must be non-empty")
     background = X
     if len(X) > MAX_BACKGROUND:
         keep = np.random.default_rng(seed).choice(len(X), size=MAX_BACKGROUND, replace=False)

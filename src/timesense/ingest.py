@@ -1,8 +1,11 @@
 """Session loading from channel CSVs + manifest, and synthesis of
 paper-shaped corpora with known ground truth."""
 
+import functools
+import io
 import math
 import os
+import re
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 
@@ -26,6 +29,13 @@ MANIFEST_SCHEMA_VERSION = 1
 # Loading
 # ---------------------------------------------------------------------------
 
+# A body of only these characters is plain decimal text, which np.loadtxt and
+# float() parse alike, both rounding correctly. Any other body, say one with
+# spaces, underscores, nan or inf spellings or non-ASCII digits, is read by the
+# line loop alone.
+_PLAIN_BODY = re.compile(r"[0-9eE+\-.,\n]*")
+
+
 def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0) -> TimeSeries:
     """Read a `timestamp_s,value` CSV and apply head/tail trims.
 
@@ -33,40 +43,73 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0) -> TimeSe
     motion-artifact samples at sequence edges; they must leave at least 2
     samples. Timestamps must be finite, and consecutive ones one sample period
     apart, to within a quarter of a period: a dropped or an extra row would
-    shift every later sample in time.
+    shift every later sample in time. A field holds anything ``float()``
+    accepts; plain decimal text is parsed in bulk, and any other file, or one
+    that breaks a rule, is read line by line, which names the failing line.
     """
     if not os.path.isfile(path):
         raise MissingFile(f"{path}: no such file")
     if not sampling_rate_hz > 0:
         raise InvalidInput(f"{path}: sampling rate {sampling_rate_hz!r} is not positive")
-    times, values, blank_rows = [], [], []
     # undecodable bytes become U+FFFD, which fails the header or float checks
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        header = fh.readline()
-        if header.strip() != "timestamp_s,value":
-            raise InvalidInput(f"{path}, line 1: expected header 'timestamp_s,value'")
-        prev_t = -math.inf
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                blank_rows.append(len(values))  # data rows read before it
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise InvalidInput(f"{path}, line {lineno}: expected two columns")
-            try:
-                t, v = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise InvalidInput(f"{path}, line {lineno}: non-numeric field") from None
-            if not math.isfinite(t):
-                raise InvalidInput(f"{path}, line {lineno}: non-finite timestamp")
-            if not math.isfinite(v):
-                raise InvalidInput(f"{path}, line {lineno}: non-finite sample at index {len(values)}")
-            if t <= prev_t:
-                raise InvalidInput(f"{path}, line {lineno}: timestamps not increasing")
-            prev_t = t
-            times.append(t)
-            values.append(v)
+        header, _, body = fh.read().partition("\n")
+    if header.strip() != "timestamp_s,value":
+        raise InvalidInput(f"{path}, line 1: expected header 'timestamp_s,value'")
+    values = _read_rows_numpy(body, sampling_rate_hz, trim_head, trim_tail)
+    if values is None:
+        values = _read_rows_loop(path, body, sampling_rate_hz, trim_head, trim_tail)
+    return TimeSeries(values, sampling_rate_hz)
+
+
+def _read_rows_numpy(body, sampling_rate_hz, trim_head, trim_tail):
+    """The kept values of ``body``, the rows after the header, parsed in one
+    numpy call; None unless the body is plain decimal text that passes every
+    rule of ``_read_rows_loop``."""
+    # an empty body goes to the loop before loadtxt can warn about it
+    if not body.strip() or not _PLAIN_BODY.fullmatch(body):
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape[1] != 2 or not np.isfinite(rows).all():
+        return None
+    steps = np.diff(rows[:, 0])
+    kept = len(rows) - trim_head - trim_tail
+    if (not (steps > 0).all() or (np.abs(steps * sampling_rate_hz - 1.0) > 0.25).any()
+            or trim_head < 0 or trim_tail < 0 or kept < 2):
+        return None
+    return rows[trim_head:trim_head + kept, 1].copy()
+
+
+def _read_rows_loop(path, body, sampling_rate_hz, trim_head, trim_tail):
+    """The kept values of ``body``, the rows after the header, read line by
+    line: the one authority on which rows are valid, and the source of every
+    message, which names ``path`` and the failing line."""
+    times, values, blank_rows = [], [], []
+    prev_t = -math.inf
+    for lineno, line in enumerate(io.StringIO(body), start=2):
+        line = line.strip()
+        if not line:
+            blank_rows.append(len(values))  # data rows read before it
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise InvalidInput(f"{path}, line {lineno}: expected two columns")
+        try:
+            t, v = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise InvalidInput(f"{path}, line {lineno}: non-numeric field") from None
+        if not math.isfinite(t):
+            raise InvalidInput(f"{path}, line {lineno}: non-finite timestamp")
+        if not math.isfinite(v):
+            raise InvalidInput(f"{path}, line {lineno}: non-finite sample at index {len(values)}")
+        if t <= prev_t:
+            raise InvalidInput(f"{path}, line {lineno}: timestamps not increasing")
+        prev_t = t
+        times.append(t)
+        values.append(v)
     steps = np.diff(times)
     off_grid = np.flatnonzero(np.abs(steps * sampling_rate_hz - 1.0) > 0.25)
     if len(off_grid):
@@ -80,7 +123,7 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0) -> TimeSe
     kept = len(values) - trim_head - trim_tail
     if kept < 2:
         raise InvalidInput(f"{path}: fewer than 2 samples after trimming")
-    return TimeSeries(np.array(values[trim_head:trim_head + kept]), sampling_rate_hz)
+    return np.array(values[trim_head:trim_head + kept])
 
 
 def load_manifest(path):
@@ -399,12 +442,16 @@ def synth_dataset(config: SynthConfig):
 # Corpus writing (CSV channels + manifest)
 # ---------------------------------------------------------------------------
 
-def write_channel_csv(path, series: TimeSeries):
-    lines = ["timestamp_s,value"]
-    fs = series.sampling_rate_hz
-    for i, v in enumerate(series.values):
-        lines.append(f"{i / fs!r},{float(v)!r}")
-    write_atomic(path, "\n".join(lines) + "\n")
+def _time_column(n, sampling_rate_hz):
+    """The timestamps of an n-sample channel as written, ``repr(i / sampling_rate_hz)``."""
+    return [repr(t) for t in (np.arange(n) / sampling_rate_hz).tolist()]
+
+
+def write_channel_csv(path, series: TimeSeries, times):
+    """Write ``series`` as a `timestamp_s,value` CSV; ``times`` is its
+    ``_time_column``."""
+    rows = [f"{t},{v!r}" for t, v in zip(times, series.values.tolist())]
+    write_atomic(path, "\n".join(["timestamp_s,value", *rows]) + "\n")
 
 
 def _json_object(obj, skip=()):
@@ -424,6 +471,8 @@ def write_corpus(sessions, out_dir):
     ChannelSpecs, as ``load_session`` reads them."""
     os.makedirs(out_dir, exist_ok=True)
     entries = []
+    # channels of one length and rate share their timestamps
+    time_column = functools.cache(_time_column)
     for s in sessions:
         rel = f"p{s.participant_id:02d}_s{s.session_index}"
         os.makedirs(os.path.join(out_dir, rel), exist_ok=True)
@@ -431,7 +480,8 @@ def write_corpus(sessions, out_dir):
         for name in CHANNELS:
             series: TimeSeries = getattr(s, name)
             specs[name] = ChannelSpec(f"{rel}/{name}.csv", series.sampling_rate_hz)
-            write_channel_csv(os.path.join(out_dir, specs[name].path), series)
+            write_channel_csv(os.path.join(out_dir, specs[name].path), series,
+                              time_column(len(series), series.sampling_rate_hz))
         entries.append({**_json_object(s, skip=CHANNELS),
                         "channels": _json_object(ChannelSpecs(**specs))})
     manifest = {"schema_version": MANIFEST_SCHEMA_VERSION, "sessions": entries}

@@ -1,7 +1,7 @@
 """Shared domain types and the canonical 24-feature naming contract."""
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -173,10 +173,6 @@ class Dataset:
 
     def participants(self) -> np.ndarray:
         return np.unique(self.participant_ids)
-
-    def subset_features(self, names: Sequence[str]) -> "Dataset":
-        idx = [self.feature_names.index(n) for n in names]
-        return Dataset(self.X[:, idx], self.y, self.participant_ids, tuple(names))
 
     def select_rows(self, mask) -> "Dataset":
         return Dataset(self.X[mask], self.y[mask], self.participant_ids[mask],

@@ -50,6 +50,12 @@ def planted_dataset(n_informative=5, n_rows=48, n_participants=12, seed=0,
     return Dataset(X, y, pids)
 
 
+def first_features(dataset, k):
+    """``dataset`` cut to its first ``k`` feature columns."""
+    return Dataset(dataset.X[:, :k], dataset.y, dataset.participant_ids,
+                   dataset.feature_names[:k])
+
+
 @pytest.fixture
 def planted():
     return planted_dataset()

@@ -17,7 +17,7 @@ from timesense.explain import exact_shapley, kernel_shap, mean_abs_shap
 from timesense.model import TimeSeries
 from timesense.pipeline import apply_scaler, fit_scaler
 from timesense.selection import rfecv, sfs
-from tests.conftest import planted_dataset
+from tests.conftest import first_features, planted_dataset
 
 
 @contextmanager
@@ -110,7 +110,7 @@ def test_criterion_4_kernel_shap_exactness(capsys):
 def test_criterion_5_rfecv_incompatibility(capsys, monkeypatch):
     """KNN/GNB/QDA with RFECV: typed error from the library, N.A. in the matrix."""
     with acceptance(5, capsys, "RFECV x {knn, gnb, qda} -> typed error / N.A."):
-        ds = planted_dataset().subset_features(planted_dataset().feature_names[:5])
+        ds = first_features(planted_dataset(), 5)
         for kind in ("knn", "gnb", "qda"):
             with pytest.raises(Unsupported, match="cannot drive RFECV"):
                 rfecv(ds, ClassifierConfig(kind))
@@ -142,7 +142,7 @@ def test_criterion_7_leakage_guards(capsys):
     """Per-fold scaler statistics and selection results equal independent
     oracles computed from explicit training indices."""
     with acceptance(7, capsys, "12 folds x 3 scalers bit-identical to oracles"):
-        ds = planted_dataset().subset_features(planted_dataset().feature_names[:6])
+        ds = first_features(planted_dataset(), 6)
         selection = ("sfs", {"n_features": 2})
         for method in ("none", "minmax", "zscore"):
             report = losocv(ds, ClassifierConfig("lr"), scaler_method=method,

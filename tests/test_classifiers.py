@@ -24,7 +24,7 @@ from timesense.classifiers.base import (
 )
 from timesense.classifiers.linear import (
     LogisticRegressionNewton,
-    logistic_gradient,
+    _gradient_at,
     logistic_loss,
     sigmoid,
 )
@@ -224,7 +224,7 @@ class TestLogisticRegression:
         y = rng.integers(0, 2, 30)
         w = rng.normal(size=4)
         b = rng.normal()
-        grad_w, grad_b = logistic_gradient(w, b, X, y, l2=0.7)
+        grad_w, grad_b = _gradient_at(sigmoid(X @ w + b), w, X, y, l2=0.7)
         eps = 1e-6
         for j in range(4):
             e = np.zeros(4); e[j] = eps
@@ -1115,7 +1115,7 @@ class OracleLR(LogisticRegressionNewton):
         b = 0.0
         loss = logistic_loss(w, b, X, y, self.l2)
         for _ in range(self.max_iter):
-            gw, gb = logistic_gradient(w, b, X, y, self.l2)
+            gw, gb = _gradient_at(sigmoid(X @ w + b), w, X, y, self.l2)
             if max(np.max(np.abs(gw)), abs(gb)) < self.tol:
                 break
             p = sigmoid(X @ w + b)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -435,7 +436,9 @@ class TestFuzzedInput:
         channel = entry["channels"][data.draw(st.sampled_from(sorted(entry["channels"])))]
         lines = (small_corpus / "data" / channel["path"]).read_text().splitlines()
         row = data.draw(st.integers(1, len(lines) - 1))
-        damage = data.draw(st.sampled_from(["drop", "duplicate", "shift", "non-finite timestamp"]))
+        damage = data.draw(st.sampled_from(["drop", "duplicate", "shift", "non-finite timestamp",
+                                            "blank line", "leading space", "plus sign",
+                                            "underscore"]))
         if damage == "drop":
             del lines[row]
         elif damage == "duplicate":
@@ -443,10 +446,20 @@ class TestFuzzedInput:
         elif damage == "non-finite timestamp":
             v = lines[row].split(",")[1]
             lines[row] = f"{data.draw(st.sampled_from(['nan', 'inf', '-inf']))},{v}"
-        else:
+        elif damage == "shift":
             t, v = lines[row].split(",")
             shift = data.draw(st.floats(-2.0, 2.0)) / channel["sampling_rate_hz"]
             lines[row] = f"{float(t) + shift!r},{v}"
+        # the rest keep every number, in spellings float() reads, some of
+        # which the bulk parser leaves to the line loop
+        elif damage == "blank line":
+            lines.insert(row, "")
+        elif damage == "leading space":
+            lines[row] = " " + lines[row]
+        elif damage == "plus sign":
+            lines[row] = "+" + lines[row]
+        else:
+            lines[row] = re.sub(r"(\d)(\d)", r"\1_\2", lines[row], count=1)  # as in 1_0
         (small_corpus / "data" / "fuzz_channel.csv").write_text("\n".join(lines) + "\n")
         channel["path"] = "fuzz_channel.csv"
         path = small_corpus / "data" / "fuzz.json"
@@ -455,6 +468,8 @@ class TestFuzzedInput:
         assert rc in (EXIT_OK, EXIT_IO, EXIT_DOMAIN)
         if damage == "non-finite timestamp":
             assert rc == EXIT_DOMAIN
+        if damage in ("blank line", "leading space", "plus sign", "underscore"):
+            assert rc == EXIT_OK
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())

@@ -19,6 +19,7 @@ from timesense.pipeline import apply_scaler, fit_scaler
 from timesense.selection import sfs
 from timesense.classifiers import predict as clf_predict, train as clf_train
 from timesense.model import EvaluationReport, FoldResult
+from tests.conftest import first_features
 from tests.test_selection import reference_rfecv, reference_sfs
 
 
@@ -101,7 +102,7 @@ class TestLosocv:
     def test_selection_runs_on_training_rows_only(self, planted):
         """Each fold's SFS pick is SFS's pick on that fold's scaled training
         rows alone."""
-        sub = planted.subset_features(planted.feature_names[:6])
+        sub = first_features(planted, 6)
         report = losocv(sub, ClassifierConfig("lr"), selection=("sfs", {"n_features": 2}),
                         seed=0)
         for fold in report.per_fold:
@@ -129,7 +130,7 @@ class TestLosocv:
 
 class TestReportMatrix:
     def test_na_cells_for_importance_incapable_kinds(self, planted, monkeypatch):
-        sub = planted.subset_features(planted.feature_names[:4])
+        sub = first_features(planted, 4)
         monkeypatch.setattr(evaluate, "MATRIX_KINDS", ("knn", "gnb", "qda", "lr"))
         monkeypatch.setattr(evaluate, "SELECTION_MODES", ("none", "rfecv"))
         matrix = report_matrix(sub, seed=0)

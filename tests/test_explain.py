@@ -69,7 +69,7 @@ class TestExactShapley:
             exact_shapley(stub_model(np.zeros(13)), np.zeros((2, 13)), np.zeros(13))
 
     def test_empty_background(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientData):
             exact_shapley(stub_model(np.zeros(2)), np.zeros((0, 2)), np.zeros(2))
 
 
@@ -144,7 +144,7 @@ class TestKernelShap:
                 raise AssertionError("model called")
 
         model = TrainedModel("lr", ClassifierConfig("lr"), Unscorable(), 3)
-        with pytest.raises(ValueError, match="background must be non-empty"):
+        with pytest.raises(InsufficientData, match="background must be non-empty"):
             kernel_shap(model, np.zeros((0, 3)), np.zeros(3), n_samples=16)
 
 
@@ -183,7 +183,7 @@ class TestMeanAbsShap:
     def test_empty_dataset_rejected(self):
         ds = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0, dtype=int),
                      ("a", "b"))
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientData):
             mean_abs_shap(stub_model(np.zeros(2)), ds, n_samples=8)
 
 

@@ -1,14 +1,18 @@
 import json
 import re
+import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timesense import dsp, features, ingest
 from timesense.errors import InvalidInput, MissingFile
-from timesense.model import FEATURE_NAMES, TimeSeries
+from timesense.model import ALL_SETTINGS, CHANNELS, FEATURE_NAMES, SessionRecord, TimeSeries
 
 
 def write_csv(path, rows, header="timestamp_s,value"):
@@ -128,6 +132,112 @@ class TestReadChannelCsv:
             ingest.read_channel_csv(p, 10.0, trim_head=-1)
 
 
+def outcome(read):
+    """The values ``read()`` returns as int64 bit patterns, or its InvalidInput message."""
+    try:
+        return read().view(np.int64).tolist()
+    except InvalidInput as exc:
+        return str(exc)
+
+
+# A field as the writer spells it (repr: exponent forms, -0.0, subnormals) or
+# as a long decimal string.
+FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(r"-?[0-9]{1,30}(\.[0-9]{0,30})?([eE][+-]?[0-9]{1,3})?", fullmatch=True))
+# Spellings of an on-grid timestamp; the off-grid mutation moves one.
+TIME_STYLES = {
+    "repr": repr,
+    "exponent": lambda t: format(t, ".17e"),
+    "long": lambda t: format(t, ".40f"),
+}
+MUTATIONS = ("blank line", "crlf", "space", "plus", "underscore", "non-finite",
+             "non-ascii digit", "third column", "header only", "one row", "off grid")
+
+
+@st.composite
+def channel_files(draw):
+    """(body, rate, trim_head, trim_tail) of a channel CSV, the body being
+    the text after its header."""
+    fs = draw(st.sampled_from([10.0, 7.5, 25.0, 3.0]))
+    n = draw(st.integers(0, 25))
+    style = TIME_STYLES[draw(st.sampled_from(sorted(TIME_STYLES)))]
+    lines = [f"{style(i / fs)},{draw(FIELDS)}" for i in range(n)]
+    newline = "\n"
+    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if mutation == "blank line":
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+        elif mutation == "crlf":
+            newline = "\r\n"
+        elif mutation == "header only":
+            lines = []
+        elif mutation == "one row":
+            lines = lines[:1]
+        elif not lines:
+            continue
+        elif mutation == "space":
+            lines[at] = draw(st.sampled_from([" " + lines[at], lines[at] + " ",
+                                              lines[at].replace(",", " , ")]))
+        elif mutation == "plus":
+            lines[at] = "+" + lines[at]
+        elif mutation == "underscore":
+            lines[at] = re.sub(r"(\d)(\d)", r"\1_\2", lines[at], count=1)
+        elif mutation == "non-finite":
+            spelling = draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "NaN", "Infinity"]))
+            t, _, v = lines[at].partition(",")
+            lines[at] = draw(st.sampled_from([f"{spelling},{v}", f"{t},{spelling}"]))
+        elif mutation == "non-ascii digit":
+            lines[at] = lines[at].replace("0", draw(st.sampled_from(["٠", "０"])))
+        elif mutation == "third column":
+            lines[at] += ",1.0"
+        else:  # off grid
+            v = lines[at].partition(",")[2]
+            # steps of 1 + shift periods, some just past the quarter-period rule
+            shift = draw(st.one_of(st.sampled_from([-0.5, -0.3, 0.26, 0.45]),
+                                   st.floats(-1.5, 1.5)))
+            lines[at] = f"{(at + shift) / fs!r},{v}"
+    trailing = draw(st.sampled_from([newline, ""])) if lines else newline
+    return newline.join(lines) + trailing, fs, draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
+
+
+class TestBulkReaderMatchesLoop:
+    """``read_channel_csv`` parses plain decimal text in bulk; whatever it
+    returns or raises equals what the line loop alone returns or raises."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=channel_files())
+    def test_same_values_or_same_message(self, tmp_path_factory, case):
+        body, fs, trim_head, trim_tail = case
+        p = tmp_path_factory.getbasetemp() / "bulk_vs_loop.csv"
+        p.write_bytes(("timestamp_s,value\n" + body).encode("utf-8"))
+        read_body = p.read_text(encoding="utf-8", errors="replace").partition("\n")[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bulk = outcome(lambda: ingest.read_channel_csv(p, fs, trim_head, trim_tail).values)
+        loop = outcome(lambda: ingest._read_rows_loop(p, read_body, fs, trim_head, trim_tail))
+        assert bulk == loop
+
+    def test_plain_rows_never_reach_the_loop(self, tmp_path, monkeypatch):
+        p = tmp_path / "ch.csv"
+        rows = [f"{i / 7.5!r},{v!r}" for i, v in enumerate([-0.0, 5e-324, 1e-05, 1e+16])]
+        rows[2:2] = [""]
+        rows[3] = "+" + rows[3]
+        write_csv(p, rows)
+        monkeypatch.setattr(ingest, "_read_rows_loop", None)
+        values = ingest.read_channel_csv(p, 7.5, trim_head=1).values
+        expected = np.array([5e-324, 1e-05, 1e+16])
+        assert values.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("row", [" 0.1,1.0", "0.1 ,1.0", "0.1,1_0", "0.1,inf", "0.1,1e999",
+                                     "0.1,１", "0.1,1.0,2.0", "0.1", " "])
+    def test_other_rows_take_the_loop(self, tmp_path, row):
+        p = tmp_path / "ch.csv"
+        write_csv(p, ["0.0,1.0", row, "0.2,1.0"])
+        body = p.read_text().partition("\n")[2]
+        assert ingest._read_rows_numpy(body, 10.0, 0, 0) is None
+
+
 class TestSynthDataset:
     def test_corpus_shape(self, strong_sessions):
         assert len(strong_sessions) == 48
@@ -243,6 +353,34 @@ class TestCorpusRoundTrip:
         back = ingest.load_session(entries[0], base)
         assert np.array_equal(back.ppg.values, small_sessions[0].ppg.values)
         assert np.array_equal(back.thermopile.values, small_sessions[0].thermopile.values)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), shapes=st.lists(
+        st.tuples(st.sampled_from([2, 3, 17]), st.sampled_from([7.5, 15.0, 25.0, 3.0])),
+        min_size=4, max_size=12))
+    def test_files_match_the_per_row_format(self, data, shapes):
+        """Every channel of a corpus is the rows ``f"{i / fs!r},{float(v)!r}"``,
+        byte for byte, also where channels of one length and rate share their
+        timestamp column."""
+        series = [TimeSeries(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                                min_size=n, max_size=n)), fs)
+                  for n, fs in shapes]
+        sessions = []
+        for i in range(0, len(series) - 3, 4):
+            chans = dict(zip(CHANNELS, series[i:i + 4]))
+            end = min(c.duration_s for c in chans.values())
+            sessions.append(SessionRecord(i // 4 + 1, 1, ALL_SETTINGS[0], **chans,
+                                          task_start_s=end / 2, task_end_s=end, rating=3))
+        with tempfile.TemporaryDirectory() as out:
+            ingest.write_corpus(sessions, out)
+            for s in sessions:
+                for name in CHANNELS:
+                    ts = getattr(s, name)
+                    rows = [f"{i / ts.sampling_rate_hz!r},{float(v)!r}"
+                            for i, v in enumerate(ts.values)]
+                    expected = "\n".join(["timestamp_s,value", *rows]) + "\n"
+                    written = Path(out, f"p{s.participant_id:02d}_s1", f"{name}.csv")
+                    assert written.read_bytes() == expected.encode()
 
     def test_manifest_is_deterministic(self, small_sessions, tmp_path):
         p1 = ingest.write_corpus(small_sessions[:2], tmp_path / "a")

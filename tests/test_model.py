@@ -97,14 +97,6 @@ def test_dataset_validates_labels_and_shapes():
         Dataset(X, [0, 1], [1, 1])
 
 
-def test_dataset_subset_features():
-    X = np.arange(48, dtype=float).reshape(2, 24)
-    ds = Dataset(X, [0, 1], [1, 2])
-    sub = ds.subset_features(["ibi_ms", "bpm"])
-    assert sub.feature_names == ("ibi_ms", "bpm")
-    assert sub.X[0, 0] == X[0, FEATURE_NAMES.index("ibi_ms")]
-
-
 def test_report_mean_consistency():
     folds = tuple(FoldResult(i, a, ()) for i, a in enumerate([0.5, 0.75, 1.0]))
     report = EvaluationReport(folds)
