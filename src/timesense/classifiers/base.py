@@ -89,7 +89,7 @@ def train_many(config, lanes) -> list:
     every lane or a sequence of them, one per lane, all of one kind.
 
     Each model is bit for bit the one ``train`` gives for its lane alone.
-    dtc, rf, gb and xgb fit the lanes of one width together (their
+    dtc, rf, gb, xgb and lr fit the lanes of one width together (their
     estimators' ``fit_many``); the other kinds fit one lane after another.
     """
     configs = [config] * len(lanes) if isinstance(config, ClassifierConfig) else list(config)

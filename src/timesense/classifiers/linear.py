@@ -1,5 +1,9 @@
 """Linear and Gaussian generative classifiers: logistic regression (damped
-Newton), Gaussian naive Bayes, and linear / quadratic discriminant analysis."""
+Newton), Gaussian naive Bayes, and linear / quadratic discriminant analysis.
+
+Logistic regression fits many training sets (lanes) in one call: the lanes
+of one width take their Newton steps in one loop over a ``LaneStack``, and
+each lane's model is bit for bit the one its fit alone gives."""
 
 import numpy as np
 
@@ -13,23 +17,72 @@ def sigmoid(z):
     return out
 
 
-def logistic_loss(w, b, X, y, l2):
-    """Mean negative log-likelihood plus an L2 penalty on the weights."""
-    return _loss_at(X @ w + b, w, y, l2)
+class LaneStack:
+    """The training rows of some lanes of one width, stacked lane after lane
+    in one flat array, with the lanes of one row count adjacent.
 
+    Elementwise work runs on the flat arrays. Products and row sums run per
+    row count, on (lanes, rows, ...) views of them: there each lane gets the
+    BLAS call and the summation order of a fit on its own rows, where a
+    zero-padded product or sum would round differently.
+    """
 
-def _loss_at(z, w, y, l2):
-    """``logistic_loss`` given the margins ``z = X @ w + b``."""
-    # log(1 + exp(-m)) with m = z for y=1, -z for y=0, computed stably
-    m = np.where(y == 1, z, -z)
-    nll = np.mean(np.logaddexp(0.0, -m))
-    return nll + 0.5 * l2 * float(w @ w)
+    def __init__(self, X, y, counts):
+        """``X`` (rows, width) and ``y`` hold the lanes' rows in turn;
+        ``counts``, in ascending order, gives each lane's row count."""
+        self.X, self.y, self.counts = X, y, counts
+        self.Xa = np.hstack([X, np.ones((len(X), 1))])
+        # each row's lane's row count
+        self.n = np.repeat(counts.astype(float), counts)
+        # per row count: its lanes, its rows and their (lanes, rows) shape
+        self.groups = []
+        lane = row = 0
+        for n, g in zip(*np.unique(counts, return_counts=True)):
+            self.groups.append((slice(lane, lane + g), slice(row, row + g * n), (g, n)))
+            lane, row = lane + g, row + g * n
 
+    def take(self, keep):
+        """The stack of the lanes where ``keep`` is true, and the mask of
+        their rows in this stack."""
+        rows = np.repeat(keep, self.counts)
+        return LaneStack(self.X[rows], self.y[rows], self.counts[keep]), rows
 
-def _gradient_at(p, w, X, y, l2):
-    """Gradient of ``logistic_loss`` given the probabilities ``p`` at (w, b)."""
-    r = (p - y) / len(y)
-    return X.T @ r + l2 * w, float(np.sum(r))
+    def _split(self, v):
+        """The per-row values ``v`` as one (lanes, rows, ...) view per row
+        count."""
+        return [v[rs].reshape(shape + v.shape[1:]) for _, rs, shape in self.groups]
+
+    def margins(self, w, b):
+        """Every lane's ``X @ w + b``, flat; ``w`` is (lanes, width)."""
+        return np.concatenate([((Xg @ w[ls, :, None])[..., 0] + b[ls, None]).reshape(-1)
+                               for (ls, _, _), Xg in zip(self.groups, self._split(self.X))])
+
+    def sums(self, v):
+        """Each lane's sum of the per-row values ``v``."""
+        return np.concatenate([vg.sum(axis=1) for vg in self._split(v)])
+
+    def loss(self, z, w, l2):
+        """Each lane's mean negative log-likelihood plus an L2 penalty on its
+        weights, given its margins ``z``; the bias is not penalized."""
+        # log(1 + exp(-m)) with m = z for y=1, -z for y=0, computed stably
+        m = np.where(self.y == 1, z, -z)
+        nll = self.sums(np.logaddexp(0.0, -m)) / self.counts
+        return nll + 0.5 * l2 * (w[:, None, :] @ w[:, :, None])[:, 0, 0]
+
+    def gradient(self, p, w, l2):
+        """Each lane's gradient of ``loss`` in its weights and in its bias,
+        given its probabilities ``p``."""
+        r = (p - self.y) / self.n
+        gw = np.concatenate([np.swapaxes(Xg, 1, 2) @ rg[..., None]
+                             for Xg, rg in zip(self._split(self.X), self._split(r))])
+        return gw[..., 0] + l2 * w, self.sums(r)
+
+    def hessians(self, p):
+        """Each lane's Hessian of its mean negative log-likelihood in its
+        weights and bias, given its probabilities ``p``."""
+        Xs = self.Xa * (p * (1.0 - p) / self.n)[:, None]
+        return np.concatenate([np.swapaxes(Xg, 1, 2) @ Sg
+                               for Xg, Sg in zip(self._split(self.Xa), self._split(Xs))])
 
 
 class LogisticRegressionNewton:
@@ -42,48 +95,81 @@ class LogisticRegressionNewton:
     l2, tol, max_iter = 1.0, 1e-8, 200
 
     def fit(self, X, y):
-        """Sets ``w``, ``b``, ``n_iter_`` (Newton steps taken) and
-        ``converged_`` (False when ``max_iter`` steps ended the solve before
-        the gradient tolerance was met)."""
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        n, d = X.shape
-        Xa = np.hstack([X, np.ones((n, 1))])
+        """Fits this model alone: the one-lane ``fit_many``."""
+        self.fit_many([self], [(X, y)])
+        return self
+
+    @staticmethod
+    def fit_many(models, lanes):
+        """Fits ``models[i]`` on ``lanes[i]``, an (X, y) pair; lanes may
+        differ in row count and width. Sets each model's ``w``, ``b``,
+        ``n_iter_`` (Newton steps taken) and ``converged_`` (False when
+        ``max_iter`` steps ended the solve before the gradient tolerance was
+        met).
+
+        The lanes of one width take their Newton steps in one loop. Each lane
+        leaves it when its own gradient meets the tolerance and halves its
+        own step until its loss decreases, so each model is bit for bit the
+        one a fit on its lane alone gives.
+        """
+        lanes = [(np.asarray(X, dtype=float), np.asarray(y, dtype=float)) for X, y in lanes]
+        by_width = {}
+        for i in sorted(range(len(lanes)), key=lambda i: len(lanes[i][1])):
+            by_width.setdefault(lanes[i][0].shape[1], []).append(i)
+        for ids in by_width.values():
+            stack = LaneStack(np.concatenate([lanes[i][0] for i in ids]),
+                              np.concatenate([lanes[i][1] for i in ids]),
+                              np.array([len(lanes[i][1]) for i in ids]))
+            models[0]._newton(stack, [models[i] for i in ids])
+
+    def _newton(self, stack, models):
+        """Fits ``models``, one per lane of ``stack``."""
+        d = stack.X.shape[1]
         ridge = self.l2 * np.eye(d)
         jitter = 1e-10 * np.eye(d + 1)
-        w = np.zeros(d)
-        b = 0.0
-        z = X @ w + b
-        loss = _loss_at(z, w, y, self.l2)
-        n_iter, converged = 0, False
-        while n_iter < self.max_iter:
+        w = np.zeros((len(models), d))
+        b = np.zeros(len(models))
+        z = stack.margins(w, b)
+        loss = stack.loss(z, w, self.l2)
+
+        def finish(lanes, n_iter, converged):
+            for k in np.flatnonzero(lanes):
+                model = models[k]
+                model.w, model.b = w[k].copy(), b[k]
+                model.n_iter_, model.converged_ = n_iter, converged
+
+        for n_iter in range(self.max_iter):
             # the margins of the accepted step give one probability vector,
             # which serves both the gradient and the Hessian
             p = sigmoid(z)
-            gw, gb = _gradient_at(p, w, X, y, self.l2)
-            if max(np.max(np.abs(gw)), abs(gb)) < self.tol:
-                converged = True
-                break
-            s = p * (1.0 - p) / n
-            H = Xa.T @ (Xa * s[:, None])
-            H[:d, :d] += ridge
+            gw, gb = stack.gradient(p, w, self.l2)
+            done = np.maximum(np.abs(gw).max(axis=1), np.abs(gb)) < self.tol
+            if done.any():
+                finish(done, n_iter, True)
+                if done.all():
+                    return
+                keep = ~done
+                stack, rows = stack.take(keep)
+                models = [m for m, k in zip(models, keep) if k]
+                w, b, loss, gw, gb, p = w[keep], b[keep], loss[keep], gw[keep], gb[keep], p[rows]
+            H = stack.hessians(p)
+            H[:, :d, :d] += ridge
             H += jitter
-            g = np.concatenate([gw, [gb]])
-            step = np.linalg.solve(H, g)
-            # damping: halve until the loss decreases
-            t = 1.0
+            g = np.concatenate([gw, gb[:, None]], axis=1)
+            step = np.linalg.solve(H, g[..., None])[..., 0]
+            # damping: each lane halves its step until its loss decreases; a
+            # lane that stopped halving keeps its t, and so its trial
+            t = np.ones(len(models))
             for _ in range(40):
-                w_new, b_new = w - t * step[:d], b - t * step[d]
-                z_new = X @ w_new + b_new
-                new_loss = _loss_at(z_new, w_new, y, self.l2)
-                if new_loss <= loss + 1e-15:
+                w_new, b_new = w - t[:, None] * step[:, :d], b - t * step[:, d]
+                z_new = stack.margins(w_new, b_new)
+                new_loss = stack.loss(z_new, w_new, self.l2)
+                halving = ~(new_loss <= loss + 1e-15)
+                if not halving.any():
                     break
-                t *= 0.5
+                t[halving] *= 0.5
             w, b, z, loss = w_new, b_new, z_new, new_loss
-            n_iter += 1
-        self.n_iter_, self.converged_ = n_iter, converged
-        self.w, self.b = w, b
-        return self
+        finish(np.ones(len(models), dtype=bool), self.max_iter, False)
 
     def decision_function(self, X):
         return np.asarray(X, dtype=float) @ self.w + self.b

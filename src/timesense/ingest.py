@@ -40,10 +40,11 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0) -> TimeSe
     """Read a `timestamp_s,value` CSV and apply head/tail trims.
 
     Trims happen before any filtering; they generalize the manual removal of
-    motion-artifact samples at sequence edges; they must leave at least 2
-    samples. Timestamps must be finite, and consecutive ones one sample period
-    apart, to within a quarter of a period: a dropped or an extra row would
-    shift every later sample in time. A field holds anything ``float()``
+    motion-artifact samples at sequence edges; they must be non-negative,
+    which is checked before the file is read, and leave at least 2 samples.
+    Timestamps must be finite, and consecutive ones one sample period apart,
+    to within a quarter of a period: a dropped or an extra row would shift
+    every later sample in time. A field holds anything ``float()``
     accepts; plain decimal text is parsed in bulk, and any other file, or one
     that breaks a rule, is read line by line, which names the failing line.
     """
@@ -51,6 +52,8 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0) -> TimeSe
         raise MissingFile(f"{path}: no such file")
     if not sampling_rate_hz > 0:
         raise InvalidInput(f"{path}: sampling rate {sampling_rate_hz!r} is not positive")
+    if trim_head < 0 or trim_tail < 0:
+        raise InvalidInput(f"{path}: trim counts must be >= 0, not {trim_head} and {trim_tail}")
     # undecodable bytes become U+FFFD, which fails the header or float checks
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header, _, body = fh.read().partition("\n")
@@ -78,7 +81,7 @@ def _read_rows_numpy(body, sampling_rate_hz, trim_head, trim_tail):
     steps = np.diff(rows[:, 0])
     kept = len(rows) - trim_head - trim_tail
     if (not (steps > 0).all() or (np.abs(steps * sampling_rate_hz - 1.0) > 0.25).any()
-            or trim_head < 0 or trim_tail < 0 or kept < 2):
+            or kept < 2):
         return None
     return rows[trim_head:trim_head + kept, 1].copy()
 
@@ -118,8 +121,6 @@ def _read_rows_loop(path, body, sampling_rate_hz, trim_head, trim_tail):
         raise InvalidInput(
             f"{path}, line {lineno}: timestamp {times[k]!r} s is {steps[k - 1]:.6g} s "
             f"after the previous one, not one sample period ({1 / sampling_rate_hz:.6g} s)")
-    if trim_head < 0 or trim_tail < 0:
-        raise InvalidInput("trim counts must be >= 0")
     kept = len(values) - trim_head - trim_tail
     if kept < 2:
         raise InvalidInput(f"{path}: fewer than 2 samples after trimming")

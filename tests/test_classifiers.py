@@ -22,12 +22,7 @@ from timesense.classifiers.base import (
     train,
     train_many,
 )
-from timesense.classifiers.linear import (
-    LogisticRegressionNewton,
-    _gradient_at,
-    logistic_loss,
-    sigmoid,
-)
+from timesense.classifiers.linear import LaneStack, LogisticRegressionNewton, sigmoid
 from timesense.classifiers.svm import SMOSVC, rbf_kernel
 from timesense.errors import InsufficientData, InvalidInput, Unsupported
 from timesense.model import Dataset
@@ -219,12 +214,17 @@ class TestBlockedScores:
 
 class TestLogisticRegression:
     def test_gradient_matches_finite_differences(self):
+        """The stacked gradient and loss of a one-lane stack against finite
+        differences of the loss."""
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 4))
         y = rng.integers(0, 2, 30)
         w = rng.normal(size=4)
         b = rng.normal()
-        grad_w, grad_b = _gradient_at(sigmoid(X @ w + b), w, X, y, l2=0.7)
+        stack = LaneStack(X, y.astype(float), np.array([30]))
+        z = X @ w + b
+        assert stack.loss(z, w[None], l2=0.7)[0] == pytest.approx(logistic_loss(w, b, X, y, l2=0.7))
+        (grad_w,), (grad_b,) = stack.gradient(sigmoid(z), w[None], l2=0.7)
         eps = 1e-6
         for j in range(4):
             e = np.zeros(4); e[j] = eps
@@ -234,6 +234,27 @@ class TestLogisticRegression:
         num_b = (logistic_loss(w, b + eps, X, y, l2=0.7)
                  - logistic_loss(w, b - eps, X, y, l2=0.7)) / (2 * eps)
         assert grad_b == pytest.approx(num_b, abs=1e-5)
+
+    def test_stack_values_equal_each_lane_alone(self):
+        """Margins, loss, gradient and Hessian of a stack of lanes of three
+        row counts are bit for bit those of each lane's rows alone."""
+        rng = np.random.default_rng(1)
+        counts = np.array([9, 9, 12, 30, 30, 30])
+        lanes = [(rng.normal(size=(n, 3)), rng.integers(0, 2, n).astype(float)) for n in counts]
+        w, b = rng.normal(size=(6, 3)), rng.normal(size=6)
+        stack = LaneStack(np.concatenate([X for X, _ in lanes]),
+                          np.concatenate([y for _, y in lanes]), counts)
+        z = stack.margins(w, b)
+        p = sigmoid(z)
+        loss, (gw, gb), H = stack.loss(z, w, 0.7), stack.gradient(p, w, 0.7), stack.hessians(p)
+        for k, ((X, y), zk) in enumerate(zip(lanes, np.split(z, np.cumsum(counts)[:-1]))):
+            assert _same_bits(zk, X @ w[k] + b[k])
+            assert _same_bits(loss[k], logistic_loss(w[k], b[k], X, y, 0.7))
+            gw_k, gb_k = logistic_gradient(sigmoid(zk), w[k], X, y, 0.7)
+            assert _same_bits(gw[k], gw_k) and _same_bits(gb[k], gb_k)
+            s = sigmoid(zk) * (1.0 - sigmoid(zk)) / len(y)
+            Xa = np.hstack([X, np.ones((len(y), 1))])
+            assert _same_bits(H[k], Xa.T @ (Xa * s[:, None]))
 
     def test_l2_shrinks_weights(self, monkeypatch):
         X, y = blobs(d=2, gap=3.0)
@@ -1106,7 +1127,25 @@ class OracleSMOSVC(SMOSVC):
         return True
 
 
+def logistic_loss(w, b, X, y, l2):
+    """Mean negative log-likelihood plus an L2 penalty on the weights."""
+    z = X @ w + b
+    # log(1 + exp(-m)) with m = z for y=1, -z for y=0, computed stably
+    m = np.where(y == 1, z, -z)
+    nll = np.mean(np.logaddexp(0.0, -m))
+    return nll + 0.5 * l2 * float(w @ w)
+
+
+def logistic_gradient(p, w, X, y, l2):
+    """Gradient of ``logistic_loss`` given the probabilities ``p`` at (w, b)."""
+    r = (p - y) / len(y)
+    return X.T @ r + l2 * w, float(np.sum(r))
+
+
 class OracleLR(LogisticRegressionNewton):
+    """One lane at a time, every value evaluated afresh; counts the times a
+    step is halved in ``halvings_``."""
+
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -1114,9 +1153,11 @@ class OracleLR(LogisticRegressionNewton):
         w = np.zeros(d)
         b = 0.0
         loss = logistic_loss(w, b, X, y, self.l2)
+        self.n_iter_, self.converged_, self.halvings_ = 0, False, 0
         for _ in range(self.max_iter):
-            gw, gb = _gradient_at(sigmoid(X @ w + b), w, X, y, self.l2)
+            gw, gb = logistic_gradient(sigmoid(X @ w + b), w, X, y, self.l2)
             if max(np.max(np.abs(gw)), abs(gb)) < self.tol:
+                self.converged_ = True
                 break
             p = sigmoid(X @ w + b)
             s = p * (1.0 - p) / n
@@ -1133,7 +1174,9 @@ class OracleLR(LogisticRegressionNewton):
                 if new_loss <= loss + 1e-15:
                     break
                 t *= 0.5
+                self.halvings_ += 1
             w, b, loss = w_new, b_new, new_loss
+            self.n_iter_ += 1
         self.w, self.b = w, b
         return self
 
@@ -1415,6 +1458,88 @@ class TestTrainManyMatchesOracles:
             assert _bits(est.decision_function(probe)) == _bits(oracle.decision_function(probe))
 
 
+def heavy_tailed_case(seed):
+    """Cauchy features at one of three scales and random labels: a full
+    Newton step on such rows can raise the loss, and the solve halves it."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(4, 20)), int(rng.integers(1, 3))
+    X = rng.standard_cauchy((n, d)) * rng.choice([1, 10, 100])
+    y = rng.integers(0, 2, n)
+    y[:2] = (0, 1)
+    return X, y
+
+
+# (seed, l2) of heavy-tailed cases whose solve halves a step
+HALVING_CASES = [(576, 1.0), (259, 1e-3), (316, 1e-3), (618, 1e-3)]
+
+
+def duplicated_row_lanes():
+    """Lanes with rows repeated: some rows twice, and every row three times
+    with the last copy relabelled."""
+    X, y = ragged_lanes(12)[0][0]
+    return [(np.vstack([X, X[:6]]), np.r_[y, y[:6]]), mixed_repeats(X[:8], y[:8]), (X, y)]
+
+
+LR_LANE_SETS = {
+    "ragged": lambda: ragged_lanes(0)[0],
+    "mixed-width": lambda: mixed_width_lanes()[0],
+    "stopping": lambda: stopping_lanes()[0],
+    "duplicated-rows": duplicated_row_lanes,
+    "heavy-tailed": lambda: [heavy_tailed_case(s) for s in range(8)],
+}
+
+
+def assert_lr_lanes_match(lanes):
+    """Every lane of ``train_many("lr")`` against OracleLR on its rows in
+    canonical order and against its one-lane fit: w and b bit for bit,
+    n_iter_ and converged_. Returns the oracles."""
+    config = ClassifierConfig("lr")
+    oracles = []
+    for model, (X, y) in zip(train_many(config, lanes), lanes):
+        order = canonical_order(X, y)
+        oracle = OracleLR().fit(X[order], y[order])
+        est = model.estimator
+        for ref in (oracle, train(config, X, y).estimator):
+            assert np.array_equal(_int64(est.w), _int64(ref.w))
+            assert _int64(est.b) == _int64(ref.b)
+            assert (est.n_iter_, est.converged_) == (ref.n_iter_, ref.converged_)
+        oracles.append(oracle)
+    return oracles
+
+
+class TestTrainManyLogisticRegression:
+    """lr fits the lanes of each width in one Newton loop; each lane is bit
+    for bit the per-lane oracle's fit and its own fit."""
+
+    @pytest.mark.parametrize("lane_set", sorted(LR_LANE_SETS))
+    def test_each_lane_matches_the_oracle_and_its_own_fit(self, lane_set):
+        assert_lr_lanes_match(LR_LANE_SETS[lane_set]())
+
+    def test_lanes_stop_at_different_steps(self):
+        oracles = assert_lr_lanes_match(stopping_lanes()[0] + LR_LANE_SETS["heavy-tailed"]())
+        steps = [o.n_iter_ for o in oracles]
+        assert steps[0] == 0 and len(set(steps)) > 3
+        assert all(o.converged_ for o in oracles)
+
+    @pytest.mark.parametrize("seed,l2", HALVING_CASES)
+    def test_a_solve_that_halves_matches_the_oracle(self, monkeypatch, seed, l2):
+        monkeypatch.setattr(LogisticRegressionNewton, "l2", l2)
+        oracle, = assert_lr_lanes_match([heavy_tailed_case(seed)])
+        assert oracle.halvings_ > 0
+
+    def test_lanes_that_halve_beside_lanes_that_do_not(self, monkeypatch):
+        monkeypatch.setattr(LogisticRegressionNewton, "l2", 1e-3)
+        oracles = assert_lr_lanes_match([heavy_tailed_case(s) for s in (259, 0, 316, 2, 618, 3)])
+        assert [o.halvings_ > 0 for o in oracles] == [True, False] * 3
+
+    def test_an_iteration_cap_of_one_over_mixed_lanes(self, monkeypatch):
+        monkeypatch.setattr(LogisticRegressionNewton, "max_iter", 1)
+        oracles = assert_lr_lanes_match(mixed_width_lanes()[0] + stopping_lanes()[0])
+        # the constant lane of the stopping set converges before a step
+        assert [(o.n_iter_, o.converged_) for o in oracles] == (
+            [(1, False)] * 4 + [(0, True), (1, False), (1, False)])
+
+
 class TestTrainManyBatches:
     """One search call serves a level, or a lockstep step, of every lane."""
 
@@ -1433,6 +1558,15 @@ class TestTrainManyBatches:
         # each round searches as many levels as its deepest lane
         assert max(alone) <= len(batched) <= 100 * 3 < sum(alone)
         assert batched[0][1].shape[1] == len(lanes)
+
+    def test_logistic_regression_solves_each_step_of_every_lane_in_one_call(self, monkeypatch):
+        lanes = ragged_lanes(13)[0] + stopping_lanes()[0]
+        steps = [m.estimator.n_iter_ for m in train_many(ClassifierConfig("lr"), lanes)]
+        calls = _count_calls(monkeypatch, np.linalg, "solve")
+        train_many(ClassifierConfig("lr"), lanes)
+        # lanes leave the loop as they converge: the constant lane at once
+        assert len(calls) == max(steps) < sum(steps)
+        assert [len(H) for H, _ in calls] == [sum(s > k for s in steps) for k in range(max(steps))]
 
     def test_forest_grows_every_lane_in_one_lockstep(self, monkeypatch):
         lanes, _ = ragged_lanes(11)

@@ -222,6 +222,19 @@ class TestErrorBoundary:
         for line, sid in zip(lines, (1, 2)):
             assert line.startswith(f"error: participant 1 session {sid}: {message}")
 
+    def test_negative_trim_names_the_csv_and_exits_2(self, small_corpus, capsys):
+        manifest = json.loads((small_corpus / "data" / "manifest.json").read_text())
+        eda = manifest["sessions"][0]["channels"]["eda"]
+        eda["trim_head"] = -1
+        path = small_corpus / "data" / "negative_trim.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = main(["extract", "--manifest", str(path), "--out", str(small_corpus / "x.csv")])
+        assert rc == EXIT_DOMAIN
+        csv = small_corpus / "data" / eda["path"]
+        assert error_lines(capsys) == [
+            f"error: participant 1 session 1: {csv}: trim counts must be >= 0, not -1 and 0"]
+
     @pytest.mark.parametrize("first, second, code", [
         ("missing", "missing", EXIT_IO), ("missing", "invalid", EXIT_IO),
         ("invalid", "missing", EXIT_DOMAIN)])

@@ -126,10 +126,16 @@ class TestReadChannelCsv:
             ingest.read_channel_csv(p, 10.0, trim_head=trim_head, trim_tail=trim_tail)
 
     def test_negative_trim_rejected(self, tmp_path):
+        """The trims are checked before the file is read: a damaged row
+        later in the file does not hide them, and the message names the
+        file."""
         p = tmp_path / "ch.csv"
-        write_csv(p, [f"{i/10.0},1.0" for i in range(10)])
-        with pytest.raises(InvalidInput, match="trim counts"):
-            ingest.read_channel_csv(p, 10.0, trim_head=-1)
+        write_csv(p, [f"{i/10.0},1.0" for i in range(10)] + ["1.0,x"])
+        for trim_head, trim_tail in [(-1, 0), (0, -1)]:
+            with pytest.raises(InvalidInput) as exc:
+                ingest.read_channel_csv(p, 10.0, trim_head=trim_head, trim_tail=trim_tail)
+            assert str(exc.value) == (f"{p}: trim counts must be >= 0, "
+                                      f"not {trim_head} and {trim_tail}")
 
 
 def outcome(read):
@@ -203,7 +209,8 @@ def channel_files(draw):
 
 class TestBulkReaderMatchesLoop:
     """``read_channel_csv`` parses plain decimal text in bulk; whatever it
-    returns or raises equals what the line loop alone returns or raises."""
+    returns or raises equals what the line loop alone returns or raises. A
+    negative trim is refused before either reads the file."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=channel_files())
@@ -215,6 +222,10 @@ class TestBulkReaderMatchesLoop:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bulk = outcome(lambda: ingest.read_channel_csv(p, fs, trim_head, trim_tail).values)
+        if min(trim_head, trim_tail) < 0:
+            # refused before the file is read: no reader sees a negative trim
+            assert bulk == f"{p}: trim counts must be >= 0, not {trim_head} and {trim_tail}"
+            return
         loop = outcome(lambda: ingest._read_rows_loop(p, read_body, fs, trim_head, trim_tail))
         assert bulk == loop
 
