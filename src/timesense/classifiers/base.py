@@ -5,10 +5,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InsufficientData, InvalidInput, Unsupported
-from .ensemble import AdaBoost, DecisionTree, GradientBoosting, RandomForest, XGBoost
+from .ensemble import AdaBoost, Booster, DecisionTree, GradientBoosting, RandomForest, XGBoost
 from .knn import KNN
 from .linear import LDA, QDA, GaussianNB, LogisticRegressionNewton
 from .svm import SMOSVC
+from .tree import lane_blocks
 
 KINDS = ("svc", "dtc", "knn", "lr", "gnb", "lda", "qda", "rf", "gb", "ab", "xgb")
 
@@ -83,14 +84,22 @@ def _training_rows(X, y):
     return X[order], y[order].astype(int)
 
 
+def _lane_cost(estimator):
+    """Copies of a lane's padded rows that ``fit_many`` stacks at once: a
+    forest's trees, a booster's deepest searched level, lr's one."""
+    if isinstance(estimator, Booster):
+        return 2 ** max(estimator.max_depth - 1, 0)
+    return estimator.n_estimators if isinstance(estimator, RandomForest) else 1
+
+
 def train_many(config, lanes) -> list:
     """One TrainedModel per lane, an (X, y) pair of training rows; lanes may
     differ in row count and in width. ``config`` is one ClassifierConfig for
     every lane or a sequence of them, one per lane, all of one kind.
 
     Each model is bit for bit the one ``train`` gives for its lane alone.
-    dtc, rf, gb, xgb and lr fit the lanes of one width together (their
-    estimators' ``fit_many``); the other kinds fit one lane after another.
+    dtc, rf, gb, xgb and lr fit each block of ``tree.lane_blocks`` in one
+    ``fit_many`` call; the other kinds fit one lane after another.
     """
     configs = [config] * len(lanes) if isinstance(config, ClassifierConfig) else list(config)
     if len(configs) != len(lanes) or len({c.kind for c in configs}) > 1:
@@ -98,7 +107,8 @@ def train_many(config, lanes) -> list:
     rows = [_training_rows(X, y) for X, y in lanes]
     estimators = [_build(c) for c in configs]
     if estimators and hasattr(estimators[0], "fit_many"):
-        estimators[0].fit_many(estimators, rows)
+        for block in lane_blocks(rows, _lane_cost(estimators[0])):
+            estimators[0].fit_many([estimators[i] for i in block], [rows[i] for i in block])
     else:
         for est, (X, y) in zip(estimators, rows):
             est.fit(X, y)

@@ -6,11 +6,11 @@ import numpy as np
 
 from .linear import sigmoid
 from .tree import (
+    NO_CHILD,
     TreeNodes,
-    depth_first_gains,
     grow_boosting_trees,
     grow_forest,
-    lane_blocks,
+    padded,
     sort_lanes,
     stump_split,
     walk,
@@ -30,9 +30,9 @@ class TreeEnsemble:
 
     A kind that trains many models at once defines ``fit_many(models,
     lanes)``: it fits ``models[i]``, which differ at most in rf's seed, on
-    ``lanes[i]``, an (X, y) pair of rows in canonical order.
-    Lanes may differ in row count and width. Each model is bit for bit the
-    one a fit on its lane alone gives.
+    ``lanes[i]``, an (X, y) pair of rows in canonical order. The lanes are
+    one ``train_many`` block, of one width, padded to one row count by
+    ``tree.padded``. Each model is bit for bit its lane's fit alone.
     """
 
     def __init__(self):
@@ -81,32 +81,30 @@ class RandomForest(TreeEnsemble):
         # its bootstrap and feature subsets from default_rng([seed, t])
         first = models[0]
         n_trees = first.n_estimators
-        for block, X, y, valid in lane_blocks(lanes, n_trees):
-            lane = np.repeat(np.arange(len(block)), n_trees)
-            rows = np.broadcast_to(np.arange(X.shape[1]), (len(lane), X.shape[1]))
-            rngs, max_features = [], None
-            if first.draws:
-                rows = np.zeros(rows.shape, dtype=int)
-                for b, i in enumerate(block):
-                    n = int(valid[b].sum())
-                    tree_rngs = [np.random.default_rng([models[i].seed, t])
-                                 for t in range(n_trees)]
-                    boot = np.array([tree_rng.integers(0, n, size=n) for tree_rng in tree_rngs])
-                    # bootstrap can lose a class; fall back to the full sample
-                    boot_y = y[b, boot]
-                    boot[boot_y.min(axis=1) == boot_y.max(axis=1)] = np.arange(n)
-                    rows[b * n_trees:(b + 1) * n_trees, :n] = boot
-                    rngs += tree_rngs
-                max_features = max(1, int(np.sqrt(X.shape[2])))
-            nodes, importances = grow_forest(
-                X[lane[:, None], rows], y[lane[:, None], rows], valid[lane],
-                max_features=max_features, feature_rngs=rngs)
-            for b, i in enumerate(block):
-                trees = slice(b * n_trees, (b + 1) * n_trees)
-                model = models[i]
-                model.nodes_ = _trimmed(nodes, trees.start, trees.stop)
-                model.importances_ = list(importances[trees])
-                model.weights_ = [1.0] * n_trees
+        X, y, valid = padded(lanes)
+        lane = np.repeat(np.arange(len(lanes)), n_trees)
+        rows = np.broadcast_to(np.arange(X.shape[1]), (len(lane), X.shape[1]))
+        rngs, max_features = [], None
+        if first.draws:
+            rows = np.zeros(rows.shape, dtype=int)
+            for b, model in enumerate(models):
+                n = len(lanes[b][1])
+                tree_rngs = [np.random.default_rng([model.seed, t]) for t in range(n_trees)]
+                boot = np.array([tree_rng.integers(0, n, size=n) for tree_rng in tree_rngs])
+                # bootstrap can lose a class; fall back to the full sample
+                boot_y = y[b, boot]
+                boot[boot_y.min(axis=1) == boot_y.max(axis=1)] = np.arange(n)
+                rows[b * n_trees:(b + 1) * n_trees, :n] = boot
+                rngs += tree_rngs
+            max_features = max(1, int(np.sqrt(X.shape[2])))
+        nodes, importances = grow_forest(
+            X[lane[:, None], rows], y[lane[:, None], rows], valid[lane],
+            max_features=max_features, feature_rngs=rngs)
+        for b, model in enumerate(models):
+            trees = slice(b * n_trees, (b + 1) * n_trees)
+            model.nodes_ = _trimmed(nodes, trees.start, trees.stop)
+            model.importances_ = list(importances[trees])
+            model.weights_ = [1.0] * n_trees
 
     def decision_function(self, X):
         # np.mean, not a sum of 1/T-weighted trees, which rounds differently
@@ -148,44 +146,45 @@ class Booster(TreeEnsemble):
 
     @staticmethod
     def fit_many(models, lanes):
-        # all lanes advance round by round; a level of the deepest trees
-        # searches up to 2^(max_depth - 1) nodes per lane
+        # all lanes advance round by round
         first = models[0]
-        for block, X, y, valid in lane_blocks(lanes, 2 ** max(first.max_depth - 1, 0)):
-            offsets = np.zeros(len(block))
-            if not first.second_order_splits:
-                for b, i in enumerate(block):
-                    p0 = np.clip(lanes[i][1].astype(float).mean(), 1e-12, 1 - 1e-12)
-                    offsets[b] = float(np.log(p0 / (1 - p0)))
-            F = np.repeat(offsets[:, None], X.shape[1], axis=1)
-            # gradients, hessians and the hessians splits use: ones for gb
-            sums = np.ones((len(block), 3, X.shape[1]))
-            # every round's roots search all rows: sort them once
-            root = sort_lanes(X, valid)
-            # each round's trees and split gains, lane by lane: round r of
-            # lane b is row b * rounds + r
-            rounds = first.n_estimators
-            stacked = TreeNodes.empty((len(block) * rounds, 2 ** (first.max_depth + 1) - 1))
-            gain = np.zeros(stacked.value.shape)
-            for r in range(rounds):
-                p = sigmoid(F)
-                sums[:, 0] = p - y
-                sums[:, 1] = np.maximum(p * (1 - p), 1e-12)
-                if first.second_order_splits:
-                    sums[:, 2] = sums[:, 1]
-                nodes, gain[r::rounds], row_value = grow_boosting_trees(
-                    X, valid, root, sums, first)
-                F = F + first.learning_rate * row_value
-                for out, a in zip(stacked.arrays(), nodes.arrays()):
-                    out[r::rounds] = a
-            gains = depth_first_gains(stacked, gain, X.shape[2])
-            for b, i in enumerate(block):
-                model = models[i]
-                trees = slice(b * rounds, (b + 1) * rounds)
-                model.offset_ = float(offsets[b])
-                model.nodes_ = stacked[trees]
-                model.importances_ = list(gains[trees])
-                model.weights_ = [first.learning_rate] * rounds
+        X, y, valid = padded(lanes)
+        offsets = np.zeros(len(lanes))
+        if not first.second_order_splits:
+            for b, (_, yb) in enumerate(lanes):
+                p0 = np.clip(yb.astype(float).mean(), 1e-12, 1 - 1e-12)
+                offsets[b] = float(np.log(p0 / (1 - p0)))
+        F = np.repeat(offsets[:, None], X.shape[1], axis=1)
+        # gradients, hessians and the hessians splits use: ones for gb
+        sums = np.ones((len(lanes), 3, X.shape[1]))
+        # every round's roots search all rows: sort them once
+        root = sort_lanes(X, valid)
+        # each round's trees and split gains, lane by lane: round r of lane
+        # b is row b * rounds + r
+        rounds = first.n_estimators
+        stacked = TreeNodes.empty((len(lanes) * rounds, 2 ** (first.max_depth + 1) - 1))
+        gain = np.zeros(stacked.value.shape)
+        for r in range(rounds):
+            p = sigmoid(F)
+            sums[:, 0] = p - y
+            sums[:, 1] = np.maximum(p * (1 - p), 1e-12)
+            if first.second_order_splits:
+                sums[:, 2] = sums[:, 1]
+            nodes, gain[r::rounds], row_value = grow_boosting_trees(X, valid, root, sums, first)
+            F = F + first.learning_rate * row_value
+            for out, a in zip(stacked.arrays(), nodes.arrays()):
+                out[r::rounds] = a
+        # each tree's split gains per feature, added in slot order: the
+        # tree's depth-first order (see grow_boosting_trees)
+        t, node = np.nonzero(stacked.feature != NO_CHILD)
+        gains = np.zeros((len(stacked.feature), X.shape[2]))
+        np.add.at(gains, (t, stacked.feature[t, node]), gain[t, node])
+        for b, model in enumerate(models):
+            trees = slice(b * rounds, (b + 1) * rounds)
+            model.offset_ = float(offsets[b])
+            model.nodes_ = stacked[trees]
+            model.importances_ = list(gains[trees])
+            model.weights_ = [first.learning_rate] * rounds
 
     def decision_function(self, X):
         return self._weighted_sum(X)

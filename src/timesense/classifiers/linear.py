@@ -2,10 +2,12 @@
 Newton), Gaussian naive Bayes, and linear / quadratic discriminant analysis.
 
 Logistic regression fits many training sets (lanes) in one call: the lanes
-of one width take their Newton steps in one loop over a ``LaneStack``, and
-each lane's model is bit for bit the one its fit alone gives."""
+of one ``train_many`` block take their Newton steps in one loop over a
+``LaneStack``, and each lane's model is bit for bit its fit alone."""
 
 import numpy as np
+
+from .tree import count_groups, lane_sums
 
 
 def sigmoid(z):
@@ -34,12 +36,7 @@ class LaneStack:
         self.Xa = np.hstack([X, np.ones((len(X), 1))])
         # each row's lane's row count
         self.n = np.repeat(counts.astype(float), counts)
-        # per row count: its lanes, its rows and their (lanes, rows) shape
-        self.groups = []
-        lane = row = 0
-        for n, g in zip(*np.unique(counts, return_counts=True)):
-            self.groups.append((slice(lane, lane + g), slice(row, row + g * n), (g, n)))
-            lane, row = lane + g, row + g * n
+        self.groups = count_groups(counts)
 
     def take(self, keep):
         """The stack of the lanes where ``keep`` is true, and the mask of
@@ -59,7 +56,7 @@ class LaneStack:
 
     def sums(self, v):
         """Each lane's sum of the per-row values ``v``."""
-        return np.concatenate([vg.sum(axis=1) for vg in self._split(v)])
+        return lane_sums(v, self.groups)
 
     def loss(self, z, w, l2):
         """Each lane's mean negative log-likelihood plus an L2 penalty on its
@@ -101,26 +98,22 @@ class LogisticRegressionNewton:
 
     @staticmethod
     def fit_many(models, lanes):
-        """Fits ``models[i]`` on ``lanes[i]``, an (X, y) pair; lanes may
-        differ in row count and width. Sets each model's ``w``, ``b``,
-        ``n_iter_`` (Newton steps taken) and ``converged_`` (False when
-        ``max_iter`` steps ended the solve before the gradient tolerance was
-        met).
+        """Fits ``models[i]`` on ``lanes[i]``, an (X, y) pair; the lanes are
+        one block of ``train_many``, all of one width, and may differ in row
+        count. Sets each model's ``w``, ``b``, ``n_iter_`` (Newton steps
+        taken) and ``converged_`` (False when ``max_iter`` steps ended the
+        solve before the gradient tolerance was met).
 
-        The lanes of one width take their Newton steps in one loop. Each lane
-        leaves it when its own gradient meets the tolerance and halves its
-        own step until its loss decreases, so each model is bit for bit the
-        one a fit on its lane alone gives.
+        The lanes take their Newton steps in one loop. Each lane leaves it
+        when its own gradient meets the tolerance and halves its own step
+        until its loss decreases, so each model is bit for bit the one a fit
+        on its lane alone gives.
         """
-        lanes = [(np.asarray(X, dtype=float), np.asarray(y, dtype=float)) for X, y in lanes]
-        by_width = {}
-        for i in sorted(range(len(lanes)), key=lambda i: len(lanes[i][1])):
-            by_width.setdefault(lanes[i][0].shape[1], []).append(i)
-        for ids in by_width.values():
-            stack = LaneStack(np.concatenate([lanes[i][0] for i in ids]),
-                              np.concatenate([lanes[i][1] for i in ids]),
-                              np.array([len(lanes[i][1]) for i in ids]))
-            models[0]._newton(stack, [models[i] for i in ids])
+        order = sorted(range(len(lanes)), key=lambda i: len(lanes[i][1]))
+        X, y = (np.concatenate([np.asarray(lanes[i][k], dtype=float) for i in order])
+                for k in (0, 1))
+        stack = LaneStack(X, y, np.array([len(lanes[i][1]) for i in order]))
+        models[0]._newton(stack, [models[i] for i in order])
 
     def _newton(self, stack, models):
         """Fits ``models``, one per lane of ``stack``."""

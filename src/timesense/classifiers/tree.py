@@ -3,16 +3,16 @@ search.
 
 ``sort_lanes`` and ``best_split`` search the nodes of many trees at once:
 each node is a lane of a ``(B, n, f)`` stack. Two growers call them, and
-each serves many fits at once, padded to one row count by ``lane_blocks``.
+each serves one block of fits at once, padded to one row count by ``padded``.
 ``grow_forest`` grows a set of CART trees (dtc, rf) in lockstep, one lane
 per tree, each tree in depth-first order. ``grow_boosting_trees`` grows one
 round's regression tree of each of many gradient boosting fits (gb, xgb)
-level by level, one lane per leaf of a level; the roots of every round
-reuse one sort of the rows. AdaBoost's stump (ab) is a one-lane call on
-one sort per fit. ``TreeNodes.empty`` allocates every stack. ``walk``
-scores the rows of X with a whole stack of trees at once (Nakandala et al.,
-OSDI 2020). All tie-breaks are deterministic (lowest feature index, then
-lowest threshold).
+level by level, one lane per leaf of a level, into preorder slots; the roots
+of every round reuse one sort of the rows. AdaBoost's stump (ab) is a
+one-lane call on one sort per fit. ``TreeNodes.empty`` allocates every
+stack. ``walk`` scores the rows of X with a whole stack of trees at once
+(Nakandala et al., OSDI 2020). All tie-breaks are deterministic (lowest
+feature index, then lowest threshold).
 """
 
 from functools import cached_property
@@ -23,8 +23,8 @@ NO_CHILD = -1
 # The stacked walk takes as many rows at a time as keep each of its
 # (trees, rows) buffers within this many entries.
 WALK_BLOCK = 1 << 14
-# A batched fit takes as many lanes at a time as keep its padded (trees,
-# rows, features) stack within this many entries.
+# A batched fit takes as many lanes at a time as keep its padded (lanes x
+# cost, rows, features) stack within this many entries.
 FIT_BLOCK = 1 << 16
 
 
@@ -326,30 +326,46 @@ def grow_forest(X, y, mask, max_features=None, feature_rngs=None):
     return grown[:, :max(count)], importance
 
 
+def count_groups(counts):
+    """Per row count c of lanes whose row counts ``counts`` ascend: the
+    slice of its lanes, the slice of their rows in a stack of lane after
+    lane, and their shape (lanes, c)."""
+    lanes = np.bincount(counts)
+    sizes = np.flatnonzero(lanes)
+    groups, lane, row = [], 0, 0
+    for c, k in zip(sizes.tolist(), lanes[sizes].tolist()):
+        groups.append((slice(lane, lane + k), slice(row, row + k * c), (k, c)))
+        lane, row = lane + k, row + k * c
+    return groups
+
+
+def lane_sums(values, groups):
+    """Each lane's sum (..., lanes) of ``values`` (..., rows), which holds
+    the rows of lane after lane, grouped by row count as ``count_groups``
+    gives.
+
+    Each sum adds its lane's rows alone, in order, as a 1-D ``np.sum``
+    would: a sum padded with the zeros of other rows can round differently
+    (numpy sums 8 or more values pairwise). The lanes of one row count c
+    are summed in one call, as the rows of a C-contiguous (lanes, c) array.
+    """
+    flat = values.reshape(-1, values.shape[-1])
+    out = np.empty((len(flat), groups[-1][0].stop))
+    for lanes, rows, (k, c) in groups:
+        out[:, lanes] = flat[:, rows].reshape(len(flat) * k, c).sum(axis=1).reshape(len(flat), k)
+    return out.reshape(values.shape[:-1] + (-1,))
+
+
 def _node_sums(sums, lane, masks, counts):
     """Per node b the sums over its rows (``masks[b]``) of each statistic of
-    ``sums[lane[b]]`` (L, k, n): an array (B, k).
-
-    Each sum adds the node's rows alone, in order, as a 1-D ``np.sum``
-    would: a sum padded with the zeros of other rows can round differently
-    (numpy sums 8 or more values pairwise). The nodes of one row count c
-    are summed in one call, as the rows of a C-contiguous (k * nodes, c)
-    array.
-    """
+    ``sums[lane[b]]`` (L, k, n), each by ``lane_sums``: an array (B, k)."""
     n_stats, n = sums.shape[1:]
     order = np.argsort(counts, kind="stable")
     node, row = np.nonzero(masks[order])
     # (k, rows of every node): the nodes in order of row count
     flat = (lane[order][node] * n_stats + np.arange(n_stats)[:, None]) * n + row
-    values = sums.take(flat)
-    nodes = np.bincount(counts)
-    sizes = np.flatnonzero(nodes)
     out = np.empty((n_stats, len(lane)))
-    start = first = 0
-    for c, k in zip(sizes.tolist(), nodes[sizes].tolist()):
-        group = values[:, start:start + k * c].reshape(n_stats * k, c)
-        out[:, order[first:first + k]] = group.sum(axis=1).reshape(n_stats, k)
-        start, first = start + k * c, first + k
+    out[:, order] = lane_sums(sums.take(flat), count_groups(counts[order]))
     return out.T
 
 
@@ -361,11 +377,13 @@ def grow_boosting_trees(X, valid, root, sums, booster):
     ``best_split`` call searches the leaves of a level of every tree: splits
     by ``gradient_score`` on (grad, split_hess), leaf values -G/(H+reg) on
     (grad, hess), where ``sums`` (L, 3, n) holds grad, hess and split_hess.
-    ``root`` is ``sort_lanes(X, valid)``, which every round shares.
+    ``root`` is ``sort_lanes(X, valid)``, which every round shares. Each
+    tree fills the preorder slots of a complete tree of depth ``max_depth``:
+    the children of slot p at depth k are slots p + 1 and p + 2^(max_depth
+    - k), so slot order is depth-first order.
 
-    Returns (TreeNodes stack (L, 2^(max_depth+1) - 1), each tree padded with
-    childless nodes; the split gain of each node, of the same shape, for
-    ``depth_first_gains``; value of each row's leaf (L, n)).
+    Returns (TreeNodes stack (L, 2^(max_depth+1) - 1); the split gain of
+    each node, of the same shape; value of each row's leaf (L, n)).
     """
     n_lanes, n, d = X.shape
     max_depth, reg_lambda = booster.max_depth, booster.reg_lambda
@@ -374,7 +392,6 @@ def grow_boosting_trees(X, valid, root, sums, booster):
     gain = np.zeros(value.shape)
     # the node each row has reached (padding rows stay at the root)
     at = np.zeros((n_lanes, n), dtype=int)
-    allocated = np.ones(n_lanes, dtype=int)
     # the level's nodes, lane by lane
     lane, node, masks = np.arange(n_lanes), np.zeros(n_lanes, dtype=int), valid
     for depth in range(max_depth + 1):
@@ -401,61 +418,38 @@ def grow_boosting_trees(X, valid, root, sums, booster):
         go_left = X[split_lane, :, col] <= thr[:, None]
         masks = np.stack([masks[parent] & go_left, masks[parent] & ~go_left],
                          axis=1).reshape(-1, n)
-        # a lane's children are numbered after all of its nodes so far
         lane = np.repeat(split_lane, 2)
-        node = allocated[lane] + np.arange(len(lane)) - np.searchsorted(lane, lane)
-        allocated += np.bincount(lane, minlength=n_lanes)
+        node = (split_node[:, None] + [1, 2 ** (max_depth - depth)]).reshape(-1)
         left[split_lane, split_node], right[split_lane, split_node] = node[0::2], node[1::2]
         child, row = np.nonzero(masks)
         at[lane[child], row] = node[child]
     return grown, gain, value[np.arange(n_lanes)[:, None], at]
 
 
-def depth_first_gains(nodes, gain, d):
-    """Per tree of a stack ``nodes`` (T, m), the ``gain`` (T, m) of its
-    split nodes summed per feature (T, d), added in the tree's depth-first
-    order (left child first)."""
-    feature, left, right = nodes.feature, nodes.left, nodes.right
-    tree, node = np.nonzero(feature != NO_CHILD)
-    # each node's position in a complete binary tree (root 1, children 2h
-    # and 2h + 1), set one level deeper per pass
-    heap = np.ones(feature.shape, dtype=int)
-    for _ in range(nodes.depth):
-        heap[tree, left[tree, node]] = 2 * heap[tree, node]
-        heap[tree, right[tree, node]] = 2 * heap[tree, node] + 1
-    # depth first: by position shifted to the deepest level, then by depth
-    h = heap[tree, node]
-    depth = np.frexp(h)[1] - 1
-    order = np.lexsort((depth, h << (nodes.depth - depth), tree))
-    tree, node = tree[order], node[order]
-    out = np.zeros((len(feature), d))
-    np.add.at(out, (tree, feature[tree, node]), gain[tree, node])
-    return out
-
-
-def lane_blocks(lanes, trees=1):
-    """The lanes, (X, y) pairs, in blocks of lanes of one width whose padded
-    (lanes * trees, rows, features) stack holds at most ``FIT_BLOCK``
-    entries (one lane at least). Yields each block's lane indices and its
-    padded stack: X (B, n, d) and y (B, n), each lane's rows first and zeros
-    after them, and ``valid`` (B, n), which marks the lane's rows."""
+def lane_blocks(lanes, cost):
+    """The indices of the lanes, (X, y) pairs, in blocks of lanes of one
+    width whose padded (lanes * ``cost``, rows, features) stack holds at
+    most ``FIT_BLOCK`` entries (one lane at least)."""
     block = []
     for i in sorted(range(len(lanes)), key=lambda i: lanes[i][0].shape[1]):
         width = lanes[i][0].shape[1]
         rows = max(len(lanes[j][1]) for j in block + [i])
         if block and (width != lanes[block[0]][0].shape[1]
-                      or (len(block) + 1) * trees * rows * width > FIT_BLOCK):
-            yield _padded(lanes, block)
+                      or (len(block) + 1) * cost * rows * width > FIT_BLOCK):
+            yield block
             block = []
         block.append(i)
     if block:
-        yield _padded(lanes, block)
+        yield block
 
 
-def _padded(lanes, block):
-    counts = [len(lanes[i][1]) for i in block]
-    X = np.zeros((len(block), max(counts), lanes[block[0]][0].shape[1]))
-    y = np.zeros((len(block), max(counts)), dtype=int)
-    for b, (i, n) in enumerate(zip(block, counts)):
-        X[b, :n], y[b, :n] = lanes[i]
-    return block, X, y, np.arange(max(counts)) < np.array(counts)[:, None]
+def padded(lanes):
+    """The lanes, (X, y) pairs of one width, as one stack: X (B, n, d) and
+    y (B, n), each lane's rows first and zeros after them, and ``valid``
+    (B, n), which marks the lane's rows."""
+    counts = [len(y) for _, y in lanes]
+    X = np.zeros((len(lanes), max(counts), lanes[0][0].shape[1]))
+    y = np.zeros((len(lanes), max(counts)), dtype=int)
+    for b, (n, lane) in enumerate(zip(counts, lanes)):
+        X[b, :n], y[b, :n] = lane
+    return X, y, np.arange(max(counts)) < np.array(counts)[:, None]

@@ -23,7 +23,8 @@ def write_json(path, doc):
 
 def read_json(path):
     """The JSON document in ``path``: MissingFile when there is no such
-    file, InvalidInput when it is not valid JSON."""
+    file, InvalidInput when it is not valid JSON or nests too deeply for
+    the parser."""
     if not os.path.isfile(path):
         raise MissingFile(f"{path}: no such file")
     with open(path, "r", encoding="utf-8") as fh:
@@ -31,3 +32,5 @@ def read_json(path):
             return json.load(fh)
         except ValueError as exc:
             raise InvalidInput(f"{path}: not valid JSON: {exc}") from None
+        except RecursionError:
+            raise InvalidInput(f"{path}: JSON nested too deeply to read") from None

@@ -951,6 +951,25 @@ class TestTreeModelsMatchOracles:
         assert fallbacks > 0
 
 
+@pytest.mark.parametrize("estimator", [GradientBoosting, XGBoost], ids=["gb", "xgb"])
+def test_boosting_trees_fill_preorder_slots(monkeypatch, estimator):
+    """The split node at slot p and depth k of every gb and xgb tree has
+    its children at slots p + 1 and p + 2^(max_depth - k)."""
+    monkeypatch.setattr(estimator, "n_estimators", 30)
+    max_depth, deeper = estimator.max_depth, 0
+    for seed in range(20):
+        X, y, _ = tree_case(seed)
+        nodes = estimator().fit(X, y).nodes_
+        for t in range(len(nodes.feature)):
+            depth, _ = _node_depths_and_rows(nodes[t], X)
+            for p in np.flatnonzero(nodes.feature[t] != tree.NO_CHILD):
+                assert (nodes.left[t, p], nodes.right[t, p]) == (
+                    p + 1, p + 2 ** (max_depth - depth[p]))
+                deeper += depth[p] > 0
+    # the cases split below the root too
+    assert deeper > 0
+
+
 def _count_calls(monkeypatch, module, name):
     """Record the arguments of every call of ``module.name``."""
     calls = []
@@ -1370,25 +1389,26 @@ class TestTrainMany:
             assert_same_model(model, train(config, X, y), probe[:, :X.shape[1]])
 
     @pytest.mark.parametrize("kind,block,blocks", [
-        ("dtc", 1, 5), ("rf", 1, 5), ("gb", 1, 5), ("xgb", 1, 5),
-        # 1000 entries hold every dtc lane (25 rows, 4 features) and two
-        # boosting lanes (4 nodes a level); a forest of 100 trees exceeds
-        # them and takes a block alone
-        ("dtc", 1000, 1), ("rf", 1000, 5), ("gb", 1000, 3), ("xgb", 1000, 3)])
+        ("dtc", 1, 5), ("rf", 1, 5), ("gb", 1, 5), ("xgb", 1, 5), ("lr", 1, 5),
+        # 1000 entries hold every dtc or lr lane (25 rows, 4 features) and
+        # two boosting lanes (4 nodes a level); a forest of 100 trees
+        # exceeds them and takes a block alone; 200 hold two lr lanes
+        ("dtc", 1000, 1), ("rf", 1000, 5), ("gb", 1000, 3), ("xgb", 1000, 3),
+        ("lr", 1000, 1), ("lr", 200, 3)])
     def test_lanes_split_into_blocks_equal_one_block(self, monkeypatch, kind, block, blocks):
         lanes, probe = ragged_lanes(6)
         config = ClassifierConfig(kind, seed=2)
         whole = train_many(config, lanes)
         monkeypatch.setattr(tree, "FIT_BLOCK", block)
         sizes = []
-        original = ensemble.lane_blocks
+        original = base.lane_blocks
 
         def counted(*args):
             for found in original(*args):
-                sizes.append(len(found[0]))
+                sizes.append(len(found))
                 yield found
 
-        monkeypatch.setattr(ensemble, "lane_blocks", counted)
+        monkeypatch.setattr(base, "lane_blocks", counted)
         for model, reference in zip(train_many(config, lanes), whole):
             assert_same_model(model, reference, probe)
         assert len(sizes) == blocks and sum(sizes) == len(lanes)

@@ -285,6 +285,14 @@ class TestErrorBoundary:
         (line,) = error_lines(capsys)
         assert line.startswith(f"error: {cfg}: not valid JSON: ")
 
+    @pytest.mark.parametrize("command,flag", [("synth", "--config"), ("extract", "--manifest")])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        rc = main([command, flag, str(path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DOMAIN
+        assert error_lines(capsys) == [f"error: {path}: JSON nested too deeply to read"]
+
     @pytest.mark.parametrize("text", ['{"sessions": 5}', '{"sessions": [5]}', "{",
                                       '{"schema_version": 1}', "[]",
                                       '{"schema_version": 99, "sessions": []}'])
