@@ -56,14 +56,15 @@ def _build(config: ClassifierConfig):
 
 
 def canonical_order(X, y):
-    """Row permutation sorting lexicographically by features then label.
+    """Row permutation sorting lexicographically by features then label; of
+    a stack X (..., n, d) and y (..., n), one permutation per lane.
 
     Training on canonically sorted rows makes every kind invariant to the
     input row order (bootstrap draws, SMO sweeps and distance ties all see
     the same sequence).
     """
-    keys = [np.asarray(y)] + [X[:, j] for j in range(X.shape[1] - 1, -1, -1)]
-    return np.lexsort(keys)
+    keys = [np.asarray(y)] + [X[..., j] for j in range(X.shape[-1] - 1, -1, -1)]
+    return np.lexsort(keys, axis=-1)
 
 
 def _training_rows(X, y):
@@ -82,6 +83,34 @@ def _training_rows(X, y):
         raise InvalidInput("training data must be finite")
     order = canonical_order(X, y)
     return X[order], y[order].astype(int)
+
+
+def _training_lanes(lanes):
+    """``_training_rows`` of every lane. The lanes of one (rows, width)
+    shape are checked and sorted as one stack: a stable sort has one
+    result, so each lane's rows are those it gets alone. When a check
+    fails, the lanes are checked one by one, so that the first failing lane
+    raises its own error."""
+    lanes = [(np.asarray(X, dtype=float), np.asarray(y)) for X, y in lanes]
+    shapes = {}
+    for i, (X, y) in enumerate(lanes):
+        if X.ndim != 2 or y.ndim != 1 or len(X) != len(y) or len(y) < 2:
+            return [_training_rows(X, y) for X, y in lanes]
+        shapes.setdefault(X.shape, []).append(i)
+    rows = [None] * len(lanes)
+    for idx in shapes.values():
+        X = np.stack([lanes[i][0] for i in idx])
+        y = np.stack([lanes[i][1] for i in idx])
+        slow, fast = y == 0, y == 1
+        if not ((slow | fast).all() and slow.any(axis=1).all() and fast.any(axis=1).all()
+                and np.isfinite(X).all()):
+            return [_training_rows(X, y) for X, y in lanes]
+        order = canonical_order(X, y)
+        X = np.take_along_axis(X, order[..., None], axis=1)
+        y = np.take_along_axis(y, order, axis=1).astype(int)
+        for b, i in enumerate(idx):
+            rows[i] = X[b], y[b]
+    return rows
 
 
 def _lane_cost(estimator):
@@ -104,7 +133,7 @@ def train_many(config, lanes) -> list:
     configs = [config] * len(lanes) if isinstance(config, ClassifierConfig) else list(config)
     if len(configs) != len(lanes) or len({c.kind for c in configs}) > 1:
         raise ValueError("train_many needs one config per lane, all of one kind")
-    rows = [_training_rows(X, y) for X, y in lanes]
+    rows = _training_lanes(lanes)
     estimators = [_build(c) for c in configs]
     if estimators and hasattr(estimators[0], "fit_many"):
         for block in lane_blocks(rows, _lane_cost(estimators[0])):

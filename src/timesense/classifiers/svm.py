@@ -1,5 +1,12 @@
 """RBF-kernel support vector classifier trained with a deterministic SMO dual
-solver (Platt-style pair selection, index-ordered sweeps)."""
+solver (Platt 1998: Platt-style pair selection, index-ordered sweeps).
+
+The solver holds the dual state, ``alpha`` and ``b``, with ``coef`` =
+alpha * y, and two sets of values of that state, which each successful pair
+step clears and the next read refills with one numpy call: ``f``, the
+product ``coef @ K[:, i]`` of every column i, and ``errors``, the vector
+``coef @ K + b - y``. The pair steps themselves run on Python floats.
+"""
 
 from itertools import chain
 
@@ -28,18 +35,20 @@ class SMOSVC:
         var = X.var()
         self.gamma_ = 1.0 / (X.shape[1] * var) if var > 0 else 1.0
         K = rbf_kernel(X, X, self.gamma_)
-        cols = [K[:, i] for i in range(n)]
         Kl, yl = K.tolist(), ypm.tolist()
         Kd = K.diagonal().tolist()
         C, tol = self.C, self.tol
         alpha = [0.0] * n
         b = 0.0
         coef = np.array(alpha) * ypm
-        # Values of the current (alpha, b), cleared by each successful step:
-        # f(i) = coef @ K[:, i] + b per index, and the error vector. The two
-        # round differently, so each is only ever read where it was before.
-        f = [None] * n
-        errors = None
+        # f of every column in one stacked product, which makes the same
+        # strided ddot per column as ``coef @ K[:, i]``; the errors in one
+        # gemv. f(i) = f[i] + b and the errors round differently: the
+        # first-choice j takes its error from the errors, every other value
+        # comes from f.
+        row, cols = coef[None, None, :], K.T[:, :, None]
+        dots, products = np.empty((n, 1, 1)), np.empty(n)
+        f = errors = None
         n_iter, converged, examine_all = 0, False, True
         while n_iter < self.max_passes and not converged:
             n_iter += 1
@@ -48,20 +57,21 @@ class SMOSVC:
                 ai_old = alpha[i]
                 if not examine_all and not 0 < ai_old < C:
                     continue
-                if f[i] is None:
-                    f[i] = float(coef @ cols[i]) + b
+                if f is None:
+                    f = np.matmul(row, cols, out=dots).ravel().tolist()
                 yi = yl[i]
-                Ei = f[i] - yi
+                Ei = f[i] + b - yi
                 if not ((yi * Ei < -tol and ai_old < C) or (yi * Ei > tol and ai_old > 0)):
                     continue
                 if errors is None:
-                    errors = coef @ K + b - ypm
+                    errors = [e + b - y for e, y
+                              in zip(np.matmul(coef, K, out=products).tolist(), yl)]
                 # second-choice heuristic: maximize |Ei - Ej| over j != i,
                 # lowest index on ties; when its step fails, try every j in
                 # index order
-                gaps = np.abs(Ei - errors)
-                gaps[i] -= np.inf
-                first = int(gaps.argmax())
+                gaps = [abs(Ei - e) for e in errors]
+                gaps[i] = -1.0
+                first = gaps.index(max(gaps))
                 if first == i:
                     continue
                 Ki = Kl[i]
@@ -81,12 +91,7 @@ class SMOSVC:
                     eta = 2.0 * Ki[j] - Ki[i] - Kd[j]
                     if eta >= -1e-12:
                         continue
-                    if k == 0:
-                        Ej = float(errors[j])
-                    else:
-                        if f[j] is None:
-                            f[j] = float(coef @ cols[j]) + b
-                        Ej = f[j] - yj
+                    Ej = errors[j] if k == 0 else f[j] + b - yj
                     aj = aj_old - yj * (Ei - Ej) / eta
                     aj = L if L > aj else aj
                     aj = H if H < aj else aj
@@ -103,8 +108,7 @@ class SMOSVC:
                         b = 0.5 * (b1 + b2)
                     alpha[i], alpha[j] = ai, aj
                     coef[i], coef[j] = ai * yi, aj * yj
-                    f = [None] * n
-                    errors = None
+                    f = errors = None
                     changed += 1
                     break
             if changed == 0:

@@ -407,7 +407,11 @@ def grow_boosting_trees(X, valid, root, sums, booster):
         col, _, thr, best = best_split(
             lanes, stats,
             gradient_score(g[search], split_h[search], reg_lambda, booster.min_child_weight))
-        found = best > -np.inf
+        go_left = X[lane[search], :, col] <= thr[:, None]
+        to_left, to_right = masks[search] & go_left, masks[search] & ~go_left
+        # a midpoint threshold can round onto the upper of two adjacent
+        # values and send every row left
+        found = (best > -np.inf) & to_left.any(axis=1) & to_right.any(axis=1)
         if not found.any():
             break
         parent = search[found]
@@ -415,9 +419,7 @@ def grow_boosting_trees(X, valid, root, sums, booster):
         split_lane, split_node = lane[parent], node[parent]
         feature[split_lane, split_node], threshold[split_lane, split_node] = col, thr
         gain[split_lane, split_node] = best[found]
-        go_left = X[split_lane, :, col] <= thr[:, None]
-        masks = np.stack([masks[parent] & go_left, masks[parent] & ~go_left],
-                         axis=1).reshape(-1, n)
+        masks = np.stack([to_left[found], to_right[found]], axis=1).reshape(-1, n)
         lane = np.repeat(split_lane, 2)
         node = (split_node[:, None] + [1, 2 ** (max_depth - depth)]).reshape(-1)
         left[split_lane, split_node], right[split_lane, split_node] = node[0::2], node[1::2]
@@ -430,14 +432,15 @@ def lane_blocks(lanes, cost):
     """The indices of the lanes, (X, y) pairs, in blocks of lanes of one
     width whose padded (lanes * ``cost``, rows, features) stack holds at
     most ``FIT_BLOCK`` entries (one lane at least)."""
-    block = []
+    block, rows = [], 0
     for i in sorted(range(len(lanes)), key=lambda i: lanes[i][0].shape[1]):
-        width = lanes[i][0].shape[1]
-        rows = max(len(lanes[j][1]) for j in block + [i])
+        width, count = lanes[i][0].shape[1], len(lanes[i][1])
+        # the block's row count with lane i in it
+        rows = max(rows, count)
         if block and (width != lanes[block[0]][0].shape[1]
                       or (len(block) + 1) * cost * rows * width > FIT_BLOCK):
             yield block
-            block = []
+            block, rows = [], count
         block.append(i)
     if block:
         yield block

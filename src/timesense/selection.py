@@ -56,8 +56,9 @@ def _fold_lanes(candidates, y, folds):
 
 def _mean_accuracies(models, candidates, y, tests):
     """Per candidate, the mean test-fold accuracy of its models (in the
-    order of ``_fold_lanes``)."""
-    accs = [float(np.mean(predict(model, X[t]) == y[t]))
+    order of ``_fold_lanes``). A fold's accuracy is its count of hits over
+    its rows, the correctly rounded quotient ``np.mean`` gives too."""
+    accs = [np.count_nonzero(predict(model, X[t]) == y[t]) / len(t)
             for model, (X, t) in zip(models, ((X, t) for X in candidates for t in tests))]
     k = len(tests)
     return [float(np.mean(accs[i:i + k])) for i in range(0, len(accs), k)]

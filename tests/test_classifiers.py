@@ -340,6 +340,19 @@ class TestEnsembles:
         result = rfecv(ds, ClassifierConfig("ab"))
         assert [len(features) for features, _ in result.trace] == [3, 2, 1]
 
+    @pytest.mark.parametrize("kind", ["gb", "xgb"])
+    def test_boosters_refuse_a_cut_that_sends_every_row_left(self, kind):
+        # the midpoint of two adjacent floats rounds onto the upper one, so
+        # the one cut between the classes keeps every row on its left
+        low = np.nextafter(1.0, 2.0)
+        high = np.nextafter(low, 2.0)
+        assert 0.5 * (low + high) == high
+        X, y = np.array([[low]] * 3 + [[high]] * 3), np.repeat([0, 1], 3)
+        model = train(ClassifierConfig(kind), X, y)
+        assert (model.estimator.nodes_.feature == tree.NO_CHILD).all()
+        assert np.array_equal(importance(model), [0.0])
+        assert np.array_equal(decision_scores(model, X), np.zeros(6))
+
     def test_rf_seed_changes_model(self):
         X, y = blobs(gap=1.0, seed=4)
         s1 = decision_scores(train(ClassifierConfig("rf", seed=0), X, y), X)
@@ -749,8 +762,10 @@ def oracle_gradient_tree(X, grad, hess, leaf_grad, leaf_hess, max_depth, reg_lam
         if best is None:
             return node
         j, thr, gain = best
-        importance[j] += gain
         mask = X[idx, j] <= thr
+        if mask.all() or not mask.any():
+            return node
+        importance[j] += gain
         nodes.feature[node] = j
         nodes.threshold[node] = thr
         nodes.left[node] = grow(idx[mask], depth + 1)
@@ -1073,9 +1088,10 @@ class OracleSMOSVC(SMOSVC):
         def f(i):
             return float((alpha * ypm) @ K[:, i] + b)
 
-        passes = 0
+        passes, converged = 0, False
         examine_all = True
         while passes < self.max_passes:
+            passes += 1
             changed = 0
             for i in range(n):
                 Ei = f(i) - ypm[i]
@@ -1101,14 +1117,15 @@ class OracleSMOSVC(SMOSVC):
                             break
             if changed == 0:
                 if examine_all:
+                    converged = True
                     break
                 examine_all = True
             else:
                 examine_all = False
-            passes += 1
 
         self.alpha_ = alpha
         self.b_ = b
+        self.n_iter_, self.converged_ = passes, converged
         sv = alpha > 1e-12
         self.support_X_ = X[sv]
         self.support_coef_ = (alpha * ypm)[sv]
@@ -1226,9 +1243,33 @@ def solver_case(seed):
     return rng, X, y
 
 
+def select_case(seed):
+    """A fit of the select workload's SVC SFS: one min-max scaled feature,
+    9-11 rows, random labels of both classes."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(9, 12))
+    X = rng.random((n, 1))
+    X = (X - X.min()) / (X.max() - X.min())
+    y = rng.integers(0, 2, n)
+    y[:2] = (0, 1)
+    return X, y
+
+
+# a select case whose solve ends at the sweep cap of 200
+CAPPED_SELECT_CASE = 30
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_smo(new, old):
+    assert _same_bits(new.alpha_, old.alpha_)
+    assert _same_bits(new.b_, old.b_)
+    assert _same_bits(new.support_X_, old.support_X_)
+    assert _same_bits(new.support_coef_, old.support_coef_)
+    assert (new.n_iter_, new.converged_) == (old.n_iter_, old.converged_)
 
 
 class TestSolversMatchOracles:
@@ -1239,12 +1280,23 @@ class TestSolversMatchOracles:
     def test_smo(self, monkeypatch, seed):
         rng, X, y = solver_case(seed)
         monkeypatch.setattr(SMOSVC, "C", (0.1, 1.0, 10.0)[seed % 3])
-        new = SMOSVC().fit(X, y)
-        old = OracleSMOSVC().fit(X, y)
-        assert _same_bits(new.alpha_, old.alpha_)
-        assert _same_bits(new.b_, old.b_)
-        assert _same_bits(new.support_X_, old.support_X_)
-        assert _same_bits(new.support_coef_, old.support_coef_)
+        assert_same_smo(SMOSVC().fit(X, y), OracleSMOSVC().fit(X, y))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_smo_on_select_shaped_fits(self, seed):
+        X, y = select_case(seed)
+        assert_same_smo(SMOSVC().fit(X, y), OracleSMOSVC().fit(X, y))
+
+    def test_a_select_shaped_fit_ends_at_the_sweep_cap(self, monkeypatch):
+        X, y = select_case(CAPPED_SELECT_CASE)
+        capped = SMOSVC().fit(X, y)
+        assert (capped.n_iter_, capped.converged_) == (SMOSVC.max_passes, False)
+        assert_same_smo(capped, OracleSMOSVC().fit(X, y))
+        # with a higher cap it converges, at sweep 420
+        monkeypatch.setattr(SMOSVC, "max_passes", 1000)
+        longer = SMOSVC().fit(X, y)
+        assert (longer.n_iter_, longer.converged_) == (420, True)
+        assert_same_smo(longer, OracleSMOSVC().fit(X, y))
 
     @pytest.mark.parametrize("seed", range(120))
     def test_lr(self, monkeypatch, seed):
@@ -1270,6 +1322,27 @@ class TestSolversMatchOracles:
         X, y, rows = pinned_fixture(fixture)
         model = train(ClassifierConfig(kind, seed=0), X, y)
         assert _digest(decision_scores(model, rows)) == PINNED_SOLVERS[fixture, kind]
+
+
+class TestSmoProducts:
+    """SMOSVC.fit refreshes its per-column values with one stacked product
+    and its error vector with one gemv into a buffer. The fits equal the
+    oracle's only while these round as the one-column ``coef @ K[:, i]``
+    and ``coef @ K`` do; a numpy or BLAS that rounds them otherwise fails
+    here first."""
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_buffered_products_round_as_the_plain_ones(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.normal(0.0, 1.0, (n, int(rng.integers(1, 4))))
+        K = rbf_kernel(X, X, 1.0 / X.shape[1])
+        coef = rng.uniform(0.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
+        coef[rng.random(n) < 0.3] = 0.0
+        dots = np.matmul(coef[None, None, :], K.T[:, :, None], out=np.empty((n, 1, 1)))
+        assert np.array_equal(_int64(dots.ravel()),
+                              _int64([coef @ K[:, i] for i in range(n)]))
+        products = np.matmul(coef, K, out=np.empty(n))
+        assert np.array_equal(_int64(products), _int64(coef @ K))
 
 
 class TestSolverConvergence:
@@ -1453,6 +1526,74 @@ class TestTrainMany:
                 m.estimator.nodes_ for m in train_many(ClassifierConfig(kind), lanes))
             assert (constant.feature == tree.NO_CHILD).all()
             assert separable.depth == 1 and grown.depth > 1
+
+
+def tied_lanes():
+    """Lanes of 1, 2 and 3 features, several of each (rows, width) shape,
+    with values in {-0.0, 0.0, 1.0}: rows tie on their leading keys, repeat
+    whole, and repeat with the other label; labels come as int, bool and
+    float."""
+    rng = np.random.default_rng(14)
+    lanes = []
+    for n, d in [(6, 1), (9, 2), (6, 1), (9, 2), (7, 2), (6, 1), (9, 3), (9, 2), (2, 3)]:
+        X = rng.choice([-0.0, 0.0, 1.0], (n, d))
+        y = rng.integers(0, 2, n)
+        y[:2] = (0, 1)
+        X[-1], y[-1] = X[0], 1 - y[0]
+        lanes.append((X, y))
+    lanes[2] = (lanes[2][0], lanes[2][1].astype(bool))
+    lanes[3] = (lanes[3][0].tolist(), lanes[3][1].astype(float))
+    return lanes
+
+
+class TestTrainingLanes:
+    """The lanes of one shape are checked and sorted as one stack, with the
+    rows and errors of the per-lane check."""
+
+    def test_rows_equal_those_of_each_lane_alone(self):
+        lanes = tied_lanes()
+        for rows, alone in zip(base._training_lanes(lanes),
+                               [base._training_rows(X, y) for X, y in lanes]):
+            for got, want in zip(rows, alone):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spoilt", [
+        {1: "nan"}, {5: "one class"}, {7: "label 2"}, {8: "label 2"}, {0: "short y"},
+        {6: "one row"}, {1: "nan", 3: "label 2"}, {1: "label 2", 3: "nan"},
+        {3: "one class", 7: "nan"}], ids=str)
+    def test_a_bad_lane_raises_as_the_first_bad_lane_alone(self, spoilt):
+        lanes = tied_lanes()
+        for at, how in spoilt.items():
+            lanes[at] = _spoilt(lanes[at], how)
+        with pytest.raises((InvalidInput, InsufficientData)) as alone:
+            for X, y in lanes:
+                base._training_rows(X, y)
+        with pytest.raises(type(alone.value)) as batched:
+            base._training_lanes(lanes)
+        assert str(batched.value) == str(alone.value)
+        assert SPOILT_MESSAGES[spoilt[min(spoilt)]] in str(batched.value)
+
+
+SPOILT_MESSAGES = {"nan": "must be finite", "one class": "both classes",
+                   "label 2": "exactly 0 or 1", "short y": "shapes disagree",
+                   "one row": "at least 2"}
+
+
+def _spoilt(lane, how):
+    """The lane with one fault that the training-row checks refuse."""
+    X, y = np.array(lane[0], dtype=float), np.array(lane[1], dtype=float)
+    if how == "nan":
+        X[1, 0] = np.nan
+    elif how == "one class":
+        y[:] = 1
+    elif how == "label 2":
+        y[0] = 2
+    elif how == "short y":
+        y = y[:-1]
+    elif how == "one row":
+        X, y = X[:1], y[:1]
+    return X, y
 
 
 # the oracle of each tree kind
