@@ -71,7 +71,7 @@ def _training_rows(X, y):
     """Checked training rows (X, y) in canonical order."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    if X.ndim != 2 or len(X) != len(y):
+    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
         raise InvalidInput("X and y shapes disagree")
     if len(y) < 2:
         raise InsufficientData("need at least 2 training rows")
@@ -85,37 +85,50 @@ def _training_rows(X, y):
     return X[order], y[order].astype(int)
 
 
+def _refuse(lanes):
+    """Raises the error of the first lane that ``_training_rows`` refuses."""
+    for X, y in lanes:
+        _training_rows(X, y)
+    raise AssertionError("the stacked checks refused lanes that _training_rows accepts")
+
+
 def _training_lanes(lanes):
-    """``_training_rows`` of every lane. The lanes of one (rows, width)
-    shape are checked and sorted as one stack: a stable sort has one
-    result, so each lane's rows are those it gets alone. When a check
-    fails, the lanes are checked one by one, so that the first failing lane
-    raises its own error."""
+    """``_training_rows`` of every lane, as one stack ``(index, X, y,
+    counts)`` per width: lane b is lane ``index[b]`` of the call, with rows
+    ``X[b, :counts[b]]`` and ``y[b, :counts[b]]``, in ascending row count.
+    Padding rows of +inf and label 1 sort after a lane's own rows, so a
+    stable sort leaves each lane the rows it gets alone. A failed check
+    raises the error of the first failing lane."""
     lanes = [(np.asarray(X, dtype=float), np.asarray(y)) for X, y in lanes]
-    shapes = {}
+    widths = {}
     for i, (X, y) in enumerate(lanes):
         if X.ndim != 2 or y.ndim != 1 or len(X) != len(y) or len(y) < 2:
-            return [_training_rows(X, y) for X, y in lanes]
-        shapes.setdefault(X.shape, []).append(i)
-    rows = [None] * len(lanes)
-    for idx in shapes.values():
-        X = np.stack([lanes[i][0] for i in idx])
-        y = np.stack([lanes[i][1] for i in idx])
-        slow, fast = y == 0, y == 1
-        if not ((slow | fast).all() and slow.any(axis=1).all() and fast.any(axis=1).all()
-                and np.isfinite(X).all()):
-            return [_training_rows(X, y) for X, y in lanes]
+            _refuse(lanes)
+        widths.setdefault(X.shape[1], []).append(i)
+    stacks = []
+    for width, index in widths.items():
+        index = sorted(index, key=lambda i: len(lanes[i][1]))
+        counts = np.array([len(lanes[i][1]) for i in index])
+        rows = np.concatenate([lanes[i][0] for i in index])
+        labels = np.concatenate([lanes[i][1] for i in index])
+        valid = np.arange(counts[-1]) < counts[:, None]
+        X = np.full(valid.shape + (width,), np.inf)
+        y = np.ones(valid.shape, dtype=labels.dtype)
+        X[valid], y[valid] = rows, labels
+        n_slow = (y == 0).sum(axis=1)
+        if not (((y == 0) | (y == 1)).all() and (0 < n_slow).all() and (n_slow < counts).all()
+                and np.isfinite(rows).all()):
+            _refuse(lanes)
         order = canonical_order(X, y)
         X = np.take_along_axis(X, order[..., None], axis=1)
         y = np.take_along_axis(y, order, axis=1).astype(int)
-        for b, i in enumerate(idx):
-            rows[i] = X[b], y[b]
-    return rows
+        stacks.append((index, X, y, counts))
+    return stacks
 
 
 def _lane_cost(estimator):
-    """Copies of a lane's padded rows that ``fit_many`` stacks at once: a
-    forest's trees, a booster's deepest searched level, lr's one."""
+    """Copies of a lane's rows that ``fit_many`` stacks at once: a forest's
+    trees, a booster's deepest searched level, lr's one."""
     if isinstance(estimator, Booster):
         return 2 ** max(estimator.max_depth - 1, 0)
     return estimator.n_estimators if isinstance(estimator, RandomForest) else 1
@@ -128,21 +141,24 @@ def train_many(config, lanes) -> list:
 
     Each model is bit for bit the one ``train`` gives for its lane alone.
     dtc, rf, gb, xgb and lr fit each block of ``tree.lane_blocks`` in one
-    ``fit_many`` call; the other kinds fit one lane after another.
+    ``fit_many`` call on a view of its width's stack; the other kinds fit
+    one lane after another.
     """
     configs = [config] * len(lanes) if isinstance(config, ClassifierConfig) else list(config)
     if len(configs) != len(lanes) or len({c.kind for c in configs}) > 1:
         raise ValueError("train_many needs one config per lane, all of one kind")
-    rows = _training_lanes(lanes)
     estimators = [_build(c) for c in configs]
-    if estimators and hasattr(estimators[0], "fit_many"):
-        for block in lane_blocks(rows, _lane_cost(estimators[0])):
-            estimators[0].fit_many([estimators[i] for i in block], [rows[i] for i in block])
-    else:
-        for est, (X, y) in zip(estimators, rows):
-            est.fit(X, y)
-    return [TrainedModel(c.kind, c, est, X.shape[1])
-            for c, est, (X, _) in zip(configs, estimators, rows)]
+    for index, X, y, counts in _training_lanes(lanes):
+        fits = [estimators[i] for i in index]
+        if hasattr(fits[0], "fit_many"):
+            for a, b in lane_blocks(counts, _lane_cost(fits[0]) * X.shape[2]):
+                n = counts[b - 1]
+                fits[0].fit_many(fits[a:b], X[a:b, :n], y[a:b, :n], counts[a:b])
+        else:
+            for est, Xb, yb, n in zip(fits, X, y, counts):
+                est.fit(Xb[:n], yb[:n])
+    return [TrainedModel(c.kind, c, est, np.shape(X)[1])
+            for c, est, (X, _) in zip(configs, estimators, lanes)]
 
 
 def train(config: ClassifierConfig, X, y) -> TrainedModel:

@@ -8,9 +8,9 @@ from .linear import sigmoid
 from .tree import (
     NO_CHILD,
     TreeNodes,
+    fit_alone,
     grow_boosting_trees,
     grow_forest,
-    padded,
     sort_lanes,
     stump_split,
     walk,
@@ -28,11 +28,12 @@ class TreeEnsemble:
     the trees' values. dtc, rf, gb and xgb keep one importance vector per
     tree too.
 
-    A kind that trains many models at once defines ``fit_many(models,
-    lanes)``: it fits ``models[i]``, which differ at most in rf's seed, on
-    ``lanes[i]``, an (X, y) pair of rows in canonical order. The lanes are
-    one ``train_many`` block, of one width, padded to one row count by
-    ``tree.padded``. Each model is bit for bit its lane's fit alone.
+    A kind that trains many models at once defines ``fit_many(models, X, y,
+    counts)``: it fits ``models[b]``, which differ at most in rf's seed, on
+    the ``counts[b]`` rows of ``X[b]`` (lanes, n, d) and ``y[b]`` (lanes, n),
+    in canonical order. The lanes are one ``train_many`` block, of one width
+    and in ascending row count; the rows after a lane's own rows are padding
+    that no fit reads. Each model is bit for bit its lane's fit alone.
     """
 
     def __init__(self):
@@ -40,10 +41,7 @@ class TreeEnsemble:
         self.weights_ = []
         self.offset_ = 0.0
 
-    def fit(self, X, y):
-        """Fits this model alone: the one-lane ``fit_many``."""
-        self.fit_many([self], [(X, y)])
-        return self
+    fit = fit_alone
 
     def _weighted_sum(self, X):
         """offset + sum of weight * tree value, accumulated in tree order."""
@@ -76,19 +74,17 @@ class RandomForest(TreeEnsemble):
         self.seed = seed
 
     @staticmethod
-    def fit_many(models, lanes):
+    def fit_many(models, X, y, counts):
         # every tree of every lane in one lockstep; tree t of a model draws
         # its bootstrap and feature subsets from default_rng([seed, t])
         first = models[0]
         n_trees = first.n_estimators
-        X, y, valid = padded(lanes)
-        lane = np.repeat(np.arange(len(lanes)), n_trees)
+        lane = np.repeat(np.arange(len(models)), n_trees)
         rows = np.broadcast_to(np.arange(X.shape[1]), (len(lane), X.shape[1]))
         rngs, max_features = [], None
         if first.draws:
             rows = np.zeros(rows.shape, dtype=int)
-            for b, model in enumerate(models):
-                n = len(lanes[b][1])
+            for b, (model, n) in enumerate(zip(models, counts.tolist())):
                 tree_rngs = [np.random.default_rng([model.seed, t]) for t in range(n_trees)]
                 boot = np.array([tree_rng.integers(0, n, size=n) for tree_rng in tree_rngs])
                 # bootstrap can lose a class; fall back to the full sample
@@ -98,7 +94,8 @@ class RandomForest(TreeEnsemble):
                 rngs += tree_rngs
             max_features = max(1, int(np.sqrt(X.shape[2])))
         nodes, importances = grow_forest(
-            X[lane[:, None], rows], y[lane[:, None], rows], valid[lane],
+            X[lane[:, None], rows], y[lane[:, None], rows],
+            np.arange(X.shape[1]) < counts[lane, None],
             max_features=max_features, feature_rngs=rngs)
         for b, model in enumerate(models):
             trees = slice(b * n_trees, (b + 1) * n_trees)
@@ -145,24 +142,23 @@ class Booster(TreeEnsemble):
     n_estimators, learning_rate, max_depth = 100, 0.1, 3
 
     @staticmethod
-    def fit_many(models, lanes):
+    def fit_many(models, X, y, counts):
         # all lanes advance round by round
         first = models[0]
-        X, y, valid = padded(lanes)
-        offsets = np.zeros(len(lanes))
+        valid = np.arange(X.shape[1]) < counts[:, None]
+        offsets = np.zeros(len(models))
         if not first.second_order_splits:
-            for b, (_, yb) in enumerate(lanes):
-                p0 = np.clip(yb.astype(float).mean(), 1e-12, 1 - 1e-12)
-                offsets[b] = float(np.log(p0 / (1 - p0)))
+            p0 = np.clip((valid & (y == 1)).sum(axis=1) / counts, 1e-12, 1 - 1e-12)
+            offsets = np.log(p0 / (1 - p0))
         F = np.repeat(offsets[:, None], X.shape[1], axis=1)
         # gradients, hessians and the hessians splits use: ones for gb
-        sums = np.ones((len(lanes), 3, X.shape[1]))
+        sums = np.ones((len(models), 3, X.shape[1]))
         # every round's roots search all rows: sort them once
         root = sort_lanes(X, valid)
         # each round's trees and split gains, lane by lane: round r of lane
         # b is row b * rounds + r
         rounds = first.n_estimators
-        stacked = TreeNodes.empty((len(lanes) * rounds, 2 ** (first.max_depth + 1) - 1))
+        stacked = TreeNodes.empty((len(models) * rounds, 2 ** (first.max_depth + 1) - 1))
         gain = np.zeros(stacked.value.shape)
         for r in range(rounds):
             p = sigmoid(F)

@@ -14,8 +14,9 @@ class KNN:
     k = 5
 
     def fit(self, X, y):
-        self.X_ = np.asarray(X, dtype=float)
-        self.y_ = np.asarray(y, dtype=int)
+        # copies: a view would keep the whole stack of a train_many call
+        self.X_ = np.array(X, dtype=float)
+        self.y_ = np.array(y, dtype=int)
         return self
 
     def decision_function(self, X):

@@ -7,7 +7,7 @@ of one ``train_many`` block take their Newton steps in one loop over a
 
 import numpy as np
 
-from .tree import count_groups, lane_sums
+from .tree import count_groups, fit_alone, lane_sums
 
 
 def sigmoid(z):
@@ -91,29 +91,24 @@ class LogisticRegressionNewton:
 
     l2, tol, max_iter = 1.0, 1e-8, 200
 
-    def fit(self, X, y):
-        """Fits this model alone: the one-lane ``fit_many``."""
-        self.fit_many([self], [(X, y)])
-        return self
+    fit = fit_alone
 
     @staticmethod
-    def fit_many(models, lanes):
-        """Fits ``models[i]`` on ``lanes[i]``, an (X, y) pair; the lanes are
-        one block of ``train_many``, all of one width, and may differ in row
-        count. Sets each model's ``w``, ``b``, ``n_iter_`` (Newton steps
-        taken) and ``converged_`` (False when ``max_iter`` steps ended the
-        solve before the gradient tolerance was met).
+    def fit_many(models, X, y, counts):
+        """Fits ``models[b]`` on the ``counts[b]`` rows of ``X[b]`` (lanes, n,
+        d) and ``y[b]`` (lanes, n); the lanes are one block of
+        ``train_many``, of one width and in ascending row count. Sets each
+        model's ``w``, ``b``, ``n_iter_`` (Newton steps taken) and
+        ``converged_`` (False when ``max_iter`` steps ended the solve before
+        the gradient tolerance was met).
 
         The lanes take their Newton steps in one loop. Each lane leaves it
         when its own gradient meets the tolerance and halves its own step
         until its loss decreases, so each model is bit for bit the one a fit
         on its lane alone gives.
         """
-        order = sorted(range(len(lanes)), key=lambda i: len(lanes[i][1]))
-        X, y = (np.concatenate([np.asarray(lanes[i][k], dtype=float) for i in order])
-                for k in (0, 1))
-        stack = LaneStack(X, y, np.array([len(lanes[i][1]) for i in order]))
-        models[0]._newton(stack, [models[i] for i in order])
+        valid = np.arange(X.shape[1]) < counts[:, None]
+        models[0]._newton(LaneStack(X[valid], y[valid], counts), models)
 
     def _newton(self, stack, models):
         """Fits ``models``, one per lane of ``stack``."""

@@ -3,7 +3,8 @@ search.
 
 ``sort_lanes`` and ``best_split`` search the nodes of many trees at once:
 each node is a lane of a ``(B, n, f)`` stack. Two growers call them, and
-each serves one block of fits at once, padded to one row count by ``padded``.
+each serves one block of fits at once: a ``lane_blocks`` range of the lanes
+of one width, padded to one row count.
 ``grow_forest`` grows a set of CART trees (dtc, rf) in lockstep, one lane
 per tree, each tree in depth-first order. ``grow_boosting_trees`` grows one
 round's regression tree of each of many gradient boosting fits (gb, xgb)
@@ -23,8 +24,8 @@ NO_CHILD = -1
 # The stacked walk takes as many rows at a time as keep each of its
 # (trees, rows) buffers within this many entries.
 WALK_BLOCK = 1 << 14
-# A batched fit takes as many lanes at a time as keep its padded (lanes x
-# cost, rows, features) stack within this many entries.
+# A batched fit takes as many lanes at a time as keep its (lanes x cost,
+# rows, features) stack within this many entries.
 FIT_BLOCK = 1 << 16
 
 
@@ -265,8 +266,6 @@ def grow_forest(X, y, mask, max_features=None, feature_rngs=None):
     Returns (TreeNodes stack, importances (T, d)), each tree's importance
     normalised to sum 1.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
     n_trees, n, d = X.shape
     draw = max_features is not None and max_features < d
     grown = TreeNodes.empty((n_trees, 2 * n - 1))
@@ -428,31 +427,22 @@ def grow_boosting_trees(X, valid, root, sums, booster):
     return grown, gain, value[np.arange(n_lanes)[:, None], at]
 
 
-def lane_blocks(lanes, cost):
-    """The indices of the lanes, (X, y) pairs, in blocks of lanes of one
-    width whose padded (lanes * ``cost``, rows, features) stack holds at
-    most ``FIT_BLOCK`` entries (one lane at least)."""
-    block, rows = [], 0
-    for i in sorted(range(len(lanes)), key=lambda i: lanes[i][0].shape[1]):
-        width, count = lanes[i][0].shape[1], len(lanes[i][1])
-        # the block's row count with lane i in it
-        rows = max(rows, count)
-        if block and (width != lanes[block[0]][0].shape[1]
-                      or (len(block) + 1) * cost * rows * width > FIT_BLOCK):
-            yield block
-            block, rows = [], count
-        block.append(i)
-    if block:
-        yield block
+def fit_alone(model, X, y):
+    """Fits ``model`` on the rows (X, y) alone, by its one-lane
+    ``fit_many``."""
+    model.fit_many([model], np.asarray(X, dtype=float)[None], np.asarray(y, dtype=int)[None],
+                   np.array([len(y)]))
+    return model
 
 
-def padded(lanes):
-    """The lanes, (X, y) pairs of one width, as one stack: X (B, n, d) and
-    y (B, n), each lane's rows first and zeros after them, and ``valid``
-    (B, n), which marks the lane's rows."""
-    counts = [len(y) for _, y in lanes]
-    X = np.zeros((len(lanes), max(counts), lanes[0][0].shape[1]))
-    y = np.zeros((len(lanes), max(counts)), dtype=int)
-    for b, (n, lane) in enumerate(zip(counts, lanes)):
-        X[b, :n], y[b, :n] = lane
-    return X, y, np.arange(max(counts)) < np.array(counts)[:, None]
+def lane_blocks(counts, cost):
+    """The ranges (start, stop) of lanes, in ascending row count ``counts``,
+    that one ``fit_many`` call takes: each range's (lanes, rows) stack,
+    ``cost`` entries a row, holds at most ``FIT_BLOCK`` entries (one lane at
+    least)."""
+    start = 0
+    for i, n in enumerate(counts.tolist()):
+        if i > start and (i + 1 - start) * n * cost > FIT_BLOCK:
+            yield start, i
+            start = i
+    yield start, len(counts)

@@ -65,7 +65,7 @@ def _resolve_selection(selection, train_ds: Dataset, config, seed):
         return sfs(train_ds, config, n_features=n_features, seed=seed).selected
     if mode == "rfecv":
         return rfecv(train_ds, config, seed=seed).selected
-    raise ValueError(f"unknown selection mode {mode!r}")
+    raise InvalidInput(f"unknown selection mode {mode!r}")
 
 
 def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "minmax",

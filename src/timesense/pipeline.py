@@ -32,7 +32,7 @@ class ScalerParams:
 def fit_scaler(train_X, method: str) -> ScalerParams:
     """Fit per-feature scaling statistics on training rows only."""
     if method not in SCALER_METHODS:
-        raise ValueError(f"unknown scaler method {method!r}")
+        raise InvalidInput(f"unknown scaler method {method!r}")
     X = np.asarray(train_X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise InsufficientData("need at least 2 training rows to fit a scaler")
@@ -76,7 +76,7 @@ def derive_labels(ratings) -> np.ndarray:
     """One participant's labels in session order: 1 (fast) where the
     rescaled rating exceeds LABEL_THRESHOLD, else 0 (slow)."""
     if len(ratings) < 1:
-        raise ValueError("no ratings to label")
+        raise InsufficientData("no ratings to label")
     return (scale_ratings(ratings) > LABEL_THRESHOLD).astype(int)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import ClassifierConfig, importance, predict, train_many
-from .errors import InsufficientData, Unsupported
+from .errors import InsufficientData, InvalidInput, Unsupported
 
 # Stratified folds of the cross-validation that scores each candidate set.
 CV_FOLDS = 5
@@ -82,7 +82,7 @@ def sfs(dataset, config: ClassifierConfig, n_features: int, seed: int = 0) -> Se
     names = list(dataset.feature_names)
     d = len(names)
     if not 1 <= n_features <= d:
-        raise ValueError("n_features out of range")
+        raise InvalidInput("n_features out of range")
     X, y = dataset.X, dataset.y
     folds = stratified_kfold(y, seed)
 

@@ -101,6 +101,8 @@ class TestTrainValidation:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInput, match="shapes disagree"):
             train(ClassifierConfig("lr"), np.ones((4, 2)), np.array([0, 1]))
+        with pytest.raises(InvalidInput, match="shapes disagree"):
+            train(ClassifierConfig("lr"), np.ones((4, 2)), np.array([[0], [1], [0], [1]]))
 
     def test_nonfinite_rejected(self):
         X = np.ones((4, 2)); X[0, 0] = np.nan
@@ -1477,9 +1479,9 @@ class TestTrainMany:
         original = base.lane_blocks
 
         def counted(*args):
-            for found in original(*args):
-                sizes.append(len(found))
-                yield found
+            for start, stop in original(*args):
+                sizes.append(stop - start)
+                yield start, stop
 
         monkeypatch.setattr(base, "lane_blocks", counted)
         for model, reference in zip(train_many(config, lanes), whole):
@@ -1547,21 +1549,38 @@ def tied_lanes():
 
 
 class TestTrainingLanes:
-    """The lanes of one shape are checked and sorted as one stack, with the
+    """The lanes of one width are checked and sorted as one stack, with the
     rows and errors of the per-lane check."""
 
     def test_rows_equal_those_of_each_lane_alone(self):
         lanes = tied_lanes()
-        for rows, alone in zip(base._training_lanes(lanes),
-                               [base._training_rows(X, y) for X, y in lanes]):
-            for got, want in zip(rows, alone):
-                assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                assert got.tobytes() == want.tobytes()
+        placed = []
+        for index, X, y, counts in base._training_lanes(lanes):
+            assert list(counts) == sorted(counts)
+            for b, (i, n) in enumerate(zip(index, counts)):
+                placed.append(i)
+                for got, want in zip((X[b, :n], y[b, :n]), base._training_rows(*lanes[i])):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes()
+                assert np.isposinf(X[b, n:]).all()
+        assert sorted(placed) == list(range(len(lanes)))
+
+    def test_one_sort_per_width(self, monkeypatch):
+        widths = []
+
+        def counted(X, y):
+            widths.append(X.shape[-1])
+            return canonical_order(X, y)
+
+        monkeypatch.setattr(base, "canonical_order", counted)
+        base._training_lanes(tied_lanes())
+        assert sorted(widths) == [1, 2, 3]
 
     @pytest.mark.parametrize("spoilt", [
         {1: "nan"}, {5: "one class"}, {7: "label 2"}, {8: "label 2"}, {0: "short y"},
-        {6: "one row"}, {1: "nan", 3: "label 2"}, {1: "label 2", 3: "nan"},
-        {3: "one class", 7: "nan"}], ids=str)
+        {6: "one row"}, {4: "label column"}, {1: "nan", 3: "label 2"},
+        {1: "label 2", 3: "nan"}, {3: "one class", 7: "nan"}, {2: "label column", 5: "nan"}],
+        ids=str)
     def test_a_bad_lane_raises_as_the_first_bad_lane_alone(self, spoilt):
         lanes = tied_lanes()
         for at, how in spoilt.items():
@@ -1577,7 +1596,7 @@ class TestTrainingLanes:
 
 SPOILT_MESSAGES = {"nan": "must be finite", "one class": "both classes",
                    "label 2": "exactly 0 or 1", "short y": "shapes disagree",
-                   "one row": "at least 2"}
+                   "one row": "at least 2", "label column": "shapes disagree"}
 
 
 def _spoilt(lane, how):
@@ -1593,6 +1612,8 @@ def _spoilt(lane, how):
         y = y[:-1]
     elif how == "one row":
         X, y = X[:1], y[:1]
+    elif how == "label column":
+        y = y[:, None]
     return X, y
 
 

@@ -73,6 +73,10 @@ class TestLosocv:
         with pytest.raises(InsufficientData, match="at least 2 participants"):
             losocv(ds, ClassifierConfig("lr"))
 
+    def test_unknown_selection_mode_rejected(self, planted):
+        with pytest.raises(InvalidInput, match="unknown selection mode 'bogus'"):
+            losocv(planted, ClassifierConfig("lr"), selection=("bogus", None))
+
     def test_leakage_oracle(self, planted):
         """Each fold's result is bit-identical to an isolated manual run that
         never sees the held-out rows."""

@@ -65,7 +65,7 @@ class TestScaler:
             apply_scaler(params, np.ones((2, 5)))
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="unknown scaler method"):
             fit_scaler(np.ones((3, 2)), "robust")
 
 
@@ -89,7 +89,7 @@ class TestLabels:
         assert derive_labels([1, 1, 2, 2]).tolist() == [0, 0, 1, 1]
 
     def test_empty_ratings_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientData, match="no ratings"):
             derive_labels([])
 
     @given(st.lists(st.integers(1, 5), min_size=2, max_size=8),

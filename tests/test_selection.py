@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from timesense.classifiers import ClassifierConfig, importance, predict, train
-from timesense.errors import InsufficientData, Unsupported
+from timesense.errors import InsufficientData, InvalidInput, Unsupported
 from timesense.model import Dataset
 from timesense.selection import (
     SelectionResult,
@@ -98,9 +98,9 @@ class TestSfs:
 
     def test_bad_arguments(self):
         ds = single_informative_dataset(d=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="n_features out of range"):
             sfs(ds, LR, n_features=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="n_features out of range"):
             sfs(ds, LR, n_features=5)
 
 
