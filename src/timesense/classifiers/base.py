@@ -146,7 +146,7 @@ def train_many(config, lanes) -> list:
     """
     configs = [config] * len(lanes) if isinstance(config, ClassifierConfig) else list(config)
     if len(configs) != len(lanes) or len({c.kind for c in configs}) > 1:
-        raise ValueError("train_many needs one config per lane, all of one kind")
+        raise InvalidInput("train_many needs one config per lane, all of one kind")
     estimators = [_build(c) for c in configs]
     for index, X, y, counts in _training_lanes(lanes):
         fits = [estimators[i] for i in index]
@@ -166,23 +166,20 @@ def train(config: ClassifierConfig, X, y) -> TrainedModel:
     return train_many(config, [(X, y)])[0]
 
 
-def decision_scores(model: TrainedModel, X, blocks: int = 1) -> np.ndarray:
-    """Real-valued scores, monotone in fast-class confidence (0 = tie).
+def decision_scores(model: TrainedModel, X) -> np.ndarray:
+    """Real-valued scores, monotone in fast-class confidence (0 = tie), of
+    the rows of X (n, d) or of a stack of blocks of rows (..., n, d): an
+    array of shape ``X.shape[:-1]``.
 
-    ``blocks`` > 1 declares the rows of X a stack of that many equal blocks.
-    They are scored in one call, and each block's scores are bit for bit
+    A stack is scored in one call, and each block's scores are bit for bit
     those a call on that block alone returns: BLAS products and numpy
     reductions can round a row differently in a taller matrix.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.feature_count:
+    if X.ndim < 2 or X.shape[-1] != model.feature_count:
         raise InvalidInput(
             f"expected {model.feature_count} features, got {X.shape}")
-    if blocks < 1 or len(X) % blocks:
-        raise ValueError(f"{len(X)} rows do not split into {blocks} equal blocks")
-    if blocks > 1:
-        X = X.reshape(blocks, len(X) // blocks, X.shape[1])
-    return np.asarray(model.estimator.decision_function(X), dtype=float).reshape(-1)
+    return np.asarray(model.estimator.decision_function(X), dtype=float)
 
 
 def predict(model: TrainedModel, X) -> np.ndarray:

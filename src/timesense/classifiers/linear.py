@@ -20,66 +20,59 @@ def sigmoid(z):
 
 
 class LaneStack:
-    """The training rows of some lanes of one width, stacked lane after lane
-    in one flat array, with the lanes of one row count adjacent.
+    """The training rows of some lanes of one width, as a padded stack: lane
+    b's rows are the first ``counts[b]`` of ``X[b]`` and ``y[b]``, and the
+    lanes of one row count are adjacent.
 
-    Elementwise work runs on the flat arrays. Products and row sums run per
-    row count, on (lanes, rows, ...) views of them: there each lane gets the
-    BLAS call and the summation order of a fit on its own rows, where a
-    zero-padded product or sum would round differently.
+    Elementwise work runs on the whole stack, padding too; no sum or product
+    reads the padding. Products and row sums run per row count c, on the
+    views ``X[lanes, :c]``: there each lane gets the BLAS call and the
+    summation order of a fit on its own rows, where a zero-padded product or
+    sum would round differently.
     """
 
     def __init__(self, X, y, counts):
-        """``X`` (rows, width) and ``y`` hold the lanes' rows in turn;
-        ``counts``, in ascending order, gives each lane's row count."""
+        """``X`` (lanes, n, width) and ``y`` (lanes, n) hold each lane's rows
+        first; ``counts``, in ascending order, gives each lane's row
+        count."""
         self.X, self.y, self.counts = X, y, counts
-        self.Xa = np.hstack([X, np.ones((len(X), 1))])
-        # each row's lane's row count
-        self.n = np.repeat(counts.astype(float), counts)
+        self.Xa = np.concatenate([X, np.ones(y.shape + (1,))], axis=2)
         self.groups = count_groups(counts)
 
     def take(self, keep):
-        """The stack of the lanes where ``keep`` is true, and the mask of
-        their rows in this stack."""
-        rows = np.repeat(keep, self.counts)
-        return LaneStack(self.X[rows], self.y[rows], self.counts[keep]), rows
-
-    def _split(self, v):
-        """The per-row values ``v`` as one (lanes, rows, ...) view per row
-        count."""
-        return [v[rs].reshape(shape + v.shape[1:]) for _, rs, shape in self.groups]
+        """The stack of the lanes where ``keep`` is true."""
+        return LaneStack(self.X[keep], self.y[keep], self.counts[keep])
 
     def margins(self, w, b):
-        """Every lane's ``X @ w + b``, flat; ``w`` is (lanes, width)."""
-        return np.concatenate([((Xg @ w[ls, :, None])[..., 0] + b[ls, None]).reshape(-1)
-                               for (ls, _, _), Xg in zip(self.groups, self._split(self.X))])
-
-    def sums(self, v):
-        """Each lane's sum of the per-row values ``v``."""
-        return lane_sums(v, self.groups)
+        """Every lane's ``X @ w + b`` (lanes, n), 0 on padding rows; ``w`` is
+        (lanes, width)."""
+        z = np.zeros(self.y.shape)
+        for ls, c in self.groups:
+            z[ls, :c] = (self.X[ls, :c] @ w[ls, :, None])[..., 0] + b[ls, None]
+        return z
 
     def loss(self, z, w, l2):
         """Each lane's mean negative log-likelihood plus an L2 penalty on its
         weights, given its margins ``z``; the bias is not penalized."""
         # log(1 + exp(-m)) with m = z for y=1, -z for y=0, computed stably
         m = np.where(self.y == 1, z, -z)
-        nll = self.sums(np.logaddexp(0.0, -m)) / self.counts
+        nll = lane_sums(np.logaddexp(0.0, -m), self.groups) / self.counts
         return nll + 0.5 * l2 * (w[:, None, :] @ w[:, :, None])[:, 0, 0]
 
     def gradient(self, p, w, l2):
         """Each lane's gradient of ``loss`` in its weights and in its bias,
         given its probabilities ``p``."""
-        r = (p - self.y) / self.n
-        gw = np.concatenate([np.swapaxes(Xg, 1, 2) @ rg[..., None]
-                             for Xg, rg in zip(self._split(self.X), self._split(r))])
-        return gw[..., 0] + l2 * w, self.sums(r)
+        r = (p - self.y) / self.counts[:, None]
+        gw = np.concatenate([np.swapaxes(self.X[ls, :c], 1, 2) @ r[ls, :c, None]
+                             for ls, c in self.groups])
+        return gw[..., 0] + l2 * w, lane_sums(r, self.groups)
 
     def hessians(self, p):
         """Each lane's Hessian of its mean negative log-likelihood in its
         weights and bias, given its probabilities ``p``."""
-        Xs = self.Xa * (p * (1.0 - p) / self.n)[:, None]
-        return np.concatenate([np.swapaxes(Xg, 1, 2) @ Sg
-                               for Xg, Sg in zip(self._split(self.Xa), self._split(Xs))])
+        Xs = self.Xa * (p * (1.0 - p) / self.counts[:, None])[..., None]
+        return np.concatenate([np.swapaxes(self.Xa[ls, :c], 1, 2) @ Xs[ls, :c]
+                               for ls, c in self.groups])
 
 
 class LogisticRegressionNewton:
@@ -107,12 +100,11 @@ class LogisticRegressionNewton:
         until its loss decreases, so each model is bit for bit the one a fit
         on its lane alone gives.
         """
-        valid = np.arange(X.shape[1]) < counts[:, None]
-        models[0]._newton(LaneStack(X[valid], y[valid], counts), models)
+        models[0]._newton(LaneStack(X, y, counts), models)
 
     def _newton(self, stack, models):
         """Fits ``models``, one per lane of ``stack``."""
-        d = stack.X.shape[1]
+        d = stack.X.shape[2]
         ridge = self.l2 * np.eye(d)
         jitter = 1e-10 * np.eye(d + 1)
         w = np.zeros((len(models), d))
@@ -137,9 +129,9 @@ class LogisticRegressionNewton:
                 if done.all():
                     return
                 keep = ~done
-                stack, rows = stack.take(keep)
+                stack = stack.take(keep)
                 models = [m for m, k in zip(models, keep) if k]
-                w, b, loss, gw, gb, p = w[keep], b[keep], loss[keep], gw[keep], gb[keep], p[rows]
+                w, b, loss, gw, gb, p = w[keep], b[keep], loss[keep], gw[keep], gb[keep], p[keep]
             H = stack.hessians(p)
             H[:, :d, :d] += ridge
             H += jitter

@@ -327,45 +327,45 @@ def grow_forest(X, y, mask, max_features=None, feature_rngs=None):
 
 def count_groups(counts):
     """Per row count c of lanes whose row counts ``counts`` ascend: the
-    slice of its lanes, the slice of their rows in a stack of lane after
-    lane, and their shape (lanes, c)."""
+    slice of its lanes and c."""
     lanes = np.bincount(counts)
     sizes = np.flatnonzero(lanes)
-    groups, lane, row = [], 0, 0
-    for c, k in zip(sizes.tolist(), lanes[sizes].tolist()):
-        groups.append((slice(lane, lane + k), slice(row, row + k * c), (k, c)))
-        lane, row = lane + k, row + k * c
-    return groups
+    ends = np.cumsum(lanes[sizes]).tolist()
+    return [(slice(end - k, end), c)
+            for c, k, end in zip(sizes.tolist(), lanes[sizes].tolist(), ends)]
 
 
 def lane_sums(values, groups):
-    """Each lane's sum (..., lanes) of ``values`` (..., rows), which holds
-    the rows of lane after lane, grouped by row count as ``count_groups``
-    gives.
+    """Each lane's sum (..., lanes) of its own rows of ``values`` (...,
+    lanes, n): by the ``count_groups`` of the lanes' row counts, lane b sums
+    ``values[..., b, :counts[b]]``.
 
     Each sum adds its lane's rows alone, in order, as a 1-D ``np.sum``
-    would: a sum padded with the zeros of other rows can round differently
-    (numpy sums 8 or more values pairwise). The lanes of one row count c
-    are summed in one call, as the rows of a C-contiguous (lanes, c) array.
+    would: a sum padded with the other rows, even zeros, can round
+    differently (numpy sums 8 or more values pairwise). The lanes of one row
+    count are summed in one call, which keeps the 1-D order only while the
+    last axis of ``values`` has unit stride.
     """
-    flat = values.reshape(-1, values.shape[-1])
-    out = np.empty((len(flat), groups[-1][0].stop))
-    for lanes, rows, (k, c) in groups:
-        out[:, lanes] = flat[:, rows].reshape(len(flat) * k, c).sum(axis=1).reshape(len(flat), k)
-    return out.reshape(values.shape[:-1] + (-1,))
+    out = np.empty(values.shape[:-1])
+    for lanes, c in groups:
+        out[..., lanes] = values[..., lanes, :c].sum(axis=-1)
+    return out
 
 
 def _node_sums(sums, lane, masks, counts):
-    """Per node b the sums over its rows (``masks[b]``) of each statistic of
-    ``sums[lane[b]]`` (L, k, n), each by ``lane_sums``: an array (B, k)."""
-    n_stats, n = sums.shape[1:]
+    """Per node b the sums over its rows (``masks[b]``, ``counts[b]`` of
+    them) of each statistic of ``sums[lane[b]]`` (L, k, n), each by
+    ``lane_sums``: an array (B, k)."""
+    n_stats = sums.shape[1]
     order = np.argsort(counts, kind="stable")
-    node, row = np.nonzero(masks[order])
-    # (k, rows of every node): the nodes in order of row count
-    flat = (lane[order][node] * n_stats + np.arange(n_stats)[:, None]) * n + row
-    out = np.empty((n_stats, len(lane)))
-    out[:, order] = lane_sums(sums.take(flat), count_groups(counts[order]))
-    return out.T
+    # (B, k, n), the nodes in order of row count, each node's rows first in
+    # row order; numpy lays out this gather, by index arrays alone, in C
+    # order, which lane_sums needs
+    rows = np.argsort(~masks[order], axis=1, kind="stable")
+    packed = sums[lane[order][:, None, None], np.arange(n_stats)[:, None], rows[:, None, :]]
+    out = np.empty((len(lane), n_stats))
+    out[order] = lane_sums(packed.transpose(1, 0, 2), count_groups(counts[order])).T
+    return out
 
 
 def grow_boosting_trees(X, valid, root, sums, booster):

@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from .classifiers import TrainedModel, decision_scores
-from .errors import InsufficientData, Unsupported
+from .errors import InsufficientData, InvalidInput, Unsupported
 
 
 @dataclass(frozen=True)
@@ -34,25 +34,34 @@ MAX_BACKGROUND = 100
 CHUNK_ROWS = 4096
 
 
+def _explained(background, instance):
+    """``background`` and ``instance`` as float arrays: a 1-D instance and
+    background rows of its length, else InvalidInput."""
+    background = np.asarray(background, dtype=float)
+    instance = np.asarray(instance, dtype=float)
+    if instance.ndim != 1 or background.ndim != 2 or background.shape[1] != len(instance):
+        raise InvalidInput(f"background of shape {background.shape} and instance of shape "
+                           f"{instance.shape}: need an instance (d,) and a background (n, d)")
+    return background, instance
+
+
 def _coalition_values(model, background, instance, masks):
     """v(S) for each mask: mean score with absent features taken from each
-    background row.
+    background row; ``background`` and ``instance`` as ``_explained``
+    returns them.
 
-    The coalitions of a chunk are stacked into one synthetic matrix, one
+    The coalitions of a chunk are stacked into one synthetic stack, one
     background-sized block per mask, and scored by one model call. Each
     v(S) is bit for bit the mean of a call on its block alone.
     """
-    background = np.asarray(background, dtype=float)
-    instance = np.asarray(instance, dtype=float)
     n_bg, d = background.shape
     masks = np.asarray(masks, dtype=bool).reshape(len(masks), d)
     per_chunk = max(1, CHUNK_ROWS // n_bg)
     out = np.empty(len(masks))
     for start in range(0, len(masks), per_chunk):
         chunk = masks[start:start + per_chunk]
-        synth = np.where(chunk[:, None, :], instance, background).reshape(-1, d)
-        scores = decision_scores(model, synth, blocks=len(chunk))
-        out[start:start + len(chunk)] = scores.reshape(len(chunk), n_bg).mean(axis=1)
+        synth = np.where(chunk[:, None, :], instance, background)
+        out[start:start + len(chunk)] = decision_scores(model, synth).mean(axis=1)
     return out
 
 
@@ -69,8 +78,7 @@ def _coalitions(d, sizes):
 def exact_shapley(model: TrainedModel, background, instance) -> Attribution:
     """Classic Shapley values by full coalition enumeration (d <=
     ``EXACT_MAX_FEATURES``)."""
-    background = np.asarray(background, dtype=float)
-    instance = np.asarray(instance, dtype=float)
+    background, instance = _explained(background, instance)
     d = len(instance)
     if d > EXACT_MAX_FEATURES:
         raise Unsupported(f"exact enumeration limited to {EXACT_MAX_FEATURES} features")
@@ -127,8 +135,7 @@ def kernel_shap(model: TrainedModel, background, instance, n_samples: int,
     local-accuracy constraint. When n_samples covers every proper coalition
     the estimate coincides with exact enumeration.
     """
-    background = np.asarray(background, dtype=float)
-    instance = np.asarray(instance, dtype=float)
+    background, instance = _explained(background, instance)
     d = len(instance)
     if n_samples < d + 2:
         raise InsufficientData(f"need at least d + 2 = {d + 2} samples")

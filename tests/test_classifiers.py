@@ -177,15 +177,15 @@ class TestScoresAndTies:
 
 
 class TestBlockedScores:
-    """decision_scores(..., blocks=k) scores k stacked blocks in one call,
-    each bit for bit as a call on that block alone."""
+    """decision_scores of a stack (k, rows, d) scores its k blocks in one
+    call, each bit for bit as a call on that block alone."""
 
     @staticmethod
     def assert_blocks_score_as_own_calls(model, rows):
-        stack = np.random.default_rng(rows).normal(3.0, 2.0, size=(7 * rows, model.feature_count))
-        expected = np.concatenate([decision_scores(model, stack[i:i + rows])
-                                   for i in range(0, len(stack), rows)])
-        assert decision_scores(model, stack, blocks=7).tobytes() == expected.tobytes()
+        stack = np.random.default_rng(rows).normal(3.0, 2.0, size=(7, rows, model.feature_count))
+        expected = np.stack([decision_scores(model, block) for block in stack])
+        assert decision_scores(model, stack).tobytes() == expected.tobytes()
+        assert decision_scores(model, stack).shape == (7, rows)
 
     @pytest.mark.parametrize("case", ALL_CASES, ids=case_id)
     @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8])
@@ -205,26 +205,28 @@ class TestBlockedScores:
         assert np.modf(nodes.value[nodes.feature == tree.NO_CHILD] * 2.0**20)[0].any()
         self.assert_blocks_score_as_own_calls(model, rows)
 
-    def test_blocks_must_divide_the_rows(self):
+    @pytest.mark.parametrize("shape", [(4,), (), (3, 5), (2, 3, 5), (2, 3, 4, 1)])
+    def test_rows_must_have_the_model_width(self, shape):
         X, y = blobs()
         model = train(ClassifierConfig("lr"), X, y)
-        with pytest.raises(ValueError, match="equal blocks"):
-            decision_scores(model, X[:7], blocks=2)
-        with pytest.raises(ValueError, match="equal blocks"):
-            decision_scores(model, X[:4], blocks=0)
+        with pytest.raises(InvalidInput, match="expected 4 features"):
+            decision_scores(model, np.ones(shape))
 
 
 class TestLogisticRegression:
     def test_gradient_matches_finite_differences(self):
-        """The stacked gradient and loss of a one-lane stack against finite
-        differences of the loss."""
+        """The stacked gradient and loss of a one-lane stack, padded after
+        its rows, against finite differences of the loss."""
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 4))
         y = rng.integers(0, 2, 30)
         w = rng.normal(size=4)
         b = rng.normal()
-        stack = LaneStack(X, y.astype(float), np.array([30]))
-        z = X @ w + b
+        padded_X = np.concatenate([X, np.full((5, 4), np.inf)])[None]
+        padded_y = np.concatenate([y, np.ones(5, dtype=int)])[None]
+        stack = LaneStack(padded_X, padded_y, np.array([30]))
+        z = stack.margins(w[None], np.array([b]))
+        assert _same_bits(z[0, :30], X @ w + b)
         assert stack.loss(z, w[None], l2=0.7)[0] == pytest.approx(logistic_loss(w, b, X, y, l2=0.7))
         (grad_w,), (grad_b,) = stack.gradient(sigmoid(z), w[None], l2=0.7)
         eps = 1e-6
@@ -238,25 +240,34 @@ class TestLogisticRegression:
         assert grad_b == pytest.approx(num_b, abs=1e-5)
 
     def test_stack_values_equal_each_lane_alone(self):
-        """Margins, loss, gradient and Hessian of a stack of lanes of three
-        row counts are bit for bit those of each lane's rows alone."""
+        """Margins, loss, gradient and Hessian of a padded stack of lanes of
+        three row counts are bit for bit those of each lane's rows alone,
+        and stay so in the stack of some of its lanes."""
         rng = np.random.default_rng(1)
         counts = np.array([9, 9, 12, 30, 30, 30])
         lanes = [(rng.normal(size=(n, 3)), rng.integers(0, 2, n).astype(float)) for n in counts]
         w, b = rng.normal(size=(6, 3)), rng.normal(size=6)
-        stack = LaneStack(np.concatenate([X for X, _ in lanes]),
-                          np.concatenate([y for _, y in lanes]), counts)
-        z = stack.margins(w, b)
-        p = sigmoid(z)
-        loss, (gw, gb), H = stack.loss(z, w, 0.7), stack.gradient(p, w, 0.7), stack.hessians(p)
-        for k, ((X, y), zk) in enumerate(zip(lanes, np.split(z, np.cumsum(counts)[:-1]))):
-            assert _same_bits(zk, X @ w[k] + b[k])
-            assert _same_bits(loss[k], logistic_loss(w[k], b[k], X, y, 0.7))
-            gw_k, gb_k = logistic_gradient(sigmoid(zk), w[k], X, y, 0.7)
-            assert _same_bits(gw[k], gw_k) and _same_bits(gb[k], gb_k)
-            s = sigmoid(zk) * (1.0 - sigmoid(zk)) / len(y)
-            Xa = np.hstack([X, np.ones((len(y), 1))])
-            assert _same_bits(H[k], Xa.T @ (Xa * s[:, None]))
+        X = np.full((6, 32, 3), np.inf)
+        y = np.ones((6, 32))
+        for k, (Xk, yk) in enumerate(lanes):
+            X[k, :len(yk)], y[k, :len(yk)] = Xk, yk
+        keep = np.array([False, True, True, False, True, True])
+        for stack, kept in [(LaneStack(X, y, counts), np.arange(6)),
+                            (LaneStack(X, y, counts).take(keep), np.flatnonzero(keep))]:
+            z = stack.margins(w[kept], b[kept])
+            p = sigmoid(z)
+            loss, (gw, gb) = stack.loss(z, w[kept], 0.7), stack.gradient(p, w[kept], 0.7)
+            H = stack.hessians(p)
+            for i, k in enumerate(kept):
+                (Xk, yk), n = lanes[k], counts[k]
+                zk = Xk @ w[k] + b[k]
+                assert _same_bits(z[i, :n], zk)
+                assert _same_bits(loss[i], logistic_loss(w[k], b[k], Xk, yk, 0.7))
+                gw_k, gb_k = logistic_gradient(sigmoid(zk), w[k], Xk, yk, 0.7)
+                assert _same_bits(gw[i], gw_k) and _same_bits(gb[i], gb_k)
+                s = sigmoid(zk) * (1.0 - sigmoid(zk)) / n
+                Xa = np.hstack([Xk, np.ones((n, 1))])
+                assert _same_bits(H[i], Xa.T @ (Xa * s[:, None]))
 
     def test_l2_shrinks_weights(self, monkeypatch):
         X, y = blobs(d=2, gap=3.0)
@@ -265,6 +276,48 @@ class TestLogisticRegression:
         n_small = np.linalg.norm(w_small.estimator.w)
         n_large = np.linalg.norm(w_large.estimator.w)
         assert n_large < n_small
+
+
+class TestLaneSums:
+    """Each lane's or node's sum is bit for bit a 1-D np.sum of its own
+    rows."""
+
+    @staticmethod
+    def spread(rng, shape):
+        # magnitudes over six decades, so that the order of additions shows
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+
+    def test_count_groups(self):
+        assert tree.count_groups(np.array([2, 2, 5, 9, 9, 9])) == [
+            (slice(0, 2), 2), (slice(2, 3), 5), (slice(3, 6), 9)]
+
+    def test_lanes(self):
+        rng = np.random.default_rng(0)
+        counts = np.array([1, 3, 8, 8, 9, 17, 17, 40])
+        values = self.spread(rng, (3, len(counts), 41))
+        out = tree.lane_sums(values, tree.count_groups(counts))
+        assert out.shape == (3, len(counts))
+        for s in range(3):
+            for b, n in enumerate(counts):
+                assert _same_bits(out[s, b], np.sum(values[s, b, :n]))
+        # a zero-padded sum rounds differently
+        padded = np.where(np.arange(41) < counts[:, None], values, 0.0).sum(axis=-1)
+        assert not _same_bits(out, padded)
+
+    def test_nodes(self):
+        """Nodes of unsorted, ragged and tied row counts, of three lanes of
+        three statistics."""
+        rng = np.random.default_rng(1)
+        sums = self.spread(rng, (3, 3, 40))
+        lane = np.array([2, 0, 1, 0, 2, 1, 1])
+        masks = np.zeros((len(lane), 40), dtype=bool)
+        for mask, n in zip(masks, [33, 2, 17, 9, 17, 1, 12]):
+            mask[rng.choice(40, size=n, replace=False)] = True
+        out = tree._node_sums(sums, lane, masks, masks.sum(axis=1))
+        assert out.shape == (len(lane), 3)
+        for b, (lb, mask) in enumerate(zip(lane, masks)):
+            for s in range(3):
+                assert _same_bits(out[b, s], np.sum(sums[lb, s][mask]))
 
 
 class TestGenerativeModels:
@@ -1047,8 +1100,7 @@ class TestBatchedCalls:
         X, y = blobs()
         model = train(ClassifierConfig("rf"), X, y)
         calls = _count_calls(monkeypatch, ensemble, "walk")
-        blocks = rows[0] if len(rows) == 3 else 1
-        decision_scores(model, np.zeros((int(np.prod(rows[:-1])), 4)), blocks=blocks)
+        decision_scores(model, np.zeros(rows))
         assert len(calls) == 1
 
 
@@ -1510,9 +1562,9 @@ class TestTrainMany:
 
     def test_configs_must_be_one_per_lane_of_one_kind(self):
         lanes, _ = ragged_lanes(9)
-        with pytest.raises(ValueError, match="one config per lane"):
+        with pytest.raises(InvalidInput, match="one config per lane"):
             train_many([ClassifierConfig("gb"), ClassifierConfig("xgb")], lanes[:2])
-        with pytest.raises(ValueError, match="one config per lane"):
+        with pytest.raises(InvalidInput, match="one config per lane"):
             train_many([ClassifierConfig("gb")], lanes[:2])
         assert train_many(ClassifierConfig("gb"), []) == []
 

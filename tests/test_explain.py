@@ -8,7 +8,7 @@ import pytest
 
 from timesense import explain
 from timesense.classifiers import ClassifierConfig, TrainedModel, decision_scores, train
-from timesense.errors import InsufficientData, Unsupported
+from timesense.errors import InsufficientData, InvalidInput, Unsupported
 from timesense.evaluate import MATRIX_KINDS
 from timesense.explain import exact_shapley, kernel_shap, mean_abs_shap
 from timesense.model import Dataset
@@ -71,6 +71,21 @@ class TestExactShapley:
     def test_empty_background(self):
         with pytest.raises(InsufficientData):
             exact_shapley(stub_model(np.zeros(2)), np.zeros((0, 2)), np.zeros(2))
+
+
+class TestShapes:
+    @pytest.mark.parametrize("bg_shape,x_shape", [
+        ((20, 3), (4,)), ((20, 5), (4,)), ((20, 4), (1, 4)), ((20, 4), ()), ((4,), (4,))])
+    def test_bad_shapes_name_both(self, bg_shape, x_shape):
+        """A background of other rows than the instance's length, or an
+        instance not 1-D, raise InvalidInput naming both shapes."""
+        X, y = np.random.default_rng(0).normal(size=(20, 4)), np.arange(20) % 2
+        model = train(ClassifierConfig("lr"), X, y)
+        explainers = [exact_shapley, lambda *args: kernel_shap(*args, n_samples=64)]
+        for explainer in explainers:
+            with pytest.raises(InvalidInput) as err:
+                explainer(model, np.zeros(bg_shape), np.zeros(x_shape))
+            assert str(bg_shape) in str(err.value) and str(x_shape) in str(err.value)
 
 
 class TestKernelShap:
