@@ -3,6 +3,8 @@ enumeration oracle, a kernel-weighted regression estimator, and the
 mean-|value| aggregation used for feature rankings."""
 
 import math
+import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -110,21 +112,125 @@ def _kernel_weight(d, size):
     return (d - 1) / (math.comb(d, size) * size * (d - size))
 
 
-def _sample_coalitions(d, n_samples, rng):
-    """n_samples random proper coalitions as 0/1 rows: a size drawn from
-    the kernel's size profile, then that many distinct features."""
+def _size_cdf(d):
+    """CDF of the kernel's size profile over sizes 1 .. d-1 as a list,
+    normalised as Generator.choice(sizes, p=...) normalises it."""
     sizes = np.arange(1, d)
     size_probs = np.array([(d - 1) / (s * (d - s)) for s in sizes])
     size_probs = size_probs / size_probs.sum()
-    # the inverse-CDF draw rng.choice(sizes, p=size_probs) makes, with the
-    # CDF built once instead of on every call: same stream, same sizes
     cdf = size_probs.cumsum()
     cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _pick_size(cdf, u):
+    """The coalition size a uniform draw ``u`` in [0, 1) picks: the
+    inverse-CDF draw of Generator.choice(sizes, p=...)."""
+    return bisect_right(cdf, u) + 1
+
+
+def _lemire_may_reject(products, bounds):
+    """Whether Lemire's method might reject one of the bounded draws whose
+    32-bit draw times its bound is ``products``: it redraws when the low
+    word is below 2**32 mod bound, and that is below bound."""
+    return bool(((products & 0xFFFFFFFF) < bounds).any())
+
+
+def _replayed_coalitions(d, n_samples, cdf, bit_generator):
+    """The rows the loop of ``_sample_coalitions`` draws from a Generator
+    on the fresh PCG64 ``bit_generator``, replayed from one block of its raw
+    64-bit words; None when a bounded draw might have been rejected and
+    redrawn.
+
+    Generator.choice consumes the stream thus. A size draw takes one word,
+    ``(w >> 11) * 2**-53``. A draw in 0 .. j takes one 32-bit half, the low
+    half of a fresh word or the high half left over from the last one, and
+    is ``(x * (j + 1)) >> 32`` (Lemire). ``choice(d, s, replace=False)``
+    makes s such draws for Floyd's algorithm, draw j in 0 .. j for j = d-s
+    .. d-1 and take j itself when the draw is already in the set, then s-1
+    more for a shuffle that leaves the set as it is. So coalition i takes
+    ``1 + s_i - (i & 1)`` words, and the halves of all coalitions, in
+    stream order, are the words that are not size draws.
+    """
+    words = bit_generator.random_raw(n_samples * d)    # 1 + s <= d words a coalition
+    raw = memoryview(words)
+    sizes = []
+    at = 0
+    for i in range(n_samples):
+        s = _pick_size(cdf, (raw[at] >> 11) * 2.0**-53)
+        sizes.append(s)
+        at += 1 + s - (i & 1)
+    size = np.array(sizes)
+    taken = 1 + size - np.arange(n_samples) % 2        # words of each coalition
+    bounded = np.ones(at, dtype=bool)
+    bounded[np.cumsum(taken) - taken] = False
+    halves = words[:at][bounded].astype("<u8", copy=False).view("<u4")
+    del raw, words   # free the block, as large as the rows, before they are built
+
+    # largest coalitions first, so that the coalitions a step draws for are
+    # the first n of order; n_at_least[k] of them have size >= k
+    first = np.cumsum(2 * size - 1) - (2 * size - 1)   # first half of each coalition
+    order = np.argsort(-size, kind="stable")
+    shuffle_at = (first + size)[order]                 # first half after Floyd's draws
+    sorted_size = size[order].astype(np.uint64)
+    n_at_least = np.bincount(sizes, minlength=d + 1)[::-1].cumsum()[::-1].tolist()
+    chosen = np.zeros((n_samples, d), dtype=bool)
+    for j in range(1, d):
+        # Floyd's draw in 0 .. j, for coalitions of size >= d - j
+        n = n_at_least[d - j]
+        products = halves[shuffle_at[:n] + (j - d)] * np.uint64(j + 1)
+        if _lemire_may_reject(products, j + 1):
+            return None
+        picked = (products >> 32).astype(np.intp)
+        rows = order[:n]
+        chosen[rows, np.where(chosen[rows, picked], j, picked)] = True
+        # shuffle draw j - 1, in 0 .. s - j, for coalitions of size >= j + 1
+        n = n_at_least[j + 1]
+        bounds = sorted_size[:n] - (j - 1)
+        if _lemire_may_reject(halves[shuffle_at[:n] + (j - 1)] * bounds, bounds):
+            return None
+    return chosen.astype(float)
+
+
+# Generator.choice(d, size, replace=False) shuffles a tail of all d indices,
+# not Floyd's algorithm, for a larger population
+FLOYD_MAX_POPULATION = 10000
+
+
+def _sample_coalitions(d, n_samples, seed):
+    """n_samples random proper coalitions as 0/1 rows: a size drawn from
+    the kernel's size profile, then that many distinct features, bit for
+    bit as ``default_rng(seed)`` draws them with ``random`` and ``choice``.
+
+    The rows are replayed from one block of raw words; where the replay
+    cannot vouch for a draw, a fresh generator draws them coalition by
+    coalition.
+    """
+    cdf = _size_cdf(d)
+    if d <= FLOYD_MAX_POPULATION:
+        Z = _replayed_coalitions(d, n_samples, cdf, np.random.default_rng(seed).bit_generator)
+        if Z is not None:
+            return Z
+    rng = np.random.default_rng(seed)
     Z = np.zeros((n_samples, d))
     for i in range(n_samples):
-        s = int(sizes[cdf.searchsorted(rng.random(), side="right")])
-        Z[i, rng.choice(d, size=s, replace=False)] = 1.0
+        Z[i, rng.choice(d, size=_pick_size(cdf, rng.random()), replace=False)] = 1.0
     return Z
+
+
+def _check_sampling(d, n_samples, seed):
+    """InvalidInput naming the argument unless n_samples is an integer and
+    seed a non-negative integer; InsufficientData when n_samples < d + 2."""
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+        raise InvalidInput(f"n_samples must be an integer, got {n_samples!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInput(f"seed must be a non-negative integer, got {seed!r}")
+    if n_samples < d + 2:
+        raise InsufficientData(f"need at least d + 2 = {d + 2} samples")
+
+
+def _mean_score(model, rows):
+    return float(np.mean(decision_scores(model, rows)))
 
 
 def kernel_shap(model: TrainedModel, background, instance, n_samples: int,
@@ -133,24 +239,29 @@ def kernel_shap(model: TrainedModel, background, instance, n_samples: int,
 
     The all-on and all-off coalitions enter through the enforced
     local-accuracy constraint. When n_samples covers every proper coalition
-    the estimate coincides with exact enumeration.
+    the estimate coincides with exact enumeration; otherwise ``seed`` seeds
+    the coalition draw.
     """
     background, instance = _explained(background, instance)
-    d = len(instance)
-    if n_samples < d + 2:
-        raise InsufficientData(f"need at least d + 2 = {d + 2} samples")
+    _check_sampling(len(instance), n_samples, seed)
     if len(background) == 0:
         raise InsufficientData("background must be non-empty")
+    return _kernel_shap(model, background, instance, n_samples, seed,
+                        _mean_score(model, background))
 
-    base = float(np.mean(decision_scores(model, background)))
-    pred = float(np.mean(decision_scores(model, instance[None, :])))
+
+def _kernel_shap(model, background, instance, n_samples, seed, base):
+    """``kernel_shap`` on checked arguments, with ``base`` the mean score of
+    the background."""
+    d = len(instance)
+    pred = _mean_score(model, instance[None, :])
 
     n_proper = 2**d - 2 if d < 63 else None
     if n_proper is not None and n_samples >= n_proper:
         Z = _coalitions(d, range(1, d)).astype(float)  # (0, d) when d = 1
         weights = np.array([_kernel_weight(d, int(z.sum())) for z in Z])
     else:
-        Z = _sample_coalitions(d, n_samples, np.random.default_rng(seed))
+        Z = _sample_coalitions(d, n_samples, seed)
         # sampling already follows the size profile of the kernel; the
         # per-subset weight within a size class is uniform
         weights = np.ones(n_samples)
@@ -177,15 +288,17 @@ def mean_abs_shap(model: TrainedModel, dataset, n_samples: int, seed: int = 0):
     canonical feature order.
     """
     X = dataset.X
+    _check_sampling(X.shape[1], n_samples, seed)
     if len(X) == 0:
         raise InsufficientData("dataset must be non-empty")
     background = X
     if len(X) > MAX_BACKGROUND:
         keep = np.random.default_rng(seed).choice(len(X), size=MAX_BACKGROUND, replace=False)
         background = X[np.sort(keep)]
+    base = _mean_score(model, background)
     totals = np.zeros(X.shape[1])
     for i in range(len(X)):
-        att = kernel_shap(model, background, X[i], n_samples=n_samples, seed=seed + i)
+        att = _kernel_shap(model, background, X[i], n_samples, int(seed) + i, base)
         totals += np.abs(att.values)
     means = totals / len(X)
     order = sorted(range(len(means)), key=lambda j: (-means[j], j))

@@ -163,6 +163,36 @@ class TestKernelShap:
             kernel_shap(model, np.zeros((0, 3)), np.zeros(3), n_samples=16)
 
 
+class TestSamplingArguments:
+    """Both entry points name a bad n_samples or seed; numpy integers pass,
+    and an unsigned seed does not wrap when a row adds its index."""
+
+    def call(self, entry, n_samples, seed):
+        model = stub_model([1.0, -2.0, 0.5])
+        X = np.random.default_rng(0).normal(size=(6, 3))
+        if entry == "kernel_shap":
+            return kernel_shap(model, X, X[0], n_samples=n_samples, seed=seed)
+        return mean_abs_shap(model, Dataset(X, np.tile([0, 1], 3), np.arange(6) % 3 + 1,
+                                            ("a", "b", "c")), n_samples=n_samples, seed=seed)
+
+    @pytest.mark.parametrize("entry", ["kernel_shap", "mean_abs_shap"])
+    @pytest.mark.parametrize("name,value", [("n_samples", 10.0), ("n_samples", True),
+                                            ("n_samples", "10"), ("seed", -1), ("seed", 1.5),
+                                            ("seed", True), ("seed", None)])
+    def test_bad_argument_named(self, entry, name, value):
+        args = {"n_samples": 5, "seed": 0, name: value}
+        with pytest.raises(InvalidInput, match=name):
+            self.call(entry, **args)
+
+    @pytest.mark.parametrize("entry", ["kernel_shap", "mean_abs_shap"])
+    def test_numpy_integers_accepted(self, entry):
+        plain = self.call(entry, 5, 255)
+        numpy_ints = self.call(entry, np.int64(5), np.uint8(255))
+        if entry == "kernel_shap":
+            plain, numpy_ints = plain.values, numpy_ints.values
+        assert np.array_equal(plain, numpy_ints)
+
+
 class TestMeanAbsShap:
     def make_dataset(self, w, n=12, seed=0):
         rng = np.random.default_rng(seed)
@@ -362,33 +392,61 @@ class TestChunkedScoringMatchesLoop:
 
 
 class TestSizeSampler:
-    @pytest.mark.parametrize("d", [3, 4, 8, 16, 24, 39])
+    @pytest.mark.parametrize("d", range(2, 64))
     def test_same_rows_as_generator_choice(self, d):
-        for seed in range(5):
-            got = explain._sample_coalitions(d, 300, np.random.default_rng(seed))
-            want = choice_sample_coalitions(d, 300, np.random.default_rng(seed))
-            assert same_bits(got, want)
+        """A numpy whose Generator.choice consumes its stream otherwise fails
+        here. Odd and even n_samples; 20 seeds for the short draws, and for
+        the long ones a seed that cycles through the same 20 with d, which
+        keeps the loop oracle to a few seconds."""
+        cases = [(seed, n) for seed in range(20) for n in (1, 2, 3)]
+        cases += [(d % 20, 300), (d % 20, 1024)]
+        for seed, n_samples in cases:
+            got = explain._sample_coalitions(d, n_samples, seed)
+            want = choice_sample_coalitions(d, n_samples, np.random.default_rng(seed))
+            assert same_bits(got, want), (seed, n_samples)
+
+    def test_population_beyond_floyd_takes_the_loop(self, monkeypatch):
+        d = explain.FLOYD_MAX_POPULATION + 1
+
+        def no_replay(*args):
+            raise AssertionError("replayed a population choice shuffles")
+
+        monkeypatch.setattr(explain, "_replayed_coalitions", no_replay)
+        got = explain._sample_coalitions(d, 3, 5)
+        assert same_bits(got, choice_sample_coalitions(d, 3, np.random.default_rng(5)))
+
+    def test_a_draw_lemire_may_reject_stops_the_replay(self):
+        # an all-zero block: every 32-bit draw is 0, which Lemire's method
+        # redraws for a bound that does not divide 2**32, as 5 does not
+        class ZeroWords:
+            def random_raw(self, n):
+                return np.zeros(n, dtype=np.uint64)
+
+        assert explain._replayed_coalitions(5, 4, explain._size_cdf(5), ZeroWords()) is None
+
+    @pytest.mark.parametrize("flag_call", [0, 1, 7, 30])
+    def test_rejection_fallback_gives_the_choice_rows(self, flag_call, monkeypatch):
+        """A replay that meets a possible rejection, at its first check or
+        after some steps, leaves the rows to the loop."""
+        checks = []
+
+        def flag_one(products, bounds):
+            checks.append(None)
+            return len(checks) > flag_call
+
+        monkeypatch.setattr(explain, "_lemire_may_reject", flag_one)
+        got = explain._sample_coalitions(24, 300, 11)
+        assert len(checks) == flag_call + 1
+        assert same_bits(got, choice_sample_coalitions(24, 300, np.random.default_rng(11)))
 
     @pytest.mark.parametrize("d", range(3, 64))
     def test_extreme_draws_pick_the_extreme_sizes(self, d):
         """Generator.choice normalises its CDF, so the largest uniform draw
         picks the largest size; for d = 8, 16, 28, ... the cumulated
         probabilities end below that draw."""
-        class FixedDraw:
-            def __init__(self, u):
-                self.u = u
-                self.rng = np.random.default_rng(0)
-
-            def random(self):
-                return self.u
-
-            def choice(self, *args, **kwargs):
-                return self.rng.choice(*args, **kwargs)
-
-        top = explain._sample_coalitions(d, 2, FixedDraw(np.nextafter(1.0, 0.0)))
-        assert top.sum(axis=1).tolist() == [d - 1, d - 1]
-        bottom = explain._sample_coalitions(d, 2, FixedDraw(0.0))
-        assert bottom.sum(axis=1).tolist() == [1, 1]
+        cdf = explain._size_cdf(d)
+        assert explain._pick_size(cdf, np.nextafter(1.0, 0.0)) == d - 1
+        assert explain._pick_size(cdf, 0.0) == 1
 
 
 # sha256 of the mean |SHAP| ranking JSON, recorded with the per-coalition
