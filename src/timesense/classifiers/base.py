@@ -126,12 +126,18 @@ def _training_lanes(lanes):
     return stacks
 
 
-def _lane_cost(estimator):
-    """Copies of a lane's rows that ``fit_many`` stacks at once: a forest's
-    trees, a booster's deepest searched level, lr's one."""
+def _lane_cost(estimator, n, width):
+    """Entries of the stack that ``fit_many`` holds at once for a lane of n
+    rows of ``width`` features: svc's (n, n) kernel matrix, or copies of the
+    lane's rows, one per tree of a forest, per node of a booster's deepest
+    searched level, or one for lr."""
+    if isinstance(estimator, SMOSVC):
+        return n * n
     if isinstance(estimator, Booster):
-        return 2 ** max(estimator.max_depth - 1, 0)
-    return estimator.n_estimators if isinstance(estimator, RandomForest) else 1
+        copies = 2 ** max(estimator.max_depth - 1, 0)
+    else:
+        copies = estimator.n_estimators if isinstance(estimator, RandomForest) else 1
+    return copies * n * width
 
 
 def train_many(config, lanes) -> list:
@@ -140,9 +146,9 @@ def train_many(config, lanes) -> list:
     every lane or a sequence of them, one per lane, all of one kind.
 
     Each model is bit for bit the one ``train`` gives for its lane alone.
-    dtc, rf, gb, xgb and lr fit each block of ``tree.lane_blocks`` in one
-    ``fit_many`` call on a view of its width's stack; the other kinds fit
-    one lane after another.
+    svc, dtc, rf, gb, xgb and lr fit each block of ``tree.lane_blocks`` in
+    one ``fit_many`` call on a view of its width's stack, svc's lanes in one
+    SMO loop; the other kinds fit one lane after another.
     """
     configs = [config] * len(lanes) if isinstance(config, ClassifierConfig) else list(config)
     if len(configs) != len(lanes) or len({c.kind for c in configs}) > 1:
@@ -151,7 +157,7 @@ def train_many(config, lanes) -> list:
     for index, X, y, counts in _training_lanes(lanes):
         fits = [estimators[i] for i in index]
         if hasattr(fits[0], "fit_many"):
-            for a, b in lane_blocks(counts, _lane_cost(fits[0]) * X.shape[2]):
+            for a, b in lane_blocks(counts, lambda n: _lane_cost(fits[0], n, X.shape[2])):
                 n = counts[b - 1]
                 fits[0].fit_many(fits[a:b], X[a:b, :n], y[a:b, :n], counts[a:b])
         else:

@@ -24,8 +24,8 @@ NO_CHILD = -1
 # The stacked walk takes as many rows at a time as keep each of its
 # (trees, rows) buffers within this many entries.
 WALK_BLOCK = 1 << 14
-# A batched fit takes as many lanes at a time as keep its (lanes x cost,
-# rows, features) stack within this many entries.
+# A batched fit takes as many lanes at a time as keep the stack it holds
+# (``base._lane_cost`` entries a lane) within this many entries.
 FIT_BLOCK = 1 << 16
 
 
@@ -435,14 +435,14 @@ def fit_alone(model, X, y):
     return model
 
 
-def lane_blocks(counts, cost):
+def lane_blocks(counts, lane_cost):
     """The ranges (start, stop) of lanes, in ascending row count ``counts``,
-    that one ``fit_many`` call takes: each range's (lanes, rows) stack,
-    ``cost`` entries a row, holds at most ``FIT_BLOCK`` entries (one lane at
-    least)."""
+    that one ``fit_many`` call takes: each range's stack, ``lane_cost(n)``
+    entries a lane at its longest lane's n rows, holds at most
+    ``FIT_BLOCK`` entries (one lane at least)."""
     start = 0
     for i, n in enumerate(counts.tolist()):
-        if i > start and (i + 1 - start) * n * cost > FIT_BLOCK:
+        if i > start and (i + 1 - start) * lane_cost(n) > FIT_BLOCK:
             yield start, i
             start = i
     yield start, len(counts)

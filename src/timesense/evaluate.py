@@ -59,6 +59,10 @@ def _resolve_selection(selection, train_ds: Dataset, config, seed):
     if mode == "none":
         return tuple(train_ds.feature_names)
     if mode in MANUAL_SUBSETS:
+        missing = [n for n in MANUAL_SUBSETS[mode] if n not in train_ds.feature_names]
+        if missing:
+            raise InvalidInput(f"selection {mode!r} needs features the dataset lacks: "
+                               + ", ".join(missing))
         return MANUAL_SUBSETS[mode]
     if mode == "sfs":
         n_features = (params or {}).get("n_features", 12)

@@ -1,6 +1,7 @@
 """Feature selection: greedy sequential selection and recursive feature
 elimination sized by cross-validated accuracy."""
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,8 @@ def sfs(dataset, config: ClassifierConfig, n_features: int, seed: int = 0) -> Se
     order (candidates are scanned in that order and only a strictly better
     score replaces the incumbent).
     """
+    if isinstance(n_features, bool) or not isinstance(n_features, numbers.Integral):
+        raise InvalidInput(f"n_features must be an integer, got {n_features!r}")
     names = list(dataset.feature_names)
     d = len(names)
     if not 1 <= n_features <= d:

@@ -3,8 +3,9 @@ import inspect
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from timesense.classifiers import base, ensemble, tree
+from timesense.classifiers import base, ensemble, svm, tree
 from timesense.classifiers.ensemble import (
     AdaBoost,
     DecisionTree,
@@ -1121,11 +1122,18 @@ def _node_depths_and_rows(nodes, X):
 
 
 # ---------------------------------------------------------------------------
-# Solver oracles: the SMO and Newton-LR solvers as they were before they kept
-# per-state values, evaluating every value afresh where it is used.
+# Solver oracles: Platt's SMO solver, which the svc used before WSS2, and the
+# Newton-LR solver as it was before it kept per-state values; both evaluate
+# every value afresh where it is used. The svc's dual objective must reach
+# Platt's; lr must equal its oracle bit for bit.
 # ---------------------------------------------------------------------------
 
 class OracleSMOSVC(SMOSVC):
+    """Platt (1998): pair steps in index-ordered sweeps, KKT tolerance
+    ``tol``, at most ``max_passes`` sweeps."""
+
+    tol, max_passes = 1e-3, 200
+
     def fit(self, X, y):
         X = np.asarray(X, dtype=float)
         ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
@@ -1271,12 +1279,13 @@ class OracleLR(LogisticRegressionNewton):
         return self
 
 
-# sha256 of decision_scores (training rows, then a fresh draw), recorded
-# before the solvers kept per-state values.
+# sha256 of decision_scores (training rows, then a fresh draw): lr's recorded
+# before its solver kept per-state values, svc's when WSS2 replaced Platt's
+# solver.
 PINNED_SOLVERS = {
-    ("blobs", "svc"): "2ba63e330905899caea76c7713f72d43067236b75a5535a12e114d09add5aca6",
+    ("blobs", "svc"): "2e7b40677ae5dc74b0ead0f6caf178ca51166cb9560864e966e70610a96fe5ba",
     ("blobs", "lr"): "6c9f2f54ac760fd502f61510787cbf37a60826a70b09c83476841b4380509f3f",
-    ("xor_data", "svc"): "d940f7e38182254a106d514bb22b28f9b4a14367f4e7b110363fd4437bfff6d1",
+    ("xor_data", "svc"): "a113b6415b919d180600fa294c68fc22f67b0d5e9e68aada61c86d276080a606",
     ("xor_data", "lr"): "65925ff44b988562502bd3889bf74a676b5b271844197f5fbbe2c64c6935084b",
 }
 
@@ -1309,7 +1318,7 @@ def select_case(seed):
     return X, y
 
 
-# a select case whose solve ends at the sweep cap of 200
+# a select case whose solve by Platt's solver ends at its sweep cap of 200
 CAPPED_SELECT_CASE = 30
 
 
@@ -1318,39 +1327,69 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_same_smo(new, old):
-    assert _same_bits(new.alpha_, old.alpha_)
-    assert _same_bits(new.b_, old.b_)
-    assert _same_bits(new.support_X_, old.support_X_)
-    assert _same_bits(new.support_coef_, old.support_coef_)
-    assert (new.n_iter_, new.converged_) == (old.n_iter_, old.converged_)
+def svm_dual(model, X, y):
+    """The dual objective ``alpha Q alpha / 2 - sum(alpha)`` of a fitted svc
+    on its training rows; the solver minimizes it."""
+    ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
+    Q = ypm[:, None] * ypm * rbf_kernel(X, X, model.gamma_)
+    return 0.5 * model.alpha_ @ Q @ model.alpha_ - model.alpha_.sum()
+
+
+def assert_kkt(model, X, y):
+    """alpha lies in the box with y . alpha = 0, the maximal violating
+    pair's gap, from a gradient computed afresh, is below eps, and every free
+    support vector scores y f(x) = 1 within eps."""
+    C, eps, a = model.C, model.eps, model.alpha_
+    ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
+    assert ((0 <= a) & (a <= C)).all()
+    assert abs(a @ ypm) <= 1e-12 * max(a.sum(), 1.0)
+    G = (ypm[:, None] * ypm * rbf_kernel(X, X, model.gamma_)) @ a - 1.0
+    score = -ypm * G
+    up = np.where(ypm > 0, a < C, a > 0)
+    down = np.where(ypm > 0, a > 0, a < C)
+    # the fresh gradient rounds apart from the solver's by far less than 1e-10
+    assert score[up].max() - score[down].min() < eps + 1e-10
+    free = (0 < a) & (a < C)
+    assert np.all(np.abs(ypm[free] * model.decision_function(X[free]) - 1.0) < eps + 1e-10)
+
+
+def assert_reaches_platt(X, y):
+    """The svc converges, meets the KKT conditions at eps, and its dual
+    objective is Platt's or lower, with a slack of 1e-9 relative."""
+    new, old = SMOSVC().fit(X, y), OracleSMOSVC().fit(X, y)
+    assert _same_bits(new.gamma_, old.gamma_)
+    assert new.converged_
+    assert_kkt(new, X, y)
+    platt = svm_dual(old, X, y)
+    assert svm_dual(new, X, y) <= platt + 1e-9 * abs(platt)
 
 
 class TestSolversMatchOracles:
-    """The solvers keep per-state values yet return exactly what the
-    oracles, which evaluate every value afresh, return."""
+    """The svc's WSS2 solver reaches at least the dual objective of Platt's
+    solver; the lr solver keeps per-state values yet returns exactly what its
+    oracle, which evaluates every value afresh, returns."""
 
     @pytest.mark.parametrize("seed", range(120))
     def test_smo(self, monkeypatch, seed):
         rng, X, y = solver_case(seed)
         monkeypatch.setattr(SMOSVC, "C", (0.1, 1.0, 10.0)[seed % 3])
-        assert_same_smo(SMOSVC().fit(X, y), OracleSMOSVC().fit(X, y))
+        assert_reaches_platt(X, y)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_smo_on_select_shaped_fits(self, seed):
-        X, y = select_case(seed)
-        assert_same_smo(SMOSVC().fit(X, y), OracleSMOSVC().fit(X, y))
+        assert_reaches_platt(*select_case(seed))
 
-    def test_a_select_shaped_fit_ends_at_the_sweep_cap(self, monkeypatch):
+    def test_a_select_shaped_fit_ends_at_the_sweep_cap(self):
+        """Platt's solver ends this fit at its sweep cap, short of the
+        optimum; WSS2 converges on it to a lower dual objective."""
         X, y = select_case(CAPPED_SELECT_CASE)
-        capped = SMOSVC().fit(X, y)
-        assert (capped.n_iter_, capped.converged_) == (SMOSVC.max_passes, False)
-        assert_same_smo(capped, OracleSMOSVC().fit(X, y))
-        # with a higher cap it converges, at sweep 420
-        monkeypatch.setattr(SMOSVC, "max_passes", 1000)
-        longer = SMOSVC().fit(X, y)
-        assert (longer.n_iter_, longer.converged_) == (420, True)
-        assert_same_smo(longer, OracleSMOSVC().fit(X, y))
+        capped = OracleSMOSVC().fit(X, y)
+        assert (capped.n_iter_, capped.converged_) == (OracleSMOSVC.max_passes, False)
+        new = SMOSVC().fit(X, y)
+        assert new.converged_ and new.n_iter_ < 50
+        assert_kkt(new, X, y)
+        platt = svm_dual(capped, X, y)
+        assert svm_dual(new, X, y) < platt - 1e-4 * abs(platt)
 
     @pytest.mark.parametrize("seed", range(120))
     def test_lr(self, monkeypatch, seed):
@@ -1378,45 +1417,98 @@ class TestSolversMatchOracles:
         assert _digest(decision_scores(model, rows)) == PINNED_SOLVERS[fixture, kind]
 
 
+def qp_case(seed):
+    """A dual QP small enough for SLSQP: 4-20 distinct rows of 1-4 features
+    and both classes, so its optimum is unique."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(4, 21)), int(rng.integers(1, 5))
+    X = rng.normal(0.0, float(rng.choice([0.3, 1.0, 3.0])), (n, d))
+    y = rng.integers(0, 2, n)
+    y[:2] = (0, 1)
+    X[y == 1] += float(rng.uniform(0.0, 2.0))
+    return X, y
+
+
+def slsqp_alpha(X, y, gamma, C):
+    """The dual QP's minimizer by ``scipy.optimize.minimize`` (SLSQP)."""
+    ypm = np.where(y == 1, 1.0, -1.0)
+    Q = ypm[:, None] * ypm * rbf_kernel(X, X, gamma)
+    solved = minimize(lambda a: 0.5 * a @ Q @ a - a.sum(), np.zeros(len(y)),
+                      jac=lambda a: Q @ a - 1.0, method="SLSQP", bounds=[(0.0, C)] * len(y),
+                      constraints=[{"type": "eq", "fun": lambda a: a @ ypm,
+                                    "jac": lambda a: ypm}],
+                      options={"ftol": 1e-13, "maxiter": 2000})
+    assert solved.success
+    return solved.x
+
+
+class TestDualQpOracle:
+    """WSS2 against a general QP solver on the same dual."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_alpha_matches_slsqp(self, monkeypatch, seed):
+        X, y = qp_case(seed)
+        monkeypatch.setattr(SMOSVC, "C", (0.1, 1.0, 10.0)[seed % 3])
+        svc = SMOSVC().fit(X, y)
+        assert svc.converged_
+        assert_kkt(svc, X, y)
+        reference = slsqp_alpha(X, y, svc.gamma_, SMOSVC.C)
+        oracle = SMOSVC()
+        oracle.gamma_, oracle.alpha_ = svc.gamma_, reference
+        optimum = svm_dual(oracle, X, y)
+        assert svm_dual(svc, X, y) <= optimum + 1e-9 * abs(optimum)
+        # at eps 1e-6, alpha is as exact as the conditioning of Q allows
+        # (up to 2e-5 off here); a tighter gap must give SLSQP's alpha
+        monkeypatch.setattr(SMOSVC, "eps", 1e-10)
+        assert np.abs(SMOSVC().fit(X, y).alpha_ - reference).max() <= 1e-6
+
+
 class TestSmoProducts:
-    """SMOSVC.fit refreshes its per-column values with one stacked product
-    and its error vector with one gemv into a buffer. The fits equal the
-    oracle's only while these round as the one-column ``coef @ K[:, i]``
-    and ``coef @ K`` do; a numpy or BLAS that rounds them otherwise fails
-    here first."""
+    """SMOSVC.fit_many writes the kernels of all lanes of one row count,
+    from one stacked product, into one (lanes, n, n) buffer. A lane's model
+    equals its fit alone only while each lane's gamma and kernel round as
+    ``rbf_kernel`` on its rows alone does, at any place in a stack of any
+    height; a numpy or BLAS that rounds them otherwise fails here first."""
 
     @pytest.mark.parametrize("n", range(2, 61))
     def test_buffered_products_round_as_the_plain_ones(self, n):
         rng = np.random.default_rng(n)
-        X = rng.normal(0.0, 1.0, (n, int(rng.integers(1, 4))))
-        K = rbf_kernel(X, X, 1.0 / X.shape[1])
-        coef = rng.uniform(0.0, 1.0, n) * rng.choice([-1.0, 1.0], n)
-        coef[rng.random(n) < 0.3] = 0.0
-        dots = np.matmul(coef[None, None, :], K.T[:, :, None], out=np.empty((n, 1, 1)))
-        assert np.array_equal(_int64(dots.ravel()),
-                              _int64([coef @ K[:, i] for i in range(n)]))
-        products = np.matmul(coef, K, out=np.empty(n))
-        assert np.array_equal(_int64(products), _int64(coef @ K))
+        d = int(rng.integers(1, 4))
+        counts = np.sort(np.r_[rng.integers(2, n + 1, 5), n, n])
+        lanes = [rng.normal(0.0, float(rng.choice([0.3, 1.0, 3.0])), (c, d)) for c in counts]
+        lanes[1][:] = 0.5  # constant rows: gamma 1
+        X = np.full((len(counts), n, d), np.inf)
+        for Xb, rows in zip(X, lanes):
+            Xb[:len(rows)] = rows
+        gamma, K = svm._kernels(X, counts)
+        for g, k, rows in zip(gamma, K, lanes):
+            var, c = rows.var(), len(rows)
+            alone = 1.0 / (d * var) if var > 0 else 1.0
+            assert _same_bits(g, alone)
+            assert np.array_equal(_int64(k[:c, :c]), _int64(rbf_kernel(rows, rows, alone)))
+            assert not k[c:].any() and not k[:, c:].any()
 
 
 class TestSolverConvergence:
-    def test_smo_reports_the_sweep_cap(self, monkeypatch):
-        X, y = blobs(gap=2.0)
-        with monkeypatch.context() as m:
-            m.setattr(SMOSVC, "max_passes", 1)
-            capped = SMOSVC().fit(X, y)
-        assert (capped.n_iter_, capped.converged_) == (1, False)
-        full = SMOSVC().fit(X, y)
-        assert full.converged_ and 1 < full.n_iter_ < full.max_passes
+    """A solver that hits its iteration cap says so: svc's cap counts pair
+    steps, lr's Newton steps."""
 
-    def test_lr_reports_the_iteration_cap(self, monkeypatch):
+    @pytest.mark.parametrize("route", ["train", "train_many"])
+    @pytest.mark.parametrize("kind", ["svc", "lr"])
+    def test_a_solver_reports_its_iteration_cap(self, monkeypatch, kind, route):
         X, y = blobs(gap=2.0)
-        with monkeypatch.context() as m:
-            m.setattr(LogisticRegressionNewton, "max_iter", 1)
-            capped = LogisticRegressionNewton().fit(X, y)
-        assert (capped.n_iter_, capped.converged_) == (1, False)
-        full = LogisticRegressionNewton().fit(X, y)
-        assert full.converged_ and 1 < full.n_iter_ < full.max_iter
+        config = ClassifierConfig(kind)
+
+        def fits():
+            if route == "train":
+                return [train(config, X, y).estimator]
+            lanes = [(X, y), (X[5:], y[5:]), (X[:-7], y[:-7])]
+            return [m.estimator for m in train_many(config, lanes)]
+
+        full = fits()
+        assert all(f.converged_ and 1 < f.n_iter_ < f.max_iter for f in full)
+        monkeypatch.setattr(base._ESTIMATORS[kind], "max_iter", 1)
+        assert [(f.n_iter_, f.converged_) for f in fits()] == [(1, False)] * len(full)
 
 
 # ---------------------------------------------------------------------------
@@ -1521,7 +1613,10 @@ class TestTrainMany:
         # two boosting lanes (4 nodes a level); a forest of 100 trees
         # exceeds them and takes a block alone; 200 hold two lr lanes
         ("dtc", 1000, 1), ("rf", 1000, 5), ("gb", 1000, 3), ("xgb", 1000, 3),
-        ("lr", 1000, 1), ("lr", 200, 3)])
+        ("lr", 1000, 1), ("lr", 200, 3),
+        # an svc lane of n rows holds its (n, n) kernel: 1300 entries hold
+        # two lanes of 23 or 24 rows, 5000 all five lanes
+        ("svc", 1, 5), ("svc", 1300, 3), ("svc", 5000, 1)])
     def test_lanes_split_into_blocks_equal_one_block(self, monkeypatch, kind, block, blocks):
         lanes, probe = ragged_lanes(6)
         config = ClassifierConfig(kind, seed=2)
@@ -1539,6 +1634,32 @@ class TestTrainMany:
         for model, reference in zip(train_many(config, lanes), whole):
             assert_same_model(model, reference, probe)
         assert len(sizes) == blocks and sum(sizes) == len(lanes)
+
+    def test_svc_lanes_that_stop_at_different_steps_or_at_the_cap(self, monkeypatch):
+        """Ragged lanes that converge at different steps beside one that hits
+        the cap, and a lane of twin rows of both labels: a pair of twins has
+        curvature 0 and so takes TAU, which makes it the first working
+        pair."""
+        lanes = [select_case(s) for s in (1, 7, 0, 8, 2, 18)]
+        X, y = select_case(3)
+        lanes.append((np.vstack([X, X]), np.r_[y, 1 - y]))
+        config = ClassifierConfig("svc")
+        with monkeypatch.context() as m:
+            m.setattr(SMOSVC, "max_iter", 1)
+            first = train(config, *lanes[-1]).estimator
+        assert _same_bits(first.support_X_[0], first.support_X_[1])
+        assert first.support_coef_.tolist() == [-SMOSVC.C, SMOSVC.C]
+        steps = [train(config, X, y).estimator.n_iter_ for X, y in lanes]
+        # lane 5 alone needs 44 steps, the others 4-18
+        monkeypatch.setattr(SMOSVC, "max_iter", 30)
+        models = train_many(config, lanes)
+        probe = np.linspace(-0.5, 1.5, 9)[:, None]
+        for model, (X, y) in zip(models, lanes):
+            assert_same_model(model, train(config, X, y), probe)
+        stops = [(m.estimator.n_iter_, m.estimator.converged_) for m in models]
+        assert stops[5] == (30, False)
+        assert all(c for _, c in stops[:5] + stops[6:])
+        assert [n for n, _ in stops[:5]] == steps[:5] and len(set(steps[:5])) == 5
 
     def test_lanes_keep_their_own_seeds(self):
         lanes, probe = ragged_lanes(7)

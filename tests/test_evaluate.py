@@ -77,6 +77,20 @@ class TestLosocv:
         with pytest.raises(InvalidInput, match="unknown selection mode 'bogus'"):
             losocv(planted, ClassifierConfig("lr"), selection=("bogus", None))
 
+    @pytest.mark.parametrize("mode,missing", [
+        ("ppg", PPG_FEATURES[6:]), ("ppg+eda", PPG_FEATURES[6:] + EDA_FEATURES)])
+    def test_a_manual_subset_names_the_features_it_lacks(self, planted, mode, missing):
+        sub = first_features(planted, 6)
+        with pytest.raises(InvalidInput) as raised:
+            losocv(sub, ClassifierConfig("lr"), selection=(mode, None))
+        assert str(raised.value) == (
+            f"selection {mode!r} needs features the dataset lacks: " + ", ".join(missing))
+
+    def test_a_non_integer_sfs_size_is_refused(self, planted):
+        with pytest.raises(InvalidInput, match="n_features must be an integer, got 2.5"):
+            losocv(first_features(planted, 4), ClassifierConfig("lr"),
+                   selection=("sfs", {"n_features": 2.5}))
+
     def test_leakage_oracle(self, planted):
         """Each fold's result is bit-identical to an isolated manual run that
         never sees the held-out rows."""

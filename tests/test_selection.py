@@ -3,6 +3,7 @@ import pytest
 
 from timesense.classifiers import ClassifierConfig, importance, predict, train
 from timesense.errors import InsufficientData, InvalidInput, Unsupported
+from timesense import selection
 from timesense.model import Dataset
 from timesense.selection import (
     SelectionResult,
@@ -102,6 +103,21 @@ class TestSfs:
             sfs(ds, LR, n_features=0)
         with pytest.raises(InvalidInput, match="n_features out of range"):
             sfs(ds, LR, n_features=5)
+
+    @pytest.mark.parametrize("n_features", [2.5, 2.0, "2", True, None])
+    def test_a_non_integer_n_features_is_refused_before_any_fit(self, monkeypatch, n_features):
+        def no_fit(*args):
+            raise AssertionError("sfs fitted before it checked n_features")
+
+        monkeypatch.setattr(selection, "train_many", no_fit)
+        ds = single_informative_dataset(d=4)
+        with pytest.raises(InvalidInput, match="n_features must be an integer"):
+            sfs(ds, LR, n_features=n_features)
+
+    @pytest.mark.parametrize("n_features", [np.int64(2), np.uint8(2)])
+    def test_numpy_integers_are_accepted(self, n_features):
+        ds = single_informative_dataset(d=4)
+        assert sfs(ds, LR, n_features=n_features) == sfs(ds, LR, n_features=2)
 
 
 class TestRfecv:
