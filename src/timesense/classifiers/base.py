@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InsufficientData, InvalidInput, Unsupported
+from ..errors import InsufficientData, InvalidInput, Unsupported, check_seed
 from .ensemble import AdaBoost, Booster, DecisionTree, GradientBoosting, RandomForest, XGBoost
 from .knn import KNN
 from .linear import LDA, QDA, GaussianNB, LogisticRegressionNewton
@@ -34,8 +34,7 @@ class ClassifierConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidInput(f"unknown classifier kind {self.kind!r}")
-        if self.seed < 0:
-            raise InvalidInput(f"seed {self.seed} must be >= 0")
+        check_seed(self.seed)
 
     def supports_importance(self) -> bool:
         return self.kind in IMPORTANCE_CAPABLE
@@ -73,6 +72,8 @@ def _training_rows(X, y):
     y = np.asarray(y)
     if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
         raise InvalidInput("X and y shapes disagree")
+    if X.shape[1] == 0:
+        raise InvalidInput("X must have at least one feature column")
     if len(y) < 2:
         raise InsufficientData("need at least 2 training rows")
     if not np.all((y == 0) | (y == 1)):
@@ -102,7 +103,7 @@ def _training_lanes(lanes):
     lanes = [(np.asarray(X, dtype=float), np.asarray(y)) for X, y in lanes]
     widths = {}
     for i, (X, y) in enumerate(lanes):
-        if X.ndim != 2 or y.ndim != 1 or len(X) != len(y) or len(y) < 2:
+        if X.ndim != 2 or y.ndim != 1 or len(X) != len(y) or X.shape[1] == 0 or len(y) < 2:
             _refuse(lanes)
         widths.setdefault(X.shape[1], []).append(i)
     stacks = []
@@ -147,8 +148,13 @@ def train_many(config, lanes) -> list:
 
     Each model is bit for bit the one ``train`` gives for its lane alone.
     svc, dtc, rf, gb, xgb and lr fit each block of ``tree.lane_blocks`` in
-    one ``fit_many`` call on a view of its width's stack, svc's lanes in one
-    SMO loop; the other kinds fit one lane after another.
+    one ``fit_many(models, X, y, counts)`` call on a view of its width's
+    stack: it fits ``models[b]``, which differ at most in rf's seed, on the
+    ``counts[b]`` rows of ``X[b]`` (lanes, n, d) and ``y[b]`` (lanes, n), of
+    one width and in ascending row count; the rows after a lane's own rows
+    are padding that no fit reads. The other kinds ``fit(X, y)`` one lane's
+    own rows after another. Estimators take these checked float64 rows and
+    int labels, in canonical order, as given.
     """
     configs = [config] * len(lanes) if isinstance(config, ClassifierConfig) else list(config)
     if len(configs) != len(lanes) or len({c.kind for c in configs}) > 1:
@@ -179,7 +185,8 @@ def decision_scores(model: TrainedModel, X) -> np.ndarray:
 
     A stack is scored in one call, and each block's scores are bit for bit
     those a call on that block alone returns: BLAS products and numpy
-    reductions can round a row differently in a taller matrix.
+    reductions can round a row differently in a taller matrix. Estimators
+    score the checked float64 X as given.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim < 2 or X.shape[-1] != model.feature_count:

@@ -27,13 +27,6 @@ class TreeEnsemble:
     stack, one weight per tree, and an offset added to the weighted sum of
     the trees' values. dtc, rf, gb and xgb keep one importance vector per
     tree too.
-
-    A kind that trains many models at once defines ``fit_many(models, X, y,
-    counts)``: it fits ``models[b]``, which differ at most in rf's seed, on
-    the ``counts[b]`` rows of ``X[b]`` (lanes, n, d) and ``y[b]`` (lanes, n),
-    in canonical order. The lanes are one ``train_many`` block, of one width
-    and in ascending row count; the rows after a lane's own rows are padding
-    that no fit reads. Each model is bit for bit its lane's fit alone.
     """
 
     def __init__(self):
@@ -43,10 +36,10 @@ class TreeEnsemble:
 
     fit = fit_alone
 
-    def _weighted_sum(self, X):
+    def decision_function(self, X):
         """offset + sum of weight * tree value, accumulated in tree order."""
         if self.nodes_ is None:
-            return np.full(np.shape(X)[:-1], self.offset_)
+            return np.full(X.shape[:-1], self.offset_)
         values = walk(self.nodes_, X)
         terms = np.concatenate([np.full((1,) + values.shape[1:], self.offset_),
                                 np.reshape(self.weights_, (-1,) + (1,) * (values.ndim - 1))
@@ -182,9 +175,6 @@ class Booster(TreeEnsemble):
             model.importances_ = list(gains[trees])
             model.weights_ = [first.learning_rate] * rounds
 
-    def decision_function(self, X):
-        return self._weighted_sum(X)
-
     def importance(self):
         return _normalized(np.sum(self.importances_, axis=0))
 
@@ -216,8 +206,7 @@ class AdaBoost(TreeEnsemble):
     n_estimators = 50
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        ypm = np.where(np.asarray(y) == 1, 1.0, -1.0)
+        ypm = np.where(y == 1, 1.0, -1.0)
         n = len(X)
         w = np.full(n, 1.0 / n)
         # stump k is tree k: a root on its feature and leaves -1 and +1 by
@@ -243,9 +232,6 @@ class AdaBoost(TreeEnsemble):
         if self.weights_:
             self.nodes_ = _trimmed(stumps, 0, len(self.weights_))
         return self
-
-    def decision_function(self, X):
-        return self._weighted_sum(X)
 
     def importance(self):
         if not self.weights_:

@@ -20,7 +20,6 @@ class KNN:
         return self
 
     def decision_function(self, X):
-        X = np.asarray(X, dtype=float)
         k = min(self.k, len(self.y_))
         d2 = (np.sum(X * X, axis=-1)[..., None]
               + np.sum(self.X_ * self.X_, axis=1)[None, :]

@@ -88,12 +88,9 @@ class LogisticRegressionNewton:
 
     @staticmethod
     def fit_many(models, X, y, counts):
-        """Fits ``models[b]`` on the ``counts[b]`` rows of ``X[b]`` (lanes, n,
-        d) and ``y[b]`` (lanes, n); the lanes are one block of
-        ``train_many``, of one width and in ascending row count. Sets each
-        model's ``w``, ``b``, ``n_iter_`` (Newton steps taken) and
-        ``converged_`` (False when ``max_iter`` steps ended the solve before
-        the gradient tolerance was met).
+        """Sets each model's ``w``, ``b``, ``n_iter_`` (Newton steps taken)
+        and ``converged_`` (False when ``max_iter`` steps ended the solve
+        before the gradient tolerance was met).
 
         The lanes take their Newton steps in one loop. Each lane leaves it
         when its own gradient meets the tolerance and halves its own step
@@ -152,7 +149,7 @@ class LogisticRegressionNewton:
         finish(np.ones(len(models), dtype=bool), self.max_iter, False)
 
     def decision_function(self, X):
-        return np.asarray(X, dtype=float) @ self.w + self.b
+        return X @ self.w + self.b
 
     def importance(self):
         return np.abs(self.w)
@@ -164,8 +161,6 @@ class GaussianNB:
     var_smoothing = 1e-9
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
         eps = self.var_smoothing * max(X.var(axis=0).max(), 1e-30)
         self.means_ = np.stack([X[y == c].mean(axis=0) for c in (0, 1)])
         self.vars_ = np.stack([X[y == c].var(axis=0) + eps for c in (0, 1)])
@@ -177,7 +172,6 @@ class GaussianNB:
         return -0.5 * np.sum(np.log(2 * np.pi * self.vars_[c]) + diff**2 / self.vars_[c], axis=-1)
 
     def decision_function(self, X):
-        X = np.asarray(X, dtype=float)
         return (self._log_likelihood(X, 1) + self.log_priors_[1]
                 - self._log_likelihood(X, 0) - self.log_priors_[0])
 
@@ -188,8 +182,6 @@ class LDA:
     ridge = 1e-6
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
         n, d = X.shape
         mu0 = X[y == 0].mean(axis=0)
         mu1 = X[y == 1].mean(axis=0)
@@ -202,11 +194,9 @@ class LDA:
         self.means_ = np.stack([mu0, mu1])
         return self
 
-    def decision_function(self, X):
-        return np.asarray(X, dtype=float) @ self.w + self.b
-
-    def importance(self):
-        return np.abs(self.w)
+    # lr's linear score and importance
+    decision_function = LogisticRegressionNewton.decision_function
+    importance = LogisticRegressionNewton.importance
 
 
 class QDA:
@@ -215,8 +205,6 @@ class QDA:
     ridge = 1e-6
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
         d = X.shape[1]
         self.means_, self.inv_covs_, self.logdets_ = [], [], []
         for c in (0, 1):
@@ -236,5 +224,4 @@ class QDA:
         return -0.5 * (maha + self.logdets_[c]) + self.log_priors_[c]
 
     def decision_function(self, X):
-        X = np.asarray(X, dtype=float)
         return self._score_class(X, 1) - self._score_class(X, 0)

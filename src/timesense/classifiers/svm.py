@@ -77,13 +77,10 @@ class SMOSVC:
 
     @staticmethod
     def fit_many(models, X, y, counts):
-        """Fits ``models[b]`` on the ``counts[b]`` rows of ``X[b]`` (lanes, n,
-        d) and ``y[b]`` (lanes, n); the lanes are one block of
-        ``train_many``, of one width and in ascending row count. Sets each
-        model's ``gamma_``, ``alpha_``, ``b_``, its support vectors,
-        ``n_iter_`` (pair steps taken) and ``converged_`` (False when
-        ``max_iter`` steps ended the solve with a gap of ``eps`` or more).
-        """
+        """Sets each model's ``gamma_``, ``alpha_``, ``b_``, its support
+        vectors, ``n_iter_`` (pair steps taken) and ``converged_`` (False
+        when ``max_iter`` steps ended the solve with a gap of ``eps`` or
+        more)."""
         lanes, n = y.shape
         C, eps, max_iter = models[0].C, models[0].eps, models[0].max_iter
         gamma, K = _kernels(X, counts)
@@ -152,7 +149,4 @@ class SMOSVC:
             model.support_coef_ = (model.alpha_ * ypm[k, :c])[sv]
 
     def decision_function(self, X):
-        X = np.asarray(X, dtype=float)
-        if len(self.support_X_) == 0:
-            return np.full(X.shape[:-1], self.b_)
         return rbf_kernel(X, self.support_X_, self.gamma_) @ self.support_coef_ + self.b_

@@ -79,7 +79,6 @@ def walk(nodes, X):
     time. Each row takes, in each tree, the path that the tree's own
     ``X[:, feature] <= threshold`` tests give it.
     """
-    X = np.asarray(X, dtype=float)
     shape = X.shape[:-1]
     X = X.reshape(-1, X.shape[-1])
     n_trees, size = nodes.feature.shape
@@ -428,10 +427,9 @@ def grow_boosting_trees(X, valid, root, sums, booster):
 
 
 def fit_alone(model, X, y):
-    """Fits ``model`` on the rows (X, y) alone, by its one-lane
-    ``fit_many``."""
-    model.fit_many([model], np.asarray(X, dtype=float)[None], np.asarray(y, dtype=int)[None],
-                   np.array([len(y)]))
+    """Fits ``model`` on the rows (X, y) alone, a float64 and an int
+    array, by its one-lane ``fit_many``."""
+    model.fit_many([model], X[None], y[None], np.array([len(y)]))
     return model
 
 

@@ -2,8 +2,11 @@
 
 Each class carries the exit code the command line returns for it, so this
 module alone decides the codes: 1 for a missing input file, 2 for every
-validation or domain error.
+validation or domain error. ``check_seed`` is the one rule every seeded
+entry point applies to its seed.
 """
+
+import numbers
 
 
 class TimesenseError(Exception):
@@ -45,3 +48,12 @@ class FeatureExtractionError(TimesenseError):
         self.window = window
         self.cause = cause
         super().__init__(f"{channel}/{window}: {cause}")
+
+
+def check_seed(seed):
+    """InvalidInput unless ``seed`` is a non-negative integer: a Python or
+    numpy integer, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise InvalidInput(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise InvalidInput(f"seed {seed} must be >= 0")

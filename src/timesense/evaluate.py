@@ -4,7 +4,7 @@ accuracy matrix."""
 import numpy as np
 
 from .classifiers import KINDS, ClassifierConfig, predict, train_many
-from .errors import InsufficientData, InvalidInput
+from .errors import InsufficientData, InvalidInput, check_seed
 from .model import (
     EDA_FEATURES,
     PPG_FEATURES,
@@ -51,11 +51,25 @@ def fold_seed(master_seed: int, participant_id: int) -> int:
     return int(master_seed) * 1000003 + int(participant_id)
 
 
-def _resolve_selection(selection, train_ds: Dataset, config, seed):
-    """Returns the selected feature names for this fold's training rows."""
+def _selection_mode(selection):
+    """The mode and params of a ``losocv`` selection spec; InvalidInput
+    naming the spec unless it is well formed."""
     if selection is None:
-        return tuple(train_ds.feature_names)
-    mode, params = selection
+        return "none", {}
+    if not (isinstance(selection, tuple) and len(selection) == 2
+            and (selection[1] is None or isinstance(selection[1], dict))):
+        raise InvalidInput(f"selection must be None or a (mode, params) pair with params "
+                           f"None or a dict, got {selection!r}")
+    mode, params = selection[0], selection[1] or {}
+    if mode not in SELECTION_MODES:
+        raise InvalidInput(f"unknown selection mode {mode!r}")
+    if set(params) - ({"n_features"} if mode == "sfs" else set()):
+        raise InvalidInput(f"selection {selection!r}: only sfs takes a key, n_features")
+    return mode, params
+
+
+def _resolve_selection(mode, params, train_ds: Dataset, config, seed):
+    """Returns the selected feature names for this fold's training rows."""
     if mode == "none":
         return tuple(train_ds.feature_names)
     if mode in MANUAL_SUBSETS:
@@ -65,11 +79,8 @@ def _resolve_selection(selection, train_ds: Dataset, config, seed):
                                + ", ".join(missing))
         return MANUAL_SUBSETS[mode]
     if mode == "sfs":
-        n_features = (params or {}).get("n_features", 12)
-        return sfs(train_ds, config, n_features=n_features, seed=seed).selected
-    if mode == "rfecv":
-        return rfecv(train_ds, config, seed=seed).selected
-    raise InvalidInput(f"unknown selection mode {mode!r}")
+        return sfs(train_ds, config, n_features=params.get("n_features", 12), seed=seed).selected
+    return rfecv(train_ds, config, seed=seed).selected
 
 
 def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "minmax",
@@ -81,8 +92,11 @@ def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "min
     participant. Every fold's model is trained in one ``train_many`` call.
     ``selection`` is None or a (mode, params) pair with mode in
     SELECTION_MODES; params is None, or for 'sfs' may hold ``n_features``
-    (default 12).
+    (default 12). A malformed spec or seed is refused before the first
+    fold.
     """
+    check_seed(seed)
+    mode, params = _selection_mode(selection)
     participants = dataset.participants()
     if len(participants) < 2:
         raise InsufficientData("need at least 2 participants")
@@ -100,7 +114,7 @@ def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "min
         test_X = apply_scaler(scaler, test_rows.X)
 
         cfg = ClassifierConfig(config.kind, seed=s)
-        selected = _resolve_selection(selection, train_scaled, cfg, s)
+        selected = _resolve_selection(mode, params, train_scaled, cfg, s)
         idx = [dataset.feature_names.index(n) for n in selected]
         folds.append((pid, scaler, selected, test_X[:, idx], test_rows.y))
         configs.append(cfg)

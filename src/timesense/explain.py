@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from .classifiers import TrainedModel, decision_scores
-from .errors import InsufficientData, InvalidInput, Unsupported
+from .errors import InsufficientData, InvalidInput, Unsupported, check_seed
 
 
 @dataclass(frozen=True)
@@ -223,8 +223,7 @@ def _check_sampling(d, n_samples, seed):
     seed a non-negative integer; InsufficientData when n_samples < d + 2."""
     if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
         raise InvalidInput(f"n_samples must be an integer, got {n_samples!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InvalidInput(f"seed must be a non-negative integer, got {seed!r}")
+    check_seed(seed)
     if n_samples < d + 2:
         raise InsufficientData(f"need at least d + 2 = {d + 2} samples")
 

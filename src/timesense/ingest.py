@@ -11,7 +11,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, MissingFile
+from .errors import InvalidInput, MissingFile, check_seed
 from .fileio import read_json, write_atomic, write_json
 from .model import (
     ALL_SETTINGS,
@@ -301,8 +301,7 @@ class SynthConfig:
             raise InvalidInput(f"margin {self.margin!r} is not one of {sorted(MARGINS)}")
         if not 0 <= self.n_slow_biased <= self.participants:
             raise InvalidInput("n_slow_biased out of range")
-        if self.seed < 0:
-            raise InvalidInput("seed must be >= 0")
+        check_seed(self.seed)
 
 
 def synth_config_from_json(doc, where="config") -> SynthConfig:

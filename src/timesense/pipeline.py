@@ -66,6 +66,8 @@ def scale_ratings(ratings):
     All-equal ratings are returned unchanged (degenerate rule).
     """
     r = np.asarray(ratings, dtype=float)
+    if r.size == 0:
+        raise InsufficientData("no ratings to rescale")
     lo, hi = r.min(), r.max()
     if hi == lo:
         return r.copy()
@@ -75,8 +77,6 @@ def scale_ratings(ratings):
 def derive_labels(ratings) -> np.ndarray:
     """One participant's labels in session order: 1 (fast) where the
     rescaled rating exceeds LABEL_THRESHOLD, else 0 (slow)."""
-    if len(ratings) < 1:
-        raise InsufficientData("no ratings to label")
     return (scale_ratings(ratings) > LABEL_THRESHOLD).astype(int)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import ClassifierConfig, importance, predict, train_many
-from .errors import InsufficientData, InvalidInput, Unsupported
+from .errors import InsufficientData, InvalidInput, Unsupported, check_seed
 
 # Stratified folds of the cross-validation that scores each candidate set.
 CV_FOLDS = 5
@@ -29,6 +29,7 @@ class SelectionResult:
 def stratified_kfold(y, seed):
     """Deterministic seeded stratified assignment to ``CV_FOLDS`` folds;
     returns test-index lists."""
+    check_seed(seed)
     y = np.asarray(y, dtype=int)
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(CV_FOLDS)]

@@ -130,6 +130,16 @@ class TestTrainValidation:
         with pytest.raises(InvalidInput, match="unknown classifier kind"):
             ClassifierConfig("mlp")
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_without_features_refused(self, kind):
+        X, y = blobs(d=3)
+        config = ClassifierConfig(kind)
+        with pytest.raises(InvalidInput, match="X must have at least one feature column"):
+            train(config, X[:, :0], y)
+        # the first bad lane's error, not the one-row lane's after it
+        with pytest.raises(InvalidInput, match="X must have at least one feature column"):
+            train_many(config, [(X, y), (X[:, :0], y), (X[:1], y[:1]), (X, y)])
+
     def test_predict_dimension_check(self):
         X, y = blobs(d=3)
         model = train(ClassifierConfig("lr"), X, y)
@@ -205,6 +215,24 @@ class TestBlockedScores:
         # some leaf value is not dyadic
         assert np.modf(nodes.value[nodes.feature == tree.NO_CHILD] * 2.0**20)[0].any()
         self.assert_blocks_score_as_own_calls(model, rows)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_integer_and_list_input_as_float64(self, kind):
+        """train and decision_scores convert their input once: integer X,
+        as int64 or as nested lists, gives the model and the score bytes of
+        float64 X, for a block (n, d) and a stack (k, n, d) alike."""
+        rng = np.random.default_rng(6)
+        X, y = rng.integers(-4, 5, size=(16, 3)), np.tile([0, 1], 8)
+        probe = rng.integers(-4, 5, size=(2, 5, 3))
+        config = ClassifierConfig(kind, seed=1)
+        reference = train(config, X.astype(float), y)
+        for rows, labels in ((X, y), (X.tolist(), y.tolist())):
+            model = train(config, rows, labels)
+            assert _state(model.estimator) == _state(reference.estimator)
+            for block in (probe[0], probe):
+                want = _int64(decision_scores(reference, block.astype(float)))
+                for given in (block, block.tolist()):
+                    assert np.array_equal(_int64(decision_scores(model, given)), want)
 
     @pytest.mark.parametrize("shape", [(4,), (), (3, 5), (2, 3, 5), (2, 3, 4, 1)])
     def test_rows_must_have_the_model_width(self, shape):
@@ -1752,7 +1780,8 @@ class TestTrainingLanes:
     @pytest.mark.parametrize("spoilt", [
         {1: "nan"}, {5: "one class"}, {7: "label 2"}, {8: "label 2"}, {0: "short y"},
         {6: "one row"}, {4: "label column"}, {1: "nan", 3: "label 2"},
-        {1: "label 2", 3: "nan"}, {3: "one class", 7: "nan"}, {2: "label column", 5: "nan"}],
+        {1: "label 2", 3: "nan"}, {3: "one class", 7: "nan"}, {2: "label column", 5: "nan"},
+        {3: "no features"}, {2: "no features", 5: "nan"}, {1: "one class", 4: "no features"}],
         ids=str)
     def test_a_bad_lane_raises_as_the_first_bad_lane_alone(self, spoilt):
         lanes = tied_lanes()
@@ -1769,7 +1798,8 @@ class TestTrainingLanes:
 
 SPOILT_MESSAGES = {"nan": "must be finite", "one class": "both classes",
                    "label 2": "exactly 0 or 1", "short y": "shapes disagree",
-                   "one row": "at least 2", "label column": "shapes disagree"}
+                   "one row": "at least 2", "label column": "shapes disagree",
+                   "no features": "at least one feature column"}
 
 
 def _spoilt(lane, how):
@@ -1787,6 +1817,8 @@ def _spoilt(lane, how):
         X, y = X[:1], y[:1]
     elif how == "label column":
         y = y[:, None]
+    elif how == "no features":
+        X = X[:, :0]
     return X, y
 
 

@@ -77,6 +77,30 @@ class TestLosocv:
         with pytest.raises(InvalidInput, match="unknown selection mode 'bogus'"):
             losocv(planted, ClassifierConfig("lr"), selection=("bogus", None))
 
+    @pytest.mark.parametrize("spec,message", [
+        (("sfs", {"n_feature": 2}), "only sfs takes a key, n_features"),
+        (("rfecv", {"anything": 1}), "only sfs takes a key, n_features"),
+        (("none", {"n_features": 2}), "only sfs takes a key, n_features"),
+        ("sfs", "a (mode, params) pair"),
+        (("sfs",), "a (mode, params) pair"),
+        (("sfs", [1]), "a (mode, params) pair"),
+        (("sfs", None, None), "a (mode, params) pair"),
+        (["sfs", None], "a (mode, params) pair")], ids=repr)
+    def test_a_malformed_selection_is_refused_before_the_first_fold(
+            self, planted, monkeypatch, spec, message):
+        def fold(*args):
+            raise AssertionError("a fold ran")
+
+        monkeypatch.setattr(evaluate, "fit_scaler", fold)
+        with pytest.raises(InvalidInput) as raised:
+            losocv(planted, ClassifierConfig("lr"), selection=spec)
+        assert message in str(raised.value) and repr(spec) in str(raised.value)
+        assert "\n" not in str(raised.value)
+
+    def test_a_dataset_without_features_is_refused(self, planted):
+        with pytest.raises(InvalidInput, match="at least one feature column"):
+            losocv(first_features(planted, 0), ClassifierConfig("lr"))
+
     @pytest.mark.parametrize("mode,missing", [
         ("ppg", PPG_FEATURES[6:]), ("ppg+eda", PPG_FEATURES[6:] + EDA_FEATURES)])
     def test_a_manual_subset_names_the_features_it_lacks(self, planted, mode, missing):

@@ -92,6 +92,10 @@ class TestLabels:
         with pytest.raises(InsufficientData, match="no ratings"):
             derive_labels([])
 
+    def test_empty_ratings_not_rescaled(self):
+        with pytest.raises(InsufficientData, match="no ratings to rescale"):
+            scale_ratings([])
+
     @given(st.lists(st.integers(1, 5), min_size=2, max_size=8),
            st.integers(-3, 3))
     @settings(max_examples=60, deadline=None)
