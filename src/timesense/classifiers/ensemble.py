@@ -8,9 +8,11 @@ from .linear import sigmoid
 from .tree import (
     NO_CHILD,
     TreeNodes,
+    count_groups,
     fit_alone,
     grow_boosting_trees,
     grow_forest,
+    lane_sums,
     sort_lanes,
     stump_split,
     walk,
@@ -144,10 +146,10 @@ class Booster(TreeEnsemble):
             p0 = np.clip((valid & (y == 1)).sum(axis=1) / counts, 1e-12, 1 - 1e-12)
             offsets = np.log(p0 / (1 - p0))
         F = np.repeat(offsets[:, None], X.shape[1], axis=1)
-        # gradients, hessians and the hessians splits use: ones for gb
+        # gradients, the hessians splits use (ones for gb) and hessians
         sums = np.ones((len(models), 3, X.shape[1]))
         # every round's roots search all rows: sort them once
-        root = sort_lanes(X, valid)
+        root, groups = sort_lanes(X, valid), count_groups(counts)
         # each round's trees and split gains, lane by lane: round r of lane
         # b is row b * rounds + r
         rounds = first.n_estimators
@@ -156,10 +158,11 @@ class Booster(TreeEnsemble):
         for r in range(rounds):
             p = sigmoid(F)
             sums[:, 0] = p - y
-            sums[:, 1] = np.maximum(p * (1 - p), 1e-12)
+            sums[:, 2] = np.maximum(p * (1 - p), 1e-12)
             if first.second_order_splits:
-                sums[:, 2] = sums[:, 1]
-            nodes, gain[r::rounds], row_value = grow_boosting_trees(X, valid, root, sums, first)
+                sums[:, 1] = sums[:, 2]
+            nodes, gain[r::rounds], row_value = grow_boosting_trees(
+                X, valid, root, sums, lane_sums(sums.transpose(1, 0, 2), groups), first)
             F = F + first.learning_rate * row_value
             for out, a in zip(stacked.arrays(), nodes.arrays()):
                 out[r::rounds] = a

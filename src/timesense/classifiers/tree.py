@@ -115,9 +115,8 @@ def sort_lanes(X, mask):
 
     Each column of each lane is sorted stably with the masked rows last.
     Cut i of a column sends its i smallest rows left: cut 0 sends every row
-    right (threshold one below the smallest value); 0 < i < the lane's row
-    count is a cut where the sorted values step up between rows i-1 and i,
-    with the threshold at their midpoint.
+    right; 0 < i < the lane's row count is a cut where the sorted values
+    step up between rows i-1 and i.
 
     Returns ``(rows, xs, cuts)`` for ``best_split``: the flat lane row of
     each sorted position (B, f, n), the sorted values (B, f, n) and the cuts
@@ -145,9 +144,16 @@ def best_split(lanes, stats, score):
     the cut positions (n,); it returns each cut's gain (B, f, n) and where
     the criterion allows the cut.
 
-    Returns per lane ``(column, cut, threshold, gain)`` of the highest gain
-    -- ties go to the lowest column, then the lowest threshold -- with gain
-    -inf in a lane where no cut is allowed.
+    Returns per lane ``(column, cut, threshold, gain, left)`` of the highest
+    gain, with gain -inf in a lane where no cut is allowed and ``left`` (k,
+    B) the statistics summed left of the cut. Ties of gains equal bit for
+    bit go to the lowest column, then the lowest threshold; gains equal in
+    exact arithmetic can differ in their last bits, as each column sums in
+    its own order. ``X[:, column] <= threshold`` holds for exactly the rows
+    left of the cut: the threshold is the midpoint of the values either
+    side, or the lower one where the midpoint rounds onto the upper one or
+    overflows; at cut 0, one below the smallest value, or the next float
+    down where that rounds back onto it.
     """
     rows, xs, cuts = lanes
     n_lanes, f, n = xs.shape
@@ -162,8 +168,12 @@ def best_split(lanes, stats, score):
     col, i = np.divmod(best, n)
     best += np.arange(0, gain.size, f * n)
     at = xs.take(best)
-    thr = np.where(i > 0, 0.5 * (xs.take(best - 1) + at), at - 1.0)
-    return col, i, thr, gain.take(best)
+    below = xs.take(best - 1)
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (below + at)
+    thr = np.where(i > 0, np.where((below <= mid) & (mid < at), mid, below),
+                   np.minimum(at - 1.0, np.nextafter(at, -np.inf)))
+    return col, i, thr, gain.take(best), left.reshape(len(stats), -1).take(best, axis=1)
 
 
 def _gini(a, b):
@@ -194,9 +204,9 @@ def gini_score(total_w, total_fast):
 def gradient_score(G, H, reg_lambda, min_child_weight):
     """``best_split`` score of second-order boosting: the objective reduction
     0.5 * (GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)) for lanes with
-    gradient and hessian totals ``G`` and ``H`` (B,). A cut must leave a row
-    and ``min_child_weight`` hessian on each side and gain more than
-    1e-12."""
+    gradient and hessian totals ``G`` and ``H`` (B,), from the first two
+    statistics. A cut must leave a row and ``min_child_weight`` hessian on
+    each side and gain more than 1e-12."""
 
     def objective(g, h):
         # g * g / (h + reg_lambda + 1e-12), evaluated in place
@@ -210,7 +220,7 @@ def gradient_score(G, H, reg_lambda, min_child_weight):
     parent = objective(G, H)
 
     def score(left, last, n_left):
-        gl, hl = left
+        gl, hl = left[:2]
         hr = H - hl
         gain = objective(gl, hl)
         gain += objective(G - gl, hr)
@@ -244,7 +254,7 @@ def stump_split(lanes, ypm, w):
         errors[:] = _stump_errors(left, last)
         return -np.minimum(*errors), True
 
-    col, cut, thr, _ = best_split(lanes, stats[:, None], score)
+    col, cut, thr, _, _ = best_split(lanes, stats[:, None], score)
     err_pos, err_neg = (e[0, col[0], cut[0]] for e in errors)
     return int(col[0]), thr[0], -1 if err_neg <= err_pos else 1
 
@@ -299,25 +309,21 @@ def grow_forest(X, y, mask, max_features=None, feature_rngs=None):
             feats = np.broadcast_to(np.arange(d), (len(trees), d))
         lane_x = X[trees[:, None, None], np.arange(n)[:, None], feats[:, None, :]]
         lane_fast = masks & (y[trees] == 1)
-        col, _, thr, gain = best_split(
+        col, n_left, thr, gain, (_, fast_left) = best_split(
             sort_lanes(lane_x, masks), np.array([masks, lane_fast], dtype=float),
             gini_score(rows_in.astype(float), fast.astype(float)))
         j = feats[np.arange(len(trees)), col]
         go_left = X[trees, :, j] <= thr[:, None]
         to_left, to_right = masks & go_left, masks & ~go_left
-        n_left, n_right = to_left.sum(axis=1), to_right.sum(axis=1)
-        # a midpoint threshold can round onto the upper of two adjacent
-        # values and send every row left
-        split = (gain > -np.inf) & (n_left > 0) & (n_right > 0)
+        split = gain > -np.inf
         t, node = trees[split], nodes[split]
         importance[t, j[split]] += rows_in[split] / n_root[t] * gain[split]
         feature[t, node] = j[split]
         threshold[t, node] = thr[split]
         left[t, node] = node + 1
-        fast_left = (to_left & lane_fast).sum(axis=1)
         for s in np.flatnonzero(split):
             stack = stacks[trees[s]]
-            stack.append((to_right[s], nodes[s], n_right[s], fast[s] - fast_left[s]))
+            stack.append((to_right[s], nodes[s], rows_in[s] - n_left[s], fast[s] - fast_left[s]))
             stack.append((to_left[s], NO_CHILD, n_left[s], fast_left[s]))
     total = importance.sum(axis=1, keepdims=True)
     importance = np.divide(importance, total, out=importance, where=total > 0)
@@ -351,34 +357,20 @@ def lane_sums(values, groups):
     return out
 
 
-def _node_sums(sums, lane, masks, counts):
-    """Per node b the sums over its rows (``masks[b]``, ``counts[b]`` of
-    them) of each statistic of ``sums[lane[b]]`` (L, k, n), each by
-    ``lane_sums``: an array (B, k)."""
-    n_stats = sums.shape[1]
-    order = np.argsort(counts, kind="stable")
-    # (B, k, n), the nodes in order of row count, each node's rows first in
-    # row order; numpy lays out this gather, by index arrays alone, in C
-    # order, which lane_sums needs
-    rows = np.argsort(~masks[order], axis=1, kind="stable")
-    packed = sums[lane[order][:, None, None], np.arange(n_stats)[:, None], rows[:, None, :]]
-    out = np.empty((len(lane), n_stats))
-    out[order] = lane_sums(packed.transpose(1, 0, 2), count_groups(counts[order])).T
-    return out
-
-
-def grow_boosting_trees(X, valid, root, sums, booster):
+def grow_boosting_trees(X, valid, root, sums, node_sums, booster):
     """The regression trees of one boosting round, one per lane of ``X``
     (L, n, d), each grown on its lane's rows where ``valid`` (L, n) holds,
     to the ``booster``'s ``max_depth`` with its ``reg_lambda`` and
     ``min_child_weight``. The trees grow level by level, and one
     ``best_split`` call searches the leaves of a level of every tree: splits
     by ``gradient_score`` on (grad, split_hess), leaf values -G/(H+reg) on
-    (grad, hess), where ``sums`` (L, 3, n) holds grad, hess and split_hess.
-    ``root`` is ``sort_lanes(X, valid)``, which every round shares. Each
-    tree fills the preorder slots of a complete tree of depth ``max_depth``:
-    the children of slot p at depth k are slots p + 1 and p + 2^(max_depth
-    - k), so slot order is depth-first order.
+    (grad, hess), where ``sums`` (L, 3, n) holds grad, split_hess and hess
+    and ``node_sums`` (3, L) their sums over each lane's rows; a child's are
+    those left of its parent's cut, or the parent's less those. ``root`` is
+    ``sort_lanes(X, valid)``, which every round shares. Each tree fills the
+    preorder slots of a complete tree of depth ``max_depth``: the children
+    of slot p at depth k are slots p + 1 and p + 2^(max_depth - k), so slot
+    order is depth-first order.
 
     Returns (TreeNodes stack (L, 2^(max_depth+1) - 1); the split gain of
     each node, of the same shape; value of each row's leaf (L, n)).
@@ -390,34 +382,32 @@ def grow_boosting_trees(X, valid, root, sums, booster):
     gain = np.zeros(value.shape)
     # the node each row has reached (padding rows stay at the root)
     at = np.zeros((n_lanes, n), dtype=int)
-    # the level's nodes, lane by lane
+    # the level's nodes, lane by lane, and their sums
     lane, node, masks = np.arange(n_lanes), np.zeros(n_lanes, dtype=int), valid
     for depth in range(max_depth + 1):
         counts = masks.sum(axis=1)
-        g, h, split_h = _node_sums(sums, lane, masks, counts).T
+        g, split_h, h = node_sums
         value[lane, node] = -g / (h + reg_lambda + 1e-12)
         search = np.flatnonzero(counts >= 2)
         if depth == max_depth or not len(search):
             break
         lanes = (root if depth == 0 and len(search) == n_lanes
                  else sort_lanes(X[lane[search]], masks[search]))
-        stats = np.where(masks[search], sums[lane[search]][:, ::2].transpose(1, 0, 2), 0.0)
-        col, _, thr, best = best_split(
+        stats = np.where(masks[search], sums[lane[search]].transpose(1, 0, 2), 0.0)
+        col, _, thr, best, left_sums = best_split(
             lanes, stats,
             gradient_score(g[search], split_h[search], reg_lambda, booster.min_child_weight))
-        go_left = X[lane[search], :, col] <= thr[:, None]
-        to_left, to_right = masks[search] & go_left, masks[search] & ~go_left
-        # a midpoint threshold can round onto the upper of two adjacent
-        # values and send every row left
-        found = (best > -np.inf) & to_left.any(axis=1) & to_right.any(axis=1)
+        found = best > -np.inf
         if not found.any():
             break
         parent = search[found]
-        col, thr = col[found], thr[found]
+        col, thr, left_sums = col[found], thr[found], left_sums[:, found]
         split_lane, split_node = lane[parent], node[parent]
         feature[split_lane, split_node], threshold[split_lane, split_node] = col, thr
         gain[split_lane, split_node] = best[found]
-        masks = np.stack([to_left[found], to_right[found]], axis=1).reshape(-1, n)
+        go_left = X[split_lane, :, col] <= thr[:, None]
+        masks = np.stack([masks[parent] & go_left, masks[parent] & ~go_left], axis=1).reshape(-1, n)
+        node_sums = np.stack([left_sums, node_sums[:, parent] - left_sums], axis=2).reshape(3, -1)
         lane = np.repeat(split_lane, 2)
         node = (split_node[:, None] + [1, 2 ** (max_depth - depth)]).reshape(-1)
         left[split_lane, split_node], right[split_lane, split_node] = node[0::2], node[1::2]

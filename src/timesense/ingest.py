@@ -288,6 +288,12 @@ class SynthConfig:
     seed: int = 7
 
     def validate(self):
+        # each field as a JSON config's; the seed by its own rule, and a
+        # non-finite duration by the session cap below
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "seed" and not (f.type is float and isinstance(value, float)):
+                _field(vars(self), f.name, f.type, "config")
         if self.participants < 1 or self.sessions_per_participant < 1:
             raise InvalidInput("participant and session counts must be >= 1")
         if self.sessions_per_participant > 4:

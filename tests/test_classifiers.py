@@ -33,6 +33,7 @@ from tests.conftest import blobs, mixed_repeats, pinned_fixture, xor_data
 # (kind, class constants of its estimator that the case patches): {} is the
 # estimator as `train` builds it
 ALL_CASES = [(k, {}) for k in KINDS]
+TREE_KINDS = ["dtc", "rf", "gb", "ab", "xgb"]
 
 
 def case_id(case):
@@ -308,8 +309,7 @@ class TestLogisticRegression:
 
 
 class TestLaneSums:
-    """Each lane's or node's sum is bit for bit a 1-D np.sum of its own
-    rows."""
+    """Each lane's sum is bit for bit a 1-D np.sum of its own rows."""
 
     @staticmethod
     def spread(rng, shape):
@@ -332,21 +332,6 @@ class TestLaneSums:
         # a zero-padded sum rounds differently
         padded = np.where(np.arange(41) < counts[:, None], values, 0.0).sum(axis=-1)
         assert not _same_bits(out, padded)
-
-    def test_nodes(self):
-        """Nodes of unsorted, ragged and tied row counts, of three lanes of
-        three statistics."""
-        rng = np.random.default_rng(1)
-        sums = self.spread(rng, (3, 3, 40))
-        lane = np.array([2, 0, 1, 0, 2, 1, 1])
-        masks = np.zeros((len(lane), 40), dtype=bool)
-        for mask, n in zip(masks, [33, 2, 17, 9, 17, 1, 12]):
-            mask[rng.choice(40, size=n, replace=False)] = True
-        out = tree._node_sums(sums, lane, masks, masks.sum(axis=1))
-        assert out.shape == (len(lane), 3)
-        for b, (lb, mask) in enumerate(zip(lane, masks)):
-            for s in range(3):
-                assert _same_bits(out[b, s], np.sum(sums[lb, s][mask]))
 
 
 class TestGenerativeModels:
@@ -424,18 +409,36 @@ class TestEnsembles:
         result = rfecv(ds, ClassifierConfig("ab"))
         assert [len(features) for features, _ in result.trace] == [3, 2, 1]
 
-    @pytest.mark.parametrize("kind", ["gb", "xgb"])
-    def test_boosters_refuse_a_cut_that_sends_every_row_left(self, kind):
-        # the midpoint of two adjacent floats rounds onto the upper one, so
-        # the one cut between the classes keeps every row on its left
+    @pytest.mark.parametrize("kind", TREE_KINDS)
+    def test_a_cut_between_adjacent_floats_is_kept_at_the_lower_value(self, kind):
+        # the midpoint of two adjacent floats rounds onto the upper one; the
+        # lower one sends the rows below the cut, and only those, left
         low = np.nextafter(1.0, 2.0)
         high = np.nextafter(low, 2.0)
         assert 0.5 * (low + high) == high
         X, y = np.array([[low]] * 3 + [[high]] * 3), np.repeat([0, 1], 3)
         model = train(ClassifierConfig(kind), X, y)
-        assert (model.estimator.nodes_.feature == tree.NO_CHILD).all()
-        assert np.array_equal(importance(model), [0.0])
-        assert np.array_equal(decision_scores(model, X), np.zeros(6))
+        nodes = model.estimator.nodes_
+        internal = nodes.feature != tree.NO_CHILD
+        assert internal[:, 0].all()
+        assert (nodes.threshold[internal] == low).all()
+        assert np.array_equal(predict(model, X), y)
+        assert np.array_equal(importance(model), [1.0])
+
+    @pytest.mark.parametrize("kind", ["gb", "xgb"])
+    def test_boosters_refuse_a_cut_that_sends_every_row_left(self, kind):
+        # the midpoint threshold between two adjacent floats would keep every
+        # row on its left; the boosters cut at the lower value instead, so
+        # each tree's root sends the low rows, and only those, left
+        low = np.nextafter(1.0, 2.0)
+        high = np.nextafter(low, 2.0)
+        X, y = np.array([[low]] * 3 + [[high]] * 3), np.repeat([0, 1], 3)
+        model = train(ClassifierConfig(kind), X, y)
+        nodes = model.estimator.nodes_
+        for threshold in nodes.threshold[:, 0]:
+            assert np.array_equal(X[:, 0] <= threshold, y == 0)
+        scores = decision_scores(model, X)
+        assert (scores[y == 0] < 0).all() and (scores[y == 1] > 0).all()
 
     def test_rf_seed_changes_model(self):
         X, y = blobs(gap=1.0, seed=4)
@@ -456,27 +459,28 @@ class TestEnsembles:
 
 # sha256 of the float64 bytes of decision_scores (training rows, then a fresh
 # draw) and of importance, recorded before the tree models shared one split
-# search and one layout.
+# search and one layout; gb's and xgb's when their children took their sums
+# from the split search.
 PINNED = {
     ("blobs", "dtc"): ("3cb7cb4892a664147cbb6dd9b031bf053f7d2264307bf277da4d103ad6f244b6",
                        "079f38ab3493499274d8abd2d1a7acf02025ce5b442cfa8c68cb154bad6afb59"),
     ("blobs", "rf"): ("dcc5ae7f5cf6f9d66169498cd752e0cfd19a925a12b676e19bd4ca7efed4d975",
                       "47a3a3a85d496fefe71df56587e41757166a420de27a3a47f8b8fe24d1dc4ce3"),
-    ("blobs", "gb"): ("da5dfd812c8cab7822fe442781851e0574881e363bdb5388a937bda6a0a9acd1",
-                      "371858a57577c5122b12f750ee4c521cf25296866cdb9eefb5df913ed46df035"),
+    ("blobs", "gb"): ("fa419c5440e17dfa2418281d12b98c37e98edce6ffbdf7a436c00559022e0602",
+                      "2cc62fbe2fbe4d69dabc2a9c51dc6d7fb065fbea51e82b95dfc36fc9bef96a5e"),
     ("blobs", "ab"): ("6b5fd003281d267e295166390872eaf70582e983d8754b2df8e2947c40a50156",
                       "4f2ed8f028917feed18d5b6505bb6118e5d68cc71479885dc00eb2e82e6e8eff"),
-    ("blobs", "xgb"): ("ab5dd91170907d9e20dad3932e8b2beb1bbc30a04aa589e26639a17c6f8d6584",
-                       "2286d3da9dc90d0e777dd28159e8fb54f883808502f327ecc2d1916bc23b7e8e"),
+    ("blobs", "xgb"): ("a8d96f20e793e1a0b8d43925f5e95c97311952398187bf8effc06a68a46abfca",
+                       "7c4dc4f6392e83ef5781d4166bdda8038d262b81df17f0b27862ddd5809872d8"),
     ("xor_data", "dtc"): ("eab300ba0509e59394ebd5c4805202eb9ff6a0570c112602bfc4b7486091d157",
                           "353acbbadf6f7e4e62789a961ec3e66a269108d8459558c2704b232b3857d389"),
     ("xor_data", "rf"): ("ba404dc77d46814697c14ad9943d3bba957e3170d05381b2ddf2f5b230783dc7",
                          "33521d21efa3d69a5fb60f73a17b5e416854fecb702031deaaafe67f431e0d91"),
-    ("xor_data", "gb"): ("4deefab3f8b151c5cd0fbbb4e1f24155d71df7bd4b7b6840b9df1843e8e55fcc",
-                         "f4e7a5d0decf82b7ea3339686498e6503ce7b3562e66bddcd96a3041afff2dee"),
+    ("xor_data", "gb"): ("3ef099e63768ff7f7d022b30a85489679d58effc88400c963b9d963c4df22c7f",
+                         "8531354eb06e10e985f0649abdd2d9df5f741c15eee421dfbd9de0e2777a2ddb"),
     ("xor_data", "ab"): ("71f95c9c100e5c3820f5ce69e8f231d6397801e9bfd06d7fbd34fc2c590db957",
                          "b080b74920d77467df952857ff4767a5220caa6fa957752a26d9f22d63b9a7a3"),
-    ("xor_data", "xgb"): ("3d00634f7720068c6527b37143c70410701c7940394021d6a1e58105ae48a80c",
+    ("xor_data", "xgb"): ("93acb7557f975068bbb9536e4e5f2542e78c9c49298f09ed036f00c668f0efd7",
                           "0649f02deea59a9d7fc1b12e87e3fe6351d1d0f8b554ac4cddc1facbb900a739"),
 }
 
@@ -504,6 +508,83 @@ def test_tree_models_reproduce_pinned_outputs(fixture, kind):
         for child in (left, right):
             assert np.all((node[internal] < child[internal]) & (child[internal] < n))
             assert np.all(child[~internal] == tree.NO_CHILD)
+
+
+def extreme_case(seed):
+    """Rows whose columns hold runs of adjacent floats (at 1, at 2^53 and
+    beyond, where subtracting 1 rounds back, and at the largest floats) or
+    values near +-1.7e308, where the midpoint of two overflows."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 25)), int(rng.integers(1, 4))
+    X = np.empty((n, d))
+    for j in range(d):
+        start = rng.choice([1.0, -1.0, 2.0 ** 53, -(2.0 ** 60), np.finfo(float).max,
+                            -np.finfo(float).max])
+        run = [start]
+        for _ in range(3):
+            run.append(np.nextafter(run[-1], -np.sign(start) * np.inf))
+        huge = np.array([1.2e308, 1.7e308, 1.79e308]) * rng.choice([-1.0, 1.0])
+        X[:, j] = rng.choice(np.array(run) if rng.random() < 0.6 else huge, n)
+    y = rng.integers(0, 2, n)
+    y[:2] = (0, 1)
+    return X, y
+
+
+def recorded_cuts(monkeypatch):
+    """Each ``best_split`` call's sorted values and its output."""
+    calls = []
+    original = tree.best_split
+
+    def recording(lanes, stats, score):
+        out = original(lanes, stats, score)
+        calls.append((lanes[1], out))
+        return out
+
+    monkeypatch.setattr(tree, "best_split", recording)
+    return calls
+
+
+class TestCutThresholds:
+    """``X[:, feature] <= threshold`` sends left exactly the rows of the
+    cut that ``best_split`` chose."""
+
+    @pytest.mark.parametrize("kind", TREE_KINDS)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_kept_cut_sends_its_rows_left(self, monkeypatch, kind, seed):
+        X, y = extreme_case(seed)
+        calls = recorded_cuts(monkeypatch)
+        train(ClassifierConfig(kind, seed=seed), X, y)
+        kept = 0
+        for xs, (col, cut, thr, gain, _) in calls:
+            for b in np.flatnonzero(gain > -np.inf):
+                values = xs[b, col[b]]
+                # the lane's rows; its other rows sort last as inf
+                values = values[np.isfinite(values)]
+                assert np.array_equal(values <= thr[b], np.arange(len(values)) < cut[b])
+                kept += 1
+        assert kept > 0
+
+    def test_cases_cover_every_threshold_rule(self, monkeypatch):
+        """The cases reach a midpoint that rounds onto the upper value, one
+        that overflows either way, and a cut 0 where subtracting 1 rounds
+        back onto the smallest value."""
+        calls = recorded_cuts(monkeypatch)
+        for seed in range(12):
+            for kind in TREE_KINDS:
+                train(ClassifierConfig(kind, seed=seed), *extreme_case(seed))
+        seen = set()
+        for xs, (col, cut, thr, gain, _) in calls:
+            for b in np.flatnonzero(gain > -np.inf):
+                at = xs[b, col[b], cut[b]]
+                if cut[b] == 0:
+                    seen.add("cut 0, next float down" if at - 1.0 == at else "cut 0, 1 below")
+                    continue
+                with np.errstate(over="ignore"):
+                    mid = 0.5 * (xs[b, col[b], cut[b] - 1] + at)
+                seen.add({np.inf: "overflow up", -np.inf: "overflow down"}.get(
+                    mid, "rounds up" if mid == at else "midpoint"))
+        assert seen == {"cut 0, next float down", "cut 0, 1 below", "overflow up",
+                        "overflow down", "rounds up", "midpoint"}
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +620,7 @@ def loop_gini_split(X, y, w, feature_indices):
             thr = 0.5 * (xs[c] + xs[c + 1])
             key = (-gain, j, thr)
             if gain > 1e-12 and (best is None or key < best[:3]):
-                best = (-gain, j, thr, gain)
+                best = (-gain, j, thr, gain, wl, l_fast)
     return None if best is None else best[1:]
 
 
@@ -563,7 +644,7 @@ def loop_gradient_split(X, grad, hess, reg_lambda, min_child_weight):
             thr = 0.5 * (xs[c] + xs[c + 1])
             key = (-gain, j, thr)
             if gain > 1e-12 and (best is None or key < best[:3]):
-                best = (-gain, j, thr, gain)
+                best = (-gain, j, thr, gain, cg[c], hl)
     return None if best is None else best[1:]
 
 
@@ -619,11 +700,17 @@ def lane_case(rng, X, *per_row, lanes=5):
     return (X[rows], masks) + tuple(a[rows] for a in per_row)
 
 
-def lane_split(col, thr, gain, b, features=None):
-    """Lane b's best split as (feature, threshold, gain), or None."""
+def lane_split(split, b, features=None):
+    """Lane b's best split of ``best_split``'s output as (feature,
+    threshold, gain, the statistics summed left of the cut...), or None."""
+    col, _, thr, gain, left = split
     if gain[b] == -np.inf:
         return None
-    return (col[b] if features is None else features[col[b]]), thr[b], gain[b]
+    return ((col[b] if features is None else features[col[b]]), thr[b], gain[b]) + tuple(left[:, b])
+
+
+def first_three(split):
+    return None if split is None else split[:3]
 
 
 class TestSplitSearchMatchesLoops:
@@ -641,12 +728,12 @@ class TestSplitSearchMatchesLoops:
             total_w = np.array([lw[m].sum() for lw, m in zip(lane_w, masks)])
             total_fast = np.array([(lw * ly)[m].sum() for lw, ly, m in zip(lane_w, lane_y, masks)])
             stats = np.where(masks, np.array([lane_w, lane_w * lane_y]), 0.0)
-            col, _, thr, gain = tree.best_split(tree.sort_lanes(lane_x[:, :, feats], masks),
-                                                stats, tree.gini_score(total_w, total_fast))
+            split = tree.best_split(tree.sort_lanes(lane_x[:, :, feats], masks),
+                                    stats, tree.gini_score(total_w, total_fast))
             for b, m in enumerate(masks):
                 rows = (lane_x[b][m], lane_y[b][m], lane_w[b][m], feats)
-                assert lane_split(col, thr, gain, b, feats) == loop_gini_split(*rows)
-                assert oracle_gini_split(*rows) == loop_gini_split(*rows)
+                assert lane_split(split, b, feats) == loop_gini_split(*rows)
+                assert oracle_gini_split(*rows) == first_three(loop_gini_split(*rows))
 
     @pytest.mark.parametrize("seed", range(60))
     def test_gradient(self, seed):
@@ -659,13 +746,15 @@ class TestSplitSearchMatchesLoops:
             H = np.array([h[m].sum() for h, m in zip(lane_h, masks)])
             stats = np.where(masks, np.array([lane_g, lane_h]), 0.0)
             for reg_lambda, mcw in ((0.0, 1e-6), (1.0, 1e-3)):
-                col, _, thr, gain = tree.best_split(
-                    tree.sort_lanes(lane_x, masks), stats,
-                    tree.gradient_score(G, H, reg_lambda, mcw))
+                split = tree.best_split(tree.sort_lanes(lane_x, masks), stats,
+                                        tree.gradient_score(G, H, reg_lambda, mcw))
                 for b, m in enumerate(masks):
                     rows = (lane_x[b][m], lane_g[b][m], lane_h[b][m], reg_lambda, mcw)
-                    assert lane_split(col, thr, gain, b) == loop_gradient_split(*rows)
-                    assert oracle_gradient_split(*rows) == loop_gradient_split(*rows)
+                    expected = loop_gradient_split(*rows)
+                    assert lane_split(split, b) == expected
+                    oracle = oracle_gradient_split(rows[0], np.column_stack(rows[1:3]),
+                                                   (G[b], H[b]), reg_lambda, mcw)
+                    assert (None if oracle is None else oracle[:3] + tuple(oracle[3])) == expected
 
     def test_lanes_may_share_one_x(self):
         rng, X, y, _ = split_case(3)
@@ -777,8 +866,11 @@ def oracle_gini_split(X, y, w, features):
     return features[col], thr, gain
 
 
-def oracle_gradient_split(X, grad, hess, reg_lambda, min_child_weight):
-    G, H = grad.sum(), hess.sum()
+def oracle_gradient_split(X, stats, totals, reg_lambda, min_child_weight):
+    """The best cut by gradient and hessian, the first two columns of
+    ``stats`` (n, k), whose node totals are ``totals``: (feature, threshold,
+    gain, the k statistics summed left of the cut), or None."""
+    G, H = totals
 
     def objective(g, h):
         return g * g / (h + reg_lambda + 1e-12)
@@ -793,8 +885,8 @@ def oracle_gradient_split(X, grad, hess, reg_lambda, min_child_weight):
                    & (gain > 1e-12))
         return np.where(allowed, gain, -np.inf)
 
-    best = oracle_best_split(X, np.column_stack([grad, hess]), score)
-    return None if best is None else best[:3]
+    best = oracle_best_split(X, stats, score)
+    return None if best is None else best[:4]
 
 
 def oracle_classification_tree(X, y, max_features=None, feature_rng=None):
@@ -832,31 +924,34 @@ def oracle_classification_tree(X, y, max_features=None, feature_rng=None):
     return nodes.finalize(), importance / s if s > 0 else importance
 
 
-def oracle_gradient_tree(X, grad, hess, leaf_grad, leaf_hess, max_depth, reg_lambda,
-                         min_child_weight):
+def oracle_gradient_tree(X, grad, split_hess, hess, max_depth, reg_lambda, min_child_weight):
+    """The root sums each statistic over its rows in row order; a child takes
+    its sums from its parent's split, summed in the chosen column's stable
+    order: the left child those left of the cut, the right child the
+    parent's less those."""
     nodes = OracleNodes()
     importance = np.zeros(X.shape[1])
+    stats = np.column_stack([grad, split_hess, hess])
 
-    def grow(idx, depth):
-        g, h = leaf_grad[idx].sum(), leaf_hess[idx].sum()
+    def grow(idx, sums, depth):
+        g, split_h, h = sums
         node = nodes.add(value=-g / (h + reg_lambda + 1e-12))
         if depth >= max_depth or len(idx) < 2:
             return node
-        best = oracle_gradient_split(X[idx], grad[idx], hess[idx], reg_lambda, min_child_weight)
+        best = oracle_gradient_split(X[idx], stats[idx], (g, split_h), reg_lambda,
+                                     min_child_weight)
         if best is None:
             return node
-        j, thr, gain = best
+        j, thr, gain, left = best
         mask = X[idx, j] <= thr
-        if mask.all() or not mask.any():
-            return node
         importance[j] += gain
         nodes.feature[node] = j
         nodes.threshold[node] = thr
-        nodes.left[node] = grow(idx[mask], depth + 1)
-        nodes.right[node] = grow(idx[~mask], depth + 1)
+        nodes.left[node] = grow(idx[mask], left, depth + 1)
+        nodes.right[node] = grow(idx[~mask], sums - left, depth + 1)
         return node
 
-    grow(np.arange(len(grad)), 0)
+    grow(np.arange(len(grad)), np.array([grad.sum(), split_hess.sum(), hess.sum()]), 0)
     return nodes.finalize(), importance
 
 
@@ -920,7 +1015,7 @@ class OracleTrees:
             grad = p - y
             hess = np.maximum(p * (1 - p), 1e-12)
             split_hess = hess if model.second_order_splits else np.ones(len(y))
-            nodes, gain = oracle_gradient_tree(X, grad, split_hess, grad, hess, model.max_depth,
+            nodes, gain = oracle_gradient_tree(X, grad, split_hess, hess, model.max_depth,
                                                model.reg_lambda, model.min_child_weight)
             F = F + model.learning_rate * nodes.predict(X)
             self.trees.append(nodes)
@@ -1458,7 +1553,13 @@ def qp_case(seed):
 
 
 def slsqp_alpha(X, y, gamma, C):
-    """The dual QP's minimizer by ``scipy.optimize.minimize`` (SLSQP)."""
+    """The dual QP's minimizer: the alpha of ``scipy.optimize.minimize``
+    (SLSQP), polished. The alphas SLSQP leaves at 0 or C, within 1e-8 C,
+    stay there. The free alphas F and the offset b solve the KKT linear
+    system ``Q_FF a_F + y_F b = 1 - Q_FB a_B``, ``y_F . a_F = -y_B . a_B``
+    over the alphas B at a bound; with no free alpha, b is the middle of
+    the range the bounds allow. The polished point must meet the KKT
+    conditions within 1e-9."""
     ypm = np.where(y == 1, 1.0, -1.0)
     Q = ypm[:, None] * ypm * rbf_kernel(X, X, gamma)
     solved = minimize(lambda a: 0.5 * a @ Q @ a - a.sum(), np.zeros(len(y)),
@@ -1466,12 +1567,33 @@ def slsqp_alpha(X, y, gamma, C):
                       constraints=[{"type": "eq", "fun": lambda a: a @ ypm,
                                     "jac": lambda a: ypm}],
                       options={"ftol": 1e-13, "maxiter": 2000})
-    assert solved.success
-    return solved.x
+    alpha = np.where(solved.x <= 1e-8 * C, 0.0, np.where(solved.x >= C * (1 - 1e-8), C, solved.x))
+    free = (0 < alpha) & (alpha < C)
+    F, B = np.flatnonzero(free), np.flatnonzero(~free)
+    if len(F):
+        kkt = np.block([[Q[np.ix_(F, F)], ypm[F, None]], [ypm[None, F], np.zeros((1, 1))]])
+        rhs = np.r_[1.0 - Q[np.ix_(F, B)] @ alpha[B], -ypm[B] @ alpha[B]]
+        solution = np.linalg.solve(kkt, rhs)
+        alpha[F], b = solution[:-1], solution[-1]
+    else:
+        # y_i b >= -y_i G_i bounds b below where y_i alpha_i sits at its low
+        # end (alpha 0 and y +1, or alpha C and y -1), above elsewhere
+        bound = -ypm * (Q @ alpha - 1.0)
+        below = (alpha == 0) == (ypm > 0)
+        lo, hi = bound[below].max(initial=-np.inf), bound[~below].min(initial=np.inf)
+        b = lo if hi == np.inf else hi if lo == -np.inf else 0.5 * (lo + hi)
+    # y_i f(x_i) - 1 is 0 at a free alpha, >= 0 at 0 and <= 0 at C
+    margin = Q @ alpha - 1.0 + ypm * b
+    assert np.all((-1e-9 <= alpha) & (alpha <= C + 1e-9))
+    assert abs(alpha @ ypm) <= 1e-9
+    assert np.all(np.abs(margin[free]) <= 1e-9)
+    assert np.all(margin[alpha == 0] >= -1e-9) and np.all(margin[alpha == C] <= 1e-9)
+    return alpha
 
 
 class TestDualQpOracle:
-    """WSS2 against a general QP solver on the same dual."""
+    """WSS2 against a general QP solver on the same dual, its point polished
+    to the KKT conditions."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_alpha_matches_slsqp(self, monkeypatch, seed):
@@ -1486,7 +1608,7 @@ class TestDualQpOracle:
         optimum = svm_dual(oracle, X, y)
         assert svm_dual(svc, X, y) <= optimum + 1e-9 * abs(optimum)
         # at eps 1e-6, alpha is as exact as the conditioning of Q allows
-        # (up to 2e-5 off here); a tighter gap must give SLSQP's alpha
+        # (up to 2e-5 off here); a tighter gap must give the polished alpha
         monkeypatch.setattr(SMOSVC, "eps", 1e-10)
         assert np.abs(SMOSVC().fit(X, y).alpha_ - reference).max() <= 1e-6
 

@@ -313,6 +313,16 @@ class TestSynthDataset:
         with pytest.raises(InvalidInput, match=r"margin 'weak' is not one of \['strong', 'zero'\]"):
             ingest.SynthConfig(margin="weak").validate()
 
+    @pytest.mark.parametrize("field,value,expected", [
+        ("sessions_per_participant", 2.5, "an integer"), ("baseline_s", "30", "a finite number"),
+        ("margin", ["strong"], "a string"), ("participants", 1.5, "an integer"),
+        ("n_slow_biased", 0.5, "an integer"), ("participants", True, "an integer")])
+    def test_mistyped_fields_rejected(self, field, value, expected):
+        # n_slow_biased 0 lets participants=True pass the range check
+        overrides = {"n_slow_biased": 0, field: value}
+        with pytest.raises(InvalidInput, match=rf"^config\.{field}: expected {expected}, got "):
+            ingest.SynthConfig(**overrides).validate()
+
     @pytest.mark.parametrize("overrides", [
         {"task_s": 5970.5}, {"task_s": 1e308}, {"task_s": float("inf")},
         {"baseline_s": float("nan")}, {"baseline_s": 3000.0, "task_s": 3000.5},
