@@ -5,11 +5,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InsufficientData, InvalidInput, Unsupported, check_seed
-from .ensemble import AdaBoost, Booster, DecisionTree, GradientBoosting, RandomForest, XGBoost
+from .ensemble import AdaBoost, DecisionTree, GradientBoosting, RandomForest, XGBoost
 from .knn import KNN
+from .lanes import Lanes
 from .linear import LDA, QDA, GaussianNB, LogisticRegressionNewton
 from .svm import SMOSVC
-from .tree import lane_blocks
 
 KINDS = ("svc", "dtc", "knn", "lr", "gnb", "lda", "qda", "rf", "gb", "ab", "xgb")
 
@@ -94,12 +94,11 @@ def _refuse(lanes):
 
 
 def _training_lanes(lanes):
-    """``_training_rows`` of every lane, as one stack ``(index, X, y,
-    counts)`` per width: lane b is lane ``index[b]`` of the call, with rows
-    ``X[b, :counts[b]]`` and ``y[b, :counts[b]]``, in ascending row count.
-    Padding rows of +inf and label 1 sort after a lane's own rows, so a
-    stable sort leaves each lane the rows it gets alone. A failed check
-    raises the error of the first failing lane."""
+    """``_training_rows`` of every lane, as one ``(index, Lanes)`` per
+    width: lane b of the ``Lanes`` is lane ``index[b]`` of the call. Padding
+    rows of +inf and label 1 sort after a lane's own rows, so a stable sort
+    leaves each lane the rows it gets alone. A failed check raises the error
+    of the first failing lane."""
     lanes = [(np.asarray(X, dtype=float), np.asarray(y)) for X, y in lanes]
     widths = {}
     for i, (X, y) in enumerate(lanes):
@@ -112,33 +111,18 @@ def _training_lanes(lanes):
         counts = np.array([len(lanes[i][1]) for i in index])
         rows = np.concatenate([lanes[i][0] for i in index])
         labels = np.concatenate([lanes[i][1] for i in index])
-        valid = np.arange(counts[-1]) < counts[:, None]
-        X = np.full(valid.shape + (width,), np.inf)
-        y = np.ones(valid.shape, dtype=labels.dtype)
+        X = np.full((len(index), counts[-1], width), np.inf)
+        y = np.ones(X.shape[:2], dtype=labels.dtype)
+        valid = Lanes(X, y, counts).valid
         X[valid], y[valid] = rows, labels
         n_slow = (y == 0).sum(axis=1)
         if not (((y == 0) | (y == 1)).all() and (0 < n_slow).all() and (n_slow < counts).all()
                 and np.isfinite(rows).all()):
             _refuse(lanes)
         order = canonical_order(X, y)
-        X = np.take_along_axis(X, order[..., None], axis=1)
-        y = np.take_along_axis(y, order, axis=1).astype(int)
-        stacks.append((index, X, y, counts))
+        stacks.append((index, Lanes(np.take_along_axis(X, order[..., None], axis=1),
+                                    np.take_along_axis(y, order, axis=1).astype(int), counts)))
     return stacks
-
-
-def _lane_cost(estimator, n, width):
-    """Entries of the stack that ``fit_many`` holds at once for a lane of n
-    rows of ``width`` features: svc's (n, n) kernel matrix, or copies of the
-    lane's rows, one per tree of a forest, per node of a booster's deepest
-    searched level, or one for lr."""
-    if isinstance(estimator, SMOSVC):
-        return n * n
-    if isinstance(estimator, Booster):
-        copies = 2 ** max(estimator.max_depth - 1, 0)
-    else:
-        copies = estimator.n_estimators if isinstance(estimator, RandomForest) else 1
-    return copies * n * width
 
 
 def train_many(config, lanes) -> list:
@@ -147,28 +131,26 @@ def train_many(config, lanes) -> list:
     every lane or a sequence of them, one per lane, all of one kind.
 
     Each model is bit for bit the one ``train`` gives for its lane alone.
-    svc, dtc, rf, gb, xgb and lr fit each block of ``tree.lane_blocks`` in
-    one ``fit_many(models, X, y, counts)`` call on a view of its width's
-    stack: it fits ``models[b]``, which differ at most in rf's seed, on the
-    ``counts[b]`` rows of ``X[b]`` (lanes, n, d) and ``y[b]`` (lanes, n), of
-    one width and in ascending row count; the rows after a lane's own rows
-    are padding that no fit reads. The other kinds ``fit(X, y)`` one lane's
-    own rows after another. Estimators take these checked float64 rows and
-    int labels, in canonical order, as given.
+    svc, dtc, rf, gb, xgb and lr fit each of ``Lanes.blocks`` of a width's
+    ``Lanes`` in one ``fit_many(models, lanes)`` call: it fits
+    ``models[b]``, which differ at most in rf's seed, on lane b. Each of
+    those estimators states the ``lane_cost(n, width)`` that sizes the
+    blocks. The other kinds ``fit(X, y)`` one lane's own rows after
+    another. Estimators take these checked float64 rows and int labels, in
+    canonical order, as given.
     """
     configs = [config] * len(lanes) if isinstance(config, ClassifierConfig) else list(config)
     if len(configs) != len(lanes) or len({c.kind for c in configs}) > 1:
         raise InvalidInput("train_many needs one config per lane, all of one kind")
     estimators = [_build(c) for c in configs]
-    for index, X, y, counts in _training_lanes(lanes):
+    for index, stack in _training_lanes(lanes):
         fits = [estimators[i] for i in index]
         if hasattr(fits[0], "fit_many"):
-            for a, b in lane_blocks(counts, lambda n: _lane_cost(fits[0], n, X.shape[2])):
-                n = counts[b - 1]
-                fits[0].fit_many(fits[a:b], X[a:b, :n], y[a:b, :n], counts[a:b])
+            for block, part in stack.blocks(fits[0].lane_cost):
+                fits[0].fit_many(fits[block], part)
         else:
-            for est, Xb, yb, n in zip(fits, X, y, counts):
-                est.fit(Xb[:n], yb[:n])
+            for est, X, y, n in zip(fits, stack.X, stack.y, stack.counts):
+                est.fit(X[:n], y[:n])
     return [TrainedModel(c.kind, c, est, np.shape(X)[1])
             for c, est, (X, _) in zip(configs, estimators, lanes)]
 

@@ -8,11 +8,8 @@ from .linear import sigmoid
 from .tree import (
     NO_CHILD,
     TreeNodes,
-    count_groups,
-    fit_alone,
     grow_boosting_trees,
     grow_forest,
-    lane_sums,
     sort_lanes,
     stump_split,
     walk,
@@ -35,8 +32,6 @@ class TreeEnsemble:
         self.nodes_ = None
         self.weights_ = []
         self.offset_ = 0.0
-
-    fit = fit_alone
 
     def decision_function(self, X):
         """offset + sum of weight * tree value, accumulated in tree order."""
@@ -68,18 +63,23 @@ class RandomForest(TreeEnsemble):
         super().__init__()
         self.seed = seed
 
+    @classmethod
+    def lane_cost(cls, n, width):
+        # a copy of the lane's rows per tree
+        return cls.n_estimators * n * width
+
     @staticmethod
-    def fit_many(models, X, y, counts):
+    def fit_many(models, lanes):
         # every tree of every lane in one lockstep; tree t of a model draws
         # its bootstrap and feature subsets from default_rng([seed, t])
-        first = models[0]
+        X, y, first = lanes.X, lanes.y, models[0]
         n_trees = first.n_estimators
         lane = np.repeat(np.arange(len(models)), n_trees)
         rows = np.broadcast_to(np.arange(X.shape[1]), (len(lane), X.shape[1]))
         rngs, max_features = [], None
         if first.draws:
             rows = np.zeros(rows.shape, dtype=int)
-            for b, (model, n) in enumerate(zip(models, counts.tolist())):
+            for b, (model, n) in enumerate(zip(models, lanes.counts.tolist())):
                 tree_rngs = [np.random.default_rng([model.seed, t]) for t in range(n_trees)]
                 boot = np.array([tree_rng.integers(0, n, size=n) for tree_rng in tree_rngs])
                 # bootstrap can lose a class; fall back to the full sample
@@ -89,8 +89,7 @@ class RandomForest(TreeEnsemble):
                 rngs += tree_rngs
             max_features = max(1, int(np.sqrt(X.shape[2])))
         nodes, importances = grow_forest(
-            X[lane[:, None], rows], y[lane[:, None], rows],
-            np.arange(X.shape[1]) < counts[lane, None],
+            X[lane[:, None], rows], y[lane[:, None], rows], lanes.valid[lane],
             max_features=max_features, feature_rngs=rngs)
         for b, model in enumerate(models):
             trees = slice(b * n_trees, (b + 1) * n_trees)
@@ -136,20 +135,24 @@ class Booster(TreeEnsemble):
 
     n_estimators, learning_rate, max_depth = 100, 0.1, 3
 
+    @classmethod
+    def lane_cost(cls, n, width):
+        # a copy of the lane's rows per node of the deepest searched level
+        return 2 ** max(cls.max_depth - 1, 0) * n * width
+
     @staticmethod
-    def fit_many(models, X, y, counts):
+    def fit_many(models, lanes):
         # all lanes advance round by round
-        first = models[0]
-        valid = np.arange(X.shape[1]) < counts[:, None]
+        X, y, first = lanes.X, lanes.y, models[0]
         offsets = np.zeros(len(models))
         if not first.second_order_splits:
-            p0 = np.clip((valid & (y == 1)).sum(axis=1) / counts, 1e-12, 1 - 1e-12)
+            p0 = np.clip((lanes.valid & (y == 1)).sum(axis=1) / lanes.counts, 1e-12, 1 - 1e-12)
             offsets = np.log(p0 / (1 - p0))
         F = np.repeat(offsets[:, None], X.shape[1], axis=1)
         # gradients, the hessians splits use (ones for gb) and hessians
         sums = np.ones((len(models), 3, X.shape[1]))
         # every round's roots search all rows: sort them once
-        root, groups = sort_lanes(X, valid), count_groups(counts)
+        root = sort_lanes(X, lanes.valid)
         # each round's trees and split gains, lane by lane: round r of lane
         # b is row b * rounds + r
         rounds = first.n_estimators
@@ -161,8 +164,7 @@ class Booster(TreeEnsemble):
             sums[:, 2] = np.maximum(p * (1 - p), 1e-12)
             if first.second_order_splits:
                 sums[:, 1] = sums[:, 2]
-            nodes, gain[r::rounds], row_value = grow_boosting_trees(
-                X, valid, root, sums, lane_sums(sums.transpose(1, 0, 2), groups), first)
+            nodes, gain[r::rounds], row_value = grow_boosting_trees(lanes, root, sums, first)
             F = F + first.learning_rate * row_value
             for out, a in zip(stacked.arrays(), nodes.arrays()):
                 out[r::rounds] = a

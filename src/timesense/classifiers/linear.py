@@ -2,12 +2,12 @@
 Newton), Gaussian naive Bayes, and linear / quadratic discriminant analysis.
 
 Logistic regression fits many training sets (lanes) in one call: the lanes
-of one ``train_many`` block take their Newton steps in one loop over a
-``LaneStack``, and each lane's model is bit for bit its fit alone."""
+of one ``train_many`` block take their Newton steps in one loop over
+``NewtonLanes``, and each lane's model is bit for bit its fit alone."""
 
 import numpy as np
 
-from .tree import count_groups, fit_alone, lane_sums
+from .lanes import Lanes
 
 
 def sigmoid(z):
@@ -19,10 +19,8 @@ def sigmoid(z):
     return out
 
 
-class LaneStack:
-    """The training rows of some lanes of one width, as a padded stack: lane
-    b's rows are the first ``counts[b]`` of ``X[b]`` and ``y[b]``, and the
-    lanes of one row count are adjacent.
+class NewtonLanes(Lanes):
+    """Lanes with the products and sums of lr's Newton loop.
 
     Elementwise work runs on the whole stack, padding too; no sum or product
     reads the padding. Products and row sums run per row count c, on the
@@ -32,16 +30,9 @@ class LaneStack:
     """
 
     def __init__(self, X, y, counts):
-        """``X`` (lanes, n, width) and ``y`` (lanes, n) hold each lane's rows
-        first; ``counts``, in ascending order, gives each lane's row
-        count."""
-        self.X, self.y, self.counts = X, y, counts
+        super().__init__(X, y, counts)
+        # the rows with a column of ones appended, for the bias
         self.Xa = np.concatenate([X, np.ones(y.shape + (1,))], axis=2)
-        self.groups = count_groups(counts)
-
-    def take(self, keep):
-        """The stack of the lanes where ``keep`` is true."""
-        return LaneStack(self.X[keep], self.y[keep], self.counts[keep])
 
     def margins(self, w, b):
         """Every lane's ``X @ w + b`` (lanes, n), 0 on padding rows; ``w`` is
@@ -56,7 +47,7 @@ class LaneStack:
         weights, given its margins ``z``; the bias is not penalized."""
         # log(1 + exp(-m)) with m = z for y=1, -z for y=0, computed stably
         m = np.where(self.y == 1, z, -z)
-        nll = lane_sums(np.logaddexp(0.0, -m), self.groups) / self.counts
+        nll = self.sums(np.logaddexp(0.0, -m)) / self.counts
         return nll + 0.5 * l2 * (w[:, None, :] @ w[:, :, None])[:, 0, 0]
 
     def gradient(self, p, w, l2):
@@ -65,7 +56,7 @@ class LaneStack:
         r = (p - self.y) / self.counts[:, None]
         gw = np.concatenate([np.swapaxes(self.X[ls, :c], 1, 2) @ r[ls, :c, None]
                              for ls, c in self.groups])
-        return gw[..., 0] + l2 * w, lane_sums(r, self.groups)
+        return gw[..., 0] + l2 * w, self.sums(r)
 
     def hessians(self, p):
         """Each lane's Hessian of its mean negative log-likelihood in its
@@ -84,10 +75,13 @@ class LogisticRegressionNewton:
 
     l2, tol, max_iter = 1.0, 1e-8, 200
 
-    fit = fit_alone
+    @staticmethod
+    def lane_cost(n, width):
+        # one copy of the lane's rows
+        return n * width
 
     @staticmethod
-    def fit_many(models, X, y, counts):
+    def fit_many(models, lanes):
         """Sets each model's ``w``, ``b``, ``n_iter_`` (Newton steps taken)
         and ``converged_`` (False when ``max_iter`` steps ended the solve
         before the gradient tolerance was met).
@@ -97,36 +91,34 @@ class LogisticRegressionNewton:
         until its loss decreases, so each model is bit for bit the one a fit
         on its lane alone gives.
         """
-        models[0]._newton(LaneStack(X, y, counts), models)
-
-    def _newton(self, stack, models):
-        """Fits ``models``, one per lane of ``stack``."""
+        stack = NewtonLanes(lanes.X, lanes.y, lanes.counts)
+        l2, tol, max_iter = models[0].l2, models[0].tol, models[0].max_iter
         d = stack.X.shape[2]
-        ridge = self.l2 * np.eye(d)
+        ridge = l2 * np.eye(d)
         jitter = 1e-10 * np.eye(d + 1)
         w = np.zeros((len(models), d))
         b = np.zeros(len(models))
         z = stack.margins(w, b)
-        loss = stack.loss(z, w, self.l2)
+        loss = stack.loss(z, w, l2)
 
-        def finish(lanes, n_iter, converged):
-            for k in np.flatnonzero(lanes):
+        def finish(done, n_iter, converged):
+            for k in np.flatnonzero(done):
                 model = models[k]
                 model.w, model.b = w[k].copy(), b[k]
                 model.n_iter_, model.converged_ = n_iter, converged
 
-        for n_iter in range(self.max_iter):
+        for n_iter in range(max_iter):
             # the margins of the accepted step give one probability vector,
             # which serves both the gradient and the Hessian
             p = sigmoid(z)
-            gw, gb = stack.gradient(p, w, self.l2)
-            done = np.maximum(np.abs(gw).max(axis=1), np.abs(gb)) < self.tol
+            gw, gb = stack.gradient(p, w, l2)
+            done = np.maximum(np.abs(gw).max(axis=1), np.abs(gb)) < tol
             if done.any():
                 finish(done, n_iter, True)
                 if done.all():
                     return
                 keep = ~done
-                stack = stack.take(keep)
+                stack = stack[keep]
                 models = [m for m, k in zip(models, keep) if k]
                 w, b, loss, gw, gb, p = w[keep], b[keep], loss[keep], gw[keep], gb[keep], p[keep]
             H = stack.hessians(p)
@@ -140,13 +132,13 @@ class LogisticRegressionNewton:
             for _ in range(40):
                 w_new, b_new = w - t[:, None] * step[:, :d], b - t * step[:, d]
                 z_new = stack.margins(w_new, b_new)
-                new_loss = stack.loss(z_new, w_new, self.l2)
+                new_loss = stack.loss(z_new, w_new, l2)
                 halving = ~(new_loss <= loss + 1e-15)
                 if not halving.any():
                     break
                 t[halving] *= 0.5
             w, b, z, loss = w_new, b_new, z_new, new_loss
-        finish(np.ones(len(models), dtype=bool), self.max_iter, False)
+        finish(np.ones(len(models), dtype=bool), max_iter, False)
 
     def decision_function(self, X):
         return X @ self.w + self.b

@@ -17,8 +17,6 @@ stack, so each lane is bit for bit its fit alone. ThunderSVM (Wen et al.,
 
 import numpy as np
 
-from .tree import count_groups, fit_alone, lane_sums
-
 # LIBSVM's floor on a working pair's curvature K_ii + K_jj - 2 K_ij
 TAU = 1e-12
 
@@ -32,16 +30,16 @@ def rbf_kernel(A, B, gamma):
     return np.exp(-gamma * np.maximum(a2 + b2 - 2.0 * (A @ np.swapaxes(B, -1, -2)), 0.0))
 
 
-def _kernels(X, counts):
+def _kernels(lanes):
     """Each lane's gamma, ``1 / (d * var)`` of its rows or 1 when they are
     constant, and its kernel matrix on its own rows, 0 on padding rows:
     arrays (lanes,) and (lanes, n, n). The lanes of one row count share one
     stacked ``rbf_kernel``, and each lane's values round as ``rbf_kernel``
     on its rows alone."""
-    lanes, n, d = X.shape
-    gamma, K = np.empty(lanes), np.zeros((lanes, n, n))
-    for ls, c in count_groups(counts):
-        A = X[ls, :c]
+    n_lanes, n, d = lanes.X.shape
+    gamma, K = np.empty(n_lanes), np.zeros((n_lanes, n, n))
+    for ls, c in lanes.groups:
+        A = lanes.X[ls, :c]
         var = A.reshape(len(A), -1).var(axis=1)
         gamma[ls] = g = 1.0 / np.where(var > 0, d * var, 1.0)
         K[ls, :c, :c] = rbf_kernel(A, A, g[:, None, None])
@@ -73,25 +71,28 @@ class SMOSVC:
 
     C, eps, max_iter = 1.0, 1e-6, 10_000
 
-    fit = fit_alone
+    @staticmethod
+    def lane_cost(n, width):
+        # the lane's (n, n) kernel matrix
+        return n * n
 
     @staticmethod
-    def fit_many(models, X, y, counts):
+    def fit_many(models, lanes):
         """Sets each model's ``gamma_``, ``alpha_``, ``b_``, its support
         vectors, ``n_iter_`` (pair steps taken) and ``converged_`` (False
         when ``max_iter`` steps ended the solve with a gap of ``eps`` or
         more)."""
-        lanes, n = y.shape
+        n_lanes, n = lanes.y.shape
         C, eps, max_iter = models[0].C, models[0].eps, models[0].max_iter
-        gamma, K = _kernels(X, counts)
-        ypm = np.where(y == 1, 1.0, -1.0)
+        gamma, K = _kernels(lanes)
+        ypm = np.where(lanes.y == 1, 1.0, -1.0)
         # padding rows hold alpha NaN, which fails every comparison: they
         # are in neither index set, and their gradient keeps -1
-        alpha = np.where(np.arange(n) < counts[:, None], 0.0, np.nan)
-        G = np.full((lanes, n), -1.0)
-        n_iter, converged = np.zeros(lanes, dtype=int), np.zeros(lanes, dtype=bool)
+        alpha = np.where(lanes.valid, 0.0, np.nan)
+        G = np.full((n_lanes, n), -1.0)
+        n_iter, converged = np.zeros(n_lanes, dtype=int), np.zeros(n_lanes, dtype=bool)
         # the lanes still in the stack, where they came from and their state
-        live = rows = np.arange(lanes)
+        live = rows = np.arange(n_lanes)
         alpha_s, G_s, K_s, y_s = alpha.copy(), G.copy(), K, ypm
         diag_s, pos_s = K.diagonal(axis1=1, axis2=2), ypm > 0
         for step in range(max_iter + 1):
@@ -136,16 +137,16 @@ class SMOSVC:
         upper, lower = alpha >= C, alpha <= 0
         free = (alpha > 0) & (alpha < C)
         n_free = free.sum(axis=1)
-        rho = lane_sums(np.where(free, yG, 0.0), count_groups(counts)) / np.maximum(n_free, 1)
+        rho = lanes.sums(np.where(free, yG, 0.0)) / np.maximum(n_free, 1)
         ub = np.where((upper & ~pos) | (lower & pos), yG, np.inf).min(axis=1)
         lb = np.where((upper & pos) | (lower & ~pos), yG, -np.inf).max(axis=1)
         bounded = n_free == 0
         rho[bounded] = (ub[bounded] + lb[bounded]) / 2
-        for k, (model, c) in enumerate(zip(models, counts.tolist())):
+        for k, (model, c) in enumerate(zip(models, lanes.counts.tolist())):
             model.gamma_, model.alpha_, model.b_ = gamma[k], alpha[k, :c].copy(), -rho[k]
             model.n_iter_, model.converged_ = int(n_iter[k]), bool(converged[k])
             sv = model.alpha_ > 0
-            model.support_X_ = X[k, :c][sv]
+            model.support_X_ = lanes.X[k, :c][sv]
             model.support_coef_ = (model.alpha_ * ypm[k, :c])[sv]
 
     def decision_function(self, X):

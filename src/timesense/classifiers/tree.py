@@ -3,8 +3,7 @@ search.
 
 ``sort_lanes`` and ``best_split`` search the nodes of many trees at once:
 each node is a lane of a ``(B, n, f)`` stack. Two growers call them, and
-each serves one block of fits at once: a ``lane_blocks`` range of the lanes
-of one width, padded to one row count.
+each serves one block of fits at once: one of ``Lanes.blocks``.
 ``grow_forest`` grows a set of CART trees (dtc, rf) in lockstep, one lane
 per tree, each tree in depth-first order. ``grow_boosting_trees`` grows one
 round's regression tree of each of many gradient boosting fits (gb, xgb)
@@ -24,9 +23,6 @@ NO_CHILD = -1
 # The stacked walk takes as many rows at a time as keep each of its
 # (trees, rows) buffers within this many entries.
 WALK_BLOCK = 1 << 14
-# A batched fit takes as many lanes at a time as keep the stack it holds
-# (``base._lane_cost`` entries a lane) within this many entries.
-FIT_BLOCK = 1 << 16
 
 
 class TreeNodes:
@@ -330,52 +326,25 @@ def grow_forest(X, y, mask, max_features=None, feature_rngs=None):
     return grown[:, :max(count)], importance
 
 
-def count_groups(counts):
-    """Per row count c of lanes whose row counts ``counts`` ascend: the
-    slice of its lanes and c."""
-    lanes = np.bincount(counts)
-    sizes = np.flatnonzero(lanes)
-    ends = np.cumsum(lanes[sizes]).tolist()
-    return [(slice(end - k, end), c)
-            for c, k, end in zip(sizes.tolist(), lanes[sizes].tolist(), ends)]
-
-
-def lane_sums(values, groups):
-    """Each lane's sum (..., lanes) of its own rows of ``values`` (...,
-    lanes, n): by the ``count_groups`` of the lanes' row counts, lane b sums
-    ``values[..., b, :counts[b]]``.
-
-    Each sum adds its lane's rows alone, in order, as a 1-D ``np.sum``
-    would: a sum padded with the other rows, even zeros, can round
-    differently (numpy sums 8 or more values pairwise). The lanes of one row
-    count are summed in one call, which keeps the 1-D order only while the
-    last axis of ``values`` has unit stride.
-    """
-    out = np.empty(values.shape[:-1])
-    for lanes, c in groups:
-        out[..., lanes] = values[..., lanes, :c].sum(axis=-1)
-    return out
-
-
-def grow_boosting_trees(X, valid, root, sums, node_sums, booster):
-    """The regression trees of one boosting round, one per lane of ``X``
-    (L, n, d), each grown on its lane's rows where ``valid`` (L, n) holds,
-    to the ``booster``'s ``max_depth`` with its ``reg_lambda`` and
-    ``min_child_weight``. The trees grow level by level, and one
-    ``best_split`` call searches the leaves of a level of every tree: splits
-    by ``gradient_score`` on (grad, split_hess), leaf values -G/(H+reg) on
-    (grad, hess), where ``sums`` (L, 3, n) holds grad, split_hess and hess
-    and ``node_sums`` (3, L) their sums over each lane's rows; a child's are
-    those left of its parent's cut, or the parent's less those. ``root`` is
-    ``sort_lanes(X, valid)``, which every round shares. Each tree fills the
-    preorder slots of a complete tree of depth ``max_depth``: the children
-    of slot p at depth k are slots p + 1 and p + 2^(max_depth - k), so slot
-    order is depth-first order.
+def grow_boosting_trees(lanes, root, sums, booster):
+    """The regression trees of one boosting round, one per lane of
+    ``lanes``, each grown on its lane's own rows to the ``booster``'s
+    ``max_depth`` with its ``reg_lambda`` and ``min_child_weight``. The
+    trees grow level by level, and one ``best_split`` call searches the
+    leaves of a level of every tree: splits by ``gradient_score`` on (grad,
+    split_hess), leaf values -G/(H+reg) on (grad, hess), where ``sums`` (L,
+    3, n) holds grad, split_hess and hess. A root's sums are ``Lanes.sums``
+    of its lane; a child's are those left of its parent's cut, or the
+    parent's less those. ``root`` is ``sort_lanes(lanes.X, lanes.valid)``,
+    which every round shares. Each tree fills the preorder slots of a
+    complete tree of depth ``max_depth``: the children of slot p at depth k
+    are slots p + 1 and p + 2^(max_depth - k), so slot order is depth-first
+    order.
 
     Returns (TreeNodes stack (L, 2^(max_depth+1) - 1); the split gain of
     each node, of the same shape; value of each row's leaf (L, n)).
     """
-    n_lanes, n, d = X.shape
+    n_lanes, n, d = lanes.X.shape
     max_depth, reg_lambda = booster.max_depth, booster.reg_lambda
     grown = TreeNodes.empty((n_lanes, 2 ** (max_depth + 1) - 1))
     feature, threshold, left, right, value = grown.arrays()
@@ -383,7 +352,8 @@ def grow_boosting_trees(X, valid, root, sums, node_sums, booster):
     # the node each row has reached (padding rows stay at the root)
     at = np.zeros((n_lanes, n), dtype=int)
     # the level's nodes, lane by lane, and their sums
-    lane, node, masks = np.arange(n_lanes), np.zeros(n_lanes, dtype=int), valid
+    lane, node, masks = np.arange(n_lanes), np.zeros(n_lanes, dtype=int), lanes.valid
+    node_sums = lanes.sums(sums.transpose(1, 0, 2))
     for depth in range(max_depth + 1):
         counts = masks.sum(axis=1)
         g, split_h, h = node_sums
@@ -391,11 +361,11 @@ def grow_boosting_trees(X, valid, root, sums, node_sums, booster):
         search = np.flatnonzero(counts >= 2)
         if depth == max_depth or not len(search):
             break
-        lanes = (root if depth == 0 and len(search) == n_lanes
-                 else sort_lanes(X[lane[search]], masks[search]))
+        searched = (root if depth == 0 and len(search) == n_lanes
+                    else sort_lanes(lanes.X[lane[search]], masks[search]))
         stats = np.where(masks[search], sums[lane[search]].transpose(1, 0, 2), 0.0)
         col, _, thr, best, left_sums = best_split(
-            lanes, stats,
+            searched, stats,
             gradient_score(g[search], split_h[search], reg_lambda, booster.min_child_weight))
         found = best > -np.inf
         if not found.any():
@@ -405,7 +375,7 @@ def grow_boosting_trees(X, valid, root, sums, node_sums, booster):
         split_lane, split_node = lane[parent], node[parent]
         feature[split_lane, split_node], threshold[split_lane, split_node] = col, thr
         gain[split_lane, split_node] = best[found]
-        go_left = X[split_lane, :, col] <= thr[:, None]
+        go_left = lanes.X[split_lane, :, col] <= thr[:, None]
         masks = np.stack([masks[parent] & go_left, masks[parent] & ~go_left], axis=1).reshape(-1, n)
         node_sums = np.stack([left_sums, node_sums[:, parent] - left_sums], axis=2).reshape(3, -1)
         lane = np.repeat(split_lane, 2)
@@ -414,23 +384,3 @@ def grow_boosting_trees(X, valid, root, sums, node_sums, booster):
         child, row = np.nonzero(masks)
         at[lane[child], row] = node[child]
     return grown, gain, value[np.arange(n_lanes)[:, None], at]
-
-
-def fit_alone(model, X, y):
-    """Fits ``model`` on the rows (X, y) alone, a float64 and an int
-    array, by its one-lane ``fit_many``."""
-    model.fit_many([model], X[None], y[None], np.array([len(y)]))
-    return model
-
-
-def lane_blocks(counts, lane_cost):
-    """The ranges (start, stop) of lanes, in ascending row count ``counts``,
-    that one ``fit_many`` call takes: each range's stack, ``lane_cost(n)``
-    entries a lane at its longest lane's n rows, holds at most
-    ``FIT_BLOCK`` entries (one lane at least)."""
-    start = 0
-    for i, n in enumerate(counts.tolist()):
-        if i > start and (i + 1 - start) * lane_cost(n) > FIT_BLOCK:
-            yield start, i
-            start = i
-    yield start, len(counts)

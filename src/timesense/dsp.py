@@ -1,6 +1,7 @@
 """Signal conditioning: zero-phase Butterworth filtering, Fourier resampling,
 segmentation, head padding and Welch spectral estimation."""
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -62,8 +63,8 @@ def lowpass(series: TimeSeries, cutoff_hz: float) -> TimeSeries:
 
 def resample_fourier(series: TimeSeries, target_rate_hz: float) -> TimeSeries:
     """Resample via zero-padding/truncation of the DFT (scipy.signal.resample)."""
-    if target_rate_hz <= 0:
-        raise InvalidInput("target_rate_hz must be positive")
+    if not 0 < target_rate_hz < np.inf:
+        raise InvalidInput(f"target_rate_hz must be positive and finite, got {target_rate_hz}")
     if len(series) < 2:
         raise InsufficientData("need at least 2 samples to resample")
     n_out = int(round(len(series) * target_rate_hz / series.sampling_rate_hz))
@@ -77,14 +78,14 @@ def resample_fourier(series: TimeSeries, target_rate_hz: float) -> TimeSeries:
 def segment(series: TimeSeries, start_s: float, end_s: float) -> TimeSeries:
     """Samples whose timestamps fall in [start_s, end_s). An end past the
     recording cuts at its last sample, as if it were ``series.duration_s``."""
-    if start_s < 0 or end_s <= start_s:
-        raise InvalidInput(f"bad segment [{start_s}, {end_s})")
+    if not 0 <= start_s < end_s:
+        raise InvalidInput(f"bad segment [{start_s}, {end_s}): need 0 <= start_s < end_s")
     if start_s >= series.duration_s:
         raise InvalidInput("segment starts beyond the recording")
     fs = series.sampling_rate_hz
     # sample i is at time i / fs; ceil/floor with a tolerance for float grids
     i0 = int(np.ceil(start_s * fs - 1e-9))
-    i1 = min(int(np.ceil(end_s * fs - 1e-9)), len(series))
+    i1 = min(int(np.ceil(min(end_s, series.duration_s) * fs - 1e-9)), len(series))
     if i1 <= i0:
         raise InsufficientData(f"no samples in [{start_s}, {end_s}) at {fs} Hz")
     return TimeSeries(series.values[i0:i1], fs)
@@ -95,8 +96,8 @@ def extend_to_minimum(series: TimeSeries, min_s: float) -> TimeSeries:
 
     Padding at the head keeps the causal end of the segment untouched.
     """
-    if min_s <= 0:
-        raise InvalidInput("min_s must be positive")
+    if not 0 < min_s < np.inf:
+        raise InvalidInput(f"min_s must be positive and finite, got {min_s}")
     if series.duration_s >= min_s:
         return series
     n_needed = int(np.ceil(min_s * series.sampling_rate_hz)) - len(series)
@@ -108,6 +109,8 @@ def welch_psd(series: TimeSeries, max_segment: int):
     """Welch-averaged one-sided periodogram ``(frequencies_hz, power)`` of the
     mean-removed series: Hann-windowed segments of ``min(len(series),
     max_segment)`` samples overlapping by WELCH_OVERLAP, power in units^2/Hz."""
+    if not isinstance(max_segment, numbers.Integral) or max_segment < 1:
+        raise InvalidInput(f"max_segment must be a positive integer, got {max_segment!r}")
     segment_len = min(len(series), max_segment)
     return sps.welch(series.values - np.mean(series.values), fs=series.sampling_rate_hz,
                      window="hann", nperseg=segment_len,

@@ -30,6 +30,9 @@ EXACT_MAX_FEATURES = 12
 # The most background rows mean_abs_shap keeps: a dataset of more rows gives
 # a seeded draw of this many.
 MAX_BACKGROUND = 100
+# The most coalitions kernel SHAP scores per explained row: at this bound the
+# exhaustive branch serves up to 16 features.
+MAX_SAMPLES = 1 << 16
 # Synthetic rows per model call when scoring coalitions. A call holds as
 # many whole coalitions as fit (at least one), so memory stays flat however
 # many coalitions an explanation scores.
@@ -37,13 +40,16 @@ CHUNK_ROWS = 4096
 
 
 def _explained(background, instance):
-    """``background`` and ``instance`` as float arrays: a 1-D instance and
-    background rows of its length, else InvalidInput."""
+    """``background`` and ``instance`` as float arrays: a finite 1-D
+    instance and finite background rows of its length, else
+    InvalidInput."""
     background = np.asarray(background, dtype=float)
     instance = np.asarray(instance, dtype=float)
     if instance.ndim != 1 or background.ndim != 2 or background.shape[1] != len(instance):
         raise InvalidInput(f"background of shape {background.shape} and instance of shape "
                            f"{instance.shape}: need an instance (d,) and a background (n, d)")
+    if not (np.isfinite(instance).all() and np.isfinite(background).all()):
+        raise InvalidInput("instance and background must be finite")
     return background, instance
 
 
@@ -219,10 +225,13 @@ def _sample_coalitions(d, n_samples, seed):
 
 
 def _check_sampling(d, n_samples, seed):
-    """InvalidInput naming the argument unless n_samples is an integer and
-    seed a non-negative integer; InsufficientData when n_samples < d + 2."""
+    """InvalidInput naming the argument unless n_samples is an integer of at
+    most ``MAX_SAMPLES`` and seed a non-negative integer; InsufficientData
+    when n_samples < d + 2."""
     if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
         raise InvalidInput(f"n_samples must be an integer, got {n_samples!r}")
+    if n_samples > MAX_SAMPLES:
+        raise InvalidInput(f"n_samples {n_samples} exceeds the limit of {MAX_SAMPLES}")
     check_seed(seed)
     if n_samples < d + 2:
         raise InsufficientData(f"need at least d + 2 = {d + 2} samples")

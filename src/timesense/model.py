@@ -59,8 +59,8 @@ class TimeSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.sampling_rate_hz <= 0:
-            raise ValueError("sampling_rate_hz must be positive")
+        if not 0 < self.sampling_rate_hz < np.inf:
+            raise ValueError("sampling_rate_hz must be positive and finite")
         if self.values.ndim != 1:
             raise ValueError("values must be one-dimensional")
         if not np.all(np.isfinite(self.values)):

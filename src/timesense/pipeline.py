@@ -66,6 +66,8 @@ def scale_ratings(ratings):
     All-equal ratings are returned unchanged (degenerate rule).
     """
     r = np.asarray(ratings, dtype=float)
+    if r.ndim != 1 or not np.isfinite(r).all():
+        raise InvalidInput("ratings must be a finite one-dimensional sequence")
     if r.size == 0:
         raise InsufficientData("no ratings to rescale")
     lo, hi = r.min(), r.max()

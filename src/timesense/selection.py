@@ -28,9 +28,11 @@ class SelectionResult:
 
 def stratified_kfold(y, seed):
     """Deterministic seeded stratified assignment to ``CV_FOLDS`` folds;
-    returns test-index lists."""
+    returns test-index lists. Labels other than 0 and 1 are refused."""
     check_seed(seed)
-    y = np.asarray(y, dtype=int)
+    y = np.asarray(y)
+    if not np.all((y == 0) | (y == 1)):
+        raise InvalidInput("fold labels must be exactly 0 or 1")
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(CV_FOLDS)]
     for cls in (0, 1):

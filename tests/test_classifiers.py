@@ -23,7 +23,8 @@ from timesense.classifiers.base import (
     train,
     train_many,
 )
-from timesense.classifiers.linear import LaneStack, LogisticRegressionNewton, sigmoid
+from timesense.classifiers.lanes import Lanes
+from timesense.classifiers.linear import LogisticRegressionNewton, NewtonLanes, sigmoid
 from timesense.classifiers.svm import SMOSVC, rbf_kernel
 from timesense.errors import InsufficientData, InvalidInput, Unsupported
 from timesense.model import Dataset
@@ -45,6 +46,15 @@ def train_case(monkeypatch, case, X, y):
     for name, value in constants.items():
         monkeypatch.setattr(base._ESTIMATORS[kind], name, value)
     return train(ClassifierConfig(kind, seed=0), X, y)
+
+
+def fitted(model, X, y):
+    """``model`` fitted on the rows (X, y) as given: by its one-lane
+    ``fit_many``, or by ``fit`` for a kind that fits one lane at a time."""
+    if not hasattr(model, "fit_many"):
+        return model.fit(X, y)
+    model.fit_many([model], Lanes.alone(X, y))
+    return model
 
 
 def test_estimators_take_no_settings():
@@ -254,7 +264,7 @@ class TestLogisticRegression:
         b = rng.normal()
         padded_X = np.concatenate([X, np.full((5, 4), np.inf)])[None]
         padded_y = np.concatenate([y, np.ones(5, dtype=int)])[None]
-        stack = LaneStack(padded_X, padded_y, np.array([30]))
+        stack = NewtonLanes(padded_X, padded_y, np.array([30]))
         z = stack.margins(w[None], np.array([b]))
         assert _same_bits(z[0, :30], X @ w + b)
         assert stack.loss(z, w[None], l2=0.7)[0] == pytest.approx(logistic_loss(w, b, X, y, l2=0.7))
@@ -282,8 +292,8 @@ class TestLogisticRegression:
         for k, (Xk, yk) in enumerate(lanes):
             X[k, :len(yk)], y[k, :len(yk)] = Xk, yk
         keep = np.array([False, True, True, False, True, True])
-        for stack, kept in [(LaneStack(X, y, counts), np.arange(6)),
-                            (LaneStack(X, y, counts).take(keep), np.flatnonzero(keep))]:
+        for stack, kept in [(NewtonLanes(X, y, counts), np.arange(6)),
+                            (NewtonLanes(X, y, counts)[keep], np.flatnonzero(keep))]:
             z = stack.margins(w[kept], b[kept])
             p = sigmoid(z)
             loss, (gw, gb) = stack.loss(z, w[kept], 0.7), stack.gradient(p, w[kept], 0.7)
@@ -317,14 +327,14 @@ class TestLaneSums:
         return rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
 
     def test_count_groups(self):
-        assert tree.count_groups(np.array([2, 2, 5, 9, 9, 9])) == [
+        assert Lanes(None, None, np.array([2, 2, 5, 9, 9, 9])).groups == [
             (slice(0, 2), 2), (slice(2, 3), 5), (slice(3, 6), 9)]
 
     def test_lanes(self):
         rng = np.random.default_rng(0)
         counts = np.array([1, 3, 8, 8, 9, 17, 17, 40])
         values = self.spread(rng, (3, len(counts), 41))
-        out = tree.lane_sums(values, tree.count_groups(counts))
+        out = Lanes(None, None, counts).sums(values)
         assert out.shape == (3, len(counts))
         for s in range(3):
             for b, n in enumerate(counts):
@@ -1124,7 +1134,7 @@ class TestTreeModelsMatchOracles:
         for name, value in constants.items():
             monkeypatch.setattr(estimator, name, value)
         X, y, fresh = tree_case(seed)
-        model = (RandomForest(3) if estimator is RandomForest else estimator()).fit(X, y)
+        model = fitted(RandomForest(3) if estimator is RandomForest else estimator(), X, y)
         oracle = OracleTrees(kind, model).fit(X, y)
         assert model.weights_ == oracle.weights
         assert _bits(model.importance()) == _bits(oracle.importance())
@@ -1153,7 +1163,7 @@ def test_boosting_trees_fill_preorder_slots(monkeypatch, estimator):
     max_depth, deeper = estimator.max_depth, 0
     for seed in range(20):
         X, y, _ = tree_case(seed)
-        nodes = estimator().fit(X, y).nodes_
+        nodes = fitted(estimator(), X, y).nodes_
         for t in range(len(nodes.feature)):
             depth, _ = _node_depths_and_rows(nodes[t], X)
             for p in np.flatnonzero(nodes.feature[t] != tree.NO_CHILD):
@@ -1208,7 +1218,7 @@ class TestBatchedCalls:
             return out
 
         monkeypatch.setattr(ensemble, "grow_boosting_trees", counted)
-        booster = XGBoost().fit(X, y)
+        booster = fitted(XGBoost(), X, y)
         assert len(grown) == booster.n_estimators
         for nodes, searches in grown:
             # a level is searched when it holds a node of two or more rows
@@ -1479,7 +1489,7 @@ def assert_kkt(model, X, y):
 def assert_reaches_platt(X, y):
     """The svc converges, meets the KKT conditions at eps, and its dual
     objective is Platt's or lower, with a slack of 1e-9 relative."""
-    new, old = SMOSVC().fit(X, y), OracleSMOSVC().fit(X, y)
+    new, old = fitted(SMOSVC(), X, y), OracleSMOSVC().fit(X, y)
     assert _same_bits(new.gamma_, old.gamma_)
     assert new.converged_
     assert_kkt(new, X, y)
@@ -1508,7 +1518,7 @@ class TestSolversMatchOracles:
         X, y = select_case(CAPPED_SELECT_CASE)
         capped = OracleSMOSVC().fit(X, y)
         assert (capped.n_iter_, capped.converged_) == (OracleSMOSVC.max_passes, False)
-        new = SMOSVC().fit(X, y)
+        new = fitted(SMOSVC(), X, y)
         assert new.converged_ and new.n_iter_ < 50
         assert_kkt(new, X, y)
         platt = svm_dual(capped, X, y)
@@ -1518,7 +1528,7 @@ class TestSolversMatchOracles:
     def test_lr(self, monkeypatch, seed):
         rng, X, y = solver_case(seed)
         monkeypatch.setattr(LogisticRegressionNewton, "l2", (0.01, 1.0, 100.0)[seed % 3])
-        new = LogisticRegressionNewton().fit(X, y)
+        new = fitted(LogisticRegressionNewton(), X, y)
         old = OracleLR().fit(X, y)
         assert _same_bits(new.w, old.w)
         assert _same_bits(new.b, old.b)
@@ -1526,8 +1536,8 @@ class TestSolversMatchOracles:
     def test_smo_refit_equals_fresh_fit(self):
         _, X1, y1 = solver_case(7)
         _, X2, y2 = solver_case(8)
-        svc = SMOSVC().fit(X1, y1).fit(X2, y2)
-        fresh = SMOSVC().fit(X2, y2)
+        svc = fitted(fitted(SMOSVC(), X1, y1), X2, y2)
+        fresh = fitted(SMOSVC(), X2, y2)
         assert _same_bits(svc.alpha_, fresh.alpha_)
         assert _same_bits(svc.b_, fresh.b_)
         # the oracle carries b over from its first fit, which shows here
@@ -1599,7 +1609,7 @@ class TestDualQpOracle:
     def test_alpha_matches_slsqp(self, monkeypatch, seed):
         X, y = qp_case(seed)
         monkeypatch.setattr(SMOSVC, "C", (0.1, 1.0, 10.0)[seed % 3])
-        svc = SMOSVC().fit(X, y)
+        svc = fitted(SMOSVC(), X, y)
         assert svc.converged_
         assert_kkt(svc, X, y)
         reference = slsqp_alpha(X, y, svc.gamma_, SMOSVC.C)
@@ -1610,7 +1620,7 @@ class TestDualQpOracle:
         # at eps 1e-6, alpha is as exact as the conditioning of Q allows
         # (up to 2e-5 off here); a tighter gap must give the polished alpha
         monkeypatch.setattr(SMOSVC, "eps", 1e-10)
-        assert np.abs(SMOSVC().fit(X, y).alpha_ - reference).max() <= 1e-6
+        assert np.abs(fitted(SMOSVC(), X, y).alpha_ - reference).max() <= 1e-6
 
 
 class TestSmoProducts:
@@ -1630,7 +1640,7 @@ class TestSmoProducts:
         X = np.full((len(counts), n, d), np.inf)
         for Xb, rows in zip(X, lanes):
             Xb[:len(rows)] = rows
-        gamma, K = svm._kernels(X, counts)
+        gamma, K = svm._kernels(Lanes(X, None, counts))
         for g, k, rows in zip(gamma, K, lanes):
             var, c = rows.var(), len(rows)
             alone = 1.0 / (d * var) if var > 0 else 1.0
@@ -1771,16 +1781,18 @@ class TestTrainMany:
         lanes, probe = ragged_lanes(6)
         config = ClassifierConfig(kind, seed=2)
         whole = train_many(config, lanes)
-        monkeypatch.setattr(tree, "FIT_BLOCK", block)
+        monkeypatch.setattr("timesense.classifiers.lanes.FIT_BLOCK", block)
         sizes = []
-        original = base.lane_blocks
+        original = Lanes.blocks
 
-        def counted(*args):
-            for start, stop in original(*args):
-                sizes.append(stop - start)
-                yield start, stop
+        def counted(self, lane_cost):
+            for part, cut in original(self, lane_cost):
+                # each block is cut to its longest lane
+                assert cut.X.shape[1] == cut.counts[-1] == self.counts[part][-1]
+                sizes.append(len(cut.counts))
+                yield part, cut
 
-        monkeypatch.setattr(base, "lane_blocks", counted)
+        monkeypatch.setattr(Lanes, "blocks", counted)
         for model, reference in zip(train_many(config, lanes), whole):
             assert_same_model(model, reference, probe)
         assert len(sizes) == blocks and sum(sizes) == len(lanes)
@@ -1853,6 +1865,34 @@ class TestTrainMany:
             assert separable.depth == 1 and grown.depth > 1
 
 
+class TestPaddingIsNeverRead:
+    """The ``Lanes`` contract: a fit reads no padding row. Each batched kind
+    fits the ``Lanes`` that ``_training_lanes`` builds and the same lanes
+    with their padding overwritten, to equal model state bytes."""
+
+    @staticmethod
+    def fit_states(kind, lanes):
+        models = [base._build(ClassifierConfig(kind, seed=5)) for _ in lanes.counts]
+        models[0].fit_many(models, lanes)
+        return [_state(model) for model in models]
+
+    @pytest.mark.parametrize("padding", ["nan", "-inf", "random"])
+    @pytest.mark.parametrize("kind", ["svc", "dtc", "rf", "gb", "xgb", "lr"])
+    def test_overwritten_padding_gives_equal_models(self, kind, padding):
+        lanes, _ = ragged_lanes(15)
+        X, y = lanes[0]
+        (_, built), = base._training_lanes(lanes + [(X[:9], y[:9])])
+        X, y, pad = built.X.copy(), built.y.copy(), ~built.valid
+        if padding == "random":
+            rng = np.random.default_rng(1)
+            X[pad] = rng.normal(0.0, 3.0, (pad.sum(), X.shape[2]))
+            y[pad] = rng.integers(0, 2, pad.sum())
+        else:
+            X[pad] = float(padding)
+        assert pad.sum() >= 16
+        assert self.fit_states(kind, Lanes(X, y, built.counts)) == self.fit_states(kind, built)
+
+
 def tied_lanes():
     """Lanes of 1, 2 and 3 features, several of each (rows, width) shape,
     with values in {-0.0, 0.0, 1.0}: rows tie on their leading keys, repeat
@@ -1878,7 +1918,8 @@ class TestTrainingLanes:
     def test_rows_equal_those_of_each_lane_alone(self):
         lanes = tied_lanes()
         placed = []
-        for index, X, y, counts in base._training_lanes(lanes):
+        for index, stack in base._training_lanes(lanes):
+            X, y, counts = stack.X, stack.y, stack.counts
             assert list(counts) == sorted(counts)
             for b, (i, n) in enumerate(zip(index, counts)):
                 placed.append(i)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from timesense import ingest, pipeline
 from timesense.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
+from timesense.explain import MAX_SAMPLES
 from tests.conftest import planted_dataset
 
 
@@ -178,6 +180,17 @@ class TestExplain:
                        "--seed", "2", "--out", str(out)])
             assert rc == EXIT_OK
         assert sha256(a) == sha256(b)
+
+    def test_n_samples_beyond_the_cap_exits_2_at_once(self, planted_csv, tmp_path, capsys):
+        """The exhaustive branch would build 2^24 - 2 coalitions here."""
+        start = time.perf_counter()
+        rc = main(["explain", "--features", str(planted_csv), "--classifier", "lr",
+                   "--n-samples", "16777214", "--out", str(tmp_path / "r.csv")])
+        assert time.perf_counter() - start < 1.0
+        assert rc == EXIT_DOMAIN
+        assert error_lines(capsys) == [
+            f"error: n_samples 16777214 exceeds the limit of {MAX_SAMPLES}"]
+        assert not (tmp_path / "r.csv").exists()
 
     def test_missing_features_exits_1(self, tmp_path):
         rc = main(["explain", "--features", str(tmp_path / "no.csv"),

@@ -5,14 +5,14 @@ The scan reads each module of ``src/timesense/classifiers/`` with ``ast``
 and lists every ``np.asarray`` or ``np.array`` call whose first argument is
 a parameter of the function around it, for every function named in
 ``SCANNED``: the estimators' ``fit``, ``fit_many`` and
-``decision_function``, and ``tree.walk`` and ``tree.fit_alone``.
+``decision_function``, ``tree.walk`` and ``Lanes.alone``.
 """
 
 import ast
 from pathlib import Path
 
 CLASSIFIERS = Path(__file__).resolve().parent.parent / "src" / "timesense" / "classifiers"
-SCANNED = ("fit", "fit_many", "decision_function", "walk", "fit_alone")
+SCANNED = ("fit", "fit_many", "decision_function", "walk", "alone")
 CONVERSIONS = ("asarray", "array")
 # KNN stores copies of its rows: a view would keep the whole stack of a
 # train_many call alive
@@ -50,7 +50,7 @@ def conversions(source):
 
 def test_estimators_do_not_convert_their_input():
     paths = sorted(CLASSIFIERS.glob("*.py"))
-    assert {"knn.py", "tree.py", "linear.py"} <= {path.name for path in paths}
+    assert {"knn.py", "tree.py", "linear.py", "lanes.py"} <= {path.name for path in paths}
     found = {(path.name, name, param)
              for path in paths
              for name, param in conversions(path.read_text(encoding="utf-8"))}

@@ -187,12 +187,33 @@ class TestSegment:
         assert same_bits(past.values, dsp.segment(ts, 2.5, ts.duration_s).values)
         assert same_bits(past.values, ts.values[25:])
 
+    def test_infinite_end_cuts_at_last_sample(self):
+        ts = TimeSeries(np.arange(100, dtype=float), 10.0)
+        assert same_bits(dsp.segment(ts, 0.0, np.inf).values, ts.values)
+
     def test_composition(self):
         ts = TimeSeries(np.arange(200, dtype=float), 10.0)
         a, b, c = 2.0, 8.0, 15.0
         direct = dsp.segment(ts, a, b)
         nested = dsp.segment(dsp.segment(ts, a, c), 0.0, b - a)
         assert np.array_equal(direct.values, nested.values)
+
+
+@pytest.mark.parametrize("call,argument", [
+    (lambda ts: dsp.segment(ts, np.nan, 5.0), "start_s"),
+    (lambda ts: dsp.segment(ts, 0.0, np.nan), "end_s"),
+    (lambda ts: dsp.segment(ts, np.inf, np.inf), "start_s"),
+    (lambda ts: dsp.resample_fourier(ts, np.nan), "target_rate_hz"),
+    (lambda ts: dsp.resample_fourier(ts, np.inf), "target_rate_hz"),
+    (lambda ts: dsp.extend_to_minimum(ts, np.inf), "min_s"),
+    (lambda ts: dsp.extend_to_minimum(ts, np.nan), "min_s"),
+    (lambda ts: dsp.welch_psd(ts, 0), "max_segment"),
+    (lambda ts: dsp.welch_psd(ts, 2.5), "max_segment"),
+], ids=["segment-nan-start", "segment-nan-end", "segment-inf-start", "resample-nan",
+        "resample-inf", "extend-inf", "extend-nan", "welch-0", "welch-2.5"])
+def test_a_bad_argument_raises_invalid_input_naming_it(call, argument):
+    with pytest.raises(InvalidInput, match=argument):
+        call(TimeSeries(np.arange(100, dtype=float), 10.0))
 
 
 class TestExtendToMinimum:

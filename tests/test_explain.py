@@ -88,6 +88,19 @@ class TestShapes:
             assert str(bg_shape) in str(err.value) and str(x_shape) in str(err.value)
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("where", ["instance", "background"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_refused(self, where, value):
+        model = stub_model([1.0, -2.0, 0.5])
+        bg, x = np.random.default_rng(0).normal(size=(6, 3)), np.ones(3)
+        (x if where == "instance" else bg)[1] = value
+        explainers = [exact_shapley, lambda *args: kernel_shap(*args, n_samples=16)]
+        for explainer in explainers:
+            with pytest.raises(InvalidInput, match="instance and background must be finite"):
+                explainer(model, bg, x)
+
+
 class TestKernelShap:
     def test_matches_exact_with_full_enumeration(self):
         """With n_samples >= 2^d - 2 every proper coalition is enumerated and
@@ -183,6 +196,19 @@ class TestSamplingArguments:
         args = {"n_samples": 5, "seed": 0, name: value}
         with pytest.raises(InvalidInput, match=name):
             self.call(entry, **args)
+
+    @pytest.mark.parametrize("entry", ["kernel_shap", "mean_abs_shap"])
+    def test_n_samples_beyond_the_cap_refused_before_any_draw(self, monkeypatch, entry):
+        def no_draw(*args):
+            raise AssertionError("coalitions drawn")
+
+        monkeypatch.setattr(explain, "_sample_coalitions", no_draw)
+        monkeypatch.setattr(explain, "_coalitions", no_draw)
+        with pytest.raises(InvalidInput, match=f"n_samples {explain.MAX_SAMPLES + 1} exceeds"):
+            self.call(entry, explain.MAX_SAMPLES + 1, 0)
+
+    def test_the_cap_keeps_the_exhaustive_branch_up_to_16_features(self):
+        assert 2 ** 16 - 2 <= explain.MAX_SAMPLES < 2 ** 17 - 2
 
     @pytest.mark.parametrize("entry", ["kernel_shap", "mean_abs_shap"])
     def test_numpy_integers_accepted(self, entry):

@@ -21,8 +21,9 @@ def test_feature_names_are_24_and_unique():
 def test_timeseries_rejects_nonfinite_and_bad_rate():
     with pytest.raises(ValueError):
         TimeSeries([1.0, np.nan], 10.0)
-    with pytest.raises(ValueError):
-        TimeSeries([1.0, 2.0], 0.0)
+    for rate in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sampling_rate_hz must be positive and finite"):
+            TimeSeries([1.0, 2.0], rate)
 
 
 def test_timeseries_is_immutable():

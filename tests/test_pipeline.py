@@ -92,6 +92,12 @@ class TestLabels:
         with pytest.raises(InsufficientData, match="no ratings"):
             derive_labels([])
 
+    @pytest.mark.parametrize("ratings", [[1, np.nan, 5], [1, np.inf, 5], [[1, 2], [3, 4]], 3])
+    def test_ratings_must_be_finite_and_1d(self, ratings):
+        for entry in (scale_ratings, derive_labels):
+            with pytest.raises(InvalidInput, match="ratings must be a finite one-dimensional"):
+                entry(ratings)
+
     def test_empty_ratings_not_rescaled(self):
         with pytest.raises(InsufficientData, match="no ratings to rescale"):
             scale_ratings([])

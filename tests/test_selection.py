@@ -42,6 +42,20 @@ class TestStratifiedKfold:
         b = stratified_kfold(y, seed=3)
         assert all(np.array_equal(x, z) for x, z in zip(a, b))
 
+    @pytest.mark.parametrize("label", [2, 0.5, -1, np.nan])
+    def test_labels_other_than_0_or_1_refused(self, label):
+        y = np.array([0, 1, 2, 2, 0, 1, 0, 1, 0, 1], dtype=float)
+        y[2:4] = label
+        with pytest.raises(InvalidInput, match="labels must be exactly 0 or 1"):
+            stratified_kfold(y, seed=0)
+
+    def test_float_and_bool_labels_give_the_int_folds(self):
+        y = np.tile([0, 1, 1], 7)
+        expected = stratified_kfold(y, seed=4)
+        for labels in (y.astype(float), y.astype(bool)):
+            folds = stratified_kfold(labels, seed=4)
+            assert all(np.array_equal(a, b) for a, b in zip(folds, expected))
+
     def test_single_class_folds_raise_in_cv(self):
         y = np.array([0] * 9 + [1])
         X = np.random.default_rng(0).normal(size=(10, 2))
