@@ -4,7 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InsufficientData, InvalidInput, Unsupported, check_seed
+from ..errors import (InsufficientData, InvalidInput, Unsupported, check_integer, check_labels,
+                      finite_array, float_array)
 from .ensemble import AdaBoost, DecisionTree, GradientBoosting, RandomForest, XGBoost
 from .knn import KNN
 from .lanes import Lanes
@@ -34,7 +35,7 @@ class ClassifierConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidInput(f"unknown classifier kind {self.kind!r}")
-        check_seed(self.seed)
+        check_integer("seed", self.seed)
 
     def supports_importance(self) -> bool:
         return self.kind in IMPORTANCE_CAPABLE
@@ -68,7 +69,7 @@ def canonical_order(X, y):
 
 def _training_rows(X, y):
     """Checked training rows (X, y) in canonical order."""
-    X = np.asarray(X, dtype=float)
+    X = float_array("X", X)
     y = np.asarray(y)
     if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
         raise InvalidInput("X and y shapes disagree")
@@ -76,14 +77,12 @@ def _training_rows(X, y):
         raise InvalidInput("X must have at least one feature column")
     if len(y) < 2:
         raise InsufficientData("need at least 2 training rows")
-    if not np.all((y == 0) | (y == 1)):
-        raise InvalidInput("training labels must be exactly 0 or 1")
+    y = check_labels("training labels", y)
     if not (np.any(y == 0) and np.any(y == 1)):
         raise InsufficientData("training data must contain both classes")
-    if not np.all(np.isfinite(X)):
-        raise InvalidInput("training data must be finite")
+    finite_array("training data", X)
     order = canonical_order(X, y)
-    return X[order], y[order].astype(int)
+    return X[order], y[order]
 
 
 def _refuse(lanes):
@@ -99,7 +98,10 @@ def _training_lanes(lanes):
     rows of +inf and label 1 sort after a lane's own rows, so a stable sort
     leaves each lane the rows it gets alone. A failed check raises the error
     of the first failing lane."""
-    lanes = [(np.asarray(X, dtype=float), np.asarray(y)) for X, y in lanes]
+    try:
+        lanes = [(float_array("X", X), np.asarray(y)) for X, y in lanes]
+    except InvalidInput:
+        _refuse(lanes)
     widths = {}
     for i, (X, y) in enumerate(lanes):
         if X.ndim != 2 or y.ndim != 1 or len(X) != len(y) or X.shape[1] == 0 or len(y) < 2:
@@ -116,8 +118,9 @@ def _training_lanes(lanes):
         valid = Lanes(X, y, counts).valid
         X[valid], y[valid] = rows, labels
         n_slow = (y == 0).sum(axis=1)
-        if not (((y == 0) | (y == 1)).all() and (0 < n_slow).all() and (n_slow < counts).all()
-                and np.isfinite(rows).all()):
+        # the labels' dtype as check_labels reads it, so that both refuse the same lanes
+        if not (y.dtype.kind in "biuf" and ((y == 0) | (y == 1)).all() and (0 < n_slow).all()
+                and (n_slow < counts).all() and np.isfinite(rows).all()):
             _refuse(lanes)
         order = canonical_order(X, y)
         stacks.append((index, Lanes(np.take_along_axis(X, order[..., None], axis=1),
@@ -170,10 +173,10 @@ def decision_scores(model: TrainedModel, X) -> np.ndarray:
     reductions can round a row differently in a taller matrix. Estimators
     score the checked float64 X as given.
     """
-    X = np.asarray(X, dtype=float)
+    X = finite_array("X", X)
     if X.ndim < 2 or X.shape[-1] != model.feature_count:
         raise InvalidInput(
-            f"expected {model.feature_count} features, got {X.shape}")
+            f"expected {model.feature_count} features along the last axis of X, got {X.shape}")
     return np.asarray(model.estimator.decision_function(X), dtype=float)
 
 

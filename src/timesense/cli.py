@@ -13,8 +13,9 @@ from dataclasses import replace
 from . import ingest, pipeline
 from .classifiers import ClassifierConfig, train
 from .errors import TimesenseError
-from .evaluate import MATRIX_KINDS, SELECTION_MODES, losocv, report_matrix, report_to_jsonable
-from .explain import mean_abs_shap
+from .evaluate import (MATRIX_KINDS, MATRIX_SCHEMA_VERSION, SELECTION_MODES, losocv,
+                       report_matrix, report_to_jsonable)
+from .explain import RANKING_SCHEMA_VERSION, mean_abs_shap
 from .fileio import read_json, write_atomic, write_json
 from .ingest import synth_dataset, write_corpus
 
@@ -63,8 +64,8 @@ def cmd_evaluate(args):
     dataset = pipeline.dataset_from_csv(args.features)
     if args.classifier == "all":
         matrix = report_matrix(dataset, scaler_method=args.scaling, seed=args.seed)
-        doc = {"schema_version": 1, "scaling": args.scaling, "seed": args.seed,
-               "matrix": matrix}
+        doc = {"schema_version": MATRIX_SCHEMA_VERSION, "scaling": args.scaling,
+               "seed": args.seed, "matrix": matrix}
     else:
         report = losocv(dataset, ClassifierConfig(args.classifier, seed=args.seed),
                         scaler_method=args.scaling, selection=(args.selection, None),
@@ -81,7 +82,7 @@ def cmd_explain(args):
     dataset = pipeline.dataset_from_csv(args.features)
     model = train(ClassifierConfig(args.classifier, seed=args.seed), dataset.X, dataset.y)
     ranking = mean_abs_shap(model, dataset, n_samples=args.n_samples, seed=args.seed)
-    lines = ["# schema_version=1", "feature,mean_abs_shap,rank"]
+    lines = [f"# schema_version={RANKING_SCHEMA_VERSION}", "feature,mean_abs_shap,rank"]
     for name, value, rank in ranking:
         lines.append(f"{name},{value!r},{rank}")
     write_atomic(args.out, "\n".join(lines) + "\n")

@@ -1,13 +1,12 @@
 """Signal conditioning: zero-phase Butterworth filtering, Fourier resampling,
 segmentation, head padding and Welch spectral estimation."""
 
-import numbers
 from functools import lru_cache
 
 import numpy as np
 from scipy import signal as sps
 
-from .errors import InsufficientData, InvalidInput
+from .errors import InsufficientData, InvalidInput, check_integer, check_positive
 from .model import TimeSeries
 
 BANDPASS_ORDER = 3
@@ -63,8 +62,7 @@ def lowpass(series: TimeSeries, cutoff_hz: float) -> TimeSeries:
 
 def resample_fourier(series: TimeSeries, target_rate_hz: float) -> TimeSeries:
     """Resample via zero-padding/truncation of the DFT (scipy.signal.resample)."""
-    if not 0 < target_rate_hz < np.inf:
-        raise InvalidInput(f"target_rate_hz must be positive and finite, got {target_rate_hz}")
+    check_positive("target_rate_hz", target_rate_hz)
     if len(series) < 2:
         raise InsufficientData("need at least 2 samples to resample")
     n_out = int(round(len(series) * target_rate_hz / series.sampling_rate_hz))
@@ -96,8 +94,7 @@ def extend_to_minimum(series: TimeSeries, min_s: float) -> TimeSeries:
 
     Padding at the head keeps the causal end of the segment untouched.
     """
-    if not 0 < min_s < np.inf:
-        raise InvalidInput(f"min_s must be positive and finite, got {min_s}")
+    check_positive("min_s", min_s)
     if series.duration_s >= min_s:
         return series
     n_needed = int(np.ceil(min_s * series.sampling_rate_hz)) - len(series)
@@ -109,8 +106,7 @@ def welch_psd(series: TimeSeries, max_segment: int):
     """Welch-averaged one-sided periodogram ``(frequencies_hz, power)`` of the
     mean-removed series: Hann-windowed segments of ``min(len(series),
     max_segment)`` samples overlapping by WELCH_OVERLAP, power in units^2/Hz."""
-    if not isinstance(max_segment, numbers.Integral) or max_segment < 1:
-        raise InvalidInput(f"max_segment must be a positive integer, got {max_segment!r}")
+    check_integer("max_segment", max_segment, least=1)
     segment_len = min(len(series), max_segment)
     return sps.welch(series.values - np.mean(series.values), fs=series.sampling_rate_hz,
                      window="hann", nperseg=segment_len,

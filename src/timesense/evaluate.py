@@ -4,7 +4,7 @@ accuracy matrix."""
 import numpy as np
 
 from .classifiers import KINDS, ClassifierConfig, predict, train_many
-from .errors import InsufficientData, InvalidInput, check_seed
+from .errors import InsufficientData, InvalidInput, check_integer, finite_array
 from .model import (
     EDA_FEATURES,
     PPG_FEATURES,
@@ -16,7 +16,10 @@ from .pipeline import apply_scaler, fit_scaler
 from .selection import rfecv, sfs
 
 NA = "N.A."
+# The schema of a report's JSON document (``report_to_jsonable``) and of the
+# accuracy matrix's (``report_matrix`` with its settings).
 REPORT_SCHEMA_VERSION = 1
+MATRIX_SCHEMA_VERSION = 1
 
 MANUAL_SUBSETS = {
     "ppg": PPG_FEATURES,
@@ -30,8 +33,8 @@ MATRIX_KINDS = KINDS
 
 
 def accuracy(predicted, actual) -> float:
-    predicted = np.asarray(predicted)
-    actual = np.asarray(actual)
+    predicted = finite_array("predicted", predicted, 1)
+    actual = finite_array("actual", actual, 1)
     if len(predicted) != len(actual):
         raise InvalidInput("prediction/actual length mismatch")
     if len(predicted) == 0:
@@ -95,7 +98,7 @@ def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "min
     (default 12). A malformed spec or seed is refused before the first
     fold.
     """
-    check_seed(seed)
+    check_integer("seed", seed)
     mode, params = _selection_mode(selection)
     participants = dataset.participants()
     if len(participants) < 2:

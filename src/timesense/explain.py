@@ -3,7 +3,6 @@ enumeration oracle, a kernel-weighted regression estimator, and the
 mean-|value| aggregation used for feature rankings."""
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
@@ -11,7 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from .classifiers import TrainedModel, decision_scores
-from .errors import InsufficientData, InvalidInput, Unsupported, check_seed
+from .errors import InsufficientData, InvalidInput, Unsupported, check_integer, finite_array
 
 
 @dataclass(frozen=True)
@@ -24,6 +23,9 @@ class Attribution:
         return abs(self.base_value + float(np.sum(self.values)) - self.prediction)
 
 
+# The schema of a ranking CSV, the rows of ``mean_abs_shap`` under the header
+# line ``# schema_version=<this>``.
+RANKING_SCHEMA_VERSION = 1
 # Exact enumeration scores all 2^d coalitions, so it takes at most this many
 # features.
 EXACT_MAX_FEATURES = 12
@@ -43,13 +45,11 @@ def _explained(background, instance):
     """``background`` and ``instance`` as float arrays: a finite 1-D
     instance and finite background rows of its length, else
     InvalidInput."""
-    background = np.asarray(background, dtype=float)
-    instance = np.asarray(instance, dtype=float)
+    background = finite_array("background", background)
+    instance = finite_array("instance", instance)
     if instance.ndim != 1 or background.ndim != 2 or background.shape[1] != len(instance):
         raise InvalidInput(f"background of shape {background.shape} and instance of shape "
                            f"{instance.shape}: need an instance (d,) and a background (n, d)")
-    if not (np.isfinite(instance).all() and np.isfinite(background).all()):
-        raise InvalidInput("instance and background must be finite")
     return background, instance
 
 
@@ -225,14 +225,13 @@ def _sample_coalitions(d, n_samples, seed):
 
 
 def _check_sampling(d, n_samples, seed):
-    """InvalidInput naming the argument unless n_samples is an integer of at
-    most ``MAX_SAMPLES`` and seed a non-negative integer; InsufficientData
-    when n_samples < d + 2."""
-    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
-        raise InvalidInput(f"n_samples must be an integer, got {n_samples!r}")
+    """InvalidInput naming the argument unless n_samples is a non-negative
+    integer of at most ``MAX_SAMPLES`` and seed a non-negative integer;
+    InsufficientData when n_samples < d + 2."""
+    check_integer("n_samples", n_samples)
     if n_samples > MAX_SAMPLES:
         raise InvalidInput(f"n_samples {n_samples} exceeds the limit of {MAX_SAMPLES}")
-    check_seed(seed)
+    check_integer("seed", seed)
     if n_samples < d + 2:
         raise InsufficientData(f"need at least d + 2 = {d + 2} samples")
 

@@ -11,7 +11,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, MissingFile, check_seed
+from .errors import InvalidInput, MissingFile, check_integer, check_positive
 from .fileio import read_json, write_atomic, write_json
 from .model import (
     ALL_SETTINGS,
@@ -40,8 +40,8 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0) -> TimeSe
     """Read a `timestamp_s,value` CSV and apply head/tail trims.
 
     Trims happen before any filtering; they generalize the manual removal of
-    motion-artifact samples at sequence edges; they must be non-negative,
-    which is checked before the file is read, and leave at least 2 samples.
+    motion-artifact samples at sequence edges; they must be non-negative
+    integers, which is checked before the file is read, and leave at least 2 samples.
     Timestamps must be finite, and consecutive ones one sample period apart,
     to within a quarter of a period: a dropped or an extra row would shift
     every later sample in time. A field holds anything ``float()``
@@ -50,10 +50,9 @@ def read_channel_csv(path, sampling_rate_hz, trim_head=0, trim_tail=0) -> TimeSe
     """
     if not os.path.isfile(path):
         raise MissingFile(f"{path}: no such file")
-    if not sampling_rate_hz > 0:
-        raise InvalidInput(f"{path}: sampling rate {sampling_rate_hz!r} is not positive")
-    if trim_head < 0 or trim_tail < 0:
-        raise InvalidInput(f"{path}: trim counts must be >= 0, not {trim_head} and {trim_tail}")
+    check_positive(f"{path}: sampling_rate_hz", sampling_rate_hz)
+    check_integer(f"{path}: trim_head", trim_head)
+    check_integer(f"{path}: trim_tail", trim_tail)
     # undecodable bytes become U+FFFD, which fails the header or float checks
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header, _, body = fh.read().partition("\n")
@@ -273,6 +272,11 @@ SCR_TAIL_S = 5.0
 # Longest baseline + task: each SCR adds to every later EDA sample, about
 # 2.25 T^2 updates at the strong margin's 9 a minute, 81 million here.
 MAX_SESSION_S = 6000.0
+# Longest total recording of a corpus, participants x sessions x (baseline +
+# task): about 100 times the default corpus's 10,176 s. A corpus is held in
+# memory at 55 float64 samples a second, 440 MB here, and written as about
+# 1.6 GB of CSV text.
+MAX_CORPUS_S = 1_000_000.0
 
 
 @dataclass(frozen=True)
@@ -303,11 +307,17 @@ class SynthConfig:
         total_s = self.baseline_s + self.task_s
         if not total_s <= MAX_SESSION_S:  # inf and NaN fail it too
             raise InvalidInput(f"a session lasts at most {MAX_SESSION_S} s, not {total_s!r} s")
+        # compared by division, which no count too large for a float can overflow
+        sessions = self.participants * self.sessions_per_participant
+        if sessions > MAX_CORPUS_S / total_s:
+            raise InvalidInput(f"a corpus records at most {MAX_CORPUS_S} s, not participants x "
+                               f"sessions_per_participant x (baseline_s + task_s) = "
+                               f"{sessions} x {total_s!r} s")
         if self.margin not in MARGINS:
             raise InvalidInput(f"margin {self.margin!r} is not one of {sorted(MARGINS)}")
         if not 0 <= self.n_slow_biased <= self.participants:
             raise InvalidInput("n_slow_biased out of range")
-        check_seed(self.seed)
+        check_integer("seed", self.seed)
 
 
 def synth_config_from_json(doc, where="config") -> SynthConfig:

@@ -5,6 +5,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .errors import InvalidInput, check_labels, check_positive, finite_array
+
 # Canonical feature order. Every feature matrix, CSV and report in the
 # library uses exactly this order; do not reorder without bumping schema.
 PPG_FEATURES = (
@@ -58,13 +60,8 @@ class TimeSeries:
     sampling_rate_hz: float
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if not 0 < self.sampling_rate_hz < np.inf:
-            raise ValueError("sampling_rate_hz must be positive and finite")
-        if self.values.ndim != 1:
-            raise ValueError("values must be one-dimensional")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values must be finite")
+        check_positive("sampling_rate_hz", self.sampling_rate_hz)
+        object.__setattr__(self, "values", finite_array("values", self.values, 1))
         self.values.setflags(write=False)
 
     def __len__(self):
@@ -87,9 +84,9 @@ class SessionSetting:
 
     def __post_init__(self):
         if self.helicopters not in (1, 2):
-            raise ValueError("helicopters must be 1 or 2")
+            raise InvalidInput("helicopters must be 1 or 2")
         if self.language not in (GREEK, ENGLISH):
-            raise ValueError(f"language must be one of {GREEK!r}, {ENGLISH!r}")
+            raise InvalidInput(f"language must be one of {GREEK!r}, {ENGLISH!r}")
 
 
 ALL_SETTINGS = (
@@ -104,7 +101,8 @@ ALL_SETTINGS = (
 class SessionRecord:
     """One recorded sequence: channels, task window, questionnaire answers.
 
-    Construction raises ValueError for the first rule the session breaks.
+    Construction raises InvalidInput, a ValueError, for the first rule the
+    session breaks.
     """
 
     participant_id: int
@@ -121,23 +119,23 @@ class SessionRecord:
 
     def __post_init__(self):
         if self.participant_id < 1:
-            raise ValueError("participant_id must be >= 1")
+            raise InvalidInput("participant_id must be >= 1")
         if not 1 <= self.session_index <= 4:
-            raise ValueError("session_index out of range 1..4")
+            raise InvalidInput("session_index out of range 1..4")
         if self.rating not in (1, 2, 3, 4, 5):
-            raise ValueError("rating out of range")
+            raise InvalidInput("rating out of range")
         if self.task_start_s <= 0:
-            raise ValueError("empty baseline interval")
+            raise InvalidInput("empty baseline interval")
         if self.task_end_s <= self.task_start_s:
-            raise ValueError("task_end_s must exceed task_start_s")
+            raise InvalidInput("task_end_s must exceed task_start_s")
         for name in CHANNELS:
             ch: TimeSeries = getattr(self, name)
             if len(ch) < 2:
-                raise ValueError(f"{name} channel too short")
+                raise InvalidInput(f"{name} channel too short")
             if self.task_end_s > ch.duration_s + 1e-9:
-                raise ValueError(f"task window exceeds {name} recording length")
-        if self.duration_estimate_s is not None and self.duration_estimate_s <= 0:
-            raise ValueError("duration_estimate_s must be positive when given")
+                raise InvalidInput(f"task window exceeds {name} recording length")
+        if self.duration_estimate_s is not None:
+            check_positive("duration_estimate_s", self.duration_estimate_s)
 
 
 @dataclass(frozen=True)
@@ -150,17 +148,11 @@ class Dataset:
     feature_names: Tuple[str, ...] = FEATURE_NAMES
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=int)
-        pids = np.asarray(self.participant_ids, dtype=int)
-        if X.ndim != 2 or X.shape[0] != len(y) or len(y) != len(pids):
-            raise ValueError("inconsistent dataset shapes")
-        if X.shape[1] != len(self.feature_names):
-            raise ValueError("feature count does not match feature names")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("feature matrix must be finite")
-        if not np.all((y == 0) | (y == 1)):
-            raise ValueError("labels must be 0 (slow) or 1 (fast)")
+        X = finite_array("X", self.X, 2, len(self.feature_names))
+        y = check_labels("y", self.y)
+        pids = check_labels("participant_ids", self.participant_ids, binary=False)
+        if y.shape != (len(X),) or pids.shape != y.shape:
+            raise InvalidInput("inconsistent dataset shapes")
         for a in (X, y, pids):
             a.setflags(write=False)
         object.__setattr__(self, "X", X)

@@ -8,7 +8,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidInput, MissingFile
+from .errors import InsufficientData, InvalidInput, MissingFile, finite_array
 from .features import extract_all
 from .fileio import write_atomic
 from .model import FEATURE_NAMES, Dataset
@@ -33,8 +33,8 @@ def fit_scaler(train_X, method: str) -> ScalerParams:
     """Fit per-feature scaling statistics on training rows only."""
     if method not in SCALER_METHODS:
         raise InvalidInput(f"unknown scaler method {method!r}")
-    X = np.asarray(train_X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
+    X = finite_array("train_X", train_X, 2)
+    if len(X) < 2:
         raise InsufficientData("need at least 2 training rows to fit a scaler")
     if method == "none":
         return ScalerParams("none")
@@ -48,11 +48,9 @@ def apply_scaler(params: ScalerParams, X):
 
     Features that were constant on the training rows map to 0.
     """
-    X = np.asarray(X, dtype=float)
+    X = finite_array("X", X, 2, params.n_features())
     if params.method == "none":
         return X.copy()
-    if X.ndim != 2 or X.shape[1] != params.n_features():
-        raise InvalidInput("feature count does not match fitted scaler")
     # minmax divides by the training range, zscore by the training SD
     span = params.stat_b - params.stat_a if params.method == "minmax" else params.stat_b
     out = (X - params.stat_a) / np.where(span == 0, 1.0, span)
@@ -65,9 +63,7 @@ def scale_ratings(ratings):
 
     All-equal ratings are returned unchanged (degenerate rule).
     """
-    r = np.asarray(ratings, dtype=float)
-    if r.ndim != 1 or not np.isfinite(r).all():
-        raise InvalidInput("ratings must be a finite one-dimensional sequence")
+    r = finite_array("ratings", ratings, 1)
     if r.size == 0:
         raise InsufficientData("no ratings to rescale")
     lo, hi = r.min(), r.max()
@@ -157,5 +153,4 @@ def dataset_from_csv(path) -> Dataset:
         if pids[-1] < 1:
             raise InvalidInput(f"{where}: participant id {pids[-1]} is not >= 1")
         y.append(label)
-    return Dataset(np.array(X, dtype=float).reshape(len(X), len(FEATURE_NAMES)), np.array(y),
-                   np.array(pids, dtype=int))
+    return Dataset(np.reshape(X, (len(X), len(FEATURE_NAMES))), y, pids)

@@ -1,13 +1,12 @@
 """Feature selection: greedy sequential selection and recursive feature
 elimination sized by cross-validated accuracy."""
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classifiers import ClassifierConfig, importance, predict, train_many
-from .errors import InsufficientData, InvalidInput, Unsupported, check_seed
+from .errors import InsufficientData, InvalidInput, Unsupported, check_integer, check_labels
 
 # Stratified folds of the cross-validation that scores each candidate set.
 CV_FOLDS = 5
@@ -29,10 +28,8 @@ class SelectionResult:
 def stratified_kfold(y, seed):
     """Deterministic seeded stratified assignment to ``CV_FOLDS`` folds;
     returns test-index lists. Labels other than 0 and 1 are refused."""
-    check_seed(seed)
-    y = np.asarray(y)
-    if not np.all((y == 0) | (y == 1)):
-        raise InvalidInput("fold labels must be exactly 0 or 1")
+    check_integer("seed", seed)
+    y = check_labels("y", y)
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(CV_FOLDS)]
     for cls in (0, 1):
@@ -83,8 +80,7 @@ def sfs(dataset, config: ClassifierConfig, n_features: int, seed: int = 0) -> Se
     order (candidates are scanned in that order and only a strictly better
     score replaces the incumbent).
     """
-    if isinstance(n_features, bool) or not isinstance(n_features, numbers.Integral):
-        raise InvalidInput(f"n_features must be an integer, got {n_features!r}")
+    check_integer("n_features", n_features)
     names = list(dataset.feature_names)
     d = len(names)
     if not 1 <= n_features <= d:

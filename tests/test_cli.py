@@ -246,7 +246,7 @@ class TestErrorBoundary:
         assert rc == EXIT_DOMAIN
         csv = small_corpus / "data" / eda["path"]
         assert error_lines(capsys) == [
-            f"error: participant 1 session 1: {csv}: trim counts must be >= 0, not -1 and 0"]
+            f"error: participant 1 session 1: {csv}: trim_head -1 must be >= 0"]
 
     @pytest.mark.parametrize("first, second, code", [
         ("missing", "missing", EXIT_IO), ("missing", "invalid", EXIT_IO),

@@ -97,7 +97,7 @@ class TestNonFiniteInput:
         (x if where == "instance" else bg)[1] = value
         explainers = [exact_shapley, lambda *args: kernel_shap(*args, n_samples=16)]
         for explainer in explainers:
-            with pytest.raises(InvalidInput, match="instance and background must be finite"):
+            with pytest.raises(InvalidInput, match=f"{where} must be finite"):
                 explainer(model, bg, x)
 
 

@@ -134,8 +134,8 @@ class TestReadChannelCsv:
         for trim_head, trim_tail in [(-1, 0), (0, -1)]:
             with pytest.raises(InvalidInput) as exc:
                 ingest.read_channel_csv(p, 10.0, trim_head=trim_head, trim_tail=trim_tail)
-            assert str(exc.value) == (f"{p}: trim counts must be >= 0, "
-                                      f"not {trim_head} and {trim_tail}")
+            name, value = ("trim_head", trim_head) if trim_head < 0 else ("trim_tail", trim_tail)
+            assert str(exc.value) == f"{p}: {name} {value} must be >= 0"
 
 
 def outcome(read):
@@ -224,7 +224,8 @@ class TestBulkReaderMatchesLoop:
             bulk = outcome(lambda: ingest.read_channel_csv(p, fs, trim_head, trim_tail).values)
         if min(trim_head, trim_tail) < 0:
             # refused before the file is read: no reader sees a negative trim
-            assert bulk == f"{p}: trim counts must be >= 0, not {trim_head} and {trim_tail}"
+            name, value = ("trim_head", trim_head) if trim_head < 0 else ("trim_tail", trim_tail)
+            assert bulk == f"{p}: {name} {value} must be >= 0"
             return
         loop = outcome(lambda: ingest._read_rows_loop(p, read_body, fs, trim_head, trim_tail))
         assert bulk == loop
@@ -334,6 +335,26 @@ class TestSynthDataset:
     def test_session_at_the_duration_cap_accepted(self):
         ingest.SynthConfig(task_s=5970.0).validate()
 
+    def test_corpus_at_the_recording_cap_accepted(self):
+        # 1000 participants x 4 sessions x 250 s
+        config = ingest.SynthConfig(participants=1000, baseline_s=30.0, task_s=220.0)
+        assert config.participants * 4 * 250.0 == ingest.MAX_CORPUS_S
+        config.validate()
+
+    @pytest.mark.parametrize("participants", [1001, 10**9, 10**400])
+    def test_corpus_past_the_recording_cap_refused_before_any_session(self, monkeypatch,
+                                                                      participants):
+        def generated(*args):
+            raise AssertionError("generated a session")
+
+        monkeypatch.setattr(ingest, "_synth_session", generated)
+        config = ingest.SynthConfig(participants=participants, baseline_s=30.0, task_s=220.0)
+        with pytest.raises(InvalidInput) as raised:
+            ingest.synth_dataset(config)
+        assert str(raised.value) == (
+            f"a corpus records at most {ingest.MAX_CORPUS_S} s, not participants x "
+            f"sessions_per_participant x (baseline_s + task_s) = {4 * participants} x 250.0 s")
+
     def test_phases_of_the_scr_tail_generate(self):
         sessions = ingest.synth_dataset(ingest.SynthConfig(
             participants=1, baseline_s=ingest.SCR_TAIL_S, task_s=ingest.SCR_TAIL_S,
@@ -416,7 +437,7 @@ class TestCorpusRoundTrip:
         (lambda e: e.update(task_end_s=e["task_start_s"]),
          "entry: task_end_s must exceed task_start_s"),
         (lambda e: e.update(duration_estimate_s=-1.0),
-         "entry: duration_estimate_s must be positive when given"),
+         "entry: duration_estimate_s must be positive and finite, got -1.0"),
         (lambda e: e["channels"]["eda"].update(trim_tail=10 ** 6),
          "fewer than 2 samples after trimming"),
         (lambda e: e["channels"]["thermopile"].update(trim_tail=8),

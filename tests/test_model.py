@@ -65,7 +65,7 @@ SESSION_RULES = [
     ("empty_baseline", {"task_start_s": 0.0}, "empty baseline interval"),
     ("task_end", {"task_end_s": 3.0}, "task_end_s must exceed task_start_s"),
     ("duration_estimate", {"duration_estimate_s": 0.0},
-     "duration_estimate_s must be positive when given"),
+     "duration_estimate_s must be positive and finite, got 0.0"),
 ] + [
     (f"{name}_too_short", {name: TimeSeries([1.0], 0.01)}, f"{name} channel too short")
     for name in CHANNELS

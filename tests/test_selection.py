@@ -46,7 +46,7 @@ class TestStratifiedKfold:
     def test_labels_other_than_0_or_1_refused(self, label):
         y = np.array([0, 1, 2, 2, 0, 1, 0, 1, 0, 1], dtype=float)
         y[2:4] = label
-        with pytest.raises(InvalidInput, match="labels must be exactly 0 or 1"):
+        with pytest.raises(InvalidInput, match="y must be exactly 0 or 1"):
             stratified_kfold(y, seed=0)
 
     def test_float_and_bool_labels_give_the_int_folds(self):
