@@ -86,9 +86,14 @@ def _training_rows(X, y):
 
 
 def _refuse(lanes):
-    """Raises the error of the first lane that ``_training_rows`` refuses."""
+    """Raises the error of the first lane that ``_training_rows`` refuses,
+    as that lane alone raises it: without the stacked check's error, which
+    ``_training_lanes`` is handling, as its context."""
     for X, y in lanes:
-        _training_rows(X, y)
+        try:
+            _training_rows(X, y)
+        except (InvalidInput, InsufficientData) as exc:
+            raise exc from None
     raise AssertionError("the stacked checks refused lanes that _training_rows accepts")
 
 
@@ -111,20 +116,22 @@ def _training_lanes(lanes):
     for width, index in widths.items():
         index = sorted(index, key=lambda i: len(lanes[i][1]))
         counts = np.array([len(lanes[i][1]) for i in index])
-        rows = np.concatenate([lanes[i][0] for i in index])
-        labels = np.concatenate([lanes[i][1] for i in index])
+        try:
+            rows = finite_array("training data", np.concatenate([lanes[i][0] for i in index]))
+            labels = check_labels("training labels",
+                                  np.concatenate([lanes[i][1] for i in index]))
+        except InvalidInput:
+            _refuse(lanes)
         X = np.full((len(index), counts[-1], width), np.inf)
-        y = np.ones(X.shape[:2], dtype=labels.dtype)
+        y = np.ones(X.shape[:2], dtype=int)
         valid = Lanes(X, y, counts).valid
         X[valid], y[valid] = rows, labels
         n_slow = (y == 0).sum(axis=1)
-        # the labels' dtype as check_labels reads it, so that both refuse the same lanes
-        if not (y.dtype.kind in "biuf" and ((y == 0) | (y == 1)).all() and (0 < n_slow).all()
-                and (n_slow < counts).all() and np.isfinite(rows).all()):
+        if not ((0 < n_slow).all() and (n_slow < counts).all()):
             _refuse(lanes)
         order = canonical_order(X, y)
         stacks.append((index, Lanes(np.take_along_axis(X, order[..., None], axis=1),
-                                    np.take_along_axis(y, order, axis=1).astype(int), counts)))
+                                    np.take_along_axis(y, order, axis=1), counts)))
     return stacks
 
 

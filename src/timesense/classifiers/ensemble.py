@@ -6,8 +6,8 @@ import numpy as np
 
 from .linear import sigmoid
 from .tree import (
-    NO_CHILD,
     TreeNodes,
+    feature_gains,
     grow_boosting_trees,
     grow_forest,
     sort_lanes,
@@ -16,16 +16,17 @@ from .tree import (
 )
 
 
-def _normalized(imp):
-    s = imp.sum()
-    return imp / s if s > 0 else imp
+def _normalized(imp, axis=None):
+    """``imp`` scaled to sum 1 along ``axis``; a part that sums to 0 stays 0."""
+    s = imp.sum(axis=axis, keepdims=True)
+    return np.divide(imp, s, out=np.zeros_like(imp), where=s > 0)
 
 
 class TreeEnsemble:
     """What every tree model stores: its trees as one padded ``TreeNodes``
-    stack, one weight per tree, and an offset added to the weighted sum of
-    the trees' values. dtc, rf, gb and xgb keep one importance vector per
-    tree too.
+    stack, one weight per tree, an offset added to the weighted sum of the
+    trees' values, and ``importances_``, each tree's split gains per
+    feature (T, d), which ``feature_gains`` sums at fit time.
     """
 
     def __init__(self):
@@ -42,6 +43,10 @@ class TreeEnsemble:
                                 np.reshape(self.weights_, (-1,) + (1,) * (values.ndim - 1))
                                 * values])
         return np.cumsum(terms, axis=0)[-1]
+
+    def importance(self):
+        """The trees' gains per feature, summed and normalised to sum 1."""
+        return _normalized(self.importances_.sum(axis=0))
 
 
 def _trimmed(nodes, start, stop):
@@ -88,13 +93,14 @@ class RandomForest(TreeEnsemble):
                 rows[b * n_trees:(b + 1) * n_trees, :n] = boot
                 rngs += tree_rngs
             max_features = max(1, int(np.sqrt(X.shape[2])))
-        nodes, importances = grow_forest(
+        nodes, gain = grow_forest(
             X[lane[:, None], rows], y[lane[:, None], rows], lanes.valid[lane],
             max_features=max_features, feature_rngs=rngs)
+        importances = feature_gains(nodes, gain, X.shape[2])
         for b, model in enumerate(models):
             trees = slice(b * n_trees, (b + 1) * n_trees)
             model.nodes_ = _trimmed(nodes, trees.start, trees.stop)
-            model.importances_ = list(importances[trees])
+            model.importances_ = importances[trees]
             model.weights_ = [1.0] * n_trees
 
     def decision_function(self, X):
@@ -108,7 +114,8 @@ class RandomForest(TreeEnsemble):
         return values.mean(axis=0)
 
     def importance(self):
-        return _normalized(np.mean(self.importances_, axis=0))
+        # the mean of the trees' normalised importances, normalised
+        return _normalized(_normalized(self.importances_, axis=1).mean(axis=0))
 
 
 class DecisionTree(RandomForest):
@@ -120,9 +127,8 @@ class DecisionTree(RandomForest):
     # no seed: the tree draws nothing
     __init__ = TreeEnsemble.__init__
 
-    def importance(self):
-        # the tree's own importance, normalised by the grower
-        return self.importances_[0]
+    # one tree's normalised gains, which the forest's mean would round again
+    importance = TreeEnsemble.importance
 
 
 class Booster(TreeEnsemble):
@@ -164,24 +170,15 @@ class Booster(TreeEnsemble):
             sums[:, 2] = np.maximum(p * (1 - p), 1e-12)
             if first.second_order_splits:
                 sums[:, 1] = sums[:, 2]
-            nodes, gain[r::rounds], row_value = grow_boosting_trees(lanes, root, sums, first)
-            F = F + first.learning_rate * row_value
-            for out, a in zip(stacked.arrays(), nodes.arrays()):
-                out[r::rounds] = a
-        # each tree's split gains per feature, added in slot order: the
-        # tree's depth-first order (see grow_boosting_trees)
-        t, node = np.nonzero(stacked.feature != NO_CHILD)
-        gains = np.zeros((len(stacked.feature), X.shape[2]))
-        np.add.at(gains, (t, stacked.feature[t, node]), gain[t, node])
+            F = F + first.learning_rate * grow_boosting_trees(
+                lanes, root, sums, first, stacked[r::rounds], gain[r::rounds])
+        gains = feature_gains(stacked, gain, X.shape[2])
         for b, model in enumerate(models):
             trees = slice(b * rounds, (b + 1) * rounds)
             model.offset_ = float(offsets[b])
             model.nodes_ = stacked[trees]
-            model.importances_ = list(gains[trees])
+            model.importances_ = gains[trees]
             model.weights_ = [first.learning_rate] * rounds
-
-    def importance(self):
-        return _normalized(np.sum(self.importances_, axis=0))
 
 
 class GradientBoosting(Booster):
@@ -202,7 +199,7 @@ class XGBoost(Booster):
 
 class AdaBoost(TreeEnsemble):
     """Discrete AdaBoost (SAMME) over depth-1 stumps; a stump's weight is its
-    alpha, which its feature gains as importance.
+    alpha, which is also the gain of its root.
 
     Training halts when a stump's weighted error reaches 0.5 (no better than
     chance) or 0 (perfect).
@@ -234,18 +231,13 @@ class AdaBoost(TreeEnsemble):
             self.weights_.append(alpha)
             w = w * np.exp(-alpha * ypm * pred)
             w = w / w.sum()
-        if self.weights_:
-            self.nodes_ = _trimmed(stumps, 0, len(self.weights_))
+        kept = len(self.weights_)
+        if kept:
+            self.nodes_ = _trimmed(stumps, 0, kept)
+        gain = np.zeros((kept, 3))
+        gain[:, 0] = self.weights_
+        # the vector ends at the highest feature a kept stump uses: trailing
+        # zeros would change how the normalising sum groups its additions
+        width = int(stumps.feature[:kept, 0].max(initial=-1)) + 1
+        self.importances_ = feature_gains(stumps[:kept], gain, width)
         return self
-
-    def importance(self):
-        if not self.weights_:
-            # no stump kept: every feature weighs 0
-            return np.zeros(0)
-        # each stump's alpha onto its feature, in stump order; the vector
-        # ends at the highest feature a stump uses: trailing zeros would
-        # change how the normalising sum groups its additions
-        feature = self.nodes_.feature[:, 0]
-        imp = np.zeros(feature.max() + 1)
-        np.add.at(imp, feature, self.weights_)
-        return _normalized(imp)

@@ -10,9 +10,10 @@ round's regression tree of each of many gradient boosting fits (gb, xgb)
 level by level, one lane per leaf of a level, into preorder slots; the roots
 of every round reuse one sort of the rows. AdaBoost's stump (ab) is a
 one-lane call on one sort per fit. ``TreeNodes.empty`` allocates every
-stack. ``walk`` scores the rows of X with a whole stack of trees at once
-(Nakandala et al., OSDI 2020). All tie-breaks are deterministic (lowest
-feature index, then lowest threshold).
+stack; the growers record each split's gain at its node, which
+``feature_gains`` sums per feature. ``walk`` scores the rows of X with a
+whole stack of trees at once (Nakandala et al., OSDI 2020). All tie-breaks
+are deterministic (lowest feature index, then lowest threshold).
 """
 
 from functools import cached_property
@@ -268,14 +269,14 @@ def grow_forest(X, y, mask, max_features=None, feature_rngs=None):
     that many features drawn from ``feature_rngs[t]`` (random-forest
     style).
 
-    Returns (TreeNodes stack, importances (T, d)), each tree's importance
-    normalised to sum 1.
+    Returns (TreeNodes stack, gain of each node (T, m)): a split's weighted
+    Gini decrease times its share of the tree's rows, 0 at a leaf.
     """
     n_trees, n, d = X.shape
     draw = max_features is not None and max_features < d
     grown = TreeNodes.empty((n_trees, 2 * n - 1))
     feature, threshold, left, right, value = grown.arrays()
-    importance = np.zeros((n_trees, d))
+    gain = np.zeros(value.shape)
     count = [0] * n_trees
     n_root = mask.sum(axis=1)
     fast_root = (mask & (y == 1)).sum(axis=1).tolist()
@@ -305,31 +306,31 @@ def grow_forest(X, y, mask, max_features=None, feature_rngs=None):
             feats = np.broadcast_to(np.arange(d), (len(trees), d))
         lane_x = X[trees[:, None, None], np.arange(n)[:, None], feats[:, None, :]]
         lane_fast = masks & (y[trees] == 1)
-        col, n_left, thr, gain, (_, fast_left) = best_split(
+        col, n_left, thr, best, (_, fast_left) = best_split(
             sort_lanes(lane_x, masks), np.array([masks, lane_fast], dtype=float),
             gini_score(rows_in.astype(float), fast.astype(float)))
         j = feats[np.arange(len(trees)), col]
         go_left = X[trees, :, j] <= thr[:, None]
         to_left, to_right = masks & go_left, masks & ~go_left
-        split = gain > -np.inf
+        split = best > -np.inf
         t, node = trees[split], nodes[split]
-        importance[t, j[split]] += rows_in[split] / n_root[t] * gain[split]
         feature[t, node] = j[split]
         threshold[t, node] = thr[split]
+        gain[t, node] = rows_in[split] / n_root[t] * best[split]
         left[t, node] = node + 1
         for s in np.flatnonzero(split):
             stack = stacks[trees[s]]
             stack.append((to_right[s], nodes[s], rows_in[s] - n_left[s], fast[s] - fast_left[s]))
             stack.append((to_left[s], NO_CHILD, n_left[s], fast_left[s]))
-    total = importance.sum(axis=1, keepdims=True)
-    importance = np.divide(importance, total, out=importance, where=total > 0)
-    return grown[:, :max(count)], importance
+    return grown[:, :max(count)], gain[:, :max(count)]
 
 
-def grow_boosting_trees(lanes, root, sums, booster):
+def grow_boosting_trees(lanes, root, sums, booster, grown, gain):
     """The regression trees of one boosting round, one per lane of
     ``lanes``, each grown on its lane's own rows to the ``booster``'s
-    ``max_depth`` with its ``reg_lambda`` and ``min_child_weight``. The
+    ``max_depth`` with its ``reg_lambda`` and ``min_child_weight``, into
+    ``grown``, a stack of childless nodes (L, 2^(max_depth+1) - 1); each
+    split's gain goes to its node of ``gain``, of the same shape. The
     trees grow level by level, and one ``best_split`` call searches the
     leaves of a level of every tree: splits by ``gradient_score`` on (grad,
     split_hess), leaf values -G/(H+reg) on (grad, hess), where ``sums`` (L,
@@ -341,14 +342,11 @@ def grow_boosting_trees(lanes, root, sums, booster):
     are slots p + 1 and p + 2^(max_depth - k), so slot order is depth-first
     order.
 
-    Returns (TreeNodes stack (L, 2^(max_depth+1) - 1); the split gain of
-    each node, of the same shape; value of each row's leaf (L, n)).
+    Returns the value of each row's leaf (L, n).
     """
     n_lanes, n, d = lanes.X.shape
     max_depth, reg_lambda = booster.max_depth, booster.reg_lambda
-    grown = TreeNodes.empty((n_lanes, 2 ** (max_depth + 1) - 1))
     feature, threshold, left, right, value = grown.arrays()
-    gain = np.zeros(value.shape)
     # the node each row has reached (padding rows stay at the root)
     at = np.zeros((n_lanes, n), dtype=int)
     # the level's nodes, lane by lane, and their sums
@@ -383,4 +381,13 @@ def grow_boosting_trees(lanes, root, sums, booster):
         left[split_lane, split_node], right[split_lane, split_node] = node[0::2], node[1::2]
         child, row = np.nonzero(masks)
         at[lane[child], row] = node[child]
-    return grown, gain, value[np.arange(n_lanes)[:, None], at]
+    return value[np.arange(n_lanes)[:, None], at]
+
+
+def feature_gains(nodes, gain, width):
+    """Each tree's split gains per feature, (T, width): the ``gain`` (T, m)
+    a grower recorded at the nodes of ``nodes``, added in node order."""
+    t, node = np.nonzero(nodes.feature != NO_CHILD)
+    gains = np.zeros((len(nodes.feature), width))
+    np.add.at(gains, (t, nodes.feature[t, node]), gain[t, node])
+    return gains

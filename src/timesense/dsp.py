@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import signal as sps
 
-from .errors import InsufficientData, InvalidInput, check_integer, check_positive
+from .errors import InsufficientData, InvalidInput, check_integer, check_positive, check_real
 from .model import TimeSeries
 
 BANDPASS_ORDER = 3
@@ -42,8 +42,10 @@ def _zero_phase(series: TimeSeries, order: int, band, btype: str, padlen=None) -
 def bandpass(series: TimeSeries, low_hz: float, high_hz: float) -> TimeSeries:
     """Order-``BANDPASS_ORDER`` Butterworth bandpass, applied forward-backward
     for zero phase."""
+    check_positive("low_hz", low_hz)
+    check_positive("high_hz", high_hz)
     nyq = series.sampling_rate_hz / 2.0
-    if not (0 < low_hz < high_hz < nyq):
+    if not low_hz < high_hz < nyq:
         raise InvalidInput(f"need 0 < {low_hz} < {high_hz} < Nyquist ({nyq})")
     return _zero_phase(series, BANDPASS_ORDER, (low_hz, high_hz), "bandpass")
 
@@ -51,8 +53,9 @@ def bandpass(series: TimeSeries, low_hz: float, high_hz: float) -> TimeSeries:
 def lowpass(series: TimeSeries, cutoff_hz: float) -> TimeSeries:
     """Order-``LOWPASS_ORDER`` Butterworth low-pass, applied forward-backward
     for zero phase."""
+    check_positive("cutoff_hz", cutoff_hz)
     fs = series.sampling_rate_hz
-    if not (0 < cutoff_hz < fs / 2.0):
+    if not cutoff_hz < fs / 2.0:
         raise InvalidInput(f"cutoff {cutoff_hz} outside (0, Nyquist)")
     # generous odd-extension padding (1.5 cutoff periods) keeps slow trends
     # intact at the edges
@@ -74,10 +77,14 @@ def resample_fourier(series: TimeSeries, target_rate_hz: float) -> TimeSeries:
 
 
 def segment(series: TimeSeries, start_s: float, end_s: float) -> TimeSeries:
-    """Samples whose timestamps fall in [start_s, end_s). An end past the
-    recording cuts at its last sample, as if it were ``series.duration_s``."""
-    if not 0 <= start_s < end_s:
-        raise InvalidInput(f"bad segment [{start_s}, {end_s}): need 0 <= start_s < end_s")
+    """Samples whose timestamps fall in [start_s, end_s): a finite start of
+    at least 0 and an end above it. An end past the recording, +inf too,
+    cuts at its last sample, as if it were ``series.duration_s``."""
+    check_real("start_s", start_s)
+    check_real("end_s", end_s)
+    # an infinite start fails here too: inf < end_s holds for no end_s
+    if not start_s < end_s:
+        raise InvalidInput(f"bad segment [{start_s}, {end_s}): need start_s < end_s")
     if start_s >= series.duration_s:
         raise InvalidInput("segment starts beyond the recording")
     fs = series.sampling_rate_hz

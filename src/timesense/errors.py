@@ -61,10 +61,22 @@ def check_integer(name, value, least=0):
         raise InvalidInput(f"{name} {value} must be >= {least}")
 
 
+def _real(value):
+    """Whether ``value`` is a Python or numpy real number, not a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def check_positive(name, value):
     """InvalidInput unless ``value`` is a finite real above 0, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < np.inf:
+    if not (_real(value) and 0 < value < np.inf):
         raise InvalidInput(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_real(name, value):
+    """InvalidInput unless ``value`` is a real of at least 0, +inf included,
+    not a bool or NaN."""
+    if not (_real(value) and 0 <= value):
+        raise InvalidInput(f"{name} must be a real >= 0, got {value!r}")
 
 
 def float_array(name, value):

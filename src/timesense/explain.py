@@ -35,6 +35,12 @@ MAX_BACKGROUND = 100
 # The most coalitions kernel SHAP scores per explained row: at this bound the
 # exhaustive branch serves up to 16 features.
 MAX_SAMPLES = 1 << 16
+# The most coalition entries, n_samples x d, kernel SHAP takes per explained
+# row. It bounds the raw words drawn, the coalition matrix and the
+# least-squares problem of a wide dataset, and admits every n_samples up to
+# MAX_SAMPLES at d <= 64. As n_samples >= d + 2, it also holds d below 2,048,
+# where Generator.choice draws by Floyd's algorithm, as the replay assumes.
+MAX_COALITION_ENTRIES = 1 << 22
 # Synthetic rows per model call when scoring coalitions. A call holds as
 # many whole coalitions as fit (at least one), so memory stays flat however
 # many coalitions an explanation scores.
@@ -198,11 +204,6 @@ def _replayed_coalitions(d, n_samples, cdf, bit_generator):
     return chosen.astype(float)
 
 
-# Generator.choice(d, size, replace=False) shuffles a tail of all d indices,
-# not Floyd's algorithm, for a larger population
-FLOYD_MAX_POPULATION = 10000
-
-
 def _sample_coalitions(d, n_samples, seed):
     """n_samples random proper coalitions as 0/1 rows: a size drawn from
     the kernel's size profile, then that many distinct features, bit for
@@ -213,10 +214,9 @@ def _sample_coalitions(d, n_samples, seed):
     coalition.
     """
     cdf = _size_cdf(d)
-    if d <= FLOYD_MAX_POPULATION:
-        Z = _replayed_coalitions(d, n_samples, cdf, np.random.default_rng(seed).bit_generator)
-        if Z is not None:
-            return Z
+    Z = _replayed_coalitions(d, n_samples, cdf, np.random.default_rng(seed).bit_generator)
+    if Z is not None:
+        return Z
     rng = np.random.default_rng(seed)
     Z = np.zeros((n_samples, d))
     for i in range(n_samples):
@@ -226,11 +226,15 @@ def _sample_coalitions(d, n_samples, seed):
 
 def _check_sampling(d, n_samples, seed):
     """InvalidInput naming the argument unless n_samples is a non-negative
-    integer of at most ``MAX_SAMPLES`` and seed a non-negative integer;
+    integer of at most ``MAX_SAMPLES`` whose n_samples x d coalition entries
+    stay within ``MAX_COALITION_ENTRIES``, and seed a non-negative integer;
     InsufficientData when n_samples < d + 2."""
     check_integer("n_samples", n_samples)
     if n_samples > MAX_SAMPLES:
         raise InvalidInput(f"n_samples {n_samples} exceeds the limit of {MAX_SAMPLES}")
+    if n_samples * d > MAX_COALITION_ENTRIES:
+        raise InvalidInput(f"n_samples {n_samples} x {d} features exceeds the limit of "
+                           f"{MAX_COALITION_ENTRIES} coalition entries")
     check_integer("seed", seed)
     if n_samples < d + 2:
         raise InsufficientData(f"need at least d + 2 = {d + 2} samples")
@@ -263,8 +267,7 @@ def _kernel_shap(model, background, instance, n_samples, seed, base):
     d = len(instance)
     pred = _mean_score(model, instance[None, :])
 
-    n_proper = 2**d - 2 if d < 63 else None
-    if n_proper is not None and n_samples >= n_proper:
+    if n_samples >= 2**d - 2:
         Z = _coalitions(d, range(1, d)).astype(float)  # (0, d) when d = 1
         weights = np.array([_kernel_weight(d, int(z.sum())) for z in Z])
     else:

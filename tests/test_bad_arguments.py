@@ -3,7 +3,7 @@
 Each row is (entry point, argument, bad value): the call must raise a
 ``TimesenseError`` whose message names the argument. The values cover NaN,
 ±inf, a bool, a string, the wrong number of dimensions, the wrong width, an
-empty array and 0.5 as a label. The four rules behind them live in
+empty array and 0.5 as a label. The rules behind them live in
 ``timesense.errors``; this table checks that every entry point applies them.
 """
 
@@ -85,6 +85,16 @@ CASES = [
      lambda c: ingest.read_channel_csv(c.csv, "25")),
     ("read_channel_csv-rate-True", "sampling_rate_hz",
      lambda c: ingest.read_channel_csv(c.csv, True)),
+    # filter cutoffs, and segment bounds: a finite start >= 0, an end that may be +inf
+    ("bandpass-low-str", "low_hz", lambda c: dsp.bandpass(c.series, "0.7", 3.5)),
+    ("bandpass-high-str", "high_hz", lambda c: dsp.bandpass(c.series, 0.7, "3.5")),
+    ("bandpass-low-True", "low_hz", lambda c: dsp.bandpass(c.series, True, 3.5)),
+    ("lowpass-str", "cutoff_hz", lambda c: dsp.lowpass(c.series, "3")),
+    ("lowpass-True", "cutoff_hz", lambda c: dsp.lowpass(c.series, True)),
+    ("segment-start-str", "start_s", lambda c: dsp.segment(c.series, "0", 5)),
+    ("segment-start-True", "start_s", lambda c: dsp.segment(c.series, True, 5)),
+    ("segment-end-None", "end_s", lambda c: dsp.segment(c.series, 0, None)),
+    ("segment-end-True", "end_s", lambda c: dsp.segment(c.series, 0, True)),
     # finite float arrays
     ("decision_scores-nan", "X", lambda c: decision_scores(c.model, _with(c.X, (0, 0), NAN))),
     ("decision_scores-inf", "X", lambda c: decision_scores(c.model, _with(c.X, (1, 2), INF))),

@@ -1213,7 +1213,8 @@ class TestBatchedCalls:
         def counted(*args):
             before = len(calls)
             out = grow(*args)
-            one = tree.TreeNodes(*(a[0] for a in out[0].arrays()))
+            # the round's trees grow into the stack view the call passes
+            one = tree.TreeNodes(*(a[0] for a in args[4].arrays()))
             grown.append((one, len(calls) - before))
             return out
 
@@ -1963,6 +1964,18 @@ SPOILT_MESSAGES = {"nan": "must be finite", "one class": "both classes",
                    "label 2": "exactly 0 or 1", "short y": "shapes disagree",
                    "one row": "at least 2", "label column": "shapes disagree",
                    "no features": "at least one feature column"}
+
+
+@pytest.mark.parametrize("how", ["nan", "label 2", "one class", "text"])
+def test_a_refused_lane_carries_no_stacked_error(how):
+    """The error a refused lane raises hides the stacked check's error, so a
+    traceback shows the one error the lane alone gives."""
+    lanes = tied_lanes()
+    X, y = lanes[2]
+    lanes[2] = (np.full(np.shape(X), "a"), y) if how == "text" else _spoilt(lanes[2], how)
+    with pytest.raises((InvalidInput, InsufficientData)) as batched:
+        base._training_lanes(lanes)
+    assert batched.value.__context__ is None or batched.value.__suppress_context__
 
 
 def _spoilt(lane, how):

@@ -211,6 +211,39 @@ class TestSamplingArguments:
         assert 2 ** 16 - 2 <= explain.MAX_SAMPLES < 2 ** 17 - 2
 
     @pytest.mark.parametrize("entry", ["kernel_shap", "mean_abs_shap"])
+    def test_coalition_entries_beyond_the_budget_refused_before_any_draw(self, monkeypatch,
+                                                                          entry):
+        """5,002 coalitions of 5,000 features would draw a 200 MB block of
+        raw words and build as large a coalition matrix."""
+        def no_draw(*args):
+            raise AssertionError("coalitions drawn")
+
+        monkeypatch.setattr(explain, "_sample_coalitions", no_draw)
+        monkeypatch.setattr(explain, "_coalitions", no_draw)
+        d = 5000
+        model = stub_model(np.ones(d))
+        X = np.zeros((4, d))
+        with pytest.raises(InvalidInput, match="n_samples 5002 x 5000 features exceeds the limit"):
+            if entry == "kernel_shap":
+                kernel_shap(model, X, X[0], n_samples=5002)
+            else:
+                mean_abs_shap(model, Dataset(X, [0, 1, 0, 1], [1, 1, 2, 2],
+                                             tuple(f"f{j}" for j in range(d))), n_samples=5002)
+
+    def test_the_budget_admits_the_cap_up_to_64_features(self):
+        explain._check_sampling(64, explain.MAX_SAMPLES, 0)
+        with pytest.raises(InvalidInput, match="n_samples"):
+            explain._check_sampling(65, explain.MAX_SAMPLES, 0)
+
+    def test_no_population_beyond_floyd_passes_the_budget(self):
+        """Generator.choice draws by Floyd's algorithm, which the replay
+        copies, only up to 10,000 features; above that it shuffles a tail.
+        The budget must keep every such d, with its n_samples >= d + 2, out
+        of ``_sample_coalitions``."""
+        d = 10_001
+        assert d * (d + 2) > explain.MAX_COALITION_ENTRIES
+
+    @pytest.mark.parametrize("entry", ["kernel_shap", "mean_abs_shap"])
     def test_numpy_integers_accepted(self, entry):
         plain = self.call(entry, 5, 255)
         numpy_ints = self.call(entry, np.int64(5), np.uint8(255))
@@ -430,16 +463,6 @@ class TestSizeSampler:
             got = explain._sample_coalitions(d, n_samples, seed)
             want = choice_sample_coalitions(d, n_samples, np.random.default_rng(seed))
             assert same_bits(got, want), (seed, n_samples)
-
-    def test_population_beyond_floyd_takes_the_loop(self, monkeypatch):
-        d = explain.FLOYD_MAX_POPULATION + 1
-
-        def no_replay(*args):
-            raise AssertionError("replayed a population choice shuffles")
-
-        monkeypatch.setattr(explain, "_replayed_coalitions", no_replay)
-        got = explain._sample_coalitions(d, 3, 5)
-        assert same_bits(got, choice_sample_coalitions(d, 3, np.random.default_rng(5)))
 
     def test_a_draw_lemire_may_reject_stops_the_replay(self):
         # an all-zero block: every 32-bit draw is 0, which Lemire's method
