@@ -8,6 +8,7 @@ from .base import (
     predict,
     train,
     train_many,
+    trained_lanes,
 )
 
 __all__ = [
@@ -20,4 +21,5 @@ __all__ = [
     "predict",
     "train",
     "train_many",
+    "trained_lanes",
 ]

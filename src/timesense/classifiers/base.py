@@ -135,34 +135,53 @@ def _training_lanes(lanes):
     return stacks
 
 
-def train_many(config, lanes) -> list:
-    """One TrainedModel per lane, an (X, y) pair of training rows; lanes may
+def trained_lanes(config, lanes):
+    """Yields ``(i, TrainedModel)`` for lane i of ``lanes``, an (X, y) pair
+    of training rows, a block's models as soon as its fit ends; lanes may
     differ in row count and in width. ``config`` is one ClassifierConfig for
     every lane or a sequence of them, one per lane, all of one kind.
 
     Each model is bit for bit the one ``train`` gives for its lane alone.
-    svc, dtc, rf, gb, xgb and lr fit each of ``Lanes.blocks`` of a width's
-    ``Lanes`` in one ``fit_many(models, lanes)`` call: it fits
+    svc, dtc, rf, gb, xgb, lr and lda fit each of ``Lanes.blocks`` of a
+    width's ``Lanes`` in one ``fit_many(models, lanes)`` call: it fits
     ``models[b]``, which differ at most in rf's seed, on lane b. Each of
     those estimators states the ``lane_cost(n, width)`` that sizes the
     blocks. The other kinds ``fit(X, y)`` one lane's own rows after
     another. Estimators take these checked float64 rows and int labels, in
-    canonical order, as given.
+    canonical order, as given. The generator holds no model of a block
+    after it yields the next block's first, so a caller that lets each
+    model go keeps about one block of models alive.
     """
     configs = [config] * len(lanes) if isinstance(config, ClassifierConfig) else list(config)
     if len(configs) != len(lanes) or len({c.kind for c in configs}) > 1:
         raise InvalidInput("train_many needs one config per lane, all of one kind")
-    estimators = [_build(c) for c in configs]
     for index, stack in _training_lanes(lanes):
-        fits = [estimators[i] for i in index]
-        if hasattr(fits[0], "fit_many"):
-            for block, part in stack.blocks(fits[0].lane_cost):
-                fits[0].fit_many(fits[block], part)
+        width = stack.X.shape[2]
+        estimator = _ESTIMATORS[configs[index[0]].kind]
+        batched = hasattr(estimator, "fit_many")
+        if batched:
+            blocks = stack.blocks(estimator.lane_cost)
         else:
-            for est, X, y, n in zip(fits, stack.X, stack.y, stack.counts):
-                est.fit(X[:n], y[:n])
-    return [TrainedModel(c.kind, c, est, np.shape(X)[1])
-            for c, est, (X, _) in zip(configs, estimators, lanes)]
+            blocks = ((slice(b, b + 1), stack[b:b + 1]) for b in range(len(index)))
+        for block, part in blocks:
+            ids = index[block]
+            fits = [_build(configs[i]) for i in ids]
+            if batched:
+                fits[0].fit_many(fits, part)
+            else:
+                n = part.counts[0]
+                fits[0].fit(part.X[0, :n], part.y[0, :n])
+            for i, est in zip(ids, fits):
+                yield i, TrainedModel(configs[i].kind, configs[i], est, width)
+
+
+def train_many(config, lanes) -> list:
+    """One TrainedModel per lane: the models ``trained_lanes`` yields, in
+    lane order."""
+    models = [None] * len(lanes)
+    for i, model in trained_lanes(config, lanes):
+        models[i] = model
+    return models
 
 
 def train(config: ClassifierConfig, X, y) -> TrainedModel:

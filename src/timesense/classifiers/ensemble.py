@@ -51,7 +51,8 @@ class TreeEnsemble:
 
 def _trimmed(nodes, start, stop):
     """Trees start..stop of a stack, cut to the nodes the largest of them
-    uses, as arrays of their own."""
+    uses, as arrays of their own: a model that kept views would keep its
+    whole block's stack alive."""
     size = max(1, int(max(nodes.left[start:stop].max(), nodes.right[start:stop].max())) + 1)
     return TreeNodes(*(np.array(a) for a in nodes[start:stop, :size].arrays()))
 
@@ -100,7 +101,7 @@ class RandomForest(TreeEnsemble):
         for b, model in enumerate(models):
             trees = slice(b * n_trees, (b + 1) * n_trees)
             model.nodes_ = _trimmed(nodes, trees.start, trees.stop)
-            model.importances_ = importances[trees]
+            model.importances_ = importances[trees].copy()
             model.weights_ = [1.0] * n_trees
 
     def decision_function(self, X):
@@ -176,8 +177,8 @@ class Booster(TreeEnsemble):
         for b, model in enumerate(models):
             trees = slice(b * rounds, (b + 1) * rounds)
             model.offset_ = float(offsets[b])
-            model.nodes_ = stacked[trees]
-            model.importances_ = gains[trees]
+            model.nodes_ = _trimmed(stacked, trees.start, trees.stop)
+            model.importances_ = gains[trees].copy()
             model.weights_ = [first.learning_rate] * rounds
 
 

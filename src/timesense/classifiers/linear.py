@@ -1,9 +1,10 @@
 """Linear and Gaussian generative classifiers: logistic regression (damped
 Newton), Gaussian naive Bayes, and linear / quadratic discriminant analysis.
 
-Logistic regression fits many training sets (lanes) in one call: the lanes
-of one ``train_many`` block take their Newton steps in one loop over
-``NewtonLanes``, and each lane's model is bit for bit its fit alone."""
+Logistic regression and LDA fit many training sets (lanes) in one call:
+the lanes of one ``train_many`` block take their Newton steps in one loop
+over ``NewtonLanes``, or share LDA's stacked means, covariances and solve,
+and each lane's model is bit for bit its fit alone."""
 
 import numpy as np
 
@@ -169,22 +170,46 @@ class GaussianNB:
 
 
 class LDA:
-    """Pooled-covariance discriminant with a small ridge on the covariance."""
+    """Pooled-covariance discriminant with a small ridge on the covariance.
+
+    The lanes of one ``train_many`` block fit together, and each model is
+    bit for bit the fit of its lane alone: the lanes of one row count and
+    one class count average their class rows in one call, the lanes of one
+    row count form their covariances in one stacked product, and one
+    batched solve gives every lane's weights."""
 
     ridge = 1e-6
 
-    def fit(self, X, y):
-        n, d = X.shape
-        mu0 = X[y == 0].mean(axis=0)
-        mu1 = X[y == 1].mean(axis=0)
-        centered = X - np.where(y[:, None] == 1, mu1, mu0)
-        cov = centered.T @ centered / n
-        cov += self.ridge * np.eye(d)
-        self.w = np.linalg.solve(cov, mu1 - mu0)
-        pi1 = (y == 1).mean()
-        self.b = float(-0.5 * (mu0 + mu1) @ self.w + np.log(pi1 / (1 - pi1)))
-        self.means_ = np.stack([mu0, mu1])
-        return self
+    @staticmethod
+    def lane_cost(n, width):
+        # a centered copy of the lane's rows and its covariance
+        return (n + width) * width
+
+    @staticmethod
+    def fit_many(models, lanes):
+        k, _, d = lanes.X.shape
+        # each lane's rows of class 0, then those of class 1, each in their
+        # order, then its padding
+        key = np.where(lanes.valid, lanes.y, 2)
+        by_class = np.take_along_axis(
+            lanes.X, np.argsort(key, axis=1, kind="stable")[..., None], axis=1)
+        n_slow = (lanes.valid & (lanes.y == 0)).sum(axis=1)
+        means, cov = np.empty((k, 2, d)), np.empty((k, d, d))
+        for ls, c in lanes.groups:
+            for n0 in np.unique(n_slow[ls]).tolist():
+                same = ls.start + np.flatnonzero(n_slow[ls] == n0)
+                means[same, 0] = by_class[same, :n0].mean(axis=1)
+                means[same, 1] = by_class[same, n0:c].mean(axis=1)
+            own = lanes.y[ls, :c, None] == 1
+            centered = lanes.X[ls, :c] - np.where(own, means[ls, 1:], means[ls, :1])
+            cov[ls] = np.swapaxes(centered, 1, 2) @ centered / c
+        cov += models[0].ridge * np.eye(d)
+        w = np.linalg.solve(cov, (means[:, 1] - means[:, 0])[..., None])[..., 0]
+        for b, model in enumerate(models):
+            mu0, mu1 = means[b]
+            pi1 = (lanes.y[b, :lanes.counts[b]] == 1).mean()
+            model.w, model.means_ = w[b].copy(), means[b].copy()
+            model.b = float(-0.5 * (mu0 + mu1) @ model.w + np.log(pi1 / (1 - pi1)))
 
     # lr's linear score and importance
     decision_function = LogisticRegressionNewton.decision_function

@@ -13,7 +13,7 @@ from .model import (
     FoldResult,
 )
 from .pipeline import apply_scaler, fit_scaler
-from .selection import rfecv, sfs
+from .selection import rfecv_many, sfs_many
 
 NA = "N.A."
 # The schema of a report's JSON document (``report_to_jsonable``) and of the
@@ -71,19 +71,24 @@ def _selection_mode(selection):
     return mode, params
 
 
-def _resolve_selection(mode, params, train_ds: Dataset, config, seed):
-    """Returns the selected feature names for this fold's training rows."""
+def _selections(mode, params, folds):
+    """The selected feature names of each fold, given as its scaled
+    training rows, config and seed; SFS and RFECV run every fold in
+    lockstep."""
+    names = tuple(folds[0][0].feature_names)
     if mode == "none":
-        return tuple(train_ds.feature_names)
+        return [names] * len(folds)
     if mode in MANUAL_SUBSETS:
-        missing = [n for n in MANUAL_SUBSETS[mode] if n not in train_ds.feature_names]
+        missing = [n for n in MANUAL_SUBSETS[mode] if n not in names]
         if missing:
             raise InvalidInput(f"selection {mode!r} needs features the dataset lacks: "
                                + ", ".join(missing))
-        return MANUAL_SUBSETS[mode]
+        return [MANUAL_SUBSETS[mode]] * len(folds)
     if mode == "sfs":
-        return sfs(train_ds, config, n_features=params.get("n_features", 12), seed=seed).selected
-    return rfecv(train_ds, config, seed=seed).selected
+        results = sfs_many(folds, params.get("n_features", 12))
+    else:
+        results = rfecv_many(folds)
+    return [r.selected for r in results]
 
 
 def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "minmax",
@@ -92,18 +97,21 @@ def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "min
 
     Per fold: fit the scaler on training rows only, run the optional feature
     selection on training rows only, train, then score the held-out
-    participant. Every fold's model is trained in one ``train_many`` call.
-    ``selection`` is None or a (mode, params) pair with mode in
-    SELECTION_MODES; params is None, or for 'sfs' may hold ``n_features``
-    (default 12). A malformed spec or seed is refused before the first
-    fold.
+    participant. Every fold's scaler is fitted first; then the selections
+    of all folds run in lockstep (``selection.sfs_many``,
+    ``selection.rfecv_many``), and one ``train_many`` call trains every
+    fold's model. ``selection`` is None or a (mode, params) pair with mode
+    in SELECTION_MODES; params is None, or for 'sfs' may hold
+    ``n_features`` (default 12). A malformed spec or seed is refused before
+    the first fold; of the folds whose selection fails, the first in
+    participant order raises, before any fit.
     """
     check_integer("seed", seed)
     mode, params = _selection_mode(selection)
     participants = dataset.participants()
     if len(participants) < 2:
         raise InsufficientData("need at least 2 participants")
-    folds, configs, lanes = [], [], []
+    folds, trains = [], []
     for pid in participants:
         pid = int(pid)
         s = fold_seed(seed, pid)
@@ -114,19 +122,18 @@ def losocv(dataset: Dataset, config: ClassifierConfig, scaler_method: str = "min
         scaler = fit_scaler(train_rows.X, scaler_method)
         train_scaled = Dataset(apply_scaler(scaler, train_rows.X), train_rows.y,
                                train_rows.participant_ids, train_rows.feature_names)
-        test_X = apply_scaler(scaler, test_rows.X)
+        folds.append((pid, scaler, apply_scaler(scaler, test_rows.X), test_rows.y))
+        trains.append((train_scaled, ClassifierConfig(config.kind, seed=s), s))
 
-        cfg = ClassifierConfig(config.kind, seed=s)
-        selected = _resolve_selection(mode, params, train_scaled, cfg, s)
-        idx = [dataset.feature_names.index(n) for n in selected]
-        folds.append((pid, scaler, selected, test_X[:, idx], test_rows.y))
-        configs.append(cfg)
-        lanes.append((train_scaled.X[:, idx], train_scaled.y))
+    picks = _selections(mode, params, trains)
+    columns = [[dataset.feature_names.index(n) for n in selected] for selected in picks]
+    models = train_many([cfg for _, cfg, _ in trains],
+                        [(rows.X[:, idx], rows.y) for (rows, _, _), idx in zip(trains, columns)])
 
     results = []
-    for (pid, scaler, selected, test_X, actual), model in zip(folds,
-                                                               train_many(configs, lanes)):
-        preds = predict(model, test_X)
+    for (pid, scaler, test_X, actual), selected, idx, model in zip(folds, picks, columns,
+                                                                   models):
+        preds = predict(model, test_X[:, idx])
         stats = {"method": scaler.method}
         if scaler.stat_a is not None:
             stats["stat_a"] = tuple(float(v) for v in scaler.stat_a)

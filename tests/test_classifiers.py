@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from timesense.classifiers.base import (
     train_many,
 )
 from timesense.classifiers.lanes import Lanes
-from timesense.classifiers.linear import LogisticRegressionNewton, NewtonLanes, sigmoid
+from timesense.classifiers.linear import LDA, LogisticRegressionNewton, NewtonLanes, sigmoid
 from timesense.classifiers.svm import SMOSVC, rbf_kernel
 from timesense.errors import InsufficientData, InvalidInput, Unsupported
 from timesense.model import Dataset
@@ -371,6 +373,44 @@ class TestGenerativeModels:
         s1 = decision_scores(train(ClassifierConfig("lda"), X, y), X)
         s2 = decision_scores(train(ClassifierConfig("lda"), X, 1 - y), X)
         assert np.allclose(s1, -s2, atol=1e-8)
+
+
+def oracle_lda(X, y, ridge=LDA.ridge):
+    """LDA's (w, b, means) of one lane's rows, fitted alone: the fit that
+    ``LDA.fit_many`` batches."""
+    mu0, mu1 = X[y == 0].mean(axis=0), X[y == 1].mean(axis=0)
+    centered = X - np.where(y[:, None] == 1, mu1, mu0)
+    cov = centered.T @ centered / len(X) + ridge * np.eye(X.shape[1])
+    w = np.linalg.solve(cov, mu1 - mu0)
+    pi1 = (y == 1).mean()
+    return w, float(-0.5 * (mu0 + mu1) @ w + np.log(pi1 / (1 - pi1))), np.stack([mu0, mu1])
+
+
+def lda_block(rng):
+    """1-40 lanes of 3-44 rows (both classes) and 1-24 features, raw or
+    rounded to one decimal, in their ``Lanes`` layout with NaN padding."""
+    k, d = int(rng.integers(1, 41)), int(rng.integers(1, 25))
+    counts = np.sort(rng.integers(3, 45, k))
+    X, y = np.full((k, counts[-1], d), np.nan), np.ones((k, counts[-1]), dtype=int)
+    for b, c in enumerate(counts):
+        rows = rng.normal(size=(c, d)) * rng.choice([1, 10, 1000])
+        X[b, :c] = np.round(rows, 1) if rng.random() < 0.5 else rows
+        y[b, :c] = rng.integers(0, 2, c)
+        y[b, :2] = (0, 1)
+    return Lanes(X, y, counts)
+
+
+class TestLDALanes:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_lane_equals_its_fit_alone(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            lanes = lda_block(rng)
+            models = [LDA() for _ in lanes.counts]
+            LDA.fit_many(models, lanes)
+            for model, X, y, c in zip(models, lanes.X, lanes.y, lanes.counts):
+                w, b, means = oracle_lda(X[:c], y[:c])
+                assert _state((model.w, model.b, model.means_)) == _state((w, b, means))
 
 
 class TestImportance:
@@ -1777,7 +1817,10 @@ class TestTrainMany:
         ("lr", 1000, 1), ("lr", 200, 3),
         # an svc lane of n rows holds its (n, n) kernel: 1300 entries hold
         # two lanes of 23 or 24 rows, 5000 all five lanes
-        ("svc", 1, 5), ("svc", 1300, 3), ("svc", 5000, 1)])
+        ("svc", 1, 5), ("svc", 1300, 3), ("svc", 5000, 1),
+        # an lda lane holds a centered copy of its rows and its (4, 4)
+        # covariance: 300 entries hold two lanes of 23-24 rows
+        ("lda", 1, 5), ("lda", 300, 3), ("lda", 1000, 1)])
     def test_lanes_split_into_blocks_equal_one_block(self, monkeypatch, kind, block, blocks):
         lanes, probe = ragged_lanes(6)
         config = ClassifierConfig(kind, seed=2)
@@ -1844,6 +1887,25 @@ class TestTrainMany:
             train_many(config, [lanes[0], bad, lanes[2]])
         assert str(batched.value) == str(alone.value) == "training data must contain both classes"
 
+    @pytest.mark.parametrize("kind", ["gb", "xgb"])
+    def test_a_kept_model_owns_its_trees(self, kind):
+        """One model kept of a block of 120 retains its own nodes, not the
+        block's stack of every lane's trees."""
+        lanes = [lane for seed in range(24) for lane in ragged_lanes(seed)[0]]
+        config = ClassifierConfig(kind)
+        train_many(config, lanes[:2])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = train_many(config, lanes)[7]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        own = sum(a.nbytes for a in kept.estimator.nodes_.arrays())
+        assert retained <= 2 * own
+
     def test_configs_must_be_one_per_lane_of_one_kind(self):
         lanes, _ = ragged_lanes(9)
         with pytest.raises(InvalidInput, match="one config per lane"):
@@ -1878,7 +1940,7 @@ class TestPaddingIsNeverRead:
         return [_state(model) for model in models]
 
     @pytest.mark.parametrize("padding", ["nan", "-inf", "random"])
-    @pytest.mark.parametrize("kind", ["svc", "dtc", "rf", "gb", "xgb", "lr"])
+    @pytest.mark.parametrize("kind", ["svc", "dtc", "rf", "gb", "xgb", "lr", "lda"])
     def test_overwritten_padding_gives_equal_models(self, kind, padding):
         lanes, _ = ragged_lanes(15)
         X, y = lanes[0]

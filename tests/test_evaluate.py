@@ -1,9 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from timesense import evaluate
+from timesense import selection as selection_module
+from timesense.classifiers import base
+from timesense.classifiers.linear import LogisticRegressionNewton
 from timesense.classifiers import ClassifierConfig
-from timesense.errors import InsufficientData, InvalidInput
+from timesense.errors import InsufficientData, InvalidInput, Unsupported
 from timesense.evaluate import (
     MANUAL_SUBSETS,
     NA,
@@ -236,15 +242,124 @@ class TestBatchedLosocvMatchesPerFitReference:
         return Dataset(X, y, np.repeat([1, 2, 3], [5, 4, 6]), ("a", "b", "c"))
 
     # each booster runs through one selection mode; tests/test_selection.py
-    # compares SFS and RFECV themselves for all four kinds
+    # compares SFS and RFECV themselves for all four kinds. The selections
+    # of the three folds advance in lockstep, one batched fit a step.
     @pytest.mark.parametrize("kind,mode", [
         ("rf", "none"), ("gb", "none"), ("xgb", "none"), ("lr", "none"),
-        ("rf", "sfs"), ("gb", "sfs"), ("lr", "sfs"),
-        ("rf", "rfecv"), ("xgb", "rfecv"), ("lr", "rfecv")])
+        ("rf", "sfs"), ("gb", "sfs"), ("lr", "sfs"), ("lda", "sfs"), ("svc", "sfs"),
+        ("lr", "sfs-2"),
+        ("rf", "rfecv"), ("xgb", "rfecv"), ("lr", "rfecv"), ("lda", "rfecv"), ("dtc", "rfecv")])
     def test_reports_equal(self, kind, mode):
         ds = self.dataset()
         config = ClassifierConfig(kind)
-        selection = {"none": None, "sfs": ("sfs", {"n_features": 1}), "rfecv": ("rfecv", None)}[mode]
+        selection = {"none": None, "sfs": ("sfs", {"n_features": 1}),
+                     "sfs-2": ("sfs", {"n_features": 2}), "rfecv": ("rfecv", None)}[mode]
         got = losocv(ds, config, selection=selection, seed=3)
         assert got == reference_losocv(ds, config, selection=selection, seed=3)
         assert len({len(f.predictions) for f in got.per_fold}) == 3
+
+
+def participants_dataset(n_participants, d=3, rows=4, seed=0):
+    """``n_participants`` of ``rows`` rows each, both classes in each, of
+    ``d`` weakly informative features."""
+    rng = np.random.default_rng(seed)
+    y = np.tile([0, 1], n_participants * rows // 2)
+    X = rng.normal(size=(len(y), d)) + 0.8 * y[:, None]
+    return Dataset(X, y, np.repeat(np.arange(1, n_participants + 1), rows),
+                   tuple(f"f{j}" for j in range(d)))
+
+
+def count_fits(monkeypatch):
+    """The number of batched fits (``_training_lanes`` calls) so far, as a
+    one-element list."""
+    calls = [0]
+    original = base._training_lanes
+
+    def counted(lanes):
+        calls[0] += 1
+        return original(lanes)
+
+    monkeypatch.setattr(base, "_training_lanes", counted)
+    return calls
+
+
+class TestLockstepSelection:
+    """The selections of all outer folds advance together: one batched fit
+    per SFS step or RFECV round, whatever the number of participants, plus
+    the one that trains every fold's final model."""
+
+    @pytest.mark.parametrize("participants", [3, 5])
+    @pytest.mark.parametrize("selection,fits", [
+        (("rfecv", None), 3 + 1), (("sfs", {"n_features": 1}), 1 + 1),
+        (("sfs", {"n_features": 2}), 2 + 1)], ids=["rfecv", "sfs-1", "sfs-2"])
+    def test_one_batched_fit_a_step(self, monkeypatch, participants, selection, fits):
+        calls = count_fits(monkeypatch)
+        losocv(participants_dataset(participants), ClassifierConfig("lr"), selection=selection)
+        assert calls[0] == fits
+
+    @pytest.mark.parametrize("selection", [("rfecv", None), ("sfs", {"n_features": 2})],
+                             ids=["rfecv", "sfs-2"])
+    def test_models_of_earlier_blocks_are_let_go(self, monkeypatch, selection):
+        """Each block's models are scored as soon as it is fitted; when the
+        models of a block are scored, those of every earlier block are
+        collectable."""
+        blocks = []
+        fit_many = LogisticRegressionNewton.fit_many
+
+        def recorded(models, lanes):
+            fit_many(models, lanes)
+            blocks.append([weakref.ref(m) for m in models])
+
+        monkeypatch.setattr(LogisticRegressionNewton, "fit_many", staticmethod(recorded))
+        # a few lanes a block
+        monkeypatch.setattr("timesense.classifiers.lanes.FIT_BLOCK", 40)
+        scored = []
+        score = selection_module.predict
+
+        def checked(model, X):
+            gc.collect()
+            assert all(ref() is None for block in blocks[:-1] for ref in block)
+            assert any(ref() is model.estimator for ref in blocks[-1])
+            scored.append(len(blocks))
+            return score(model, X)
+
+        monkeypatch.setattr(selection_module, "predict", checked)
+        losocv(participants_dataset(4), ClassifierConfig("lr"), selection=selection)
+        # models were scored after several different blocks
+        assert len(set(scored)) > 3
+
+    @staticmethod
+    def two_failing_folds():
+        """Participants 2 and 3 hold the only two fast rows: without either
+        one, a fold's training rows hold one fast row, which one inner
+        training fold lacks. Without participant 1 or 4 both remain."""
+        y = np.array([0, 0, 0, 0,  0, 0, 1, 0,  0, 1, 0, 0,  0, 0, 0, 0])
+        X = np.random.default_rng(2).normal(size=(16, 3))
+        return Dataset(X, y, np.repeat([1, 2, 3, 4], 4), ("a", "b", "c"))
+
+    @pytest.mark.parametrize("selection", [("rfecv", None), ("sfs", {"n_features": 1})],
+                             ids=["rfecv", "sfs-1"])
+    def test_the_first_failing_fold_raises_before_any_fit(self, monkeypatch, selection):
+        calls = count_fits(monkeypatch)
+        seeds = []
+        folds = selection_module.stratified_kfold
+
+        def recorded(y, seed):
+            seeds.append(seed)
+            return folds(y, seed)
+
+        monkeypatch.setattr(selection_module, "stratified_kfold", recorded)
+        with pytest.raises(InsufficientData, match="a training fold lacks both classes"):
+            losocv(self.two_failing_folds(), ClassifierConfig("lr"), selection=selection,
+                   seed=3)
+        # participant 1's problem passes, participant 2's raises; 3's is not built
+        assert seeds == [fold_seed(3, 1), fold_seed(3, 2)]
+        assert calls[0] == 0
+
+    def test_a_kind_without_importance_raises_before_any_fit(self, monkeypatch):
+        calls = count_fits(monkeypatch)
+        with pytest.raises(Unsupported) as raised:
+            losocv(self.two_failing_folds(), ClassifierConfig("svc"),
+                   selection=("rfecv", None))
+        assert str(raised.value) == "svc cannot drive RFECV: no feature-importance measure"
+        assert calls[0] == 0

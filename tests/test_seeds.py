@@ -52,7 +52,7 @@ def test_a_bad_seed_is_refused_first(monkeypatch, entry, seed, message):
     model = train(ClassifierConfig("lr"), ds.X, ds.y)
     # the work after each entry point's seed check
     for module, name in ((evaluate, "fit_scaler"), (evaluate, "train_many"),
-                         (selection, "train_many"), (explain, "decision_scores"),
+                         (selection, "trained_lanes"), (explain, "decision_scores"),
                          (ingest, "_synth_session")):
         monkeypatch.setattr(module, name, _ran_past_the_check)
     with pytest.raises(InvalidInput) as raised:

@@ -9,7 +9,9 @@ from timesense.selection import (
     SelectionResult,
     cv_accuracy,
     rfecv,
+    rfecv_many,
     sfs,
+    sfs_many,
     stratified_kfold,
 )
 
@@ -123,7 +125,7 @@ class TestSfs:
         def no_fit(*args):
             raise AssertionError("sfs fitted before it checked n_features")
 
-        monkeypatch.setattr(selection, "train_many", no_fit)
+        monkeypatch.setattr(selection, "trained_lanes", no_fit)
         ds = single_informative_dataset(d=4)
         with pytest.raises(InvalidInput, match="n_features must be an integer"):
             sfs(ds, LR, n_features=n_features)
@@ -258,3 +260,15 @@ class TestBatchedSelectionMatchesPerFitReference:
         candidates = [ds.X[:, [j]] for j in range(5)] + [ds.X[:, [0, 2]], ds.X]
         assert cv_accuracy(config, candidates, ds.y, folds) == [
             reference_cv_accuracy(config, X, ds.y, folds) for X in candidates]
+
+
+@pytest.mark.parametrize("kind", ["rf", "lr", "lda"])
+def test_lockstep_selections_equal_each_alone(kind):
+    """Selections of datasets of different row counts, each with its own
+    seed, advance in lockstep; each equals its per-fit reference."""
+    selections = [(ragged_dataset(n=n, d=4, seed=s), ClassifierConfig(kind, seed=s), s)
+                  for n, s in ((23, 1), (19, 2), (26, 3))]
+    assert sfs_many(selections, 2) == [reference_sfs(ds, config, 2, seed=s)
+                                       for ds, config, s in selections]
+    assert rfecv_many(selections) == [reference_rfecv(ds, config, seed=s)
+                                      for ds, config, s in selections]
