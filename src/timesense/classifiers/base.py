@@ -142,15 +142,13 @@ def trained_lanes(config, lanes):
     every lane or a sequence of them, one per lane, all of one kind.
 
     Each model is bit for bit the one ``train`` gives for its lane alone.
-    svc, dtc, rf, gb, xgb, lr and lda fit each of ``Lanes.blocks`` of a
-    width's ``Lanes`` in one ``fit_many(models, lanes)`` call: it fits
-    ``models[b]``, which differ at most in rf's seed, on lane b. Each of
-    those estimators states the ``lane_cost(n, width)`` that sizes the
-    blocks. The other kinds ``fit(X, y)`` one lane's own rows after
-    another. Estimators take these checked float64 rows and int labels, in
-    canonical order, as given. The generator holds no model of a block
-    after it yields the next block's first, so a caller that lets each
-    model go keeps about one block of models alive.
+    Every kind fits each of ``Lanes.blocks`` of a width's ``Lanes`` in one
+    ``fit_many(models, lanes)`` call: it fits ``models[b]``, which differ at
+    most in rf's seed, on lane b. Each estimator states the ``lane_cost(n,
+    width)`` that sizes the blocks, and takes these checked float64 rows
+    and int labels, in canonical order, as given. The generator holds no
+    model of a block after it yields the next block's first, so a caller
+    that lets each model go keeps about one block of models alive.
     """
     configs = [config] * len(lanes) if isinstance(config, ClassifierConfig) else list(config)
     if len(configs) != len(lanes) or len({c.kind for c in configs}) > 1:
@@ -158,19 +156,10 @@ def trained_lanes(config, lanes):
     for index, stack in _training_lanes(lanes):
         width = stack.X.shape[2]
         estimator = _ESTIMATORS[configs[index[0]].kind]
-        batched = hasattr(estimator, "fit_many")
-        if batched:
-            blocks = stack.blocks(estimator.lane_cost)
-        else:
-            blocks = ((slice(b, b + 1), stack[b:b + 1]) for b in range(len(index)))
-        for block, part in blocks:
+        for block, part in stack.blocks(estimator.lane_cost):
             ids = index[block]
             fits = [_build(configs[i]) for i in ids]
-            if batched:
-                fits[0].fit_many(fits, part)
-            else:
-                n = part.counts[0]
-                fits[0].fit(part.X[0, :n], part.y[0, :n])
+            fits[0].fit_many(fits, part)
             for i, est in zip(ids, fits):
                 yield i, TrainedModel(configs[i].kind, configs[i], est, width)
 

@@ -208,37 +208,51 @@ class AdaBoost(TreeEnsemble):
 
     n_estimators = 50
 
-    def fit(self, X, y):
-        ypm = np.where(y == 1, 1.0, -1.0)
-        n = len(X)
-        w = np.full(n, 1.0 / n)
-        # stump k is tree k: a root on its feature and leaves -1 and +1 by
-        # polarity
-        stumps = TreeNodes.empty((self.n_estimators, 3))
-        lanes = sort_lanes(X[None], np.ones((1, n), bool))
-        for k in range(self.n_estimators):
-            j, thr, polarity = stump_split(lanes, ypm, w)
-            pred = np.where(X[:, j] <= thr, -polarity, polarity).astype(float)
-            err = float(np.sum(w[pred != ypm]))
-            if err >= 0.5:
-                break
-            stumps.feature[k, 0], stumps.threshold[k, 0] = j, thr
-            stumps.left[k, 0], stumps.right[k, 0] = 1, 2
-            stumps.value[k, 1:] = -polarity, polarity
-            if err <= 1e-12:
-                self.weights_.append(np.log((1 - 1e-12) / 1e-12) / 2)
-                break
-            alpha = 0.5 * np.log((1 - err) / err)
-            self.weights_.append(alpha)
-            w = w * np.exp(-alpha * ypm * pred)
-            w = w / w.sum()
-        kept = len(self.weights_)
-        if kept:
-            self.nodes_ = _trimmed(stumps, 0, kept)
-        gain = np.zeros((kept, 3))
-        gain[:, 0] = self.weights_
-        # the vector ends at the highest feature a kept stump uses: trailing
-        # zeros would change how the normalising sum groups its additions
-        width = int(stumps.feature[:kept, 0].max(initial=-1)) + 1
-        self.importances_ = feature_gains(stumps[:kept], gain, width)
-        return self
+    @staticmethod
+    def lane_cost(n, width):
+        # the sort of the lane's rows
+        return n * width
+
+    @staticmethod
+    def fit_many(models, lanes):
+        # all lanes advance stump by stump on one sort of their rows until
+        # they halt. Stump k of lane b is tree b * rounds + k: a root on its
+        # feature, its alpha the root's gain, and leaves -1 and +1 by polarity
+        X, rounds = lanes.X, models[0].n_estimators
+        stumps = TreeNodes.empty((len(models) * rounds, 3))
+        gain, n_kept = np.zeros(stumps.value.shape), np.zeros(len(models), dtype=int)
+        ypm = np.where(lanes.y == 1, 1.0, -1.0)
+        w = np.where(lanes.valid, 1.0 / lanes.counts[:, None], 0.0)
+        live, part, search = np.arange(len(models)), lanes, sort_lanes(X, lanes.valid)
+        for k in range(rounds):
+            j, thr, polarity = stump_split(search, ypm, w)
+            pred = np.where(X[live, :, j] <= thr[:, None], -1.0, 1.0) * polarity[:, None]
+            wl, yl = w[live], ypm[live]
+            err = part.masked_sums(wl, part.valid & (pred != yl))
+            kept, going = err < 0.5, (err < 0.5) & (err > 1e-12)
+            # a perfect stump takes the alpha of an error of 1e-12
+            alpha = np.full(len(live), np.log((1 - 1e-12) / 1e-12) / 2)
+            alpha[going] = 0.5 * np.log((1 - err[going]) / err[going])
+            at = live[kept] * rounds + k
+            stumps.feature[at, 0], stumps.threshold[at, 0] = j[kept], thr[kept]
+            stumps.left[at, 0], stumps.right[at, 0] = 1, 2
+            stumps.value[at, 1], stumps.value[at, 2] = -polarity[kept], polarity[kept]
+            gain[at, 0] = alpha[kept]
+            n_kept[live[kept]] += 1
+            if not going.all():
+                live, part = live[going], part[going]
+                search = tuple(a[going] for a in search)
+                if not len(live):
+                    break
+            wl = wl[going] * np.exp(-alpha[going][:, None] * yl[going] * pred[going])
+            w[live] = wl / part.sums(wl)[:, None]
+        for b, model in enumerate(models):
+            trees = slice(b * rounds, b * rounds + n_kept[b])
+            model.weights_ = gain[trees, 0].tolist()
+            if model.weights_:
+                model.nodes_ = _trimmed(stumps, trees.start, trees.stop)
+            # the vector ends at the highest feature a kept stump uses:
+            # trailing zeros would change how the normalising sum groups its
+            # additions
+            width = int(stumps.feature[trees, 0].max(initial=-1)) + 1
+            model.importances_ = feature_gains(stumps[trees], gain[trees], width)

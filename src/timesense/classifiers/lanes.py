@@ -53,6 +53,18 @@ class Lanes:
             out[..., lanes] = values[..., lanes, :c].sum(axis=-1)
         return out
 
+    @staticmethod
+    def masked_sums(values, mask):
+        """Each lane's sum of its ``values`` (lanes, n) where ``mask`` holds,
+        in the order of ``np.sum(values[b][mask[b]])`` (``sums``' rule)."""
+        packed = np.take_along_axis(values, np.argsort(~mask, axis=1, kind="stable"), axis=1)
+        counts = mask.sum(axis=1)
+        out = np.empty(len(values))
+        for c in np.unique(counts).tolist():
+            same = counts == c
+            out[same] = packed[same, :c].sum(axis=1)
+        return out
+
     def __getitem__(self, keep):
         """The lanes that ``keep``, a slice or a mask, selects."""
         return type(self)(self.X[keep], self.y[keep], self.counts[keep])

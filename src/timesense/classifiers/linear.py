@@ -1,10 +1,10 @@
 """Linear and Gaussian generative classifiers: logistic regression (damped
 Newton), Gaussian naive Bayes, and linear / quadratic discriminant analysis.
 
-Logistic regression and LDA fit many training sets (lanes) in one call:
-the lanes of one ``train_many`` block take their Newton steps in one loop
-over ``NewtonLanes``, or share LDA's stacked means, covariances and solve,
-and each lane's model is bit for bit its fit alone."""
+Each kind fits the lanes of one ``train_many`` block in one call: lr in
+one Newton loop over ``NewtonLanes``, gnb, lda and qda from one class sort
+(``class_rows``) and stacked covariances. Each lane's model is bit for bit
+its fit alone."""
 
 import numpy as np
 
@@ -148,17 +148,49 @@ class LogisticRegressionNewton:
         return np.abs(self.w)
 
 
+def class_rows(lanes):
+    """Each lane's class shares (lanes, 2) and class means (lanes, 2,
+    width), and ``(lanes, rows)`` per group of lanes of one row count and
+    one class-0 count: ``rows[k]`` holds their class-k rows in order, which
+    one call averages as a lane's mean alone does."""
+    key = np.where(lanes.valid, lanes.y, 2)
+    by_class = np.take_along_axis(
+        lanes.X, np.argsort(key, axis=1, kind="stable")[..., None], axis=1)
+    n_slow = (lanes.valid & (lanes.y == 0)).sum(axis=1)
+    means = np.empty((len(n_slow), 2, lanes.X.shape[2]))
+    groups = []
+    for ls, c in lanes.groups:
+        for n0 in np.unique(n_slow[ls]).tolist():
+            same = ls.start + np.flatnonzero(n_slow[ls] == n0)
+            rows = by_class[same, :n0], by_class[same, n0:c]
+            means[same] = np.stack([r.mean(axis=1) for r in rows], axis=1)
+            groups.append((same, rows))
+    shares = np.stack([n_slow, lanes.counts - n_slow], axis=1) / lanes.counts[:, None]
+    return shares, means, groups
+
+
 class GaussianNB:
     """Per-class independent Gaussians with variance smoothing."""
 
     var_smoothing = 1e-9
 
-    def fit(self, X, y):
-        eps = self.var_smoothing * max(X.var(axis=0).max(), 1e-30)
-        self.means_ = np.stack([X[y == c].mean(axis=0) for c in (0, 1)])
-        self.vars_ = np.stack([X[y == c].var(axis=0) + eps for c in (0, 1)])
-        self.log_priors_ = np.log(np.array([(y == 0).mean(), (y == 1).mean()]))
-        return self
+    @staticmethod
+    def lane_cost(n, width):
+        # a class-sorted and a centered copy of the lane's rows
+        return 2 * n * width
+
+    @staticmethod
+    def fit_many(models, lanes):
+        shares, means, groups = class_rows(lanes)
+        variances = np.empty(means.shape)
+        for same, rows in groups:
+            variances[same] = np.stack([r.var(axis=1) for r in rows], axis=1)
+        largest = np.concatenate([lanes.X[ls, :c].var(axis=1).max(axis=1)
+                                  for ls, c in lanes.groups])
+        for b, model in enumerate(models):
+            eps = model.var_smoothing * max(largest[b], 1e-30)
+            model.means_, model.vars_ = means[b].copy(), variances[b] + eps
+            model.log_priors_ = np.log(shares[b])
 
     def _log_likelihood(self, X, c):
         diff = X - self.means_[c]
@@ -173,10 +205,9 @@ class LDA:
     """Pooled-covariance discriminant with a small ridge on the covariance.
 
     The lanes of one ``train_many`` block fit together, and each model is
-    bit for bit the fit of its lane alone: the lanes of one row count and
-    one class count average their class rows in one call, the lanes of one
-    row count form their covariances in one stacked product, and one
-    batched solve gives every lane's weights."""
+    bit for bit the fit of its lane alone: ``class_rows`` gives their class
+    means, the lanes of one row count form their covariances in one stacked
+    product, and one batched solve gives every lane's weights."""
 
     ridge = 1e-6
 
@@ -187,19 +218,10 @@ class LDA:
 
     @staticmethod
     def fit_many(models, lanes):
-        k, _, d = lanes.X.shape
-        # each lane's rows of class 0, then those of class 1, each in their
-        # order, then its padding
-        key = np.where(lanes.valid, lanes.y, 2)
-        by_class = np.take_along_axis(
-            lanes.X, np.argsort(key, axis=1, kind="stable")[..., None], axis=1)
-        n_slow = (lanes.valid & (lanes.y == 0)).sum(axis=1)
-        means, cov = np.empty((k, 2, d)), np.empty((k, d, d))
+        d = lanes.X.shape[2]
+        shares, means, _ = class_rows(lanes)
+        cov = np.empty((len(models), d, d))
         for ls, c in lanes.groups:
-            for n0 in np.unique(n_slow[ls]).tolist():
-                same = ls.start + np.flatnonzero(n_slow[ls] == n0)
-                means[same, 0] = by_class[same, :n0].mean(axis=1)
-                means[same, 1] = by_class[same, n0:c].mean(axis=1)
             own = lanes.y[ls, :c, None] == 1
             centered = lanes.X[ls, :c] - np.where(own, means[ls, 1:], means[ls, :1])
             cov[ls] = np.swapaxes(centered, 1, 2) @ centered / c
@@ -207,7 +229,7 @@ class LDA:
         w = np.linalg.solve(cov, (means[:, 1] - means[:, 0])[..., None])[..., 0]
         for b, model in enumerate(models):
             mu0, mu1 = means[b]
-            pi1 = (lanes.y[b, :lanes.counts[b]] == 1).mean()
+            pi1 = shares[b, 1]
             model.w, model.means_ = w[b].copy(), means[b].copy()
             model.b = float(-0.5 * (mu0 + mu1) @ model.w + np.log(pi1 / (1 - pi1)))
 
@@ -221,19 +243,27 @@ class QDA:
 
     ridge = 1e-6
 
-    def fit(self, X, y):
-        d = X.shape[1]
-        self.means_, self.inv_covs_, self.logdets_ = [], [], []
-        for c in (0, 1):
-            Xc = X[y == c]
-            mu = Xc.mean(axis=0)
-            cov = (Xc - mu).T @ (Xc - mu) / len(Xc) + self.ridge * np.eye(d)
-            sign, logdet = np.linalg.slogdet(cov)
-            self.means_.append(mu)
-            self.inv_covs_.append(np.linalg.inv(cov))
-            self.logdets_.append(logdet)
-        self.log_priors_ = np.log(np.array([(y == 0).mean(), (y == 1).mean()]))
-        return self
+    @staticmethod
+    def lane_cost(n, width):
+        # a class-sorted and a centered copy of the lane's rows, its two
+        # covariances and their inverses
+        return 2 * (n + 2 * width) * width
+
+    @staticmethod
+    def fit_many(models, lanes):
+        d = lanes.X.shape[2]
+        shares, means, groups = class_rows(lanes)
+        cov = np.empty((len(models), 2, d, d))
+        for same, rows in groups:
+            for k, r in enumerate(rows):
+                centered = r - means[same, k, None]
+                # a copy: a matrix times its own transpose takes another BLAS call
+                cov[same, k] = np.swapaxes(centered.copy(), 1, 2) @ centered / r.shape[1]
+        cov += models[0].ridge * np.eye(d)
+        logdets, inv_covs = np.linalg.slogdet(cov)[1], np.linalg.inv(cov)
+        for b, model in enumerate(models):
+            model.means_, model.inv_covs_ = means[b].copy(), inv_covs[b].copy()
+            model.logdets_, model.log_priors_ = logdets[b].copy(), np.log(shares[b])
 
     def _score_class(self, X, c):
         diff = X - self.means_[c]

@@ -8,8 +8,9 @@ each serves one block of fits at once: one of ``Lanes.blocks``.
 per tree, each tree in depth-first order. ``grow_boosting_trees`` grows one
 round's regression tree of each of many gradient boosting fits (gb, xgb)
 level by level, one lane per leaf of a level, into preorder slots; the roots
-of every round reuse one sort of the rows. AdaBoost's stump (ab) is a
-one-lane call on one sort per fit. ``TreeNodes.empty`` allocates every
+of every round reuse one sort of the rows. AdaBoost (ab) searches the
+stumps of every lane of a block on one sort, a step at a time
+(``stump_split``). ``TreeNodes.empty`` allocates every
 stack; the growers record each split's gain at its node, which
 ``feature_gains`` sums per feature. ``walk`` scores the rows of X with a
 whole stack of trees at once (Nakandala et al., OSDI 2020). All tie-breaks
@@ -240,10 +241,12 @@ def _stump_errors(left, last):
 
 
 def stump_split(lanes, ypm, w):
-    """Depth-1 cut of least weighted 0/1 error for labels ``ypm`` in {-1, +1}
-    over the rows that ``lanes``, one lane of ``sort_lanes``, sorted:
-    (feature, threshold, polarity). Polarity +1 predicts fast right of the
-    threshold; -1 wins a tie. Cut 0 predicts one class everywhere."""
+    """Per lane of ``lanes`` (lanes of one ``sort_lanes`` call, or a
+    selection of them), the depth-1 cut of least weighted 0/1 error for
+    labels ``ypm`` in {-1, +1} and weights ``w``, 0 off a lane's rows, both
+    (B, n) over that call's lanes: arrays (feature, threshold, polarity).
+    Polarity +1 predicts fast right of the threshold; -1 wins a tie. Cut 0
+    predicts one class everywhere."""
     stats = np.array([np.where(ypm > 0, w, 0.0), np.where(ypm < 0, w, 0.0)])
     errors = []
 
@@ -251,9 +254,10 @@ def stump_split(lanes, ypm, w):
         errors[:] = _stump_errors(left, last)
         return -np.minimum(*errors), True
 
-    col, cut, thr, _, _ = best_split(lanes, stats[:, None], score)
-    err_pos, err_neg = (e[0, col[0], cut[0]] for e in errors)
-    return int(col[0]), thr[0], -1 if err_neg <= err_pos else 1
+    col, cut, thr, _, _ = best_split(lanes, stats, score)
+    at = np.arange(len(col)), col, cut
+    err_pos, err_neg = (e[at] for e in errors)
+    return col, thr, np.where(err_neg <= err_pos, -1, 1)
 
 
 def grow_forest(X, y, mask, max_features=None, feature_rngs=None):

@@ -153,12 +153,17 @@ class Dataset:
         pids = check_labels("participant_ids", self.participant_ids, binary=False)
         if y.shape != (len(X),) or pids.shape != y.shape:
             raise InvalidInput("inconsistent dataset shapes")
+        names = tuple(self.feature_names)
+        if len(set(names)) < len(names):
+            # selection maps each name to one column
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            raise InvalidInput(f"duplicate feature names: {repeated}")
         for a in (X, y, pids):
             a.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "participant_ids", pids)
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        object.__setattr__(self, "feature_names", names)
 
     def __len__(self):
         return len(self.y)

@@ -115,8 +115,11 @@ def _problems(selections):
 def sfs_many(selections, n_features: int) -> list:
     """``sfs`` of each (dataset, config, seed) of ``selections``, whose
     datasets share their feature names: step k of every selection is one
-    batched fit of all their (candidate, fold) models."""
+    batched fit of all their (candidate, fold) models. No selections give
+    none."""
     check_integer("n_features", n_features)
+    if not selections:
+        return []
     names = list(selections[0][0].feature_names)
     d = len(names)
     if not 1 <= n_features <= d:
@@ -153,7 +156,10 @@ def sfs(dataset, config: ClassifierConfig, n_features: int, seed: int = 0) -> Se
 def rfecv_many(selections) -> list:
     """``rfecv`` of each (dataset, config, seed) of ``selections``, whose
     datasets share their feature names: round k of every selection is one
-    batched fit of all their fold models and all-rows models."""
+    batched fit of all their fold models and all-rows models. No selections
+    give none."""
+    if not selections:
+        return []
     for _, config, _ in selections:
         if not config.supports_importance():
             raise Unsupported(

@@ -91,6 +91,16 @@ CASES = [
     ("bandpass-low-True", "low_hz", lambda c: dsp.bandpass(c.series, True, 3.5)),
     ("lowpass-str", "cutoff_hz", lambda c: dsp.lowpass(c.series, "3")),
     ("lowpass-True", "cutoff_hz", lambda c: dsp.lowpass(c.series, True)),
+    # cutoffs whose designs have no steady state at the series' 10 Hz: a
+    # singular one, and one whose DC gain divides by zero
+    ("lowpass-1e-12", "cutoff_hz", lambda c: dsp.lowpass(c.series, 1e-12)),
+    ("lowpass-1e-8", "cutoff_hz", lambda c: dsp.lowpass(c.series, 1e-8)),
+    ("bandpass-low-1e-9", "low_hz", lambda c: dsp.bandpass(c.series, 1e-9, 3.5)),
+    # outputs beyond dsp.MAX_SAMPLES, refused before they are allocated
+    ("resample_fourier-1e300", "target_rate_hz", lambda c: dsp.resample_fourier(c.series, 1e300)),
+    ("resample_fourier-1e12", "target_rate_hz", lambda c: dsp.resample_fourier(c.series, 1e12)),
+    ("extend_to_minimum-1e300", "min_s", lambda c: dsp.extend_to_minimum(c.series, 1e300)),
+    ("extend_to_minimum-1e12", "min_s", lambda c: dsp.extend_to_minimum(c.series, 1e12)),
     ("segment-start-str", "start_s", lambda c: dsp.segment(c.series, "0", 5)),
     ("segment-start-True", "start_s", lambda c: dsp.segment(c.series, True, 5)),
     ("segment-end-None", "end_s", lambda c: dsp.segment(c.series, 0, None)),

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from timesense import pipeline
+from timesense import dsp, ingest, pipeline
 from timesense.explain import MAX_COALITION_ENTRIES, MAX_SAMPLES
 from timesense.model import Dataset
 
@@ -92,11 +92,29 @@ def _mean_abs_shap(tmp_path, features_csv):
     return ["-c", MEAN_ABS_SHAP]
 
 
+def _extract(tmp_path, features_csv):
+    """A corpus whose first session records EDA as 3 samples at 1e-9 Hz:
+    resampling them to 100 Hz asks for 3e11 samples."""
+    sessions = ingest.synth_dataset(ingest.SynthConfig(participants=3, seed=11))
+    manifest = Path(ingest.write_corpus(sessions, tmp_path / "recordings"))
+    doc = json.loads(manifest.read_text())
+    eda = doc["sessions"][0]["channels"]["eda"]
+    eda["sampling_rate_hz"] = 1e-9
+    (manifest.parent / eda["path"]).write_text(
+        "timestamp_s,value\n0.0,1.0\n1000000000.0,1.1\n2000000000.0,1.2\n")
+    manifest.write_text(json.dumps(doc))
+    return ["-m", "timesense.cli", "extract", "--manifest", str(manifest),
+            "--out", str(tmp_path / "r.csv")]
+
+
 CASES = [
     ("explain-n-samples", _explain, f"n_samples 16777214 exceeds the limit of {MAX_SAMPLES}"),
     ("synth-participants", _synth, "a corpus records at most"),
     ("mean_abs_shap-budget", _mean_abs_shap,
      f"n_samples 5002 x 5000 features exceeds the limit of {MAX_COALITION_ENTRIES}"),
+    ("extract-eda-rate", _extract,
+     f"target_rate_hz 100.0 for 3 samples at 1e-09 Hz asks for 3e+11 samples, "
+     f"over the limit of {dsp.MAX_SAMPLES}"),
 ]
 
 

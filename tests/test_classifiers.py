@@ -26,7 +26,15 @@ from timesense.classifiers.base import (
     train_many,
 )
 from timesense.classifiers.lanes import Lanes
-from timesense.classifiers.linear import LDA, LogisticRegressionNewton, NewtonLanes, sigmoid
+from timesense.classifiers.knn import KNN
+from timesense.classifiers.linear import (
+    LDA,
+    QDA,
+    GaussianNB,
+    LogisticRegressionNewton,
+    NewtonLanes,
+    sigmoid,
+)
 from timesense.classifiers.svm import SMOSVC, rbf_kernel
 from timesense.errors import InsufficientData, InvalidInput, Unsupported
 from timesense.model import Dataset
@@ -51,10 +59,8 @@ def train_case(monkeypatch, case, X, y):
 
 
 def fitted(model, X, y):
-    """``model`` fitted on the rows (X, y) as given: by its one-lane
-    ``fit_many``, or by ``fit`` for a kind that fits one lane at a time."""
-    if not hasattr(model, "fit_many"):
-        return model.fit(X, y)
+    """``model`` fitted on the rows (X, y) as given, by its one-lane
+    ``fit_many``."""
     model.fit_many([model], Lanes.alone(X, y))
     return model
 
@@ -388,7 +394,9 @@ def oracle_lda(X, y, ridge=LDA.ridge):
 
 def lda_block(rng):
     """1-40 lanes of 3-44 rows (both classes) and 1-24 features, raw or
-    rounded to one decimal, in their ``Lanes`` layout with NaN padding."""
+    rounded to one decimal, in their ``Lanes`` layout with NaN padding.
+    About one lane in ten is constant, and about one in ten has a feature
+    that separates its classes."""
     k, d = int(rng.integers(1, 41)), int(rng.integers(1, 25))
     counts = np.sort(rng.integers(3, 45, k))
     X, y = np.full((k, counts[-1], d), np.nan), np.ones((k, counts[-1]), dtype=int)
@@ -397,6 +405,11 @@ def lda_block(rng):
         X[b, :c] = np.round(rows, 1) if rng.random() < 0.5 else rows
         y[b, :c] = rng.integers(0, 2, c)
         y[b, :2] = (0, 1)
+        shape = rng.random()
+        if shape < 0.1:
+            X[b, :c] = 1.0
+        elif shape < 0.2:
+            X[b, :c, rng.integers(d)] = 5.0 * y[b, :c]
     return Lanes(X, y, counts)
 
 
@@ -411,6 +424,109 @@ class TestLDALanes:
             for model, X, y, c in zip(models, lanes.X, lanes.y, lanes.counts):
                 w, b, means = oracle_lda(X[:c], y[:c])
                 assert _state((model.w, model.b, model.means_)) == _state((w, b, means))
+
+
+# The one-lane fits of knn, gnb, qda and ab before they fitted lanes: each
+# lane of their fit_many must equal these. qda kept lists where its batched
+# fit keeps arrays; ab searched its stumps one lane at a time.
+
+def oracle_knn(X, y):
+    model = KNN()
+    model.X_ = np.array(X, dtype=float)
+    model.y_ = np.array(y, dtype=int)
+    return model
+
+
+def oracle_gnb(X, y):
+    model = GaussianNB()
+    eps = model.var_smoothing * max(X.var(axis=0).max(), 1e-30)
+    model.means_ = np.stack([X[y == c].mean(axis=0) for c in (0, 1)])
+    model.vars_ = np.stack([X[y == c].var(axis=0) + eps for c in (0, 1)])
+    model.log_priors_ = np.log(np.array([(y == 0).mean(), (y == 1).mean()]))
+    return model
+
+
+def oracle_qda(X, y):
+    model = QDA()
+    d = X.shape[1]
+    means, inv_covs, logdets = [], [], []
+    for c in (0, 1):
+        Xc = X[y == c]
+        mu = Xc.mean(axis=0)
+        cov = (Xc - mu).T @ (Xc - mu) / len(Xc) + model.ridge * np.eye(d)
+        sign, logdet = np.linalg.slogdet(cov)
+        means.append(mu)
+        inv_covs.append(np.linalg.inv(cov))
+        logdets.append(logdet)
+    model.means_, model.inv_covs_, model.logdets_ = (
+        np.array(means), np.array(inv_covs), np.array(logdets))
+    model.log_priors_ = np.log(np.array([(y == 0).mean(), (y == 1).mean()]))
+    return model
+
+
+def oracle_ab(X, y):
+    """AdaBoost's fit of one lane, each stump from ``oracle_stump``."""
+    model = AdaBoost()
+    ypm = np.where(y == 1, 1.0, -1.0)
+    n = len(X)
+    w = np.full(n, 1.0 / n)
+    stumps = tree.TreeNodes.empty((model.n_estimators, 3))
+    for k in range(model.n_estimators):
+        stump = oracle_stump(X, ypm, w)
+        j, thr, polarity = stump.feature[0], stump.threshold[0], int(stump.value[2])
+        pred = np.where(X[:, j] <= thr, -polarity, polarity).astype(float)
+        err = float(np.sum(w[pred != ypm]))
+        if err >= 0.5:
+            break
+        stumps.feature[k, 0], stumps.threshold[k, 0] = j, thr
+        stumps.left[k, 0], stumps.right[k, 0] = 1, 2
+        stumps.value[k, 1:] = -polarity, polarity
+        if err <= 1e-12:
+            model.weights_.append(np.log((1 - 1e-12) / 1e-12) / 2)
+            break
+        alpha = 0.5 * np.log((1 - err) / err)
+        model.weights_.append(alpha)
+        w = w * np.exp(-alpha * ypm * pred)
+        w = w / w.sum()
+    kept = len(model.weights_)
+    if kept:
+        model.nodes_ = ensemble._trimmed(stumps, 0, kept)
+    gain = np.zeros((kept, 3))
+    gain[:, 0] = model.weights_
+    width = int(stumps.feature[:kept, 0].max(initial=-1)) + 1
+    model.importances_ = tree.feature_gains(stumps[:kept], gain, width)
+    return model
+
+
+LANE_ORACLES = {"knn": oracle_knn, "gnb": oracle_gnb, "qda": oracle_qda, "ab": oracle_ab}
+
+
+class TestLanesEqualTheirOneLaneFits:
+    """Every lane of knn's, gnb's, qda's and ab's ``fit_many`` equals the
+    one-lane fit of its rows, in model state and scores, as bytes."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", sorted(LANE_ORACLES))
+    def test_each_lane_equals_its_fit_alone(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        stumps = set()
+        for _ in range(20):
+            lanes = lda_block(rng)
+            models = [base._build(ClassifierConfig(kind)) for _ in lanes.counts]
+            models[0].fit_many(models, lanes)
+            probe = rng.normal(size=(6, lanes.X.shape[2])) * 3
+            for model, X, y, c in zip(models, lanes.X, lanes.y, lanes.counts):
+                oracle = LANE_ORACLES[kind](X[:c], y[:c])
+                assert _state(model) == _state(oracle)
+                assert (_bits(model.decision_function(probe))
+                        == _bits(oracle.decision_function(probe)))
+                if kind == "ab":
+                    stumps.add(len(model.weights_))
+        if kind == "ab":
+            # lanes that keep no stump, halt at a perfect one, halt later
+            # and run every round
+            assert {0, 1, AdaBoost.n_estimators} < stumps
+            assert any(1 < k < AdaBoost.n_estimators for k in stumps)
 
 
 class TestImportance:
@@ -823,20 +939,46 @@ class TestSplitSearchMatchesLoops:
         ypm = np.where(y == 1, 1.0, -1.0)
         lanes = tree.sort_lanes(X[None], np.ones((1, len(y)), bool))
         for weights in (np.full(len(y), 1.0 / len(y)), w):
-            assert tree.stump_split(lanes, ypm, weights) == loop_stump_split(X, ypm, weights)
+            assert lane_stumps(tree.stump_split(lanes, ypm[None], weights[None])) == [
+                loop_stump_split(X, ypm, weights)]
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_stump_of_every_lane(self, seed):
+        """One call searches ragged lanes, each with its own rows, labels and
+        weights (0 off its rows), and a selection of the sorted lanes
+        searches just those lanes."""
+        rng, X, y, w = split_case(seed)
+        lane_x, masks, lane_y, lane_w = lane_case(rng, X, y, w)
+        ypm = np.where(lane_y == 1, 1.0, -1.0)
+        weights = np.where(masks, lane_w, 0.0)
+        lanes = tree.sort_lanes(lane_x, masks)
+        expected = [loop_stump_split(lane_x[b][m], ypm[b][m], weights[b][m])
+                    for b, m in enumerate(masks)]
+        assert lane_stumps(tree.stump_split(lanes, ypm, weights)) == expected
+        keep = np.array([1, 3, 4])
+        assert lane_stumps(tree.stump_split(tuple(a[keep] for a in lanes), ypm, weights)) == [
+            expected[b] for b in keep]
 
     def test_stump_tie_breaks(self):
         def stump(X, ypm, w):
-            return tree.stump_split(tree.sort_lanes(X[None], np.ones((1, len(X)), bool)), ypm, w)
+            lanes = tree.sort_lanes(X[None], np.ones((1, len(X)), bool))
+            return lane_stumps(tree.stump_split(lanes, ypm[None], w[None]))
 
         # the cut below all values and both real cuts each err by 1
         X = np.array([[0.0], [1.0], [2.0]])
         ypm = np.array([1.0, -1.0, 1.0])
         w = np.ones(3)
-        assert stump(X, ypm, w) == loop_stump_split(X, ypm, w) == (0, -1.0, 1)
+        assert stump(X, ypm, w) == [loop_stump_split(X, ypm, w)] == [(0, -1.0, 1)]
         # both polarities err by 1: polarity -1 wins
         X, ypm, w = np.zeros((2, 1)), np.array([1.0, -1.0]), np.ones(2)
-        assert stump(X, ypm, w) == loop_stump_split(X, ypm, w) == (0, -1.0, -1)
+        assert stump(X, ypm, w) == [loop_stump_split(X, ypm, w)] == [(0, -1.0, -1)]
+
+
+def lane_stumps(split):
+    """Each lane's (column, threshold, polarity) of ``stump_split``'s arrays."""
+    col, thr, polarity = split
+    assert col.shape == thr.shape == polarity.shape == (len(col),)
+    return [(int(c), float(t), int(p)) for c, t, p in zip(col, thr, polarity)]
 
 
 # ---------------------------------------------------------------------------
@@ -1929,9 +2071,9 @@ class TestTrainMany:
 
 
 class TestPaddingIsNeverRead:
-    """The ``Lanes`` contract: a fit reads no padding row. Each batched kind
-    fits the ``Lanes`` that ``_training_lanes`` builds and the same lanes
-    with their padding overwritten, to equal model state bytes."""
+    """The ``Lanes`` contract: a fit reads no padding row. Each kind fits the
+    ``Lanes`` that ``_training_lanes`` builds and the same lanes with their
+    padding overwritten, to equal model state bytes."""
 
     @staticmethod
     def fit_states(kind, lanes):
@@ -1940,7 +2082,7 @@ class TestPaddingIsNeverRead:
         return [_state(model) for model in models]
 
     @pytest.mark.parametrize("padding", ["nan", "-inf", "random"])
-    @pytest.mark.parametrize("kind", ["svc", "dtc", "rf", "gb", "xgb", "lr", "lda"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_overwritten_padding_gives_equal_models(self, kind, padding):
         lanes, _ = ragged_lanes(15)
         X, y = lanes[0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from timesense.errors import InvalidInput
 from timesense.model import (
     CHANNELS,
     FEATURE_NAMES,
@@ -96,6 +97,15 @@ def test_dataset_validates_labels_and_shapes():
         Dataset(X, [0, 1, 2], [1, 1, 2])
     with pytest.raises(ValueError):
         Dataset(X, [0, 1], [1, 1])
+
+
+def test_dataset_refuses_duplicate_feature_names():
+    """Selection maps each name to one column; a repeated name would map the
+    column a selection chose to another."""
+    X = np.zeros((2, 3))
+    with pytest.raises(InvalidInput, match=r"duplicate feature names: \['a'\]"):
+        Dataset(X, [0, 1], [1, 2], ("a", "b", "a"))
+    assert Dataset(X, [0, 1], [1, 2], ("a", "b", "c")).feature_names == ("a", "b", "c")
 
 
 def test_report_mean_consistency():

@@ -272,3 +272,10 @@ def test_lockstep_selections_equal_each_alone(kind):
                                        for ds, config, s in selections]
     assert rfecv_many(selections) == [reference_rfecv(ds, config, seed=s)
                                       for ds, config, s in selections]
+
+
+def test_no_selections_give_no_results():
+    assert sfs_many([], 2) == []
+    assert rfecv_many([]) == []
+    with pytest.raises(InvalidInput, match="n_features"):
+        sfs_many([], 2.5)
