@@ -71,7 +71,7 @@ class RandomForest(TreeEnsemble):
 
     @classmethod
     def lane_cost(cls, n, width):
-        # a copy of the lane's rows per tree
+        # the rows of a searched node gathered per tree
         return cls.n_estimators * n * width
 
     @staticmethod
@@ -81,22 +81,22 @@ class RandomForest(TreeEnsemble):
         X, y, first = lanes.X, lanes.y, models[0]
         n_trees = first.n_estimators
         lane = np.repeat(np.arange(len(models)), n_trees)
-        rows = np.broadcast_to(np.arange(X.shape[1]), (len(lane), X.shape[1]))
+        weights = lanes.valid[lane].astype(int)
         rngs, max_features = [], None
         if first.draws:
-            rows = np.zeros(rows.shape, dtype=int)
             for b, (model, n) in enumerate(zip(models, lanes.counts.tolist())):
                 tree_rngs = [np.random.default_rng([model.seed, t]) for t in range(n_trees)]
                 boot = np.array([tree_rng.integers(0, n, size=n) for tree_rng in tree_rngs])
-                # bootstrap can lose a class; fall back to the full sample
-                boot_y = y[b, boot]
-                boot[boot_y.min(axis=1) == boot_y.max(axis=1)] = np.arange(n)
-                rows[b * n_trees:(b + 1) * n_trees, :n] = boot
+                # each tree's row weights: its draws of each row, counted on one sort
+                drawn = np.sort(boot + n * np.arange(n_trees)[:, None], axis=None)
+                draws = np.diff(drawn.searchsorted(np.arange(n_trees * n + 1))).reshape(-1, n)
+                # a bootstrap of 0 or n fast draws lost a class; fall back to every row
+                draws[np.isin(draws @ y[b, :n], (0, n))] = 1
+                weights[b * n_trees:(b + 1) * n_trees, :n] = draws
                 rngs += tree_rngs
             max_features = max(1, int(np.sqrt(X.shape[2])))
-        nodes, gain = grow_forest(
-            X[lane[:, None], rows], y[lane[:, None], rows], lanes.valid[lane],
-            max_features=max_features, feature_rngs=rngs)
+        nodes, gain = grow_forest(lanes, lane, weights, max_features=max_features,
+                                  feature_rngs=rngs)
         importances = feature_gains(nodes, gain, X.shape[2])
         for b, model in enumerate(models):
             trees = slice(b * n_trees, (b + 1) * n_trees)

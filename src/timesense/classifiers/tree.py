@@ -4,8 +4,8 @@ search.
 ``sort_lanes`` and ``best_split`` search the nodes of many trees at once:
 each node is a lane of a ``(B, n, f)`` stack. Two growers call them, and
 each serves one block of fits at once: one of ``Lanes.blocks``.
-``grow_forest`` grows a set of CART trees (dtc, rf) in lockstep, one lane
-per tree, each tree in depth-first order. ``grow_boosting_trees`` grows one
+``grow_forest`` grows a set of CART trees (dtc, rf) in lockstep, each on
+row weights of its lane, depth first. ``grow_boosting_trees`` grows one
 round's regression tree of each of many gradient boosting fits (gb, xgb)
 level by level, one lane per leaf of a level, into preorder slots; the roots
 of every round reuse one sort of the rows. AdaBoost (ab) searches the
@@ -260,11 +260,11 @@ def stump_split(lanes, ypm, w):
     return col, thr, np.where(err_neg <= err_pos, -1, 1)
 
 
-def grow_forest(X, y, mask, max_features=None, feature_rngs=None):
+def grow_forest(lanes, lane, weights, max_features=None, feature_rngs=None):
     """CART trees with Gini impurity and best-split strategy, grown in
     lockstep until no leaf has a cut that lowers its impurity; tree t is
-    grown on the rows of ``X[t]`` (T, n, d) and ``y[t]`` where ``mask[t]``
-    holds.
+    grown on lane ``lane[t]`` of ``lanes``, on the rows where ``weights[t]``
+    (T, n) is above 0, each counted that many times (its bootstrap draws).
 
     Each tree expands its nodes depth first, left child first. At each step
     every tree goes on to its next node that needs a split search, and one
@@ -276,17 +276,18 @@ def grow_forest(X, y, mask, max_features=None, feature_rngs=None):
     Returns (TreeNodes stack, gain of each node (T, m)): a split's weighted
     Gini decrease times its share of the tree's rows, 0 at a leaf.
     """
-    n_trees, n, d = X.shape
+    n_trees, (n, d) = len(lane), lanes.X.shape[1:]
     draw = max_features is not None and max_features < d
     grown = TreeNodes.empty((n_trees, 2 * n - 1))
     feature, threshold, left, right, value = grown.arrays()
     gain = np.zeros(value.shape)
     count = [0] * n_trees
-    n_root = mask.sum(axis=1)
-    fast_root = (mask & (y == 1)).sum(axis=1).tolist()
+    # each tree's row and fast-row weights (2, T, n): small integers, summed exactly
+    stats = np.array([weights, np.where(lanes.y[lane] == 1, weights, 0)], dtype=float)
+    n_root, fast_root = stats.sum(axis=2)
     # pending nodes of each tree: (rows mask, parent of a right child or
-    # NO_CHILD, row count, fast count)
-    stacks = [[(mask[t], NO_CHILD, int(n_root[t]), fast_root[t])] for t in range(n_trees)]
+    # NO_CHILD, row weight, fast weight)
+    stacks = [[(weights[t] > 0, NO_CHILD, n_root[t], fast_root[t])] for t in range(n_trees)]
     while True:
         search = []
         for t, stack in enumerate(stacks):
@@ -308,13 +309,12 @@ def grow_forest(X, y, mask, max_features=None, feature_rngs=None):
                               for t in trees])
         else:
             feats = np.broadcast_to(np.arange(d), (len(trees), d))
-        lane_x = X[trees[:, None, None], np.arange(n)[:, None], feats[:, None, :]]
-        lane_fast = masks & (y[trees] == 1)
-        col, n_left, thr, best, (_, fast_left) = best_split(
-            sort_lanes(lane_x, masks), np.array([masks, lane_fast], dtype=float),
-            gini_score(rows_in.astype(float), fast.astype(float)))
+        lane_x = lanes.X[lane[trees, None, None], np.arange(n)[:, None], feats[:, None, :]]
+        col, _, thr, best, (n_left, fast_left) = best_split(
+            sort_lanes(lane_x, masks), np.where(masks, stats[:, trees], 0.0),
+            gini_score(rows_in, fast))
         j = feats[np.arange(len(trees)), col]
-        go_left = X[trees, :, j] <= thr[:, None]
+        go_left = lanes.X[lane[trees], :, j] <= thr[:, None]
         to_left, to_right = masks & go_left, masks & ~go_left
         split = best > -np.inf
         t, node = trees[split], nodes[split]

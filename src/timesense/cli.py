@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from . import ingest, pipeline
 from .classifiers import ClassifierConfig, train
-from .errors import TimesenseError
+from .errors import InvalidInput, TimesenseError
 from .evaluate import (MATRIX_KINDS, MATRIX_SCHEMA_VERSION, SELECTION_MODES, losocv,
                        report_matrix, report_to_jsonable)
 from .explain import RANKING_SCHEMA_VERSION, mean_abs_shap
@@ -61,17 +61,24 @@ def cmd_extract(args):
 
 
 def cmd_evaluate(args):
+    """One classifier's LOSOCV report (selection "none" unless given), or
+    with ``--classifier all`` the matrix of every kind and selection mode,
+    which refuses a ``--selection`` it would not read."""
+    if args.classifier == "all" and args.selection is not None:
+        raise InvalidInput("--selection does not apply to --classifier all, "
+                           "whose matrix runs every selection mode")
     dataset = pipeline.dataset_from_csv(args.features)
     if args.classifier == "all":
         matrix = report_matrix(dataset, scaler_method=args.scaling, seed=args.seed)
         doc = {"schema_version": MATRIX_SCHEMA_VERSION, "scaling": args.scaling,
                "seed": args.seed, "matrix": matrix}
     else:
+        selection = args.selection or "none"
         report = losocv(dataset, ClassifierConfig(args.classifier, seed=args.seed),
-                        scaler_method=args.scaling, selection=(args.selection, None),
+                        scaler_method=args.scaling, selection=(selection, None),
                         seed=args.seed)
         doc = report_to_jsonable(report)
-        doc.update({"classifier": args.classifier, "selection": args.selection,
+        doc.update({"classifier": args.classifier, "selection": selection,
                     "scaling": args.scaling, "seed": args.seed})
     write_json(args.out, doc)
     print(f"wrote report to {args.out}")
@@ -112,7 +119,8 @@ def build_parser():
     p.add_argument("--features", required=True)
     p.add_argument("--classifier", required=True,
                    choices=list(MATRIX_KINDS) + ["all"])
-    p.add_argument("--selection", default="none", choices=list(SELECTION_MODES))
+    p.add_argument("--selection", default=None, choices=list(SELECTION_MODES),
+                   help='one classifier\'s selection mode (default "none")')
     p.add_argument("--scaling", default="minmax", choices=list(pipeline.SCALER_METHODS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="report JSON path")

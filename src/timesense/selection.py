@@ -168,27 +168,21 @@ def rfecv_many(selections) -> list:
     problems = _problems(selections)
     kept = [list(range(len(names))) for _ in problems]
     traces = [[] for _ in problems]
-    sets_by_size = [{} for _ in problems]
     while True:
         last = len(kept[0]) <= 1
         # the model of all rows, whose importances pick the feature to drop,
         # trains in the same batch as the fold models
         candidates = [[dataset.X[:, cols]] for (dataset, _, _), cols in zip(selections, kept)]
         scores, importances = _scores(problems, candidates, all_rows=not last)
-        for cols, trace, sizes, (score,), imp in zip(kept, traces, sets_by_size, scores,
-                                                     importances):
+        for cols, trace, (score,), imp in zip(kept, traces, scores, importances):
             trace.append((tuple(names[i] for i in cols), score))
-            sizes[len(cols)] = (score, list(cols))
             if not last:
                 del cols[min(range(len(cols)), key=lambda i: (imp[i], -cols[i]))]
         if last:
             break
-    results = []
-    for trace, sizes in zip(traces, sets_by_size):
-        best_size = max(sizes, key=lambda sz: (sizes[sz][0], -sz))
-        results.append(SelectionResult(tuple(names[i] for i in sizes[best_size][1]),
-                                       tuple(trace)))
-    return results
+    # each selection's best-scoring set; a tie goes to the smaller set
+    return [SelectionResult(max(trace, key=lambda entry: (entry[1], -len(entry[0])))[0],
+                            tuple(trace)) for trace in traces]
 
 
 def rfecv(dataset, config: ClassifierConfig, seed: int = 0) -> SelectionResult:

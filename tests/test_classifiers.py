@@ -2098,6 +2098,53 @@ class TestPaddingIsNeverRead:
         assert self.fit_states(kind, Lanes(X, y, built.counts)) == self.fit_states(kind, built)
 
 
+class TestForestRowWeights:
+    """dtc and rf grow each tree on row weights of its lane of the block's
+    ``Lanes``: rf's weights are its bootstrap's draw counts, or ones where
+    the bootstrap loses a class, and dtc's one tree takes every row once."""
+
+    SEEDS = [3, 4, 5, 6, 7, 8]
+
+    def grown(self, monkeypatch, kind):
+        """The block's ``Lanes`` and the (lanes, lane, weights) that
+        ``grow_forest`` receives: the ragged lanes and a lane of 6 rows with
+        one fast row, which about a third of its bootstraps lose."""
+        lanes = ragged_lanes(15)[0] + [(np.arange(12.0).reshape(6, 2) % 5,
+                                        np.array([0, 0, 0, 1, 0, 0]))]
+        (_, built), = base._training_lanes([(X[:, :2], y) for X, y in lanes])
+        calls = _count_calls(monkeypatch, ensemble, "grow_forest")
+        models = [base._build(ClassifierConfig(kind, seed=seed)) for seed in self.SEEDS]
+        models[0].fit_many(models, built)
+        (call,) = calls
+        return built, call
+
+    @pytest.mark.parametrize("kind", ["dtc", "rf"])
+    def test_grows_on_the_blocks_lanes(self, monkeypatch, kind):
+        built, (lanes, lane, weights) = self.grown(monkeypatch, kind)
+        assert lanes is built
+        trees = base._ESTIMATORS[kind].n_estimators
+        assert np.array_equal(lane, np.repeat(np.arange(len(built.counts)), trees))
+        assert weights.shape == (len(lane), built.X.shape[1])
+
+    def test_rf_weights_are_bootstrap_draw_counts(self, monkeypatch):
+        built, (_, lane, weights) = self.grown(monkeypatch, "rf")
+        fallbacks = 0
+        for i, b in enumerate(lane.tolist()):
+            n = built.counts[b]
+            boot = np.random.default_rng([self.SEEDS[b], i % RandomForest.n_estimators]
+                                         ).integers(0, n, size=n)
+            lost = len(np.unique(built.y[b, boot])) < 2
+            fallbacks += lost
+            own = np.ones(n, dtype=int) if lost else np.bincount(boot, minlength=n)
+            assert np.array_equal(weights[i], np.r_[own, np.zeros(weights.shape[1] - n, int)])
+            assert weights[i].sum() == n
+        assert fallbacks > 0
+
+    def test_dtc_takes_every_row_once(self, monkeypatch):
+        built, (_, _, weights) = self.grown(monkeypatch, "dtc")
+        assert np.array_equal(weights, built.valid)
+
+
 def tied_lanes():
     """Lanes of 1, 2 and 3 features, several of each (rows, width) shape,
     with values in {-0.0, 0.0, 1.0}: rows tie on their leading keys, repeat

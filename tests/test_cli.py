@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timesense import ingest, pipeline
+from timesense import cli, ingest, pipeline
 from timesense.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main
+from timesense.evaluate import MATRIX_SCHEMA_VERSION
 from timesense.explain import MAX_SAMPLES
 from tests.conftest import planted_dataset
 
@@ -142,6 +143,32 @@ class TestEvaluate:
         rc = main(["evaluate", "--features", str(tmp_path / "no.csv"),
                    "--classifier", "lr", "--out", str(tmp_path / "r.json")])
         assert rc == EXIT_IO
+
+    @pytest.mark.parametrize("mode", ["none", "sfs", "rfecv"])
+    def test_matrix_refuses_a_selection(self, planted_csv, tmp_path, capsys, mode):
+        rc = main(["evaluate", "--features", str(planted_csv), "--classifier", "all",
+                   "--selection", mode, "--out", str(tmp_path / "r.json")])
+        assert rc == EXIT_DOMAIN
+        (line,) = error_lines(capsys)
+        assert line.startswith("error: --selection ") and "--classifier all" in line
+        assert not (tmp_path / "r.json").exists()
+
+    def test_matrix_document(self, planted_csv, tmp_path, monkeypatch):
+        calls = []
+
+        def matrix(dataset, scaler_method, seed):
+            calls.append((len(dataset), scaler_method, seed))
+            return {"lr": {"none": 1.0}}
+
+        monkeypatch.setattr(cli, "report_matrix", matrix)
+        out = tmp_path / "matrix.json"
+        rc = main(["evaluate", "--features", str(planted_csv), "--classifier", "all",
+                   "--scaling", "zscore", "--seed", "4", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert calls == [(len(planted_dataset()), "zscore", 4)]
+        assert json.loads(out.read_text()) == {
+            "schema_version": MATRIX_SCHEMA_VERSION, "scaling": "zscore", "seed": 4,
+            "matrix": {"lr": {"none": 1.0}}}
 
     def test_malformed_features_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
