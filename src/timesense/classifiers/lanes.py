@@ -19,11 +19,6 @@ class Lanes:
     def __init__(self, X, y, counts):
         self.X, self.y, self.counts = X, y, counts
 
-    @classmethod
-    def alone(cls, X, y):
-        """The one lane of the rows X (n, width) and labels y (n,)."""
-        return cls(X[None], y[None], np.array([len(y)]))
-
     @cached_property
     def valid(self):
         """Where each lane's own rows are: (lanes, n)."""

@@ -42,8 +42,10 @@ MAX_SAMPLES = 1 << 16
 # where Generator.choice draws by Floyd's algorithm, as the replay assumes.
 MAX_COALITION_ENTRIES = 1 << 22
 # Synthetic rows per model call when scoring coalitions. A call holds as
-# many whole coalitions as fit (at least one), so memory stays flat however
-# many coalitions an explanation scores.
+# many whole coalitions as fit (at least one), and no more than one
+# explained row has, so memory stays flat however many coalitions an
+# explanation scores. A ranking explains as many rows at a time as keep
+# their coalitions within this many (at least one row).
 CHUNK_ROWS = 4096
 
 
@@ -59,22 +61,25 @@ def _explained(background, instance):
     return background, instance
 
 
-def _coalition_values(model, background, instance, masks):
+def _coalition_values(model, background, instances, masks):
     """v(S) for each mask: mean score with absent features taken from each
-    background row; ``background`` and ``instance`` as ``_explained``
-    returns them.
+    background row and present ones from the mask's instance; ``background``
+    and each of ``instances`` (k, d) as ``_explained`` returns them, and
+    ``masks`` (k x m, d) the m masks of each instance in turn.
 
-    The coalitions of a chunk are stacked into one synthetic stack, one
-    background-sized block per mask, and scored by one model call. Each
-    v(S) is bit for bit the mean of a call on its block alone.
+    The coalitions are stacked into synthetic stacks, one background-sized
+    block per mask, and each chunk of at most m coalitions is scored by one
+    model call; a chunk may hold the coalitions of two or more instances.
+    Each v(S) is bit for bit the mean of a call on its block alone.
     """
     n_bg, d = background.shape
-    masks = np.asarray(masks, dtype=bool).reshape(len(masks), d)
-    per_chunk = max(1, CHUNK_ROWS // n_bg)
+    m = len(masks) // len(instances)
+    per_chunk = max(1, min(CHUNK_ROWS // n_bg, m))
     out = np.empty(len(masks))
     for start in range(0, len(masks), per_chunk):
         chunk = masks[start:start + per_chunk]
-        synth = np.where(chunk[:, None, :], instance, background)
+        owners = instances[np.arange(start, start + len(chunk)) // m]
+        synth = np.where(chunk[:, None, :], owners[:, None, :], background)
         out[start:start + len(chunk)] = decision_scores(model, synth).mean(axis=1)
     return out
 
@@ -103,7 +108,7 @@ def exact_shapley(model: TrainedModel, background, instance) -> Attribution:
     # v(S) at the bit code of S, so that S with i added is at code | 1 << i
     codes = masks @ (1 << np.arange(d))
     values = np.empty(2**d)
-    values[codes] = _coalition_values(model, background, instance, masks)
+    values[codes] = _coalition_values(model, background, instance[None], masks)
 
     fact = [math.factorial(i) for i in range(d + 1)]
     phi = np.zeros(d)
@@ -142,17 +147,18 @@ def _pick_size(cdf, u):
 
 
 def _lemire_may_reject(products, bounds):
-    """Whether Lemire's method might reject one of the bounded draws whose
-    32-bit draw times its bound is ``products``: it redraws when the low
-    word is below 2**32 mod bound, and that is below bound."""
-    return bool(((products & 0xFFFFFFFF) < bounds).any())
+    """Which of the bounded draws whose 32-bit draw times its bound is
+    ``products`` Lemire's method might reject: it redraws when the low word
+    is below 2**32 mod bound, and that is below bound."""
+    return (products & 0xFFFFFFFF) < bounds
 
 
-def _replayed_coalitions(d, n_samples, cdf, bit_generator):
-    """The rows the loop of ``_sample_coalitions`` draws from a Generator
-    on the fresh PCG64 ``bit_generator``, replayed from one block of its raw
-    64-bit words; None when a bounded draw might have been rejected and
-    redrawn.
+def _replayed_coalitions(d, n_samples, cdf, *bit_generators):
+    """The rows the loop of ``_sample_coalitions`` draws from a Generator on
+    each fresh PCG64 of ``bit_generators``, stacked (generators x n_samples,
+    d) as bools and replayed from one block of raw words per generator in
+    one pass over all of them; and per generator whether a bounded draw
+    might have been rejected and redrawn, which leaves its rows unvouched.
 
     Generator.choice consumes the stream thus. A size draw takes one word,
     ``(w >> 11) * 2**-53``. A draw in 0 .. j takes one 32-bit half, the low
@@ -164,63 +170,74 @@ def _replayed_coalitions(d, n_samples, cdf, bit_generator):
     ``1 + s_i - (i & 1)`` words, and the halves of all coalitions, in
     stream order, are the words that are not size draws.
     """
-    words = bit_generator.random_raw(n_samples * d)    # 1 + s <= d words a coalition
-    raw = memoryview(words)
-    sizes = []
-    at = 0
-    for i in range(n_samples):
-        s = _pick_size(cdf, (raw[at] >> 11) * 2.0**-53)
-        sizes.append(s)
-        at += 1 + s - (i & 1)
+    sizes, halves = [], []
+    for bit_generator in bit_generators:
+        words = bit_generator.random_raw(n_samples * d)    # 1 + s <= d words a coalition
+        raw = memoryview(words)
+        row = []
+        at = 0
+        for i in range(n_samples):
+            s = _pick_size(cdf, (raw[at] >> 11) * 2.0**-53)
+            row.append(s)
+            at += 1 + s - (i & 1)
+        sizes += row
+        taken = 1 + np.array(row) - np.arange(n_samples) % 2   # words of each coalition
+        bounded = np.ones(at, dtype=bool)
+        bounded[np.cumsum(taken) - taken] = False
+        halves.append(words[:at][bounded].astype("<u8", copy=False).view("<u4"))
+        del raw, words   # free the block, as large as the rows, before the next
     size = np.array(sizes)
-    taken = 1 + size - np.arange(n_samples) % 2        # words of each coalition
-    bounded = np.ones(at, dtype=bool)
-    bounded[np.cumsum(taken) - taken] = False
-    halves = words[:at][bounded].astype("<u8", copy=False).view("<u4")
-    del raw, words   # free the block, as large as the rows, before they are built
+    # a generator's halves run one past its sizes' 2 s - 1 when n_samples
+    # is odd, so each generator's coalitions start at its own halves
+    lengths = [len(h) for h in halves]
+    halves = np.concatenate(halves)
+    span = (2 * size - 1).reshape(len(lengths), n_samples)
+    first = (np.cumsum(span, axis=1) - span + (np.cumsum(lengths) - lengths)[:, None]).ravel()
 
     # largest coalitions first, so that the coalitions a step draws for are
     # the first n of order; n_at_least[k] of them have size >= k
-    first = np.cumsum(2 * size - 1) - (2 * size - 1)   # first half of each coalition
     order = np.argsort(-size, kind="stable")
+    owner = order // n_samples                         # generator of each coalition
+    row_at = order * d                                 # first cell of each coalition's row
     shuffle_at = (first + size)[order]                 # first half after Floyd's draws
     sorted_size = size[order].astype(np.uint64)
-    n_at_least = np.bincount(sizes, minlength=d + 1)[::-1].cumsum()[::-1].tolist()
-    chosen = np.zeros((n_samples, d), dtype=bool)
+    n_at_least = np.bincount(size, minlength=d + 1)[::-1].cumsum()[::-1].tolist()
+    chosen = np.zeros(len(size) * d, dtype=bool)
+    flagged = np.zeros(len(lengths), dtype=bool)
     for j in range(1, d):
         # Floyd's draw in 0 .. j, for coalitions of size >= d - j
         n = n_at_least[d - j]
         products = halves[shuffle_at[:n] + (j - d)] * np.uint64(j + 1)
-        if _lemire_may_reject(products, j + 1):
-            return None
-        picked = (products >> 32).astype(np.intp)
-        rows = order[:n]
-        chosen[rows, np.where(chosen[rows, picked], j, picked)] = True
+        flagged[owner[:n][_lemire_may_reject(products, j + 1)]] = True
+        cells = row_at[:n] + (products >> 32).astype(np.intp)
+        chosen[np.where(chosen[cells], row_at[:n] + j, cells)] = True
         # shuffle draw j - 1, in 0 .. s - j, for coalitions of size >= j + 1
         n = n_at_least[j + 1]
         bounds = sorted_size[:n] - (j - 1)
-        if _lemire_may_reject(halves[shuffle_at[:n] + (j - 1)] * bounds, bounds):
-            return None
-    return chosen.astype(float)
+        products = halves[shuffle_at[:n] + (j - 1)] * bounds
+        flagged[owner[:n][_lemire_may_reject(products, bounds)]] = True
+    return chosen.reshape(len(size), d), flagged
 
 
-def _sample_coalitions(d, n_samples, seed):
-    """n_samples random proper coalitions as 0/1 rows: a size drawn from
-    the kernel's size profile, then that many distinct features, bit for
-    bit as ``default_rng(seed)`` draws them with ``random`` and ``choice``.
+def _sample_coalitions(d, n_samples, *seeds):
+    """n_samples random proper coalitions per seed as bool rows, stacked
+    (seeds x n_samples, d): a size drawn from the kernel's size profile,
+    then that many distinct features, bit for bit as ``default_rng(seed)``
+    draws them with ``random`` and ``choice``.
 
-    The rows are replayed from one block of raw words; where the replay
-    cannot vouch for a draw, a fresh generator draws them coalition by
-    coalition.
+    The rows are replayed in one pass from one block of raw words per seed;
+    where the replay cannot vouch for a seed's draws, a fresh generator
+    draws that seed's rows coalition by coalition.
     """
     cdf = _size_cdf(d)
-    Z = _replayed_coalitions(d, n_samples, cdf, np.random.default_rng(seed).bit_generator)
-    if Z is not None:
-        return Z
-    rng = np.random.default_rng(seed)
-    Z = np.zeros((n_samples, d))
-    for i in range(n_samples):
-        Z[i, rng.choice(d, size=_pick_size(cdf, rng.random()), replace=False)] = 1.0
+    Z, flagged = _replayed_coalitions(
+        d, n_samples, cdf, *(np.random.default_rng(seed).bit_generator for seed in seeds))
+    for k in np.flatnonzero(flagged).tolist():
+        rng = np.random.default_rng(seeds[k])
+        rows = Z[k * n_samples:(k + 1) * n_samples]
+        rows[:] = False
+        for i in range(n_samples):
+            rows[i, rng.choice(d, size=_pick_size(cdf, rng.random()), replace=False)] = True
     return Z
 
 
@@ -257,36 +274,63 @@ def kernel_shap(model: TrainedModel, background, instance, n_samples: int,
     _check_sampling(len(instance), n_samples, seed)
     if len(background) == 0:
         raise InsufficientData("background must be non-empty")
-    return _kernel_shap(model, background, instance, n_samples, seed,
-                        _mean_score(model, background))
+    base = _mean_score(model, background)
+    (phi, pred), = _kernel_shap(model, background, instance[None], n_samples, int(seed), base)
+    return Attribution(phi, base, pred)
 
 
-def _kernel_shap(model, background, instance, n_samples, seed, base):
-    """``kernel_shap`` on checked arguments, with ``base`` the mean score of
-    the background."""
-    d = len(instance)
-    pred = _mean_score(model, instance[None, :])
+def _kernel_shap(model, background, X, n_samples, seed, base):
+    """``kernel_shap`` of each row of X on checked arguments, row i's
+    coalitions drawn with ``seed + i`` and ``base`` the mean score of the
+    background: yields each row's (values, prediction) in order.
 
+    The rows go in blocks of as many as keep their coalitions within
+    ``CHUNK_ROWS`` (at least one). A block draws all its rows' coalitions in
+    one replay, scores its rows in one model call and its coalitions in
+    shared chunks, and solves each row's regression on its own.
+    """
+    d = X.shape[1]
     if n_samples >= 2**d - 2:
-        Z = _coalitions(d, range(1, d)).astype(float)  # (0, d) when d = 1
-        weights = np.array([_kernel_weight(d, int(z.sum())) for z in Z])
+        # every proper coalition, the same for each row, with its size's weight
+        sizes = range(1, d)
+        every = _coalitions(d, sizes)  # (0, d) when d = 1
+        weights = np.repeat([_kernel_weight(d, s) for s in sizes],
+                            [math.comb(d, s) for s in sizes])
     else:
-        Z = _sample_coalitions(d, n_samples, seed)
         # sampling already follows the size profile of the kernel; the
         # per-subset weight within a size class is uniform
+        every = None
         weights = np.ones(n_samples)
+    m = len(weights)
+    sw = np.sqrt(weights)
+    per_block = max(1, CHUNK_ROWS // max(1, m))
+    for start in range(0, len(X), per_block):
+        rows = X[start:start + per_block]
+        preds = decision_scores(model, rows[:, None, :])[:, 0].tolist()
+        if every is None:
+            masks = _sample_coalitions(d, n_samples, *range(seed + start, seed + start + len(rows)))
+        else:
+            masks = np.tile(every, (len(rows), 1))
+        v = _coalition_values(model, background, rows, masks)
+        for r, pred in enumerate(preds):
+            own = slice(r * m, (r + 1) * m)
+            yield _regression(masks[own], sw, v[own], base, pred), pred
+        del masks, v   # free the block before the next one draws
 
-    v = _coalition_values(model, background, instance, Z.astype(bool))
 
+def _regression(masks, sw, v, base, pred):
+    """The Shapley values the kernel-weighted regression of the coalition
+    values ``v`` on the coalitions ``masks`` gives, with square-root weights
+    ``sw``."""
+    Z = masks.astype(float)
     # eliminate phi_d via the constraint sum(phi) = pred - base
     target = v - base - Z[:, -1] * (pred - base)
     A = Z[:, :-1] - Z[:, -1][:, None]
-    sw = np.sqrt(weights)
     coef, *_ = np.linalg.lstsq(A * sw[:, None], target * sw, rcond=None)
-    phi = np.empty(d)
+    phi = np.empty(Z.shape[1])
     phi[:-1] = coef
     phi[-1] = (pred - base) - float(np.sum(coef))
-    return Attribution(phi, base, pred)
+    return phi
 
 
 def mean_abs_shap(model: TrainedModel, dataset, n_samples: int, seed: int = 0):
@@ -307,9 +351,8 @@ def mean_abs_shap(model: TrainedModel, dataset, n_samples: int, seed: int = 0):
         background = X[np.sort(keep)]
     base = _mean_score(model, background)
     totals = np.zeros(X.shape[1])
-    for i in range(len(X)):
-        att = _kernel_shap(model, background, X[i], n_samples, int(seed) + i, base)
-        totals += np.abs(att.values)
+    for phi, _ in _kernel_shap(model, background, X, n_samples, int(seed), base):
+        totals += np.abs(phi)
     means = totals / len(X)
     order = sorted(range(len(means)), key=lambda j: (-means[j], j))
     names = dataset.feature_names

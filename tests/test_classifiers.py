@@ -61,7 +61,7 @@ def train_case(monkeypatch, case, X, y):
 def fitted(model, X, y):
     """``model`` fitted on the rows (X, y) as given, by its one-lane
     ``fit_many``."""
-    model.fit_many([model], Lanes.alone(X, y))
+    model.fit_many([model], Lanes(X[None], y[None], np.array([len(y)])))
     return model
 
 

@@ -4,8 +4,8 @@ classifier input; the estimators take the checked float64 arrays as given.
 The scan reads each module of ``src/timesense/classifiers/`` with ``ast``
 and lists every ``np.asarray`` or ``np.array`` call whose first argument is
 a parameter of the function around it, for every function named in
-``SCANNED``: the estimators' ``fit_many`` and ``decision_function``,
-``tree.walk`` and ``Lanes.alone``. No estimator is exempt: knn keeps
+``SCANNED``: the estimators' ``fit_many`` and ``decision_function``, and
+``tree.walk``. No estimator is exempt: knn keeps
 ``.copy()``s of its lane's rows, which convert nothing.
 """
 
@@ -13,7 +13,7 @@ import ast
 from pathlib import Path
 
 CLASSIFIERS = Path(__file__).resolve().parent.parent / "src" / "timesense" / "classifiers"
-SCANNED = ("fit_many", "decision_function", "walk", "alone")
+SCANNED = ("fit_many", "decision_function", "walk")
 CONVERSIONS = ("asarray", "array")
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -395,12 +396,12 @@ class TestChunkedScoringMatchesLoop:
         masks = rng.random((11, 5)) < 0.5
         expected = loop_coalition_values(model, background, instance, list(masks))
         # one chunk at the real row budget
-        assert same_bits(explain._coalition_values(model, background, instance, masks),
+        assert same_bits(explain._coalition_values(model, background, instance[None], masks),
                          expected)
         # a budget of 8 rows: 11 masks make chunks of 8 and 3 masks (one
         # row), five of 2 and one of 1 (three rows), one mask each (100 rows)
         monkeypatch.setattr(explain, "CHUNK_ROWS", 8)
-        assert same_bits(explain._coalition_values(model, background, instance, masks),
+        assert same_bits(explain._coalition_values(model, background, instance[None], masks),
                          expected)
 
     @pytest.mark.parametrize("case", ORACLE_CASES, ids=case_id)
@@ -409,7 +410,7 @@ class TestChunkedScoringMatchesLoop:
         background = rng.normal(size=(explain.CHUNK_ROWS + 3, 5))
         instance = rng.normal(size=5)
         masks = rng.random((3, 5)) < 0.5
-        assert same_bits(explain._coalition_values(model, background, instance, masks),
+        assert same_bits(explain._coalition_values(model, background, instance[None], masks),
                          loop_coalition_values(model, background, instance, list(masks)))
 
     @pytest.mark.parametrize("n_bg,n_masks,calls", [
@@ -425,7 +426,7 @@ class TestChunkedScoringMatchesLoop:
 
         model = TrainedModel("lr", ClassifierConfig("lr"), Recording(np.ones(2)), 2)
         masks = np.tile([[True, False]], (n_masks, 1))
-        explain._coalition_values(model, np.zeros((n_bg, 2)), np.ones(2), masks)
+        explain._coalition_values(model, np.zeros((n_bg, 2)), np.ones((1, 2)), masks)
         assert len(shapes) == calls
         assert sum(s[0] for s in shapes) == n_masks
         assert all(s[1:] == (n_bg, 2) for s in shapes)
@@ -433,7 +434,7 @@ class TestChunkedScoringMatchesLoop:
 
     def test_no_masks(self):
         model, rng = oracle_problem(("lr", False))
-        out = explain._coalition_values(model, rng.normal(size=(4, 5)), np.zeros(5),
+        out = explain._coalition_values(model, rng.normal(size=(4, 5)), np.zeros((1, 5)),
                                         np.zeros((0, 5), dtype=bool))
         assert out.shape == (0,)
 
@@ -465,28 +466,64 @@ class TestSizeSampler:
             assert same_bits(got, want), (seed, n_samples)
 
     def test_a_draw_lemire_may_reject_stops_the_replay(self):
-        # an all-zero block: every 32-bit draw is 0, which Lemire's method
-        # redraws for a bound that does not divide 2**32, as 5 does not
+        """An all-zero block of words: every 32-bit draw is 0, which Lemire's
+        method redraws for a bound that does not divide 2**32, as 5 does
+        not. It flags its own generator, alone or among others, and the
+        others' rows stay those ``choice`` draws."""
         class ZeroWords:
             def random_raw(self, n):
                 return np.zeros(n, dtype=np.uint64)
 
-        assert explain._replayed_coalitions(5, 4, explain._size_cdf(5), ZeroWords()) is None
+        cdf = explain._size_cdf(5)
+        _, flagged = explain._replayed_coalitions(5, 4, cdf, ZeroWords())
+        assert flagged.tolist() == [True]
+        Z, flagged = explain._replayed_coalitions(
+            5, 4, cdf, np.random.default_rng(0).bit_generator, ZeroWords(),
+            np.random.default_rng(2).bit_generator)
+        assert flagged.tolist() == [False, True, False]
+        for k, seed in ((0, 0), (2, 2)):
+            assert same_bits(Z[4 * k:4 * k + 4],
+                             choice_sample_coalitions(5, 4, np.random.default_rng(seed)))
 
     @pytest.mark.parametrize("flag_call", [0, 1, 7, 30])
     def test_rejection_fallback_gives_the_choice_rows(self, flag_call, monkeypatch):
-        """A replay that meets a possible rejection, at its first check or
-        after some steps, leaves the rows to the loop."""
-        checks = []
+        """A replay that meets possible rejections, from its first check or
+        after some steps, leaves the flagged rows to the loop; the pass
+        makes each of its checks once, for one row as for a block."""
+        for seeds in ((11,), (11, 12, 13)):
+            checks = []
 
-        def flag_one(products, bounds):
-            checks.append(None)
-            return len(checks) > flag_call
+            def flag_after(products, bounds):
+                checks.append(None)
+                return np.full(np.shape(products), len(checks) > flag_call)
 
-        monkeypatch.setattr(explain, "_lemire_may_reject", flag_one)
-        got = explain._sample_coalitions(24, 300, 11)
-        assert len(checks) == flag_call + 1
-        assert same_bits(got, choice_sample_coalitions(24, 300, np.random.default_rng(11)))
+            monkeypatch.setattr(explain, "_lemire_may_reject", flag_after)
+            got = explain._sample_coalitions(24, 300, *seeds)
+            assert len(checks) == 2 * (24 - 1)
+            assert same_bits(got, np.concatenate(
+                [choice_sample_coalitions(24, 300, np.random.default_rng(s)) for s in seeds]))
+
+    @pytest.mark.parametrize("flag", [0, 2, 3])
+    def test_only_the_flagged_row_falls_back(self, flag, monkeypatch):
+        """A flag sends its own seed's rows, and no other's, to the loop:
+        the size draws of the flagged row alone are made twice."""
+        replay, pick = explain._replayed_coalitions, explain._pick_size
+        n_samples, seeds = 301, (5, 6, 7, 8)
+
+        def flag_one(d, n, cdf, *bit_generators):
+            Z, flagged = replay(d, n, cdf, *bit_generators)
+            assert not flagged.any()
+            Z[flag * n:(flag + 1) * n] = True   # rows the loop must redraw
+            flagged[flag] = True
+            return Z, flagged
+
+        picks = []
+        monkeypatch.setattr(explain, "_replayed_coalitions", flag_one)
+        monkeypatch.setattr(explain, "_pick_size", lambda cdf, u: picks.append(u) or pick(cdf, u))
+        got = explain._sample_coalitions(24, n_samples, *seeds)
+        assert len(picks) == (len(seeds) + 1) * n_samples
+        assert same_bits(got, np.concatenate(
+            [choice_sample_coalitions(24, n_samples, np.random.default_rng(s)) for s in seeds]))
 
     @pytest.mark.parametrize("d", range(3, 64))
     def test_extreme_draws_pick_the_extreme_sizes(self, d):
@@ -496,6 +533,128 @@ class TestSizeSampler:
         cdf = explain._size_cdf(d)
         assert explain._pick_size(cdf, np.nextafter(1.0, 0.0)) == d - 1
         assert explain._pick_size(cdf, 0.0) == 1
+
+
+def loop_mean_abs_shap(model, X, n_samples, seed):
+    """mean_abs_shap's ranking, every row explained alone by the loop
+    oracle, with the dataset's rows as the background."""
+    totals = np.zeros(X.shape[1])
+    for i, instance in enumerate(X):
+        phi, _, _ = loop_kernel_shap(model, X, instance, n_samples, seed=seed + i)
+        totals += np.abs(phi)
+    means = totals / len(X)
+    order = sorted(range(len(means)), key=lambda j: (-means[j], j))
+    return [(f"f{j}", float(means[j]), rank + 1) for rank, j in enumerate(order)]
+
+
+_LOOP_RANKINGS = {}
+
+
+def block_problem(kind, n_samples):
+    """A trained model, 8 dataset rows of 5 features, and the per-row
+    oracle's ranking of them at seed 3 (computed once per kind and
+    n_samples)."""
+    model, rng = oracle_problem((kind, False), seed=3)
+    X = rng.normal(size=(8, 5))
+    key = (kind, n_samples)
+    if key not in _LOOP_RANKINGS:
+        _LOOP_RANKINGS[key] = loop_mean_abs_shap(model, X, n_samples, 3)
+    ds = Dataset(X, np.tile([0, 1], 4), np.arange(8) % 4 + 1, tuple(f"f{j}" for j in range(5)))
+    return model, ds, _LOOP_RANKINGS[key]
+
+
+class TestBlocksMatchPerRowOracle:
+    """A ranking explains its rows in blocks: one replay, one prediction
+    call and shared scoring chunks per block. Its values are bit for bit
+    those of each row explained alone."""
+
+    # with 8 background rows: CHUNK_ROWS 16 makes blocks of one row and
+    # chunks of 2 coalitions; 64 blocks of 3 (or 2) rows and chunks of 8
+    # that span rows; 100 blocks of 4 (or 3) rows and chunks of 12; 4096
+    # one block of all rows, a chunk per row
+    @pytest.mark.parametrize("chunk_rows", [16, 64, 100, 4096])
+    # odd, even, every proper coalition of 5 features
+    @pytest.mark.parametrize("n_samples", [21, 22, 30])
+    @pytest.mark.parametrize("kind", ["lr", "rf", "knn", "svc"])
+    def test_ranking_bitwise(self, kind, n_samples, chunk_rows, monkeypatch):
+        model, ds, expected = block_problem(kind, n_samples)
+        monkeypatch.setattr(explain, "CHUNK_ROWS", chunk_rows)
+        assert mean_abs_shap(model, ds, n_samples=n_samples, seed=3) == expected
+
+    @pytest.mark.parametrize("kind", ["lr", "knn"])
+    def test_a_flagged_row_in_a_block(self, kind, monkeypatch):
+        """One row of each block left to the ``choice`` loop."""
+        model, ds, expected = block_problem(kind, 21)
+        replay = explain._replayed_coalitions
+
+        def flag_second(d, n, cdf, *bit_generators):
+            Z, flagged = replay(d, n, cdf, *bit_generators)
+            Z[n:2 * n] = False
+            flagged[1:2] = True
+            return Z, flagged
+
+        monkeypatch.setattr(explain, "CHUNK_ROWS", 64)
+        monkeypatch.setattr(explain, "_replayed_coalitions", flag_second)
+        assert mean_abs_shap(model, ds, n_samples=21, seed=3) == expected
+
+    # the rows of each block
+    @pytest.mark.parametrize("chunk_rows,n_samples,blocks", [
+        (16, 21, [1] * 8), (64, 21, [3, 3, 2]), (100, 22, [4, 4]), (4096, 21, [8]),
+        (64, 30, [2, 2, 2, 2]), (4096, 30, [8])])
+    def test_one_replay_and_one_prediction_call_per_block(self, chunk_rows, n_samples, blocks,
+                                                          monkeypatch):
+        model, ds, _ = block_problem("lr", n_samples)
+        m = min(n_samples, 30)   # coalitions a row
+        replays, calls = [], []
+        replay, scores = explain._replayed_coalitions, explain.decision_scores
+
+        def counted_replay(d, n, cdf, *bit_generators):
+            replays.append(len(bit_generators))
+            return replay(d, n, cdf, *bit_generators)
+
+        def recorded(model, X):
+            calls.append(np.shape(X))
+            return scores(model, X)
+
+        monkeypatch.setattr(explain, "CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(explain, "_replayed_coalitions", counted_replay)
+        monkeypatch.setattr(explain, "decision_scores", recorded)
+        mean_abs_shap(model, ds, n_samples=n_samples, seed=3)
+        assert replays == ([] if m == 30 else blocks)   # every proper coalition: no draw
+        assert calls[0] == (8, 5)  # the background, once
+        assert [c for c in calls if c[1:] == (1, 5)] == [(k, 1, 5) for k in blocks]
+        chunks = [c for c in calls[1:] if c[1:] == (8, 5)]
+        assert len(blocks) + len(chunks) == len(calls) - 1
+        assert sum(c[0] for c in chunks) == 8 * m
+        assert all(c[0] <= min(chunk_rows // 8, m) for c in chunks)
+
+
+class TestBlockMemory:
+    """The peak of traced allocations of a bench-sized ranking, 48 rows of
+    24 features, stays within 128 KiB of the per-row path's: lr at 1,024
+    samples (blocks of 4 rows) peaked at 1,900 KiB, rf at 32 (one block)
+    at 2,283 KiB. Chunks of CHUNK_ROWS // 48 coalitions that span rows
+    would hold rf's walk over 100 trees for 4,080 synthetic rows, not
+    1,536."""
+
+    PER_ROW_PEAK_KIB = {"lr": 1900, "rf": 2283}
+    MARGIN_KIB = 128
+
+    @pytest.mark.parametrize("kind,n_samples", [("lr", 1024), ("rf", 32)])
+    def test_peak_within_the_per_row_path(self, kind, n_samples):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(48, 24))
+        y = (X[:, 0] > 0).astype(int)
+        ds = Dataset(X, y, np.arange(48) % 6 + 1, tuple(f"f{j}" for j in range(24)))
+        model = train(ClassifierConfig(kind), X, y)
+        mean_abs_shap(model, ds, n_samples=n_samples)   # first-call allocations
+        tracemalloc.start()
+        try:
+            mean_abs_shap(model, ds, n_samples=n_samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (self.PER_ROW_PEAK_KIB[kind] + self.MARGIN_KIB) * 1024
 
 
 # sha256 of the mean |SHAP| ranking JSON, recorded with the per-coalition
