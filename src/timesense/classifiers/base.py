@@ -67,72 +67,52 @@ def canonical_order(X, y):
     return np.lexsort(keys, axis=-1)
 
 
-def _training_rows(X, y):
-    """Checked training rows (X, y) in canonical order."""
-    X = float_array("X", X)
-    y = np.asarray(y)
-    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
-        raise InvalidInput("X and y shapes disagree")
-    if X.shape[1] == 0:
-        raise InvalidInput("X must have at least one feature column")
-    if len(y) < 2:
-        raise InsufficientData("need at least 2 training rows")
-    y = check_labels("training labels", y)
-    if not (np.any(y == 0) and np.any(y == 1)):
-        raise InsufficientData("training data must contain both classes")
-    finite_array("training data", X)
-    order = canonical_order(X, y)
-    return X[order], y[order]
-
-
-def _refuse(lanes):
-    """Raises the error of the first lane that ``_training_rows`` refuses,
-    as that lane alone raises it: without the stacked check's error, which
-    ``_training_lanes`` is handling, as its context."""
-    for X, y in lanes:
-        try:
-            _training_rows(X, y)
-        except (InvalidInput, InsufficientData) as exc:
-            raise exc from None
-    raise AssertionError("the stacked checks refused lanes that _training_rows accepts")
-
-
-def _training_lanes(lanes):
-    """``_training_rows`` of every lane, as one ``(index, Lanes)`` per
-    width: lane b of the ``Lanes`` is lane ``index[b]`` of the call. Padding
-    rows of +inf and label 1 sort after a lane's own rows, so a stable sort
-    leaves each lane the rows it gets alone. A failed check raises the error
-    of the first failing lane."""
-    try:
-        lanes = [(float_array("X", X), np.asarray(y)) for X, y in lanes]
-    except InvalidInput:
-        _refuse(lanes)
+def _stacks(lanes):
+    """The training rows of every lane in canonical order, as one ``(index,
+    Lanes)`` per width: lane b of the ``Lanes`` is lane ``index[b]`` of the
+    call. Padding rows of +inf and label 1 sort after a lane's own rows, so
+    a stable sort leaves each lane the rows it gets alone. Raises the first
+    check that a lane fails, in this order: shapes agree, a feature column,
+    2 rows, labels of 0 or 1, both classes, finite rows."""
+    lanes = [(float_array("X", X), np.asarray(y)) for X, y in lanes]
     widths = {}
     for i, (X, y) in enumerate(lanes):
-        if X.ndim != 2 or y.ndim != 1 or len(X) != len(y) or X.shape[1] == 0 or len(y) < 2:
-            _refuse(lanes)
+        if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
+            raise InvalidInput("X and y shapes disagree")
+        if X.shape[1] == 0:
+            raise InvalidInput("X must have at least one feature column")
+        if len(y) < 2:
+            raise InsufficientData("need at least 2 training rows")
         widths.setdefault(X.shape[1], []).append(i)
     stacks = []
     for width, index in widths.items():
         index = sorted(index, key=lambda i: len(lanes[i][1]))
         counts = np.array([len(lanes[i][1]) for i in index])
-        try:
-            rows = finite_array("training data", np.concatenate([lanes[i][0] for i in index]))
-            labels = check_labels("training labels",
-                                  np.concatenate([lanes[i][1] for i in index]))
-        except InvalidInput:
-            _refuse(lanes)
         X = np.full((len(index), counts[-1], width), np.inf)
         y = np.ones(X.shape[:2], dtype=int)
         valid = Lanes(X, y, counts).valid
-        X[valid], y[valid] = rows, labels
+        y[valid] = check_labels("training labels", np.concatenate([lanes[i][1] for i in index]))
         n_slow = (y == 0).sum(axis=1)
         if not ((0 < n_slow).all() and (n_slow < counts).all()):
-            _refuse(lanes)
+            raise InsufficientData("training data must contain both classes")
+        X[valid] = finite_array("training data", np.concatenate([lanes[i][0] for i in index]))
         order = canonical_order(X, y)
         stacks.append((index, Lanes(np.take_along_axis(X, order[..., None], axis=1),
                                     np.take_along_axis(y, order, axis=1), counts)))
     return stacks
+
+
+def _training_lanes(lanes):
+    """``_stacks`` of the call; when it refuses, each lane is checked alone
+    in call order, so the first bad lane raises the error ``train`` gives
+    for it, with no stacked error as its context."""
+    try:
+        return _stacks(lanes)
+    except (InvalidInput, InsufficientData) as exc:
+        refused = exc
+    for lane in lanes:
+        _stacks([lane])
+    raise refused
 
 
 def trained_lanes(config, lanes):

@@ -153,7 +153,8 @@ class Booster(TreeEnsemble):
         X, y, first = lanes.X, lanes.y, models[0]
         offsets = np.zeros(len(models))
         if not first.second_order_splits:
-            p0 = np.clip((lanes.valid & (y == 1)).sum(axis=1) / lanes.counts, 1e-12, 1 - 1e-12)
+            # both classes are present, so 0 < p0 < 1
+            p0 = (lanes.valid & (y == 1)).sum(axis=1) / lanes.counts
             offsets = np.log(p0 / (1 - p0))
         F = np.repeat(offsets[:, None], X.shape[1], axis=1)
         # gradients, the hessians splits use (ones for gb) and hessians

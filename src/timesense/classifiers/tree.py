@@ -363,8 +363,8 @@ def grow_boosting_trees(lanes, root, sums, booster, grown, gain):
         search = np.flatnonzero(counts >= 2)
         if depth == max_depth or not len(search):
             break
-        searched = (root if depth == 0 and len(search) == n_lanes
-                    else sort_lanes(lanes.X[lane[search]], masks[search]))
+        # every lane has 2 rows or more, so the roots search every lane
+        searched = root if depth == 0 else sort_lanes(lanes.X[lane[search]], masks[search])
         stats = np.where(masks[search], sums[lane[search]].transpose(1, 0, 2), 0.0)
         col, _, thr, best, left_sums = best_split(
             searched, stats,

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from . import ingest, pipeline
 from .classifiers import ClassifierConfig, train
-from .errors import InvalidInput, TimesenseError
+from .errors import InvalidInput, MissingFile, TimesenseError
 from .evaluate import (MATRIX_KINDS, MATRIX_SCHEMA_VERSION, SELECTION_MODES, losocv,
                        report_matrix, report_to_jsonable)
 from .explain import RANKING_SCHEMA_VERSION, mean_abs_shap
@@ -20,8 +20,8 @@ from .fileio import read_json, write_atomic, write_json
 from .ingest import synth_dataset, write_corpus
 
 EXIT_OK = 0
-EXIT_IO = 1
-EXIT_DOMAIN = 2
+EXIT_IO = MissingFile.exit_code
+EXIT_DOMAIN = TimesenseError.exit_code
 
 
 def _load_synth_config(path, seed):

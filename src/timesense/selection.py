@@ -107,7 +107,14 @@ def cv_accuracy(config: ClassifierConfig, candidates, y, folds):
 
 def _problems(selections):
     """The ``_InnerFolds`` of each (dataset, config, seed) in turn: the
-    first that fails raises, before any fit."""
+    first that fails raises, before any fit. Lockstep selections share the
+    first one's feature names and classifier kind."""
+    names, kind = selections[0][0].feature_names, selections[0][1].kind
+    for i, (dataset, config, _) in enumerate(selections):
+        if dataset.feature_names != names:
+            raise InvalidInput(f"selection {i} has other feature names than selection 0")
+        if config.kind != kind:
+            raise InvalidInput(f"selection {i} has another classifier kind than selection 0")
     return [_InnerFolds(config, dataset.y, stratified_kfold(dataset.y, seed))
             for dataset, config, seed in selections]
 

@@ -36,7 +36,8 @@ from timesense.classifiers.linear import (
     sigmoid,
 )
 from timesense.classifiers.svm import SMOSVC, rbf_kernel
-from timesense.errors import InsufficientData, InvalidInput, Unsupported
+from timesense.errors import (InsufficientData, InvalidInput, Unsupported, check_labels,
+                              finite_array, float_array)
 from timesense.model import Dataset
 from timesense.selection import rfecv
 from tests.conftest import blobs, mixed_repeats, pinned_fixture, xor_data
@@ -2145,6 +2146,26 @@ class TestForestRowWeights:
         assert np.array_equal(weights, built.valid)
 
 
+def oracle_training_rows(X, y):
+    """The training rows (X, y) of one lane in canonical order, checked one
+    rule at a time: shapes agree, a feature column, 2 rows, labels of 0 or
+    1, both classes, finite rows."""
+    X = float_array("X", X)
+    y = np.asarray(y)
+    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
+        raise InvalidInput("X and y shapes disagree")
+    if X.shape[1] == 0:
+        raise InvalidInput("X must have at least one feature column")
+    if len(y) < 2:
+        raise InsufficientData("need at least 2 training rows")
+    y = check_labels("training labels", y)
+    if not (np.any(y == 0) and np.any(y == 1)):
+        raise InsufficientData("training data must contain both classes")
+    finite_array("training data", X)
+    order = canonical_order(X, y)
+    return X[order], y[order]
+
+
 def tied_lanes():
     """Lanes of 1, 2 and 3 features, several of each (rows, width) shape,
     with values in {-0.0, 0.0, 1.0}: rows tie on their leading keys, repeat
@@ -2165,7 +2186,7 @@ def tied_lanes():
 
 class TestTrainingLanes:
     """The lanes of one width are checked and sorted as one stack, with the
-    rows and errors of the per-lane check."""
+    rows and errors of the per-lane oracle."""
 
     def test_rows_equal_those_of_each_lane_alone(self):
         lanes = tied_lanes()
@@ -2175,7 +2196,7 @@ class TestTrainingLanes:
             assert list(counts) == sorted(counts)
             for b, (i, n) in enumerate(zip(index, counts)):
                 placed.append(i)
-                for got, want in zip((X[b, :n], y[b, :n]), base._training_rows(*lanes[i])):
+                for got, want in zip((X[b, :n], y[b, :n]), oracle_training_rows(*lanes[i])):
                     assert (got.dtype, got.shape) == (want.dtype, want.shape)
                     assert got.tobytes() == want.tobytes()
                 assert np.isposinf(X[b, n:]).all()
@@ -2204,11 +2225,35 @@ class TestTrainingLanes:
             lanes[at] = _spoilt(lanes[at], how)
         with pytest.raises((InvalidInput, InsufficientData)) as alone:
             for X, y in lanes:
-                base._training_rows(X, y)
+                oracle_training_rows(X, y)
         with pytest.raises(type(alone.value)) as batched:
             base._training_lanes(lanes)
         assert str(batched.value) == str(alone.value)
         assert SPOILT_MESSAGES[spoilt[min(spoilt)]] in str(batched.value)
+
+
+TWO_FAULTS = [
+    (("label 2", "nan"), InvalidInput, "training labels must be exactly 0 or 1"),
+    (("one class", "nan"), InsufficientData, "training data must contain both classes"),
+    (("one row", "label 2"), InsufficientData, "need at least 2 training rows"),
+    (("no features", "nan label"), InvalidInput, "X must have at least one feature column"),
+    (("label column", "one class"), InvalidInput, "X and y shapes disagree")]
+
+
+@pytest.mark.parametrize("faults, error, message", TWO_FAULTS,
+                         ids=[" + ".join(faults) for faults, _, _ in TWO_FAULTS])
+def test_a_lane_with_two_faults_raises_the_earlier_rule(faults, error, message):
+    """Within one lane the checks keep the oracle's order, so of two faults
+    the one its earlier rule refuses is raised."""
+    lane = tied_lanes()[1]
+    for how in faults:
+        lane = _spoilt(lane, how)
+    with pytest.raises((InvalidInput, InsufficientData)) as alone:
+        oracle_training_rows(*lane)
+    assert (type(alone.value), str(alone.value)) == (error, message)
+    with pytest.raises(error) as trained:
+        train(ClassifierConfig("lr"), *lane)
+    assert type(trained.value) is error and str(trained.value) == message
 
 
 SPOILT_MESSAGES = {"nan": "must be finite", "one class": "both classes",
@@ -2246,6 +2291,8 @@ def _spoilt(lane, how):
         y = y[:, None]
     elif how == "no features":
         X = X[:, :0]
+    elif how == "nan label":
+        y[1] = np.nan
     return X, y
 
 

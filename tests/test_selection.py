@@ -274,6 +274,44 @@ def test_lockstep_selections_equal_each_alone(kind):
                                       for ds, config, s in selections]
 
 
+def _reversed(ds):
+    """``ds`` with its columns and their names in reverse order."""
+    return Dataset(ds.X[:, ::-1], ds.y, ds.participant_ids, ds.feature_names[::-1])
+
+
+def _narrowed(ds):
+    """``ds`` without its last column."""
+    return Dataset(ds.X[:, :-1], ds.y, ds.participant_ids, ds.feature_names[:-1])
+
+
+# lockstep selections of one 3-column dataset that the first one cannot
+# lead: (selections, what selection 1 differs in)
+UNSHARED = {
+    "reversed names": (lambda ds: [(ds, LR, 0), (_reversed(ds), LR, 1)], "feature names"),
+    "narrower second": (lambda ds: [(ds, LR, 0), (_narrowed(ds), LR, 1)], "feature names"),
+    "narrower first": (lambda ds: [(_narrowed(ds), LR, 0), (ds, LR, 1)], "feature names"),
+    "other kind": (lambda ds: [(ds, LR, 0), (ds, ClassifierConfig("lda"), 1)],
+                   "classifier kind"),
+}
+
+
+@pytest.mark.parametrize("case", UNSHARED)
+@pytest.mark.parametrize("many", ["sfs", "rfecv"])
+def test_lockstep_selections_refuse_what_they_cannot_share(monkeypatch, case, many):
+    """A selection whose feature names or classifier kind differ from the
+    first one's is refused by its position, before any fit: lockstep steps
+    index every dataset by the first one's columns and train every lane
+    with one kind."""
+    # any fit would call None
+    monkeypatch.setattr(selection, "trained_lanes", None)
+    selections, differs = UNSHARED[case]
+    with pytest.raises(InvalidInput, match=f"^selection 1 has .* {differs} than selection 0"):
+        if many == "sfs":
+            sfs_many(selections(ragged_dataset(d=3, seed=1)), 1)
+        else:
+            rfecv_many(selections(ragged_dataset(d=3, seed=1)))
+
+
 def test_no_selections_give_no_results():
     assert sfs_many([], 2) == []
     assert rfecv_many([]) == []
